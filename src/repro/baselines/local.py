@@ -18,7 +18,6 @@ import typing as _t
 
 import numpy as np
 
-from ..buffers import zero_copy_enabled
 from ..errors import MiddlewareError
 from ..gpusim import GPUDevice
 from ..mpisim import Phantom, payload_nbytes
@@ -28,8 +27,7 @@ from ..cluster.specs import CPUSpec
 from ..core.interface import (
     AcceleratorLifecycle,
     CapabilitySet,
-    reinterpret_legacy_peer_transfer,
-    reinterpret_legacy_pinned,
+    reject_bool_transfer,
     release_all,
     unsupported,
 )
@@ -84,8 +82,7 @@ class LocalAccelerator(AcceleratorLifecycle):
         ``transfer`` is accepted for interface compatibility and ignored —
         a local copy has no network protocol.
         """
-        transfer, pinned = reinterpret_legacy_pinned(
-            transfer, pinned, "memcpy_h2d")
+        reject_bool_transfer(transfer)
         nbytes = payload_nbytes(payload)
         with self._obs.start("client.memcpy_h2d", self._actor,
                              nbytes=nbytes) as span:
@@ -108,8 +105,7 @@ class LocalAccelerator(AcceleratorLifecycle):
     def memcpy_d2h(self, src: int, nbytes: int, transfer: _t.Any = None,
                    offset: int = 0, pinned: bool | None = None):
         """cudaMemcpy device-to-host (generator)."""
-        transfer, pinned = reinterpret_legacy_pinned(
-            transfer, pinned, "memcpy_d2h")
+        reject_bool_transfer(transfer)
         nbytes = int(nbytes)
         with self._obs.start("client.memcpy_d2h", self._actor,
                              nbytes=nbytes) as span:
@@ -124,14 +120,13 @@ class LocalAccelerator(AcceleratorLifecycle):
             self.bytes_d2h += nbytes
             if alloc.data is None:
                 return Phantom(nbytes)
-            # Zero-copy downloads return read-only loaned snapshot views
+            # Downloads return read-only loaned snapshot views
             # (allocation-level COW keeps them stable); callers that need
-            # to mutate take the same .copy() the old code always paid.
-            copy = not zero_copy_enabled()
+            # to mutate take a .copy().
             if (offset == 0 and alloc.dtype is not None and alloc.shape is not None
                     and nbytes == alloc.dtype.itemsize * int(np.prod(alloc.shape))):
-                return self.gpu.memory.read_array(src, copy=copy)
-            return self.gpu.memory.read(src, offset, nbytes, copy=copy)
+                return self.gpu.memory.read_array(src, copy=False)
+            return self.gpu.memory.read(src, offset, nbytes, copy=False)
 
     def capabilities(self) -> CapabilitySet:
         """What this front-end supports (see :class:`CapabilitySet`).
@@ -140,10 +135,10 @@ class LocalAccelerator(AcceleratorLifecycle):
         through host memory (D2H + H2D) instead of flowing device-direct.
         """
         return CapabilitySet(peer_put=False, streams=False,
-                             zero_copy=zero_copy_enabled(), fabric=False)
+                             zero_copy=True, fabric=False)
 
     def peer_put(self, src: int, nbytes: int, peer: _t.Any, dst: int,
-                 *legacy, transfer: _t.Any = None,
+                 *, transfer: _t.Any = None,
                  pinned: bool | None = None):
         """Staged peer copy: D2H into host memory, then H2D on ``peer``.
 
@@ -154,7 +149,6 @@ class LocalAccelerator(AcceleratorLifecycle):
         :class:`~repro.errors.UnsupportedOp`, matching the historical
         behaviour for unusable peers.
         """
-        transfer = reinterpret_legacy_peer_transfer(legacy, transfer)
         if not hasattr(peer, "memcpy_h2d"):
             unsupported("peer_put", self)
         with self._obs.start("client.peer_put_staged", self._actor,

@@ -1,5 +1,4 @@
-"""Zero-copy payload plumbing: chunk views, copy accounting, and the
-global zero-copy switch.
+"""Zero-copy payload plumbing: chunk views and copy accounting.
 
 The paper's pipelined transfer path is *copy-lean by construction*
 (GPUDirect v1 shares one pinned buffer between the NIC and the DMA
@@ -18,20 +17,13 @@ times.  This module provides the pieces every layer shares:
 * :class:`CopyStats` / :data:`copy_stats` — process-wide accounting of
   physical payload copies, used by the instrumented tests that assert
   the happy path really is zero-copy.
-* :func:`zero_copy_enabled` / :func:`set_zero_copy` /
-  :func:`zero_copy` — the global switch.  With zero-copy off, every
-  layer falls back to the historical snapshot-everything behaviour; the
-  deterministic harness runs both modes and asserts bit-identical
-  buffers and span timelines (only *host* time may differ, never
-  simulated time).
 
 Ownership rules (see DESIGN.md §10):
 
 1. A buffer handed to ``memcpy_h2d`` is loaned to the middleware until
    the operation completes; the caller must not mutate it in between.
 2. Arrays returned by zero-copy downloads are read-only snapshot views;
-   callers that need to mutate call ``.copy()`` (exactly the copy the
-   old code always paid).
+   callers that need to mutate call ``.copy()``.
 3. Device backing stores honour snapshot semantics through allocation-
    level copy-on-write: mutating device memory while downloaded views
    are outstanding repoints the allocation at a fresh buffer and leaves
@@ -40,7 +32,6 @@ Ownership rules (see DESIGN.md §10):
 
 from __future__ import annotations
 
-import contextlib
 import typing as _t
 
 import numpy as np
@@ -97,36 +88,6 @@ class CopyStats:
 #: Process-wide copy accounting.  Tests reset it around a scenario and
 #: assert on the delta; production code only ever increments.
 copy_stats = CopyStats()
-
-_zero_copy = True
-
-
-def zero_copy_enabled() -> bool:
-    """Is the zero-copy data plane on? (Default: yes.)"""
-    return _zero_copy
-
-
-def set_zero_copy(enabled: bool) -> None:
-    """Globally enable/disable the zero-copy data plane.
-
-    Off means every layer snapshots like the pre-zero-copy code did —
-    bit-identical results and simulated times, more host time.  Used by
-    the A/B identity harness; not meant for production toggling.
-    """
-    global _zero_copy
-    _zero_copy = bool(enabled)
-
-
-@contextlib.contextmanager
-def zero_copy(enabled: bool) -> _t.Iterator[None]:
-    """Context manager form of :func:`set_zero_copy` (restores on exit)."""
-    prev = _zero_copy
-    set_zero_copy(enabled)
-    try:
-        yield
-    finally:
-        set_zero_copy(prev)
-
 
 def _as_uint8(buf: np.ndarray) -> np.ndarray:
     """Flat uint8 alias of a contiguous array (no copy).

@@ -32,7 +32,7 @@ from ..core.session import SyncSession
 from ..errors import ClusterConfigError
 from ..mpisim import World
 from ..netsim import Fabric
-from ..sim import Engine, ShardedEngine, Tracer, NULL_TRACER
+from ..sim import Engine, ShardedEngine
 from .node import AcceleratorNode, ComputeNode
 from .specs import ClusterSpec
 
@@ -49,13 +49,11 @@ class Cluster:
     agents stay dormant until started — the autoscaler's headroom.
     """
 
-    def __init__(self, spec: ClusterSpec, tracer: Tracer = NULL_TRACER,
-                 discovery: bool = False,
+    def __init__(self, spec: ClusterSpec, discovery: bool = False,
                  initial_accelerators: int | None = None,
                  report_period_s: float = 5e-4,
                  shards: int | None = None):
         self.spec = spec
-        self.tracer = tracer
         if shards is None:
             self.engine = Engine()
         else:
@@ -69,9 +67,9 @@ class Cluster:
                                         lookahead_s=spec.network.latency_s)
         topo = spec.topology.build() if spec.topology is not None else None
         self.topology = topo
-        self.fabric = Fabric(self.engine, spec.network, tracer, topology=topo)
+        self.fabric = Fabric(self.engine, spec.network, topology=topo)
         self.fabric.set_core_capacity(spec.core_capacity_Bps())
-        self.world = World(self.engine, self.fabric, tracer)
+        self.world = World(self.engine, self.fabric)
 
         # Endpoints.  On a multi-switch fabric, compute and accelerator
         # nodes spread round-robin across the switches (independently, so
@@ -231,6 +229,6 @@ class Cluster:
                 f"{self.spec.n_accelerators}AC on {self.spec.network.name}>")
 
 
-def build(spec: ClusterSpec, tracer: Tracer = NULL_TRACER) -> Cluster:
+def build(spec: ClusterSpec) -> Cluster:
     """Convenience constructor."""
-    return Cluster(spec, tracer)
+    return Cluster(spec)

@@ -33,7 +33,6 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from ..buffers import zero_copy_enabled
 from ..errors import MiddlewareError, RequestTimeout
 from ..mpisim import RankHandle, payload_nbytes
 from ..obs.spans import collector_for
@@ -41,7 +40,7 @@ from .blocksize import DEFAULT_TRANSFER, TransferConfig
 from .interface import (
     AcceleratorLifecycle,
     CapabilitySet,
-    reinterpret_legacy_peer_transfer,
+    reject_bool_transfer,
     release_all,
 )
 from .protocol import (
@@ -96,6 +95,7 @@ class RemoteAccelerator(AcceleratorLifecycle):
         local backend; it derives a one-off config when it disagrees
         with the base one.
         """
+        reject_bool_transfer(transfer)
         cfg = transfer or self.transfer
         if pinned is not None and pinned != cfg.pinned:
             cfg = dataclasses.replace(cfg, pinned=pinned)
@@ -265,10 +265,10 @@ class RemoteAccelerator(AcceleratorLifecycle):
     def capabilities(self) -> CapabilitySet:
         """What this front-end supports (see :class:`CapabilitySet`)."""
         return CapabilitySet(peer_put=True, streams=True,
-                             zero_copy=zero_copy_enabled(), fabric=True)
+                             zero_copy=True, fabric=True)
 
     def peer_put(self, src: int, nbytes: int, peer: "RemoteAccelerator",
-                 dst: int, *legacy,
+                 dst: int, *,
                  transfer: TransferConfig | None = None,
                  pinned: bool | None = None):
         """Copy device memory directly to another accelerator.
@@ -278,7 +278,6 @@ class RemoteAccelerator(AcceleratorLifecycle):
         impossible with CUDA 4.2 / OpenCL 1.2 (Sect. III-C).  ``dst`` is
         the destination address on ``peer`` (wire name ``peer_addr``).
         """
-        transfer = reinterpret_legacy_peer_transfer(legacy, transfer)
         cfg = self._cfg(transfer, pinned)
         blocks = cfg.plan_blocks(int(nbytes), "d2h")
         with self._obs.start("client.peer_put", self._actor,

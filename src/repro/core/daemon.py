@@ -27,7 +27,7 @@ import typing as _t
 
 import numpy as np
 
-from ..buffers import ChunkView, zero_copy_enabled
+from ..buffers import ChunkView
 from ..errors import DeviceMemoryError, GPUError, KernelError
 from ..mpisim import Phantom, RankHandle
 from ..obs.spans import NULL_SPAN, collector_for, context_from_wire
@@ -711,9 +711,9 @@ class Daemon:
         # in order, so device contents cannot change mid-handler; later
         # mutations trigger allocation-level COW, keeping in-flight and
         # client-held views stable snapshots.
-        region: ChunkView | None = None
-        if is_real and zero_copy_enabled():
-            region = self.gpu.memory.read_chunk(src_addr, base, nbytes)
+        region: ChunkView | None = (
+            self.gpu.memory.read_chunk(src_addr, base, nbytes)
+            if is_real else None)
         for i, (off, size) in enumerate(blocks):
             # The pinned-ring slot is occupied from the start of the
             # device-to-pinned DMA until the NIC has drained it (send
@@ -725,8 +725,7 @@ class Daemon:
                 with self._cur_span.child("staging", block=i, nbytes=size):
                     yield self.engine.timeout(size / self.cpu.memcpy_bw_Bps)
             chunk: _t.Any = (region.subview(off, size) if region is not None
-                             else self.gpu.memory.read(src_addr, base + off, size)
-                             if is_real else Phantom(size))
+                             else Phantom(size))
             # Non-blocking: the send of block k overlaps the DMA of k+1;
             # sends come from the pre-registered pinned ring (cheap post).
             self._cur_span.event("net.send", block=i, nbytes=size)
@@ -810,15 +809,13 @@ class Daemon:
             self.rank.isend(peer_rank, TAG_REQUEST, fwd)
             block_post = p.get("block_post_s")
             dtag = fwd.params["data_tag"]
-            region: ChunkView | None = None
-            if is_real and zero_copy_enabled():
-                region = self.gpu.memory.read_chunk(src_addr, 0, nbytes)
+            region: ChunkView | None = (
+                self.gpu.memory.read_chunk(src_addr, 0, nbytes)
+                if is_real else None)
             for off, size in p["blocks"]:
                 yield self.gpu.dma.copy(size, pinned=pinned, ctx=span.context)
                 chunk: _t.Any = (region.subview(off, size)
-                                 if region is not None
-                                 else self.gpu.memory.read(src_addr, off, size)
-                                 if is_real else Phantom(size))
+                                 if region is not None else Phantom(size))
                 self.rank.isend(peer_rank, dtag, chunk, eager=True,
                                 injection_s=block_post)
             msg = yield from self.rank.recv(source=peer_rank,

@@ -9,8 +9,7 @@ written once against :class:`AcceleratorAPI` and measured on any of them;
 the conformance suite (``tests/core/test_interface_conformance.py``)
 asserts the same op program produces identical results on all three.
 
-Canonical signatures (the drifted per-backend spellings are reconciled
-behind deprecation shims, not removed):
+Canonical signatures:
 
 * ``memcpy_h2d(dst, payload, transfer=None, offset=0, pinned=None)`` and
   ``memcpy_d2h(src, nbytes, transfer=None, offset=0, pinned=None)`` —
@@ -19,11 +18,8 @@ behind deprecation shims, not removed):
   per-call ``pinned`` override; backends ignore what has no meaning for
   them (a local copy has no network protocol).
 * ``peer_put(src, nbytes, peer, dst, *, transfer=None, pinned=None)`` —
-  unified across all backends in the P2P redesign.  The fourth parameter
-  was historically called ``peer_addr`` and ``transfer`` was positional;
-  both old spellings keep working for one release behind
-  :func:`reinterpret_legacy_peer_transfer` (a ``DeprecationWarning``, same
-  policy as the ``pinned`` shim).  Backends without a native fabric path
+  unified across all backends in the P2P redesign.  Backends without a
+  native fabric path
   stage the transfer through host memory (D2H + H2D) instead of raising,
   *provided* the peer can participate; an unusable peer still raises the
   typed :class:`~repro.errors.UnsupportedOp`.
@@ -40,7 +36,6 @@ from __future__ import annotations
 
 import dataclasses
 import typing as _t
-import warnings
 
 from ..errors import UnsupportedOp
 
@@ -176,52 +171,14 @@ def unsupported(op: str, backend: _t.Any) -> _t.NoReturn:
     raise UnsupportedOp(op, type(backend).__name__)
 
 
-def reinterpret_legacy_pinned(transfer: _t.Any, pinned: bool | None,
-                              method: str) -> tuple[_t.Any, bool | None]:
-    """Deprecation shim for the pre-unification LocalAccelerator order.
-
-    ``LocalAccelerator.memcpy_*`` used to take ``pinned`` as its third
-    parameter where the unified signature puts ``transfer``; a bool
-    arriving in the ``transfer`` slot is old calling code.  Warn and
-    reinterpret instead of breaking it.
-    """
+def reject_bool_transfer(transfer: _t.Any) -> None:
+    """A bool in the ``transfer`` slot is a pre-unification positional
+    ``pinned``; taking it as a transfer policy would silently change the
+    copy's timing, so it is a ``TypeError``."""
     if isinstance(transfer, bool):
-        warnings.warn(
-            f"{method}: passing 'pinned' positionally is deprecated — the "
-            f"unified AcceleratorAPI signature is "
-            f"{method}(..., transfer=None, offset=0, pinned=None); "
-            f"use the pinned= keyword",
-            DeprecationWarning, stacklevel=3)
-        return None, transfer if pinned is None else pinned
-    return transfer, pinned
-
-
-def reinterpret_legacy_peer_transfer(legacy: tuple, transfer: _t.Any,
-                                     method: str = "peer_put") -> _t.Any:
-    """Deprecation shim for the pre-redesign ``peer_put`` call shape.
-
-    ``peer_put`` used to take ``transfer`` as a fifth positional
-    parameter; the unified surface makes it keyword-only (matching
-    ``memcpy_*``).  One release of grace: a fifth positional argument is
-    reinterpreted as ``transfer`` with a ``DeprecationWarning``, after
-    which the shim is removed and the call becomes a ``TypeError``.
-    """
-    if not legacy:
-        return transfer
-    if len(legacy) > 1:
         raise TypeError(
-            f"{method}() takes 4 positional arguments "
-            f"(src, nbytes, peer, dst) but {4 + len(legacy)} were given")
-    warnings.warn(
-        f"{method}: passing 'transfer' positionally is deprecated — the "
-        f"unified AcceleratorAPI signature is "
-        f"{method}(src, nbytes, peer, dst, *, transfer=None, pinned=None); "
-        f"use the transfer= keyword (shim removed next release)",
-        DeprecationWarning, stacklevel=3)
-    if transfer is not None:
-        raise TypeError(f"{method}() got 'transfer' both positionally "
-                        f"and as a keyword")
-    return legacy[0]
+            f"transfer must be a TransferConfig or None, got {transfer!r}; "
+            f"per-call pinning is the pinned= keyword")
 
 
 #: Methods every backend must expose; the conformance suite checks this

@@ -41,7 +41,6 @@ from ..obs.spans import NULL_SPAN, collector_for
 from .interface import (
     AcceleratorLifecycle,
     CapabilitySet,
-    reinterpret_legacy_peer_transfer,
     release_all,
     unsupported,
 )
@@ -501,7 +500,7 @@ class ResilientAccelerator(AcceleratorLifecycle):
                                    peer_put=False, streams=False)
 
     def peer_put(self, src: int, nbytes: int, peer: _t.Any, dst: int,
-                 *legacy, transfer=None, pinned: bool | None = None):
+                 *, transfer=None, pinned: bool | None = None):
         """Staged peer copy through the failover guard.
 
         A *direct* fabric copy would move data accelerator-to-accelerator
@@ -513,7 +512,6 @@ class ResilientAccelerator(AcceleratorLifecycle):
         shadow, keeping both replicas replayable.  A peer that cannot
         receive raises the typed :class:`~repro.errors.UnsupportedOp`.
         """
-        transfer = reinterpret_legacy_peer_transfer(legacy, transfer)
         if not hasattr(peer, "memcpy_h2d"):
             unsupported("peer_put", self)
         data = yield from self.memcpy_d2h(src, int(nbytes), transfer=transfer,

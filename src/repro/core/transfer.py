@@ -18,7 +18,7 @@ import typing as _t
 
 import numpy as np
 
-from ..buffers import ChunkView, chunk_payload, copy_stats, zero_copy_enabled
+from ..buffers import ChunkView, chunk_payload, copy_stats
 from ..errors import MiddlewareError
 from ..mpisim import Phantom
 
@@ -72,9 +72,8 @@ def as_flat_bytes(payload: _t.Any) -> np.ndarray | None:
 def slice_chunks(payload: _t.Any, blocks: list[tuple[int, int]]) -> list[_t.Any]:
     """Split a payload into per-block chunks matching ``blocks``.
 
-    Zero-copy mode yields :class:`ChunkView` windows over the payload's
-    flat view (one shared buffer, no allocation per block); otherwise
-    plain uint8 slices, which the MPI send layer then snapshots.
+    Real payloads yield :class:`ChunkView` windows over the payload's
+    flat view (one shared buffer, no allocation per block).
     """
     flat = as_flat_bytes(payload)
     if flat is None:
@@ -84,9 +83,7 @@ def slice_chunks(payload: _t.Any, blocks: list[tuple[int, int]]) -> list[_t.Any]
         raise MiddlewareError(
             f"payload of {flat.nbytes}B does not match planned blocks ({total}B)"
         )
-    if zero_copy_enabled():
-        return [ChunkView(flat, off, size) for off, size in blocks]
-    return [flat[off:off + size] for off, size in blocks]
+    return [ChunkView(flat, off, size) for off, size in blocks]
 
 
 def _assemble_views(chunks: list[ChunkView],

@@ -17,7 +17,7 @@ import itertools
 
 from ..errors import GPUError
 from ..obs.spans import NULL_SPAN, collector_for
-from ..sim import Engine, Event, Resource, Tracer, NULL_TRACER
+from ..sim import Engine, Event, Resource
 from ..units import GiB, USEC
 from .dma import DMAEngine, PCIeModel, PCIE_GEN2_X16
 from .kernels import KernelRegistry
@@ -89,7 +89,7 @@ class GPUDevice:
 
     def __init__(self, engine: Engine, spec: GPUSpec = TESLA_C1060,
                  registry: KernelRegistry | None = None,
-                 name: str | None = None, tracer: Tracer = NULL_TRACER):
+                 name: str | None = None):
         self.engine = engine
         self.spec = spec
         if registry is None:
@@ -98,7 +98,6 @@ class GPUDevice:
         self.registry = registry
         GPUDevice._ids += 1
         self.name = name or f"gpu{GPUDevice._ids}"
-        self.tracer = tracer
         self.memory = DeviceMemory(spec.mem_bytes)
         self.dma = DMAEngine(engine, spec.pcie, name=f"{self.name}.dma")
         self._compute = Resource(engine, capacity=1)
@@ -143,8 +142,6 @@ class GPUDevice:
                 self._compute.release()
             self.busy_time += duration
             self.kernels_launched += 1
-            self.tracer.log(self.engine.now, "gpu.kernel", self.name,
-                            (kernel.name, duration))
             span.set(modeled_s=duration)
         done.succeed(result)
 

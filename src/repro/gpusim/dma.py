@@ -16,12 +16,10 @@ large messages (the Figure 5 crossover).
 from __future__ import annotations
 
 import dataclasses
-import heapq
 
 from ..errors import GPUError
-from ..obs.spans import collector_for
+from ..obs.spans import NULL_SPAN, collector_for
 from ..sim import Engine, Event, Resource
-from ..sim.events import Timeout
 from ..units import MiB, USEC
 
 
@@ -94,37 +92,29 @@ class DMAEngine:
         """
         if nbytes < 0:
             raise GPUError(f"negative copy size: {nbytes!r}")
-        if ctx is not None:
-            done = self.engine.event()
-            self.engine.process(self._run(nbytes, pinned, done, ctx),
-                                name="dma")
-            return done
-        # Untraced fast path: the generator above costs a Process, a
-        # kickoff event, and a completion Timeout *per pipeline block*.
-        # This callback chain schedules the completion event directly.
-        # Copy ordering cannot change: the engine's lock is private to
-        # this GPU and its daemon issues copies strictly in handler
-        # order either way.
         engine = self.engine
+        # Spans are children of a request's handler span; a copy issued
+        # without one (direct device use) records nothing.
+        span = (collector_for(engine).start(
+            "dma.copy", self.name, parent=ctx, nbytes=nbytes, pinned=pinned)
+            if ctx is not None else NULL_SPAN)
         done = Event(engine)
         duration = self.model.copy_time(nbytes, pinned)
 
-        def _finish(_ev, duration=duration, nbytes=nbytes):
-            # Registered at creation so it runs before caller callbacks,
-            # like the generator's release-then-succeed ordering.
+        def _finish(_ev):
+            # Registered at creation so the engine is released and the
+            # span closed before any caller callback on ``done`` runs.
             self.busy_time += duration
             self.transfers += 1
             self.bytes_copied += nbytes
             self._lock.release()
+            span.finish()
 
         done.callbacks = [_finish]
 
-        def _granted(_ev, done=done, duration=duration):
-            done._ok = True
-            done._value = None
-            done._scheduled = True
-            heapq.heappush(engine._heap,
-                           (engine.now + duration, next(engine._seq), done))
+        def _granted(_ev):
+            span.event("engine_acquired")
+            engine.succeed_after(done, duration)
 
         self._lock.acquire().add_callback(_granted)
         return done
@@ -139,20 +129,3 @@ class DMAEngine:
         staging bytes at all.
         """
         return self.copy(int(view.nbytes), pinned=pinned, ctx=ctx)
-
-    def _run(self, nbytes: int, pinned: bool, done: Event, ctx=None):
-        span = collector_for(self.engine).start(
-            "dma.copy", self.name, parent=ctx,
-            nbytes=nbytes, pinned=pinned) if ctx is not None else None
-        yield self._lock.acquire()
-        if span:
-            span.event("engine_acquired")
-        duration = self.model.copy_time(nbytes, pinned)
-        yield Timeout(self.engine, duration)
-        self.busy_time += duration
-        self.transfers += 1
-        self.bytes_copied += nbytes
-        self._lock.release()
-        if span:
-            span.finish()
-        done.succeed(None)

@@ -22,7 +22,7 @@ import typing as _t
 
 from ..errors import MPIError
 from ..netsim import Endpoint, Fabric
-from ..sim import Engine, Event, Tracer, NULL_TRACER
+from ..sim import Engine, Event
 from .datatypes import copy_for_send, payload_nbytes
 from .matching import ANY_SOURCE, ANY_TAG, Envelope, MatchList
 
@@ -130,10 +130,9 @@ class _RankState:
 class World:
     """Binds an engine and a fabric; the factory for communicators."""
 
-    def __init__(self, engine: Engine, fabric: Fabric, tracer: Tracer = NULL_TRACER):
+    def __init__(self, engine: Engine, fabric: Fabric):
         self.engine = engine
         self.fabric = fabric
-        self.tracer = tracer
 
     def create_comm(self, endpoints: _t.Sequence[Endpoint | str],
                     name: str = "comm") -> "Communicator":

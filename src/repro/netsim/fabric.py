@@ -13,13 +13,11 @@ about (Sect. III-B).
 
 from __future__ import annotations
 
-import heapq
 import typing as _t
 
 from ..errors import NetworkError
 from ..obs.spans import NULL_SPAN, collector_for
-from ..sim import BandwidthShare, Engine, Event, Resource, Tracer, NULL_TRACER
-from ..sim.events import Timeout
+from ..sim import BandwidthShare, Engine, Event, Resource
 from .models import LinkModel
 from .topology import Topology
 
@@ -90,11 +88,10 @@ class Fabric:
     accelerator-to-node ratio low).
     """
 
-    def __init__(self, engine: Engine, model: LinkModel, tracer: Tracer = NULL_TRACER,
+    def __init__(self, engine: Engine, model: LinkModel,
                  topology: Topology | None = None):
         self.engine = engine
         self.model = model
-        self.tracer = tracer
         self.endpoints: dict[str, Endpoint] = {}
         self._obs = collector_for(engine)
         self._core: BandwidthShare | None = None
@@ -299,8 +296,8 @@ class Fabric:
                  injection_s: float | None = None) -> Transmission:
         """Start moving ``nbytes`` from ``src`` to ``dst``.
 
-        Returns immediately with a :class:`Transmission`; the actual flow
-        runs as an internal process.  Sending to oneself is charged a
+        Returns immediately with a :class:`Transmission`; the flow itself
+        runs as a chain of event callbacks.  Sending to oneself is charged a
         loopback (no wire latency, through the local RX share only).
 
         ``injection_s`` overrides the per-message posting cost, modelling
@@ -334,73 +331,73 @@ class Fabric:
             tx.dropped = True
             self.messages_dropped += 1
             self.bytes_dropped += nbytes
-        if self._obs.enabled or self.tracer.enabled:
-            # Static process name: one flow process per pipeline block
-            # makes per-flow f-string formatting measurable on large
-            # transfers.
-            self.engine.process(self._flow(tx, weight), name="net.flow")
-        else:
-            self._fast_flow(tx, weight)
+        self._start_flow(tx, weight)
         return tx
 
-    def _account_delivery(self, tx: Transmission) -> None:
-        """Delivery bookkeeping shared by the fast and traced paths.
+    def _start_flow(self, tx: Transmission, weight: float) -> None:
+        """Run one message through the fabric as a callback chain.
 
-        ``bytes_moved`` counts each message once regardless of hop count
-        (it is an end-to-end total); trunk traffic is accounted
-        separately per segment in :attr:`trunk_bytes`.
-        """
-        self.bytes_moved += tx.nbytes
-        self.messages_sent += 1
-        tx.src.tx_bytes += tx.nbytes
-        tx.dst.rx_bytes += tx.nbytes
-        if tx.hops:
-            tb = self.trunk_bytes
-            for h in tx.hops:
-                tb[h] = tb.get(h, 0) + tx.nbytes
-
-    def _fast_flow(self, tx: Transmission, weight: float) -> None:
-        """Untraced flow as a callback chain (no generator Process).
-
-        Mirrors :meth:`_flow` stage for stage but saves the Process, its
-        kickoff event, and both Timeouts per message — which dominates
-        wall time on block-pipelined transfers.  Runs inside
-        :meth:`transfer` before the Transmission is returned, so the
-        internal continuations registered here always precede any client
-        callbacks on ``injected``/``delivered``.
+        Traced or not, this is the only flow implementation: the
+        ``net.flow`` span is recorded by the same continuations that
+        move the message.  Registered inside :meth:`transfer` before the
+        Transmission is returned, so the internal continuations always
+        precede any client callbacks on ``injected``/``delivered``.
         """
         model = self.model
         engine = self.engine
+        # Fabric flows root their own traces (no request context reaches
+        # this layer); each endpoint gets its own timeline row.  Only
+        # span construction is guarded: disabled, the flow pays no-op
+        # calls on the shared null span, not a kwargs dict (measured:
+        # guarding those calls too moves nothing on ``qr_protocol``).
+        obs = self._obs
+        span = (obs.start_root("net.flow", tx.src.name, dst=tx.dst.name,
+                               nbytes=tx.nbytes) if obs.enabled else NULL_SPAN)
 
         def _delivered_first(_ev):
-            self._account_delivery(tx)
+            # ``bytes_moved`` counts each message once regardless of hop
+            # count (an end-to-end total); trunk traffic is accounted
+            # separately per segment in ``trunk_bytes``.
+            self.bytes_moved += tx.nbytes
+            self.messages_sent += 1
+            tx.src.tx_bytes += tx.nbytes
+            tx.dst.rx_bytes += tx.nbytes
+            if tx.hops:
+                tb = self.trunk_bytes
+                for h in tx.hops:
+                    tb[h] = tb.get(h, 0) + tx.nbytes
+            span.finish()
 
         tx.delivered.callbacks = [_delivered_first]
 
         def _drained(_ev):
             tx.src.nic.release()
-            # Merged Timeout(latency) + delivered.succeed(): schedule the
-            # delivered event itself one wire latency out (plus one trunk
-            # latency per inter-switch hop).
-            delivered = tx.delivered
-            delivered._ok = True
-            delivered._value = None
-            delivered._scheduled = True
+            # 3. Propagation latency (not a NIC resource): ``delivered``
+            #    itself is scheduled one wire latency out, plus one trunk
+            #    latency per inter-switch hop.
             delay = (model.latency_s
                      if tx.src is not tx.dst and model.latency_s > 0
                      else 0.0)
             if tx.hops:
                 delay += self._trunk_latency_s * len(tx.hops)
             delay += self._extra_latency(tx)
-            heapq.heappush(engine._heap,
-                           (engine.now + delay, next(engine._seq), delivered))
+            engine.succeed_after(tx.delivered, delay)
 
         def _injected_first(_ev):
+            span.event("injected")
             if tx.dropped:
                 # The message entered the wire and vanished at the cut:
                 # the NIC frees, the receiver never hears anything.
                 tx.src.nic.release()
+                span.finish()
                 return
+            # 2. Wire transmission through the receiver's share: concurrent
+            #    senders into one endpoint split its bandwidth fairly, and
+            #    the resulting backpressure keeps this NIC busy longer.
+            #    With a finite switch core, inter-node flows traverse it as
+            #    well and proceed at the slower of the two stages; on a
+            #    multi-switch route the flow also drains through every
+            #    trunk segment it crosses (per-hop contention).
             if tx.nbytes > 0:
                 rx_done = tx.dst.rx.transfer(tx.nbytes, weight)
                 stages = None
@@ -421,81 +418,16 @@ class Fabric:
         tx.injected.callbacks = [_injected_first]
 
         def _granted(_ev):
-            # Merged Timeout(injection) + injected.succeed().
             inj = (model.injection_overhead_s if tx.injection_s is None
                    else tx.injection_s)
-            injected = tx.injected
-            injected._ok = True
-            injected._value = None
-            injected._scheduled = True
-            heapq.heappush(engine._heap,
-                           (engine.now + inj, next(engine._seq), injected))
+            engine.succeed_after(tx.injected, inj)
 
+        # 1. The sender NIC drains its queue FIFO: it is held for the
+        #    injection overhead and the wire transmission of this
+        #    message.  This keeps queued messages (e.g. pipeline blocks)
+        #    arriving back-to-back instead of fair-sharing against each
+        #    other.
         tx.src.nic.acquire().add_callback(_granted)
-
-    def _flow(self, tx: Transmission, weight: float):
-        model = self.model
-        engine = self.engine
-        # Fabric flows root their own traces (no request context reaches
-        # this layer); each endpoint gets its own timeline row.  Span
-        # construction is guarded (not just null-object'd): this runs per
-        # pipeline block, and the disabled case should pay one attribute
-        # load, not a kwargs dict.
-        obs = self._obs
-        span = (obs.start("net.flow", tx.src.name, dst=tx.dst.name,
-                          nbytes=tx.nbytes) if obs.enabled else NULL_SPAN)
-        with span:
-            # 1. The sender NIC drains its queue FIFO: it is held for the
-            #    injection overhead and the wire transmission of this
-            #    message.  This keeps queued messages (e.g. pipeline
-            #    blocks) arriving back-to-back instead of fair-sharing
-            #    against each other.
-            yield tx.src.nic.acquire()
-            inj = model.injection_overhead_s if tx.injection_s is None else tx.injection_s
-            yield Timeout(engine, inj)
-            tx.injected.succeed(None)
-            if span is not NULL_SPAN:
-                span.event("injected")
-            if tx.dropped:
-                # Vanishes at the cut: NIC frees, nothing arrives, and
-                # the delivered event never fires (mirrors _fast_flow).
-                tx.src.nic.release()
-                return
-            # 2. Wire transmission through the receiver's share: concurrent
-            #    senders into one endpoint split its bandwidth fairly, and
-            #    the resulting backpressure keeps this NIC busy longer.
-            #    With a finite switch core, inter-node flows traverse it as
-            #    well and proceed at the slower of the two stages; on a
-            #    multi-switch route the flow also drains through every
-            #    trunk segment it crosses (per-hop contention).
-            if tx.nbytes > 0:
-                rx_done = tx.dst.rx.transfer(tx.nbytes, weight)
-                stages = None
-                if self._core is not None and tx.src is not tx.dst:
-                    stages = [rx_done, self._core.transfer(tx.nbytes, weight)]
-                if tx.hops:
-                    if stages is None:
-                        stages = [rx_done]
-                    stages += [self._trunks[h].transfer(tx.nbytes, weight)
-                               for h in tx.hops]
-                if stages is not None:
-                    yield engine.all_of(stages)
-                else:
-                    yield rx_done
-            tx.src.nic.release()
-            # 3. Propagation latency (not a NIC resource).
-            prop = (model.latency_s if tx.src is not tx.dst else 0.0)
-            if tx.hops:
-                prop += self._trunk_latency_s * len(tx.hops)
-            prop += self._extra_latency(tx)
-            if prop > 0:
-                yield Timeout(engine, prop)
-            self._account_delivery(tx)
-            tracer = self.tracer
-            if tracer.enabled:
-                tracer.log(engine.now, "net.delivered",
-                           f"{tx.src.name}->{tx.dst.name}", tx.nbytes)
-        tx.delivered.succeed(None)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Fabric {self.model.name} endpoints={len(self.endpoints)}>"

@@ -14,10 +14,9 @@ Recording a span never yields, never schedules an event, and never
 advances the clock — tracing on or off, the simulation timeline is
 bit-identical (asserted by ``tests/obs/test_identity.py``).
 
-Disabled tracing follows the ``NULL_TRACER`` pattern of
-:mod:`repro.sim.trace`: :meth:`TraceCollector.start` returns the shared
-:data:`NULL_SPAN` whose methods all no-op, so hot paths pay one enabled
-check per operation and nothing else.
+Disabled tracing is a null object: :meth:`TraceCollector.start` returns
+the shared :data:`NULL_SPAN` whose methods all no-op, so hot paths pay
+one enabled check per operation and nothing else.
 
 Collectors are looked up per engine with :func:`collector_for` — every
 component of one simulation shares one collector, exactly like they share
@@ -218,6 +217,7 @@ class TraceCollector:
         # by engine, so a strong back-reference would pin the entry (and
         # the whole simulation) forever.
         self._engine_ref = weakref.ref(engine)
+        self._last_now = 0.0
         self.spans: list[Span] = []
         self._open: set[Span] = set()
         self._span_ids = itertools.count(1)
@@ -227,8 +227,13 @@ class TraceCollector:
     # -- clock ------------------------------------------------------------
     @property
     def now(self) -> float:
+        # Once the engine is gone the clock stays at the last time read,
+        # so a span left open by an abandoned process still exports with
+        # a non-negative duration.
         engine = self._engine_ref()
-        return engine.now if engine is not None else 0.0
+        if engine is not None:
+            self._last_now = engine.now
+        return self._last_now
 
     # -- span creation ----------------------------------------------------
     def start(self, name: str, actor: str,
@@ -245,6 +250,23 @@ class TraceCollector:
             parent, self._adopted = self._adopted, None
         if isinstance(parent, Span):
             parent = parent.context
+        return self._open_span(name, actor, parent, attrs)
+
+    def start_root(self, name: str, actor: str,
+                   **attrs: _t.Any) -> "Span | NullSpan":
+        """Open a span that roots a new trace.
+
+        Unlike :meth:`start` it leaves a context staged by
+        :meth:`adopt_parent` alone: layers no request context reaches
+        (the fabric) open spans synchronously inside calls made between
+        someone else's stage-then-start pair.
+        """
+        if not self.enabled:
+            return NULL_SPAN
+        return self._open_span(name, actor, None, attrs)
+
+    def _open_span(self, name: str, actor: str, parent: SpanContext | None,
+                   attrs: dict) -> Span:
         if parent is not None:
             trace_id, parent_id = parent.trace_id, parent.span_id
         else:

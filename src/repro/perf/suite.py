@@ -399,15 +399,6 @@ def run_suite(quick: bool = False, only: _t.Sequence[str] | None = None,
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
     _SHARD_COUNT = shards
-    try:
-        from ..buffers import zero_copy_enabled
-    except ImportError:
-        # Pre-zero-copy tree: the suite is copied into the baseline
-        # checkout to measure "before" numbers, where repro.buffers
-        # does not exist yet.
-        def zero_copy_enabled() -> bool:
-            return False
-
     names = set(only) if only is not None else None
     doc: dict = {
         "schema": SCHEMA,
@@ -419,7 +410,9 @@ def run_suite(quick: bool = False, only: _t.Sequence[str] | None = None,
             "platform": platform.platform(),
             "implementation": platform.python_implementation(),
         },
-        "zero_copy": zero_copy_enabled(),
+        # Constant since the copying data plane was deleted; kept so
+        # repro-perf/1 documents (and the baseline) still validate.
+        "zero_copy": True,
         "benchmarks": {},
     }
     for bench in BENCHMARKS:

@@ -8,7 +8,6 @@ Public surface::
 
     from repro.sim import Engine, Event, Timeout, Process
     from repro.sim import Store, Resource, BandwidthShare
-    from repro.sim import Tracer
 """
 
 from .engine import Engine
@@ -18,7 +17,6 @@ from .resources import BandwidthShare, Resource, Store
 from .sharded import (ShardContext, ShardedEngine, ShardProgram,
                       TimerChurnProgram, WireMessage, run_cooperative,
                       run_multiprocess, run_single_reference)
-from .trace import NULL_TRACER, TraceRecord, Tracer
 
 __all__ = [
     "Engine",
@@ -40,7 +38,4 @@ __all__ = [
     "Store",
     "Resource",
     "BandwidthShare",
-    "Tracer",
-    "TraceRecord",
-    "NULL_TRACER",
 ]

@@ -77,6 +77,22 @@ class Engine:
         event._scheduled = self._active_shard + 1
         heapq.heappush(self._heap, (self.now + delay, next(self._seq), event))
 
+    def succeed_after(self, event: Event, delay: float) -> None:
+        """Fire the pre-created pending ``event`` ``delay`` seconds from now.
+
+        A ``Timeout(delay)`` followed by ``event.succeed()`` folded into
+        one heap entry, for callback chains (fabric flows, DMA copies)
+        whose completion event exists before its time is known.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative delay: {delay!r}")
+        event._ok = True
+        event._value = None
+        # _enqueue() inlined: this fires twice per message and once per
+        # DMA, like Event.succeed() and Timeout.__init__.
+        event._scheduled = self._active_shard + 1
+        heapq.heappush(self._heap, (self.now + delay, next(self._seq), event))
+
     def _note_dead_on(self, shard: int) -> None:
         """Shard-routed cancel accounting; one heap here, so plain
         :meth:`_note_dead` (the sharded engine overrides this)."""

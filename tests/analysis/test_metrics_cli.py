@@ -94,6 +94,19 @@ class TestCli:
         data = json.loads(path.read_text())
         assert data["fig_id"] == "ext-utilization"
 
+    @pytest.mark.parametrize("name", ["fig06", "fig09", "ext_async"])
+    def test_launches_in_one_process_agree(self, name):
+        """Traced == untraced == a second untraced run: every launch
+        restarts the request-id stream, so frame sizes (and with them
+        virtual times) do not depend on what ran earlier in the process."""
+        from repro.analysis.cli import _launch
+        from repro.obs import trace_session
+        mod = EXPERIMENTS[name]
+        with trace_session():
+            traced = _launch(mod, quick=True).to_dict()
+        assert _launch(mod, quick=True).to_dict() == traced
+        assert _launch(mod, quick=True).to_dict() == traced
+
     def test_main_list(self, capsys):
         assert main(["list"]) == 0
         assert "fig05" in capsys.readouterr().out

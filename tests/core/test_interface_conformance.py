@@ -3,8 +3,8 @@
 The same op program must produce identical results on the remote
 middleware path, the node-attached local baseline, and the failover
 wrapper; optional capabilities degrade through the typed UnsupportedOp;
-the context-manager lifecycle and the legacy-signature deprecation shims
-behave uniformly.
+the context-manager lifecycle behaves uniformly and the pre-unification
+call shapes are rejected uniformly.
 """
 
 import dataclasses
@@ -163,16 +163,18 @@ class TestLifecycle:
 
 
 class TestDeprecationShims:
-    def test_legacy_positional_pinned_warns_and_works(self, rig):
-        cluster, sess = rig
-        local = make_backend("local", cluster, sess)
+    """The shims' window has closed: old call shapes fail loudly."""
+
+    def test_positional_pinned_raises(self, rig, backend):
+        # A bool in the transfer slot must not be taken as a transfer
+        # policy (or silently ignored) on any backend.
+        _, sess = rig
         data = np.arange(64, dtype=np.float64)
-        ptr = sess.call(local.mem_alloc(data.nbytes))
-        with pytest.warns(DeprecationWarning, match="pinned"):
-            sess.call(local.memcpy_h2d(ptr, data, False))
-        with pytest.warns(DeprecationWarning, match="pinned"):
-            out = sess.call(local.memcpy_d2h(ptr, data.nbytes, False))
-        np.testing.assert_array_equal(out, data)
+        ptr = sess.call(backend.mem_alloc(data.nbytes))
+        with pytest.raises(TypeError, match="pinned= keyword"):
+            sess.call(backend.memcpy_h2d(ptr, data, False))
+        with pytest.raises(TypeError, match="pinned= keyword"):
+            sess.call(backend.memcpy_d2h(ptr, data.nbytes, True))
 
     def test_keyword_pinned_does_not_warn(self, rig, recwarn):
         cluster, sess = rig
@@ -262,13 +264,9 @@ class TestPeerPutSignatureShim:
         sess.call(a.memcpy_h2d(src, data))
         return a, b, src, dst, data
 
-    def test_legacy_positional_transfer_warns_and_works(self, rig):
-        cluster, sess = rig
-        a, b, src, dst, data = self._pair(cluster, sess)
-        with pytest.warns(DeprecationWarning, match="transfer"):
-            sess.call(a.peer_put(src, data.nbytes, b, dst, None))
-        out = sess.call(b.memcpy_d2h(dst, data.nbytes))
-        np.testing.assert_array_equal(out, data)
+    def test_fifth_positional_raises(self, rig, backend):
+        with pytest.raises(TypeError, match="positional"):
+            backend.peer_put(0, 8, backend, 0, None)
 
     def test_keyword_transfer_does_not_warn(self, rig, recwarn):
         cluster, sess = rig
@@ -280,15 +278,13 @@ class TestPeerPutSignatureShim:
     def test_too_many_positionals_is_a_type_error(self, rig):
         cluster, sess = rig
         a, b, src, dst, data = self._pair(cluster, sess)
-        with pytest.raises(TypeError, match="4 positional"):
-            sess.call(a.peer_put(src, data.nbytes, b, dst, None, True))
+        with pytest.raises(TypeError, match="positional"):
+            a.peer_put(src, data.nbytes, b, dst, None, True)
 
     def test_positional_and_keyword_transfer_conflict(self, rig):
         cluster, sess = rig
         a, b, src, dst, data = self._pair(cluster, sess)
         from repro.core import DEFAULT_TRANSFER
-        with pytest.warns(DeprecationWarning, match="transfer"):
-            with pytest.raises(TypeError, match="both"):
-                sess.call(a.peer_put(src, data.nbytes, b, dst,
-                                     DEFAULT_TRANSFER,
-                                     transfer=DEFAULT_TRANSFER))
+        with pytest.raises(TypeError, match="positional"):
+            a.peer_put(src, data.nbytes, b, dst, DEFAULT_TRANSFER,
+                       transfer=DEFAULT_TRANSFER)

@@ -483,14 +483,13 @@ def span_timeline(session) -> list[tuple]:
             for ev in events]
 
 
-def run_memcpy_traced(seed: int, n_ops: int = 24, zero_copy: bool = True,
+def run_memcpy_traced(seed: int, n_ops: int = 24,
                       shards: int | None = None):
-    """One traced memcpy run under the given zero-copy mode.
+    """One traced memcpy run.
 
     Returns ``(outcome, timeline)``.  The rig is built inside the trace
     session so every engine's spans are captured.
     """
-    from repro.buffers import zero_copy as zero_copy_ctx
     from repro.core.protocol import reset_request_ids
     from repro.obs import trace_session
 
@@ -498,10 +497,9 @@ def run_memcpy_traced(seed: int, n_ops: int = 24, zero_copy: bool = True,
     # Pickled control frames grow with the request id's magnitude, so
     # absolute times only line up when both runs draw the same ids.
     reset_request_ids()
-    with zero_copy_ctx(zero_copy):
-        with trace_session() as session:
-            cluster, sess, ac = make_remote_rig(shards=shards)
-            outcome = sess.call(run_memcpy(cluster.engine, ac, program))
+    with trace_session() as session:
+        cluster, sess, ac = make_remote_rig(shards=shards)
+        outcome = sess.call(run_memcpy(cluster.engine, ac, program))
     return outcome, span_timeline(session)
 
 

@@ -90,6 +90,25 @@ class TestClusterTrace:
         assert json.loads(path.read_text()) == trace
 
 
+class TestAbandonedSpan:
+    def test_open_span_outliving_its_engine_exports_validly(self):
+        """An experiment may drop its engine with processes mid-flight
+        (``ext_contention``'s background streams); their open spans must
+        still export with a non-negative duration."""
+        import gc
+        engine = Engine()
+        col = enable_tracing(engine)
+        engine.run(until=engine.timeout(2e-3))
+        span = col.start("client.memcpy_h2d", "cn0")
+        engine.run(until=engine.timeout(1e-3))
+        col.start("client.ping", "cn0").finish()
+        del engine
+        gc.collect()
+        trace = chrome_trace(col)
+        validate_chrome_trace(trace)
+        assert span.open and span.duration == pytest.approx(1e-3)
+
+
 class TestValidation:
     def test_rejects_non_dict(self):
         with pytest.raises(TraceSchemaError, match="must be a dict"):

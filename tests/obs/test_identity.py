@@ -5,12 +5,18 @@ span collector enabled, once without — and every observable number
 (final virtual time, per-op completion times, transfer output, component
 counters) must be bit-identical.  This is the acceptance bar that lets
 tracing stay on in CI without invalidating performance figures.
+
+It holds by construction: the traced run executes the same fabric-flow
+and DMA callback chains as the untraced one, so it also schedules
+exactly as many events.
 """
 
 import numpy as np
 
 from repro.cluster import Cluster, paper_testbed
-from repro.obs import collector_for, enable_tracing
+from repro.netsim import IB_QDR_MPI, Fabric
+from repro.obs import SpanContext, collector_for, enable_tracing
+from repro.sim import Engine
 from repro.units import MiB
 
 
@@ -46,6 +52,8 @@ def _program(traced: bool):
         "bytes_d2h": stats.bytes_d2h,
         "fabric_bytes": cluster.fabric.bytes_moved,
         "fabric_messages": cluster.fabric.messages_sent,
+        # The run is over, so drawing one sequence number is harmless.
+        "events_scheduled": next(cluster.engine._seq),
     }
     spans = len(collector_for(cluster.engine).spans)
     return evidence, spans
@@ -63,3 +71,38 @@ def test_untraced_runs_are_deterministic():
     a, _ = _program(traced=False)
     b, _ = _program(traced=False)
     assert a == b
+
+
+def _traced_fabric():
+    eng = Engine()
+    fabric = Fabric(eng, IB_QDR_MPI)
+    fabric.add_endpoint("a")
+    fabric.add_endpoint("b")
+    return eng, fabric, enable_tracing(eng)
+
+
+def test_dropped_flow_closes_its_span_at_injection():
+    eng, fabric, obs = _traced_fabric()
+    fabric.cut("a", "b")
+    tx = fabric.transfer("a", "b", 4096)
+    fabric.transfer("b", "b", 4096)        # loopback is never cut
+    eng.run()
+    assert tx.dropped and not tx.delivered.triggered
+    assert not obs.open_spans
+    dropped, loopback = obs.by_name("net.flow")
+    # Closed at injection: the posting overhead, no wire time.
+    assert dropped.end == IB_QDR_MPI.injection_overhead_s > 0
+    assert [e.name for e in dropped.events] == ["injected"]
+    assert loopback.end > dropped.end
+    assert fabric.messages_dropped == 1 and fabric.messages_sent == 1
+
+
+def test_net_flow_leaves_a_staged_parent_alone():
+    eng, fabric, obs = _traced_fabric()
+    staged = SpanContext(trace_id=77, span_id=5)
+    obs.adopt_parent(staged)
+    fabric.transfer("a", "b", 64)          # opens net.flow synchronously
+    flow, = obs.by_name("net.flow")
+    assert flow.parent_id is None and flow.trace_id != 77
+    op = obs.start("client.op", "a")
+    assert (op.trace_id, op.parent_id) == (77, 5)

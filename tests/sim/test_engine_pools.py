@@ -68,6 +68,20 @@ class TestRearmGuard:
         assert eng.shards[0].n_dead == 0 and eng._n_dead == 0
         assert eng.queued == 0
 
+    def test_succeed_after_tags_the_owning_shard(self):
+        """A pre-created event fired through ``succeed_after`` (fabric
+        flows, DMA completions) is stamped like any other enqueue, so a
+        later cancel charges the shard whose heap holds the entry."""
+        eng = ShardedEngine(2)
+        ev = Event(eng)
+        with eng.shard_scope(1):
+            eng.succeed_after(ev, 1.0)
+        assert ev._scheduled == 2
+        ev.cancel()
+        assert eng.shards[1].n_dead == 1 and eng.shards[0].n_dead == 0
+        with pytest.raises(SimulationError):
+            eng.succeed_after(Event(eng), -1.0)
+
 
 class TestShardLocalPools:
     def test_pools_do_not_leak_across_shards(self):

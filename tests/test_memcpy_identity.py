@@ -1,19 +1,18 @@
-"""Zero-copy data plane: A/B identity, copy accounting, COW isolation.
+"""Zero-copy data plane: identity, copy accounting, COW isolation.
 
-The tentpole property: running the exact same seeded memcpy-heavy
-program with the zero-copy plane on and off must produce bit-identical
-downloaded bytes, an identical virtual-time trace, *and* an identical
-traced span timeline — the optimization buys host wall time and nothing
-else.  On top of that, the copy counters prove the happy path really is
-zero-copy (no payload copy on a contiguous H2D except the final device
-write), and allocation-level copy-on-write keeps loaned download views
-stable snapshots.
+The zero-copy plane is the only data plane; its reference is the
+plain-host byte oracle.  The same seeded memcpy-heavy program must
+download exactly the oracle's bytes, and tracing it must change neither
+the bytes nor the virtual-time trace.  On top of that, the copy
+counters prove the happy path really is zero-copy (no payload copy on a
+contiguous H2D except the final device write), and allocation-level
+copy-on-write keeps loaned download views stable snapshots.
 """
 
 import numpy as np
 import pytest
 
-from repro.buffers import copy_stats, zero_copy
+from repro.buffers import copy_stats
 from repro.core.protocol import reset_request_ids
 from repro.mpisim import Phantom
 
@@ -28,37 +27,33 @@ from .harness import (
 MEMCPY_SEEDS = [0, 1, 2, 3, 4, 7, 42, 1234]
 
 
-def _assert_outcomes_identical(on, off):
-    assert len(on.results) == len(off.results)
-    for i, (a, b) in enumerate(zip(on.results, off.results)):
-        assert a == b, f"result[{i}] diverged between zero-copy on/off"
-    assert on.trace == off.trace, "virtual-time trace diverged"
+def _run_untraced(seed):
+    reset_request_ids()
+    cluster, sess, ac = make_remote_rig()
+    return sess.call(run_memcpy(cluster.engine, ac,
+                                generate_memcpy_program(seed)))
 
 
 @pytest.mark.parametrize("seed", MEMCPY_SEEDS)
 def test_zero_copy_ab_identity(seed):
-    """Same program, zero-copy on vs off: bytes, trace, spans identical."""
-    on, spans_on = run_memcpy_traced(seed, zero_copy=True)
-    off, spans_off = run_memcpy_traced(seed, zero_copy=False)
-    _assert_outcomes_identical(on, off)
-    assert spans_on == spans_off, (
-        "traced span timeline diverged between zero-copy on/off")
-    on.assert_monotonic()
+    """Same program, traced vs untraced: bytes and trace identical."""
+    traced, spans = run_memcpy_traced(seed)
+    plain = _run_untraced(seed)
+    assert len(traced.results) == len(plain.results)
+    for i, (a, b) in enumerate(zip(traced.results, plain.results)):
+        assert a == b, f"result[{i}] diverged between traced/untraced"
+    assert traced.trace == plain.trace, "virtual-time trace diverged"
+    assert spans, "traced run recorded no spans"
+    traced.assert_monotonic()
 
 
 @pytest.mark.parametrize("seed", MEMCPY_SEEDS)
 def test_memcpy_results_match_host_oracle(seed):
-    """Downloaded bytes match the plain-host byte oracle, both modes."""
-    program = generate_memcpy_program(seed)
-    expected = expected_memcpy_results(program)
+    """Downloaded bytes match the plain-host byte oracle."""
+    expected = expected_memcpy_results(generate_memcpy_program(seed))
     assert any(not isinstance(r, tuple) for r in expected), (
         "seed produced no real downloads to compare")
-    for mode in (True, False):
-        reset_request_ids()
-        with zero_copy(mode):
-            cluster, sess, ac = make_remote_rig()
-            out = sess.call(run_memcpy(cluster.engine, ac, program))
-        assert out.results == expected, f"zero_copy={mode}: oracle mismatch"
+    assert _run_untraced(seed).results == expected, "oracle mismatch"
 
 
 def test_memcpy_program_is_pure_in_seed():

@@ -50,44 +50,18 @@ class TestErrors:
 
 
 class TestTracer:
-    def test_log_and_query(self):
-        from repro.sim import Tracer
-        tr = Tracer()
-        tr.log(1.0, "net", "a->b", 100)
-        tr.log(2.0, "gpu", "gpu0", "k1")
-        tr.log(3.0, "net", "b->a", 50)
-        assert len(tr.by_category("net")) == 2
-        assert tr.by_actor("gpu0")[0].detail == "k1"
-        assert tr.counts() == {"net": 2, "gpu": 1}
-
-    def test_disabled_tracer_records_nothing(self):
-        from repro.sim import Tracer
-        tr = Tracer(enabled=False)
-        tr.log(1.0, "net", "x")
-        assert tr.records == []
-
-    def test_category_filter(self):
-        from repro.sim import Tracer
-        tr = Tracer(categories=["gpu"])
-        tr.log(1.0, "net", "x")
-        tr.log(1.0, "gpu", "y")
-        assert tr.counts() == {"gpu": 1}
-
-    def test_clear(self):
-        from repro.sim import Tracer
-        tr = Tracer()
-        tr.log(1.0, "a", "b")
-        tr.clear()
-        assert tr.records == []
+    """Span tracing on a whole cluster: one ``net.flow`` per message."""
 
     def test_cluster_tracing_integration(self):
         from repro.cluster import Cluster, paper_testbed
-        from repro.sim import Tracer
-        tracer = Tracer()
-        cluster = Cluster(paper_testbed(n_compute=1, n_accelerators=1),
-                          tracer=tracer)
+        from repro.obs import enable_tracing
+        cluster = Cluster(paper_testbed(n_compute=1, n_accelerators=1))
+        obs = enable_tracing(cluster.engine)
         sess = cluster.session()
         handles = sess.call(cluster.arm_client(0).alloc(count=1))
         ac = cluster.remote(0, handles[0])
         sess.call(ac.ping())
-        assert len(tracer.by_category("net.delivered")) >= 4
+        flows = obs.by_name("net.flow")
+        assert len(flows) >= 4
+        assert len(flows) == cluster.fabric.messages_sent
+        assert not obs.open_spans
