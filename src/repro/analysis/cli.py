@@ -510,9 +510,6 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
                        help="older BENCH_*.json to embed as baseline")
     perfp.add_argument("--check", default=None,
                        help="baseline BENCH_*.json for the regression gate")
-    perfp.add_argument("--shards", type=int, default=4,
-                       help="partition count for the sharded_* benchmarks "
-                            "(default 4)")
     args = parser.parse_args(argv)
 
     if args.cmd == "list":
@@ -520,8 +517,7 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         return 0
     if args.cmd == "perf":
         from ..perf.suite import main_run
-        return main_run(args.quick, args.json_path, args.against, args.check,
-                        shards=args.shards)
+        return main_run(args.quick, args.json_path, args.against, args.check)
     if args.cmd == "tenants":
         return run_tenants(args)
     if args.cmd == "jobs":

@@ -91,10 +91,6 @@ class ChaosConfig:
     #: Daemon-side receive deadline for stalled h2d block streams.
     data_stall_s: float = 2e-3
     autoscale: bool = False
-    #: Partition the engine into this many shards (None = plain engine).
-    #: Sharded chaos runs are bit-identical to unsharded ones — the
-    #: equivalence suite replays this family across shard counts.
-    shards: int | None = None
 
     def __post_init__(self) -> None:
         if self.n_tenants < 1:
@@ -495,7 +491,7 @@ def run(scenario: Scenario | str, cfg: ChaosConfig | None = None,
         paper_testbed(n_compute=cfg.n_gateways,
                       n_accelerators=cfg.n_accelerators),
         discovery=True, initial_accelerators=cfg.initial_accelerators,
-        report_period_s=cfg.report_period_s, shards=cfg.shards)
+        report_period_s=cfg.report_period_s)
     cluster.arm.admission.slots_per_device = cfg.slots_per_device
     cluster.arm.enable_discovery(ttl_s=cfg.ttl_s,
                                  sweep_period_s=cfg.sweep_period_s)

@@ -32,7 +32,7 @@ from ..core.session import SyncSession
 from ..errors import ClusterConfigError
 from ..mpisim import World
 from ..netsim import Fabric
-from ..sim import Engine, ShardedEngine
+from ..sim import Engine
 from .node import AcceleratorNode, ComputeNode
 from .specs import ClusterSpec
 
@@ -51,20 +51,9 @@ class Cluster:
 
     def __init__(self, spec: ClusterSpec, discovery: bool = False,
                  initial_accelerators: int | None = None,
-                 report_period_s: float = 5e-4,
-                 shards: int | None = None):
+                 report_period_s: float = 5e-4):
         self.spec = spec
-        if shards is None:
-            self.engine = Engine()
-        else:
-            if shards < 1:
-                raise ClusterConfigError(f"shards must be >= 1, got {shards}")
-            # The fabric's base latency is the conservative lookahead:
-            # nothing crosses a partition boundary faster than one
-            # fabric message (declared here for diagnostics; the merge
-            # oracle mode does not depend on it).
-            self.engine = ShardedEngine(shards,
-                                        lookahead_s=spec.network.latency_s)
+        self.engine = Engine()
         topo = spec.topology.build() if spec.topology is not None else None
         self.topology = topo
         self.fabric = Fabric(self.engine, spec.network, topology=topo)
@@ -97,31 +86,14 @@ class Cluster:
             node.rank = self.comm.rank(i)
             self.compute_nodes.append(node)
 
-        # Partition map: shard 0 is the control shard (ARM, compute
-        # nodes, session drivers); accelerator nodes spread over shards
-        # 1..N-1, grouped by topology switch when there is one so that
-        # same-switch accelerators co-locate and cross-shard traffic
-        # always pays at least the fabric latency (the lookahead).
-        n_shards = self.engine.n_shards if isinstance(self.engine,
-                                                      ShardedEngine) else 1
-        self.shard_of_accelerator: dict[int, int] = {}
-        for j in range(spec.n_accelerators):
-            if n_shards <= 1:
-                self.shard_of_accelerator[j] = 0
-            else:
-                group = (j % len(topo.switches)) if topo is not None else j
-                self.shard_of_accelerator[j] = 1 + group % (n_shards - 1)
-
         self.accelerator_nodes: list[AcceleratorNode] = []
         self.daemons: list[Daemon] = []
         for j, ep in enumerate(ac_eps):
-            with self.engine.shard_scope(self.shard_of_accelerator[j]):
-                node = AcceleratorNode(self.engine, j, f"ac{j}",
-                                       spec.accelerator, ep)
-                node.rank = self.comm.rank(spec.n_compute + j)
-                node.rank.pinned_shard = self.shard_of_accelerator[j]
-                self.accelerator_nodes.append(node)
-                self.daemons.append(Daemon(node, node.rank))
+            node = AcceleratorNode(self.engine, j, f"ac{j}",
+                                   spec.accelerator, ep)
+            node.rank = self.comm.rank(spec.n_compute + j)
+            self.accelerator_nodes.append(node)
+            self.daemons.append(Daemon(node, node.rank))
 
         # The ARM service (topology-aware placement when multi-switch).
         roster = ([] if discovery else
@@ -143,16 +115,13 @@ class Cluster:
                     f"initial_accelerators {initial} out of range 0..{n}")
             for j, daemon in enumerate(self.daemons):
                 # Staggered phases: reports spread over one period instead
-                # of the whole fleet publishing at the same instant.  Each
-                # agent lives on its daemon's shard.
-                with self.engine.shard_scope(self.shard_of_accelerator[j]):
-                    self.agents[j] = DiscoveryAgent(
-                        daemon, j, self.arm_rank_index,
-                        period_s=report_period_s,
-                        phase_s=(j * report_period_s) / max(n, 1))
+                # of the whole fleet publishing at the same instant.
+                self.agents[j] = DiscoveryAgent(
+                    daemon, j, self.arm_rank_index,
+                    period_s=report_period_s,
+                    phase_s=(j * report_period_s) / max(n, 1))
             for j in range(initial):
-                with self.engine.shard_scope(self.shard_of_accelerator[j]):
-                    self.agents[j].start()
+                self.agents[j].start()
 
     # -- application-facing helpers --------------------------------------
     def compute_rank(self, cn_index: int):

@@ -169,11 +169,6 @@ class Daemon:
         #: transfer handlers parent their network / staging / DMA child
         #: spans under it.
         self._cur_span = NULL_SPAN
-        #: Engine shard this daemon executes on (0 on a plain engine).
-        #: The cluster builder constructs each daemon inside its shard's
-        #: scope, so the serve loop and every event it schedules stay on
-        #: that shard's heap.
-        self.shard = self.engine._active_shard
         #: Dispatch table built once — _serve() consults it per request.
         self._handler_map = self._handlers()
         self.proc = self.engine.process(self._serve(), name=f"daemon:{node.name}")

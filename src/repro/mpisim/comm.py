@@ -440,16 +440,11 @@ class RankHandle:
     inside a simulation process.
     """
 
-    __slots__ = ("comm", "index", "pinned_shard")
+    __slots__ = ("comm", "index")
 
     def __init__(self, comm: Communicator, index: int):
         self.comm = comm
         self.index = index
-        #: Engine shard the rank's owning node executes on, set by the
-        #: cluster builder when it partitions a sharded simulation (None
-        #: on unpartitioned runs).  Diagnostic: cross-shard traffic shows
-        #: up in ``ShardedEngine.crossings`` keyed by these ids.
-        self.pinned_shard: int | None = None
 
     @property
     def size(self) -> int:

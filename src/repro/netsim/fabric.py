@@ -126,20 +126,6 @@ class Fabric:
                 self._trunks[(a, b)] = BandwidthShare(engine, trunk_bw)
                 self._trunks[(b, a)] = BandwidthShare(engine, trunk_bw)
 
-    def lookahead_s(self, cross_switch: bool = False) -> float:
-        """Minimum latency of any fabric interaction — the conservative
-        lookahead window a sharded simulation may run ahead by.
-
-        Every message and flow pays at least the model's base latency;
-        with ``cross_switch=True`` (partitions aligned to topology
-        switches) one trunk hop's latency is added, since cross-shard
-        traffic then always crosses at least one trunk.
-        """
-        lookahead = self.model.latency_s
-        if cross_switch and self.topology is not None:
-            lookahead += self._trunk_latency_s
-        return lookahead
-
     def set_core_capacity(self, capacity_Bps: float | None) -> None:
         """Limit the switch core to ``capacity_Bps`` (None = non-blocking)."""
         if capacity_Bps is None:

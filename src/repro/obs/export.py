@@ -31,10 +31,6 @@ def _span_event(span: Span, pid: int, tid: int) -> dict:
     }
     if span.parent_id is not None:
         args["parent_id"] = span.parent_id
-    if span.shard:
-        # Only tagged when nonzero, so single-engine traces (and their
-        # goldens) are byte-for-byte what they always were.
-        args["shard"] = span.shard
     if span.open:
         args["open"] = True
     for key, value in span.attrs.items():

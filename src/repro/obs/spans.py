@@ -62,12 +62,11 @@ class Span:
     """
 
     __slots__ = ("collector", "name", "category", "actor", "trace_id",
-                 "span_id", "parent_id", "start", "end", "attrs", "events",
-                 "shard")
+                 "span_id", "parent_id", "start", "end", "attrs", "events")
 
     def __init__(self, collector: "TraceCollector", name: str, actor: str,
                  trace_id: int, span_id: int, parent_id: int | None,
-                 start: float, attrs: dict, shard: int = 0):
+                 start: float, attrs: dict):
         self.collector = collector
         self.name = name
         #: Chrome-trace category: the part of ``name`` before the first dot.
@@ -80,10 +79,6 @@ class Span:
         self.end: float | None = None
         self.attrs = attrs
         self.events: list[SpanEvent] = []
-        #: Engine shard active when the span opened (0 on a plain engine).
-        #: Sharded runs keep one collector — per-shard span streams merge
-        #: into one trace, tagged rather than separated.
-        self.shard = shard
 
     # -- identity ---------------------------------------------------------
     @property
@@ -271,10 +266,8 @@ class TraceCollector:
             trace_id, parent_id = parent.trace_id, parent.span_id
         else:
             trace_id, parent_id = next(self._trace_ids), None
-        engine = self._engine_ref()
-        shard = engine._active_shard if engine is not None else 0
         span = Span(self, name, actor, trace_id, next(self._span_ids),
-                    parent_id, self.now, attrs, shard=shard)
+                    parent_id, self.now, attrs)
         self.spans.append(span)
         self._open.add(span)
         return span

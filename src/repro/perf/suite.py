@@ -73,76 +73,6 @@ def _bench_engine_events(quick: bool) -> tuple[float, float, dict]:
     return n / best, best, {"timeouts": n, "reps": reps}
 
 
-#: Shard count for the ``sharded_*`` benchmarks (``--shards`` on the CLI).
-_SHARD_COUNT = 4
-
-
-def _bench_sharded_events(quick: bool) -> tuple[float, float, dict]:
-    """Aggregate event throughput of cooperative rounds execution.
-
-    The same timer churn as ``engine_events``, split across
-    ``_SHARD_COUNT`` shards with conservative lookahead: each shard
-    batch-drains its safe window in the tight no-merge loop, so the
-    aggregate events/s must beat the single engine's — that structural
-    win is what the CI sharded-smoke gate (``SHARDED_SPEEDUP_MIN``)
-    checks against the baseline ``engine_events``.
-    """
-    from ..sim import TimerChurnProgram, run_cooperative
-
-    shards = _SHARD_COUNT
-    total = 50_000 if quick else 200_000
-    per = total // shards
-    reps = 2 if quick else 3
-    best = float("inf")
-    processed = 0
-    for _ in range(reps):
-        programs = [TimerChurnProgram(per, spacing_s=1e-6)
-                    for _ in range(shards)]
-        t0 = time.perf_counter()
-        engine, _, _ = run_cooperative(programs, lookahead_s=1e-3)
-        best = min(best, time.perf_counter() - t0)
-        processed = engine.total_processed
-    return processed / best, best, {
-        "shards": shards, "timeouts_per_shard": per, "reps": reps,
-        "mode": "rounds"}
-
-
-def _bench_sharded_merge_events(quick: bool) -> tuple[float, float, dict]:
-    """The same churn under the global-merge oracle mode.
-
-    Merge mode scans every shard head per event to reproduce the single
-    engine's order bit for bit, so it is *expected* to be slower than
-    both the single engine and rounds mode — recorded (not gated) to
-    keep the oracle's cost visible.
-    """
-    from ..sim import ShardedEngine, TimerChurnProgram
-    from ..sim.sharded import _make_contexts
-
-    shards = _SHARD_COUNT
-    total = 25_000 if quick else 100_000
-    per = total // shards
-    reps = 2 if quick else 3
-    best = float("inf")
-    processed = 0
-    for _ in range(reps):
-        engine = ShardedEngine(shards, lookahead_s=1e-3)
-        contexts = _make_contexts(
-            engine, lambda dst: engine.shards[dst].heap, lambda dst: dst,
-            shards, engine.lookahead)
-        programs = [TimerChurnProgram(per, spacing_s=1e-6)
-                    for _ in range(shards)]
-        for shard, program in enumerate(programs):
-            with engine.shard_scope(shard):
-                program.setup(contexts[shard])
-        t0 = time.perf_counter()
-        engine.run()
-        best = min(best, time.perf_counter() - t0)
-        processed = engine.total_processed
-    return processed / best, best, {
-        "shards": shards, "timeouts_per_shard": per, "reps": reps,
-        "mode": "merge"}
-
-
 def _bench_engine_race(quick: bool) -> tuple[float, float, dict]:
     """The RPC hot pattern: race a winning event against a deadline, then
     cancel the loser.  Exercises lazy deletion, heap compaction, and the
@@ -350,12 +280,6 @@ BENCHMARKS: tuple[Benchmark, ...] = (
     Benchmark("engine_race", "races/s", "higher",
               "race+cancel churn (lazy delete, slot pool)",
               _bench_engine_race),
-    Benchmark("sharded_events", "events/s", "higher",
-              "aggregate timer churn, cooperative rounds over shards",
-              _bench_sharded_events),
-    Benchmark("sharded_merge_events", "events/s", "higher",
-              "aggregate timer churn, global-merge oracle mode",
-              _bench_sharded_merge_events),
     Benchmark("memcpy_h2d", "MiB/s", "higher",
               "steady-state H2D pipeline, real payload",
               lambda q: _bench_memcpy("h2d", q)),
@@ -389,16 +313,8 @@ def _fmt(value: float) -> str:
 
 
 def run_suite(quick: bool = False, only: _t.Sequence[str] | None = None,
-              out: _t.TextIO | None = None, shards: int = 4) -> dict:
-    """Run the suite and return a schema-valid benchmark document.
-
-    ``shards`` sets the partition count of the ``sharded_*`` benchmarks
-    (the CLI's ``--shards``); everything else ignores it.
-    """
-    global _SHARD_COUNT
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    _SHARD_COUNT = shards
+              out: _t.TextIO | None = None) -> dict:
+    """Run the suite and return a schema-valid benchmark document."""
     names = set(only) if only is not None else None
     doc: dict = {
         "schema": SCHEMA,
@@ -471,12 +387,6 @@ REGRESSION_GATES: dict[str, float] = {
     "engine_events": 0.30,
 }
 
-#: The sharded-smoke gate: cooperative rounds execution must deliver at
-#: least this multiple of the *baseline* single-engine event throughput.
-#: The baseline value is deliberately headroomed (see baseline.json), so
-#: a healthy tree clears this with margin even on shared runners.
-SHARDED_SPEEDUP_MIN = 1.8
-
 #: The jobs-smoke gate: the warm-path ensemble run must deliver at least
 #: this multiple of the cold baseline's *virtual* jobs/s, with a non-zero
 #: cache hit rate and bit-identical outcomes.  Virtual-time ratios are
@@ -500,15 +410,6 @@ def check_regressions(doc: dict, baseline_doc: dict) -> list[str]:
                 f"{name}: {new['value']:,.0f} {new['unit']} is "
                 f"{(1.0 - ratio) * 100:.0f}% below the baseline "
                 f"{old['value']:,.0f} (allowed: {allowed * 100:.0f}%)")
-    sharded = doc["benchmarks"].get("sharded_events")
-    single = baseline_doc["benchmarks"].get("engine_events")
-    if sharded is not None and single is not None and single["value"] > 0:
-        ratio = sharded["value"] / single["value"]
-        if ratio < SHARDED_SPEEDUP_MIN:
-            failures.append(
-                f"sharded_events: {sharded['value']:,.0f} events/s is only "
-                f"{ratio:.2f}x the baseline single-engine "
-                f"{single['value']:,.0f} (gate: >= {SHARDED_SPEEDUP_MIN}x)")
     jobs = doc["benchmarks"].get("jobs_throughput")
     if jobs is not None:
         # Self-contained gate: speedup and hit rates are virtual-time
@@ -561,11 +462,10 @@ def load_json(path: str) -> dict:
 
 
 def main_run(quick: bool, json_path: str | None, against: str | None,
-             check: str | None, out: _t.TextIO | None = None,
-             shards: int = 4) -> int:
+             check: str | None, out: _t.TextIO | None = None) -> int:
     """Driver behind ``python -m repro perf`` (returns an exit code)."""
     out = out if out is not None else sys.stdout
-    doc = run_suite(quick=quick, out=out, shards=shards)
+    doc = run_suite(quick=quick, out=out)
     if against:
         attach_baseline(doc, load_json(against), path=against)
     out.write(render(doc) + "\n")

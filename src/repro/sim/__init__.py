@@ -14,20 +14,9 @@ from .engine import Engine
 from .events import AllOf, AnyOf, Condition, Deadline, Event, Timeout
 from .process import Process
 from .resources import BandwidthShare, Resource, Store
-from .sharded import (ShardContext, ShardedEngine, ShardProgram,
-                      TimerChurnProgram, WireMessage, run_cooperative,
-                      run_multiprocess, run_single_reference)
 
 __all__ = [
     "Engine",
-    "ShardedEngine",
-    "ShardContext",
-    "ShardProgram",
-    "TimerChurnProgram",
-    "WireMessage",
-    "run_cooperative",
-    "run_multiprocess",
-    "run_single_reference",
     "Event",
     "Timeout",
     "Deadline",

@@ -46,35 +46,12 @@ class Engine:
         self._deadline_pool: list[Deadline] = []
         #: Recycled plain timers (see :meth:`pooled_timer`).
         self._timeout_pool: list[Timeout] = []
-        #: Sharding hooks.  A plain engine is one shard (id 0); the
-        #: :class:`~repro.sim.sharded.ShardedEngine` subclass flips
-        #: ``_sharded`` and swaps the heap/pool aliases per shard.
-        self._sharded = False
-        self._active_shard = 0
-
-    # -- sharding hooks --------------------------------------------------
-    def _switch_shard(self, shard: int) -> None:  # pragma: no cover - hook
-        """Make ``shard`` the scheduling context (no-op on a plain engine)."""
-        self._active_shard = shard
-
-    def shard_scope(self, shard: int) -> "_ShardScope":
-        """Context manager pinning construction to ``shard``.
-
-        Simulation objects created inside the scope (and the processes
-        they start) schedule onto that shard's event heap.  On a plain
-        single-heap engine the scope only tags ``_active_shard`` so
-        :class:`~repro.sim.process.Process` pinning stays consistent.
-        """
-        return _ShardScope(self, shard)
 
     # -- scheduling -----------------------------------------------------
     def _enqueue(self, event: Event, delay: float = 0.0) -> None:
         if delay < 0:
             raise SimulationError(f"negative delay: {delay!r}")
-        # _scheduled holds the owning shard + 1 (truthy) so cancel() can
-        # charge the heap that really holds the entry; a plain engine is
-        # all shard 0, making this the historical True.
-        event._scheduled = self._active_shard + 1
+        event._scheduled = True
         heapq.heappush(self._heap, (self.now + delay, next(self._seq), event))
 
     def succeed_after(self, event: Event, delay: float) -> None:
@@ -90,13 +67,8 @@ class Engine:
         event._value = None
         # _enqueue() inlined: this fires twice per message and once per
         # DMA, like Event.succeed() and Timeout.__init__.
-        event._scheduled = self._active_shard + 1
+        event._scheduled = True
         heapq.heappush(self._heap, (self.now + delay, next(self._seq), event))
-
-    def _note_dead_on(self, shard: int) -> None:
-        """Shard-routed cancel accounting; one heap here, so plain
-        :meth:`_note_dead` (the sharded engine overrides this)."""
-        self._note_dead()
 
     def _note_dead(self) -> None:
         """A scheduled event was cancelled: count it, compact if rotten.
@@ -283,14 +255,9 @@ class Engine:
         t._poolable = True
         return t
 
-    def process(self, gen: ProcessGenerator, name: str | None = None,
-                shard: int | None = None) -> Process:
-        """Start a new process from ``gen``.
-
-        ``shard`` pins the process to one shard of a sharded engine; by
-        default it inherits the shard active at creation time.
-        """
-        return Process(self, gen, name=name, shard=shard)
+    def process(self, gen: ProcessGenerator, name: str | None = None) -> Process:
+        """Start a new process from ``gen``."""
+        return Process(self, gen, name=name)
 
     def all_of(self, events: _t.Sequence[Event]) -> AllOf:
         """Event that succeeds once all of ``events`` have succeeded."""
@@ -348,22 +315,3 @@ class Engine:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Engine t={self.now:.9f} queued={self.queued}>"
-
-
-class _ShardScope:
-    """Reentrant construction scope for :meth:`Engine.shard_scope`."""
-
-    __slots__ = ("_engine", "_shard", "_saved")
-
-    def __init__(self, engine: Engine, shard: int):
-        self._engine = engine
-        self._shard = shard
-        self._saved = 0
-
-    def __enter__(self) -> "_ShardScope":
-        self._saved = self._engine._active_shard
-        self._engine._switch_shard(self._shard)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._engine._switch_shard(self._saved)

@@ -94,9 +94,7 @@ class Event:
         self._ok = True
         self._value = value
         engine = self.engine
-        # Owning shard + 1 (see Engine._enqueue); plain engines are all
-        # shard 0, so this stays truthy-True.
-        self._scheduled = engine._active_shard + 1
+        self._scheduled = True
         heapq.heappush(engine._heap,
                        (engine.now, next(engine._seq), self))
         return self
@@ -124,10 +122,7 @@ class Event:
             raise SimulationError("cannot cancel a processed event")
         self._cancelled = True
         if self._scheduled:
-            # _scheduled is the owning shard + 1 (bool True == 1 maps to
-            # shard 0 on a plain engine), so the dead-entry count lands
-            # on the heap that actually holds the entry.
-            self.engine._note_dead_on(self._scheduled - 1)
+            self.engine._note_dead()
 
     def _trigger(self, ok: bool, value: _t.Any) -> None:
         if self._cancelled:
@@ -200,7 +195,7 @@ class Timeout(Event):
         #: popped.  Only set on engine-created hot-path timers whose
         #: references provably do not outlive the race that made them.
         self._poolable = False
-        self._scheduled = engine._active_shard + 1
+        self._scheduled = True
         heapq.heappush(engine._heap,
                        (engine.now + self.delay, next(engine._seq), self))
 
@@ -218,18 +213,18 @@ class Timeout(Event):
         otherwise be garbage plus a fresh allocation per request.
 
         A timer may only be re-armed once its heap entry is gone: re-arming
-        while a (cancelled) entry still sits in *any* heap would clear
+        while a (cancelled) entry still sits in the heap would clear
         ``_cancelled`` and let the stale entry fire the timer early.  Pools
-        are engine-local (shard-local under a sharded engine) precisely so
-        this cannot happen through the sanctioned recycle path; the guard
-        turns any other path into a loud error instead of a spurious fire.
+        are engine-local precisely so this cannot happen through the
+        sanctioned recycle path; the guard turns any other path into a loud
+        error instead of a spurious fire.
         """
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay!r}")
         if self._scheduled:
             raise SimulationError(
                 "re-arming a timer whose heap entry is still scheduled "
-                "(pool recycling must stay engine/shard-local)")
+                "(pool recycling must stay engine-local)")
         self._cancelled = False
         self._processed = False
         self._ok = True

@@ -28,10 +28,9 @@ class Process(Event):
     runs before ``engine.run()``).
     """
 
-    __slots__ = ("_gen", "_send", "_throw", "_target", "name", "shard")
+    __slots__ = ("_gen", "_send", "_throw", "_target", "name")
 
-    def __init__(self, engine: "Engine", gen: ProcessGenerator, name: str | None = None,
-                 shard: int | None = None):
+    def __init__(self, engine: "Engine", gen: ProcessGenerator, name: str | None = None):
         if not hasattr(gen, "send") or not hasattr(gen, "throw"):
             raise SimulationError(f"Process needs a generator, got {gen!r}")
         super().__init__(engine)
@@ -42,10 +41,6 @@ class Process(Event):
         self._throw = gen.throw
         self._target: Event | None = None
         self.name = name or getattr(gen, "__name__", "process")
-        #: Shard this process executes on (inherited from the shard active
-        #: when it was created, unless pinned explicitly).  On a plain
-        #: engine this is always 0.
-        self.shard = engine._active_shard if shard is None else shard
         # Kick off via an immediately-succeeding event so execution order is
         # controlled by the engine, not by construction order.
         start = Event(engine)
@@ -85,13 +80,6 @@ class Process(Event):
         if event is not self._target:
             return  # stale wake-up (process was interrupted meanwhile)
         self._target = None
-        engine = self.engine
-        if engine._sharded and engine._active_shard != self.shard:
-            # The wake-up crossed a partition boundary: record it and make
-            # this process's shard the scheduling context, so events it
-            # creates while running land on its own shard's heap.
-            engine._note_crossing(engine._active_shard, self.shard)
-            engine._switch_shard(self.shard)
         send = self._send
         while True:
             try:

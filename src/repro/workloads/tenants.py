@@ -64,8 +64,6 @@ class TenantWorkloadConfig:
     payload_bytes: int = 64 * 1024
     seed: int = 0
     classes: tuple[tuple[str, int, float, float], ...] = DEFAULT_CLASSES
-    #: Partition the engine into this many shards (None = plain engine).
-    shards: int | None = None
 
     def __post_init__(self) -> None:
         if self.n_tenants < 1:
@@ -184,8 +182,7 @@ def run(cfg: TenantWorkloadConfig | None = None) -> TenantWorkloadReport:
     reset_request_ids()
     rng = random.Random(cfg.seed)
     cluster = Cluster(paper_testbed(n_compute=cfg.n_gateways,
-                                    n_accelerators=cfg.n_accelerators),
-                      shards=cfg.shards)
+                                    n_accelerators=cfg.n_accelerators))
     cluster.arm.admission.slots_per_device = cfg.slots_per_device
     reg = MetricsRegistry()
     tally = {"completed": 0, "rejected": 0, "aborted": 0, "recoveries": 0}

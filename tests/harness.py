@@ -245,10 +245,9 @@ def run_stream(engine, ac, program: list[Instr], sync_every: int = 0):
     return RunOutcome(results, trace), stream
 
 
-def make_remote_rig(shards: int | None = None):
+def make_remote_rig():
     """A fresh 1-CN/1-AC cluster with a RemoteAccelerator front-end."""
-    cluster = Cluster(paper_testbed(n_compute=1, n_accelerators=1),
-                      shards=shards)
+    cluster = Cluster(paper_testbed(n_compute=1, n_accelerators=1))
     sess = cluster.session()
     handles = sess.call(cluster.arm_client(0).alloc(count=1))
     return cluster, sess, cluster.remote(0, handles[0])
@@ -483,8 +482,7 @@ def span_timeline(session) -> list[tuple]:
             for ev in events]
 
 
-def run_memcpy_traced(seed: int, n_ops: int = 24,
-                      shards: int | None = None):
+def run_memcpy_traced(seed: int, n_ops: int = 24):
     """One traced memcpy run.
 
     Returns ``(outcome, timeline)``.  The rig is built inside the trace
@@ -498,7 +496,7 @@ def run_memcpy_traced(seed: int, n_ops: int = 24,
     # absolute times only line up when both runs draw the same ids.
     reset_request_ids()
     with trace_session() as session:
-        cluster, sess, ac = make_remote_rig(shards=shards)
+        cluster, sess, ac = make_remote_rig()
         outcome = sess.call(run_memcpy(cluster.engine, ac, program))
     return outcome, span_timeline(session)
 
@@ -770,7 +768,7 @@ def run_peer_program(engine, acs, program: list[Instr], mode: str):
 
 
 def run_peer_modes(seed: int, n_ops: int = 16, n_devices: int = 3,
-                   topology=None, shards: int | None = None):
+                   topology=None):
     """One seeded peer program over both transports on fresh clusters.
 
     Returns ``(expected, {"p2p": RunOutcome, "staged": RunOutcome})``.
@@ -786,179 +784,10 @@ def run_peer_modes(seed: int, n_ops: int = 16, n_devices: int = 3,
     for mode in ("p2p", "staged"):
         reset_request_ids()
         cluster = Cluster(ClusterSpec(n_compute=1, n_accelerators=n_devices,
-                                      topology=topology),
-                          shards=shards)
+                                      topology=topology))
         sess = cluster.session()
         handles = sess.call(cluster.arm_client(0).alloc(count=n_devices))
         acs = [cluster.remote(0, h) for h in handles]
         outcomes[mode] = sess.call(
             run_peer_program(cluster.engine, acs, program, mode))
     return expected, outcomes
-
-
-# ---------------------------------------------------------------------------
-# Sharded-execution identity: the partitioned engine's equivalence oracle.
-#
-# Every seeded program family above (memcpy, chaos, peer, tenant) is run
-# on a plain Engine and again on a ShardedEngine at several shard counts,
-# and the *observations* — downloaded buffer bytes, sha256 trace digests,
-# and pool membership events — must be bit-identical.  Partitioning the
-# simulation may change how the event loop is organized internally, never
-# what the simulation computes.  A multiprocess leg replays the largest
-# shard count inside a spawned child process and compares the same
-# observations across the process boundary.
-# ---------------------------------------------------------------------------
-
-#: The seeded program families the sharded identity oracle covers.
-SHARDED_FAMILIES = ("memcpy", "chaos", "peer", "tenant")
-
-
-def observe_family(family: str, seed: int, shards: int | None) -> dict:
-    """One family run at the given shard count, as picklable observations.
-
-    ``shards=None`` runs the plain single :class:`~repro.sim.Engine`;
-    any integer runs a :class:`~repro.sim.ShardedEngine` partitioned that
-    many ways.  Returned dicts hold only primitives (bytes, str, int,
-    float, tuples) so a spawned child process can ship them back whole.
-    """
-    import hashlib
-
-    if family == "memcpy":
-        outcome, timeline = run_memcpy_traced(seed, shards=shards)
-        sha = hashlib.sha256()
-        for row in timeline:
-            sha.update(repr(row).encode())
-        return {
-            "buffers": list(outcome.results),
-            "trace_sha256": sha.hexdigest(),
-            "final_now": timeline[-1][2] if timeline else 0.0,
-        }
-    if family == "chaos":
-        report = run_chaos_scenario(chaos_scenario_from_program(seed),
-                                    seed=seed, shards=shards)
-        return {
-            "buffers": sorted(report.buffer_digests.items()),
-            "trace_sha256": report.digest,
-            "pool_events": list(report.pool_events),
-            "counts": (report.submitted, report.completed, report.rejected,
-                       report.aborted, report.failed, report.stuck,
-                       report.recoveries),
-        }
-    if family == "peer":
-        expected, outcomes = run_peer_modes(seed, shards=shards)
-        obs: dict = {"expected": expected}
-        for mode, out in sorted(outcomes.items()):
-            sha = hashlib.sha256()
-            for row in out.trace:
-                sha.update(repr(row).encode())
-            obs[f"{mode}_buffers"] = list(out.results)
-            obs[f"{mode}_trace_sha256"] = sha.hexdigest()
-        return obs
-    if family == "tenant":
-        from repro.workloads.tenants import TenantWorkloadConfig
-        from repro.workloads.tenants import run as run_tenants
-        report = run_tenants(TenantWorkloadConfig(
-            n_tenants=12, n_accelerators=4, n_gateways=2,
-            requests_per_tenant=2, window_s=4e-3, seed=seed, shards=shards))
-        return {
-            "trace_sha256": report.digest,
-            "counts": (report.submitted, report.completed, report.rejected,
-                       report.aborted, report.preemptions, report.recoveries),
-            "duration_s": report.duration_s,
-            "fairness": report.fairness,
-        }
-    raise ValueError(f"unknown program family {family!r}")
-
-
-def _assert_observations_equal(family: str, seed: int, want: dict,
-                               got: dict, label: str) -> None:
-    assert set(want) == set(got), (
-        f"{family} seed {seed} [{label}]: observation keys diverged")
-    for key in sorted(want):
-        assert want[key] == got[key], (
-            f"{family} seed {seed} [{label}]: {key} diverged from the "
-            f"single-engine reference — sharded execution is not "
-            f"bit-identical\n  reference: {want[key]!r}\n  sharded:   "
-            f"{got[key]!r}")
-
-
-def _observe_family_child(conn, family: str, seed: int, shards: int,
-                          paths: list) -> None:
-    """Spawned-child entry point: observe one family, ship the dict back."""
-    import sys
-    for p in reversed(paths):
-        if p not in sys.path:
-            sys.path.insert(0, p)
-    try:
-        conn.send(("ok", observe_family(family, seed, shards)))
-    except BaseException as exc:  # ship the traceback, don't die silently
-        import traceback
-        conn.send(("error", f"{exc!r}\n{traceback.format_exc()}"))
-    finally:
-        conn.close()
-
-
-def observe_family_subprocess(family: str, seed: int, shards: int,
-                              timeout_s: float = 120.0) -> dict:
-    """Run :func:`observe_family` in a spawned child process.
-
-    The child re-imports this module fresh (``spawn`` start method — no
-    inherited interpreter state), so identical observations demonstrate
-    the sharded run reproduces across a real process boundary, not just
-    within one warmed-up interpreter.
-    """
-    import multiprocessing as mp
-    import sys
-
-    ctx = mp.get_context("spawn")
-    parent_conn, child_conn = ctx.Pipe()
-    proc = ctx.Process(
-        target=_observe_family_child,
-        args=(child_conn, family, seed, shards, [p for p in sys.path if p]),
-        name=f"sharded-observe-{family}", daemon=True)
-    proc.start()
-    child_conn.close()
-    try:
-        if not parent_conn.poll(timeout_s):
-            raise AssertionError(
-                f"{family} seed {seed}: subprocess observation timed out "
-                f"after {timeout_s}s")
-        tag, payload = parent_conn.recv()
-    finally:
-        parent_conn.close()
-        proc.join(timeout=10.0)
-        if proc.is_alive():  # pragma: no cover - defensive teardown
-            proc.terminate()
-            proc.join(timeout=10.0)
-    if tag == "error":
-        raise AssertionError(
-            f"{family} seed {seed}: subprocess observation failed:\n{payload}")
-    return payload
-
-
-def run_sharded_modes(family: str, seed: int = 0,
-                      shard_counts: tuple = (1, 2, 4),
-                      multiprocess: bool = False) -> dict:
-    """The sharded identity oracle for one seeded program family.
-
-    Runs ``family`` at ``seed`` on a plain engine, then on a
-    :class:`~repro.sim.ShardedEngine` at every count in ``shard_counts``
-    (and, with ``multiprocess=True``, replays the largest count in a
-    spawned child), asserting every leg's buffer bytes, sha256 trace
-    digests, and pool events match the single-engine reference exactly.
-    Returns ``{label: observations}`` for further assertions.
-    """
-    reference = observe_family(family, seed, None)
-    observed = {"engine": reference}
-    for n in shard_counts:
-        obs = observe_family(family, seed, n)
-        _assert_observations_equal(family, seed, reference, obs,
-                                   f"shards={n}")
-        observed[f"shards={n}"] = obs
-    if multiprocess:
-        n = max(shard_counts)
-        obs = observe_family_subprocess(family, seed, n)
-        _assert_observations_equal(family, seed, reference, obs,
-                                   f"shards={n} subprocess")
-        observed[f"shards={n} subprocess"] = obs
-    return observed

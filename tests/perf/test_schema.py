@@ -148,3 +148,25 @@ def test_checked_in_baseline_is_schema_valid():
     for name in REGRESSION_GATES:
         assert name in doc["benchmarks"], (
             f"gated benchmark {name} missing from the checked-in baseline")
+
+
+def test_older_document_with_retired_benchmarks_still_serves_as_baseline():
+    """BENCH_PR10.json records benchmarks the suite no longer registers;
+    it must keep working with ``--against`` / ``--check``: validates,
+    speedups only for names both documents share, no gate on the rest."""
+    import os
+
+    from repro.perf import load_json
+
+    path = os.path.join(os.path.dirname(__file__), "..", "..",
+                        "BENCH_PR10.json")
+    old = load_json(path)
+    retired = set(old["benchmarks"]) - {b.name for b in BENCHMARKS}
+    assert retired, "BENCH_PR10.json no longer carries retired benchmarks"
+
+    doc = _doc()
+    attach_baseline(doc, old, path=path)
+    validate_bench(doc)
+    assert set(doc["speedups"]) == set(doc["benchmarks"]) & set(old["benchmarks"])
+    assert retired <= set(doc["baseline"]["benchmarks"])
+    assert check_regressions(doc, old) == []

@@ -1,22 +1,18 @@
-"""Timer slot-pool regressions: recycling must stay engine/shard-local.
+"""Timer slot-pool regressions: recycling must stay engine-local.
 
 The bug class under test: :meth:`Engine.race` deadlines and
 :meth:`Engine.pooled_timer` timers are recycled through per-engine slot
 pools once cancelled *and popped from the heap*.  If an instance whose
-(cancelled) heap entry is still scheduled anywhere were ever re-armed —
-e.g. recycled from one shard's pool while its twin entry sits in a
-neighbour shard's heap — re-arming would clear ``_cancelled`` and the
-stale entry would fire the timer spuriously at its old time.  The
-:meth:`Timeout._rearm` guard turns any such path into a loud error, and
-the sharded engine keeps one pool per shard so the sanctioned path can
-never hit it.
+(cancelled) heap entry is still scheduled were ever re-armed, re-arming
+would clear ``_cancelled`` and the stale entry would fire the timer
+spuriously at its old time.  The :meth:`Timeout._rearm` guard turns any
+such path into a loud error.
 """
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Engine, Event, ShardedEngine
-from repro.sim.events import Deadline
+from repro.sim import Engine, Event
 
 
 class TestRearmGuard:
@@ -26,8 +22,8 @@ class TestRearmGuard:
         eng = Engine()
         t = eng.pooled_timer(1.0)
         # Simulate the bug: the still-scheduled timer leaks into the pool
-        # (e.g. via non-shard-local recycling).  The next pooled_timer()
-        # recycles it and must hit the guard.
+        # before its entry is popped.  The next pooled_timer() recycles
+        # it and must hit the guard.
         eng._timeout_pool.append(t)
         with pytest.raises(SimulationError, match="still scheduled"):
             eng.pooled_timer(2.0)
@@ -54,69 +50,32 @@ class TestRearmGuard:
         # One fire, at now+3.0 — never at the stale 0.5 s deadline.
         assert fired == [4.0]
 
-    def test_cancel_charges_the_owning_shard(self):
-        """A cancel issued from another shard's context must charge the
-        heap that actually holds the entry (``_scheduled`` stores the
-        owning shard), keeping lazy-deletion accounting exact."""
-        eng = ShardedEngine(2)
-        with eng.shard_scope(1):
-            t = eng.timeout(1.0)
-        assert t._scheduled == 2  # shard 1, stored as shard + 1
-        assert eng._active_shard == 0
-        t.cancel()  # from shard 0's context
-        assert eng.shards[1].n_dead == 1
-        assert eng.shards[0].n_dead == 0 and eng._n_dead == 0
-        assert eng.queued == 0
-
-    def test_succeed_after_tags_the_owning_shard(self):
+    def test_succeed_after_then_cancel_counts_one_dead(self):
         """A pre-created event fired through ``succeed_after`` (fabric
-        flows, DMA completions) is stamped like any other enqueue, so a
-        later cancel charges the shard whose heap holds the entry."""
-        eng = ShardedEngine(2)
+        flows, DMA completions) is scheduled like any other enqueue, so a
+        later cancel is charged to the heap's lazy-deletion count."""
+        eng = Engine()
         ev = Event(eng)
-        with eng.shard_scope(1):
-            eng.succeed_after(ev, 1.0)
-        assert ev._scheduled == 2
+        eng.succeed_after(ev, 1.0)
+        assert ev._scheduled is True
+        assert eng.queued == 1
         ev.cancel()
-        assert eng.shards[1].n_dead == 1 and eng.shards[0].n_dead == 0
+        assert eng._n_dead == 1
+        assert eng.queued == 0
         with pytest.raises(SimulationError):
             eng.succeed_after(Event(eng), -1.0)
 
-
-class TestShardLocalPools:
-    def test_pools_do_not_leak_across_shards(self):
-        """A cancelled deadline whose entry still sits in shard 1's heap
-        must not be recyclable from shard 0: each shard keeps its own
-        pool, so shard 0 allocates fresh instead of re-arming the twin."""
-        eng = ShardedEngine(2)
-        with eng.shard_scope(1):
-            reply = Event(eng)
-            cond1, dl1 = eng.race(reply, 0.5)
-            dl1.cancel()  # still scheduled in shard 1's heap
-        assert dl1._scheduled == 2
-        assert not eng._deadline_pool, "cancelled twin leaked into a pool"
-
-        reply0 = Event(eng)
-        cond0, dl0 = eng.race(reply0, 0.25)
-        assert dl0 is not dl1, "recycled a deadline scheduled on shard 1"
-
-        fired = []
-        dl0.add_callback(lambda e: fired.append((0, eng.now)))
-        eng.run(until=1.0)
-        assert fired == [(0, 0.25)], "spurious or missing deadline fire"
-
-    def test_retired_deadline_recycles_within_its_shard(self):
-        eng = ShardedEngine(2)
-        with eng.shard_scope(1):
-            reply = Event(eng)
-            _, dl = eng.race(reply, 0.5)
-            dl.cancel()
-        eng.run(until=1.0)  # drains shard 1's heap, retiring the deadline
-        assert eng.shards[1].deadline_pool[-1] is dl
-        assert not eng.shards[0].deadline_pool
-        with eng.shard_scope(1):
-            _, dl2 = eng.race(Event(eng), 0.5)
-        assert dl2 is dl
+    def test_scheduled_flag_is_a_plain_bool(self):
+        """``_scheduled`` is True while the heap holds the entry and False
+        once popped — a flag, not an owner id."""
+        eng = Engine()
+        t = eng.timeout(1.0)
+        ev = Event(eng)
+        assert ev._scheduled is False
+        ev.succeed()
+        assert t._scheduled is True and ev._scheduled is True
+        eng.run()
+        assert t._scheduled is False and ev._scheduled is False
 
 
 class TestPoolOverflow:
@@ -144,19 +103,3 @@ class TestPoolOverflow:
                 lambda e: seen.append(e.value))
         eng.run()
         assert seen == [0.1, 0.2, 0.3]
-
-    def test_overflow_under_shards_stays_shard_local(self):
-        eng = ShardedEngine(3)
-        n = eng.POOL_MAX + 50
-        for shard in (1, 2):
-            with eng.shard_scope(shard):
-                timers = [eng.pooled_timer(1.0) for _ in range(n)]
-            for t in timers:
-                t.cancel()
-        eng.run(until=2.0)
-        for shard in (1, 2):
-            assert len(eng.shards[shard].timeout_pool) == eng.POOL_MAX
-        assert not eng.shards[0].timeout_pool
-        assert eng.queued == 0
-        assert all(isinstance(t, object) and not isinstance(t, Deadline)
-                   for t in eng.shards[1].timeout_pool)
