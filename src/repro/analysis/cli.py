@@ -19,8 +19,6 @@ Usage::
                                [--topology T] [--dims A B [C]] [--seed S]
                                [--quick] [--json out.json]
                                [--check-determinism]
-    python -m repro perf [--quick] [--json BENCH.json] [--against OLD.json]
-                         [--check BASELINE.json]
 
 ``trace`` runs one experiment with span tracing enabled and exports the
 result as Chrome trace-event JSON (load it in ``chrome://tracing`` or
@@ -51,12 +49,6 @@ prints per-mode virtual wall-clock, compute-node endpoint bytes, trunk
 bytes, and the bit-identity verdict.  ``--check-determinism`` reruns the
 comparison and asserts the same digest — the CI p2p-smoke job runs
 exactly that and gates on the ≥2× compute-node byte reduction.
-
-``perf`` measures *host* wall-clock performance of the simulator itself
-(see :mod:`repro.perf`): ``--json`` writes a ``BENCH_*.json`` document,
-``--against`` embeds an older document as the baseline (with speedups),
-and ``--check`` exits non-zero if a gated benchmark regressed beyond its
-tolerance — the CI perf-smoke job runs exactly that.
 """
 
 from __future__ import annotations
@@ -500,24 +492,11 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
                        help="also write the report as JSON")
     collp.add_argument("--check-determinism", action="store_true",
                        help="run twice and assert bit-identical digests")
-    perfp = sub.add_parser(
-        "perf", help="run the wall-clock benchmark suite")
-    perfp.add_argument("--quick", action="store_true",
-                       help="smaller sizes / fewer reps (CI smoke)")
-    perfp.add_argument("--json", dest="json_path", default=None,
-                       help="write the BENCH_*.json document here")
-    perfp.add_argument("--against", default=None,
-                       help="older BENCH_*.json to embed as baseline")
-    perfp.add_argument("--check", default=None,
-                       help="baseline BENCH_*.json for the regression gate")
     args = parser.parse_args(argv)
 
     if args.cmd == "list":
         list_experiments()
         return 0
-    if args.cmd == "perf":
-        from ..perf.suite import main_run
-        return main_run(args.quick, args.json_path, args.against, args.check)
     if args.cmd == "tenants":
         return run_tenants(args)
     if args.cmd == "jobs":

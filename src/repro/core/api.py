@@ -429,23 +429,18 @@ class RemoteAccelerator(AcceleratorLifecycle):
                     self._live.pop(params.get("addr"), None)
             return subs
 
-    def stream(self, max_batch: int | None = None, name: str | None = None,
-               coalescer=None):
+    def stream(self, max_batch: int | None = None, name: str | None = None):
         """Create an asynchronous command :class:`~repro.core.stream.Stream`.
 
         The stream queues ``ac*`` ops, returns futures immediately, and
         coalesces consecutive control ops into BATCH frames over this
-        front-end's reliable-RPC path.  With a
-        :class:`~repro.core.coalesce.FrameCoalescer`, control runs are
-        instead submitted as sub-frames to be merged with *other* streams'
-        traffic to the same daemon.
+        front-end's reliable-RPC path.
         """
         from .stream import DEFAULT_MAX_BATCH, Stream
         if max_batch is None:
             max_batch = DEFAULT_MAX_BATCH
         return Stream(self, self.rank.comm.engine, max_batch=max_batch,
-                      name=name or f"ac{self.handle.ac_id}-stream",
-                      coalescer=coalescer)
+                      name=name or f"ac{self.handle.ac_id}-stream")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<RemoteAccelerator ac{self.handle.ac_id} via rank {self.rank.index}>"

@@ -125,10 +125,6 @@ class ResourceManager:
         #: eventual ``vrelease`` of a revoked handle succeeds idempotently.
         self._revoked_vacs: set[int] = set()
         self._stopped = False
-        self._hb_proc = None
-        self._hb_stop = False
-        #: Accelerators evicted by the health monitor (metrics).
-        self.heartbeat_evictions = 0
         #: Leases revoked to admit higher-priority tenants (metrics).
         self.preemptions = 0
         # -- resource discovery (dynamic pool membership) --
@@ -400,8 +396,8 @@ class ResourceManager:
 
     def _mark_broken(self, r: AcceleratorRecord) -> None:
         if r.state == AcceleratorState.BROKEN:
-            # Concurrent failure detectors (heartbeat eviction racing an
-            # explicit ARM_BREAK or an unhealthy discovery report) must
+            # Concurrent failure detectors (clients' explicit ARM_BREAKs
+            # racing the daemon's own unhealthy discovery report) must
             # converge on one transition: a second mark would revoke
             # leases twice and double-log the pool event.
             return
@@ -418,7 +414,7 @@ class ResourceManager:
     def _fail_unsatisfiable(self) -> None:
         """Answer waiters that a shrunken pool can never satisfy.
 
-        Called whenever a device leaves the pool (``_break`` or heartbeat
+        Called whenever a device leaves the pool (break, leave or TTL
         eviction): a queued ``alloc(count=N)`` with N above the surviving
         capacity would otherwise wait forever.
         """
@@ -706,68 +702,6 @@ class ResourceManager:
                 break
             self._vqueue.pop()
             self._try_vassign(req, spec)
-
-    # -- health checking --------------------------------------------------
-    def start_heartbeat(self, period_s: float = 1e-3,
-                        timeout_s: float = 0.5e-3,
-                        rounds: int | None = None):
-        """Start probing every registered daemon with PINGs.
-
-        Each round (every ``period_s`` of virtual time) the ARM pings every
-        non-broken accelerator and races the reply against ``timeout_s``.
-        A ``Status.BROKEN`` reply or a missed deadline evicts the
-        accelerator: it is marked BROKEN — and therefore leaves the free
-        pool before it can be handed to anyone.  ``rounds`` bounds the
-        monitor's lifetime (``None`` = run until :meth:`stop_heartbeat` or
-        ARM shutdown — note that an unbounded monitor keeps the event queue
-        non-empty forever).  Returns the monitor process.
-        """
-        if self._hb_proc is not None and self._hb_proc.is_alive:
-            return self._hb_proc
-        self._hb_stop = False
-        self._hb_proc = self.engine.process(
-            self._heartbeat(period_s, timeout_s, rounds), name="arm-heartbeat")
-        return self._hb_proc
-
-    def stop_heartbeat(self) -> None:
-        """Ask the health monitor to exit after its current round."""
-        self._hb_stop = True
-
-    def _heartbeat(self, period_s: float, timeout_s: float,
-                   rounds: int | None):
-        done = 0
-        while not (self._stopped or self._hb_stop):
-            if rounds is not None and done >= rounds:
-                break
-            yield self.engine.timeout(period_s)
-            done += 1
-            for r in list(self.records.values()):
-                if self._stopped or self._hb_stop:
-                    break
-                if r.state == AcceleratorState.BROKEN:
-                    continue
-                req_id = next_request_id()
-                rreq = self.rank.irecv(source=r.daemon_rank,
-                                       tag=reply_tag(req_id))
-                self.rank.isend(r.daemon_rank, TAG_REQUEST,
-                                Request(op=Op.PING, req_id=req_id,
-                                        reply_to=self.rank.index,
-                                        params={"heartbeat": True}))
-                cond, dl = self.engine.race(rreq.done, timeout_s)
-                yield cond
-                healthy = (rreq.completed
-                           and rreq.message.payload.status == Status.OK)
-                if rreq.completed and not dl.processed:
-                    dl.cancel()
-                if not rreq.completed:
-                    # Missed deadline: cancel the posted receive so each
-                    # missed round doesn't leak a posted irecv, and the
-                    # late PING reply (if it ever lands) is discarded
-                    # instead of accumulating in the unexpected queue.
-                    self.rank.cancel_recv(rreq)
-                if not healthy and r.state != AcceleratorState.BROKEN:
-                    self.heartbeat_evictions += 1
-                    self._mark_broken(r)
 
     def _repair(self, req: Request) -> None:
         ac_id = req.params["ac_id"]

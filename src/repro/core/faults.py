@@ -50,7 +50,7 @@ class FaultInjector:
         answering ``Status.BROKEN`` — a crashed daemon drops every request
         without replying.  The failure is only observable through client
         deadlines (:class:`~repro.errors.RequestTimeout`) or the ARM's
-        heartbeat monitor.  ``notify_arm=True`` models out-of-band hardware
+        discovery TTL sweep.  ``notify_arm=True`` models out-of-band hardware
         monitoring that still reports the crash to the ARM.
         """
         daemon = self.cluster.daemons[ac_id]

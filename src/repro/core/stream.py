@@ -164,24 +164,14 @@ class Stream:
 
     def __init__(self, ac: _t.Any, engine: Engine,
                  max_batch: int = DEFAULT_MAX_BATCH,
-                 batching: bool | None = None, name: str = "stream",
-                 coalescer: _t.Any = None):
+                 batching: bool | None = None, name: str = "stream"):
         if max_batch < 1:
             raise MiddlewareError(f"max_batch must be >= 1: {max_batch!r}")
-        if coalescer is not None and not hasattr(ac, "coalesced_rpc"):
-            raise MiddlewareError(
-                f"front-end {type(ac).__name__} cannot use a coalescer "
-                f"(no coalesced_rpc)")
         self.ac = ac
         self.engine = engine
         self.max_batch = max_batch
         self.batching = (batching if batching is not None
                          else hasattr(ac, "batch_rpc"))
-        #: Cross-stream merge point: when set, control runs are submitted
-        #: as sub-frames to this :class:`~repro.core.coalesce.FrameCoalescer`
-        #: instead of being issued as per-stream BATCH frames — even runs
-        #: of one op, so solo control ops also merge with other streams.
-        self.coalescer = coalescer
         self.name = name
         self._obs = collector_for(engine)
         self._queue: collections.deque[_QueuedOp] = collections.deque()
@@ -323,7 +313,7 @@ class Stream:
                        and self._queue[0].op in BATCHABLE_OPS
                        and not self._queue[0].pending_futures()):
                     run.append(self._queue.popleft())
-                if len(run) == 1 and self.coalescer is None:
+                if len(run) == 1:
                     yield from self._issue_solo(run[0])
                 else:
                     yield from self._issue_batch(run)
@@ -376,11 +366,7 @@ class Stream:
                 calls = [self._as_call(item) for item in run]
                 self._obs.adopt_parent(frame.context)
                 try:
-                    if self.coalescer is not None:
-                        subs = yield from self.ac.coalesced_rpc(
-                            self.coalescer, calls)
-                    else:
-                        subs = yield from self.ac.batch_rpc(calls)
+                    subs = yield from self.ac.batch_rpc(calls)
                 finally:
                     self._obs.clear_adopted()
             except Exception as exc:

@@ -12,7 +12,6 @@ from .dma import DMAEngine, PCIeModel, PCIE_GEN2_X16
 from .kernels import Kernel, KernelRegistry
 from .memory import Allocation, DeviceMemory, MemoryPartition
 from .stdkernels import default_registry, shared_default_registry
-from .stream import Stream
 from . import timing
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "DeviceMemory",
     "Allocation",
     "MemoryPartition",
-    "Stream",
     "default_registry",
     "shared_default_registry",
     "timing",

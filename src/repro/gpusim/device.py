@@ -243,10 +243,10 @@ class GPUTimeSlicer:
 class VirtualGPU:
     """A tenant's slice of one physical GPU: quota'd memory + WFQ compute.
 
-    Duck-types the :class:`GPUDevice` surface the daemon and
-    :class:`~repro.gpusim.stream.Stream` rely on (``engine`` / ``name`` /
-    ``spec`` / ``memory`` / ``dma`` / ``launch``), so existing device
-    consumers work unchanged on a virtual handle.  ``memory`` is a
+    Duck-types the :class:`GPUDevice` surface the daemon relies on
+    (``engine`` / ``name`` / ``spec`` / ``memory`` / ``dma`` /
+    ``launch``), so existing device consumers work unchanged on a virtual
+    handle.  ``memory`` is a
     :class:`~repro.gpusim.memory.MemoryPartition`; kernel launches go
     through the device's :class:`GPUTimeSlicer` with this virtual GPU's
     ``share`` as the WFQ weight.  The DMA engine is shared unweighted
@@ -280,11 +280,6 @@ class VirtualGPU:
         if self.revoked:
             raise GPUError(f"virtual GPU {self.name} has been revoked")
         return self.slicer.submit(self, kernel_name, params, real, ctx)
-
-    def stream(self, name: str | None = None):
-        """An in-order :class:`~repro.gpusim.stream.Stream` on this slice."""
-        from .stream import Stream
-        return Stream(self, name=name)
 
     def revoke(self) -> int:
         """Preempt this virtual GPU: free its memory, refuse new launches.

@@ -313,11 +313,11 @@ class Communicator:
         one-shot discard for its ``(source, tag)`` pattern: if the message
         the receive was waiting for is still in flight, its eventual
         arrival is dropped instead of accumulating in the unexpected
-        queue (the ARM heartbeat uses this for missed PING rounds, whose
-        reply tags are never received again).  Returns True if the
-        receive was pending and is now cancelled; False if it had already
-        completed (its message was delivered — cancellation lost the
-        race, exactly like MPI_Cancel).
+        queue (the daemon uses this when a data block misses its
+        ``data_stall_s`` deadline).  Returns True if the receive was
+        pending and is now cancelled; False if it had already completed
+        (its message was delivered — cancellation lost the race, exactly
+        like MPI_Cancel).
         """
         if request.kind != "recv":
             raise MPIError(f"cancel_recv on a {request.kind} request")

@@ -1,7 +1,6 @@
-"""Network substrate: link models, links, switched multi-topology fabric."""
+"""Network substrate: link models, switched multi-topology fabric."""
 
 from .fabric import Endpoint, Fabric, Transmission
-from .link import Link
 from .models import IB_QDR_MPI, PRESETS, TCP_10GE, TCP_IPOIB, LinkModel, preset
 from .topology import Topology, TopologySpec, topology_spec
 
@@ -15,7 +14,6 @@ __all__ = [
     "Fabric",
     "Endpoint",
     "Transmission",
-    "Link",
     "Topology",
     "TopologySpec",
     "topology_spec",

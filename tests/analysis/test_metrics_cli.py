@@ -1,11 +1,14 @@
 """Tests for the metrics reporting and the CLI."""
 
+import importlib
 import io
 import json
+import pkgutil
 
 import numpy as np
 import pytest
 
+import repro
 from repro.analysis.cli import EXPERIMENTS, list_experiments, main, run_experiment
 from repro.analysis.metrics import collect
 from repro.cluster import Cluster, paper_testbed
@@ -114,6 +117,24 @@ class TestCli:
     def test_main_run(self, capsys):
         assert main(["run", "ext_utilization", "--quick"]) == 0
         assert "shape check passed" in capsys.readouterr().out
+
+    def test_removed_perf_subcommand_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["perf"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'perf'" in capsys.readouterr().err
+
+
+def test_package_exports_resolve():
+    """No package under ``repro`` advertises a name it no longer defines."""
+    packages = [repro] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+        if info.ispkg]
+    dangling = [f"{pkg.__name__}.{name}" for pkg in packages
+                for name in getattr(pkg, "__all__", ())
+                if not hasattr(pkg, name)]
+    assert not dangling
 
 
 class TestMicExtensibility:

@@ -2,8 +2,8 @@
 
 Two families of races that the single-fault tests never exercised:
 
-* **double detection** — an explicit ``ARM_BREAK`` racing the heartbeat
-  monitor's eviction (and a TTL sweep) over the *same* device while a
+* **double detection** — an explicit ``ARM_BREAK`` racing the discovery
+  TTL sweep's eviction over the *same* crashed device while a
   ``valloc`` is parked in flight: the detectors must converge on one
   BROKEN transition, revoke each hosted lease once, and answer the
   parked waiter exactly once;
@@ -50,13 +50,13 @@ def _reply_counter(arm) -> collections.Counter:
 
 
 class TestConcurrentFailureDetectors:
-    def test_break_racing_heartbeat_eviction_during_valloc(self):
-        """ARM_BREAK + heartbeat eviction + TTL sweep on one device.
+    def test_break_racing_ttl_eviction_during_valloc(self):
+        """ARM_BREAK + TTL sweep on one crashed device.
 
         Device 0 hosts the only lease slot; a second valloc is parked.
         Then every failure detector fires on device 0 at once: its
-        daemon crashes (heartbeat misses), an out-of-band ARM_BREAK
-        lands, and the discovery TTL expires.  One BROKEN/evict
+        daemon crashes (reports stop), an out-of-band ARM_BREAK lands,
+        and the discovery TTL expires.  One BROKEN/evict
         transition must win, the parked waiter must get exactly one
         reply, and the ARM must keep serving.
         """
@@ -65,8 +65,6 @@ class TestConcurrentFailureDetectors:
                           report_period_s=REPORT_PERIOD)
         cluster.arm.admission.slots_per_device = 1
         cluster.arm.enable_discovery(ttl_s=TTL)
-        cluster.arm.start_heartbeat(period_s=2 * REPORT_PERIOD,
-                                    timeout_s=REPORT_PERIOD)
         counts = _reply_counter(cluster.arm)
         cluster.run(until=3 * REPORT_PERIOD)
         for t in ("t0", "t1", "t2"):
@@ -85,10 +83,10 @@ class TestConcurrentFailureDetectors:
         cluster.run(until=cluster.engine.now + REPORT_PERIOD)
         assert len(cluster.arm._vqueue) == 1
 
-        # All three detectors converge on device 0 around the same time.
+        # Both detectors converge on device 0 around the same time.
         injector = FaultInjector(cluster)
         now = cluster.engine.now
-        injector.crash_at(0, now + REPORT_PERIOD)          # heartbeat miss
+        injector.crash_at(0, now + REPORT_PERIOD)          # reports stop
         injector.break_at(0, now + 2 * REPORT_PERIOD)      # explicit break
         cluster.run(until=now + 20 * TTL)                  # + TTL sweep
 

@@ -275,24 +275,6 @@ class TestFailover:
         assert np.allclose(out, 10.0)  # scaled exactly once, not twice
 
 
-class TestHeartbeat:
-    def test_heartbeat_evicts_crashed_accelerator(self, rig):
-        cluster, sess, injector = rig
-        injector.crash_at(1, at_time=0.0)
-        cluster.arm.start_heartbeat(period_s=1e-3, timeout_s=0.5e-3, rounds=3)
-        sess.sleep(0.01)
-        assert cluster.arm.heartbeat_evictions == 1
-        assert cluster.arm.snapshot()[1]["state"] == "broken"
-        assert cluster.arm.free_count() == 2
-
-    def test_heartbeat_leaves_healthy_pool_alone(self, rig):
-        cluster, sess, _ = rig
-        cluster.arm.start_heartbeat(period_s=1e-3, timeout_s=0.5e-3, rounds=3)
-        sess.sleep(0.01)
-        assert cluster.arm.heartbeat_evictions == 0
-        assert cluster.arm.free_count() == 3
-
-
 class TestSessionDeadline:
     def test_sync_call_timeout(self, rig):
         cluster, sess, _ = rig

@@ -36,8 +36,8 @@ class TestCancelRecv:
 
     def test_late_message_is_discarded_not_queued(self, eng, comm2):
         # The message the cancelled receive was waiting for must not
-        # accumulate in the unexpected queue (the leak the ARM heartbeat
-        # hit on every missed PING round).
+        # accumulate in the unexpected queue (one leaked entry per
+        # missed deadline otherwise).
         r0, r1 = comm2.rank(0), comm2.rank(1)
         req = r1.irecv(source=0, tag=7)
         r1.cancel_recv(req)
