@@ -43,10 +43,14 @@ class CopyStats:
     ``payload_copies``/``payload_bytes`` count *avoidable* copies: send
     snapshots, staging gathers, read-out copies.  ``device_writes``/
     ``device_write_bytes`` count the one copy the architecture requires:
-    the final write into the device backing store.  ``cow_copies`` count
-    allocation-level copy-on-write snapshots — correct but worth
-    watching, since a hot loop that mutates freshly-downloaded buffers
-    pays one per mutation.
+    the final write into the device backing store.  ``cow_copies``
+    counts allocation-level copy-on-write *detaches* — a mutation found
+    loaned views still referenced and left them the old backing — and
+    ``cow_bytes`` the bytes actually carried over from an old backing
+    because no later write replaced them: 0 for a block stream that
+    rewrites the whole buffer, the full allocation for a kernel
+    ``view()``.  Correct but worth watching, since a hot loop that
+    mutates freshly-downloaded buffers pays one detach per mutation.
     """
 
     __slots__ = ("payload_copies", "payload_bytes",
@@ -71,10 +75,6 @@ class CopyStats:
     def count_device_write(self, nbytes: int) -> None:
         self.device_writes += 1
         self.device_write_bytes += int(nbytes)
-
-    def count_cow(self, nbytes: int) -> None:
-        self.cow_copies += 1
-        self.cow_bytes += int(nbytes)
 
     def snapshot(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -187,12 +187,14 @@ class ChunkView:
 def chunk_payload(payload: _t.Any) -> np.ndarray:
     """Flat uint8 array of a chunk payload (ChunkView or array-like).
 
-    Zero-copy for ChunkViews and uint8 arrays; the result must only be
-    *read* (it may alias shared memory).
+    Zero-copy for ChunkViews and C-contiguous arrays of any dtype, whose
+    raw bytes are reinterpreted, never value-converted; the result must
+    only be *read* (it may alias shared memory).
     """
     if isinstance(payload, ChunkView):
         return payload.array
     arr = np.asarray(payload)
-    if arr.dtype != np.uint8:
-        arr = np.ascontiguousarray(arr, dtype=np.uint8)
-    return arr.reshape(-1)
+    if not arr.flags.c_contiguous:
+        copy_stats.count_payload_copy(arr.nbytes)
+        arr = np.ascontiguousarray(arr)
+    return _as_uint8(arr)

@@ -29,7 +29,8 @@ from ..errors import DeviceMemoryError
 class Allocation:
     """One live device allocation."""
 
-    __slots__ = ("addr", "nbytes", "data", "dtype", "shape", "_loaned")
+    __slots__ = ("addr", "nbytes", "data", "dtype", "shape", "_loaned",
+                 "_pending")
 
     def __init__(self, addr: int, nbytes: int):
         self.addr = addr
@@ -40,42 +41,82 @@ class Allocation:
         #: True while zero-copy read views over ``data`` may be outstanding
         #: (D2H staging, downloads handed to the application).
         self._loaned = False
+        #: ``(old backing, lo, hi)`` after a detach: bytes ``[lo, hi)`` of
+        #: ``data`` are not yet valid and still live in the old backing.
+        #: Never set while ``_loaned`` is — a loan settles before it is
+        #: granted — so at most one old backing is ever pending.
+        self._pending: tuple[np.ndarray, int, int] | None = None
 
     def backing(self) -> np.ndarray:
+        """The backing store with every byte in place (settles a detach)."""
         if self.data is None:
             self.data = np.zeros(self.nbytes, dtype=np.uint8)
+        elif self._pending is not None:
+            self._carry(*self._pending)
+            self._pending = None
         return self.data
 
-    def writable(self) -> np.ndarray:
-        """Backing store for *mutation* — the allocation-level COW point.
+    def _carry(self, old: np.ndarray, lo: int, hi: int) -> None:
+        """Copy bytes ``[lo, hi)`` over from a detached backing."""
+        copy_stats.cow_bytes += hi - lo
+        self.data[lo:hi] = old[lo:hi]
+
+    def _detach(self) -> None:
+        """The allocation-level COW point, run before every mutation.
 
         While read views are loaned out (zero-copy D2H), the first
-        mutation repoints this allocation at a private copy of its bytes
-        and leaves the old buffer to the views, which therefore keep the
-        snapshot semantics a copying ``read()`` used to provide.
+        mutation repoints this allocation at a fresh *uninitialised*
+        buffer and leaves the old one to the views, which therefore keep
+        the snapshot semantics a copying ``read()`` used to provide.  No
+        byte is copied here: the old buffer is remembered as pending and
+        only what later writes do not replace is ever carried over.
         """
-        buf = self.backing()
         if self._loaned:
             # Refcount probe: every live view into the backing (loans
             # and anything derived from them) holds a reference to it,
-            # so if the count is back to baseline — self.data, the
-            # local here, and getrefcount's own argument — the snapshot
-            # obligation has lapsed and the buffer can be reused in
-            # place.  Buffers cycled through upload/download every pass
-            # would otherwise pay a full-allocation copy per reuse.
-            if sys.getrefcount(buf) > 3:
-                copy_stats.count_cow(buf.nbytes)
-                self.data = buf.copy()
-                buf = self.data
+            # so if the count is back to baseline — self.data and
+            # getrefcount's own argument — the snapshot obligation has
+            # lapsed and the buffer can be reused in place.  Buffers
+            # cycled through upload/download every pass would otherwise
+            # pay a fresh backing per reuse.
+            if sys.getrefcount(self.data) > 2:
+                copy_stats.cow_copies += 1
+                self._pending = (self.data, 0, self.nbytes)
+                self.data = np.empty(self.nbytes, dtype=np.uint8)
             self._loaned = False
-        return buf
+
+    def writable(self) -> np.ndarray:
+        """Backing store for mutation anywhere in the buffer."""
+        self._detach()
+        return self.backing()
+
+    def store(self, offset: int, src: np.ndarray) -> None:
+        """Overwrite ``src.nbytes`` bytes at ``offset`` (bounds checked by
+        the caller), trimming the pending range by what this replaces."""
+        if self.data is None:
+            self.backing()
+        self._detach()
+        end = offset + src.nbytes
+        if self._pending is not None:
+            old, lo, hi = self._pending
+            if offset <= lo:
+                lo = max(lo, end)
+            elif end >= hi:
+                hi = min(hi, offset)
+            else:
+                # Strictly inside: carry the lower side now, so a single
+                # interval always describes what is left.
+                self._carry(old, lo, offset)
+                lo = end
+            self._pending = (old, lo, hi) if lo < hi else None
+        self.data[offset:end] = src
 
     def loan(self, offset: int, nbytes: int) -> np.ndarray:
         """A read-only view of ``nbytes`` at ``offset`` (zero copy).
 
         The view stays valid as a snapshot of the current contents: any
-        later mutation of the allocation goes through :meth:`writable`
-        and copies the backing first.
+        later mutation of the allocation goes through :meth:`_detach`
+        and leaves this backing to the view.
         """
         view = self.backing()[offset:offset + nbytes]
         view.flags.writeable = False
@@ -189,7 +230,7 @@ class DeviceMemory:
                 f"allocation of {alloc.nbytes}B"
             )
         copy_stats.count_device_write(buf.nbytes)
-        alloc.writable()[offset:offset + buf.nbytes] = buf
+        alloc.store(offset, buf)
 
     def read(self, addr: int, offset: int = 0, nbytes: int | None = None,
              copy: bool = True) -> np.ndarray:
@@ -229,7 +270,7 @@ class DeviceMemory:
                 f"array of {arr.nbytes}B does not fit allocation of {alloc.nbytes}B"
             )
         copy_stats.count_device_write(arr.nbytes)
-        alloc.writable()[: arr.nbytes] = arr.view(np.uint8).reshape(-1)
+        alloc.store(0, arr.view(np.uint8).reshape(-1))
         alloc.dtype = arr.dtype
         alloc.shape = arr.shape
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import typing as _t
 
 import numpy as np
-import scipy.linalg as sla
 
 from ...gpusim.kernels import provide
 from ...gpusim.timing import gemm_time, trsm_time
@@ -65,6 +64,9 @@ def _chol_trsm_fn(dev: "GPUDevice", p: dict):
     Lkk = P[k0:k1, :]
     B = P[k1:, :]
     if B.shape[0]:
+        # Imported here (as in gpusim.stdkernels): this is the package's
+        # only scipy user, and importing the package must not load it.
+        import scipy.linalg as sla
         X = sla.solve_triangular(Lkk, B.T, lower=True)
         B[:] = X.T
     return 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.buffers import copy_stats
 from repro.errors import DeviceMemoryError
 from repro.gpusim import DeviceMemory
 
@@ -144,6 +145,24 @@ class TestDataAccess:
         with pytest.raises(DeviceMemoryError):
             mem.set_array_meta(a, "float64", (10,))
 
+    @pytest.mark.parametrize("arr", [
+        np.array([1.5, 2.5, 300.0]),
+        np.array([-1, 2 ** 40, 300], dtype=np.int64),
+        np.arange(12, dtype=np.float64).reshape(3, 4)[:, ::2],  # strided
+    ], ids=["float64", "int64", "strided"])
+    def test_typed_write_stores_raw_bytes_not_cast_values(self, arr):
+        # Raw bytes, not values: a uint8 value-cast would store 1.5 as 1
+        # and 300.0 as 44, one byte per element.
+        mem = DeviceMemory(1000)
+        a = mem.malloc(64)
+        mem.write(a, 8, arr)
+        out = mem.read(a, 8, arr.nbytes)
+        assert out.nbytes == arr.nbytes
+        np.testing.assert_array_equal(out.view(arr.dtype).reshape(arr.shape),
+                                      arr)
+        with pytest.raises(DeviceMemoryError):
+            mem.write(a, 64 - arr.nbytes + 1, arr)
+
     def test_block_writes_assemble_full_payload(self):
         # The pipeline protocol writes sequential blocks at offsets.
         mem = DeviceMemory(10_000)
@@ -223,8 +242,6 @@ class TestZeroCopyLoans:
     """``copy=False`` reads: read-only loans with allocation-level COW."""
 
     def test_read_loan_is_read_only_and_zero_copy(self):
-        from repro.buffers import copy_stats
-
         mem = DeviceMemory(1000)
         a = mem.malloc(100)
         mem.write(a, 0, np.arange(100, dtype=np.uint8))
@@ -248,8 +265,6 @@ class TestZeroCopyLoans:
         np.testing.assert_array_equal(loan, arr)
 
     def test_loan_is_cow_isolated_from_later_writes(self):
-        from repro.buffers import copy_stats
-
         mem = DeviceMemory(1000)
         a = mem.malloc(64)
         mem.write(a, 0, np.full(64, 7, dtype=np.uint8))
@@ -269,3 +284,222 @@ class TestZeroCopyLoans:
         out[:] = 0
         np.testing.assert_array_equal(mem.read(a),
                                       np.arange(32, dtype=np.uint8))
+
+
+def _contents(alloc) -> bytes:
+    """Logical bytes of an allocation *without* settling a pending range:
+    ``data`` is valid outside ``[lo, hi)``, the old backing inside it."""
+    if alloc.data is None:
+        return bytes(alloc.nbytes)
+    out = alloc.data.copy()
+    if alloc._pending is not None:
+        old, lo, hi = alloc._pending
+        out[lo:hi] = old[lo:hi]
+    return out.tobytes()
+
+
+# Model-based test: bytes per allocation, and the grain of its offsets
+# (coarse, so that writes often reach exactly an end of the buffer).
+_COW_SIZE, _COW_GRAIN = 48, 8
+# Writes, reads and the first allocation are repeated so that most steps
+# land on one allocation while one of its loans is held.
+_COW_OPS = ("write", "write", "write", "write", "write_array", "read",
+            "read", "read_array", "view", "drop")
+
+
+class TestRangeAwareCow:
+    """A write under a live loan detaches without copying; only bytes no
+    later write replaces are carried over, when something asks for them."""
+
+    N, BLOCK = 1024, 128
+
+    def _loaned(self):
+        mem = DeviceMemory(4 * self.N)
+        a = mem.malloc(self.N)
+        old = np.arange(self.N, dtype=np.uint32).astype(np.uint8)
+        mem.write(a, 0, old)
+        loan = mem.read(a, copy=False)
+        copy_stats.reset()
+        return mem, a, old, loan
+
+    @pytest.mark.parametrize("offsets", [
+        range(0, N, BLOCK), range(N - BLOCK, -1, -BLOCK),
+    ], ids=["ascending", "descending"])
+    def test_full_block_stream_carries_nothing_over(self, offsets):
+        mem, a, old, loan = self._loaned()
+        new = np.invert(old)
+        for off in offsets:
+            mem.write(a, off, new[off:off + self.BLOCK])
+        assert mem.allocation(a)._pending is None
+        assert (copy_stats.cow_copies, copy_stats.cow_bytes) == (1, 0)
+        np.testing.assert_array_equal(mem.read(a), new)
+        np.testing.assert_array_equal(loan, old)
+
+    @pytest.mark.parametrize("array_write", [False, True],
+                             ids=["write", "write_array"])
+    def test_single_full_size_write_carries_nothing_over(self, array_write):
+        mem, a, old, loan = self._loaned()
+        new = np.invert(old)
+        if array_write:
+            mem.write_array(a, new)
+        else:
+            mem.write(a, 0, new)
+        assert (copy_stats.cow_copies, copy_stats.cow_bytes) == (1, 0)
+        np.testing.assert_array_equal(mem.read(a), new)
+        np.testing.assert_array_equal(loan, old)
+
+    @pytest.mark.parametrize("done", [1, 3, 7])
+    def test_abandoned_stream_reads_back_old_tail(self, done):
+        mem, a, old, loan = self._loaned()
+        new = np.invert(old)
+        cut = done * self.BLOCK
+        for off in range(0, cut, self.BLOCK):
+            mem.write(a, off, new[off:off + self.BLOCK])
+        assert copy_stats.cow_bytes == 0, "nothing asked for the tail yet"
+        out = mem.read(a)
+        np.testing.assert_array_equal(out[:cut], new[:cut])
+        np.testing.assert_array_equal(out[cut:], old[cut:])
+        assert (copy_stats.cow_copies, copy_stats.cow_bytes) == (
+            1, self.N - cut)
+        np.testing.assert_array_equal(loan, old)
+
+    def test_short_write_array_keeps_old_tail(self):
+        mem, a, old, loan = self._loaned()
+        head = np.arange(16, dtype=np.float64)
+        mem.write_array(a, head)
+        out = mem.read(a)
+        assert out[:head.nbytes].tobytes() == head.tobytes()
+        np.testing.assert_array_equal(out[head.nbytes:], old[head.nbytes:])
+        assert copy_stats.cow_bytes == self.N - head.nbytes
+        np.testing.assert_array_equal(loan, old)
+
+    def test_middle_first_write_is_exact(self):
+        # A write strictly inside the pending range would split it; the
+        # lower side is carried at once so one interval still suffices.
+        mem, a, old, loan = self._loaned()
+        new = np.invert(old)
+        lo, hi = 3 * self.BLOCK, 5 * self.BLOCK
+        mem.write(a, lo, new[lo:hi])
+        assert mem.allocation(a)._pending[1:] == (hi, self.N)
+        assert copy_stats.cow_bytes == lo
+        expect = old.copy()
+        expect[lo:hi] = new[lo:hi]
+        np.testing.assert_array_equal(mem.read(a), expect)
+        assert copy_stats.cow_bytes == self.N - (hi - lo)
+        np.testing.assert_array_equal(loan, old)
+
+    def test_write_outside_pending_range_leaves_it_alone(self):
+        mem, a, old, loan = self._loaned()
+        new = np.invert(old)
+        b, n = self.BLOCK, self.N
+        mem.write(a, 0, new[:b])
+        mem.write(a, n - b, new[n - b:])
+        alloc = mem.allocation(a)
+        assert alloc._pending[1:] == (b, n - b)
+        # Rewrites of already-replaced bytes, clear of the range's ends.
+        mem.write(a, 0, new[:b // 2])
+        mem.write(a, n - b // 2, new[n - b // 2:])
+        assert alloc._pending[1:] == (b, n - b)
+        expect = new.copy()
+        expect[b:n - b] = old[b:n - b]
+        np.testing.assert_array_equal(mem.read(a), expect)
+        assert copy_stats.cow_bytes == n - 2 * b
+
+    def test_kernel_view_carries_whole_buffer(self):
+        mem, a, old, loan = self._loaned()
+        v = mem.view(a, dtype="uint8", shape=(self.N,))
+        assert (copy_stats.cow_copies, copy_stats.cow_bytes) == (1, self.N)
+        v[:] = 0
+        np.testing.assert_array_equal(loan, old)
+        assert not mem.read(a).any()
+
+    def test_loan_while_pending_is_settled_first(self):
+        mem, a, old, loan = self._loaned()
+        mem.write(a, 0, np.zeros(self.BLOCK, dtype=np.uint8))
+        alloc = mem.allocation(a)
+        assert alloc._pending is not None and not alloc._loaned
+        second = mem.read(a, copy=False)
+        assert alloc._pending is None and alloc._loaned
+        np.testing.assert_array_equal(second[self.BLOCK:], old[self.BLOCK:])
+        assert not second[:self.BLOCK].any()
+        mem.write(a, 0, np.full(self.N, 5, dtype=np.uint8))
+        np.testing.assert_array_equal(loan, old)
+        assert not second[:self.BLOCK].any()
+
+    @pytest.mark.parametrize("mutate", ["write", "write_array", "view"])
+    def test_dropped_loan_lets_next_mutation_reuse_backing(self, mutate):
+        # Guards the refcount probe's baseline: with no view left alive
+        # the count must read as "unreferenced", wherever the probe lives.
+        mem, a, old, loan = self._loaned()
+        alloc = mem.allocation(a)
+        before = id(alloc.data)
+        del loan
+        if mutate == "write":
+            mem.write(a, 0, b"\x01\x02")
+        elif mutate == "write_array":
+            mem.write_array(a, np.array([1, 2], dtype=np.uint8))
+        else:
+            mem.view(a, dtype="uint8", shape=(self.N,))[:2] = (1, 2)
+        assert id(alloc.data) == before, "backing was replaced, not reused"
+        assert alloc._pending is None and not alloc._loaned
+        assert (copy_stats.cow_copies, copy_stats.cow_bytes) == (0, 0)
+        out = mem.read(a)
+        assert out[:2].tolist() == [1, 2]
+        np.testing.assert_array_equal(out[2:], old[2:])
+
+    @given(st.lists(st.tuples(st.sampled_from(_COW_OPS),
+                              st.sampled_from((0, 0, 0, 1)),
+                              st.integers(0, _COW_SIZE // _COW_GRAIN),
+                              st.integers(0, _COW_SIZE // _COW_GRAIN),
+                              st.integers(0, 255), st.booleans()),
+                    min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_bytearray_model(self, script):
+        mem = DeviceMemory(4 * _COW_SIZE)
+        addrs = [mem.malloc(_COW_SIZE), mem.malloc(_COW_SIZE)]
+        model = [bytearray(_COW_SIZE), bytearray(_COW_SIZE)]
+        loans: list[tuple[np.ndarray, bytes]] = []
+
+        def fill(n, seed):
+            return ((np.arange(n) * 7 + seed) % 256).astype(np.uint8)
+
+        for op, which, x, y, seed, flag in script:
+            a, ref = addrs[which], model[which]
+            off, n = min(x, y) * _COW_GRAIN, abs(x - y) * _COW_GRAIN
+            if op == "write":
+                src = fill(n, seed)
+                mem.write(a, off, src)
+                ref[off:off + n] = src.tobytes()
+            elif op == "write_array":
+                arr = fill(8 * (n // 8), seed).view(np.float64)
+                if flag:
+                    arr = arr.reshape(-1, 1)
+                mem.write_array(a, arr)
+                ref[:arr.nbytes] = arr.tobytes()
+            elif op == "read":
+                out = mem.read(a, off, n, copy=flag)
+                assert out.tobytes() == bytes(ref[off:off + n])
+                if not flag:
+                    loans.append((out, out.tobytes()))
+            elif op == "read_array":
+                if mem.allocation(a).dtype is None:
+                    continue
+                out = mem.read_array(a, copy=flag)
+                assert out.tobytes() == bytes(ref[:out.nbytes])
+                if not flag:
+                    loans.append((out, out.tobytes()))
+            elif op == "view":
+                v = mem.view(a, dtype="uint8", shape=(_COW_SIZE,))
+                v[off:off + n] = seed
+                ref[off:off + n] = bytes([seed]) * n
+                del v
+            elif loans:
+                del loans[x % len(loans)]
+            for addr, want in zip(addrs, model):
+                alloc = mem.allocation(addr)
+                assert not (alloc._loaned and alloc._pending is not None)
+                assert _contents(alloc) == bytes(want)
+            for loan, taken in loans:
+                assert loan.tobytes() == taken, "a write leaked into a loan"
+        for addr, want in zip(addrs, model):
+            assert mem.read(addr).tobytes() == bytes(want)

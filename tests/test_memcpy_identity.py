@@ -13,12 +13,14 @@ import numpy as np
 import pytest
 
 from repro.buffers import copy_stats
+from repro.cluster import Cluster, paper_testbed
 from repro.core.protocol import reset_request_ids
 from repro.mpisim import Phantom
 
 from .harness import (
     expected_memcpy_results,
     generate_memcpy_program,
+    make_local_rig,
     make_remote_rig,
     run_memcpy,
     run_memcpy_traced,
@@ -141,6 +143,74 @@ def test_downloaded_view_is_cow_isolated_from_later_writes():
     assert copy_stats.cow_copies >= 1, (
         "expected an allocation-level COW snapshot when the device "
         "buffer was overwritten under a live loan")
+
+
+@pytest.fixture(params=["remote", "local"])
+def peer_pair(request):
+    """``(sess, a, b)``: a front-end and a ``peer_put`` target of one kind
+    (the node-attached GPU stages a peer copy onto itself)."""
+    if request.param == "local":
+        _, sess, local = make_local_rig()
+        return sess, local, local
+    cluster = Cluster(paper_testbed(n_compute=1, n_accelerators=2))
+    sess = cluster.session()
+    handles = sess.call(cluster.arm_client(0).alloc(count=2))
+    return sess, cluster.remote(0, handles[0]), cluster.remote(0, handles[1])
+
+
+def _flat(out) -> np.ndarray:
+    return np.asarray(out).view(np.uint8).reshape(-1)
+
+
+def test_download_held_across_full_upload_carries_nothing_over(peer_pair):
+    """The block stream of a whole-buffer H2D replaces every byte, so the
+    detach under the held download copies none of them."""
+    sess, ac, _ = peer_pair
+    first = np.random.default_rng(5).integers(0, 256, 1 << 20, dtype=np.uint8)
+    second = np.invert(first)
+
+    def prog():
+        addr = yield from ac.mem_alloc(first.nbytes)
+        yield from ac.memcpy_h2d(addr, first)
+        held = yield from ac.memcpy_d2h(addr, first.nbytes)
+        copy_stats.reset()
+        yield from ac.memcpy_h2d(addr, second)
+        after = yield from ac.memcpy_d2h(addr, first.nbytes)
+        return held, after
+
+    held, after = sess.call(prog())
+    assert (copy_stats.cow_copies, copy_stats.cow_bytes) == (1, 0)
+    assert copy_stats.device_write_bytes == first.nbytes
+    np.testing.assert_array_equal(_flat(held), first)
+    np.testing.assert_array_equal(_flat(after), second)
+
+
+def test_peer_put_while_range_pending_ships_settled_bytes(peer_pair):
+    """A partial upload under a held download leaves its tail pending;
+    the peer copy's loan settles it, carrying exactly the tail."""
+    sess, a, b = peer_pair
+    first = np.random.default_rng(6).integers(0, 256, 1 << 18, dtype=np.uint8)
+    second = np.invert(first)
+    n, half = first.nbytes, first.nbytes // 2
+
+    def prog():
+        src = yield from a.mem_alloc(n)
+        dst = yield from b.mem_alloc(n)
+        yield from a.memcpy_h2d(src, first)
+        held = yield from a.memcpy_d2h(src, n)
+        copy_stats.reset()
+        yield from a.memcpy_h2d(src, second[:half])
+        before_put = copy_stats.snapshot()
+        yield from a.peer_put(src, n, b, dst)
+        out = yield from b.memcpy_d2h(dst, n)
+        return held, before_put, out
+
+    held, before_put, out = sess.call(prog())
+    assert (before_put["cow_copies"], before_put["cow_bytes"]) == (1, 0)
+    assert (copy_stats.cow_copies, copy_stats.cow_bytes) == (1, n - half)
+    np.testing.assert_array_equal(_flat(out)[:half], second[:half])
+    np.testing.assert_array_equal(_flat(out)[half:], first[half:])
+    np.testing.assert_array_equal(_flat(held), first)
 
 
 def test_chunkview_writable_is_a_private_copy():

@@ -1,5 +1,10 @@
 """Unit tests for distribution and CPU panel numerics."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +18,19 @@ from repro.workloads.linalg.panel import (
     potf2,
     potf2_flops,
 )
+
+
+def test_importing_the_stack_does_not_load_scipy():
+    # Only two kernel bodies solve with scipy; each imports it when it
+    # runs, so a process that never solves never pays for loading it.
+    import repro
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    code = ("import sys, repro.cluster, repro.core, repro.jobs, repro.chaos, "
+            "repro.workloads.linalg\n"
+            "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, "importing repro pulled scipy in"
 
 
 class TestBlockCyclic:
