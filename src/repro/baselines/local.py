@@ -206,10 +206,8 @@ class LocalAccelerator(AcceleratorLifecycle):
         lets workloads and the deterministic harness run the same program
         against both backends.
         """
-        from ..core.stream import DEFAULT_MAX_BATCH, Stream
-        if max_batch is None:
-            max_batch = DEFAULT_MAX_BATCH
-        return Stream(self, self.engine, max_batch=max_batch, batching=False,
+        from ..core.stream import Stream
+        return Stream(self, self.engine, max_batch=max_batch,
                       name=name or f"local-{self.gpu.name}-stream")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

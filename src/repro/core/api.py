@@ -45,6 +45,7 @@ from .interface import (
 )
 from .protocol import (
     AcceleratorHandle,
+    BATCHABLE_OPS,
     Op,
     Request,
     Response,
@@ -75,6 +76,12 @@ class RemoteAccelerator(AcceleratorLifecycle):
         self._kernels: dict[str, dict] = {}  # name -> staged args
         #: Live device allocations (for context-manager release).
         self._live: dict[int, int] = {}      # addr -> nbytes
+        #: Where this front-end's sub-frames of batchable control ops go:
+        #: ``None`` sends each alone, a
+        #: :class:`~repro.core.coalesce.FrameCoalescer` (set by the job
+        #: service, one per gateway/daemon pair) merges them with other
+        #: front-ends' into shared frames.
+        self.coalescer = None
         self._obs = collector_for(rank.comm.engine)
         self._actor = f"cn{rank.index}"
         #: Cumulative accounting for the experiment harness.
@@ -102,7 +109,7 @@ class RemoteAccelerator(AcceleratorLifecycle):
         return cfg
 
     def _rpc(self, op: Op, params: dict, timeout_s: float | None = None,
-             span=None):
+             span=None, sub_traces: list | None = None):
         """One request/response round trip (generator). Returns Response.
 
         With a timeout (explicit or from the retry policy), the reply is
@@ -115,9 +122,37 @@ class RemoteAccelerator(AcceleratorLifecycle):
         resp = yield from reliable_rpc(
             self.rank, self.handle.daemon_rank, TAG_REQUEST, op, params,
             self.retry, timeout_s if timeout_s is not None else self.retry.timeout_s,
-            stats=self, span=span)
+            stats=self, span=span, sub_traces=sub_traces)
         resp.raise_for_status()
         return resp
+
+    def _control(self, op: Op, params: dict, timeout_s: float | None = None,
+                 **attrs):
+        """One batchable control op (generator); returns its value.
+
+        The op is its own two-message request (Sect. IV) — or, when this
+        front-end has a coalescer, a one-op sub-frame of a shared frame
+        (a custom deadline keeps its own request).
+        """
+        if self.coalescer is not None and timeout_s is None:
+            (resp,) = yield from self.batch_rpc([(op, params)])
+            resp.raise_for_status()
+            return resp.value
+        with self._obs.start(f"client.{op.value}", self._actor,
+                             **attrs) as span:
+            resp = yield from self._rpc(op, params, timeout_s=timeout_s,
+                                        span=span)
+            self._track(op, params, resp.value)
+            return resp.value
+
+    def _track(self, op: Op, params: dict, value: _t.Any) -> None:
+        """Client-side bookkeeping for a control op that succeeded."""
+        if op is Op.MEM_ALLOC:
+            self._live[value] = params["nbytes"]
+        elif op is Op.MEM_FREE:
+            self._live.pop(params["addr"], None)
+        elif op is Op.KERNEL_CREATE:
+            self._kernels[params["name"]] = {}
 
     def _await_reply(self, rreq, op: Op, timeout_s: float | None):
         """Wait for a transfer reply, racing the configured deadline."""
@@ -138,19 +173,13 @@ class RemoteAccelerator(AcceleratorLifecycle):
     # -- memory management ----------------------------------------------
     def mem_alloc(self, nbytes: int):
         """Allocate ``nbytes`` of device memory; returns the device address."""
-        with self._obs.start("client.mem_alloc", self._actor,
-                             nbytes=int(nbytes)) as span:
-            resp = yield from self._rpc(Op.MEM_ALLOC,
-                                        {"nbytes": int(nbytes)}, span=span)
-            self._live[resp.value] = int(nbytes)
-            return resp.value
+        addr = yield from self._control(Op.MEM_ALLOC, {"nbytes": int(nbytes)},
+                                        nbytes=int(nbytes))
+        return addr
 
     def mem_free(self, addr: int):
         """Release a device allocation."""
-        with self._obs.start("client.mem_free", self._actor,
-                             addr=addr) as span:
-            yield from self._rpc(Op.MEM_FREE, {"addr": addr}, span=span)
-            self._live.pop(addr, None)
+        yield from self._control(Op.MEM_FREE, {"addr": addr}, addr=addr)
 
     def release(self):
         """Free every live allocation this front-end made (generator)."""
@@ -294,16 +323,19 @@ class RemoteAccelerator(AcceleratorLifecycle):
     # -- kernels ----------------------------------------------------------
     def kernel_create(self, name: str):
         """Declare intent to run kernel ``name`` (validates it remotely)."""
-        with self._obs.start("client.kernel_create", self._actor,
-                             kernel=name) as span:
-            yield from self._rpc(Op.KERNEL_CREATE, {"name": name}, span=span)
-            self._kernels[name] = {}
+        yield from self._control(Op.KERNEL_CREATE, {"name": name},
+                                 kernel=name)
 
-    def kernel_set_args(self, name: str, params: dict) -> None:
-        """Stage launch parameters locally (sent with the next run)."""
+    def _staged(self, name: str) -> dict:
+        """The launch parameters staged for a created kernel."""
         if name not in self._kernels:
             raise MiddlewareError(
                 f"kernel {name!r} was not created on this accelerator")
+        return self._kernels[name]
+
+    def kernel_set_args(self, name: str, params: dict) -> None:
+        """Stage launch parameters locally (sent with the next run)."""
+        self._staged(name)
         self._kernels[name] = dict(params)
 
     def kernel_run(self, name: str, params: dict | None = None,
@@ -314,16 +346,11 @@ class RemoteAccelerator(AcceleratorLifecycle):
         (long-running kernels need more headroom than control RPCs).
         """
         if params is None:
-            if name not in self._kernels:
-                raise MiddlewareError(
-                    f"kernel {name!r} was not created on this accelerator")
-            params = self._kernels[name]
-        with self._obs.start("client.kernel_run", self._actor,
-                             kernel=name) as span:
-            resp = yield from self._rpc(Op.KERNEL_RUN, {
-                "name": name, "params": params, "real": real},
-                timeout_s=timeout_s, span=span)
-            return resp.value
+            params = self._staged(name)
+        result = yield from self._control(
+            Op.KERNEL_RUN, {"name": name, "params": params, "real": real},
+            timeout_s=timeout_s, kernel=name)
+        return result
 
     # -- virtual-accelerator lifecycle ------------------------------------
     def vac_attach(self, share: float = 1.0, mem_quota: int | None = None):
@@ -358,87 +385,65 @@ class RemoteAccelerator(AcceleratorLifecycle):
     # -- misc -------------------------------------------------------------
     def ping(self, timeout_s: float | None = None):
         """Round-trip liveness probe; returns the one-way-ish RTT payload."""
-        with self._obs.start("client.ping", self._actor) as span:
-            resp = yield from self._rpc(Op.PING, {}, timeout_s=timeout_s,
-                                        span=span)
-            return resp.value
+        value = yield from self._control(Op.PING, {}, timeout_s=timeout_s)
+        return value
 
     # -- batching / streams -----------------------------------------------
-    def batch_rpc(self, calls: _t.Sequence[tuple[Op, dict]],
-                  timeout_s: float | None = None):
-        """Execute several control ops in one request frame (generator).
+    def batch_rpc(self, calls: _t.Sequence[tuple[Op, dict]]):
+        """Execute control ops as one sub-frame of a batch frame (generator).
 
         ``calls`` is a list of ``(op, params)`` pairs drawn from
-        :data:`~repro.core.protocol.BATCHABLE_OPS`.  The whole frame costs
-        one round trip; the daemon executes the ops in order and replies
-        with the list of per-op :class:`Response` objects, which this
-        returns without raising — the caller (normally a
-        :class:`~repro.core.stream.Stream`) inspects each sub-response.
-        A retried frame is at-most-once via the daemon's dedup cache.
+        :data:`~repro.core.protocol.BATCHABLE_OPS`, ``params`` as the
+        single-op request would carry them (a ``KERNEL_RUN`` whose
+        ``params`` is None launches with the staged arguments).  The
+        sub-frame costs one round trip: it travels alone as a one-rider
+        :data:`~repro.core.protocol.Op.MBATCH` frame or, with a
+        :attr:`coalescer`, shares a frame with other front-ends'.  The
+        daemon executes the ops in order and answers one
+        :class:`Response` per op, which this returns without raising —
+        the caller (normally a :class:`~repro.core.stream.Stream`)
+        inspects each.  A retried frame is at-most-once via the daemon's
+        dedup cache.
         """
-        from .protocol import BATCHABLE_OPS
         wire = []
+        fresh: set[str] = set()     # kernels created earlier in this list
         for op, params in calls:
             if op not in BATCHABLE_OPS:
                 raise MiddlewareError(
                     f"op {op.value!r} cannot ride a batch frame")
-            # Sub-ops are resolved from their own params by the daemon's
-            # executors, so each needs the lease scope too.
-            wire.append((op.value, {**params, **self._scope}))
-        with self._obs.start("client.batch", self._actor,
-                             ops=len(wire)) as span:
-            resp = yield from self._rpc(Op.BATCH, {"ops": wire},
-                                        timeout_s=timeout_s, span=span)
-            # Track allocations made inside the frame so context-manager
-            # release covers batched mem_alloc/mem_free too.
-            for (op_value, params), sub in zip(wire, resp.value):
-                if not sub.ok:
-                    continue
-                if op_value == Op.MEM_ALLOC.value:
-                    self._live[sub.value] = params.get("nbytes", 0)
-                elif op_value == Op.MEM_FREE.value:
-                    self._live.pop(params.get("addr"), None)
-            return resp.value
-
-    def coalesced_rpc(self, coalescer, calls: _t.Sequence[tuple[Op, dict]]):
-        """Submit control ops as one sub-frame to a cross-stream coalescer.
-
-        Same contract as :meth:`batch_rpc` — the returned list of per-op
-        :class:`Response` objects is not raised on — but the round trip is
-        shared: the :class:`~repro.core.coalesce.FrameCoalescer` merges
-        this sub-frame with concurrent submissions from *other* streams
-        and tenants into one MBATCH wire frame.  The sub-frame keeps its
-        own request id (at-most-once) and span context (parenting).
-        """
-        from .protocol import BATCHABLE_OPS
-        wire = []
-        for op, params in calls:
-            if op not in BATCHABLE_OPS:
-                raise MiddlewareError(
-                    f"op {op.value!r} cannot ride a batch frame")
+            if op is Op.KERNEL_CREATE:
+                fresh.add(params["name"])
+            elif op is Op.KERNEL_RUN and params.get("params") is None:
+                # The create riding ahead in this frame will have staged
+                # empty arguments by the time the run executes.
+                name = params["name"]
+                params = {**params, "params": {} if name in fresh
+                          else self._staged(name)}
+            # The daemon resolves each op from its own params, so each
+            # needs the lease scope too.
             wire.append((op.value, {**params, **self._scope}))
         with self._obs.start("client.mbatch", self._actor,
                              ops=len(wire)) as span:
-            subs = yield from coalescer.submit(wire, span=span)
-            for (op_value, params), sub in zip(wire, subs):
-                if not sub.ok:
-                    continue
-                if op_value == Op.MEM_ALLOC.value:
-                    self._live[sub.value] = params.get("nbytes", 0)
-                elif op_value == Op.MEM_FREE.value:
-                    self._live.pop(params.get("addr"), None)
+            if self.coalescer is not None:
+                subs = yield from self.coalescer.submit(wire, span=span)
+            else:
+                resp = yield from self._rpc(
+                    Op.MBATCH, {"reqs": [(next_request_id(), wire)]},
+                    span=span, sub_traces=[span.wire])
+                (subs,) = resp.value
+            for (op, params), sub in zip(calls, subs):
+                if sub.ok:
+                    self._track(op, params, sub.value)
             return subs
 
     def stream(self, max_batch: int | None = None, name: str | None = None):
         """Create an asynchronous command :class:`~repro.core.stream.Stream`.
 
         The stream queues ``ac*`` ops, returns futures immediately, and
-        coalesces consecutive control ops into BATCH frames over this
-        front-end's reliable-RPC path.
+        sends each run of consecutive control ops as one :meth:`batch_rpc`
+        sub-frame over this front-end's reliable-RPC path.
         """
-        from .stream import DEFAULT_MAX_BATCH, Stream
-        if max_batch is None:
-            max_batch = DEFAULT_MAX_BATCH
+        from .stream import Stream
         return Stream(self, self.rank.comm.engine, max_batch=max_batch,
                       name=name or f"ac{self.handle.ac_id}-stream")
 

@@ -1,29 +1,31 @@
 """Cross-stream control-frame coalescing (the job service's merge point).
 
-PR 2's per-stream batching coalesces *consecutive ops of one stream* into
-BATCH frames.  A serving front door multiplexes many concurrent jobs —
-different tenants, different streams — onto the same gateway rank, and
-their small control frames still pay one round trip each.  The
-Acceleration-as-a-Service observation (PAPERS.md, arXiv:1508.02558) is
-that virtualized accelerators only pay off when those concurrent clients'
-requests are aggregated at the service boundary.
+A front-end's ``batch_rpc`` turns *consecutive ops of one stream* into a
+sub-frame and sends it as a one-rider MBATCH frame.  A serving front door
+multiplexes many concurrent jobs — different tenants, different streams
+— onto the same gateway rank, and their sub-frames still pay one round
+trip each.  The Acceleration-as-a-Service observation (PAPERS.md,
+arXiv:1508.02558) is that virtualized accelerators only pay off when
+those concurrent clients' requests are aggregated at the service boundary.
 
 :class:`FrameCoalescer` is that aggregation point: one instance per
-(gateway rank, daemon) pair.  Streams and job front-ends submit
+(gateway rank, daemon) pair.  Front-ends holding it submit their
 *sub-frames* (each a short list of batchable control ops under its own
-request id); the coalescer's pump gathers everything submitted within a
-virtual-time window and ships the merged set as a single
-:data:`~repro.core.protocol.Op.MBATCH` request.  The daemon executes the
-sub-frames independently (one tenant's failure never skips another's)
-and replies with one response list per sub-frame.
+sub-frame id) here instead of sending them alone; the coalescer's pump
+gathers everything submitted within a virtual-time window and ships the
+set as a single :data:`~repro.core.protocol.Op.MBATCH` request — the
+same frame type, with more riders.  The daemon executes the sub-frames
+independently (one tenant's failure never skips another's) and replies
+with one response list per sub-frame.
 
 Semantics preserved across the merge:
 
-* **at-most-once** — the carrier frame travels under one request id and
-  ``MBATCH`` is in :data:`~repro.core.protocol.DEDUP_OPS`; a retried
-  merged frame replays every recorded sub-response exactly once (the
-  daemon's dedup window is weighted by sub-response count so merged
-  entries age out honestly);
+* **at-most-once** — dedup identity is the *carrier's*: the frame
+  travels under one request id and ``MBATCH`` is in
+  :data:`~repro.core.protocol.DEDUP_OPS`, so a retried frame replays
+  every recorded sub-response exactly once (the daemon's dedup window
+  is weighted by sub-response count so merged entries age out
+  honestly).  Sub-frame ids only label the riders' responses and spans;
 * **span parenting** — each sub-frame carries its originating stream's
   span context out-of-band (``Request.sub_traces``), so daemon-side spans
   parent under the right tenant's trace, not the carrier's;
@@ -125,10 +127,11 @@ class FrameCoalescer:
     def submit(self, ops: _t.Sequence[tuple], span=NULL_SPAN):
         """Queue one sub-frame (generator); returns its response list.
 
-        ``ops`` is the wire form ``[(op_value, params), ...]`` (scoping is
-        the caller's job — see ``RemoteAccelerator.coalesced_rpc``).  The
-        sub-frame gets its own request id for dedup identity and rides the
-        next merged frame; this generator resumes with the list of per-op
+        ``ops`` is the wire form ``[(op_value, params), ...]`` (framing and
+        scoping are the caller's job — see ``RemoteAccelerator.batch_rpc``).
+        The sub-frame gets an id of its own and rides the next merged
+        frame, whose request id is what the daemon deduplicates on; this
+        generator resumes with the list of per-op
         :class:`~repro.core.protocol.Response` objects once the daemon's
         reply lands, or raises the carrier frame's failure.
         """

@@ -54,11 +54,9 @@ class DaemonStats:
     @property
     def control_requests(self) -> int:
         return self.requests - self.transfer_requests
-    #: BATCH frames served, and control ops that arrived inside them.
-    batches: int = 0
-    batched_ops: int = 0
-    #: Cross-stream MBATCH frames served, the sub-frames merged into
-    #: them, and the control ops those sub-frames carried.
+    #: MBATCH frames served, the sub-frames they carried (one for a
+    #: stream's frame, several when a coalescer merged tenants), and the
+    #: control ops inside those sub-frames.
     mbatches: int = 0
     mbatched_subs: int = 0
     mbatched_ops: int = 0
@@ -85,8 +83,8 @@ class DaemonStats:
 
 #: At-most-once window: completed responses kept for duplicate detection.
 #: The window is counted in *replayable sub-responses*, not cache entries:
-#: a BATCH/MBATCH entry holds one recorded response per coalesced op, so a
-#: merged frame consumes a proportional share of the window (otherwise 512
+#: an MBATCH entry holds one recorded response per coalesced op, so a
+#: batch frame consumes a proportional share of the window (otherwise 512
 #: full frames could pin ~100x that many responses, and — worse — frames
 #: evicted by entry count would lose at-most-once protection for every op
 #: they carried at once).
@@ -96,18 +94,14 @@ DEDUP_CACHE_SIZE = 512
 def _replay_weight(resp: Response) -> int:
     """How many recorded sub-responses a cached reply replays.
 
-    1 for plain ops; the op count for BATCH (``value`` is a flat response
-    list) and MBATCH (``value`` is one response list per merged sub-frame).
+    1 for plain ops; the op count for MBATCH (``value`` is one response
+    list per sub-frame).
     """
     value = resp.value
     if not isinstance(value, list):
         return 1
-    n = 0
-    for entry in value:
-        if isinstance(entry, Response):
-            n += 1
-        elif isinstance(entry, list):
-            n += sum(1 for e in entry if isinstance(e, Response))
+    n = sum(isinstance(e, Response)
+            for sub in value if isinstance(sub, list) for e in sub)
     return max(n, 1)
 
 #: Lease-lifecycle ops exempt from the revoked-lease guard: they manage
@@ -169,7 +163,9 @@ class Daemon:
         #: transfer handlers parent their network / staging / DMA child
         #: spans under it.
         self._cur_span = NULL_SPAN
-        #: Dispatch table built once — _serve() consults it per request.
+        #: Dispatch tables built once — _serve() consults the handlers per
+        #: request, batch frames the executors per op.
+        self._executor_map = self._executors()
         self._handler_map = self._handlers()
         self.proc = self.engine.process(self._serve(), name=f"daemon:{node.name}")
 
@@ -247,15 +243,10 @@ class Daemon:
 
     def _handlers(self):
         return {
-            Op.PING: self._ping,
-            Op.MEM_ALLOC: self._mem_alloc,
-            Op.MEM_FREE: self._mem_free,
+            **dict.fromkeys(self._executor_map, self._solo),
             Op.MEMCPY_H2D: self._memcpy_h2d,
             Op.MEMCPY_D2H: self._memcpy_d2h,
-            Op.KERNEL_CREATE: self._kernel_create,
-            Op.KERNEL_RUN: self._kernel_run,
             Op.PEER_PUT: self._peer_put,
-            Op.BATCH: self._batch,
             Op.MBATCH: self._mbatch,
             Op.VAC_ATTACH: self._vac_attach,
             Op.VAC_DETACH: self._vac_detach,
@@ -276,6 +267,11 @@ class Daemon:
             Op.KERNEL_CREATE: self._exec_kernel_create,
             Op.KERNEL_RUN: self._exec_kernel_run,
         }
+
+    def _solo(self, req: Request, src: int):
+        """A control op travelling alone: execute it, send its response."""
+        resp = yield from self._executor_map[req.op](req.req_id, req.params)
+        self._reply(req, resp)
 
     def _reply(self, req: Request, resp: Response, dedup: bool = False) -> None:
         if not dedup and req.op in DEDUP_OPS:
@@ -434,10 +430,6 @@ class Daemon:
         return Response(req_id, Status.OK, value="pong")
         yield  # pragma: no cover - makes this a generator
 
-    def _ping(self, req: Request, src: int):
-        resp = yield from self._exec_ping(req.req_id, req.params)
-        self._reply(req, resp)
-
     def _exec_mem_alloc(self, req_id: int, params: dict):
         yield self.engine.timeout(self.cpu.malloc_s * self.slow_factor)
         try:
@@ -448,10 +440,6 @@ class Daemon:
             return Response(req_id, Status.ERROR, error=str(exc))
         return Response(req_id, Status.OK, value=addr)
 
-    def _mem_alloc(self, req: Request, src: int):
-        resp = yield from self._exec_mem_alloc(req.req_id, req.params)
-        self._reply(req, resp)
-
     def _exec_mem_free(self, req_id: int, params: dict):
         yield self.engine.timeout(self.cpu.malloc_s * self.slow_factor)
         try:
@@ -460,55 +448,9 @@ class Daemon:
             return Response(req_id, Status.ERROR, error=str(exc))
         return Response(req_id, Status.OK)
 
-    def _mem_free(self, req: Request, src: int):
-        resp = yield from self._exec_mem_free(req.req_id, req.params)
-        self._reply(req, resp)
-
     # -- batched control frames -----------------------------------------
-    def _batch(self, req: Request, src: int):
-        """Execute a coalesced control frame: N ops, one round trip.
-
-        Sub-ops run strictly in list order (per-stream ordering).  The
-        first failing sub-op aborts the rest — their entries answer ERROR
-        without touching device state, so the client can map failures back
-        to queue positions.  The frame-level reply is OK whenever the frame
-        itself was well-formed; per-op status lives in the value list.
-        """
-        executors = self._executors()
-        self.stats.batches += 1
-        self.stats.batched_ops += len(req.params["ops"])
-        sub: list[Response] = []
-        failed: str | None = None
-        for i, (op_value, params) in enumerate(req.params["ops"]):
-            if i > 0:
-                # Dispatching each additional sub-op costs daemon CPU just
-                # like a separate request would — only the network round
-                # trips are saved.
-                yield self.engine.timeout(
-                    self.cpu.request_handling_s * self.slow_factor)
-            if failed is not None:
-                sub.append(Response(req.req_id, Status.ERROR,
-                                    error=f"skipped: {failed}"))
-                continue
-            try:
-                op = Op(op_value)
-            except ValueError:
-                op = None
-            exec_fn = executors.get(op) if op is not None else None
-            if exec_fn is None:
-                sub.append(Response(req.req_id, Status.ERROR,
-                                    error=f"op {op_value!r} is not batchable"))
-                failed = f"op {i} ({op_value}) was not batchable"
-                continue
-            resp = yield from exec_fn(req.req_id, params)
-            sub.append(resp)
-            if not resp.ok:
-                failed = f"op {i} ({op_value}) failed: {resp.error}"
-        self._reply(req, Response(req.req_id, Status.OK, value=sub))
-
-    def _exec_merged_op(self, executors: dict, sub_id: int,
-                        op_value: _t.Any, params: dict):
-        """One sub-op of a merged frame: per-op validation + vac guard.
+    def _exec_merged_op(self, sub_id: int, op_value: _t.Any, params: dict):
+        """One sub-op of a batch frame: per-op validation + vac guard.
 
         Merged sub-frames come from *different* tenants, so the serve
         loop's frame-level revoked-lease guard cannot cover them — each
@@ -519,7 +461,7 @@ class Daemon:
             op = Op(op_value)
         except ValueError:
             op = None
-        exec_fn = executors.get(op) if op is not None else None
+        exec_fn = self._executor_map.get(op)
         if exec_fn is None:
             return Response(sub_id, Status.ERROR,
                             error=f"op {op_value!r} is not batchable")
@@ -534,23 +476,25 @@ class Daemon:
         return resp
 
     def _mbatch(self, req: Request, src: int):
-        """Execute a cross-stream merged frame: M sub-frames, one round trip.
+        """Execute a batch frame: M sub-frames of control ops, one round trip.
 
-        ``params["reqs"]`` is a list of ``(sub_req_id, ops)`` sub-frames
-        gathered by a :class:`~repro.core.coalesce.FrameCoalescer` from
-        *different* streams/tenants inside one coalescing window.  Unlike
-        BATCH (one stream's ops, fail-fast in queue order), sub-frames are
-        mutually independent: within a sub-frame the first failure skips
-        the rest of *that* sub-frame, but never touches the others — one
+        ``params["reqs"]`` is a list of ``(sub_req_id, ops)`` sub-frames:
+        one when a stream sent its run of ops alone, several when a
+        :class:`~repro.core.coalesce.FrameCoalescer` gathered them from
+        *different* streams/tenants inside one coalescing window.  Ops of
+        a sub-frame run strictly in list order and its first failure
+        skips the rest of *that* sub-frame (their entries answer ERROR
+        without touching device state, so the client can map failures
+        back to queue positions), but never touches the others — one
         tenant's error must not poison its neighbours' merged requests.
 
-        The reply value is one per-op response list per sub-frame, and the
-        whole frame is dedup-cached under the carrier request id, so a
-        retried merged frame replays every sub-response exactly once.
-        Each sub-frame's spans parent under its originating stream's trace
-        context (``req.sub_traces``), not the carrier frame's.
+        The reply is OK whenever the frame was well-formed; its value is
+        one per-op response list per sub-frame, and the whole frame is
+        dedup-cached under the carrier request id, so a retried frame
+        replays every sub-response exactly once.  Each sub-frame's spans
+        parent under its originating front-end's trace context
+        (``req.sub_traces``), not the carrier frame's.
         """
-        executors = self._executors()
         subs = req.params["reqs"]
         self.stats.mbatches += 1
         self.stats.mbatched_subs += len(subs)
@@ -571,8 +515,9 @@ class Daemon:
                 with span:
                     for i, (op_value, params) in enumerate(ops):
                         if not first:
-                            # Same dispatch cost per additional op as a
-                            # BATCH frame: only round trips are saved.
+                            # Dispatching each additional op costs daemon
+                            # CPU just like a separate request would —
+                            # only the network round trips are saved.
                             yield self.engine.timeout(
                                 self.cpu.request_handling_s * self.slow_factor)
                         first = False
@@ -581,7 +526,7 @@ class Daemon:
                                                 error=f"skipped: {failed}"))
                             continue
                         resp = yield from self._exec_merged_op(
-                            executors, sub_id, op_value, params)
+                            sub_id, op_value, params)
                         sub.append(resp)
                         if not resp.ok:
                             failed = f"op {i} ({op_value}) failed: {resp.error}"
@@ -830,10 +775,6 @@ class Daemon:
         return Response(req_id, Status.OK)
         yield  # pragma: no cover - makes this a generator
 
-    def _kernel_create(self, req: Request, src: int):
-        resp = yield from self._exec_kernel_create(req.req_id, req.params)
-        self._reply(req, resp)
-
     def _exec_kernel_run(self, req_id: int, params: dict):
         try:
             # Lease-scoped launches go through the slice, i.e. the
@@ -848,7 +789,3 @@ class Daemon:
             return Response(req_id, Status.PREEMPTED, error=str(exc))
         self.stats.kernels_run += 1
         return Response(req_id, Status.OK, value=result)
-
-    def _kernel_run(self, req: Request, src: int):
-        resp = yield from self._exec_kernel_run(req.req_id, req.params)
-        self._reply(req, resp)

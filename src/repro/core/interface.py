@@ -49,8 +49,10 @@ class CapabilitySet:
       ``peer_put`` degrades to a staged host copy when the peer exposes
       ``memcpy_h2d``, and raises :class:`~repro.errors.UnsupportedOp`
       otherwise.
-    * ``streams`` — ``stream()`` coalesces control ops into BATCH frames
-      (``False``: streams exist but execute eagerly, no batching).
+    * ``streams`` — ``stream()`` sends runs of control ops through the
+      front-end's ``batch_rpc``, one MBATCH sub-frame per run (``False``:
+      streams exist but execute eagerly, no batching).
+      :class:`~repro.core.stream.Stream` reads this to decide.
     * ``zero_copy`` — the data plane hands out :class:`ChunkView` loans
       instead of materialised copies.
     * ``fabric`` — operations traverse the simulated network fabric (and

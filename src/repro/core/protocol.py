@@ -72,8 +72,7 @@ class Op(enum.Enum):
     KERNEL_RUN = "kernel_run"
     PEER_PUT = "peer_put"         # direct accelerator-to-accelerator copy
     PING = "ping"
-    BATCH = "batch"               # several control ops in one frame
-    MBATCH = "mbatch"             # several *merged* sub-frames in one frame
+    MBATCH = "mbatch"             # one or more sub-frames of control ops
     SHUTDOWN = "shutdown"
     # ARM operations:
     ARM_ALLOC = "arm_alloc"
@@ -118,7 +117,6 @@ RETRYABLE_OPS = frozenset({
     Op.PING,
     Op.MEM_ALLOC,
     Op.KERNEL_CREATE,
-    Op.BATCH,
     Op.MBATCH,
     Op.ARM_STATUS,
     Op.ARM_BREAK,
@@ -137,17 +135,18 @@ DEDUP_OPS = frozenset({
     Op.MEMCPY_H2D,
     Op.KERNEL_RUN,
     Op.PEER_PUT,
-    Op.BATCH,
     Op.MBATCH,
     Op.VAC_ATTACH,
     Op.VAC_DETACH,
 })
 
-#: Control ops a :class:`~repro.core.stream.Stream` may coalesce into one
-#: :data:`Op.BATCH` frame.  Bulk transfers are excluded: their data blocks
-#: travel on per-request tags and must keep their own frames.  A retried
-#: batch is at-most-once because BATCH is in :data:`DEDUP_OPS` — the daemon
-#: replays the recorded sub-responses instead of re-executing the ops.
+#: Control ops that may ride a sub-frame of an :data:`Op.MBATCH` frame (a
+#: :class:`~repro.core.stream.Stream`'s run of ops, or one job's op merged
+#: with other tenants' by a :class:`~repro.core.coalesce.FrameCoalescer`).
+#: Bulk transfers are excluded: their data blocks travel on per-request
+#: tags and must keep their own frames.  A retried frame is at-most-once
+#: because MBATCH is in :data:`DEDUP_OPS` — the daemon replays the recorded
+#: sub-responses instead of re-executing the ops.
 BATCHABLE_OPS = frozenset({
     Op.PING,
     Op.MEM_ALLOC,
@@ -185,8 +184,8 @@ class Request:
     #: decomposes across client and server on a single trace id.
     trace: tuple[int, int] | None = None
     #: For :data:`Op.MBATCH` frames only: one span context (or None) per
-    #: merged sub-frame, so the daemon parents each sub-frame's spans under
-    #: its *originating* stream's trace rather than the carrier frame's.
+    #: sub-frame, so the daemon parents each sub-frame's spans under its
+    #: *originating* front-end's trace rather than the carrier frame's.
     sub_traces: list | None = None
 
     def __post_init__(self) -> None:

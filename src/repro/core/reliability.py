@@ -425,12 +425,12 @@ class ResilientAccelerator(AcceleratorLifecycle):
         self._buffers[vaddr] = _TrackedBuffer(nbytes)
         return vaddr
 
-    def mem_free(self, vaddr: int):
-        self._phys(vaddr)  # validate before touching the wire
+    def mem_free(self, addr: int):
+        self._phys(addr)  # validate before touching the wire
         yield from self.run_guarded(
-            lambda: self._ac.mem_free(self._phys(vaddr)))
-        del self._vmap[vaddr]
-        del self._buffers[vaddr]
+            lambda: self._ac.mem_free(self._phys(addr)))
+        del self._vmap[addr]
+        del self._buffers[addr]
 
     def memcpy_h2d(self, dst: int, payload: _t.Any, transfer=None,
                    offset: int = 0, pinned: bool | None = None):
@@ -527,15 +527,13 @@ class ResilientAccelerator(AcceleratorLifecycle):
         """Create an asynchronous command stream over this wrapper.
 
         Ops pump one at a time through the guarded surface rather than in
-        BATCH frames: each op must be individually failover-guarded so a
+        batch frames: each op must be individually failover-guarded so a
         mid-frame fault cannot leave half a frame applied to the old
         accelerator and half to its replacement.  The queue/future surface
         is identical to the batching stream.
         """
-        from .stream import DEFAULT_MAX_BATCH, Stream
-        if max_batch is None:
-            max_batch = DEFAULT_MAX_BATCH
-        return Stream(self, self.engine, max_batch=max_batch, batching=False,
+        from .stream import Stream
+        return Stream(self, self.engine, max_batch=max_batch,
                       name=name or f"resilient-ac{self._ac.handle.ac_id}-stream")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

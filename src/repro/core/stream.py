@@ -7,9 +7,11 @@ A :class:`Stream` removes that cost the way rCUDA-style remote-GPU stacks
 do: operations are *queued* and return :class:`StreamFuture` handles
 immediately; a per-stream pump process drains the queue in FIFO order and
 coalesces consecutive small control ops (see
-:data:`~repro.core.protocol.BATCHABLE_OPS`) into a single
-:data:`~repro.core.protocol.Op.BATCH` request frame — one round trip
-instead of N.  Bulk transfers keep their own frames (their data blocks
+:data:`~repro.core.protocol.BATCHABLE_OPS`) into a single sub-frame that
+the front-end's ``batch_rpc`` sends as a one-rider
+:data:`~repro.core.protocol.Op.MBATCH` request — one round trip instead
+of N, and the same frame the job service's coalescer merges tenants
+into.  Bulk transfers keep their own frames (their data blocks
 travel on per-request tags) but still overlap with work on *other*
 streams, because every stream pumps in its own simulation process.
 
@@ -24,7 +26,7 @@ Ordering and failure semantics follow CUDA streams:
   :meth:`Stream.synchronize` re-raises.
 
 Retries are safe: a whole batch frame travels under one request id and
-``Op.BATCH`` is in :data:`~repro.core.protocol.DEDUP_OPS`, so a timed-out
+``Op.MBATCH`` is in :data:`~repro.core.protocol.DEDUP_OPS`, so a timed-out
 frame that is resent replays the daemon's recorded sub-responses instead
 of re-executing the ops — at-most-once, exactly like the single-op path.
 
@@ -46,7 +48,7 @@ from ..obs.spans import collector_for
 from ..sim import Engine, Event
 from .protocol import BATCHABLE_OPS, Op
 
-#: Largest number of control ops coalesced into one BATCH frame.  Bounded
+#: Largest number of control ops coalesced into one sub-frame.  Bounded
 #: so one frame's daemon-side execution cannot starve interleaved streams
 #: and a lost frame retries a bounded amount of work.
 DEFAULT_MAX_BATCH = 16
@@ -103,13 +105,14 @@ class StreamFuture:
 class _QueuedOp:
     """One queued operation: how to issue it, and its future."""
 
-    __slots__ = ("op", "method", "args", "kwargs", "future", "local")
+    __slots__ = ("op", "method", "kwargs", "future", "local")
 
-    def __init__(self, op: Op | None, method: str, args: tuple, kwargs: dict,
+    def __init__(self, op: Op | None, method: str, kwargs: dict,
                  future: StreamFuture, local: bool = False):
         self.op = op              # protocol op when batchable, else None
         self.method = method      # front-end method name for the solo path
-        self.args = args
+        #: The front-end method's keyword arguments — which, for a
+        #: batchable op, are also its wire params.
         self.kwargs = kwargs
         self.future = future
         self.local = local        # no RPC at all (kernel_set_args)
@@ -117,7 +120,6 @@ class _QueuedOp:
     def pending_futures(self) -> list[StreamFuture]:
         """Unresolved futures among this op's parameters."""
         out: list[StreamFuture] = []
-        _collect_pending(self.args, out)
         _collect_pending(self.kwargs, out)
         return out
 
@@ -154,46 +156,46 @@ class Stream:
     (:class:`~repro.core.api.RemoteAccelerator`,
     :class:`~repro.baselines.local.LocalAccelerator`,
     :class:`~repro.core.reliability.ResilientAccelerator`).  Batching is
-    used when the front-end provides ``batch_rpc`` (the remote middleware
-    path); otherwise ops are pumped one at a time, which keeps workload
-    code backend-agnostic.
+    used when the front-end's ``capabilities().streams`` says its
+    ``batch_rpc`` does it (the remote middleware path); otherwise ops are
+    pumped one at a time, which keeps workload code backend-agnostic.
 
     Obtain streams through the front-ends' ``stream()`` factories rather
     than constructing directly.
     """
 
     def __init__(self, ac: _t.Any, engine: Engine,
-                 max_batch: int = DEFAULT_MAX_BATCH,
-                 batching: bool | None = None, name: str = "stream"):
+                 max_batch: int | None = None, name: str = "stream"):
+        if max_batch is None:
+            max_batch = DEFAULT_MAX_BATCH
         if max_batch < 1:
             raise MiddlewareError(f"max_batch must be >= 1: {max_batch!r}")
         self.ac = ac
         self.engine = engine
         self.max_batch = max_batch
-        self.batching = (batching if batching is not None
-                         else hasattr(ac, "batch_rpc"))
+        self.batching = ac.capabilities().streams
         self.name = name
         self._obs = collector_for(engine)
         self._queue: collections.deque[_QueuedOp] = collections.deque()
         self._pump = None
         self._error: Exception | None = None
         #: Accounting: logical ops queued, frames actually issued, and how
-        #: many ops rode inside multi-op BATCH frames.
+        #: many ops rode inside multi-op sub-frames.
         self.ops_issued = 0
         self.frames_issued = 0
         self.ops_batched = 0
         self._local_ops = 0
 
     # -- queueing --------------------------------------------------------
-    def _submit(self, op: Op | None, method: str, args: tuple = (),
-                kwargs: dict | None = None, local: bool = False) -> StreamFuture:
+    def _submit(self, op: Op | None, method: str, kwargs: dict,
+                local: bool = False) -> StreamFuture:
         if self._error is not None:
             raise MiddlewareError(
                 f"stream {self.name!r} is in a sticky error state "
                 f"({self._error}); create a new stream") from self._error
         future = StreamFuture(self, method)
-        self._queue.append(_QueuedOp(op, method, args, kwargs or {},
-                                     future, local=local))
+        self._queue.append(_QueuedOp(op, method, kwargs, future,
+                                     local=local))
         self.ops_issued += 1
         self._ensure_pump()
         return future
@@ -205,40 +207,43 @@ class Stream:
 
     # -- the ac* surface (all return futures immediately) ----------------
     def mem_alloc(self, nbytes: int) -> StreamFuture:
-        return self._submit(Op.MEM_ALLOC, "mem_alloc", (int(nbytes),))
+        return self._submit(Op.MEM_ALLOC, "mem_alloc",
+                            {"nbytes": int(nbytes)})
 
     def mem_free(self, addr: int | StreamFuture) -> StreamFuture:
-        return self._submit(Op.MEM_FREE, "mem_free", (addr,))
+        return self._submit(Op.MEM_FREE, "mem_free", {"addr": addr})
 
     def memcpy_h2d(self, dst: int | StreamFuture, payload: _t.Any,
                    **kw) -> StreamFuture:
-        return self._submit(None, "memcpy_h2d", (dst, payload), kw)
+        return self._submit(None, "memcpy_h2d",
+                            {"dst": dst, "payload": payload, **kw})
 
     def memcpy_d2h(self, src: int | StreamFuture, nbytes: int,
                    **kw) -> StreamFuture:
-        return self._submit(None, "memcpy_d2h", (src, int(nbytes)), kw)
+        return self._submit(None, "memcpy_d2h",
+                            {"src": src, "nbytes": int(nbytes), **kw})
 
     def kernel_create(self, name: str) -> StreamFuture:
-        return self._submit(Op.KERNEL_CREATE, "kernel_create", (name,))
+        return self._submit(Op.KERNEL_CREATE, "kernel_create", {"name": name})
 
     def kernel_set_args(self, name: str, params: dict) -> StreamFuture:
         # Purely local staging, but queued so it stays ordered between the
         # kernel_create and kernel_run around it.
-        return self._submit(None, "kernel_set_args", (name, params),
-                            local=True)
+        return self._submit(None, "kernel_set_args",
+                            {"name": name, "params": params}, local=True)
 
     def kernel_run(self, name: str, params: dict | None = None,
                    real: bool = True,
                    timeout_s: float | None = None) -> StreamFuture:
+        kwargs = {"name": name, "params": params, "real": real}
         if timeout_s is not None:
             # A custom deadline needs its own frame (the solo path).
-            return self._submit(None, "kernel_run", (name, params),
-                                {"real": real, "timeout_s": timeout_s})
-        return self._submit(Op.KERNEL_RUN, "kernel_run", (name, params),
-                            {"real": real})
+            return self._submit(None, "kernel_run",
+                                {**kwargs, "timeout_s": timeout_s})
+        return self._submit(Op.KERNEL_RUN, "kernel_run", kwargs)
 
     def ping(self) -> StreamFuture:
-        return self._submit(Op.PING, "ping", ())
+        return self._submit(Op.PING, "ping", {})
 
     # -- synchronization -------------------------------------------------
     def synchronize(self):
@@ -309,7 +314,6 @@ class Stream:
             if self.batching and head.op in BATCHABLE_OPS:
                 run = [self._queue.popleft()]
                 while (self._queue and len(run) < self.max_batch
-                       and self.batching
                        and self._queue[0].op in BATCHABLE_OPS
                        and not self._queue[0].pending_futures()):
                     run.append(self._queue.popleft())
@@ -328,7 +332,7 @@ class Stream:
             self._local_ops += 1
             try:
                 result = getattr(self.ac, item.method)(
-                    *_resolve(item.args), **_resolve(item.kwargs))
+                    **_resolve(item.kwargs))
             except Exception as exc:
                 self._fail(item, exc)
                 return
@@ -338,7 +342,6 @@ class Stream:
                              method=item.method,
                              queue_depth=len(self._queue)) as frame:
             try:
-                args = _resolve(item.args)
                 kwargs = _resolve(item.kwargs)
                 method = getattr(self.ac, item.method)
                 # The front-end's own client.* span adopts the frame span
@@ -346,7 +349,7 @@ class Stream:
                 # op becomes the frame's per-op child.
                 self._obs.adopt_parent(frame.context)
                 try:
-                    result = yield from method(*args, **kwargs)
+                    result = yield from method(**kwargs)
                 finally:
                     self._obs.clear_adopted()
             except Exception as exc:
@@ -363,7 +366,7 @@ class Stream:
             children = [frame.child(f"stream.{item.method}", op=i)
                         for i, item in enumerate(run)]
             try:
-                calls = [self._as_call(item) for item in run]
+                calls = [(item.op, _resolve(item.kwargs)) for item in run]
                 self._obs.adopt_parent(frame.context)
                 try:
                     subs = yield from self.ac.batch_rpc(calls)
@@ -391,39 +394,7 @@ class Stream:
                     self._fail(item, exc)
                     continue
                 child.finish()
-                self._post_op(item, sub.value)
                 item.future._event.succeed(sub.value)
-
-    def _as_call(self, item: _QueuedOp) -> tuple[Op, dict]:
-        """Translate one queued op into its (Op, params) wire form."""
-        args = _resolve(item.args)
-        kwargs = _resolve(item.kwargs)
-        if item.op is Op.MEM_ALLOC:
-            return item.op, {"nbytes": args[0]}
-        if item.op is Op.MEM_FREE:
-            return item.op, {"addr": args[0]}
-        if item.op is Op.KERNEL_CREATE:
-            return item.op, {"name": args[0]}
-        if item.op is Op.KERNEL_RUN:
-            name, params = args
-            if params is None:
-                staged = getattr(self.ac, "_kernels", {})
-                if name not in staged:
-                    raise MiddlewareError(
-                        f"kernel {name!r} was not created on this accelerator")
-                params = staged[name]
-            return item.op, {"name": name, "params": params,
-                             "real": kwargs.get("real", True)}
-        if item.op is Op.PING:
-            return item.op, {}
-        raise MiddlewareError(f"op {item.op!r} cannot ride a batch frame")
-
-    def _post_op(self, item: _QueuedOp, value: _t.Any) -> None:
-        """Mirror the front-end's client-side bookkeeping for batched ops."""
-        if item.op is Op.KERNEL_CREATE:
-            kernels = getattr(self.ac, "_kernels", None)
-            if kernels is not None:
-                kernels[item.args[0]] = {}
 
     # -- failure ---------------------------------------------------------
     def _fail(self, item: _QueuedOp, exc: Exception) -> None:

@@ -51,10 +51,9 @@ import hashlib
 import typing as _t
 
 from ..core.coalesce import DEFAULT_MAX_MERGE, FrameCoalescer
-from ..core.protocol import Op
 from ..core.reliability import RetryPolicy
 from ..core.scheduler import TenantSpec, WeightedFairQueue
-from ..errors import AllocationError, MiddlewareError, WorkloadError
+from ..errors import AllocationError, WorkloadError
 from ..obs.metrics import MetricsRegistry
 from ..sim import Event
 
@@ -202,27 +201,24 @@ class KernelCache:
 class JobAccelerator:
     """A job's accelerator front-end with the service's warm paths applied.
 
-    Wraps a lease-scoped :class:`~repro.core.api.RemoteAccelerator`:
-    batchable control ops are submitted as sub-frames to the gateway's
-    :class:`~repro.core.coalesce.FrameCoalescer` (merging with concurrent
-    jobs' traffic into MBATCH frames), KERNEL_CREATE consults the
-    tenant's :class:`KernelCache` first, and ``mem_alloc``/``mem_free``
-    go through the lease's allocation cache — a freed buffer is parked
-    client-side and handed to the next same-size allocation with no wire
-    traffic at all, which matters because every daemon-side malloc/free
-    costs serial daemon CPU.  Bulk transfers keep their own frames,
-    exactly as in per-stream batching.  Without a coalescer/lease every
-    op delegates to the plain front-end — the uncoalesced baseline.
+    Wraps a lease-scoped :class:`~repro.core.api.RemoteAccelerator`,
+    which frames every op itself (the service already gave it the
+    gateway's :class:`~repro.core.coalesce.FrameCoalescer`, or none for
+    the uncoalesced baseline): KERNEL_CREATE consults the tenant's
+    :class:`KernelCache` first, and ``mem_alloc``/``mem_free`` go through
+    the lease's allocation cache — a freed buffer is parked client-side
+    and handed to the next same-size allocation with no wire traffic at
+    all, which matters because every daemon-side malloc/free costs
+    serial daemon CPU.  Whatever the caches do not answer delegates to
+    the plain front-end.
     """
 
     def __init__(self, remote: "RemoteAccelerator", tenant: str,
-                 coalescer: FrameCoalescer | None = None,
                  kernel_cache: KernelCache | None = None,
                  lease: "_Lease | None" = None,
                  pool: "LeasePool | None" = None):
         self._ac = remote
         self.tenant = tenant
-        self._coalescer = coalescer
         self._cache = kernel_cache
         self._lease = lease
         self._pool = pool
@@ -234,14 +230,6 @@ class JobAccelerator:
     @property
     def device_id(self) -> int:
         return self._ac.handle.ac_id
-
-    def _one(self, op: Op, params: dict):
-        """Issue one control op through the coalescer (generator)."""
-        subs = yield from self._ac.coalesced_rpc(self._coalescer,
-                                                 [(op, params)])
-        resp = subs[0]
-        resp.raise_for_status()
-        return resp.value
 
     # -- the ac* surface -------------------------------------------------
     def mem_alloc(self, nbytes: int):
@@ -261,11 +249,7 @@ class JobAccelerator:
                 return addr
             if self._pool is not None:
                 self._pool.alloc_misses += 1
-        if self._coalescer is None:
-            addr = yield from self._ac.mem_alloc(nbytes)
-        else:
-            addr = yield from self._one(Op.MEM_ALLOC,
-                                        {"nbytes": nbytes})
+        addr = yield from self._ac.mem_alloc(nbytes)
         return addr
 
     def _park_buffer(self, addr: int) -> bool:
@@ -289,12 +273,8 @@ class JobAccelerator:
         return True
 
     def mem_free(self, addr: int):
-        if self._park_buffer(addr):
-            return
-        if self._coalescer is None:
+        if not self._park_buffer(addr):
             yield from self._ac.mem_free(addr)
-            return
-        yield from self._one(Op.MEM_FREE, {"addr": addr})
 
     def memcpy_h2d(self, dst: int, payload: _t.Any, **kw):
         yield from self._ac.memcpy_h2d(dst, payload, **kw)
@@ -310,11 +290,7 @@ class JobAccelerator:
             # traffic, only the client-side staging bookkeeping.
             self._ac._kernels[name] = {}
             return
-        if self._coalescer is None:
-            yield from self._ac.kernel_create(name)
-        else:
-            yield from self._one(Op.KERNEL_CREATE, {"name": name})
-            self._ac._kernels[name] = {}
+        yield from self._ac.kernel_create(name)
         if self._cache is not None:
             self._cache.record(self.tenant, self.device_id, name)
 
@@ -323,24 +299,12 @@ class JobAccelerator:
 
     def kernel_run(self, name: str, params: dict | None = None,
                    real: bool = True, timeout_s: float | None = None):
-        if self._coalescer is None or timeout_s is not None:
-            result = yield from self._ac.kernel_run(name, params, real=real,
-                                                    timeout_s=timeout_s)
-            return result
-        if params is None:
-            if name not in self._ac._kernels:
-                raise MiddlewareError(
-                    f"kernel {name!r} was not created on this accelerator")
-            params = self._ac._kernels[name]
-        result = yield from self._one(Op.KERNEL_RUN, {
-            "name": name, "params": params, "real": real})
+        result = yield from self._ac.kernel_run(name, params, real=real,
+                                                timeout_s=timeout_s)
         return result
 
     def ping(self):
-        if self._coalescer is None:
-            value = yield from self._ac.ping()
-            return value
-        value = yield from self._one(Op.PING, {})
+        value = yield from self._ac.ping()
         return value
 
     def release(self):
@@ -773,8 +737,6 @@ class JobService:
                 leases.append(lease)
             acs = [JobAccelerator(
                 lease.remote, spec.tenant,
-                coalescer=self.coalescer_for(
-                    rec.gateway, lease.remote.handle.daemon_rank),
                 kernel_cache=self.kernel_cache,
                 lease=lease if self.lease_pool is not None else None,
                 pool=self.lease_pool) for lease in leases]
@@ -821,6 +783,10 @@ class JobService:
             self._arm_held -= 1
             raise
         remote = self.cluster.remote(gateway, grant["vac"], retry=self.retry)
+        # A lease never leaves its (gateway, daemon) pair, so its
+        # front-end keeps that pair's merge point for life.
+        remote.coalescer = self.coalescer_for(gateway,
+                                              remote.handle.daemon_rank)
         yield from remote.vac_attach(share=grant["share"],
                                      mem_quota=grant["mem_quota"])
         return _Lease(tenant=tenant, gateway=gateway, grant=grant,

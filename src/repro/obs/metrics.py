@@ -181,12 +181,12 @@ def instrument_cluster(cluster: "Cluster") -> MetricsRegistry:
     """Snapshot a cluster's component counters into a fresh registry.
 
     Populates, per accelerator: ``daemon.requests`` / ``.transfer_requests``
-    / ``.batches`` / ``.batched_ops`` / ``.mbatches`` / ``.mbatched_subs``
-    / ``.mbatched_ops`` / ``.dedup_hits``, ``bytes.h2d`` /
-    ``bytes.d2h``, ``staging.peak_bytes`` (gauge), ``gpu.busy_seconds``,
-    ``gpu.kernels``, ``dma.bytes`` / ``dma.busy_seconds``; cluster-wide:
-    ``fabric.bytes`` / ``fabric.messages``, ``pool.utilization``, and ARM
-    assignment seconds.  When the engine's span collector holds client
+    / ``.mbatches`` / ``.mbatched_subs`` / ``.mbatched_ops`` (batch
+    frames, their sub-frames, the ops inside) / ``.dedup_hits``,
+    ``bytes.h2d`` / ``bytes.d2h``, ``staging.peak_bytes`` (gauge),
+    ``gpu.busy_seconds``, ``gpu.kernels``, ``dma.bytes`` /
+    ``dma.busy_seconds``; cluster-wide: ``fabric.bytes`` /
+    ``fabric.messages``, ``pool.utilization``, and ARM assignment seconds.  When the engine's span collector holds client
     spans, per-op ``request.latency_s`` histograms are distilled from
     them (p50/p95/p99 come straight out of these).
     """
@@ -199,8 +199,6 @@ def instrument_cluster(cluster: "Cluster") -> MetricsRegistry:
         reg.counter("daemon.requests", ac=ac).inc(stats.requests)
         reg.counter("daemon.transfer_requests", ac=ac).inc(
             stats.transfer_requests)
-        reg.counter("daemon.batches", ac=ac).inc(stats.batches)
-        reg.counter("daemon.batched_ops", ac=ac).inc(stats.batched_ops)
         reg.counter("daemon.mbatches", ac=ac).inc(stats.mbatches)
         reg.counter("daemon.mbatched_subs", ac=ac).inc(stats.mbatched_subs)
         reg.counter("daemon.mbatched_ops", ac=ac).inc(stats.mbatched_ops)

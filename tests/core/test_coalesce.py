@@ -1,4 +1,10 @@
-"""Cross-stream coalescing: merging, isolation, and MBATCH at-most-once."""
+"""Cross-stream coalescing: merging, isolation, and MBATCH at-most-once.
+
+What a sub-frame does whichever way it travels (one round trip, in-order
+execution, skip-after-failure, rejection of non-batchable ops, client
+bookkeeping) is ``TestBatchFrame`` in ``test_stream_api.py``; this file
+keeps what only a coalescer with several riders can show.
+"""
 
 import pytest
 
@@ -12,33 +18,29 @@ from repro.core import (
 )
 from repro.core.coalesce import FrameCoalescer
 from repro.core.daemon import DEDUP_CACHE_SIZE
-from repro.errors import MiddlewareError
 
 
-@pytest.fixture
-def rig():
+def make_rig():
     cluster = Cluster(paper_testbed(n_compute=1, n_accelerators=1))
     sess = cluster.session()
     handles = sess.call(cluster.arm_client(0).alloc(count=1))
     ac = cluster.remote(0, handles[0])
-    co = FrameCoalescer(cluster.compute_rank(0), handles[0].daemon_rank,
-                        window_s=2e-6)
+    co = ac.coalescer = FrameCoalescer(
+        cluster.compute_rank(0), handles[0].daemon_rank, window_s=2e-6)
     return cluster, sess, ac, co
 
 
-class TestFrameCoalescer:
-    def test_single_sub_frame_round_trips(self, rig):
-        cluster, sess, ac, co = rig
-        subs = sess.call(ac.coalesced_rpc(co, [(Op.PING, {})]))
-        assert len(subs) == 1 and subs[0].ok and subs[0].value == "pong"
-        assert co.subs_in == 1 and co.frames_out == 1
-        assert co.roundtrips_saved == 0
+@pytest.fixture
+def rig():
+    return make_rig()
 
+
+class TestFrameCoalescer:
     def test_concurrent_sub_frames_share_a_wire_frame(self, rig):
         cluster, sess, ac, co = rig
         daemon = cluster.daemons[ac.handle.ac_id]
         results = sess.parallel([
-            ac.coalesced_rpc(co, [(Op.MEM_ALLOC, {"nbytes": 64})])
+            ac.batch_rpc([(Op.MEM_ALLOC, {"nbytes": 64})])
             for _ in range(4)])
         addrs = {subs[0].value for subs in results}
         assert len(addrs) == 4 and all(s[0].ok for s in results)
@@ -54,29 +56,11 @@ class TestFrameCoalescer:
     def test_sub_frame_failure_does_not_skip_other_riders(self, rig):
         cluster, sess, ac, co = rig
         good, bad = sess.parallel([
-            ac.coalesced_rpc(co, [(Op.MEM_ALLOC, {"nbytes": 64})]),
-            ac.coalesced_rpc(co, [(Op.MEM_FREE, {"addr": 0xdead})]),
+            ac.batch_rpc([(Op.MEM_ALLOC, {"nbytes": 64})]),
+            ac.batch_rpc([(Op.MEM_FREE, {"addr": 0xdead})]),
         ])
         assert good[0].ok
         assert not bad[0].ok
-
-    def test_ops_within_a_sub_frame_execute_in_order(self, rig):
-        cluster, sess, ac, co = rig
-        subs = sess.call(ac.coalesced_rpc(co, [
-            (Op.MEM_ALLOC, {"nbytes": 128}),
-            (Op.PING, {}),
-        ]))
-        assert [s.ok for s in subs] == [True, True]
-        addr = subs[0].value
-        freed = sess.call(ac.coalesced_rpc(co, [(Op.MEM_FREE,
-                                                 {"addr": addr})]))
-        assert freed[0].ok
-
-    def test_non_batchable_op_rejected(self, rig):
-        cluster, sess, ac, co = rig
-        with pytest.raises(MiddlewareError):
-            sess.call(ac.coalesced_rpc(
-                co, [(Op.MEMCPY_H2D, {"addr": 0, "nbytes": 8})]))
 
     def test_validation(self, rig):
         cluster, _, ac, _ = rig
@@ -130,31 +114,33 @@ class TestMbatchDedup:
         assert daemon.stats.dedup_hits == 1
 
     def test_merged_frame_weighs_its_sub_count_in_the_dedup_window(
-            self, rig, monkeypatch):
+            self, monkeypatch):
         # Regression: eviction must be weighted by replayable
-        # sub-responses, or one merged frame of N subs would occupy a
-        # single slot and stretch the window's memory by N.
+        # sub-responses, or one frame of N ops (a coalescer's N riders or
+        # a stream's N-op sub-frame) would occupy a single slot and
+        # stretch the window's memory by N.
         import repro.core.daemon as daemon_mod
         monkeypatch.setattr(daemon_mod, "DEDUP_CACHE_SIZE", 8)
-        cluster, sess, ac, _ = rig
-        daemon = cluster.daemons[ac.handle.ac_id]
-        scope = dict(ac._scope)
-        mb_id = next_request_id()
-        reqs = [(next_request_id(),
-                 [(Op.MEM_ALLOC.value, {"nbytes": 64, **scope})])
-                for _ in range(6)]
-        self._exchange(cluster, sess, ac.handle.daemon_rank,
-                       self._mbatch_req(mb_id, reqs))
-        assert daemon._dedup_weight == 6
-        # Three plain allocs push the weight past 8: the 6-sub frame is
-        # evicted first (FIFO), leaving only the plain entries.
-        for _ in range(3):
-            req = Request(op=Op.MEM_ALLOC, req_id=next_request_id(),
-                          reply_to=0, params={"nbytes": 64, **scope})
-            self._exchange(cluster, sess, ac.handle.daemon_rank, req)
-        assert mb_id not in daemon._dedup
-        assert daemon._dedup_weight == 3
-        assert len(daemon._dedup) == 3
+        for riders, ops in ((6, 1), (1, 6)):
+            cluster, sess, ac, _ = make_rig()
+            daemon = cluster.daemons[ac.handle.ac_id]
+            scope = dict(ac._scope)
+            mb_id = next_request_id()
+            reqs = [(next_request_id(),
+                     [(Op.MEM_ALLOC.value, {"nbytes": 64, **scope})] * ops)
+                    for _ in range(riders)]
+            self._exchange(cluster, sess, ac.handle.daemon_rank,
+                           self._mbatch_req(mb_id, reqs))
+            assert daemon._dedup_weight == 6
+            # Three plain allocs push the weight past 8: the 6-op frame
+            # is evicted first (FIFO), leaving only the plain entries.
+            for _ in range(3):
+                req = Request(op=Op.MEM_ALLOC, req_id=next_request_id(),
+                              reply_to=0, params={"nbytes": 64, **scope})
+                self._exchange(cluster, sess, ac.handle.daemon_rank, req)
+            assert mb_id not in daemon._dedup
+            assert daemon._dedup_weight == 3
+            assert len(daemon._dedup) == 3
 
     def test_real_cache_bound_unchanged_for_plain_ops(self, rig):
         # The weighted window degenerates to the historical count bound

@@ -1,8 +1,17 @@
-"""Unit tests for the asynchronous command-stream API and BATCH frames."""
+"""Unit tests for the asynchronous command-stream API and the batch frame.
+
+``TestBatchFrame`` is the one suite for the one batch executor: every
+behaviour of a sub-frame of control ops is checked for each way it can
+reach the daemon (``TRAVEL``).  The coalescer's own merging, isolation
+between riders and dedup weighting stay in ``test_coalesce.py``.
+"""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from repro.cluster import Cluster, paper_testbed
 from repro.core import (
     BATCHABLE_OPS,
     Op,
@@ -12,7 +21,9 @@ from repro.core import (
     next_request_id,
     reply_tag,
 )
-from repro.errors import MiddlewareError
+from repro.core.coalesce import FrameCoalescer
+from repro.core.protocol import reset_request_ids
+from repro.errors import AcceleratorFault, KernelError, MiddlewareError
 
 
 @pytest.fixture
@@ -23,30 +34,107 @@ def rig(cluster):
     return cluster, sess, acs
 
 
-class TestBatchFrame:
-    def test_batch_rpc_one_round_trip(self, rig):
-        cluster, sess, acs = rig
-        ac = acs[0]
-        daemon = cluster.daemons[ac.handle.ac_id]
-        before = ac.requests
-        subs = sess.call(ac.batch_rpc([
-            (Op.MEM_ALLOC, {"nbytes": 4096}),
-            (Op.MEM_ALLOC, {"nbytes": 8192}),
-            (Op.KERNEL_CREATE, {"name": "dscal"}),
-            (Op.PING, {}),
-        ]))
-        assert ac.requests == before + 1          # one frame on the wire
-        assert daemon.stats.batches == 1
-        assert daemon.stats.batched_ops == 4
-        assert [s.ok for s in subs] == [True] * 4
-        addr_a, addr_b = subs[0].value, subs[1].value
-        assert addr_a != addr_b
-        assert daemon.gpu.memory.used_bytes == 4096 + 8192
+#: How a ``batch_rpc`` sub-frame reaches the daemon: as the only rider of
+#: its own frame, through a coalescer with nothing else pending, or merged
+#: with a second front-end's sub-frame.  A loop over this table inside
+#: each test (not ``pytest.mark.parametrize``) keeps the test ids stable.
+TRAVEL = ("alone", "idle coalescer", "second rider")
 
-    def test_batch_rejects_unbatchable_op(self, rig):
-        _, sess, acs = rig
-        with pytest.raises(MiddlewareError):
-            sess.call(acs[0].batch_rpc([(Op.MEMCPY_H2D, {})]))
+
+def travel_rig(travel):
+    """A fresh one-accelerator rig whose sub-frames travel ``travel``'s way.
+
+    Returns ``(cluster, sess, ac, daemon, send)``; ``send(calls)`` runs
+    ``ac.batch_rpc(calls)`` to completion and returns its responses.
+    """
+    reset_request_ids()     # frames are sized by their pickled ids
+    cluster = Cluster(paper_testbed(n_compute=1, n_accelerators=1))
+    sess = cluster.session()
+    (handle,) = sess.call(cluster.arm_client(0).alloc(count=1))
+    ac = cluster.remote(0, handle)
+    daemon = cluster.daemons[handle.ac_id]
+
+    riders = []
+    if travel != "alone":
+        ac.coalescer = FrameCoalescer(
+            cluster.compute_rank(0), handle.daemon_rank,
+            window_s=2e-6 if travel == "second rider" else 0.0)
+    if travel == "second rider":
+        riders.append(cluster.remote(0, handle))
+        riders[0].coalescer = ac.coalescer
+
+    def send(calls):
+        frames = daemon.stats.mbatches
+        subs, *pongs = sess.parallel(
+            [ac.batch_rpc(calls)]
+            + [other.batch_rpc([(Op.PING, {})]) for other in riders])
+        # Everything shared one wire frame, and whatever happened inside
+        # our sub-frame never touched the rider's.
+        assert daemon.stats.mbatches == frames + 1
+        assert all(p[0].ok and p[0].value == "pong" for p in pongs)
+        return subs
+
+    return cluster, sess, ac, daemon, send
+
+
+class TestBatchFrame:
+    def test_batch_rpc_one_round_trip(self):
+        for travel in TRAVEL:
+            _, _, ac, daemon, send = travel_rig(travel)
+            riders = 2 if travel == "second rider" else 1
+            served = daemon.stats.requests
+            wire = ac.requests
+            subs = send([
+                (Op.MEM_ALLOC, {"nbytes": 4096}),
+                (Op.MEM_ALLOC, {"nbytes": 8192}),
+                (Op.KERNEL_CREATE, {"name": "dscal"}),
+                (Op.PING, {}),
+            ])
+            # One frame on the wire, whoever sent it.
+            assert daemon.stats.requests == served + 1, travel
+            co = ac.coalescer
+            if co is None:
+                assert ac.requests == wire + 1
+            else:
+                assert co.subs_in == riders and co.frames_out == 1, travel
+                assert co.roundtrips_saved == riders - 1, travel
+            assert daemon.stats.mbatches == 1, travel
+            assert daemon.stats.mbatched_subs == riders, travel
+            assert daemon.stats.mbatched_ops == 4 + (riders - 1), travel
+            assert [s.ok for s in subs] == [True] * 4, travel
+            assert subs[3].value == "pong"
+            addr_a, addr_b = subs[0].value, subs[1].value
+            assert addr_a != addr_b
+            assert daemon.gpu.memory.used_bytes == 4096 + 8192
+
+    def test_ops_execute_in_list_order(self):
+        for travel in TRAVEL:
+            _, _, _, daemon, send = travel_rig(travel)
+            subs = send([(Op.MEM_ALLOC, {"nbytes": 128}),
+                         (Op.PING, {}),
+                         (Op.MEM_ALLOC, {"nbytes": 256})])
+            assert [s.ok for s in subs] == [True] * 3, travel
+            # Response i answers op i, and the allocator saw them in order.
+            first, second = subs[0].value, subs[2].value
+            assert daemon.gpu.memory.allocation(first).nbytes == 128
+            assert daemon.gpu.memory.allocation(second).nbytes == 256
+            assert first < second, travel
+            # A later sub-frame sees the earlier one's effects.
+            freed = send([(Op.MEM_FREE, {"addr": first})])
+            assert freed[0].ok, travel
+            assert daemon.gpu.memory.used_bytes == 256
+
+    def test_batch_rejects_unbatchable_op(self):
+        for travel in TRAVEL:
+            _, sess, ac, daemon, _ = travel_rig(travel)
+            wire = ac.requests
+            for bad in (Op.MEMCPY_H2D, Op.MEMCPY_D2H, Op.PEER_PUT):
+                with pytest.raises(MiddlewareError, match="cannot ride"):
+                    sess.call(ac.batch_rpc([(Op.PING, {}),
+                                            (bad, {"addr": 0, "nbytes": 8})]))
+            # Rejected before anything reached the wire or the coalescer.
+            assert ac.requests == wire and daemon.stats.mbatches == 0, travel
+            assert ac.coalescer is None or ac.coalescer.subs_in == 0, travel
 
     def test_transfers_are_not_batchable(self):
         assert Op.MEMCPY_H2D not in BATCHABLE_OPS
@@ -54,47 +142,91 @@ class TestBatchFrame:
         assert Op.PEER_PUT not in BATCHABLE_OPS
         # A retried frame must be at-most-once.
         from repro.core import DEDUP_OPS, RETRYABLE_OPS
-        assert Op.BATCH in RETRYABLE_OPS and Op.BATCH in DEDUP_OPS
+        assert Op.MBATCH in RETRYABLE_OPS and Op.MBATCH in DEDUP_OPS
 
-    def test_failed_sub_op_aborts_rest_of_frame(self, rig):
-        cluster, sess, acs = rig
-        ac = acs[0]
-        daemon = cluster.daemons[ac.handle.ac_id]
-        used = daemon.gpu.memory.used_bytes
-        subs = sess.call(ac.batch_rpc([
-            (Op.KERNEL_CREATE, {"name": "no_such_kernel"}),
-            (Op.MEM_ALLOC, {"nbytes": 4096}),
-        ]))
-        assert not subs[0].ok
-        assert not subs[1].ok and "skipped" in subs[1].error
-        assert daemon.gpu.memory.used_bytes == used  # alloc never ran
+    def test_failed_sub_op_aborts_rest_of_frame(self):
+        for travel in TRAVEL:
+            _, _, _, daemon, send = travel_rig(travel)
+            used = daemon.gpu.memory.used_bytes
+            # (In the merged variant send() also asserts the rider's op
+            # still ran: the skip is confined to the failing sub-frame.)
+            subs = send([
+                (Op.KERNEL_CREATE, {"name": "no_such_kernel"}),
+                (Op.MEM_ALLOC, {"nbytes": 4096}),
+            ])
+            assert not subs[0].ok, travel
+            assert not subs[1].ok and "skipped" in subs[1].error, travel
+            assert daemon.gpu.memory.used_bytes == used  # alloc never ran
+
+    def test_live_and_kernel_bookkeeping_follow_the_frame(self):
+        for travel in TRAVEL:
+            _, _, ac, _, send = travel_rig(travel)
+            subs = send([(Op.MEM_ALLOC, {"nbytes": 64}),
+                         (Op.MEM_ALLOC, {"nbytes": 96}),
+                         (Op.KERNEL_CREATE, {"name": "dscal"})])
+            a, b = subs[0].value, subs[1].value
+            # Context-manager release covers allocations made in a frame,
+            # and a created kernel accepts staged arguments.
+            assert ac._live == {a: 64, b: 96}, travel
+            ac.kernel_set_args("dscal", {"n": 0})
+            subs = send([(Op.MEM_FREE, {"addr": a}),
+                         (Op.MEM_FREE, {"addr": 0xdead}),
+                         (Op.MEM_FREE, {"addr": b})])
+            assert [s.ok for s in subs] == [True, False, False], travel
+            assert ac._live == {b: 96}, travel     # only what really ran
 
     def test_duplicate_batch_frame_replayed_not_reexecuted(self, rig):
         cluster, sess, acs = rig
         ac = acs[0]
         daemon = cluster.daemons[ac.handle.ac_id]
         rank = cluster.compute_rank(0)
-        req_id = next_request_id()
         ops = [(Op.MEM_ALLOC.value, {"nbytes": 4096}),
                (Op.MEM_ALLOC.value, {"nbytes": 4096})]
 
-        def exchange(attempt):
-            req = Request(op=Op.BATCH, req_id=req_id, reply_to=0,
-                          params={"ops": ops}, attempt=attempt)
+        def exchange(req):
             rreq = rank.irecv(source=ac.handle.daemon_rank,
-                              tag=reply_tag(req_id))
+                              tag=reply_tag(req.req_id))
             rank.isend(ac.handle.daemon_rank, TAG_REQUEST, req)
             yield rreq.done
             return rreq.message.payload
 
-        first = sess.call(exchange(0))
-        used = daemon.gpu.memory.used_bytes
-        second = sess.call(exchange(1))
-        # The whole frame is deduplicated: same addresses, no new memory.
-        assert [s.value for s in second.value] == [s.value for s in first.value]
-        assert daemon.gpu.memory.used_bytes == used
-        assert daemon.stats.dedup_hits == 1
-        assert daemon.stats.batches == 1
+        for n, riders in enumerate((1, 2), start=1):
+            # The frame as batch_rpc (one rider) or a coalescer (two) builds it.
+            req = Request(op=Op.MBATCH, req_id=next_request_id(), reply_to=0,
+                          params={"reqs": [(next_request_id(), ops)
+                                           for _ in range(riders)]})
+            first = sess.call(exchange(req))
+            used = daemon.gpu.memory.used_bytes
+            second = sess.call(exchange(dataclasses.replace(req, attempt=1)))
+            # The whole frame is deduplicated: same addresses, no new memory.
+            assert [[s.value for s in sub] for sub in second.value] \
+                == [[s.value for s in sub] for sub in first.value]
+            assert len(first.value) == riders
+            assert daemon.gpu.memory.used_bytes == used
+            assert daemon.stats.dedup_hits == n
+            assert daemon.stats.mbatches == n
+
+    def test_one_rider_frame_is_the_same_alone_and_through_a_coalescer(self):
+        calls = [(Op.MEM_ALLOC, {"nbytes": 4096}),
+                 (Op.KERNEL_CREATE, {"name": "dgemm"}),
+                 (Op.KERNEL_RUN, {"name": "dgemm", "real": False, "params": {
+                     "A": 0, "B": 0, "C": 0, "m": 64, "n": 64, "k": 64}}),
+                 (Op.MEM_FREE, {"addr": 0xdead}),
+                 (Op.PING, {})]
+        seen = []
+        for travel in ("alone", "idle coalescer"):
+            cluster, _, ac, daemon, send = travel_rig(travel)
+            before = dataclasses.asdict(daemon.stats)
+            subs = send(calls)
+            after = dataclasses.asdict(daemon.stats)
+            seen.append((
+                [(s.status, s.value, s.error) for s in subs],
+                {k: after[k] - before[k] for k in after},
+                cluster.engine.now, dict(ac._live)))
+        # Same responses, same daemon work, same completion virtual time.
+        assert seen[0] == seen[1]
+        assert [status.name for status, _, _ in seen[0][0]] \
+            == ["OK", "OK", "OK", "ERROR", "ERROR"]
 
 
 class TestStream:
@@ -120,7 +252,8 @@ class TestStream:
         assert s.ops_issued == 6
         assert s.frames_issued == 5
         assert s.roundtrips_saved == 1
-        assert daemon.stats.batches == 1 and daemon.stats.batched_ops == 2
+        assert daemon.stats.mbatches == 1 and daemon.stats.mbatched_ops == 2
+        assert daemon.stats.mbatched_subs == 1    # a one-rider frame
 
     def test_future_params_resolve_across_frames(self, rig):
         _, sess, acs = rig
@@ -274,7 +407,78 @@ class TestStream:
         assert a.result() != b.result()
         assert daemon.gpu.memory.used_bytes == 2 * 4096
         # Whether or not the deadline fired, memory was allocated once.
-        assert daemon.stats.batches >= 1
+        assert daemon.stats.mbatches >= 1
+
+    def test_create_and_run_by_name_share_a_frame(self, rig):
+        """Regression: the run's staged args were resolved when the frame
+        was built, before the create riding ahead of it had executed —
+        failing the whole frame client-side, create included."""
+        from repro.baselines import LocalAccelerator
+        cluster, sess, acs = rig
+        local_cluster = Cluster(paper_testbed(n_compute=1, n_accelerators=0,
+                                              local_gpus=True))
+        node = local_cluster.compute_nodes[0]
+        for gpu in (cluster.daemons[acs[0].handle.ac_id].gpu, node.local_gpu):
+            gpu.registry.register("forty_two", lambda dev, params: 42,
+                                  lambda params, spec: 1e-6)
+
+        def sync(ac, name):
+            yield from ac.kernel_create(name)
+            result = yield from ac.kernel_run(name)
+            return result
+
+        def streamed(ac, name):
+            s = ac.stream()
+            created, ran = s.kernel_create(name), s.kernel_run(name)
+            try:
+                yield from s.synchronize()
+            finally:
+                assert created.ok                     # never taken down
+                assert s.frames_issued == (1 if s.batching else 2)
+            return ran.result()
+
+        def backends(name):
+            remote = cluster.remote(0, acs[0].handle)
+            yield sess, sync(remote, name), MiddlewareError
+            remote = cluster.remote(0, acs[0].handle)
+            yield sess, streamed(remote, name), MiddlewareError
+            local = LocalAccelerator(local_cluster.engine, node.local_gpu,
+                                     node.cpu)
+            yield local_cluster.session(), streamed(local, name), KernelError
+
+        # No parameters: the staged {} is enough.
+        assert [s.call(body)
+                for s, body, _ in backends("forty_two")] == [42] * 3
+        # Only the run fails, with the kernel's own text.
+        for s, body, error in backends("dscal"):
+            with pytest.raises(error, match="missing kernel parameter 'n'"):
+                s.call(body)
+
+    def test_revoked_lease_fails_the_next_frame_and_sticks(self, cluster):
+        sess = cluster.session()
+        client = cluster.arm_client(0)
+        sess.call(client.register_tenant("t"))
+        grant = sess.call(client.valloc("t"))
+        ac = cluster.remote(0, grant["vac"])
+        sess.call(ac.vac_attach(share=grant["share"],
+                                mem_quota=grant["mem_quota"]))
+        daemon = cluster.daemons[ac.handle.ac_id]
+        s = ac.stream()
+
+        def frame():
+            futures = [s.mem_alloc(64), s.ping()]
+            yield from s.synchronize()
+            return futures
+
+        assert all(f.ok for f in sess.call(frame()))
+        assert daemon.stats.mbatches == 1
+        daemon._vacs[grant["vac"].vac_id].revoke()   # preempted in between
+        with pytest.raises(AcceleratorFault, match="revoked"):
+            sess.call(frame())
+        assert daemon.stats.preempted_requests == 1
+        assert len(ac._live) == 1                    # nothing new tracked
+        with pytest.raises(MiddlewareError, match="sticky"):
+            s.ping()
 
 
 class TestBackendParity:

@@ -233,6 +233,34 @@ class TestWarmPaths:
         assert svc.kernel_cache.hits == 2
         assert svc.kernel_cache.hit_rate == pytest.approx(2 / 3)
 
+    @pytest.mark.parametrize("coalescing", [True, False])
+    def test_kernel_cache_hit_still_stages_args(self, coalescing):
+        # One device, so every lease of the tenant lands on it: j1/j2 run
+        # together, one on j0's parked lease and one on a cold lease whose
+        # front-end never sent a create — the cache hit alone must let
+        # kernel_set_args / kernel_run(name) work there.
+        cluster = Cluster(paper_testbed(n_compute=1, n_accelerators=1))
+        svc = JobService(cluster, coalescing=coalescing)
+
+        def body(ctx):
+            ac = ctx.accelerators[0]
+            yield from ac.kernel_create("dscal")
+            addr = yield from ac.mem_alloc(64)
+            yield from ac.memcpy_h2d(addr, np.ones(8))
+            ac.kernel_set_args("dscal", {"x": addr, "n": 8, "alpha": 3.0})
+            yield from ac.kernel_run("dscal")     # the staged arguments
+            out = yield from ac.memcpy_d2h(addr, 64)
+            yield from ac.mem_free(addr)
+            return float(np.frombuffer(out, dtype=np.float64).sum())
+
+        records = svc.run_all([
+            JobSpec(name=f"j{i}", tenant="t", body=body,
+                    deps=("j0",) if i else ()) for i in range(3)])
+        assert [r.result for r in records] == [24.0] * 3
+        assert svc.leases_cold == 2
+        assert svc.kernel_cache.misses == 1 and svc.kernel_cache.hits == 2
+        assert (svc.coalesce_stats()["subs_in"] > 0) == coalescing
+
     def test_allocation_cache_reuses_same_size_buffers(self, cluster):
         svc = JobService(cluster)
         specs = [JobSpec(name=f"j{i}", tenant="t", body=roundtrip_body(i),
