@@ -112,11 +112,13 @@ class DMAEngine:
 
         done.callbacks = [_finish]
 
-        def _granted(_ev):
+        def _granted():
             span.event("engine_acquired")
             engine.succeed_after(done, duration)
 
-        self._lock.acquire().add_callback(_granted)
+        # Granted by call — now, or from the release in the previous
+        # copy's ``_finish`` — so a copy is one heap entry, its ``done``.
+        self._lock.when_granted(_granted)
         return done
 
     def copy_view(self, view, pinned: bool = True, ctx=None) -> Event:

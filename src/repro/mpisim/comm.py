@@ -63,8 +63,8 @@ class Request:
 
     __slots__ = ("done", "message", "kind", "cancelled")
 
-    def __init__(self, engine: Engine, kind: str):
-        self.done = Event(engine)
+    def __init__(self, engine: Engine, kind: str, done: Event | None = None):
+        self.done = Event(engine) if done is None else done
         self.message: Message | None = None
         self.kind = kind
         #: True once :meth:`Communicator.cancel_recv` removed this receive.
@@ -72,6 +72,13 @@ class Request:
 
     @property
     def completed(self) -> bool:
+        # An eager send's ``done`` is the transmission's ``injected``
+        # event, which carries its value from the NIC grant on (like a
+        # Timeout), so a send is complete once ``done`` has *fired*.  A
+        # receive is complete from the moment its message is matched:
+        # the RPC layer's reply-versus-deadline tie depends on that.
+        if self.kind == "send":
+            return self.done.processed
         return self.done.triggered
 
     def _complete(self, message: Message | None = None) -> None:
@@ -200,15 +207,14 @@ class Communicator:
             raise MPIError(f"negative tag: {tag!r}")
         nbytes = payload_nbytes(payload)
         snapshot = copy_for_send(payload)
-        req = Request(self.engine, "send")
         env = Envelope(src, tag, nbytes)
         if eager is None:
             threshold = self.fabric.model.rendezvous_threshold
             eager = threshold == 0 or nbytes <= threshold
         if eager:
-            self._eager_send(env, dst, snapshot, req, injection_s)
-        else:
-            self._rendezvous_rts(env, dst, snapshot, req)
+            return self._eager_send(env, dst, snapshot, injection_s)
+        req = Request(self.engine, "send")
+        self._rendezvous_rts(env, dst, snapshot, req)
         return req
 
     def _next_seq(self, pair: tuple[int, int]) -> int:
@@ -217,23 +223,25 @@ class Communicator:
         return seq
 
     def _eager_send(self, env: Envelope, dst: int, payload: _t.Any,
-                    req: Request,
-                    injection_s: float | None = None) -> None:
+                    injection_s: float | None = None) -> Request:
         tx = self.fabric.transfer(self._endpoints[env.source], self._endpoints[dst],
                                   env.nbytes + HEADER_BYTES,
                                   injection_s=injection_s)
         # Eager sends complete locally as soon as the NIC has the message —
-        # even across a partition (the sender cannot tell its bytes died).
-        tx.injected.add_callback(lambda _ev: req._complete(None))
+        # even across a partition (the sender cannot tell its bytes died) —
+        # so the request's ``done`` *is* ``injected``: the fabric installed
+        # its own continuation first, so NIC accounting precedes any waiter.
+        req = Request(self.engine, "send", done=tx.injected)
         if tx.dropped:
             # A dropped message must NOT consume a (src, dst) sequence
             # number: in-order matching would wait for that seq forever
             # and hold back every later message on the pair.  The fabric
             # decides drops synchronously, so the seq is drawn only here.
-            return
+            return req
         seq = self._next_seq((env.source, dst))
         tx.delivered.add_callback(
             lambda _ev: self._deliver_in_order(dst, _Arrival(env, payload=payload), seq))
+        return req
 
     def _rendezvous_rts(self, env: Envelope, dst: int, payload: _t.Any,
                         req: Request) -> None:

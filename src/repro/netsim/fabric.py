@@ -278,7 +278,6 @@ class Fabric:
         return extra
 
     def transfer(self, src: Endpoint | str, dst: Endpoint | str, nbytes: int,
-                 weight: float = 1.0,
                  injection_s: float | None = None) -> Transmission:
         """Start moving ``nbytes`` from ``src`` to ``dst``.
 
@@ -317,10 +316,10 @@ class Fabric:
             tx.dropped = True
             self.messages_dropped += 1
             self.bytes_dropped += nbytes
-        self._start_flow(tx, weight)
+        self._start_flow(tx)
         return tx
 
-    def _start_flow(self, tx: Transmission, weight: float) -> None:
+    def _start_flow(self, tx: Transmission) -> None:
         """Run one message through the fabric as a callback chain.
 
         Traced or not, this is the only flow implementation: the
@@ -328,6 +327,12 @@ class Fabric:
         move the message.  Registered inside :meth:`transfer` before the
         Transmission is returned, so the internal continuations always
         precede any client callbacks on ``injected``/``delivered``.
+
+        Only the physical boundaries are heap events — ``injected``, one
+        share timer per stage, ``delivered``.  The NIC grant and the
+        drain of the shares are this chain's own next steps at the same
+        instant, so they are called, not scheduled (and ``injected``
+        therefore reads ``triggered`` from the grant on, like a timer).
         """
         model = self.model
         engine = self.engine
@@ -356,8 +361,7 @@ class Fabric:
 
         tx.delivered.callbacks = [_delivered_first]
 
-        def _drained(_ev):
-            tx.src.nic.release()
+        def _drained():
             # 3. Propagation latency (not a NIC resource): ``delivered``
             #    itself is scheduled one wire latency out, plus one trunk
             #    latency per inter-switch hop.
@@ -368,6 +372,10 @@ class Fabric:
                 delay += self._trunk_latency_s * len(tx.hops)
             delay += self._extra_latency(tx)
             engine.succeed_after(tx.delivered, delay)
+            # Last: the release grants the next queued message by call,
+            # and this ``delivered`` precedes that message's ``injected``
+            # should the two ever fall on the same instant.
+            tx.src.nic.release()
 
         def _injected_first(_ev):
             span.event("injected")
@@ -377,6 +385,9 @@ class Fabric:
                 tx.src.nic.release()
                 span.finish()
                 return
+            if tx.nbytes == 0:
+                _drained()
+                return
             # 2. Wire transmission through the receiver's share: concurrent
             #    senders into one endpoint split its bandwidth fairly, and
             #    the resulting backpressure keeps this NIC busy longer.
@@ -384,26 +395,28 @@ class Fabric:
             #    well and proceed at the slower of the two stages; on a
             #    multi-switch route the flow also drains through every
             #    trunk segment it crosses (per-hop contention).
-            if tx.nbytes > 0:
-                rx_done = tx.dst.rx.transfer(tx.nbytes, weight)
-                stages = None
-                if self._core is not None and tx.src is not tx.dst:
-                    stages = [rx_done, self._core.transfer(tx.nbytes, weight)]
-                if tx.hops:
-                    if stages is None:
-                        stages = [rx_done]
-                    stages += [self._trunks[h].transfer(tx.nbytes, weight)
-                               for h in tx.hops]
-                if stages is not None:
-                    engine.all_of(stages).add_callback(_drained)
-                else:
-                    rx_done.add_callback(_drained)
-            else:
-                _drained(None)
+            core = self._core if tx.src is not tx.dst else None
+            if core is None and not tx.hops:
+                tx.dst.rx.drain(tx.nbytes, _drained)
+                return
+            stages = [tx.dst.rx]
+            if core is not None:
+                stages.append(core)
+            stages += [self._trunks[h] for h in tx.hops]
+            left = len(stages)
+
+            def _stage_drained():
+                nonlocal left
+                left -= 1
+                if left == 0:
+                    _drained()
+
+            for share in stages:
+                share.drain(tx.nbytes, _stage_drained)
 
         tx.injected.callbacks = [_injected_first]
 
-        def _granted(_ev):
+        def _granted():
             inj = (model.injection_overhead_s if tx.injection_s is None
                    else tx.injection_s)
             engine.succeed_after(tx.injected, inj)
@@ -413,7 +426,7 @@ class Fabric:
         #    message.  This keeps queued messages (e.g. pipeline blocks)
         #    arriving back-to-back instead of fair-sharing against each
         #    other.
-        tx.src.nic.acquire().add_callback(_granted)
+        tx.src.nic.when_granted(_granted)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Fabric {self.model.name} endpoints={len(self.endpoints)}>"

@@ -259,7 +259,7 @@ class Engine:
         """Start a new process from ``gen``."""
         return Process(self, gen, name=name)
 
-    def all_of(self, events: _t.Sequence[Event]) -> AllOf:
+    def all_of(self, events: _t.Iterable[Event]) -> AllOf:
         """Event that succeeds once all of ``events`` have succeeded."""
         return AllOf(self, events)
 

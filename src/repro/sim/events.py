@@ -290,8 +290,11 @@ class AllOf(Condition):
 
     __slots__ = ()
 
-    def __init__(self, engine: "Engine", events: _t.Sequence[Event]):
-        super().__init__(engine, events, n_needed=len(list(events)))
+    def __init__(self, engine: "Engine", events: _t.Iterable[Event]):
+        # Materialised once: a one-shot iterable counted here and listed
+        # again by Condition would need zero events and never wait.
+        events = list(events)
+        super().__init__(engine, events, n_needed=len(events))
 
 
 class AnyOf(Condition):

@@ -73,8 +73,12 @@ class Store:
 class Resource:
     """Counted resource; ``capacity=1`` behaves as a mutex.
 
-    Waiters are served FIFO.  ``release()`` must be called exactly once per
-    granted ``acquire()``; a double release raises.
+    Waiters are served FIFO in one queue, whichever form they asked in:
+    :meth:`acquire` returns an event for a process to yield, while
+    :meth:`when_granted` calls the waiter at the grant itself — for a
+    callback chain whose next step belongs to the same instant and needs
+    no heap entry in between.  ``release()`` must be called exactly once
+    per grant; a double release raises.
     """
 
     def __init__(self, engine: Engine, capacity: int = 1):
@@ -83,7 +87,8 @@ class Resource:
         self.engine = engine
         self.capacity = capacity
         self._in_use = 0
-        self._waiters: collections.deque[Event] = collections.deque()
+        self._waiters: collections.deque[_t.Callable[[], _t.Any]] = (
+            collections.deque())
 
     @property
     def in_use(self) -> int:
@@ -96,30 +101,39 @@ class Resource:
     def acquire(self) -> Event:
         """Returns an event that succeeds when a unit is granted."""
         ev = Event(self.engine)
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            ev.succeed(None)
-        else:
-            self._waiters.append(ev)
+        self.when_granted(ev.succeed)
         return ev
 
+    def when_granted(self, granted: _t.Callable[[], _t.Any]) -> None:
+        """Call ``granted()`` once a unit is held for it.
+
+        Now if a unit is free, otherwise from inside the ``release()``
+        that hands one over.
+        """
+        if self._in_use < self.capacity:
+            self._in_use += 1
+            granted()
+        else:
+            self._waiters.append(granted)
+
     def release(self) -> None:
-        """Return a unit; wakes the next waiter if any."""
+        """Return a unit; hands it to the next waiter if any."""
         if self._in_use <= 0:
             raise SimulationError("release() without matching acquire()")
         if self._waiters:
-            self._waiters.popleft().succeed(None)
+            self._waiters.popleft()()
         else:
             self._in_use -= 1
 
 
 class _Flow:
-    __slots__ = ("remaining", "weight", "done")
+    __slots__ = ("remaining", "weight", "on_done")
 
-    def __init__(self, nbytes: float, weight: float, done: Event):
+    def __init__(self, nbytes: float, weight: float,
+                 on_done: _t.Callable[[], _t.Any]):
         self.remaining = float(nbytes)
         self.weight = weight
-        self.done = done
+        self.on_done = on_done
 
 
 class BandwidthShare:
@@ -155,18 +169,28 @@ class BandwidthShare:
 
     def transfer(self, nbytes: float, weight: float = 1.0) -> Event:
         """Start a flow of ``nbytes``; the event succeeds at completion."""
+        done = Event(self.engine)
+        self.drain(nbytes, done.succeed, weight)
+        return done
+
+    def drain(self, nbytes: float, on_done: _t.Callable[[], _t.Any],
+              weight: float = 1.0) -> None:
+        """Start a flow of ``nbytes``; ``on_done()`` is called at completion.
+
+        The form for callback chains: the completion runs inside the
+        share's own timer callback, at the completion instant, instead of
+        through one more heap entry.
+        """
         if nbytes < 0:
             raise SimulationError(f"negative transfer size: {nbytes!r}")
         if weight <= 0:
             raise SimulationError(f"flow weight must be positive: {weight!r}")
-        done = Event(self.engine)
         if nbytes == 0:
-            done.succeed(None)
-            return done
+            on_done()
+            return
         self._advance()
-        self._flows.append(_Flow(nbytes, weight, done))
+        self._flows.append(_Flow(nbytes, weight, on_done))
         self._reschedule()
-        return done
 
     # -- internal -------------------------------------------------------
     def _advance(self) -> None:
@@ -217,18 +241,19 @@ class BandwidthShare:
                     self._timer.add_callback(self._on_timer)
                     return
             flows.clear()
-            f.done.succeed(None)
+            f.on_done()
             return
+        finished: list[_Flow] = []
         while True:
             # Complete any flows that are done (or numerically done).
-            finished = [f for f in self._flows if f.remaining <= self._EPSILON_BYTES]
-            if finished:
+            done_now = [f for f in self._flows
+                        if f.remaining <= self._EPSILON_BYTES]
+            if done_now:
+                finished += done_now
                 self._flows = [f for f in self._flows
                                if f.remaining > self._EPSILON_BYTES]
-                for f in finished:
-                    f.done.succeed(None)
             if not self._flows:
-                return
+                break
             total_w = sum(f.weight for f in self._flows)
             next_dt = min(
                 f.remaining / (self.capacity * (f.weight / total_w))
@@ -245,7 +270,11 @@ class BandwidthShare:
             # every pipeline stream.
             self._timer = self.engine.pooled_timer(next_dt)
             self._timer.add_callback(self._on_timer)
-            return
+            break
+        # Completions run last, with the flow list settled and the next
+        # timer armed, so one may start a new flow on this share.
+        for f in finished:
+            f.on_done()
 
     def _on_timer(self, _ev: Event) -> None:
         self._advance()

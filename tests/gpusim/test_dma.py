@@ -64,6 +64,27 @@ class TestCopyComputeOverlap:
         assert eng.run(until=eng.process(proc())) == pytest.approx(2 * one)
 
 
+class TestEventBudget:
+    def test_a_copy_is_one_heap_entry_idle_or_queued(self, eng):
+        """The engine grant is a call (now, or from the previous copy's
+        release), so a copy schedules its completion and nothing else."""
+        dma = DMAEngine(eng, PCIE_GEN2_X16)
+        sizes = (4 * MiB, 1 * MiB, 2 * MiB)
+        finished = []
+        for i, n in enumerate(sizes):
+            dma.copy(n).add_callback(
+                lambda _ev, i=i: finished.append((i, eng.now)))
+        eng.run()
+        # FIFO on the one engine, whatever the sizes.
+        ends, t = [], 0.0
+        for n in sizes:
+            t += PCIE_GEN2_X16.copy_time(n)
+            ends.append(t)
+        assert [i for i, _ in finished] == [0, 1, 2]
+        assert [at for _, at in finished] == pytest.approx(ends)
+        assert next(eng._seq) == len(sizes)
+
+
 class TestBusyTimeAccounting:
     def test_busy_time_counts_transfer_only_not_queueing(self, eng):
         """A copy queued behind another accrues busy time for its own

@@ -279,6 +279,31 @@ class TestRequests:
         assert req.message.payload == b"z"
 
 
+class TestEventBudget:
+    """One eager message into a posted receive is four heap entries
+    (``engine._seq`` draws): ``injected`` — which is the send request's
+    ``done`` — the receiver share's timer, ``delivered``, and the receive
+    request's ``done``, the one relay kept so that receiver code never
+    runs inside the matching engine."""
+
+    def test_eager_message_is_four_heap_entries(self, eng, comm2):
+        r0, r1 = comm2.rank(0), comm2.rank(1)
+        rreq = r1.irecv(source=0, tag=0)
+        sreq = r0.isend(1, tag=0, payload=b"x" * 100)
+        eng.run()
+        assert sreq.completed and rreq.message.payload == b"x" * 100
+        assert next(eng._seq) == 4
+
+    def test_message_queued_on_the_nic_costs_the_same_four(self, eng, comm2):
+        r0, r1 = comm2.rank(0), comm2.rank(1)
+        rreqs = [r1.irecv(source=0, tag=t) for t in (0, 1)]
+        for t in (0, 1):
+            r0.isend(1, tag=t, payload=b"x" * 100)
+        eng.run()
+        assert [r.message.tag for r in rreqs] == [0, 1]
+        assert next(eng._seq) == 8
+
+
 class TestValidation:
     def test_bad_rank_rejected(self, comm2):
         with pytest.raises(MPIError):

@@ -49,6 +49,14 @@ class TestCoreCapacity:
         eng.run(until=tx.delivered)
         assert eng.now == pytest.approx(0.5, rel=0.01)
 
+    def test_core_stage_costs_one_more_timer(self):
+        eng, f = build(core=1000.0)
+        tx = f.transfer("n0", "n1", 500)
+        eng.run()
+        assert tx.delivered.processed
+        # injected, receiver-share timer, core-share timer, delivered.
+        assert next(eng._seq) == 4
+
     def test_loopback_bypasses_core(self):
         eng, f = build(core=1.0)  # pathological core
         tx = f.transfer("n0", "n0", 1000)

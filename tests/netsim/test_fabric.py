@@ -143,6 +143,41 @@ class TestFabricContention:
         assert eng.now == pytest.approx(100 * 0.0005 + 0.001, rel=0.01)
 
 
+class TestEventBudget:
+    """Heap entries are counted as ``engine._seq`` draws: a flow schedules
+    its physical boundaries and nothing in between (no event for the NIC
+    grant, none for the drain of the receiver's share)."""
+
+    def test_one_transfer_is_three_heap_entries(self, eng, fabric):
+        tx = fabric.transfer("a", "b", 1000)
+        eng.run()
+        assert tx.delivered.processed
+        assert next(eng._seq) == 3     # injected, share timer, delivered
+
+    def test_message_queued_on_the_nic_costs_the_same(self, eng, fabric):
+        t1 = fabric.transfer("a", "b", 1000)
+        t2 = fabric.transfer("a", "c", 1000)
+        assert t1.injected.triggered and not t2.injected.triggered
+        eng.run()
+        assert next(eng._seq) == 6
+        # Granted from t1's release: back to back, one latency at the end.
+        assert eng.now == pytest.approx(2 * (0.0005 + 1.0) + 0.001)
+
+    def test_zero_byte_and_dropped_flows_cost_less(self, eng, fabric):
+        fabric.transfer("a", "b", 0)   # injected, delivered: no share
+        eng.run()
+        assert next(eng._seq) == 2
+        fabric.cut("a", "b")
+        tx = fabric.transfer("a", "b", 1000)
+        queued = fabric.transfer("a", "c", 0)
+        eng.run()
+        # The drop pays its injection (+1), frees the NIC at the cut and
+        # so grants the queued message (+2).
+        assert tx.injected.processed and not tx.delivered.triggered
+        assert queued.delivered.processed
+        assert next(eng._seq) == 3 + 1 + 2
+
+
 class TestFabricRealistic:
     def test_ib_qdr_64mib_matches_model(self, eng):
         f = Fabric(eng, IB_QDR_MPI)

@@ -138,6 +138,23 @@ class TestTrunkTiming:
         wire_s = eng.now - 0.0025
         assert 2000 / wire_s <= 1000 * 1.001
 
+    def test_routed_flow_costs_one_timer_per_stage(self, eng):
+        """A flow on a 2x2 torus drains through the receiver's share and
+        one trunk share per hop; each stage is its share's timer and
+        nothing else — no per-stage event, no ``AllOf`` to join them."""
+        fabric = Fabric(eng, SIMPLE, topology=Topology.torus(2, 2))
+        for name, sw in (("a", "sw0-0"), ("b", "sw0-1"), ("c", "sw1-1")):
+            fabric.add_endpoint(name, switch=sw)
+        one_hop = fabric.transfer("a", "b", 1000)
+        eng.run()
+        assert one_hop.hops == (("sw0-0", "sw0-1"),)
+        assert eng.now == pytest.approx(0.0005 + 1.0 + 0.001 + 0.001)
+        assert next(eng._seq) == 4     # injected, rx + trunk, delivered
+        two_hops = fabric.transfer("a", "c", 1000)
+        eng.run()
+        assert len(two_hops.hops) == 2 and two_hops.delivered.processed
+        assert next(eng._seq) == 4 + 1 + 5
+
     def test_opposite_directions_do_not_contend(self, eng):
         """The trunk is full duplex: sw0->sw1 and sw1->sw0 are separate
         shares, so counter-flowing transfers run at full speed."""

@@ -169,6 +169,19 @@ class TestConditions:
         assert fired_at == [3.0]
         assert cond.value == {evs[0]: "x", evs[1]: "y"}
 
+    def test_all_of_over_a_one_shot_iterable_still_waits(self, eng):
+        """A generator is a valid ``events`` argument: it must build the
+        same barrier as a list, not one that needs zero children."""
+        fired = {}
+        for form in (list, iter):
+            e = Engine()
+            evs = [e.timeout(1.0, "x"), e.timeout(2.0, "y")]
+            cond = e.all_of(form(evs))
+            cond.add_callback(lambda c, e=e, form=form: fired.__setitem__(
+                form, (e.now, list(c.value.values()))))
+            e.run()
+        assert fired[list] == fired[iter] == (2.0, ["x", "y"])
+
     def test_all_of_empty_succeeds_immediately(self, eng):
         cond = eng.all_of([])
         eng.run()

@@ -164,6 +164,44 @@ class TestResource:
         with pytest.raises(SimulationError):
             res.release()
 
+    def test_grant_by_call_runs_now_when_a_unit_is_free(self, eng):
+        res = Resource(eng, capacity=2)
+        got = []
+        res.when_granted(lambda: got.append("a"))
+        res.when_granted(lambda: got.append("b"))
+        res.when_granted(lambda: got.append("c"))
+        # Two units, two grants made inside the call itself, no heap entry.
+        assert got == ["a", "b"] and res.in_use == 2
+        assert next(eng._seq) == 0
+        res.release()                  # hands the unit straight to "c"
+        assert got == ["a", "b", "c"] and res.in_use == 2
+
+    def test_both_waiter_forms_share_one_fifo(self, eng):
+        lock = Resource(eng, capacity=1)
+        lock.when_granted(lambda: None)            # hold the unit
+        served = []
+        for i in range(6):
+            if i % 2:
+                lock.acquire().add_callback(
+                    lambda _ev, i=i: served.append((i, "event")))
+            else:
+                lock.when_granted(lambda i=i: served.append((i, "call")))
+        assert served == []
+        for _ in range(6):
+            lock.release()             # one hand-over per release, in order
+            eng.run()                  # fire an acquire() waiter's event
+        assert served == [(0, "call"), (1, "event"), (2, "call"),
+                          (3, "event"), (4, "call"), (5, "event")]
+        assert lock.in_use == 1
+
+    def test_release_with_no_waiter_frees_the_unit(self, eng):
+        lock = Resource(eng, capacity=1)
+        lock.when_granted(lambda: None)
+        lock.release()
+        assert lock.in_use == 0 and lock.available == 1
+        with pytest.raises(SimulationError):
+            lock.release()             # a double release still raises
+
     def test_available_accounting(self, eng):
         res = Resource(eng, capacity=3)
 
@@ -178,6 +216,20 @@ class TestResource:
     def test_bad_capacity_rejected(self, eng):
         with pytest.raises(SimulationError):
             Resource(eng, capacity=0)
+
+
+def drain_times(capacity, flows):
+    """The callable form of ``flows`` — (name, start, nbytes, weight) — on
+    a fresh share: ``{name: completion time}`` as seen by ``on_done``."""
+    eng = Engine()
+    link = BandwidthShare(eng, capacity)
+    done = {}
+    for name, start, nbytes, weight in flows:
+        eng.call_at(start, lambda name=name, nbytes=nbytes, weight=weight:
+                    link.drain(nbytes, lambda: done.__setitem__(name, eng.now),
+                               weight))
+    eng.run()
+    return done
 
 
 class TestBandwidthShare:
@@ -215,6 +267,8 @@ class TestBandwidthShare:
         # Both share 100 B/s -> each runs at 50 B/s -> both done at t=2.
         assert done["a"] == pytest.approx(2.0)
         assert done["b"] == pytest.approx(2.0)
+        assert drain_times(100.0, [("a", 0.0, 100.0, 1.0),
+                                   ("b", 0.0, 100.0, 1.0)]) == done
 
     def test_short_flow_finishes_then_long_speeds_up(self, eng):
         link = BandwidthShare(eng, 100.0)
@@ -231,6 +285,8 @@ class TestBandwidthShare:
         # then long runs at full 100 B/s -> finishes at t=2.
         assert done["short"] == pytest.approx(1.0)
         assert done["long"] == pytest.approx(2.0)
+        assert drain_times(100.0, [("short", 0.0, 50.0, 1.0),
+                                   ("long", 0.0, 150.0, 1.0)]) == done
 
     def test_late_joiner_slows_existing_flow(self, eng):
         link = BandwidthShare(eng, 100.0)
@@ -253,6 +309,8 @@ class TestBandwidthShare:
         # done at t=1.0. Then first has 25 B left at 100 B/s -> t=1.25.
         assert done["second"] == pytest.approx(1.0)
         assert done["first"] == pytest.approx(1.25)
+        assert drain_times(100.0, [("first", 0.0, 100.0, 1.0),
+                                   ("second", 0.5, 25.0, 1.0)]) == done
 
     def test_weighted_flows(self, eng):
         link = BandwidthShare(eng, 90.0)
@@ -268,11 +326,46 @@ class TestBandwidthShare:
         # heavy gets 60 B/s, light 30 B/s: both finish at t=1.
         assert done["heavy"] == pytest.approx(1.0)
         assert done["light"] == pytest.approx(1.0)
+        assert drain_times(90.0, [("heavy", 0.0, 60.0, 2.0),
+                                  ("light", 0.0, 30.0, 1.0)]) == done
 
     def test_negative_size_rejected(self, eng):
         link = BandwidthShare(eng, 10.0)
         with pytest.raises(SimulationError):
             link.transfer(-1)
+
+    def test_drain_costs_only_the_share_timer(self, eng):
+        link = BandwidthShare(eng, 100.0)
+        done_at = []
+        link.drain(250.0, lambda: done_at.append(eng.now))
+        link.drain(0, lambda: done_at.append("empty"))    # nothing to wait for
+        assert done_at == ["empty"]
+        eng.run()
+        assert done_at == ["empty", pytest.approx(2.5)]
+        assert next(eng._seq) == 1     # transfer() would add its event
+
+    def test_completion_may_start_the_next_flow_on_the_share(self, eng):
+        """``on_done`` runs with the flow list settled and the next timer
+        armed, so a chain can feed the share from its own completion —
+        also while another flow is still draining."""
+        link = BandwidthShare(eng, 100.0)
+        done = {}
+
+        def chain(n):
+            done[f"chain{n}"] = eng.now
+            if n < 2:
+                link.drain(50.0, lambda: chain(n + 1))
+
+        link.drain(50.0, lambda: chain(0))
+        link.drain(300.0, lambda: done.__setitem__("long", eng.now))
+        eng.run()
+        # Always two flows until the chain ends: 50 B/s each, so a link of
+        # the chain ends every second; the long flow then runs alone.
+        assert done == {"chain0": pytest.approx(1.0),
+                        "chain1": pytest.approx(2.0),
+                        "chain2": pytest.approx(3.0),
+                        "long": pytest.approx(4.5)}
+        assert link.active_flows == 0
 
     def test_bad_capacity_rejected(self, eng):
         with pytest.raises(SimulationError):
