@@ -156,6 +156,115 @@ BATCHABLE_OPS = frozenset({
 })
 
 
+# -- wire sizes -----------------------------------------------------------
+# A control frame has a fixed format, so its size is a function of its op
+# and of how many variable-length records it carries, never of an object
+# serialiser, of the magnitude of a request id, or of out-of-band metadata
+# (the span contexts in ``trace`` / ``sub_traces`` have no width at all).
+# The widths are calibrated: each frame lands within a few bytes of what
+# it measured on the wire before sizes were declared (DESIGN.md
+# section 10 prints the comparison).
+
+#: Fixed part of every :class:`Request`: op code, request id, reply rank,
+#: attempt, lease scope and the envelope around them.
+REQUEST_HEADER_BYTES = 152
+#: Fixed part of every :class:`Response`: request id, status, value shape.
+RESPONSE_HEADER_BYTES = 112
+#: One ``(offset, length)`` block descriptor of a transfer plan.
+BLOCK_BYTES = 12
+#: One kernel launch argument.
+ARG_BYTES = 8
+#: One rider of an MBATCH frame (sub-frame id, op count, lease scope) ...
+SUBFRAME_HEADER_BYTES = 24
+#: ... and each control op inside it (op code, parameter length).
+SUBOP_HEADER_BYTES = 16
+#: A per-op response riding an MBATCH reply (sub-frame id, status).
+SUBRESPONSE_BYTES = 16
+#: One fixed-width name field (a tenant inside a lease handle).
+NAME_BYTES = 32
+#: One scalar field; also the count in front of a variable-length list
+#: and the field code of a dict entry.
+FIELD_BYTES = 8
+
+#: Width of each op's fixed parameter block.  Exhaustive on purpose: an
+#: op without an entry cannot be sized (``KeyError``), so adding an
+#: :class:`Op` member means declaring its width here.
+PARAM_BYTES: dict[Op, int] = {
+    Op.MEM_ALLOC: 16,
+    Op.MEM_FREE: 16,
+    Op.MEMCPY_H2D: 88,      # + BLOCK_BYTES per block
+    Op.MEMCPY_D2H: 104,     # + BLOCK_BYTES per block
+    Op.KERNEL_CREATE: 32,
+    Op.KERNEL_RUN: 40,      # + ARG_BYTES per launch argument
+    Op.PEER_PUT: 104,       # + BLOCK_BYTES per block
+    Op.PING: 0,
+    Op.MBATCH: 0,           # + its riders' sub-frames
+    Op.SHUTDOWN: 0,
+    Op.ARM_ALLOC: 32,
+    Op.ARM_RELEASE: 24,
+    Op.ARM_STATUS: 0,
+    Op.ARM_BREAK: 16,
+    Op.ARM_REPAIR: 16,
+    Op.ARM_TENANT: 88,
+    Op.ARM_VALLOC: 40,
+    Op.ARM_VRELEASE: 40,
+    Op.VAC_ATTACH: 56,
+    Op.VAC_DETACH: 24,
+    Op.VAC_REVOKE: 24,
+    Op.ARM_REPORT: 120,
+    Op.ARM_LEAVE: 40,
+}
+
+#: The variable-length records an op carries after its parameter block:
+#: the ``params`` key holding them and the width of one.
+_RECORDS: dict[Op, tuple[str, int]] = {
+    Op.MEMCPY_H2D: ("blocks", BLOCK_BYTES),
+    Op.MEMCPY_D2H: ("blocks", BLOCK_BYTES),
+    Op.PEER_PUT: ("blocks", BLOCK_BYTES),
+    Op.KERNEL_RUN: ("params", ARG_BYTES),
+}
+
+#: Sub-frames name their ops by wire value (``op.value``).
+_OP_BY_WIRE: dict[str, Op] = {op.value: op for op in Op}
+
+
+def _body_nbytes(op: Op, params: dict) -> int:
+    """Parameter block plus variable-length records of one op."""
+    n = PARAM_BYTES[op]
+    records = _RECORDS.get(op)
+    if records is not None:
+        key, width = records
+        n += width * len(params.get(key) or ())
+    return n
+
+
+def _value_nbytes(value: _t.Any) -> int:
+    """Width of a response value, by shape."""
+    if value is None:
+        return 0
+    kind = type(value)
+    if kind is int or kind is float or kind is bool:
+        return FIELD_BYTES
+    if kind is str:
+        return len(value)
+    if kind is tuple:       # a fixed-arity record, e.g. (dtype, shape)
+        return sum(map(_value_nbytes, value))
+    if kind is list:        # variable length: a count, then the items
+        return FIELD_BYTES + sum(map(_value_nbytes, value))
+    if kind is dict:        # a record of (field code, value) entries
+        return (FIELD_BYTES * len(value)
+                + sum(map(_value_nbytes, value.values())))
+    if kind is Response:    # a per-op response riding an MBATCH reply
+        return (SUBRESPONSE_BYTES + _value_nbytes(value.value)
+                + len(value.error))
+    try:                    # handles, numpy scalars: they declare a width
+        return int(value.nbytes)
+    except AttributeError:
+        raise ProtocolError(
+            f"response value of type {kind.__name__} has no declared "
+            "wire width") from None
+
+
 class Status(enum.IntEnum):
     """Response error codes."""
 
@@ -201,6 +310,23 @@ class Request:
                 not isinstance(self.trace, tuple) or len(self.trace) != 2):
             raise ProtocolError(f"invalid trace context: {self.trace!r}")
 
+    @property
+    def nbytes(self) -> int:
+        """Declared wire size: header + parameter block + records.
+
+        Independent of ``req_id``, ``attempt`` and the span contexts, so
+        neither the id stream nor tracing is a timing input.
+        """
+        op, params = self.op, self.params
+        n = REQUEST_HEADER_BYTES + _body_nbytes(op, params)
+        if op is Op.MBATCH:
+            for _sub_id, ops in params["reqs"]:
+                n += SUBFRAME_HEADER_BYTES
+                for wire_op, sub_params in ops:
+                    n += SUBOP_HEADER_BYTES + _body_nbytes(
+                        _OP_BY_WIRE[wire_op], sub_params)
+        return n
+
     def wire_sized(self) -> "Request":
         """The frame as measured for transfer-time accounting.
 
@@ -226,6 +352,12 @@ class Response:
     @property
     def ok(self) -> bool:
         return self.status == Status.OK
+
+    @property
+    def nbytes(self) -> int:
+        """Declared wire size: header + value (by shape) + error text."""
+        return (RESPONSE_HEADER_BYTES + _value_nbytes(self.value)
+                + len(self.error))
 
     def raise_for_status(self) -> None:
         """Raise the library exception matching a failure status."""
@@ -254,6 +386,9 @@ class AcceleratorHandle:
     ac_id: int
     daemon_rank: int
 
+    #: Declared wire width (two scalar fields).
+    nbytes: _t.ClassVar[int] = 2 * FIELD_BYTES
+
     def __post_init__(self) -> None:
         if self.ac_id < 0 or self.daemon_rank < 0:
             raise ProtocolError("invalid accelerator handle")
@@ -274,6 +409,9 @@ class VirtualAcceleratorHandle:
     ac_id: int
     daemon_rank: int
     tenant: str
+
+    #: Declared wire width (three scalar fields and the tenant name).
+    nbytes: _t.ClassVar[int] = 3 * FIELD_BYTES + NAME_BYTES
 
     def __post_init__(self) -> None:
         if self.vac_id <= 0 or self.ac_id < 0 or self.daemon_rank < 0:

@@ -6,11 +6,16 @@ For timing purposes every payload has a byte size:
 * numpy arrays report ``arr.nbytes`` and are copied at send time (MPI buffer
   semantics — the sender may reuse its buffer immediately after ``isend``
   returns, exactly like a buffered eager send);
-* ``bytes``/``bytearray``/``memoryview`` report their length;
+* ``bytes``/``bytearray`` report their length, a ``memoryview`` its
+  ``nbytes`` (its length counts elements, not bytes);
 * :class:`Phantom` wraps a declared size with no real data — used by the
   timing-only execution mode to move "10 million particles" without
   allocating them;
-* anything else is measured by its pickled size (control messages).
+* any other object that declares ``nbytes`` is taken at its word — the
+  middleware's control frames do (:mod:`repro.core.protocol` computes
+  their fixed-format size), so no frame of the protocol is serialised;
+* anything else (an arbitrary user payload) is measured by its pickled
+  size.
 """
 
 from __future__ import annotations
@@ -45,23 +50,14 @@ class Phantom:
 
 
 def payload_nbytes(payload: _t.Any) -> int:
-    """Byte size of ``payload`` for transfer-time accounting.
-
-    An object may define ``wire_sized()`` returning the value to measure
-    in its place — used by frames carrying out-of-band metadata (e.g. a
-    trace span context) that must not change simulated transfer times.
-    """
+    """Byte size of ``payload`` for transfer-time accounting."""
     if payload is None:
         return 0
-    if isinstance(payload, (Phantom, ChunkView)):
-        return payload.nbytes
-    if isinstance(payload, np.ndarray):
-        return int(payload.nbytes)
-    if isinstance(payload, (bytes, bytearray, memoryview)):
+    nbytes = getattr(payload, "nbytes", None)
+    if nbytes is not None:
+        return int(nbytes)
+    if isinstance(payload, (bytes, bytearray)):
         return len(payload)
-    sized = getattr(payload, "wire_sized", None)
-    if sized is not None:
-        payload = sized()
     return len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
 
 
