@@ -59,7 +59,6 @@ import json
 import sys
 import typing as _t
 
-from ..core.protocol import reset_request_ids
 from . import experiments as _exp
 
 #: Experiment name -> module with run()/check().
@@ -101,24 +100,12 @@ def _experiment(name: str) -> _t.Any:
     return mod
 
 
-def _launch(mod: _t.Any, quick: bool) -> _t.Any:
-    """Run one experiment from a fresh request-id stream.
-
-    Control frames are sized by pickling their request id, so an
-    experiment's virtual times depend on the ids it draws; restarting
-    the stream makes every launch in one process (``run all``, both
-    legs of ``trace --check-identity``) equal a launch in its own.
-    """
-    reset_request_ids()
-    return mod.run(quick=quick)
-
-
 def run_experiment(name: str, quick: bool = False, check: bool = True,
                    json_path: str | None = None,
                    out: _t.TextIO | None = None) -> None:
     out = out if out is not None else sys.stdout
     mod = _experiment(name)
-    fig = _launch(mod, quick)
+    fig = mod.run(quick=quick)
     out.write(fig.render() + "\n")
     if json_path:
         with open(json_path, "w") as fh:
@@ -138,7 +125,7 @@ def trace_experiment(name: str, quick: bool = False,
     out = out if out is not None else sys.stdout
     mod = _experiment(name)
     with trace_session() as session:
-        fig = _launch(mod, quick)
+        fig = mod.run(quick=quick)
     out.write(fig.render() + "\n")
     out.write(f"traced {session.span_count()} spans across "
               f"{len(session.collectors)} engine(s)\n")
@@ -153,7 +140,7 @@ def trace_experiment(name: str, quick: bool = False,
     if timeline:
         out.write(session.render_timeline() + "\n")
     if check_identity:
-        untraced = _launch(mod, quick)
+        untraced = mod.run(quick=quick)
         if fig.to_dict() != untraced.to_dict():
             raise SystemExit(
                 f"{name}: traced and untraced runs diverged — tracing "

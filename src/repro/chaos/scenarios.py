@@ -44,7 +44,6 @@ import numpy as np
 from ..cluster import Cluster, paper_testbed
 from ..core.discovery import Autoscaler, AutoscalerPolicy
 from ..core.faults import FaultInjector
-from ..core.protocol import reset_request_ids
 from ..core.reliability import FailoverConfig, RetryPolicy, tenant_accelerator
 from ..errors import AllocationError, ReproError, WorkloadError
 from ..mpisim import Phantom
@@ -483,7 +482,6 @@ def run(scenario: Scenario | str, cfg: ChaosConfig | None = None,
         cfg = scenario.tweak(cfg)
     if scenario.initial is not None:
         cfg = dataclasses.replace(cfg, initial_accelerators=scenario.initial)
-    reset_request_ids()
     rng = random.Random(cfg.seed)
     reg = MetricsRegistry()
 

@@ -44,7 +44,6 @@ from .protocol import (
     TAG_REQUEST,
     VirtualAcceleratorHandle,
     data_tag,
-    next_request_id,
     reply_tag,
 )
 from .reliability import (
@@ -129,7 +128,6 @@ __all__ = [
     "TAG_ARM",
     "reply_tag",
     "data_tag",
-    "next_request_id",
     "payload_meta",
     "slice_chunks",
     "assemble_chunks",

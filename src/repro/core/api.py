@@ -52,7 +52,6 @@ from .protocol import (
     TAG_REQUEST,
     VirtualAcceleratorHandle,
     data_tag,
-    next_request_id,
     reply_tag,
 )
 from .reliability import DEFAULT_RETRY, RetryPolicy, reliable_rpc
@@ -201,7 +200,7 @@ class RemoteAccelerator(AcceleratorLifecycle):
                                nbytes=nbytes, blocks=len(blocks),
                                protocol=cfg.name)
         with span:
-            req = Request(op=Op.MEMCPY_H2D, req_id=next_request_id(),
+            req = Request(op=Op.MEMCPY_H2D, req_id=next(self.rank.comm.ids),
                           reply_to=self.rank.index,
                           params={"dst": dst, "offset": int(offset),
                                   "blocks": blocks,
@@ -245,7 +244,7 @@ class RemoteAccelerator(AcceleratorLifecycle):
                                nbytes=int(nbytes), blocks=len(blocks),
                                protocol=cfg.name)
         with span:
-            req = Request(op=Op.MEMCPY_D2H, req_id=next_request_id(),
+            req = Request(op=Op.MEMCPY_D2H, req_id=next(self.rank.comm.ids),
                           reply_to=self.rank.index,
                           params={"src": src, "offset": int(offset),
                                   "blocks": blocks,
@@ -428,7 +427,7 @@ class RemoteAccelerator(AcceleratorLifecycle):
                 subs = yield from self.coalescer.submit(wire, span=span)
             else:
                 resp = yield from self._rpc(
-                    Op.MBATCH, {"reqs": [(next_request_id(), wire)]},
+                    Op.MBATCH, {"reqs": [(next(self.rank.comm.ids), wire)]},
                     span=span, sub_traces=[span.wire])
                 (subs,) = resp.value
             for (op, params), sub in zip(calls, subs):

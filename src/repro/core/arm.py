@@ -47,7 +47,6 @@ from .protocol import (
     TAG_ARM,
     TAG_REQUEST,
     VirtualAcceleratorHandle,
-    next_request_id,
     reply_tag,
 )
 from .reliability import DEFAULT_RETRY, RetryPolicy, reliable_rpc
@@ -646,7 +645,7 @@ class ResourceManager:
         if notify:
             record = self.records[lease.ac_id]
             self.rank.isend(record.daemon_rank, TAG_REQUEST, Request(
-                op=Op.VAC_REVOKE, req_id=next_request_id(),
+                op=Op.VAC_REVOKE, req_id=next(self.rank.comm.ids),
                 reply_to=self.rank.index,
                 params={"vac_id": vac_id, "oneway": True}))
 

@@ -135,9 +135,8 @@ class FrameCoalescer:
         :class:`~repro.core.protocol.Response` objects once the daemon's
         reply lands, or raises the carrier frame's failure.
         """
-        from .protocol import next_request_id
         ev = Event(self.engine)
-        self._pending.append(_SubFrame(next_request_id(), list(ops),
+        self._pending.append(_SubFrame(next(self.rank.comm.ids), list(ops),
                                        span.wire, ev))
         self.subs_in += 1
         self.ops_in += len(ops)

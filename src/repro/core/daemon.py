@@ -592,10 +592,10 @@ class Daemon:
             self.stats.stage(size)
             chunk = msg.payload
             is_real = not isinstance(chunk, Phantom)
-            # The received chunk is a view over the sender's buffer (or a
-            # snapshot when the zero-copy plane is off); the DMA engine
-            # models time only, so nothing is staged host-side — the one
-            # physical copy is the write into the device backing store.
+            # The received chunk is a view over the sender's buffer; the
+            # DMA engine models time only, so nothing is staged host-side —
+            # the one physical copy is the write into the device backing
+            # store.
             ev = self.gpu.dma.copy_view(chunk, pinned=pinned,
                                         ctx=self._cur_span.context)
 
@@ -691,7 +691,7 @@ class Daemon:
         that could service the incoming forwarded H2D — is itself
         blocked the same way.
         """
-        from .protocol import data_tag, next_request_id
+        from .protocol import data_tag
         p = req.params
         src_addr = p["src"]
         blocks: list[tuple[int, int]] = p["blocks"]
@@ -711,7 +711,7 @@ class Daemon:
         meta: ArrayMeta = None
         if is_real and alloc.dtype is not None and alloc.shape is not None:
             meta = (alloc.dtype.str, alloc.shape)
-        fwd_id = next_request_id()
+        fwd_id = next(self.rank.comm.ids)
         # The forwarded request carries this daemon's span context, so the
         # peer's H2D handling joins the same trace as the originating op.
         fwd = Request(op=Op.MEMCPY_H2D, req_id=fwd_id, reply_to=self.rank.index,

@@ -28,7 +28,7 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from .protocol import Op, Request, TAG_ARM, next_request_id
+from .protocol import Op, Request, TAG_ARM
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from ..obs import MetricsRegistry
@@ -116,7 +116,7 @@ class DiscoveryAgent:
         self._proc = None
         if reason is not None and not self.daemon.crashed:
             self.daemon.rank.isend(self.arm_rank, TAG_ARM, Request(
-                op=Op.ARM_LEAVE, req_id=next_request_id(),
+                op=Op.ARM_LEAVE, req_id=next(self.daemon.rank.comm.ids),
                 reply_to=self.daemon.rank.index,
                 params={"ac_id": self.ac_id, "reason": reason,
                         "oneway": True}))
@@ -151,7 +151,7 @@ class DiscoveryAgent:
             d = self.daemon
             if not (d.crashed or self.paused):
                 self.daemon.rank.isend(self.arm_rank, TAG_ARM, Request(
-                    op=Op.ARM_REPORT, req_id=next_request_id(),
+                    op=Op.ARM_REPORT, req_id=next(d.rank.comm.ids),
                     reply_to=d.rank.index, params=self.report().params()))
                 self.reports_sent += 1
             # A straggler publishes late: its reports age out via the

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import typing as _t
 
-from .protocol import Op, Request, Status, TAG_ARM, next_request_id
+from .protocol import Op, Request, Status, TAG_ARM
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from ..cluster.builder import Cluster
@@ -206,7 +206,7 @@ class FaultInjector:
         # The notification is sent from the accelerator's own rank (its
         # management agent); the reply is consumed by a helper process.
         daemon = self.cluster.daemons[ac_id]
-        req = Request(op=op, req_id=next_request_id(),
+        req = Request(op=op, req_id=next(daemon.rank.comm.ids),
                       reply_to=daemon.rank.index, params={"ac_id": ac_id})
         daemon.rank.isend(self.cluster.arm_rank_index, TAG_ARM, req)
 

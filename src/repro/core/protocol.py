@@ -12,13 +12,15 @@ Tag layout (all below the simulated-MPI collective tag space):
 * ``TAG_ARM`` — requests to the accelerator resource manager,
 * ``reply_tag(req_id)`` — the unique response tag of one request,
 * ``data_tag(req_id)`` — the unique bulk-data tag of one request.
+
+Request ids are drawn from the communicator the frames travel on
+(``next(rank.comm.ids)``): unique per cluster, starting at 1.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import itertools
 import typing as _t
 
 from ..errors import ProtocolError
@@ -31,26 +33,14 @@ _REPLY_SPAN = 290_000
 _DATA_BASE = 300_000
 _DATA_SPAN = 700_000
 
-#: Global request-id source; uniqueness only matters per (src, dst) pair
-#: and per in-flight window, which this amply provides.
-_req_ids = itertools.count(1)
-
-
-def next_request_id() -> int:
-    return next(_req_ids)
-
-
 def reset_request_ids() -> None:
-    """Restart the request-id stream at 1 (for test harnesses).
+    """Do nothing; kept only for the frozen benchmark harness.
 
-    Control frames are sized by pickling and a pickled int grows with
-    its magnitude, so *absolute* virtual times are only comparable
-    across two independently built rigs when both draw the same id
-    sequence.  The A/B identity harness resets before each run;
-    production code never calls this.
+    ``benchmarks/e2e/harness.py`` imports and calls this before every
+    repetition and may not be edited.  Request ids are per cluster (a
+    communicator's ``ids``) and frame sizes do not depend on them, so
+    there is no process-wide stream left to restart.
     """
-    global _req_ids
-    _req_ids = itertools.count(1)
 
 
 def reply_tag(req_id: int) -> int:
@@ -326,18 +316,6 @@ class Request:
                     n += SUBOP_HEADER_BYTES + _body_nbytes(
                         _OP_BY_WIRE[wire_op], sub_params)
         return n
-
-    def wire_sized(self) -> "Request":
-        """The frame as measured for transfer-time accounting.
-
-        The span contexts (frame-level and per-sub-frame) are out-of-band
-        observability metadata: they must not change the simulated wire
-        size, or enabling tracing would perturb the virtual timeline
-        (tracing on/off is asserted to be bit-identical).
-        """
-        if self.trace is None and self.sub_traces is None:
-            return self
-        return dataclasses.replace(self, trace=None, sub_traces=None)
 
 
 @dataclasses.dataclass

@@ -50,7 +50,6 @@ from .protocol import (
     Request,
     Response,
     RETRYABLE_OPS,
-    next_request_id,
     reply_tag,
 )
 from .transfer import as_flat_bytes, payload_meta
@@ -126,7 +125,7 @@ def reliable_rpc(rank: RankHandle, dst: int, tag: int, op: Op, params: dict,
     if span is None:
         span = NULL_SPAN
     engine = rank.comm.engine
-    req_id = next_request_id()
+    req_id = next(rank.comm.ids)
     rreq = rank.irecv(source=dst, tag=reply_tag(req_id))
     attempts = policy.max_attempts if (timeout_s is not None
                                        and op in RETRYABLE_OPS) else 1

@@ -18,6 +18,7 @@ the whole middleware stack moves genuine bytes during correctness tests.
 
 from __future__ import annotations
 
+import itertools
 import typing as _t
 
 from ..errors import MPIError
@@ -169,6 +170,10 @@ class Communicator:
         self._send_seq: dict[tuple[int, int], int] = {}
         self._match_seq: dict[tuple[int, int], int] = {}
         self._held: dict[tuple[int, int], dict[int, _Arrival]] = {}
+        #: Ids unique within this communicator, for protocols layered on
+        #: it: the middleware numbers its requests here (hence its reply
+        #: and data tags), so every cluster starts at 1.
+        self.ids = itertools.count(1)
 
     @property
     def size(self) -> int:

@@ -27,7 +27,6 @@ import numpy as np
 
 from ..cluster import Cluster, ClusterSpec
 from ..core.collectives import ring_allreduce, ring_broadcast
-from ..core.protocol import reset_request_ids
 from ..errors import MiddlewareError
 from ..netsim import TopologySpec
 
@@ -142,7 +141,6 @@ def run_once(cfg: CollectiveConfig, mode: str) -> ModeResult:
     """One collective on a fresh cluster over the given transport."""
     if mode not in MODES:
         raise MiddlewareError(f"unknown collective mode {mode!r}")
-    reset_request_ids()
     n = cfg.devices
     cluster = Cluster(ClusterSpec(n_compute=1, n_accelerators=n,
                                   topology=cfg.topology_spec()))

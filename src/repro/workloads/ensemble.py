@@ -29,7 +29,6 @@ import numpy as np
 
 from ..cluster import Cluster, paper_testbed
 from ..core.api import run_parallel
-from ..core.protocol import reset_request_ids
 from ..errors import WorkloadError
 from ..jobs import JobService, JobSpec, JobState
 from ..obs import MetricsRegistry
@@ -296,7 +295,6 @@ def generate_specs(cfg: EnsembleConfig) -> list[JobSpec]:
 def run(cfg: EnsembleConfig | None = None) -> EnsembleReport:
     """Build a cluster + job service, drive the ensemble, report."""
     cfg = cfg or EnsembleConfig()
-    reset_request_ids()
     cluster = Cluster(paper_testbed(n_compute=cfg.n_gateways,
                                     n_accelerators=cfg.n_accelerators))
     cluster.arm.admission.slots_per_device = cfg.slots_per_device

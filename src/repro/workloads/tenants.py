@@ -31,7 +31,6 @@ import random
 import typing as _t
 
 from ..cluster import Cluster, paper_testbed
-from ..core.protocol import reset_request_ids
 from ..core.reliability import FailoverConfig, tenant_accelerator
 from ..core.scheduler import TenantSpec, jain_fairness
 from ..errors import AllocationError, MiddlewareError
@@ -179,7 +178,6 @@ def _one_request(cluster: Cluster, arm, make_remote, tenant_id: str,
 def run(cfg: TenantWorkloadConfig | None = None) -> TenantWorkloadReport:
     """Build a cluster, drive the open-loop tenant population, report."""
     cfg = cfg or TenantWorkloadConfig()
-    reset_request_ids()
     rng = random.Random(cfg.seed)
     cluster = Cluster(paper_testbed(n_compute=cfg.n_gateways,
                                     n_accelerators=cfg.n_accelerators))

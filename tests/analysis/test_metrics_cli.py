@@ -99,16 +99,16 @@ class TestCli:
 
     @pytest.mark.parametrize("name", ["fig06", "fig09", "ext_async"])
     def test_launches_in_one_process_agree(self, name):
-        """Traced == untraced == a second untraced run: every launch
-        restarts the request-id stream, so frame sizes (and with them
-        virtual times) do not depend on what ran earlier in the process."""
-        from repro.analysis.cli import _launch
+        """Traced == untraced == a second untraced run, with no reset in
+        between: request ids are per cluster and are not a size input, so
+        virtual times do not depend on what ran earlier in the process."""
         from repro.obs import trace_session
         mod = EXPERIMENTS[name]
         with trace_session():
-            traced = _launch(mod, quick=True).to_dict()
-        assert _launch(mod, quick=True).to_dict() == traced
-        assert _launch(mod, quick=True).to_dict() == traced
+            traced = mod.run(quick=True).to_dict()
+        assert mod.run(quick=True).to_dict() == traced
+        EXPERIMENTS["ext_batch"].run(quick=True)    # unrelated traffic
+        assert mod.run(quick=True).to_dict() == traced
 
     def test_main_list(self, capsys):
         assert main(["list"]) == 0

@@ -15,7 +15,6 @@ from repro.core import (
     Request,
     Status,
     TAG_ARM,
-    next_request_id,
     reply_tag,
 )
 from repro.errors import AllocationError
@@ -23,7 +22,7 @@ from repro.errors import AllocationError
 
 def _shutdown_arm(cluster, sess):
     rank = cluster.compute_rank(0)
-    req_id = next_request_id()
+    req_id = next(rank.comm.ids)
     rank.isend(cluster.arm_rank_index, TAG_ARM,
                Request(op=Op.SHUTDOWN, req_id=req_id, reply_to=rank.index))
     msg = sess.call(rank.recv(source=cluster.arm_rank_index,

@@ -13,7 +13,6 @@ from repro.core import (
     Op,
     Request,
     TAG_REQUEST,
-    next_request_id,
     reply_tag,
 )
 from repro.core.coalesce import FrameCoalescer
@@ -95,8 +94,8 @@ class TestMbatchDedup:
         cluster, sess, ac, _ = rig
         daemon = cluster.daemons[ac.handle.ac_id]
         scope = dict(ac._scope)
-        req_id = next_request_id()
-        reqs = [(next_request_id(),
+        req_id = next(cluster.comm.ids)
+        reqs = [(next(cluster.comm.ids),
                  [(Op.MEM_ALLOC.value, {"nbytes": 256, **scope})])
                 for _ in range(3)]
         first = self._exchange(cluster, sess, ac.handle.daemon_rank,
@@ -125,8 +124,8 @@ class TestMbatchDedup:
             cluster, sess, ac, _ = make_rig()
             daemon = cluster.daemons[ac.handle.ac_id]
             scope = dict(ac._scope)
-            mb_id = next_request_id()
-            reqs = [(next_request_id(),
+            mb_id = next(cluster.comm.ids)
+            reqs = [(next(cluster.comm.ids),
                      [(Op.MEM_ALLOC.value, {"nbytes": 64, **scope})] * ops)
                     for _ in range(riders)]
             self._exchange(cluster, sess, ac.handle.daemon_rank,
@@ -135,7 +134,7 @@ class TestMbatchDedup:
             # Three plain allocs push the weight past 8: the 6-op frame
             # is evicted first (FIFO), leaving only the plain entries.
             for _ in range(3):
-                req = Request(op=Op.MEM_ALLOC, req_id=next_request_id(),
+                req = Request(op=Op.MEM_ALLOC, req_id=next(cluster.comm.ids),
                               reply_to=0, params={"nbytes": 64, **scope})
                 self._exchange(cluster, sess, ac.handle.daemon_rank, req)
             assert mb_id not in daemon._dedup

@@ -9,7 +9,6 @@ from repro.core import (
     Op,
     Request,
     TAG_REQUEST,
-    next_request_id,
     pipeline,
     reply_tag,
 )
@@ -183,14 +182,14 @@ class TestDedupCacheEviction:
         ac = acs[0]
         daemon = cluster.daemons[ac.handle.ac_id]
 
-        first_id = next_request_id()
+        first_id = next(cluster.comm.ids)
         first = sess.call(self._exchange(cluster, ac, first_id, attempt=0))
         assert first.ok
 
         # Fill the cache with enough newer entries to push first_id out.
         last_id = None
         for _ in range(DEDUP_CACHE_SIZE):
-            last_id = next_request_id()
+            last_id = next(cluster.comm.ids)
             sess.call(self._exchange(cluster, ac, last_id, attempt=0))
         assert len(daemon._dedup) == DEDUP_CACHE_SIZE
         assert first_id not in daemon._dedup
@@ -217,5 +216,5 @@ class TestDedupCacheEviction:
         ac = acs[0]
         daemon = cluster.daemons[ac.handle.ac_id]
         for _ in range(DEDUP_CACHE_SIZE + 7):
-            sess.call(self._exchange(cluster, ac, next_request_id(), attempt=0))
+            sess.call(self._exchange(cluster, ac, next(cluster.comm.ids), attempt=0))
         assert len(daemon._dedup) == DEDUP_CACHE_SIZE

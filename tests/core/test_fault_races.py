@@ -25,7 +25,6 @@ from repro.core import (
     Op,
     Request,
     TenantSpec,
-    next_request_id,
 )
 from repro.core.arm import AcceleratorState
 from repro.core.daemon import _Tombstone
@@ -144,7 +143,7 @@ class TestRevokeRacingAttach:
         # The revoke wins the race: it reaches the daemon first.
         cluster.arm.rank.isend(
             cluster.arm.records[vac.ac_id].daemon_rank, TAG_REQUEST,
-            Request(op=Op.VAC_REVOKE, req_id=next_request_id(),
+            Request(op=Op.VAC_REVOKE, req_id=next(cluster.comm.ids),
                     reply_to=cluster.arm.rank.index,
                     params={"vac_id": vac.vac_id, "oneway": True}))
         cluster.run(until=cluster.engine.now + 1e-3)

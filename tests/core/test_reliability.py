@@ -14,7 +14,6 @@ from repro.core import (
     RetryPolicy,
     RETRYABLE_OPS,
     TAG_REQUEST,
-    next_request_id,
     reply_tag,
 )
 from repro.errors import AcceleratorFault, MiddlewareError, RequestTimeout
@@ -145,7 +144,7 @@ class TestDaemonDedup:
         cluster, sess, _ = rig
         handles = sess.call(cluster.arm_client(0).alloc(count=1))
         daemon = cluster.daemons[handles[0].ac_id]
-        req_id = next_request_id()
+        req_id = next(cluster.comm.ids)
         req = Request(op=Op.MEM_ALLOC, req_id=req_id, reply_to=0,
                       params={"nbytes": 4096})
         first = self._exchange(cluster, sess, handles[0].daemon_rank, req)
@@ -163,7 +162,7 @@ class TestDaemonDedup:
         handles = sess.call(cluster.arm_client(0).alloc(count=1))
         daemon = cluster.daemons[handles[0].ac_id]
         for _ in range(2):
-            req = Request(op=Op.MEM_ALLOC, req_id=next_request_id(),
+            req = Request(op=Op.MEM_ALLOC, req_id=next(cluster.comm.ids),
                           reply_to=0, params={"nbytes": 4096})
             self._exchange(cluster, sess, handles[0].daemon_rank, req)
         assert daemon.gpu.memory.used_bytes == 2 * 4096

@@ -18,11 +18,9 @@ from repro.core import (
     Request,
     RetryPolicy,
     TAG_REQUEST,
-    next_request_id,
     reply_tag,
 )
 from repro.core.coalesce import FrameCoalescer
-from repro.core.protocol import reset_request_ids
 from repro.errors import AcceleratorFault, KernelError, MiddlewareError
 
 
@@ -47,7 +45,6 @@ def travel_rig(travel):
     Returns ``(cluster, sess, ac, daemon, send)``; ``send(calls)`` runs
     ``ac.batch_rpc(calls)`` to completion and returns its responses.
     """
-    reset_request_ids()     # frames are sized by their pickled ids
     cluster = Cluster(paper_testbed(n_compute=1, n_accelerators=1))
     sess = cluster.session()
     (handle,) = sess.call(cluster.arm_client(0).alloc(count=1))
@@ -192,8 +189,8 @@ class TestBatchFrame:
 
         for n, riders in enumerate((1, 2), start=1):
             # The frame as batch_rpc (one rider) or a coalescer (two) builds it.
-            req = Request(op=Op.MBATCH, req_id=next_request_id(), reply_to=0,
-                          params={"reqs": [(next_request_id(), ops)
+            req = Request(op=Op.MBATCH, req_id=next(cluster.comm.ids), reply_to=0,
+                          params={"reqs": [(next(cluster.comm.ids), ops)
                                            for _ in range(riders)]})
             first = sess.call(exchange(req))
             used = daemon.gpu.memory.used_bytes

@@ -488,13 +488,9 @@ def run_memcpy_traced(seed: int, n_ops: int = 24):
     Returns ``(outcome, timeline)``.  The rig is built inside the trace
     session so every engine's spans are captured.
     """
-    from repro.core.protocol import reset_request_ids
     from repro.obs import trace_session
 
     program = generate_memcpy_program(seed, n_ops)
-    # Pickled control frames grow with the request id's magnitude, so
-    # absolute times only line up when both runs draw the same ids.
-    reset_request_ids()
     with trace_session() as session:
         cluster, sess, ac = make_remote_rig()
         outcome = sess.call(run_memcpy(cluster.engine, ac, program))
@@ -776,13 +772,11 @@ def run_peer_modes(seed: int, n_ops: int = 16, n_devices: int = 3,
     the same oracle covers single-switch and multi-switch fabrics.
     """
     from repro.cluster import ClusterSpec
-    from repro.core.protocol import reset_request_ids
 
     program = generate_peer_program(seed, n_ops, n_devices)
     expected = expected_peer_results(program)
     outcomes: dict[str, RunOutcome] = {}
     for mode in ("p2p", "staged"):
-        reset_request_ids()
         cluster = Cluster(ClusterSpec(n_compute=1, n_accelerators=n_devices,
                                       topology=topology))
         sess = cluster.session()

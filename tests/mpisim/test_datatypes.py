@@ -19,6 +19,19 @@ class TestPayloadNbytes:
         assert payload_nbytes(bytearray(7)) == 7
         assert payload_nbytes(memoryview(b"12345")) == 5
 
+    def test_typed_memoryview_counts_bytes_not_elements(self):
+        # Regression: len() of a typed view is its element count (4), but
+        # copy_for_send charges the same object view.nbytes (32).
+        view = memoryview(np.zeros(4))
+        assert len(view) == 4
+        assert payload_nbytes(view) == view.nbytes == 32
+
+    def test_declared_nbytes_is_taken_at_its_word(self):
+        class Framed:
+            nbytes = 77
+
+        assert payload_nbytes(Framed()) == 77
+
     def test_phantom(self):
         assert payload_nbytes(Phantom(10**9)) == 10**9
 

@@ -14,7 +14,6 @@ import pytest
 
 from repro.buffers import copy_stats
 from repro.cluster import Cluster, paper_testbed
-from repro.core.protocol import reset_request_ids
 from repro.mpisim import Phantom
 
 from .harness import (
@@ -30,7 +29,6 @@ MEMCPY_SEEDS = [0, 1, 2, 3, 4, 7, 42, 1234]
 
 
 def _run_untraced(seed):
-    reset_request_ids()
     cluster, sess, ac = make_remote_rig()
     return sess.call(run_memcpy(cluster.engine, ac,
                                 generate_memcpy_program(seed)))
