@@ -35,7 +35,7 @@ import typing as _t
 
 from ..errors import MiddlewareError, RequestTimeout
 from ..mpisim import RankHandle, payload_nbytes
-from ..obs.spans import collector_for
+from ..obs.spans import NULL_SPAN, collector_for
 from .blocksize import DEFAULT_TRANSFER, TransferConfig
 from .interface import (
     AcceleratorLifecycle,
@@ -108,7 +108,7 @@ class RemoteAccelerator(AcceleratorLifecycle):
         return cfg
 
     def _rpc(self, op: Op, params: dict, timeout_s: float | None = None,
-             span=None, sub_traces: list | None = None):
+             span=NULL_SPAN, sub_traces: list | None = None):
         """One request/response round trip (generator). Returns Response.
 
         With a timeout (explicit or from the retry policy), the reply is
@@ -200,17 +200,17 @@ class RemoteAccelerator(AcceleratorLifecycle):
                                nbytes=nbytes, blocks=len(blocks),
                                protocol=cfg.name)
         with span:
-            req = Request(op=Op.MEMCPY_H2D, req_id=next(self.rank.comm.ids),
+            req_id = next(self.rank.comm.ids)
+            dtag = data_tag(req_id)
+            req = Request(op=Op.MEMCPY_H2D, req_id=req_id,
                           reply_to=self.rank.index,
                           params={"dst": dst, "offset": int(offset),
                                   "blocks": blocks,
-                                  "data_tag": 0, "pinned": cfg.pinned,
+                                  "data_tag": dtag, "pinned": cfg.pinned,
                                   "gpudirect": cfg.gpudirect,
                                   "meta": payload_meta(payload) if offset == 0 else None,
                                   **self._scope},
                           trace=span.wire)
-            dtag = data_tag(req.req_id)
-            req.params["data_tag"] = dtag
             self.requests += 1
             reply = self.rank.irecv(source=self.handle.daemon_rank,
                                     tag=reply_tag(req.req_id))
@@ -244,17 +244,17 @@ class RemoteAccelerator(AcceleratorLifecycle):
                                nbytes=int(nbytes), blocks=len(blocks),
                                protocol=cfg.name)
         with span:
-            req = Request(op=Op.MEMCPY_D2H, req_id=next(self.rank.comm.ids),
+            req_id = next(self.rank.comm.ids)
+            dtag = data_tag(req_id)
+            req = Request(op=Op.MEMCPY_D2H, req_id=req_id,
                           reply_to=self.rank.index,
                           params={"src": src, "offset": int(offset),
                                   "blocks": blocks,
-                                  "data_tag": 0, "pinned": cfg.pinned,
+                                  "data_tag": dtag, "pinned": cfg.pinned,
                                   "gpudirect": cfg.gpudirect,
                                   "block_post_s": cfg.d2h_block_post_s,
                                   **self._scope},
                           trace=span.wire)
-            dtag = data_tag(req.req_id)
-            req.params["data_tag"] = dtag
             self.requests += 1
             # Pre-post all block receives (the protocol knows the block
             # count), then issue the request.

@@ -34,13 +34,9 @@ _DATA_BASE = 300_000
 _DATA_SPAN = 700_000
 
 def reset_request_ids() -> None:
-    """Do nothing; kept only for the frozen benchmark harness.
-
-    ``benchmarks/e2e/harness.py`` imports and calls this before every
-    repetition and may not be edited.  Request ids are per cluster (a
-    communicator's ``ids``) and frame sizes do not depend on them, so
-    there is no process-wide stream left to restart.
-    """
+    """Do nothing; kept only for the frozen benchmark harness, which
+    calls it before every repetition (ids are per cluster and sizes do
+    not depend on them, so there is no stream left to restart)."""
 
 
 def reply_tag(req_id: int) -> int:
@@ -147,71 +143,38 @@ BATCHABLE_OPS = frozenset({
 
 
 # -- wire sizes -----------------------------------------------------------
-# A control frame has a fixed format, so its size is a function of its op
-# and of how many variable-length records it carries, never of an object
-# serialiser, of the magnitude of a request id, or of out-of-band metadata
-# (the span contexts in ``trace`` / ``sub_traces`` have no width at all).
-# The widths are calibrated: each frame lands within a few bytes of what
-# it measured on the wire before sizes were declared (DESIGN.md
+# A control frame has a fixed format: its size is a function of its op and
+# of how many variable-length records it carries, never of a serialiser,
+# of a request id's magnitude, or of the span contexts riding out of band
+# (``trace`` / ``sub_traces`` have no width).  The widths are calibrated
+# to what each frame measured while sizes were still pickled (DESIGN.md
 # section 10 prints the comparison).
+REQUEST_HEADER_BYTES = 152    # op, id, reply rank, attempt, lease scope
+RESPONSE_HEADER_BYTES = 112   # id, status, value shape
+BLOCK_BYTES = 12              # one (offset, length) block descriptor
+ARG_BYTES = 8                 # one kernel launch argument
+SUBFRAME_HEADER_BYTES = 24    # one MBATCH rider: sub-frame id, op count, scope
+SUBOP_HEADER_BYTES = 16       # one op inside a rider: op code, param length
+SUBRESPONSE_BYTES = 16        # one per-op response inside an MBATCH reply
+FIELD_BYTES = 8               # a scalar; a list's count; a dict entry's code
 
-#: Fixed part of every :class:`Request`: op code, request id, reply rank,
-#: attempt, lease scope and the envelope around them.
-REQUEST_HEADER_BYTES = 152
-#: Fixed part of every :class:`Response`: request id, status, value shape.
-RESPONSE_HEADER_BYTES = 112
-#: One ``(offset, length)`` block descriptor of a transfer plan.
-BLOCK_BYTES = 12
-#: One kernel launch argument.
-ARG_BYTES = 8
-#: One rider of an MBATCH frame (sub-frame id, op count, lease scope) ...
-SUBFRAME_HEADER_BYTES = 24
-#: ... and each control op inside it (op code, parameter length).
-SUBOP_HEADER_BYTES = 16
-#: A per-op response riding an MBATCH reply (sub-frame id, status).
-SUBRESPONSE_BYTES = 16
-#: One fixed-width name field (a tenant inside a lease handle).
-NAME_BYTES = 32
-#: One scalar field; also the count in front of a variable-length list
-#: and the field code of a dict entry.
-FIELD_BYTES = 8
-
-#: Width of each op's fixed parameter block.  Exhaustive on purpose: an
-#: op without an entry cannot be sized (``KeyError``), so adding an
-#: :class:`Op` member means declaring its width here.
+#: Width of each op's fixed parameter block, grouped by width.  Exhaustive
+#: on purpose: an op without an entry cannot be sized (``KeyError``), so
+#: adding an :class:`Op` member means declaring its width here.
 PARAM_BYTES: dict[Op, int] = {
-    Op.MEM_ALLOC: 16,
-    Op.MEM_FREE: 16,
-    Op.MEMCPY_H2D: 88,      # + BLOCK_BYTES per block
-    Op.MEMCPY_D2H: 104,     # + BLOCK_BYTES per block
-    Op.KERNEL_CREATE: 32,
-    Op.KERNEL_RUN: 40,      # + ARG_BYTES per launch argument
-    Op.PEER_PUT: 104,       # + BLOCK_BYTES per block
-    Op.PING: 0,
-    Op.MBATCH: 0,           # + its riders' sub-frames
-    Op.SHUTDOWN: 0,
-    Op.ARM_ALLOC: 32,
-    Op.ARM_RELEASE: 24,
-    Op.ARM_STATUS: 0,
-    Op.ARM_BREAK: 16,
-    Op.ARM_REPAIR: 16,
-    Op.ARM_TENANT: 88,
-    Op.ARM_VALLOC: 40,
-    Op.ARM_VRELEASE: 40,
+    **dict.fromkeys((Op.PING, Op.SHUTDOWN, Op.ARM_STATUS,
+                     Op.MBATCH), 0),            # MBATCH: + its sub-frames
+    **dict.fromkeys((Op.MEM_ALLOC, Op.MEM_FREE, Op.ARM_BREAK,
+                     Op.ARM_REPAIR), 16),
+    **dict.fromkeys((Op.ARM_RELEASE, Op.VAC_DETACH, Op.VAC_REVOKE), 24),
+    **dict.fromkeys((Op.KERNEL_CREATE, Op.ARM_ALLOC), 32),
+    **dict.fromkeys((Op.ARM_VALLOC, Op.ARM_VRELEASE, Op.ARM_LEAVE), 40),
+    Op.KERNEL_RUN: 40,                          # + ARG_BYTES per argument
     Op.VAC_ATTACH: 56,
-    Op.VAC_DETACH: 24,
-    Op.VAC_REVOKE: 24,
+    Op.ARM_TENANT: 88,
+    Op.MEMCPY_H2D: 88,                          # + BLOCK_BYTES per block
+    **dict.fromkeys((Op.MEMCPY_D2H, Op.PEER_PUT), 104),         # likewise
     Op.ARM_REPORT: 120,
-    Op.ARM_LEAVE: 40,
-}
-
-#: The variable-length records an op carries after its parameter block:
-#: the ``params`` key holding them and the width of one.
-_RECORDS: dict[Op, tuple[str, int]] = {
-    Op.MEMCPY_H2D: ("blocks", BLOCK_BYTES),
-    Op.MEMCPY_D2H: ("blocks", BLOCK_BYTES),
-    Op.PEER_PUT: ("blocks", BLOCK_BYTES),
-    Op.KERNEL_RUN: ("params", ARG_BYTES),
 }
 
 #: Sub-frames name their ops by wire value (``op.value``).
@@ -221,10 +184,10 @@ _OP_BY_WIRE: dict[str, Op] = {op.value: op for op in Op}
 def _body_nbytes(op: Op, params: dict) -> int:
     """Parameter block plus variable-length records of one op."""
     n = PARAM_BYTES[op]
-    records = _RECORDS.get(op)
-    if records is not None:
-        key, width = records
-        n += width * len(params.get(key) or ())
+    if op is Op.KERNEL_RUN:
+        n += ARG_BYTES * len(params.get("params") or ())
+    elif "blocks" in params:
+        n += BLOCK_BYTES * len(params["blocks"])
     return n
 
 
@@ -302,11 +265,7 @@ class Request:
 
     @property
     def nbytes(self) -> int:
-        """Declared wire size: header + parameter block + records.
-
-        Independent of ``req_id``, ``attempt`` and the span contexts, so
-        neither the id stream nor tracing is a timing input.
-        """
+        """Declared wire size: header + parameter block + records."""
         op, params = self.op, self.params
         n = REQUEST_HEADER_BYTES + _body_nbytes(op, params)
         if op is Op.MBATCH:
@@ -388,8 +347,8 @@ class VirtualAcceleratorHandle:
     daemon_rank: int
     tenant: str
 
-    #: Declared wire width (three scalar fields and the tenant name).
-    nbytes: _t.ClassVar[int] = 3 * FIELD_BYTES + NAME_BYTES
+    #: Declared wire width (three scalar fields, a 32 B tenant name).
+    nbytes: _t.ClassVar[int] = 3 * FIELD_BYTES + 32
 
     def __post_init__(self) -> None:
         if self.vac_id <= 0 or self.ac_id < 0 or self.daemon_rank < 0:

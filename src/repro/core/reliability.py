@@ -104,8 +104,8 @@ DEFAULT_RETRY = RetryPolicy()
 
 
 def reliable_rpc(rank: RankHandle, dst: int, tag: int, op: Op, params: dict,
-                 policy: RetryPolicy, timeout_s: float | None,
-                 stats: _t.Any = None, span=None, sub_traces: list | None = None):
+                 policy: RetryPolicy, timeout_s: float | None, stats: _t.Any,
+                 span=NULL_SPAN, sub_traces: list | None = None):
     """One request/reply exchange with timeout + retry (generator).
 
     Posts a single reply receive, then sends the request up to
@@ -115,23 +115,20 @@ def reliable_rpc(rank: RankHandle, dst: int, tag: int, op: Op, params: dict,
     :class:`Response` (``raise_for_status`` is the caller's job); raises
     :class:`RequestTimeout` when every deadline expired.
 
-    ``stats`` may provide ``requests`` / ``timeouts`` integer attributes
-    to be incremented (the front-end passes itself).  ``span`` is the
+    ``stats`` has ``requests`` / ``timeouts`` integer attributes to
+    increment (the front-end passes itself).  ``span`` is the
     caller's open trace span: its context rides each request frame and
     timeouts / resends are recorded as span events.  ``sub_traces``
     (MBATCH frames) rides each send too, so retried merged frames keep
     their per-sub-frame span parenting.
     """
-    if span is None:
-        span = NULL_SPAN
     engine = rank.comm.engine
     req_id = next(rank.comm.ids)
     rreq = rank.irecv(source=dst, tag=reply_tag(req_id))
     attempts = policy.max_attempts if (timeout_s is not None
                                        and op in RETRYABLE_OPS) else 1
     for attempt in range(attempts):
-        if stats is not None:
-            stats.requests += 1
+        stats.requests += 1
         if attempt:
             span.event("retry", attempt=attempt, req_id=req_id)
         rank.isend(dst, tag, Request(op=op, req_id=req_id,
@@ -147,8 +144,7 @@ def reliable_rpc(rank: RankHandle, dst: int, tag: int, op: Op, params: dict,
             if not dl.processed:
                 dl.cancel()
             break
-        if stats is not None:
-            stats.timeouts += 1
+        stats.timeouts += 1
         span.event("timeout", attempt=attempt, deadline_s=timeout_s)
         if attempt + 1 < attempts:
             yield engine.timeout(policy.backoff_s(attempt))

@@ -170,9 +170,8 @@ class Communicator:
         self._send_seq: dict[tuple[int, int], int] = {}
         self._match_seq: dict[tuple[int, int], int] = {}
         self._held: dict[tuple[int, int], dict[int, _Arrival]] = {}
-        #: Ids unique within this communicator, for protocols layered on
-        #: it: the middleware numbers its requests here (hence its reply
-        #: and data tags), so every cluster starts at 1.
+        #: Ids unique within this communicator: the middleware numbers its
+        #: requests (hence reply and data tags) here, from 1 per cluster.
         self.ids = itertools.count(1)
 
     @property

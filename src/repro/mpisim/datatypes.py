@@ -11,11 +11,9 @@ For timing purposes every payload has a byte size:
 * :class:`Phantom` wraps a declared size with no real data — used by the
   timing-only execution mode to move "10 million particles" without
   allocating them;
-* any other object that declares ``nbytes`` is taken at its word — the
-  middleware's control frames do (:mod:`repro.core.protocol` computes
-  their fixed-format size), so no frame of the protocol is serialised;
-* anything else (an arbitrary user payload) is measured by its pickled
-  size.
+* any other object that declares ``nbytes`` is taken at its word (the
+  middleware's control frames: :mod:`repro.core.protocol`);
+* anything else (an arbitrary user payload) by its pickled size.
 """
 
 from __future__ import annotations
@@ -68,9 +66,7 @@ def copy_for_send(payload: _t.Any) -> _t.Any:
     A :class:`~repro.buffers.ChunkView` is an *ownership transfer*, not a
     copy: the view is immutable by contract and its backing buffer is
     loaned to the transport until delivery, so "MPI copies at send time"
-    costs nothing physical on the zero-copy plane.  Mutable containers
-    are shallow-copied via pickle round-trip only when small (control
-    messages); large mutable structures should be arrays.
+    costs nothing physical.  Anything else passes through as is.
     """
     if isinstance(payload, ChunkView):
         return payload

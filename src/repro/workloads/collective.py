@@ -12,9 +12,9 @@ historical staged path through the driving compute node
   the P2P plane exists to deliver) and bytes on inter-switch trunks;
 * ring hop counts, showing what topology-aware placement buys.
 
-Deterministic: same :class:`CollectiveConfig` ⇒ same digest (request ids
-are reset per run, inputs come from a seeded generator, and the ring
-schedule fixes the accumulation order independent of transport timing).
+Deterministic: same :class:`CollectiveConfig` ⇒ same digest (inputs come
+from a seeded generator, and the ring schedule fixes the accumulation
+order independent of transport timing).
 """
 
 from __future__ import annotations
