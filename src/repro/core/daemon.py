@@ -32,7 +32,9 @@ from ..errors import DeviceMemoryError, GPUError, KernelError
 from ..mpisim import Phantom, RankHandle
 from ..obs.spans import NULL_SPAN, collector_for, context_from_wire
 from ..sim import Event
-from .protocol import DEDUP_OPS, Op, Request, Response, Status, TAG_REQUEST, reply_tag
+from .protocol import (
+    DEDUP_OPS, Op, Request, Response, Status, TAG_REQUEST, data_tag, reply_tag,
+)
 from .transfer import ArrayMeta
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -691,7 +693,6 @@ class Daemon:
         that could service the incoming forwarded H2D — is itself
         blocked the same way.
         """
-        from .protocol import data_tag
         p = req.params
         src_addr = p["src"]
         blocks: list[tuple[int, int]] = p["blocks"]

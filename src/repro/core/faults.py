@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import typing as _t
 
-from .protocol import Op, Request, Status, TAG_ARM
+from .protocol import Op, Request, Status, TAG_ARM, reply_tag
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from ..cluster.builder import Cluster
@@ -211,7 +211,6 @@ class FaultInjector:
         daemon.rank.isend(self.cluster.arm_rank_index, TAG_ARM, req)
 
         def consume_reply():
-            from .protocol import reply_tag
             msg = yield from daemon.rank.recv(
                 source=self.cluster.arm_rank_index, tag=reply_tag(req.req_id))
             resp = msg.payload

@@ -33,6 +33,7 @@ _REPLY_SPAN = 290_000
 _DATA_BASE = 300_000
 _DATA_SPAN = 700_000
 
+
 def reset_request_ids() -> None:
     """Do nothing; kept only for the frozen benchmark harness, which
     calls it before every repetition (ids are per cluster and sizes do
@@ -173,7 +174,7 @@ PARAM_BYTES: dict[Op, int] = {
     Op.VAC_ATTACH: 56,
     Op.ARM_TENANT: 88,
     Op.MEMCPY_H2D: 88,                          # + BLOCK_BYTES per block
-    **dict.fromkeys((Op.MEMCPY_D2H, Op.PEER_PUT), 104),         # likewise
+    **dict.fromkeys((Op.MEMCPY_D2H, Op.PEER_PUT), 104),     # + per block
     Op.ARM_REPORT: 120,
 }
 
