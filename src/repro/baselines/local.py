@@ -134,8 +134,7 @@ class LocalAccelerator(AcceleratorLifecycle):
         ``peer_put=False``: there is no fabric, so peer transfers stage
         through host memory (D2H + H2D) instead of flowing device-direct.
         """
-        return CapabilitySet(peer_put=False, streams=False,
-                             zero_copy=True, fabric=False)
+        return CapabilitySet(peer_put=False, streams=False, fabric=False)
 
     def peer_put(self, src: int, nbytes: int, peer: _t.Any, dst: int,
                  *, transfer: _t.Any = None,

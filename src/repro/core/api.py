@@ -55,7 +55,7 @@ from .protocol import (
     reply_tag,
 )
 from .reliability import DEFAULT_RETRY, RetryPolicy, reliable_rpc
-from .transfer import assemble_chunks, payload_meta, slice_chunks
+from .transfer import assemble_chunks, payload_meta, send_blocks, slice_chunks
 
 
 class RemoteAccelerator(AcceleratorLifecycle):
@@ -153,21 +153,23 @@ class RemoteAccelerator(AcceleratorLifecycle):
         elif op is Op.KERNEL_CREATE:
             self._kernels[params["name"]] = {}
 
-    def _await_reply(self, rreq, op: Op, timeout_s: float | None):
-        """Wait for a transfer reply, racing the configured deadline."""
+    def _await(self, event, timeout_s: float | None, what: str):
+        """Wait for ``event`` or time out (generator); returns its value.
+
+        ``what`` opens the :class:`RequestTimeout` message raised once
+        ``timeout_s`` (None: unbounded) has passed without the event.
+        """
         if timeout_s is None:
-            msg = yield rreq.done
-            return msg
-        cond, dl = self.rank.comm.engine.race(rreq.done, timeout_s)
+            value = yield event
+            return value
+        cond, dl = self.rank.comm.engine.race(event, timeout_s)
         yield cond
-        if not rreq.completed:
+        if not event.triggered:
             self.timeouts += 1
-            raise RequestTimeout(
-                f"{op.value} to ac{self.handle.ac_id} timed out "
-                f"({timeout_s:g} s deadline)")
+            raise RequestTimeout(f"{what} ({timeout_s:g} s deadline)")
         if not dl.processed:
             dl.cancel()
-        return rreq.message
+        return event.value
 
     # -- memory management ----------------------------------------------
     def mem_alloc(self, nbytes: int):
@@ -185,6 +187,28 @@ class RemoteAccelerator(AcceleratorLifecycle):
         yield from release_all(self, self._live)
 
     # -- data movement ----------------------------------------------------
+    def _send_header(self, op: Op, params: dict, cfg: TransferConfig, span,
+                     n_recv: int = 0):
+        """Send one bulk copy's header; returns ``(dtag, reply, block_reqs)``.
+
+        The reply receive is posted before the header leaves — and so
+        are ``n_recv`` block receives on the data tag: a D2H pre-posts
+        them all, because the protocol knows the block count.
+        """
+        rank, daemon = self.rank, self.handle.daemon_rank
+        req_id = next(rank.comm.ids)
+        dtag = data_tag(req_id)
+        block_reqs = [rank.irecv(source=daemon, tag=dtag)
+                      for _ in range(n_recv)]
+        reply = rank.irecv(source=daemon, tag=reply_tag(req_id))
+        rank.isend(daemon, TAG_REQUEST, Request(
+            op=op, req_id=req_id, reply_to=rank.index,
+            params={**params, "data_tag": dtag, "pinned": cfg.pinned,
+                    "gpudirect": cfg.gpudirect, **self._scope},
+            trace=span.wire))
+        self.requests += 1
+        return dtag, reply, block_reqs
+
     def memcpy_h2d(self, dst: int, payload: _t.Any,
                    transfer: TransferConfig | None = None, offset: int = 0,
                    pinned: bool | None = None):
@@ -200,33 +224,19 @@ class RemoteAccelerator(AcceleratorLifecycle):
                                nbytes=nbytes, blocks=len(blocks),
                                protocol=cfg.name)
         with span:
-            req_id = next(self.rank.comm.ids)
-            dtag = data_tag(req_id)
-            req = Request(op=Op.MEMCPY_H2D, req_id=req_id,
-                          reply_to=self.rank.index,
-                          params={"dst": dst, "offset": int(offset),
-                                  "blocks": blocks,
-                                  "data_tag": dtag, "pinned": cfg.pinned,
-                                  "gpudirect": cfg.gpudirect,
-                                  "meta": payload_meta(payload) if offset == 0 else None,
-                                  **self._scope},
-                          trace=span.wire)
-            self.requests += 1
-            reply = self.rank.irecv(source=self.handle.daemon_rank,
-                                    tag=reply_tag(req.req_id))
-            self.rank.isend(self.handle.daemon_rank, TAG_REQUEST, req)
-            # Stream the blocks; eager because the header announced them, so
-            # the daemon's pinned ring buffers count as pre-posted receives.
+            dtag, reply, _ = self._send_header(Op.MEMCPY_H2D, {
+                "dst": dst, "offset": int(offset), "blocks": blocks,
+                "meta": payload_meta(payload) if offset == 0 else None,
+            }, cfg, span)
             # Each block pays the per-block registration/posting surcharge.
-            inject = span.child("inject", nbytes=nbytes)
-            for chunk in slice_chunks(payload, blocks):
-                self.rank.isend(self.handle.daemon_rank, dtag, chunk, eager=True,
-                                injection_s=cfg.h2d_block_post_s)
-            inject.finish()
-            msg = yield from self._await_reply(
-                reply, Op.MEMCPY_H2D, self.retry.transfer_timeout_s(nbytes))
-            resp: Response = msg.payload
-            resp.raise_for_status()
+            with span.child("inject", nbytes=nbytes):
+                yield from send_blocks(
+                    self.rank, self.handle.daemon_rank, dtag,
+                    slice_chunks(payload, blocks), cfg.h2d_block_post_s)
+            msg = yield from self._await(
+                reply.done, self.retry.transfer_timeout_s(nbytes),
+                f"memcpy_h2d to ac{self.handle.ac_id} timed out")
+            msg.payload.raise_for_status()
             self.bytes_h2d += nbytes
 
     def memcpy_d2h(self, src: int, nbytes: int,
@@ -239,61 +249,38 @@ class RemoteAccelerator(AcceleratorLifecycle):
         for timing-only buffers.
         """
         cfg = self._cfg(transfer, pinned)
-        blocks = cfg.plan_blocks(int(nbytes), "d2h")
+        nbytes = int(nbytes)
+        blocks = cfg.plan_blocks(nbytes, "d2h")
         span = self._obs.start("client.memcpy_d2h", self._actor,
-                               nbytes=int(nbytes), blocks=len(blocks),
+                               nbytes=nbytes, blocks=len(blocks),
                                protocol=cfg.name)
         with span:
-            req_id = next(self.rank.comm.ids)
-            dtag = data_tag(req_id)
-            req = Request(op=Op.MEMCPY_D2H, req_id=req_id,
-                          reply_to=self.rank.index,
-                          params={"src": src, "offset": int(offset),
-                                  "blocks": blocks,
-                                  "data_tag": dtag, "pinned": cfg.pinned,
-                                  "gpudirect": cfg.gpudirect,
-                                  "block_post_s": cfg.d2h_block_post_s,
-                                  **self._scope},
-                          trace=span.wire)
-            self.requests += 1
-            # Pre-post all block receives (the protocol knows the block
-            # count), then issue the request.
-            block_reqs = [self.rank.irecv(source=self.handle.daemon_rank, tag=dtag)
-                          for _ in blocks]
-            reply = self.rank.irecv(source=self.handle.daemon_rank,
-                                    tag=reply_tag(req.req_id))
-            self.rank.isend(self.handle.daemon_rank, TAG_REQUEST, req)
-            deadline_s = self.retry.transfer_timeout_s(int(nbytes))
-            msg = yield from self._await_reply(reply, Op.MEMCPY_D2H, deadline_s)
+            _, reply, block_reqs = self._send_header(Op.MEMCPY_D2H, {
+                "src": src, "offset": int(offset), "blocks": blocks,
+                "block_post_s": cfg.d2h_block_post_s,
+            }, cfg, span, n_recv=len(blocks))
+            deadline_s = self.retry.transfer_timeout_s(nbytes)
+            msg = yield from self._await(
+                reply.done, deadline_s,
+                f"memcpy_d2h to ac{self.handle.ac_id} timed out")
             resp: Response = msg.payload
             # On failure the daemon sent no data; the pre-posted receives are
             # abandoned (their unique tag is never reused).
             resp.raise_for_status()
             if block_reqs:
-                recv = span.child("net.recv", blocks=len(block_reqs))
-                all_blocks = self.rank.comm.engine.all_of(
-                    [r.done for r in block_reqs])
-                if deadline_s is None:
-                    yield all_blocks
-                else:
-                    cond, dl = self.rank.comm.engine.race(all_blocks, deadline_s)
-                    yield cond
-                    if not all_blocks.triggered:
-                        self.timeouts += 1
-                        raise RequestTimeout(
-                            f"memcpy_d2h data stream from ac{self.handle.ac_id} "
-                            f"stalled ({deadline_s:g} s deadline)")
-                    if not dl.processed:
-                        dl.cancel()
-                recv.finish()
-            chunks = [r.message.payload for r in block_reqs]
-            self.bytes_d2h += int(nbytes)
-            return assemble_chunks(chunks, blocks, resp.value)
+                with span.child("net.recv", blocks=len(block_reqs)):
+                    yield from self._await(
+                        self.rank.comm.engine.all_of(
+                            [r.done for r in block_reqs]),
+                        deadline_s, f"memcpy_d2h data stream from "
+                                    f"ac{self.handle.ac_id} stalled")
+            self.bytes_d2h += nbytes
+            return assemble_chunks([r.message.payload for r in block_reqs],
+                                   blocks, resp.value)
 
     def capabilities(self) -> CapabilitySet:
         """What this front-end supports (see :class:`CapabilitySet`)."""
-        return CapabilitySet(peer_put=True, streams=True,
-                             zero_copy=True, fabric=True)
+        return CapabilitySet(peer_put=True, streams=True, fabric=True)
 
     def peer_put(self, src: int, nbytes: int, peer: "RemoteAccelerator",
                  dst: int, *,

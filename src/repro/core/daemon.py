@@ -5,18 +5,10 @@ requests over simulated MPI, executes them on the local GPU through the
 (virtual) CUDA driver API, and replies.  Requests are served strictly in
 order — the daemon is single-threaded, like the prototype's.
 
-Transfer handling implements the two protocols of Sect. IV/V-A:
-
-* **naive** — the whole payload is received into host memory with one
-  blocking receive, then copied to the GPU with one DMA.  Host staging
-  memory equal to the full message size is required.
-* **pipeline** — the payload arrives in blocks; each block's DMA is issued
-  as soon as the block lands in the (GPUDirect-shared) pinned buffer while
-  the next block is still on the wire.  Staging memory is bounded by the
-  in-flight window; the per-block daemon handling cost is what eventually
-  penalizes very small blocks on very large messages (the Fig. 5
-  crossover).  With ``gpudirect=False`` each block pays an additional
-  host-to-pinned staging copy on the accelerator CPU.
+Bulk transfers run the block pipeline of :mod:`repro.core.transfer`:
+the naive protocol is its one-block case (host staging memory equal to
+the full message), the pipeline protocol overlaps each block's DMA with
+the next block on the wire (staging bounded by the in-flight window).
 """
 
 from __future__ import annotations
@@ -25,17 +17,13 @@ import collections
 import dataclasses
 import typing as _t
 
-import numpy as np
-
-from ..buffers import ChunkView
 from ..errors import DeviceMemoryError, GPUError, KernelError
-from ..mpisim import Phantom, RankHandle
+from ..mpisim import RankHandle
 from ..obs.spans import NULL_SPAN, collector_for, context_from_wire
-from ..sim import Event
 from .protocol import (
     DEDUP_OPS, Op, Request, Response, Status, TAG_REQUEST, data_tag, reply_tag,
 )
-from .transfer import ArrayMeta
+from .transfer import ArrayMeta, DeviceEnd, recv_blocks, send_blocks
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from ..cluster.node import AcceleratorNode
@@ -308,46 +296,17 @@ class Daemon:
         if version is not None:
             self.version = version
 
-    def _recv_block(self, src: int, dtag: int):
-        """One data-block receive, bounded by ``data_stall_s`` when set.
-
-        Returns the message, or None when the stall deadline fired first
-        (the pending receive is cancelled, not leaked).
-        """
+    def _stall_s(self) -> float | None:
+        """The per-block receive deadline in force right now."""
         if self.data_stall_s is None:
-            msg = yield from self.rank.recv(source=src, tag=dtag)
-            return msg
-        rreq = self.rank.irecv(source=src, tag=dtag)
-        cond, dl = self.engine.race(rreq.done,
-                                    self.data_stall_s * self.slow_factor)
-        yield cond
-        if rreq.completed:
-            if not dl.processed:
-                dl.cancel()
-            return rreq.message
-        self.rank.cancel_recv(rreq)
-        return None
-
-    def _abandon_stream(self, req: Request, src: int, remaining: int) -> None:
-        """Give up on a stalled data stream without wedging the tag space.
-
-        Blocks still in flight (delayed, not dropped) would otherwise sit
-        in the unexpected queue and be mis-matched by a later transfer
-        reusing the data tag; pre-discarding them keeps arrival one-shot.
-        """
-        if remaining > 0:
-            self.rank.discard_next(src, req.params["data_tag"],
-                                   count=remaining)
+            return None
+        return self.data_stall_s * self.slow_factor
 
     def _drain_data(self, req: Request, src: int):
         """Consume data blocks of a request that was rejected up-front."""
         if req.op == Op.MEMCPY_H2D:
-            blocks = req.params["blocks"]
-            for i in range(len(blocks)):
-                msg = yield from self._recv_block(src, req.params["data_tag"])
-                if msg is None:
-                    self._abandon_stream(req, src, len(blocks) - i)
-                    return
+            yield from recv_blocks(self.rank, src, req.params["data_tag"],
+                                   req.params["blocks"], self._stall_s())
 
     # -- virtual accelerators -------------------------------------------
     def _target(self, params: dict):
@@ -359,16 +318,6 @@ class Daemon:
         """
         vac_id = params.get("vac")
         return self.gpu if vac_id is None else self._vacs[vac_id]
-
-    def _owner_error(self, params: dict, addr: int) -> str | None:
-        """Cross-tenant isolation check for transfer addresses."""
-        vac_id = params.get("vac")
-        if vac_id is None:
-            return None
-        if not self._vacs[vac_id].memory.owns(addr):
-            return (f"address {addr:#x} is not owned by "
-                    f"virtual accelerator {vac_id}")
-        return None
 
     def _vac_attach(self, req: Request, src: int):
         """Instantiate a lease granted by the ARM as a device slice."""
@@ -537,153 +486,61 @@ class Daemon:
             value.append(sub)
         self._reply(req, Response(req.req_id, Status.OK, value=value))
 
-    # -- transfers ------------------------------------------------------
-    def _memcpy_h2d(self, req: Request, src: int):
-        p = req.params
-        dst = p["dst"]
-        base = p.get("offset", 0)
-        blocks: list[tuple[int, int]] = p["blocks"]
-        dtag: int = p["data_tag"]
-        pinned: bool = p.get("pinned", True)
-        gpudirect: bool = p.get("gpudirect", True)
-        meta: ArrayMeta = p.get("meta")
-        nbytes = sum(size for _, size in blocks)
+    # -- transfers (the block pipeline is core/transfer.py) ---------------
+    def _device_end(self, req: Request, addr_key: str) -> DeviceEnd | None:
+        """This daemon's end of ``req``'s block pipeline.
+
+        Runs the transfer-header check; a header that fails it is
+        answered ERROR here and None is returned.
+        """
+        vac_id = req.params.get("vac")
         try:
-            alloc = self.gpu.memory.allocation(dst)
-            if base + nbytes > alloc.nbytes:
-                raise DeviceMemoryError(
-                    f"copy of {nbytes}B at offset {base} exceeds "
-                    f"allocation of {alloc.nbytes}B")
+            return DeviceEnd.check(
+                self.gpu, self.cpu, self.stats, self._cur_span, req.params,
+                addr_key,
+                None if vac_id is None else self._vacs[vac_id].memory)
         except DeviceMemoryError as exc:
             self._reply(req, Response(req.req_id, Status.ERROR, error=str(exc)))
+            return None
+
+    def _memcpy_h2d(self, req: Request, src: int):
+        dev = self._device_end(req, "dst")
+        if dev is None:
             yield from self._drain_data(req, src)
             return
-        owner_err = self._owner_error(p, dst)
-        if owner_err is not None:
-            self._reply(req, Response(req.req_id, Status.ERROR, error=owner_err))
-            yield from self._drain_data(req, src)
+        stalled = yield from recv_blocks(
+            self.rank, src, dev.dtag, dev.blocks, self._stall_s(), dev,
+            self.cpu.request_handling_s * self.slow_factor)
+        if stalled is not None:
+            # The client learns of the stalled stream via ERROR.
+            self._reply(req, Response(
+                req.req_id, Status.ERROR,
+                error=f"data stream for request {req.req_id} stalled "
+                      f"at block {stalled}/{len(dev.blocks)}"))
             return
-
-        dma_events: list[Event] = []
-        first = True
-        for i, (off, size) in enumerate(blocks):
-            recv_span = self._cur_span.child("net.recv", block=i, nbytes=size)
-            msg = yield from self._recv_block(src, dtag)
-            recv_span.finish()
-            if msg is None:
-                # The stream stalled (partition / dropped blocks).  Blocks
-                # already DMA'd stay written; the client learns via ERROR.
-                self._abandon_stream(req, src, len(blocks) - i)
-                self._reply(req, Response(
-                    req.req_id, Status.ERROR,
-                    error=f"data stream for request {req.req_id} stalled "
-                          f"at block {i}/{len(blocks)}"))
-                return
-            if not first:
-                # Per-block software cost: posting the next receive and the
-                # DMA descriptor (the first block's cost was the request
-                # handling itself).
-                yield self.engine.timeout(
-                    self.cpu.request_handling_s * self.slow_factor)
-            first = False
-            if not gpudirect:
-                # Without GPUDirect the block must be staged from the MPI
-                # receive buffer into the pinned DMA buffer by the CPU.
-                with self._cur_span.child("staging", block=i, nbytes=size):
-                    yield self.engine.timeout(size / self.cpu.memcpy_bw_Bps)
-            self.stats.stage(size)
-            chunk = msg.payload
-            is_real = not isinstance(chunk, Phantom)
-            # The received chunk is a view over the sender's buffer; the
-            # DMA engine models time only, so nothing is staged host-side —
-            # the one physical copy is the write into the device backing
-            # store.
-            ev = self.gpu.dma.copy_view(chunk, pinned=pinned,
-                                        ctx=self._cur_span.context)
-
-            def _on_dma(_ev, off=off, size=size, chunk=chunk, is_real=is_real):
-                if is_real:
-                    self.gpu.memory.write(dst, base + off, chunk)
-                self.stats.unstage(size)
-
-            ev.add_callback(_on_dma)
-            dma_events.append(ev)
-        if dma_events:
-            yield self.engine.all_of(dma_events)
-        # Record the typed interpretation only for whole-buffer writes, so
-        # partial updates (e.g. a factored diagonal block) cannot clobber
-        # the buffer's shape.
-        if meta is not None and base == 0 and nbytes == alloc.nbytes:
-            self.gpu.memory.set_array_meta(dst, meta[0], meta[1])
-        self.stats.bytes_h2d += nbytes
+        meta: ArrayMeta = req.params.get("meta")
+        if meta is not None and dev.covers(dev.alloc.nbytes):
+            self.gpu.memory.set_array_meta(dev.addr, meta[0], meta[1])
+        self.stats.bytes_h2d += dev.nbytes
         self._reply(req, Response(req.req_id, Status.OK))
 
     def _memcpy_d2h(self, req: Request, src: int):
-        p = req.params
-        src_addr = p["src"]
-        base = p.get("offset", 0)
-        blocks: list[tuple[int, int]] = p["blocks"]
-        dtag: int = p["data_tag"]
-        pinned: bool = p.get("pinned", True)
-        gpudirect: bool = p.get("gpudirect", True)
-        nbytes = sum(size for _, size in blocks)
-        try:
-            alloc = self.gpu.memory.allocation(src_addr)
-            if base + nbytes > alloc.nbytes:
-                raise DeviceMemoryError(
-                    f"copy of {nbytes}B at offset {base} exceeds "
-                    f"allocation of {alloc.nbytes}B")
-        except DeviceMemoryError as exc:
-            self._reply(req, Response(req.req_id, Status.ERROR, error=str(exc)))
+        dev = self._device_end(req, "src")
+        if dev is None:
             return
-        owner_err = self._owner_error(p, src_addr)
-        if owner_err is not None:
-            self._reply(req, Response(req.req_id, Status.ERROR, error=owner_err))
-            return
-        # Timing-only buffers (never written with real data) return phantoms.
-        is_real = alloc.data is not None
-        meta: ArrayMeta = None
-        if (is_real and base == 0 and alloc.dtype is not None
-                and alloc.shape is not None
-                and nbytes == alloc.dtype.itemsize * int(np.prod(alloc.shape))):
-            meta = (alloc.dtype.str, alloc.shape)
-        block_post = p.get("block_post_s")
-        # Zero-copy staging: loan the whole outgoing region once and send
-        # per-block subviews of it.  The daemon serves requests strictly
-        # in order, so device contents cannot change mid-handler; later
-        # mutations trigger allocation-level COW, keeping in-flight and
-        # client-held views stable snapshots.
-        region: ChunkView | None = (
-            self.gpu.memory.read_chunk(src_addr, base, nbytes)
-            if is_real else None)
-        for i, (off, size) in enumerate(blocks):
-            # The pinned-ring slot is occupied from the start of the
-            # device-to-pinned DMA until the NIC has drained it (send
-            # injection) — symmetric to the H2D direction.
-            self.stats.stage(size)
-            yield self.gpu.dma.copy(size, pinned=pinned,
-                                    ctx=self._cur_span.context)
-            if not gpudirect:
-                with self._cur_span.child("staging", block=i, nbytes=size):
-                    yield self.engine.timeout(size / self.cpu.memcpy_bw_Bps)
-            chunk: _t.Any = (region.subview(off, size) if region is not None
-                             else Phantom(size))
-            # Non-blocking: the send of block k overlaps the DMA of k+1;
-            # sends come from the pre-registered pinned ring (cheap post).
-            self._cur_span.event("net.send", block=i, nbytes=size)
-            sreq = self.rank.isend(src, dtag, chunk, eager=True,
-                                   injection_s=block_post)
-            sreq.done.add_callback(
-                lambda _ev, size=size: self.stats.unstage(size))
-        self.stats.bytes_d2h += nbytes
-        self._reply(req, Response(req.req_id, Status.OK, value=meta))
+        yield from send_blocks(self.rank, src, dev.dtag, dev.loan(),
+                               req.params.get("block_post_s"), dev)
+        self.stats.bytes_d2h += dev.nbytes
+        self._reply(req, Response(req.req_id, Status.OK,
+                                  value=dev.source_meta))
 
     def _peer_put(self, req: Request, src: int):
         """Direct accelerator-to-accelerator copy (no compute node involved).
 
-        This daemon acts as the front-end of a regular H2D transfer into the
-        peer daemon: device-to-host DMA here overlaps with the network
-        stream into the peer, which pipelines into its own GPU.
+        The D2H sender wired to the peer daemon's H2D receiver: this
+        daemon forwards a regular H2D request to the peer and streams
+        the blocks to it, so the device-to-host DMA here overlaps the
+        network stream into the peer, which pipelines into its own GPU.
 
         Validation replies synchronously; the forward-and-stream body
         (which waits on the peer daemon's reply) runs as its own process
@@ -693,74 +550,43 @@ class Daemon:
         that could service the incoming forwarded H2D — is itself
         blocked the same way.
         """
-        p = req.params
-        src_addr = p["src"]
-        blocks: list[tuple[int, int]] = p["blocks"]
-        nbytes = sum(size for _, size in blocks)
-        try:
-            alloc = self.gpu.memory.allocation(src_addr)
-            if nbytes > alloc.nbytes:
-                raise DeviceMemoryError("peer copy exceeds source allocation")
-        except DeviceMemoryError as exc:
-            self._reply(req, Response(req.req_id, Status.ERROR, error=str(exc)))
-            return
-        owner_err = self._owner_error(p, src_addr)
-        if owner_err is not None:
-            self._reply(req, Response(req.req_id, Status.ERROR, error=owner_err))
-            return
-        is_real = alloc.data is not None
-        meta: ArrayMeta = None
-        if is_real and alloc.dtype is not None and alloc.shape is not None:
-            meta = (alloc.dtype.str, alloc.shape)
-        fwd_id = next(self.rank.comm.ids)
-        # The forwarded request carries this daemon's span context, so the
-        # peer's H2D handling joins the same trace as the originating op.
-        fwd = Request(op=Op.MEMCPY_H2D, req_id=fwd_id, reply_to=self.rank.index,
-                      params={"dst": p["peer_addr"], "blocks": blocks,
-                              "data_tag": data_tag(fwd_id),
-                              "pinned": p.get("pinned", True),
-                              "gpudirect": p.get("gpudirect", True),
-                              "meta": meta},
-                      trace=self._cur_span.wire)
-        self.engine.process(
-            self._peer_put_stream(req, fwd, is_real, nbytes,
-                                  self._cur_span.wire),
-            name=f"peerput:{self.node.name}")
+        dev = self._device_end(req, "src")
+        if dev is not None:
+            self.engine.process(
+                self._peer_put_stream(req, dev, next(self.rank.comm.ids)),
+                name=f"peerput:{self.node.name}")
         return
         yield  # pragma: no cover - makes this a generator
 
-    def _peer_put_stream(self, req: Request, fwd: Request, is_real: bool,
-                         nbytes: int, trace):
+    def _peer_put_stream(self, req: Request, dev: DeviceEnd, fwd_id: int):
         """The streaming body of one PEER_PUT (its own process).
 
-        Captures the handler span via its wire form instead of touching
-        ``self._cur_span``, which by now belongs to whatever request the
-        serve loop moved on to.
+        Parents its span under the handler span (``dev.span``) by wire
+        context instead of touching ``self._cur_span``, which by now
+        belongs to whatever request the serve loop moved on to.
         """
         p = req.params
         peer_rank = p["peer_rank"]
-        src_addr = p["src"]
-        pinned: bool = p.get("pinned", True)
+        trace = dev.span.wire
         obs = self._obs
         span = (obs.start("daemon.peer_put.stream", self.node.name,
                           parent=context_from_wire(trace),
-                          req_id=req.req_id, nbytes=nbytes)
+                          req_id=req.req_id, nbytes=dev.nbytes)
                 if obs.enabled else NULL_SPAN)
         with span:
-            self.rank.isend(peer_rank, TAG_REQUEST, fwd)
-            block_post = p.get("block_post_s")
-            dtag = fwd.params["data_tag"]
-            region: ChunkView | None = (
-                self.gpu.memory.read_chunk(src_addr, 0, nbytes)
-                if is_real else None)
-            for off, size in p["blocks"]:
-                yield self.gpu.dma.copy(size, pinned=pinned, ctx=span.context)
-                chunk: _t.Any = (region.subview(off, size)
-                                 if region is not None else Phantom(size))
-                self.rank.isend(peer_rank, dtag, chunk, eager=True,
-                                injection_s=block_post)
+            # The forwarded request carries the handler's span context,
+            # so the peer's H2D handling joins the originating trace.
+            self.rank.isend(peer_rank, TAG_REQUEST, Request(
+                op=Op.MEMCPY_H2D, req_id=fwd_id, reply_to=self.rank.index,
+                params={"dst": p["peer_addr"], "blocks": dev.blocks,
+                        "data_tag": data_tag(fwd_id), "pinned": dev.pinned,
+                        "gpudirect": dev.gpudirect, "meta": dev.source_meta},
+                trace=trace))
+            yield from send_blocks(
+                self.rank, peer_rank, data_tag(fwd_id), dev.loan(),
+                p.get("block_post_s"), dataclasses.replace(dev, span=span))
             msg = yield from self.rank.recv(source=peer_rank,
-                                            tag=reply_tag(fwd.req_id))
+                                            tag=reply_tag(fwd_id))
             peer_resp: Response = msg.payload
             self._reply(req, Response(req.req_id, peer_resp.status,
                                       error=peer_resp.error))

@@ -53,15 +53,12 @@ class CapabilitySet:
       front-end's ``batch_rpc``, one MBATCH sub-frame per run (``False``:
       streams exist but execute eagerly, no batching).
       :class:`~repro.core.stream.Stream` reads this to decide.
-    * ``zero_copy`` — the data plane hands out :class:`ChunkView` loans
-      instead of materialised copies.
     * ``fabric`` — operations traverse the simulated network fabric (and
       therefore appear in fabric byte/message accounting).
     """
 
     peer_put: bool = False
     streams: bool = False
-    zero_copy: bool = False
     fabric: bool = False
 
 

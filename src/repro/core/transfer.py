@@ -1,26 +1,34 @@
-"""Payload chunking and reassembly shared by front-end and daemon.
+"""The block pipeline of Sect. IV, shared by front-end and daemon.
 
-Real payloads are viewed as flat uint8 and sliced into the pipeline's
-blocks; :class:`~repro.mpisim.datatypes.Phantom` payloads are sliced into
-phantom blocks of the same sizes, so timing-only transfers exercise the
-identical protocol path.
+A bulk copy is split into blocks so that the network transfer of one
+block overlaps the DMA of its neighbour.  This module holds the one
+copy of each piece: the transfer-header check every daemon handler runs
+(:meth:`DeviceEnd.check`), the block sender (:func:`send_blocks` — fed
+from device memory on a daemon, from host memory on a front-end), the
+network-to-device block receiver (:func:`recv_blocks`), and the payload
+slicing and reassembly around them.
 
-With the zero-copy plane on (the default, see :mod:`repro.buffers`),
-chunks are :class:`~repro.buffers.ChunkView` windows over one shared
-backing buffer: slicing allocates nothing, the MPI layer moves them by
+Real payloads are viewed as flat uint8 and cut into
+:class:`~repro.buffers.ChunkView` windows over one shared backing
+buffer: slicing allocates nothing, the MPI layer moves the windows by
 reference, and :func:`assemble_chunks` reassembles a contiguous run of
-views with a slice instead of a gather.
+them with a slice instead of a gather.
+:class:`~repro.mpisim.datatypes.Phantom` payloads are cut into phantom
+blocks of the same sizes, so timing-only transfers exercise the
+identical protocol path.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import typing as _t
 
 import numpy as np
 
 from ..buffers import ChunkView, chunk_payload, copy_stats
-from ..errors import MiddlewareError
-from ..mpisim import Phantom
+from ..errors import DeviceMemoryError, MiddlewareError
+from ..mpisim import Phantom, RankHandle
+from ..obs.spans import NULL_SPAN
 
 #: Array metadata carried in transfer headers: (dtype string, shape tuple).
 ArrayMeta = _t.Optional[tuple[str, tuple[int, ...]]]
@@ -147,3 +155,184 @@ def assemble_chunks(chunks: list[_t.Any], blocks: list[tuple[int, int]],
         dtype, shape = meta
         return out.view(np.dtype(dtype)).reshape(shape)
     return out
+
+
+# -- the block pipeline ---------------------------------------------------
+@dataclasses.dataclass(frozen=True)
+class DeviceEnd:
+    """The accelerator end of one bulk transfer: its checked header plus
+    the device, CPU and staging accounting the pipeline works with."""
+
+    gpu: _t.Any
+    cpu: _t.Any
+    #: Staging accounting: ``stage(nbytes)`` / ``unstage(nbytes)``.
+    stats: _t.Any
+    #: Parent of the per-block network / staging / DMA spans.
+    span: _t.Any
+    alloc: _t.Any
+    addr: int
+    base: int
+    blocks: list[tuple[int, int]]
+    nbytes: int
+    #: None on a PEER_PUT: its stream runs on the forwarded request's tag.
+    dtag: int | None
+    pinned: bool
+    gpudirect: bool
+
+    @classmethod
+    def check(cls, gpu, cpu, stats, span, params: dict, addr_key: str,
+              owner=None) -> "DeviceEnd":
+        """Unpack and validate the header of a transfer on ``addr_key``.
+
+        Raises :class:`DeviceMemoryError` for an unknown address, a copy
+        past the end of the allocation, or — with ``owner``, the memory
+        partition of the request's lease — an address that lease does
+        not own (cross-tenant isolation).
+        """
+        addr = params[addr_key]
+        base = params.get("offset", 0)
+        blocks = params["blocks"]
+        nbytes = sum(size for _, size in blocks)
+        alloc = gpu.memory.allocation(addr)
+        if base + nbytes > alloc.nbytes:
+            raise DeviceMemoryError(
+                f"copy of {nbytes}B at offset {base} exceeds "
+                f"allocation of {alloc.nbytes}B")
+        if owner is not None and not owner.owns(addr):
+            raise DeviceMemoryError(
+                f"address {addr:#x} is not owned by "
+                f"virtual accelerator {params['vac']}")
+        return cls(gpu, cpu, stats, span, alloc, addr, base, blocks, nbytes,
+                   params.get("data_tag"), params.get("pinned", True),
+                   params.get("gpudirect", True))
+
+    def covers(self, extent: int) -> bool:
+        """The whole-buffer rule for typed metadata: a dtype/shape
+        travels with, and is recorded by, only a transfer that starts at
+        offset 0 and moves exactly ``extent`` bytes — a partial update
+        (e.g. a factored diagonal block) can neither clobber a buffer's
+        shape nor declare one its bytes do not fill."""
+        return self.base == 0 and self.nbytes == extent
+
+    @property
+    def source_meta(self) -> ArrayMeta:
+        """The typed interpretation a read of this region carries."""
+        alloc = self.alloc
+        if (alloc.data is None or alloc.dtype is None or alloc.shape is None
+                or not self.covers(alloc.dtype.itemsize
+                                   * int(np.prod(alloc.shape)))):
+            return None
+        return (alloc.dtype.str, alloc.shape)
+
+    def loan(self) -> list[_t.Any]:
+        """One chunk per block of the source region.
+
+        The region is loaned once and cut into subviews; later device
+        writes trigger allocation-level copy-on-write, so in-flight and
+        client-held chunks stay stable snapshots.  Timing-only buffers
+        (never written with real data) yield phantoms.
+        """
+        if self.alloc.data is None:
+            return [Phantom(size) for _, size in self.blocks]
+        region = self.gpu.memory.read_chunk(self.addr, self.base, self.nbytes)
+        return [region.subview(off, size) for off, size in self.blocks]
+
+
+def send_blocks(rank: RankHandle, dst: int, dtag: int, chunks: list,
+                post_s: float | None, dev: DeviceEnd | None = None):
+    """Stream ``chunks`` to ``dst`` on ``dtag``, one eager send each (generator).
+
+    Eager because the header announced the blocks, so the receiver's
+    pinned ring counts as pre-posted receives; ``post_s`` is the
+    per-block posting cost.  The sends are non-blocking: block k is on
+    the wire while block k+1 is produced.
+
+    With a device end each block is first produced by a
+    device-to-pinned DMA, plus a CPU staging copy without GPUDirect; its
+    pinned-ring slot is held from the start of that DMA until the NIC
+    has drained it (send injection).  Host chunks need no produce step —
+    the front-end's H2D inject loop, which never yields.
+    """
+    if dev is not None:
+        engine = rank.comm.engine
+        dma, stats, span, pinned = dev.gpu.dma, dev.stats, dev.span, dev.pinned
+        staging_bw = None if dev.gpudirect else dev.cpu.memcpy_bw_Bps
+    for i, chunk in enumerate(chunks):
+        if dev is not None:
+            size = chunk.nbytes
+            stats.stage(size)
+            yield dma.copy(size, pinned=pinned, ctx=span.context)
+            if staging_bw is not None:
+                with span.child("staging", block=i, nbytes=size):
+                    yield engine.timeout(size / staging_bw)
+            span.event("net.send", block=i, nbytes=size)
+        sreq = rank.isend(dst, dtag, chunk, eager=True, injection_s=post_s)
+        if dev is not None:
+            sreq.done.add_callback(
+                lambda _ev, size=size: stats.unstage(size))
+
+
+def recv_blocks(rank: RankHandle, src: int, dtag: int,
+                blocks: list[tuple[int, int]], stall_s: float | None,
+                dev: DeviceEnd | None = None, block_cost_s: float = 0.0):
+    """Receive a block stream from ``src`` into device memory (generator).
+
+    Each block's DMA is issued as soon as the block has landed, while
+    the next one is still on the wire.  The received chunk is a view
+    over the sender's buffer and the DMA engine models time only, so the
+    one physical copy is the write into the device backing store when
+    the DMA completes; the pinned-ring slot is held until then.  Every
+    block after the first costs ``block_cost_s`` of software (posting
+    the next receive and the DMA descriptor; the first block's cost was
+    the request handling itself), and without GPUDirect a CPU copy from
+    the MPI receive buffer into the pinned DMA buffer.
+
+    Returns None once every block is in device memory, or the index of
+    the block at which the stream stalled for ``stall_s`` (partition,
+    dropped blocks).  Blocks already written stay written; the rest of
+    the stream is pre-discarded, because blocks still in flight
+    (delayed, not dropped) would otherwise sit in the unexpected queue
+    and be mis-matched by a later transfer reusing the data tag.
+
+    Without a device end the stream belongs to a request that was
+    rejected up front: its blocks are consumed and dropped.
+    """
+    engine = rank.comm.engine
+    span = dev.span if dev is not None else NULL_SPAN
+    dma_events = []
+    for i, (off, size) in enumerate(blocks):
+        rreq = rank.irecv(source=src, tag=dtag)
+        with span.child("net.recv", block=i, nbytes=size):
+            if stall_s is None:
+                yield rreq.done
+            else:
+                cond, dl = engine.race(rreq.done, stall_s)
+                yield cond
+                if not rreq.completed:
+                    # Cancelled, not leaked; then the rest of the stream.
+                    rank.cancel_recv(rreq)
+                    rank.discard_next(src, dtag, count=len(blocks) - i)
+                    return i
+                if not dl.processed:
+                    dl.cancel()
+        if dev is None:
+            continue
+        if i:
+            yield engine.timeout(block_cost_s)
+        if not dev.gpudirect:
+            with span.child("staging", block=i, nbytes=size):
+                yield engine.timeout(size / dev.cpu.memcpy_bw_Bps)
+        dev.stats.stage(size)
+        chunk = rreq.message.payload
+        ev = dev.gpu.dma.copy_view(chunk, pinned=dev.pinned, ctx=span.context)
+
+        def _on_dma(_ev, off=off, size=size, chunk=chunk):
+            if not isinstance(chunk, Phantom):
+                dev.gpu.memory.write(dev.addr, dev.base + off, chunk)
+            dev.stats.unstage(size)
+
+        ev.add_callback(_on_dma)
+        dma_events.append(ev)
+    if dma_events:
+        yield engine.all_of(dma_events)
+    return None

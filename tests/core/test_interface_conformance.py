@@ -193,7 +193,7 @@ class TestCapabilityNegotiation:
     def test_every_backend_reports_capabilities(self, backend):
         caps = backend.capabilities()
         assert isinstance(caps, CapabilitySet)
-        for field in ("peer_put", "streams", "zero_copy", "fabric"):
+        for field in ("peer_put", "streams", "fabric"):
             assert isinstance(getattr(caps, field), bool)
 
     def test_capability_set_is_frozen(self, backend):

@@ -5,6 +5,8 @@ exchange data without involving their associated compute nodes" — a
 capability CUDA 4.2 / OpenCL 1.2 did not offer across a network.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,51 @@ class TestPeerPut:
         p1 = sess.call(acs[1].mem_alloc(100))
         with pytest.raises(MiddlewareError):
             sess.call(acs[0].peer_put(p0, 500, acs[1], p1))
+
+    def test_partial_put_from_a_typed_buffer(self, rig):
+        # The source's dtype/shape must not ride a put that moves only
+        # part of it: the peer would declare a 128 B view over its 64 B
+        # allocation and raise out of its serve loop.
+        cluster, sess, acs = rig
+        data = np.arange(16, dtype=np.float64)
+        p0 = sess.call(acs[0].mem_alloc(data.nbytes))
+        p1 = sess.call(acs[1].mem_alloc(64))
+        sess.call(acs[0].memcpy_h2d(p0, data))
+        assert sess.call(acs[0].peer_put(p0, 64, acs[1], p1)).ok
+        out = sess.call(acs[1].memcpy_d2h(p1, 64))
+        assert np.asarray(out).tobytes() == data.tobytes()[:64]
+        assert sess.call(acs[1].ping()) == "pong"
+
+    def test_source_side_accounts_staging_like_d2h(self, rig):
+        # Device -> pinned -> NIC is the D2H path: a ring slot per block
+        # from DMA start to send injection, and without GPUDirect a CPU
+        # staging copy per block — so turning GPUDirect off costs a put
+        # at least what it costs a D2H of the same buffer (the peer's
+        # own staging comes on top).
+        cluster, sess, acs = rig
+        nbytes = 8 * MiB
+        p0 = sess.call(acs[0].mem_alloc(nbytes))
+        p1 = sess.call(acs[1].mem_alloc(nbytes))
+        sess.call(acs[0].memcpy_h2d(p0, Phantom(nbytes)))
+        source = cluster.daemons[0]
+        source.stats.staging_peak = 0
+
+        def penalty(op):
+            took = []
+            for gpudirect in (True, False):
+                cfg = dataclasses.replace(acs[0].transfer,
+                                          gpudirect=gpudirect)
+                t0 = sess.now
+                sess.call(op(cfg))
+                took.append(sess.now - t0)
+            return took[1] - took[0]
+
+        put = penalty(lambda cfg: acs[0].peer_put(p0, nbytes, acs[1], p1,
+                                                  transfer=cfg))
+        assert source.stats.staging_peak > 0
+        assert source.stats.staging_now == 0
+        d2h = penalty(lambda cfg: acs[0].memcpy_d2h(p0, nbytes, transfer=cfg))
+        assert put >= d2h > 0
 
     def test_phantom_peer_put(self, rig):
         cluster, sess, acs = rig
