@@ -23,7 +23,7 @@ from ..obs.spans import NULL_SPAN, collector_for, context_from_wire
 from .protocol import (
     DEDUP_OPS, Op, Request, Response, Status, TAG_REQUEST, data_tag, reply_tag,
 )
-from .transfer import ArrayMeta, DeviceEnd, recv_blocks, send_blocks
+from .transfer import DeviceEnd, recv_blocks, send_blocks
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from ..cluster.node import AcceleratorNode
@@ -298,15 +298,18 @@ class Daemon:
 
     def _stall_s(self) -> float | None:
         """The per-block receive deadline in force right now."""
-        if self.data_stall_s is None:
-            return None
-        return self.data_stall_s * self.slow_factor
+        stall = self.data_stall_s
+        return None if stall is None else stall * self.slow_factor
+
+    def _block_cost_s(self) -> float:
+        """The per-block software cost in force right now."""
+        return self.cpu.request_handling_s * self.slow_factor
 
     def _drain_data(self, req: Request, src: int):
         """Consume data blocks of a request that was rejected up-front."""
         if req.op == Op.MEMCPY_H2D:
             yield from recv_blocks(self.rank, src, req.params["data_tag"],
-                                   req.params["blocks"], self._stall_s())
+                                   req.params["blocks"], self._stall_s)
 
     # -- virtual accelerators -------------------------------------------
     def _target(self, params: dict):
@@ -509,16 +512,15 @@ class Daemon:
             yield from self._drain_data(req, src)
             return
         stalled = yield from recv_blocks(
-            self.rank, src, dev.dtag, dev.blocks, self._stall_s(), dev,
-            self.cpu.request_handling_s * self.slow_factor)
+            self.rank, src, dev.dtag, dev.blocks, self._stall_s, dev,
+            self._block_cost_s)
         if stalled is not None:
-            # The client learns of the stalled stream via ERROR.
             self._reply(req, Response(
                 req.req_id, Status.ERROR,
                 error=f"data stream for request {req.req_id} stalled "
                       f"at block {stalled}/{len(dev.blocks)}"))
             return
-        meta: ArrayMeta = req.params.get("meta")
+        meta = req.params.get("meta")
         if meta is not None and dev.covers(dev.alloc.nbytes):
             self.gpu.memory.set_array_meta(dev.addr, meta[0], meta[1])
         self.stats.bytes_h2d += dev.nbytes

@@ -12,10 +12,9 @@ Real payloads are viewed as flat uint8 and cut into
 :class:`~repro.buffers.ChunkView` windows over one shared backing
 buffer: slicing allocates nothing, the MPI layer moves the windows by
 reference, and :func:`assemble_chunks` reassembles a contiguous run of
-them with a slice instead of a gather.
-:class:`~repro.mpisim.datatypes.Phantom` payloads are cut into phantom
-blocks of the same sizes, so timing-only transfers exercise the
-identical protocol path.
+them with a slice instead of a gather.  :class:`~repro.mpisim.Phantom`
+payloads are cut into phantom blocks of the same sizes, so timing-only
+transfers exercise the identical protocol path.
 """
 
 from __future__ import annotations
@@ -158,7 +157,7 @@ def assemble_chunks(chunks: list[_t.Any], blocks: list[tuple[int, int]],
 
 
 # -- the block pipeline ---------------------------------------------------
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass
 class DeviceEnd:
     """The accelerator end of one bulk transfer: its checked header plus
     the device, CPU and staging accounting the pipeline works with."""
@@ -225,13 +224,10 @@ class DeviceEnd:
         return (alloc.dtype.str, alloc.shape)
 
     def loan(self) -> list[_t.Any]:
-        """One chunk per block of the source region.
-
-        The region is loaned once and cut into subviews; later device
-        writes trigger allocation-level copy-on-write, so in-flight and
-        client-held chunks stay stable snapshots.  Timing-only buffers
-        (never written with real data) yield phantoms.
-        """
+        """One chunk per block of the source region: subviews of a single
+        loan (later device writes trigger allocation-level copy-on-write,
+        so in-flight and client-held chunks stay stable snapshots), or
+        phantoms for a timing-only buffer never written with real data."""
         if self.alloc.data is None:
             return [Phantom(size) for _, size in self.blocks]
         region = self.gpu.memory.read_chunk(self.addr, self.base, self.nbytes)
@@ -253,28 +249,27 @@ def send_blocks(rank: RankHandle, dst: int, dtag: int, chunks: list,
     has drained it (send injection).  Host chunks need no produce step —
     the front-end's H2D inject loop, which never yields.
     """
-    if dev is not None:
-        engine = rank.comm.engine
-        dma, stats, span, pinned = dev.gpu.dma, dev.stats, dev.span, dev.pinned
-        staging_bw = None if dev.gpudirect else dev.cpu.memcpy_bw_Bps
     for i, chunk in enumerate(chunks):
         if dev is not None:
-            size = chunk.nbytes
-            stats.stage(size)
-            yield dma.copy(size, pinned=pinned, ctx=span.context)
-            if staging_bw is not None:
+            size, span = chunk.nbytes, dev.span
+            dev.stats.stage(size)
+            yield dev.gpu.dma.copy(size, pinned=dev.pinned, ctx=span.context)
+            if not dev.gpudirect:
                 with span.child("staging", block=i, nbytes=size):
-                    yield engine.timeout(size / staging_bw)
+                    yield rank.comm.engine.timeout(
+                        size / dev.cpu.memcpy_bw_Bps)
             span.event("net.send", block=i, nbytes=size)
         sreq = rank.isend(dst, dtag, chunk, eager=True, injection_s=post_s)
         if dev is not None:
             sreq.done.add_callback(
-                lambda _ev, size=size: stats.unstage(size))
+                lambda _ev, size=size: dev.stats.unstage(size))
 
 
 def recv_blocks(rank: RankHandle, src: int, dtag: int,
-                blocks: list[tuple[int, int]], stall_s: float | None,
-                dev: DeviceEnd | None = None, block_cost_s: float = 0.0):
+                blocks: list[tuple[int, int]],
+                stall_s: _t.Callable[[], float | None],
+                dev: DeviceEnd | None = None,
+                block_cost_s: _t.Callable[[], float] | None = None):
     """Receive a block stream from ``src`` into device memory (generator).
 
     Each block's DMA is issued as soon as the block has landed, while
@@ -282,14 +277,15 @@ def recv_blocks(rank: RankHandle, src: int, dtag: int,
     over the sender's buffer and the DMA engine models time only, so the
     one physical copy is the write into the device backing store when
     the DMA completes; the pinned-ring slot is held until then.  Every
-    block after the first costs ``block_cost_s`` of software (posting
+    block after the first costs ``block_cost_s()`` of software (posting
     the next receive and the DMA descriptor; the first block's cost was
     the request handling itself), and without GPUDirect a CPU copy from
     the MPI receive buffer into the pinned DMA buffer.
 
     Returns None once every block is in device memory, or the index of
-    the block at which the stream stalled for ``stall_s`` (partition,
-    dropped blocks).  Blocks already written stay written; the rest of
+    the block at which the stream stalled for ``stall_s()`` (partition,
+    dropped blocks; both dials are read per block, so a straggler
+    injected mid-stream slows the blocks still to come).  Blocks already written stay written; the rest of
     the stream is pre-discarded, because blocks still in flight
     (delayed, not dropped) would otherwise sit in the unexpected queue
     and be mis-matched by a later transfer reusing the data tag.
@@ -303,10 +299,11 @@ def recv_blocks(rank: RankHandle, src: int, dtag: int,
     for i, (off, size) in enumerate(blocks):
         rreq = rank.irecv(source=src, tag=dtag)
         with span.child("net.recv", block=i, nbytes=size):
-            if stall_s is None:
+            stall = stall_s()
+            if stall is None:
                 yield rreq.done
             else:
-                cond, dl = engine.race(rreq.done, stall_s)
+                cond, dl = engine.race(rreq.done, stall)
                 yield cond
                 if not rreq.completed:
                     # Cancelled, not leaked; then the rest of the stream.
@@ -318,7 +315,7 @@ def recv_blocks(rank: RankHandle, src: int, dtag: int,
         if dev is None:
             continue
         if i:
-            yield engine.timeout(block_cost_s)
+            yield engine.timeout(block_cost_s())
         if not dev.gpudirect:
             with span.child("staging", block=i, nbytes=size):
                 yield engine.timeout(size / dev.cpu.memcpy_bw_Bps)
@@ -335,4 +332,3 @@ def recv_blocks(rank: RankHandle, src: int, dtag: int,
         dma_events.append(ev)
     if dma_events:
         yield engine.all_of(dma_events)
-    return None

@@ -23,6 +23,7 @@ import pathlib
 import platform
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -159,7 +160,6 @@ def test_moved_leaves_names_each_leaf_with_its_relative_delta():
 
 
 def write_ledger() -> None:
-    import tempfile
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
         doc = {
