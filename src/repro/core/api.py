@@ -157,7 +157,8 @@ class RemoteAccelerator(AcceleratorLifecycle):
         """Wait for ``event`` or time out (generator); returns its value.
 
         ``what`` opens the :class:`RequestTimeout` message raised once
-        ``timeout_s`` (None: unbounded) has passed without the event.
+        ``timeout_s`` (None: unbounded) has passed without the event;
+        its ``{}`` takes the accelerator id.
         """
         if timeout_s is None:
             value = yield event
@@ -166,7 +167,8 @@ class RemoteAccelerator(AcceleratorLifecycle):
         yield cond
         if not event.triggered:
             self.timeouts += 1
-            raise RequestTimeout(f"{what} ({timeout_s:g} s deadline)")
+            raise RequestTimeout(f"{what.format(self.handle.ac_id)} "
+                                 f"({timeout_s:g} s deadline)")
         if not dl.processed:
             dl.cancel()
         return event.value
@@ -235,7 +237,7 @@ class RemoteAccelerator(AcceleratorLifecycle):
                     slice_chunks(payload, blocks), cfg.h2d_block_post_s)
             msg = yield from self._await(
                 reply.done, self.retry.transfer_timeout_s(nbytes),
-                f"memcpy_h2d to ac{self.handle.ac_id} timed out")
+                "memcpy_h2d to ac{} timed out")
             msg.payload.raise_for_status()
             self.bytes_h2d += nbytes
 
@@ -260,9 +262,8 @@ class RemoteAccelerator(AcceleratorLifecycle):
                 "block_post_s": cfg.d2h_block_post_s,
             }, cfg, span, n_recv=len(blocks))
             deadline_s = self.retry.transfer_timeout_s(nbytes)
-            msg = yield from self._await(
-                reply.done, deadline_s,
-                f"memcpy_d2h to ac{self.handle.ac_id} timed out")
+            msg = yield from self._await(reply.done, deadline_s,
+                                         "memcpy_d2h to ac{} timed out")
             resp: Response = msg.payload
             # On failure the daemon sent no data; the pre-posted receives are
             # abandoned (their unique tag is never reused).
@@ -272,8 +273,7 @@ class RemoteAccelerator(AcceleratorLifecycle):
                     yield from self._await(
                         self.rank.comm.engine.all_of(
                             [r.done for r in block_reqs]),
-                        deadline_s, f"memcpy_d2h data stream from "
-                                    f"ac{self.handle.ac_id} stalled")
+                        deadline_s, "memcpy_d2h data stream from ac{} stalled")
             self.bytes_d2h += nbytes
             return assemble_chunks([r.message.payload for r in block_reqs],
                                    blocks, resp.value)

@@ -296,20 +296,11 @@ class Daemon:
         if version is not None:
             self.version = version
 
-    def _stall_s(self) -> float | None:
-        """The per-block receive deadline in force right now."""
-        stall = self.data_stall_s
-        return None if stall is None else stall * self.slow_factor
-
-    def _block_cost_s(self) -> float:
-        """The per-block software cost in force right now."""
-        return self.cpu.request_handling_s * self.slow_factor
-
     def _drain_data(self, req: Request, src: int):
         """Consume data blocks of a request that was rejected up-front."""
         if req.op == Op.MEMCPY_H2D:
             yield from recv_blocks(self.rank, src, req.params["data_tag"],
-                                   req.params["blocks"], self._stall_s)
+                                   req.params["blocks"], self)
 
     # -- virtual accelerators -------------------------------------------
     def _target(self, params: dict):
@@ -511,9 +502,8 @@ class Daemon:
         if dev is None:
             yield from self._drain_data(req, src)
             return
-        stalled = yield from recv_blocks(
-            self.rank, src, dev.dtag, dev.blocks, self._stall_s, dev,
-            self._block_cost_s)
+        stalled = yield from recv_blocks(self.rank, src, dev.dtag,
+                                         dev.blocks, self, dev)
         if stalled is not None:
             self._reply(req, Response(
                 req.req_id, Status.ERROR,
@@ -584,9 +574,9 @@ class Daemon:
                         "data_tag": data_tag(fwd_id), "pinned": dev.pinned,
                         "gpudirect": dev.gpudirect, "meta": dev.source_meta},
                 trace=trace))
-            yield from send_blocks(
-                self.rank, peer_rank, data_tag(fwd_id), dev.loan(),
-                p.get("block_post_s"), dataclasses.replace(dev, span=span))
+            dev.span = span
+            yield from send_blocks(self.rank, peer_rank, data_tag(fwd_id),
+                                   dev.loan(), p.get("block_post_s"), dev)
             msg = yield from self.rank.recv(source=peer_rank,
                                             tag=reply_tag(fwd_id))
             peer_resp: Response = msg.payload

@@ -266,10 +266,8 @@ def send_blocks(rank: RankHandle, dst: int, dtag: int, chunks: list,
 
 
 def recv_blocks(rank: RankHandle, src: int, dtag: int,
-                blocks: list[tuple[int, int]],
-                stall_s: _t.Callable[[], float | None],
-                dev: DeviceEnd | None = None,
-                block_cost_s: _t.Callable[[], float] | None = None):
+                blocks: list[tuple[int, int]], dials,
+                dev: DeviceEnd | None = None):
     """Receive a block stream from ``src`` into device memory (generator).
 
     Each block's DMA is issued as soon as the block has landed, while
@@ -277,15 +275,18 @@ def recv_blocks(rank: RankHandle, src: int, dtag: int,
     over the sender's buffer and the DMA engine models time only, so the
     one physical copy is the write into the device backing store when
     the DMA completes; the pinned-ring slot is held until then.  Every
-    block after the first costs ``block_cost_s()`` of software (posting
-    the next receive and the DMA descriptor; the first block's cost was
-    the request handling itself), and without GPUDirect a CPU copy from
-    the MPI receive buffer into the pinned DMA buffer.
+    block after the first costs one request handling of software
+    (posting the next receive and the DMA descriptor; the first block's
+    cost was the request handling itself), and without GPUDirect a CPU
+    copy from the MPI receive buffer into the pinned DMA buffer.
 
-    Returns None once every block is in device memory, or the index of
-    the block at which the stream stalled for ``stall_s()`` (partition,
-    dropped blocks; both dials are read per block, so a straggler
-    injected mid-stream slows the blocks still to come).  Blocks already written stay written; the rest of
+    ``dials`` is the daemon, for its fault-injection dials: the stall
+    deadline ``data_stall_s`` (None: unbounded) and the straggler
+    ``slow_factor`` that scales it and the handling cost.  They are read
+    per block, so a straggler injected mid-stream slows the blocks still
+    to come.  Returns None once every block is in device memory, or the
+    index of the block at which the stream stalled (partition, dropped
+    blocks).  Blocks already written stay written; the rest of
     the stream is pre-discarded, because blocks still in flight
     (delayed, not dropped) would otherwise sit in the unexpected queue
     and be mis-matched by a later transfer reusing the data tag.
@@ -298,24 +299,26 @@ def recv_blocks(rank: RankHandle, src: int, dtag: int,
     dma_events = []
     for i, (off, size) in enumerate(blocks):
         rreq = rank.irecv(source=src, tag=dtag)
-        with span.child("net.recv", block=i, nbytes=size):
-            stall = stall_s()
-            if stall is None:
-                yield rreq.done
-            else:
-                cond, dl = engine.race(rreq.done, stall)
-                yield cond
-                if not rreq.completed:
-                    # Cancelled, not leaked; then the rest of the stream.
-                    rank.cancel_recv(rreq)
-                    rank.discard_next(src, dtag, count=len(blocks) - i)
-                    return i
-                if not dl.processed:
-                    dl.cancel()
+        recv_span = span.child("net.recv", block=i, nbytes=size)
+        if dials.data_stall_s is None:
+            yield rreq.done
+        else:
+            cond, dl = engine.race(rreq.done,
+                                   dials.data_stall_s * dials.slow_factor)
+            yield cond
+            if not dl.processed:
+                dl.cancel()
+        recv_span.finish()
+        if not rreq.completed:
+            # Cancelled, not leaked; then the rest of the stream.
+            rank.cancel_recv(rreq)
+            rank.discard_next(src, dtag, count=len(blocks) - i)
+            return i
         if dev is None:
             continue
         if i:
-            yield engine.timeout(block_cost_s())
+            yield engine.timeout(
+                dev.cpu.request_handling_s * dials.slow_factor)
         if not dev.gpudirect:
             with span.child("staging", block=i, nbytes=size):
                 yield engine.timeout(size / dev.cpu.memcpy_bw_Bps)
