@@ -20,6 +20,7 @@ transfers exercise the identical protocol path.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing as _t
 
 import numpy as np
@@ -219,7 +220,7 @@ class DeviceEnd:
         alloc = self.alloc
         if (alloc.data is None or alloc.dtype is None or alloc.shape is None
                 or not self.covers(alloc.dtype.itemsize
-                                   * int(np.prod(alloc.shape)))):
+                                   * math.prod(alloc.shape))):
             return None
         return (alloc.dtype.str, alloc.shape)
 
@@ -300,16 +301,16 @@ def recv_blocks(rank: RankHandle, src: int, dtag: int,
     for i, (off, size) in enumerate(blocks):
         rreq = rank.irecv(source=src, tag=dtag)
         recv_span = span.child("net.recv", block=i, nbytes=size)
-        if dials.data_stall_s is None:
+        stall = dials.data_stall_s
+        if stall is None:
             yield rreq.done
         else:
-            cond, dl = engine.race(rreq.done,
-                                   dials.data_stall_s * dials.slow_factor)
+            cond, dl = engine.race(rreq.done, stall * dials.slow_factor)
             yield cond
             if not dl.processed:
                 dl.cancel()
         recv_span.finish()
-        if not rreq.completed:
+        if stall is not None and not rreq.completed:
             # Cancelled, not leaked; then the rest of the stream.
             rank.cancel_recv(rreq)
             rank.discard_next(src, dtag, count=len(blocks) - i)
