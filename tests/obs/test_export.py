@@ -9,13 +9,15 @@ Regenerate with::
       "from obs.test_export import regenerate_golden; regenerate_golden()"
 """
 
+import hashlib
 import json
 import pathlib
 
 import numpy as np
 import pytest
 
-from repro.obs import enable_tracing
+from repro.cluster import Cluster, paper_testbed
+from repro.obs import enable_tracing, trace_session
 from repro.obs.export import (
     TraceSchemaError,
     chrome_trace,
@@ -25,8 +27,14 @@ from repro.obs.export import (
 )
 from repro.sim import Engine
 from repro.units import MiB
+from repro.workloads.linalg import qr_factorize
 
 GOLDEN = pathlib.Path(__file__).parent / "goldens" / "simple_trace.json"
+#: sha256 of the traced e2e ``--smoke`` QR's export, written once from the
+#: code *before* the one-record-per-span recorder, so a recorder change is
+#: compared with its parent's bytes and not with itself.  Rewrite with
+#: ``regenerate_qr_golden()`` only when the export format itself changes.
+QR_GOLDEN = GOLDEN.with_name("qr_smoke_trace.sha256")
 
 
 def _reference_collector():
@@ -55,6 +63,25 @@ def regenerate_golden() -> None:  # pragma: no cover - maintenance helper
                                  indent=1) + "\n")
 
 
+def _qr_smoke_digest() -> str:
+    """Export digest of the e2e ``qr_protocol_obs --smoke`` shape."""
+    with trace_session() as session:
+        cluster = Cluster(paper_testbed(n_compute=1, n_accelerators=3))
+        sess = cluster.session()
+        handles = sess.call(cluster.arm_client(0).alloc(count=3))
+        acs = [cluster.remote(0, h) for h in handles]
+        sess.call(qr_factorize(cluster.engine, cluster.compute_nodes[0].cpu,
+                               acs, 1024, 128))
+    trace = session.to_chrome_trace()
+    validate_chrome_trace(trace)
+    return hashlib.sha256(
+        json.dumps(trace, sort_keys=True).encode()).hexdigest()
+
+
+def regenerate_qr_golden() -> None:  # pragma: no cover - maintenance helper
+    QR_GOLDEN.write_text(_qr_smoke_digest() + "\n")
+
+
 class TestGolden:
     def test_export_matches_golden(self):
         trace = chrome_trace(_reference_collector())
@@ -62,6 +89,11 @@ class TestGolden:
         assert trace == golden, (
             "Chrome trace export drifted from the golden file; if the "
             "change is intentional, regenerate (see module docstring)")
+
+    def test_qr_smoke_export_matches_parent_digest(self):
+        assert _qr_smoke_digest() == QR_GOLDEN.read_text().strip(), (
+            "the traced QR's Chrome export is no longer byte-identical to "
+            "the one the golden was written from")
 
     def test_golden_passes_schema_validation(self):
         validate_chrome_trace(json.loads(GOLDEN.read_text()))
