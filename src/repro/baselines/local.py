@@ -93,7 +93,7 @@ class LocalAccelerator(AcceleratorLifecycle):
                     f"allocation of {alloc.nbytes}B")
             yield self.gpu.dma.copy(
                 nbytes, pinned=self.pinned if pinned is None else pinned,
-                ctx=span.context)
+                ctx=span.wire)
             flat = as_flat_bytes(payload)
             if flat is not None:
                 self.gpu.memory.write(dst, offset, flat)
@@ -116,7 +116,7 @@ class LocalAccelerator(AcceleratorLifecycle):
                     f"allocation of {alloc.nbytes}B")
             yield self.gpu.dma.copy(
                 nbytes, pinned=self.pinned if pinned is None else pinned,
-                ctx=span.context)
+                ctx=span.wire)
             self.bytes_d2h += nbytes
             if alloc.data is None:
                 return Phantom(nbytes)
@@ -186,7 +186,7 @@ class LocalAccelerator(AcceleratorLifecycle):
         with self._obs.start("client.kernel_run", self._actor,
                              kernel=name) as span:
             result = yield self.gpu.launch(name, params, real=real,
-                                           ctx=span.context)
+                                           ctx=span.wire)
             return result
 
     # -- misc --------------------------------------------------------------

@@ -19,7 +19,7 @@ import typing as _t
 
 from ..errors import DeviceMemoryError, GPUError, KernelError
 from ..mpisim import RankHandle
-from ..obs.spans import NULL_SPAN, collector_for, context_from_wire
+from ..obs.spans import NULL_SPAN, collector_for
 from .protocol import (
     DEDUP_OPS, Op, Request, Response, Status, TAG_REQUEST, data_tag, reply_tag,
 )
@@ -195,7 +195,7 @@ class Daemon:
                 self.stats.dedup_hits += 1
                 with self._obs.start(f"daemon.{req.op.value}",
                                      self.node.name,
-                                     parent=context_from_wire(req.trace),
+                                     parent=req.trace,
                                      req_id=req.req_id, dedup_replay=True):
                     yield from self._drain_data(req, msg.source)
                     self._reply(req, cached, dedup=True)
@@ -221,7 +221,7 @@ class Daemon:
                 continue
             obs = self._obs
             span = (obs.start(f"daemon.{req.op.value}", self.node.name,
-                              parent=context_from_wire(req.trace),
+                              parent=req.trace,
                               req_id=req.req_id)
                     if obs.enabled else NULL_SPAN)
             self._cur_span = span
@@ -450,8 +450,8 @@ class Daemon:
         for j, (sub_id, ops) in enumerate(subs):
             self.stats.mbatched_ops += len(ops)
             span = (obs.start("daemon.mbatch.sub", self.node.name,
-                              parent=context_from_wire(traces[j]),
-                              req_id=sub_id, ops=len(ops))
+                              parent=traces[j], req_id=sub_id,
+                              ops=len(ops))
                     if obs.enabled else NULL_SPAN)
             prev_span, self._cur_span = self._cur_span, span
             sub: list[Response] = []
@@ -562,8 +562,8 @@ class Daemon:
         trace = dev.span.wire
         obs = self._obs
         span = (obs.start("daemon.peer_put.stream", self.node.name,
-                          parent=context_from_wire(trace),
-                          req_id=req.req_id, nbytes=dev.nbytes)
+                          parent=trace, req_id=req.req_id,
+                          nbytes=dev.nbytes)
                 if obs.enabled else NULL_SPAN)
         with span:
             # The forwarded request carries the handler's span context,
@@ -600,7 +600,7 @@ class Daemon:
             # device's WFQ time slicer weighted by the tenant's share.
             result = yield self._target(params).launch(
                 params["name"], params.get("params") or {},
-                real=params.get("real", True), ctx=self._cur_span.context)
+                real=params.get("real", True), ctx=self._cur_span.wire)
         except KernelError as exc:
             return Response(req_id, Status.ERROR, error=str(exc))
         except GPUError as exc:

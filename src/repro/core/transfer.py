@@ -250,11 +250,15 @@ def send_blocks(rank: RankHandle, dst: int, dtag: int, chunks: list,
     has drained it (send injection).  Host chunks need no produce step —
     the front-end's H2D inject loop, which never yields.
     """
+    if dev is not None:
+        # One parent context per stream, not one per block.
+        span = dev.span
+        ctx = span.wire
     for i, chunk in enumerate(chunks):
         if dev is not None:
-            size, span = chunk.nbytes, dev.span
+            size = chunk.nbytes
             dev.stats.stage(size)
-            yield dev.gpu.dma.copy(size, pinned=dev.pinned, ctx=span.context)
+            yield dev.gpu.dma.copy(size, pinned=dev.pinned, ctx=ctx)
             if not dev.gpudirect:
                 with span.child("staging", block=i, nbytes=size):
                     yield rank.comm.engine.timeout(
@@ -297,6 +301,7 @@ def recv_blocks(rank: RankHandle, src: int, dtag: int,
     """
     engine = rank.comm.engine
     span = dev.span if dev is not None else NULL_SPAN
+    ctx = span.wire
     dma_events = []
     for i, (off, size) in enumerate(blocks):
         rreq = rank.irecv(source=src, tag=dtag)
@@ -325,7 +330,7 @@ def recv_blocks(rank: RankHandle, src: int, dtag: int,
                 yield engine.timeout(size / dev.cpu.memcpy_bw_Bps)
         dev.stats.stage(size)
         chunk = rreq.message.payload
-        ev = dev.gpu.dma.copy_view(chunk, pinned=dev.pinned, ctx=span.context)
+        ev = dev.gpu.dma.copy_view(chunk, pinned=dev.pinned, ctx=ctx)
 
         def _on_dma(_ev, off=off, size=size, chunk=chunk):
             if not isinstance(chunk, Phantom):

@@ -101,6 +101,7 @@ class GPUDevice:
         self.memory = DeviceMemory(spec.mem_bytes)
         self.dma = DMAEngine(engine, spec.pcie, name=f"{self.name}.dma")
         self._compute = Resource(engine, capacity=1)
+        self._obs = collector_for(engine)
         #: Cumulative compute-busy seconds (utilization accounting).
         self.busy_time = 0.0
         self.kernels_launched = 0
@@ -127,7 +128,7 @@ class GPUDevice:
 
     def _run(self, kernel, params: dict, duration: float, real: bool,
              done: Event, ctx=None):
-        span = collector_for(self.engine).start(
+        span = self._obs.start(
             "gpu.kernel", self.name, parent=ctx,
             kernel=kernel.name) if ctx is not None else NULL_SPAN
         with span:

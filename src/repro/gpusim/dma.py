@@ -78,6 +78,7 @@ class DMAEngine:
         self.model = model
         self.name = name
         self._lock = Resource(engine, capacity=1)
+        self._obs = collector_for(engine)
         #: Total busy seconds, for utilization accounting.
         self.busy_time = 0.0
         self.transfers = 0
@@ -86,8 +87,8 @@ class DMAEngine:
     def copy(self, nbytes: int, pinned: bool = True, ctx=None) -> Event:
         """Start one host<->device copy; the event fires on completion.
 
-        ``ctx`` is an optional parent :class:`~repro.obs.SpanContext`:
-        when tracing is on, the copy records a ``dma.copy`` child span
+        ``ctx`` is an optional parent span context (``Span.wire``): when
+        tracing is on, the copy records a ``dma.copy`` child span
         covering queueing-for-the-engine plus the transfer itself.
         """
         if nbytes < 0:
@@ -95,7 +96,7 @@ class DMAEngine:
         engine = self.engine
         # Spans are children of a request's handler span; a copy issued
         # without one (direct device use) records nothing.
-        span = (collector_for(engine).start(
+        span = (self._obs.start(
             "dma.copy", self.name, parent=ctx, nbytes=nbytes, pinned=pinned)
             if ctx is not None else NULL_SPAN)
         done = Event(engine)

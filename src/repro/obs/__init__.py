@@ -41,7 +41,6 @@ from .spans import (
     TraceCollector,
     TraceSession,
     collector_for,
-    context_from_wire,
     enable_tracing,
     trace_session,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "TraceCollector",
     "TraceSession",
     "collector_for",
-    "context_from_wire",
     "enable_tracing",
     "trace_session",
     "chrome_trace",

@@ -38,7 +38,7 @@ def _span_event(span: Span, pid: int, tid: int) -> dict:
                                                 type(None))) else repr(value)
     return {
         "name": span.name,
-        "cat": span.category,
+        "cat": span.name.split(".", 1)[0],
         "ph": "X",
         "ts": span.start * _US,
         "dur": (end - span.start) * _US,
@@ -65,6 +65,10 @@ def chrome_trace(collectors: "TraceCollector | _t.Sequence[TraceCollector]",
                        "tid": 0, "ts": 0.0,
                        "args": {"name": f"engine{pid}"}})
         tids: dict[str, int] = {}
+        # Group the collector's shared event log once, not once per span.
+        log: dict[int, list[tuple]] = {}
+        for row in col.event_log:
+            log.setdefault(row[0], []).append(row)
         for span in col.spans:
             tid = tids.get(span.actor)
             if tid is None:
@@ -72,17 +76,18 @@ def chrome_trace(collectors: "TraceCollector | _t.Sequence[TraceCollector]",
                 events.append({"name": "thread_name", "ph": "M", "pid": pid,
                                "tid": tid, "ts": 0.0,
                                "args": {"name": span.actor}})
-            events.append(_span_event(span, pid, tid))
-            for ev in span.events:
+            record = _span_event(span, pid, tid)
+            events.append(record)
+            for _, time, name, attrs in log.get(span.span_id, ()):
                 events.append({
-                    "name": f"{span.name}:{ev.name}",
-                    "cat": span.category,
+                    "name": f"{span.name}:{name}",
+                    "cat": record["cat"],
                     "ph": "i",
                     "s": "t",
-                    "ts": ev.time * _US,
+                    "ts": time * _US,
                     "pid": pid,
                     "tid": tid,
-                    "args": dict(ev.attrs, span_id=span.span_id,
+                    "args": dict(attrs or (), span_id=span.span_id,
                                  trace_id=span.trace_id),
                 })
         total_spans += len(col.spans)

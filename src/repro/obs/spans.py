@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import types
 import typing as _t
 import weakref
 
@@ -59,26 +60,33 @@ class Span:
     the span as a context manager — which also closes it when an
     exception (including a process interrupt) unwinds the enclosing
     generator, so failed branches cannot leak open spans.
+
+    A span is the one object a recorded phase retains: identity, times
+    and ``attrs``.  Its point events are rows of the collector's shared
+    :attr:`TraceCollector.event_log`.
     """
 
-    __slots__ = ("collector", "name", "category", "actor", "trace_id",
-                 "span_id", "parent_id", "start", "end", "attrs", "events")
+    __slots__ = ("collector", "name", "actor", "trace_id", "span_id",
+                 "parent_id", "start", "end", "attrs")
 
     def __init__(self, collector: "TraceCollector", name: str, actor: str,
-                 trace_id: int, span_id: int, parent_id: int | None,
-                 start: float, attrs: dict):
+                 trace_id: int, parent_id: int | None, attrs: dict):
+        # Opening a span *is* recording it: one frame for the clock read,
+        # the id and the append.
+        engine = collector._engine_ref()
+        if engine is not None:
+            collector._last_now = engine.now
         self.collector = collector
         self.name = name
-        #: Chrome-trace category: the part of ``name`` before the first dot.
-        self.category = name.split(".", 1)[0]
         self.actor = actor
         self.trace_id = trace_id
-        self.span_id = span_id
+        self.span_id = next(collector._span_ids)
         self.parent_id = parent_id
-        self.start = start
+        self.start = collector._last_now
         self.end: float | None = None
         self.attrs = attrs
-        self.events: list[SpanEvent] = []
+        collector.spans.append(self)
+        collector._n_open += 1
 
     # -- identity ---------------------------------------------------------
     @property
@@ -87,7 +95,8 @@ class Span:
 
     @property
     def wire(self) -> tuple[int, int]:
-        """The context as a plain tuple, for riding a Request frame."""
+        """The context as a plain tuple: what rides a Request frame and
+        what ``parent=`` / ``ctx=`` take without building a NamedTuple."""
         return (self.trace_id, self.span_id)
 
     @property
@@ -100,10 +109,24 @@ class Span:
         return (self.end if self.end is not None
                 else self.collector.now) - self.start
 
+    @property
+    def events(self) -> list[SpanEvent]:
+        """This span's point events in emission order: a derived view,
+        one pass over the collector's shared log."""
+        sid = self.span_id
+        return [SpanEvent(time, name, attrs or {})
+                for span_id, time, name, attrs in self.collector.event_log
+                if span_id == sid]
+
     # -- recording --------------------------------------------------------
     def event(self, name: str, **attrs: _t.Any) -> None:
         """Record a timestamped point annotation on this span."""
-        self.events.append(SpanEvent(self.collector.now, name, attrs))
+        col = self.collector
+        engine = col._engine_ref()
+        if engine is not None:
+            col._last_now = engine.now
+        col.event_log.append(
+            (self.span_id, col._last_now, name, attrs or None))
 
     def set(self, **attrs: _t.Any) -> None:
         """Attach attributes to the span."""
@@ -112,16 +135,23 @@ class Span:
     def child(self, name: str, actor: str | None = None,
               **attrs: _t.Any) -> "Span | NullSpan":
         """Open a child span (same trace id)."""
-        return self.collector.start(name, actor or self.actor,
-                                    parent=self.context, **attrs)
+        col = self.collector
+        if not col.enabled:
+            return NULL_SPAN
+        return Span(col, name, actor or self.actor, self.trace_id,
+                    self.span_id, attrs)
 
     def finish(self, **attrs: _t.Any) -> None:
         """Close the span at the current virtual time (idempotent)."""
         if self.end is None:
             if attrs:
                 self.attrs.update(attrs)
-            self.end = self.collector.now
-            self.collector._open.discard(self)
+            col = self.collector
+            engine = col._engine_ref()
+            if engine is not None:
+                col._last_now = engine.now
+            self.end = col._last_now
+            col._n_open -= 1
 
     # -- context manager --------------------------------------------------
     def __enter__(self) -> "Span":
@@ -150,8 +180,10 @@ class NullSpan:
 
     context = None
     wire = None
-    events: list = []
-    attrs: dict = {}
+    # Immutable: one instance stands in for every disabled span, so a
+    # write through ``span.attrs[...]`` must fail, not leak to the rest.
+    events: tuple = ()
+    attrs: _t.Mapping = types.MappingProxyType({})
     open = False
     duration = 0.0
 
@@ -185,16 +217,6 @@ class NullSpan:
 NULL_SPAN = NullSpan()
 
 
-def span_wire(span: "Span | NullSpan") -> tuple[int, int] | None:
-    """The ``Request.trace`` payload for a span (None when disabled)."""
-    return span.wire
-
-
-def context_from_wire(wire: tuple[int, int] | None) -> SpanContext | None:
-    """Rebuild a :class:`SpanContext` from a Request's ``trace`` field."""
-    return SpanContext(*wire) if wire else None
-
-
 class TraceCollector:
     """Per-engine span store, sharing the engine's virtual clock.
 
@@ -203,7 +225,8 @@ class TraceCollector:
     :func:`collector_for` the same instance, exactly like they share the
     clock.  ``enabled`` may be flipped at any time; components cache the
     collector object, not its state, so enabling after cluster
-    construction works.
+    construction works.  A ``parent`` is any ``(trace_id, span_id)``
+    pair: a :class:`SpanContext`, ``Span.wire``, a Request's ``trace``.
     """
 
     def __init__(self, engine: "Engine", enabled: bool = False):
@@ -214,17 +237,21 @@ class TraceCollector:
         self._engine_ref = weakref.ref(engine)
         self._last_now = 0.0
         self.spans: list[Span] = []
-        self._open: set[Span] = set()
+        #: Every span's point events in emission order, append-only: rows
+        #: of ``(span_id, time, name, attrs-or-None)`` — atoms, so the
+        #: cyclic GC untracks them.
+        self.event_log: list[tuple] = []
+        self._n_open = 0
         self._span_ids = itertools.count(1)
         self._trace_ids = itertools.count(1)
-        self._adopted: SpanContext | None = None
+        self._adopted: tuple[int, int] | None = None
 
     # -- clock ------------------------------------------------------------
     @property
     def now(self) -> float:
         # Once the engine is gone the clock stays at the last time read,
         # so a span left open by an abandoned process still exports with
-        # a non-negative duration.
+        # a non-negative duration.  (Recording reads it the same way, inline.)
         engine = self._engine_ref()
         if engine is not None:
             self._last_now = engine.now
@@ -232,7 +259,7 @@ class TraceCollector:
 
     # -- span creation ----------------------------------------------------
     def start(self, name: str, actor: str,
-              parent: "SpanContext | Span | None" = None,
+              parent: "tuple[int, int] | None" = None,
               **attrs: _t.Any) -> "Span | NullSpan":
         """Open a span; returns :data:`NULL_SPAN` when disabled.
 
@@ -243,9 +270,9 @@ class TraceCollector:
             return NULL_SPAN
         if parent is None:
             parent, self._adopted = self._adopted, None
-        if isinstance(parent, Span):
-            parent = parent.context
-        return self._open_span(name, actor, parent, attrs)
+            if parent is None:
+                parent = (next(self._trace_ids), None)
+        return Span(self, name, actor, *parent, attrs)
 
     def start_root(self, name: str, actor: str,
                    **attrs: _t.Any) -> "Span | NullSpan":
@@ -258,21 +285,9 @@ class TraceCollector:
         """
         if not self.enabled:
             return NULL_SPAN
-        return self._open_span(name, actor, None, attrs)
+        return Span(self, name, actor, next(self._trace_ids), None, attrs)
 
-    def _open_span(self, name: str, actor: str, parent: SpanContext | None,
-                   attrs: dict) -> Span:
-        if parent is not None:
-            trace_id, parent_id = parent.trace_id, parent.span_id
-        else:
-            trace_id, parent_id = next(self._trace_ids), None
-        span = Span(self, name, actor, trace_id, next(self._span_ids),
-                    parent_id, self.now, attrs)
-        self.spans.append(span)
-        self._open.add(span)
-        return span
-
-    def adopt_parent(self, ctx: "SpanContext | None") -> None:
+    def adopt_parent(self, ctx: "tuple[int, int] | None") -> None:
         """Stage a parent context for the *next* :meth:`start` call.
 
         The simulation is cooperatively scheduled, so a stage-then-start
@@ -291,7 +306,11 @@ class TraceCollector:
     # -- queries ----------------------------------------------------------
     @property
     def open_spans(self) -> list[Span]:
-        return sorted(self._open, key=lambda s: s.span_id)
+        """Still-open spans by ``span_id``: a scan, for error paths and
+        tests — recording keeps a count, not a set."""
+        if not self._n_open:
+            return []
+        return [s for s in self.spans if s.end is None]
 
     def by_name(self, name: str) -> list[Span]:
         return [s for s in self.spans if s.name == name]
@@ -304,14 +323,21 @@ class TraceCollector:
                 if s.trace_id == span.trace_id and s.parent_id == span.span_id]
 
     # -- lifecycle --------------------------------------------------------
-    def abort_open(self, reason: str) -> int:
-        """Close every open span, marking it aborted; returns the count.
+    def abort_open(self, reason: str, actor: str | None = None) -> int:
+        """Close open spans, marking them aborted; returns the count.
 
-        Called when a request path is torn down abnormally (a
-        ``run_parallel`` branch died, a sync call was interrupted) so the
-        export never contains dangling spans.
+        Called when a request path is torn down abnormally so the export
+        never contains dangling spans.  Without ``actor`` that is every
+        open span: a ``SyncSession`` call or ``run_parallel`` tears down
+        all there is.  With ``actor``, only traces *rooted* on that actor
+        (a batch job owns its compute node, hence every trace rooted
+        there); spans of the jobs beside it keep running.
         """
-        aborted = list(self._open)
+        aborted = self.open_spans
+        if actor is not None and aborted:
+            mine = {s.trace_id for s in self.spans
+                    if s.parent_id is None and s.actor == actor}
+            aborted = [s for s in aborted if s.trace_id in mine]
         for span in aborted:
             span.attrs.setdefault("aborted", reason)
             span.finish()
@@ -319,14 +345,15 @@ class TraceCollector:
         return len(aborted)
 
     def clear(self) -> None:
+        # ``_n_open`` stays: a span dropped while open still finishes.
         self.spans.clear()
-        self._open.clear()
+        self.event_log.clear()
         self._adopted = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "on" if self.enabled else "off"
         return (f"<TraceCollector {state} spans={len(self.spans)} "
-                f"open={len(self._open)}>")
+                f"open={self._n_open}>")
 
 
 #: engine -> collector.  Weak keys: a collector must not outlive (or pin)

@@ -1,11 +1,16 @@
 """Span tracing: collection, request decomposition, and leak protection."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from repro.core.api import run_parallel
 from repro.errors import MiddlewareError, RequestTimeout
+from repro.gpusim.dma import PCIE_GEN2_X16, DMAEngine
+from repro.netsim import IB_QDR_MPI, Fabric
 from repro.obs import NULL_SPAN, SpanContext, collector_for, enable_tracing
+from repro.obs.spans import SpanEvent
 from repro.sim import Engine
 from repro.units import KiB, MiB
 
@@ -35,6 +40,18 @@ class TestCollectorBasics:
         with NULL_SPAN:
             pass
         assert NULL_SPAN.attrs == {}
+
+    def test_null_span_state_is_immutable(self):
+        """One instance stands in for every disabled span: the writes
+        ``__exit__`` / ``abort_open`` do on real spans must not leak from
+        one disabled span into every later one."""
+        with pytest.raises(TypeError):
+            NULL_SPAN.attrs["error"] = "boom"
+        with pytest.raises(AttributeError):
+            NULL_SPAN.attrs.setdefault("aborted", "teardown")
+        with pytest.raises(AttributeError):
+            NULL_SPAN.events.append("x")
+        assert NULL_SPAN.attrs == {} and NULL_SPAN.events == ()
 
     def test_span_timestamps_are_virtual(self):
         engine = Engine()
@@ -90,6 +107,101 @@ class TestCollectorBasics:
         assert not span.open
         assert span.attrs["aborted"] == "test teardown"
         assert col.open_spans == []
+
+
+class TestSpanBudget:
+    """What a recorded span costs, pinned like the event budget: one
+    retained object per span, events in one shared log, no open set."""
+
+    N = 400
+
+    def _traffic(self, eng, fabric, dma, obs):
+        """N messages + N DMA copies: 2N + 1 spans, 2N events."""
+        with obs.start("client.op", "a") as root:
+            for _ in range(self.N):
+                fabric.transfer("a", "b", 4096)
+                dma.copy(4096, ctx=root.context)
+            eng.run()
+
+    def test_one_gc_tracked_object_per_finished_span(self):
+        eng = Engine()
+        fabric = Fabric(eng, IB_QDR_MPI)
+        fabric.add_endpoint("a")
+        fabric.add_endpoint("b")
+        dma = DMAEngine(eng, PCIE_GEN2_X16)
+        obs = enable_tracing(eng)
+        self._traffic(eng, fabric, dma, obs)    # fills the engine's pools
+        n_spans = len(obs.spans)
+        gc.collect()
+        before = len(gc.get_objects())
+        self._traffic(eng, fabric, dma, obs)
+        gc.collect()
+        grown = len(gc.get_objects()) - before
+        n_spans = len(obs.spans) - n_spans
+        assert n_spans == 2 * self.N + 1
+        assert len(obs.event_log) == 2 * 2 * self.N
+        assert not obs.open_spans
+        # The Span itself; its attrs dict and its event rows hold atoms
+        # only, so the cyclic GC untracks them.  (A Span with its own
+        # events list of SpanEvent tuples read 3.0 here.)
+        assert grown / n_spans <= 1.02, grown / n_spans
+        assert not any(gc.is_tracked(row) for row in obs.event_log)
+        assert not any(gc.is_tracked(s.attrs) for s in obs.spans)
+
+    def test_events_view_keeps_emission_order_across_interleaved_spans(self):
+        eng = Engine()
+        obs = enable_tracing(eng)
+        a = obs.start("client.op", "cn0")
+        b = a.child("daemon.op", "ac0")
+        a.event("retry", attempt=1)
+        b.event("queued")
+        eng.run(until=eng.timeout(1e-3))
+        b.event("dequeued", depth=2)
+        a.event("timeout")
+        c = obs.start("client.ping", "cn0")
+        assert a.events == [SpanEvent(0.0, "retry", {"attempt": 1}),
+                            SpanEvent(1e-3, "timeout", {})]
+        assert b.events == [SpanEvent(0.0, "queued", {}),
+                            SpanEvent(1e-3, "dequeued", {"depth": 2})]
+        assert c.events == []
+        assert all(isinstance(e, SpanEvent) for e in a.events + b.events)
+        assert [row[0] for row in obs.event_log] == [
+            a.span_id, b.span_id, b.span_id, a.span_id]
+        obs.clear()
+        assert obs.spans == [] and obs.event_log == [] and a.events == []
+
+    def test_open_spans_is_a_scan_only_while_something_is_open(self):
+        class NoScan(list):
+            def __iter__(self):
+                raise AssertionError("scanned a fully-closed collector")
+
+        eng = Engine()
+        obs = enable_tracing(eng)
+        spans = [obs.start("client.op", f"cn{i}") for i in range(5)]
+        for i in (3, 0):
+            spans[i].finish()
+        assert obs.open_spans == [spans[1], spans[2], spans[4]]
+        assert obs.abort_open("teardown") == 3
+        assert all(not s.open for s in spans)
+        assert [s.span_id for s in spans if "aborted" in s.attrs] == [2, 3, 5]
+        spans[1].finish()                       # idempotent: no double count
+        obs.spans = NoScan(obs.spans)
+        assert obs.open_spans == []
+        assert obs.abort_open("again") == 0
+        assert obs.abort_open("again", actor="cn0") == 0
+
+    def test_abort_open_scoped_to_an_actor_leaves_other_traces_open(self):
+        eng = Engine()
+        obs = enable_tracing(eng)
+        mine = obs.start("client.op", "cn0")
+        mine_remote = mine.child("daemon.op", "ac0")
+        theirs = obs.start("client.op", "cn1")
+        theirs_remote = theirs.child("daemon.op", "ac0")
+        assert obs.abort_open("job failed", actor="cn0") == 2
+        assert not mine.open and not mine_remote.open
+        assert theirs.open and theirs_remote.open
+        assert "aborted" not in theirs.attrs
+        assert obs.open_spans == [theirs, theirs_remote]
 
 
 class TestRequestDecomposition:
