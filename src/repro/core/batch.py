@@ -147,9 +147,12 @@ class BatchRunner:
         if error is not None:
             # A body (or release) that died mid-operation leaves client
             # and daemon spans open; close them so trace exports stay
-            # well-formed.
+            # well-formed.  Only this job's: it holds its compute node
+            # exclusively, so its traces are the ones rooted there, and
+            # the jobs running beside it keep their in-flight spans.
             collector_for(self.engine).abort_open(
-                f"batch job {spec.name!r} failed: {type(error).__name__}")
+                f"batch job {spec.name!r} failed: {type(error).__name__}",
+                actor=f"cn{cn_index}")
         yield self._free_nodes.put(cn_index)
         record = BatchJobRecord(spec=spec, cn_index=cn_index, start_s=start,
                                 end_s=self.engine.now, result=result,

@@ -5,8 +5,9 @@ import pytest
 
 from repro.cluster import Cluster, paper_testbed
 from repro.core import BatchJobSpec, BatchRunner
-from repro.errors import AllocationError
+from repro.errors import AllocationError, RequestTimeout
 from repro.mpisim import Phantom
+from repro.obs import trace_session
 from repro.units import MiB
 
 
@@ -98,6 +99,49 @@ class TestBatchRunner:
         assert isinstance(rec.error, RuntimeError)
         assert cluster.arm.free_count() == 3
         assert len(runner._free_nodes) == 2
+
+    def test_failing_job_aborts_only_its_own_spans(self):
+        """Regression: one job's failure closed *every* open span on the
+        engine, truncating a healthy concurrent job's in-flight kernel
+        and stamping it ``aborted``."""
+        gemm = {"A": 0, "B": 0, "C": 0, "m": 2048, "n": 2048, "k": 2048}
+
+        def good(ctx):
+            yield from ctx.accelerators[0].kernel_run("dgemm", gemm,
+                                                      real=False)
+
+        def bad(ctx):
+            # The deadline passes mid-kernel: the front-end gives up while
+            # the daemon's handler and the GPU's kernel span are open.
+            yield from ctx.accelerators[0].kernel_run(
+                "dgemm", gemm, real=False, timeout_s=1e-3)
+
+        with trace_session() as session:
+            cluster = Cluster(paper_testbed(n_compute=2, n_accelerators=3))
+            runner = BatchRunner(cluster)
+            recs = {r.spec.name: r for r in runner.run_all([
+                BatchJobSpec("good", good), BatchJobSpec("bad", bad)])}
+        assert recs["good"].ok
+        assert isinstance(recs["bad"].error, RequestTimeout)
+        assert recs["bad"].end_s < recs["good"].end_s
+        (col,) = session.collectors
+        assert col.open_spans == []
+        by_job = {}
+        for root in col.by_name("client.kernel_run"):
+            by_job[root.actor] = col.by_trace(root.trace_id)
+        mine = by_job[f"cn{recs['bad'].cn_index}"]
+        theirs = by_job[f"cn{recs['good'].cn_index}"]
+        # The failed job's dangling daemon-side spans were closed ...
+        assert {s.name for s in mine if "aborted" in s.attrs} == {
+            "daemon.kernel_run", "gpu.kernel"}
+        # ... the healthy job's ran to their own finish times.
+        assert {s.name for s in theirs} == {
+            "client.kernel_run", "daemon.kernel_run", "gpu.kernel"}
+        for span in theirs:
+            assert "aborted" not in span.attrs, span
+        kernel = next(s for s in theirs if s.name == "gpu.kernel")
+        assert kernel.end > recs["bad"].end_s
+        assert kernel.end == pytest.approx(recs["good"].end_s, rel=0.05)
 
     def test_oversized_request_rejected_at_submit(self, cluster):
         runner = BatchRunner(cluster)
