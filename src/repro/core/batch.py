@@ -152,7 +152,7 @@ class BatchRunner:
             # the jobs running beside it keep their in-flight spans.
             collector_for(self.engine).abort_open(
                 f"batch job {spec.name!r} failed: {type(error).__name__}",
-                actor=f"cn{cn_index}")
+                actor=self.cluster.compute_nodes[cn_index].name)
         yield self._free_nodes.put(cn_index)
         record = BatchJobRecord(spec=spec, cn_index=cn_index, start_s=start,
                                 end_s=self.engine.now, result=result,
