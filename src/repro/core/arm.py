@@ -153,10 +153,11 @@ class ResourceManager:
         return sum(1 for r in self.records.values()
                    if r.state != AcceleratorState.BROKEN)
 
-    def _healthy_acs(self) -> list[int]:
-        """Devices eligible to host virtual leases (non-BROKEN)."""
+    def _lease_hosts(self) -> list[int]:
+        """Devices eligible to host virtual leases: the FREE ones (an
+        exclusively ASSIGNED device is its owner's whole)."""
         return [r.ac_id for r in self.records.values()
-                if r.state != AcceleratorState.BROKEN]
+                if r.state == AcceleratorState.FREE]
 
     def lease_count(self, tenant: str | None = None) -> int:
         """Active virtual leases (optionally one tenant's)."""
@@ -362,8 +363,7 @@ class ResourceManager:
             self._finish_assignment(r)
             r.state = AcceleratorState.FREE
         self._reply(req, Response(req.req_id, Status.OK))
-        self._drain_queue()
-        self._drain_vqueue()
+        self._pool_grew()
 
     def _finish_assignment(self, r: AcceleratorRecord) -> None:
         if r._assigned_at is not None:
@@ -441,7 +441,9 @@ class ResourceManager:
         self.pool_events.append((self.engine.now, kind, ac_id))
 
     def _pool_grew(self) -> None:
-        """Wake queued waiters after pool growth — exactly once each.
+        """Wake queued waiters after capacity came back (a join, a rejoin
+        or either kind of release) — exactly once each, exclusive FIFO
+        first, then the lease WFQ.
 
         Both drains reply-and-pop atomically inside the calling handler
         (no yields between the capacity change and the drain), so a waiter
@@ -591,7 +593,7 @@ class ResourceManager:
                 error=f"tenant {tenant!r} is at its max_vaccels quota "
                       f"({spec.max_vaccels})"))
             return
-        if not self._healthy_acs():
+        if self._pool_capacity() == 0:
             self._reply(req, Response(req.req_id, Status.UNAVAILABLE,
                                       error="no healthy accelerators remain"))
             return
@@ -606,15 +608,15 @@ class ResourceManager:
 
     def _try_vassign(self, req: Request, spec: TenantSpec) -> bool:
         """Place a lease, preempting a lower-priority one when full."""
-        healthy = self._healthy_acs()
-        ac_id = self.admission.place(healthy)
+        hosts = self._lease_hosts()
+        ac_id = self.admission.place(hosts)
         if ac_id is None:
             victim = self.admission.find_victim(spec.priority)
             if victim is None:
                 return False
             self._revoke_lease(victim.vac_id, notify=True)
             self.preemptions += 1
-            ac_id = self.admission.place(healthy)
+            ac_id = self.admission.place(hosts)
             if ac_id is None:  # pragma: no cover - victim freed its slot
                 return False
         lease = self.admission.grant(spec.tenant_id, ac_id,
@@ -674,9 +676,8 @@ class ResourceManager:
         self.admission.end(vac_id, self.engine.now)
         self._reply(req, Response(req.req_id, Status.OK,
                                   value={"revoked": False}))
-        self._drain_vqueue()
         # A device with no leases left is whole-device allocatable again.
-        self._drain_queue()
+        self._pool_grew()
 
     def _drain_vqueue(self) -> None:
         while len(self._vqueue):
@@ -696,8 +697,7 @@ class ResourceManager:
                     error=f"tenant {tenant!r} is at its max_vaccels quota "
                           f"({spec.max_vaccels})"))
                 continue
-            healthy = self._healthy_acs()
-            if self.admission.place(healthy) is None:
+            if self.admission.place(self._lease_hosts()) is None:
                 break
             self._vqueue.pop()
             self._try_vassign(req, spec)

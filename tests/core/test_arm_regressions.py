@@ -4,7 +4,8 @@ Each class pins one of the historical ARM bugs:
 
 * oversized ``alloc(wait=True)`` queueing forever instead of failing,
 * queued waiters stranded by pool shrinkage or ARM shutdown,
-* ``utilization(elapsed=...)`` charging pre-window service to the window.
+* ``utilization(elapsed=...)`` charging pre-window service to the window,
+* a virtual lease granted on an exclusively ASSIGNED device.
 """
 
 import pytest
@@ -18,6 +19,8 @@ from repro.core import (
     reply_tag,
 )
 from repro.errors import AllocationError
+
+from .test_discovery import _reply_counter
 
 
 def _shutdown_arm(cluster, sess):
@@ -183,3 +186,73 @@ class TestUtilizationWindow:
         # Long after release, a short trailing window sees an idle pool.
         eng.run(until=eng.timeout(50.0))
         assert cluster.arm.utilization(elapsed=1.0) == 0.0
+
+
+class TestMixedFamilies:
+    """An exclusively ASSIGNED device is its owner's whole: lease placement
+    skips it, and both release paths wake waiters in one order (exclusive
+    FIFO, then the lease WFQ)."""
+
+    def test_nowait_valloc_refused_on_assigned_devices(self, cluster, sess):
+        client = cluster.arm_client(0)
+        sess.call(client.alloc(count=3))
+        sess.call(client.register_tenant("t"))
+        with pytest.raises(AllocationError, match="slot"):
+            sess.call(client.valloc("t", wait=False))
+        assert all(doc["leases"] == 0 and doc["state"] == "assigned"
+                   for doc in cluster.arm.snapshot().values())
+
+    def test_queued_valloc_woken_once_by_exclusive_release(self, cluster,
+                                                           sess):
+        eng = cluster.engine
+        counts = _reply_counter(cluster.arm)
+        client = cluster.arm_client(0)
+        handles = sess.call(client.alloc(count=3))
+        sess.call(client.register_tenant("t"))
+        grants = []
+
+        def lease():
+            grants.append((yield from client.valloc("t", wait=True)))
+
+        p = eng.process(lease())
+        eng.run(until=eng.timeout(0.001))
+        assert not grants and len(cluster.arm._vqueue) == 1
+        sess.call(client.release(handles[1:2]))
+        eng.run(until=p)
+        assert grants[0]["vac"].ac_id == handles[1].ac_id
+        assert cluster.arm.snapshot()[handles[1].ac_id]["state"] == "free"
+        assert max(counts.values()) == 1
+
+    def test_vrelease_wakes_exclusive_fifo_before_wfq(self, cluster2cn):
+        cluster, eng = cluster2cn, cluster2cn.engine
+        sess = cluster.session()
+        cluster.arm.admission.slots_per_device = 1
+        counts = _reply_counter(cluster.arm)
+        client = cluster.arm_client(0)
+        held = sess.call(client.alloc(count=1))            # ac0: exclusive
+        for tenant in ("a", "b"):
+            sess.call(client.register_tenant(tenant))
+        lease_a = sess.call(client.valloc("a"))            # ac1: one lease
+        assert lease_a["vac"].ac_id != held[0].ac_id
+        got = {}
+
+        def exclusive():
+            got["exclusive"] = yield from client.alloc(count=1, wait=True)
+
+        def lease_b():
+            got["b"] = yield from client.valloc("b", wait=True)
+
+        eng.process(lease_b())
+        eng.process(exclusive())
+        eng.run(until=eng.timeout(0.001))
+        assert not got
+        # The emptied device goes to the exclusive waiter; "b" stays queued
+        # until the exclusive release frees ac0.
+        sess.call(client.vrelease(lease_a["vac"]))
+        eng.run(until=eng.timeout(0.002))
+        assert list(got) == ["exclusive"]
+        assert got["exclusive"][0].ac_id == lease_a["vac"].ac_id
+        sess.call(client.release(held))
+        eng.run(until=eng.timeout(0.003))
+        assert got["b"]["vac"].ac_id == held[0].ac_id
+        assert max(counts.values()) == 1
