@@ -1,8 +1,8 @@
-"""Simulated MPI layer: communicators, point-to-point, collectives.
+"""Simulated MPI layer: communicators and tagged point-to-point messaging.
 
 Carries real Python payloads over the simulated fabric with eager /
-rendezvous protocol semantics, wildcard matching, and logarithmic
-collectives.
+rendezvous protocol semantics and wildcard matching — the MPI subset the
+middleware speaks.
 """
 
 from .comm import (

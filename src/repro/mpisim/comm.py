@@ -25,18 +25,15 @@ from ..errors import MPIError
 from ..netsim import Endpoint, Fabric
 from ..sim import Engine, Event
 from .datatypes import copy_for_send, payload_nbytes
-from .matching import ANY_SOURCE, ANY_TAG, Envelope, MatchList
-
-
-def _matches_probe(want_src: int, want_tag: int, src: int, tag: int) -> bool:
-    return (want_src in (ANY_SOURCE, src)) and (want_tag in (ANY_TAG, tag))
+from .matching import ANY_SOURCE, ANY_TAG, Envelope, MatchList, _matches
 
 #: Bytes added to every data message for the match header.
 HEADER_BYTES = 64
 #: Size of RTS/CTS control messages.
 CONTROL_BYTES = 64
 
-#: Tag space reserved for collective operations (see collectives.py).
+#: Upper bound of the tag space; the middleware's reply and data tag
+#: windows sit below it.
 MAX_USER_TAG = 2**20
 
 
@@ -122,14 +119,11 @@ class _Rts:
 
 
 class _RankState:
-    __slots__ = ("posted", "unexpected", "coll_seq", "probers", "discards")
+    __slots__ = ("posted", "unexpected", "discards")
 
     def __init__(self) -> None:
         self.posted = MatchList()
         self.unexpected = MatchList()
-        self.coll_seq = 0
-        #: Blocking probes waiting for a matching arrival: (src, tag, event).
-        self.probers: list[tuple[int, int, Event]] = []
         #: One-shot (src, tag) patterns of cancelled receives: the next
         #: matching arrival is dropped instead of rotting in ``unexpected``.
         self.discards: list[tuple[int, int]] = []
@@ -373,63 +367,18 @@ class Communicator:
         for _ in range(remaining):
             state.discards.append((source, tag))
 
-    # -- probing --------------------------------------------------------
-    def iprobe(self, me: int, source: int = ANY_SOURCE,
-               tag: int = ANY_TAG) -> Envelope | None:
-        """Non-blocking probe: the earliest matching unexpected envelope.
-
-        Returns matching metadata without consuming the message (a
-        subsequent ``recv`` will still receive it), or None if nothing
-        matching has arrived yet.
-        """
-        self._check_rank(me)
-        state = self._states[me]
-        for src, tg, item in state.unexpected._entries:
-            if _matches_probe(source, tag, src, tg):
-                return Envelope(src, tg, item.env.nbytes)
-        return None
-
-    def probe_event(self, me: int, source: int = ANY_SOURCE,
-                    tag: int = ANY_TAG) -> Event:
-        """Event that fires with the Envelope of a matching arrival.
-
-        Fires immediately if a matching unexpected message is already
-        buffered.  Probing does not consume the message, but a
-        concurrently posted receive may — standard MPI probe caveats.
-        """
-        self._check_rank(me)
-        ev = Event(self.engine)
-        env = self.iprobe(me, source, tag)
-        if env is not None:
-            ev.succeed(env)
-        else:
-            self._states[me].probers.append((source, tag, ev))
-        return ev
-
     def _on_arrival(self, dst: int, arrival: _Arrival) -> None:
         state = self._states[dst]
         if state.discards:
             # A cancelled receive's in-flight message: drop it (one-shot).
-            env = arrival.env
             for i, (src, tag) in enumerate(state.discards):
-                if _matches_probe(src, tag, env.source, env.tag):
+                if _matches(src, tag, arrival.env):
                     del state.discards[i]
                     if arrival.rts is not None:
                         # Rendezvous: complete the sender without moving
                         # the payload anywhere (receiver-side truncation).
                         arrival.rts.send_request._complete(None)
                     return
-        # Wake matching probes first, so a probe observes the message even
-        # when a posted receive consumes it in the same instant.
-        if state.probers:
-            env = arrival.env
-            still = []
-            for src, tg, ev in state.probers:
-                if _matches_probe(src, tg, env.source, env.tag):
-                    ev.succeed(Envelope(env.source, env.tag, env.nbytes))
-                else:
-                    still.append((src, tg, ev))
-            state.probers = still
         posted: _PostedRecv | None = state.posted.pop_match_for_arrival(arrival.env)
         if posted is None:
             state.unexpected.add(arrival.env.source, arrival.env.tag, arrival)
@@ -498,72 +447,6 @@ class RankHandle:
         sreq = self.isend(dst, send_tag, payload)
         yield self.comm.engine.all_of([rreq.done, sreq.done])
         return rreq.message
-
-    def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        """Non-blocking probe; returns a matching Envelope or None."""
-        return self.comm.iprobe(self.index, source, tag)
-
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        """Blocking probe (generator); returns the matching Envelope."""
-        env = yield self.comm.probe_event(self.index, source, tag)
-        return env
-
-    def waitall(self, requests: _t.Sequence[Request]):
-        """Wait for all requests (generator); returns their messages."""
-        if requests:
-            yield self.comm.engine.all_of([r.done for r in requests])
-        return [r.message for r in requests]
-
-    def waitany(self, requests: _t.Sequence[Request]):
-        """Wait for one request (generator); returns (index, message)."""
-        if not requests:
-            raise MPIError("waitany needs at least one request")
-        yield self.comm.engine.any_of([r.done for r in requests])
-        for i, r in enumerate(requests):
-            if r.completed:
-                return i, r.message
-        raise MPIError("waitany woke with no completed request")  # pragma: no cover
-
-    # -- collectives (implemented in collectives.py) ---------------------
-    def barrier(self):
-        from .collectives import barrier
-        return barrier(self)
-
-    def bcast(self, payload: _t.Any = None, root: int = 0):
-        from .collectives import bcast
-        return bcast(self, payload, root)
-
-    def reduce(self, value: _t.Any, op=None, root: int = 0):
-        from .collectives import reduce
-        return reduce(self, value, op, root)
-
-    def allreduce(self, value: _t.Any, op=None):
-        from .collectives import allreduce
-        return allreduce(self, value, op)
-
-    def gather(self, value: _t.Any, root: int = 0):
-        from .collectives import gather
-        return gather(self, value, root)
-
-    def scatter(self, values: _t.Sequence[_t.Any] | None = None, root: int = 0):
-        from .collectives import scatter
-        return scatter(self, values, root)
-
-    def alltoall(self, values: _t.Sequence[_t.Any]):
-        from .collectives import alltoall
-        return alltoall(self, values)
-
-    def _next_coll_tag(self) -> int:
-        """Allocate a tag block (64 tags) for one collective call.
-
-        All ranks call collectives in the same order per communicator, so
-        per-rank counters stay in agreement; each collective may use
-        ``base + round`` for up to 64 internal rounds.
-        """
-        state = self.comm._states[self.index]
-        seq = state.coll_seq
-        state.coll_seq += 1
-        return MAX_USER_TAG + seq * 64
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Rank {self.index}/{self.comm.size} on {self.comm.name}>"

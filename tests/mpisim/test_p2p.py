@@ -279,6 +279,75 @@ class TestRequests:
         assert req.message.payload == b"z"
 
 
+class TestSendCompletion:
+    """An eager send's ``done`` is the transmission's ``injected`` event,
+    which carries its value from the NIC grant on (like a timer), so a
+    send is complete once ``done`` has fired, not once it is triggered."""
+
+    INJ = 0.0001                        # conftest MODEL.injection_overhead_s
+
+    def test_not_completed_before_the_injection_instant(self, eng, comm2):
+        r0 = comm2.rank(0)
+        first = r0.isend(1, tag=0, payload=b"x" * 900)
+        queued = r0.isend(1, tag=1, payload=b"y")
+        # Free NIC: granted inside isend, so already triggered.
+        assert first.done.triggered and not first.completed
+        assert not queued.done.triggered and not queued.completed
+        eng.run(until=self.INJ / 2)
+        assert not first.completed
+        eng.run(until=first.done)
+        assert first.completed and eng.now == pytest.approx(self.INJ)
+        # The queued send is granted when the first has drained ...
+        t_drained = self.INJ + (900 + 64) / 1_000_000.0
+        eng.run(until=t_drained + self.INJ / 2)
+        assert queued.done.triggered and not queued.completed
+        # ... and completes one injection overhead later.
+        eng.run(until=queued.done)
+        assert queued.completed
+        assert eng.now == pytest.approx(t_drained + self.INJ)
+
+    def test_granted_send_that_has_not_fired_reads_incomplete(self, eng, comm2):
+        r0, r1 = comm2.rank(0), comm2.rank(1)
+        # A message to rank 1, delivered at injection + wire + latency.
+        r0.isend(1, tag=5, payload=b"abc")
+        t_arrival = self.INJ + (3 + 64) / 1_000_000.0 + 0.001
+
+        def proc():
+            rreq = r1.irecv(source=0, tag=5)
+            # Send so late that the arrival lands between grant and
+            # injection of this send.
+            yield eng.timeout(t_arrival - self.INJ / 2)
+            sreq = r1.isend(0, tag=6, payload=b"reply")
+            assert sreq.done.triggered
+            yield eng.any_of([sreq.done, rreq.done])
+            return sreq.completed, rreq.completed, rreq.message.payload, eng.now
+
+        sent, received, payload, t = eng.run(until=eng.process(proc()))
+        assert (sent, received, payload) == (False, True, b"abc")
+        assert t == pytest.approx(t_arrival)
+
+    def test_send_dropped_at_a_cut_still_completes(self, eng, comm2):
+        r0, r1 = comm2.rank(0), comm2.rank(1)
+        comm2.fabric.cut("n0", "n1")
+        lost = r0.isend(1, tag=0, payload=b"lost")
+        assert not lost.completed
+        eng.run()
+        # The sender cannot tell: complete at injection, nothing arrives,
+        # and no (src, dst) sequence number was consumed ...
+        assert lost.completed and eng.now == pytest.approx(self.INJ)
+        assert comm2._send_seq.get((0, 1), 0) == 0
+        assert len(comm2._states[1].unexpected) == 0
+        # ... so the first message after the heal is matched at once.
+        comm2.fabric.heal()
+        r0.isend(1, tag=0, payload=b"kept")
+
+        def receiver():
+            msg = yield from r1.recv(source=0, tag=0)
+            return msg.payload
+
+        assert eng.run(until=eng.process(receiver())) == b"kept"
+
+
 class TestEventBudget:
     """One eager message into a posted receive is four heap entries
     (``engine._seq`` draws): ``injected`` — which is the send request's

@@ -94,59 +94,3 @@ class TestOrderingProperties:
         eng.run()
         assert all(r.completed for r in reqs)
         assert [r.message.payload for r in reqs] == list(range(n))
-
-
-class TestCollectiveProperties:
-    @given(st.integers(1, 6), st.integers(0, 2**31 - 1), st.integers(1, 32))
-    @settings(max_examples=40, deadline=None)
-    def test_allreduce_matches_numpy(self, p, seed, length):
-        rng = np.random.default_rng(seed)
-        values = rng.standard_normal((p, length))
-        eng, comm = build(p)
-        results = []
-
-        def body(i):
-            out = yield from comm.rank(i).allreduce(values[i].copy())
-            results.append((i, out))
-
-        procs = [eng.process(body(i)) for i in range(p)]
-        eng.run(until=eng.all_of(procs))
-        expected = values.sum(axis=0)
-        assert len(results) == p
-        for _, out in results:
-            np.testing.assert_allclose(out, expected, atol=1e-10)
-
-    @given(st.integers(1, 6), st.integers(0, 5))
-    @settings(max_examples=40, deadline=None)
-    def test_bcast_any_root(self, p, root_mod):
-        eng, comm = build(p)
-        root = root_mod % p
-        out = []
-
-        def body(i):
-            v = yield from comm.rank(i).bcast(
-                f"payload-{root}" if i == root else None, root=root)
-            out.append(v)
-
-        procs = [eng.process(body(i)) for i in range(p)]
-        eng.run(until=eng.all_of(procs))
-        assert out == [f"payload-{root}"] * p
-
-    @given(st.integers(2, 6), st.integers(0, 2**31 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_gather_scatter_inverse(self, p, seed):
-        rng = np.random.default_rng(seed)
-        parts = [float(rng.standard_normal()) for _ in range(p)]
-        eng, comm = build(p)
-        round_trip = []
-
-        def body(i):
-            rank = comm.rank(i)
-            mine = yield from rank.scatter(parts if i == 0 else None, root=0)
-            gathered = yield from rank.gather(mine, root=0)
-            if i == 0:
-                round_trip.extend(gathered)
-
-        procs = [eng.process(body(i)) for i in range(p)]
-        eng.run(until=eng.all_of(procs))
-        assert round_trip == parts
