@@ -23,7 +23,7 @@ Run:  python examples/fault_tolerance.py
 import numpy as np
 
 from repro.cluster import Cluster, paper_testbed
-from repro.core import FailoverConfig, FailoverPolicy, FaultInjector, RetryPolicy
+from repro.core import FailoverConfig, FaultInjector, RetryPolicy
 from repro.units import fmt_time
 
 
@@ -40,10 +40,9 @@ def main():
           f"ac{secondary.ac_id} (secondary)")
 
     # Per-request deadline so even a silently crashed daemon is detected;
-    # REALLOCATE failover replays state on an ARM-assigned replacement.
+    # failover replays state on an ARM-assigned replacement.
     retry = RetryPolicy(timeout_s=2e-3)
-    config = FailoverConfig(policy=FailoverPolicy.REALLOCATE,
-                            job="resilient-job")
+    config = FailoverConfig(job="resilient-job")
     ra = cluster.resilient(0, primary, config=config, retry=retry)
 
     # The primary accelerator's GPU dies 2 ms into the run; later its

@@ -13,10 +13,9 @@ only asserts — for **both** failure modes the middleware distinguishes:
   (:class:`~repro.errors.RequestTimeout`).
 
 The job runs on real float64 data through a
-:class:`~repro.core.ResilientAccelerator` with REALLOCATE failover: on
-the fault, the front-end reports the break to the ARM, allocates a
-replacement, replays its tracked buffer, re-runs the interrupted
-iteration, and finishes.  The final array is checked for exact equality
+:class:`~repro.core.ResilientAccelerator`: on the fault, the front-end
+reports the break to the ARM, allocates a replacement, replays its
+tracked buffer, re-runs the interrupted iteration, and finishes.  The final array is checked for exact equality
 with the host-side reference, so the replay correctness of the failover
 path — not just survival — is what the numbers certify.  A sweep over
 fault times (a crude MTBF axis) reports recovery latency per mode.
@@ -27,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...cluster import Cluster, paper_testbed
-from ...core import FailoverConfig, FailoverPolicy, FaultInjector, RetryPolicy
+from ...core import FailoverConfig, FaultInjector, RetryPolicy
 from ..series import FigureResult
 
 #: Per-request deadline: comfortably above one healthy control-RPC round
@@ -48,9 +47,7 @@ def _run_job(mode: str, fault_time: float, iterations: int,
     victim_id = handles[0].ac_id
     retry = RetryPolicy(timeout_s=TIMEOUT_S)
     ra = cluster.resilient(0, handles[0],
-                           config=FailoverConfig(
-                               policy=FailoverPolicy.REALLOCATE,
-                               job="victim-job"),
+                           config=FailoverConfig(job="victim-job"),
                            retry=retry)
     healthy = cluster.remote(0, handles[1], retry=retry)
 

@@ -382,7 +382,7 @@ def score_pool_events(events: _t.Sequence[tuple[float, str, int]],
     pending: list[tuple[float, int]] = []  # (down time, size to regain)
     latencies: list[float] = []
     for when, kind, _ac_id in events:
-        if kind in ("join", "rejoin", "repair"):
+        if kind in ("join", "rejoin"):
             size += 1
             still = []
             for t_down, need in pending:

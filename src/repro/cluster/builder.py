@@ -152,7 +152,7 @@ class Cluster:
 
         Wraps :meth:`remote` with the robustness layer: per-request
         deadlines/retries from ``retry`` and ARM-mediated failover per
-        ``config`` (see :class:`~repro.core.reliability.FailoverPolicy`).
+        ``config`` (see :class:`~repro.core.reliability.FailoverConfig`).
         """
         return ResilientAccelerator(
             self.arm_client(cn_index, retry=retry),

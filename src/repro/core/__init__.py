@@ -49,7 +49,6 @@ from .protocol import (
 from .reliability import (
     DEFAULT_RETRY,
     FailoverConfig,
-    FailoverPolicy,
     ResilientAccelerator,
     RetryPolicy,
     TenantAccelerator,
@@ -101,7 +100,6 @@ __all__ = [
     "AutoscalerPolicy",
     "RetryPolicy",
     "DEFAULT_RETRY",
-    "FailoverPolicy",
     "FailoverConfig",
     "ResilientAccelerator",
     "reliable_rpc",

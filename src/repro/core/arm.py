@@ -132,7 +132,7 @@ class ResourceManager:
         #: cannot evict them and the static path behaves as before.
         self._last_seen: dict[int, float] = {}
         #: Ordered pool-membership log: ``(time, kind, ac_id)`` with kind
-        #: in {join, rejoin, leave[:reason], evict, break, repair}.  The
+        #: in {join, rejoin, leave[:reason], evict, break}.  The
         #: chaos scorer derives recovery latency from it.
         self.pool_events: list[tuple[float, str, int]] = []
         self.joins = 0
@@ -232,7 +232,6 @@ class ResourceManager:
                 Op.ARM_RELEASE: self._release,
                 Op.ARM_STATUS: self._status,
                 Op.ARM_BREAK: self._break,
-                Op.ARM_REPAIR: self._repair,
                 Op.ARM_TENANT: self._tenant,
                 Op.ARM_VALLOC: self._valloc,
                 Op.ARM_VRELEASE: self._vrelease,
@@ -702,18 +701,6 @@ class ResourceManager:
             self._vqueue.pop()
             self._try_vassign(req, spec)
 
-    def _repair(self, req: Request) -> None:
-        ac_id = req.params["ac_id"]
-        r = self.records.get(ac_id)
-        if r is None or r.state != AcceleratorState.BROKEN:
-            self._reply(req, Response(req.req_id, Status.ERROR,
-                                      error=f"ac{ac_id} is not broken"))
-            return
-        r.state = AcceleratorState.FREE
-        self._log_pool("repair", r.ac_id)
-        self._reply(req, Response(req.req_id, Status.OK))
-        self._pool_grew()
-
 
 class ArmClient:
     """The resource-management API used by compute-node processes."""
@@ -766,10 +753,6 @@ class ArmClient:
     def report_break(self, ac_id: int):
         """Report a failed accelerator to the ARM (generator)."""
         yield from self._rpc(Op.ARM_BREAK, {"ac_id": ac_id})
-
-    def report_repair(self, ac_id: int):
-        """Return a repaired accelerator to the pool (generator)."""
-        yield from self._rpc(Op.ARM_REPAIR, {"ac_id": ac_id})
 
     # -- multi-tenant API -------------------------------------------------
     def register_tenant(self, tenant: str, weight: float = 1.0,

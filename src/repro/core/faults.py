@@ -20,7 +20,7 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 
 
 class FaultInjector:
-    """Schedules accelerator failures and repairs on a cluster."""
+    """Schedules accelerator failures on a cluster."""
 
     def __init__(self, cluster: "Cluster"):
         self.cluster = cluster
@@ -36,7 +36,7 @@ class FaultInjector:
                 yield self.engine.timeout(delay)
             daemon.broken = True
             # Hardware monitoring notifies the ARM out of band.
-            self._notify_arm(Op.ARM_BREAK, ac_id)
+            self._notify_break(ac_id)
             if False:
                 yield  # pragma: no cover
 
@@ -61,27 +61,11 @@ class FaultInjector:
                 yield self.engine.timeout(delay)
             daemon.crashed = True
             if notify_arm:
-                self._notify_arm(Op.ARM_BREAK, ac_id)
+                self._notify_break(ac_id)
             if False:
                 yield  # pragma: no cover
 
         self.engine.process(crasher(), name=f"crash:ac{ac_id}")
-
-    def repair_at(self, ac_id: int, at_time: float) -> None:
-        """Repair accelerator ``ac_id`` at virtual time ``at_time``."""
-        daemon = self.cluster.daemons[ac_id]
-
-        def repairer():
-            delay = at_time - self.engine.now
-            if delay > 0:
-                yield self.engine.timeout(delay)
-            daemon.broken = False
-            daemon.crashed = False
-            self._notify_arm(Op.ARM_REPAIR, ac_id)
-            if False:
-                yield  # pragma: no cover
-
-        self.engine.process(repairer(), name=f"repair:ac{ac_id}")
 
     # -- discovery-layer injections (chaos scenarios) -------------------
     # These require a cluster built with ``discovery=True`` (it owns the
@@ -202,11 +186,11 @@ class FaultInjector:
         self.engine.call_at(at_time, take_down)
         self.engine.call_at(at_time + downtime_s, bring_up)
 
-    def _notify_arm(self, op: Op, ac_id: int) -> None:
+    def _notify_break(self, ac_id: int) -> None:
         # The notification is sent from the accelerator's own rank (its
         # management agent); the reply is consumed by a helper process.
         daemon = self.cluster.daemons[ac_id]
-        req = Request(op=op, req_id=next(daemon.rank.comm.ids),
+        req = Request(op=Op.ARM_BREAK, req_id=next(daemon.rank.comm.ids),
                       reply_to=daemon.rank.index, params={"ac_id": ac_id})
         daemon.rank.isend(self.cluster.arm_rank_index, TAG_ARM, req)
 

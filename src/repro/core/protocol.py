@@ -66,7 +66,6 @@ class Op(enum.Enum):
     ARM_RELEASE = "arm_release"
     ARM_STATUS = "arm_status"
     ARM_BREAK = "arm_break"
-    ARM_REPAIR = "arm_repair"
     # Multi-tenant ARM operations:
     ARM_TENANT = "arm_tenant"       # register a tenant spec with the ARM
     ARM_VALLOC = "arm_valloc"       # lease a virtual accelerator
@@ -88,7 +87,6 @@ IDEMPOTENT_OPS = frozenset({
     Op.MEMCPY_D2H,
     Op.ARM_STATUS,
     Op.ARM_BREAK,
-    Op.ARM_REPAIR,
     Op.ARM_TENANT,      # re-registering a tenant spec overwrites in place
     Op.VAC_REVOKE,      # revoking an already-revoked slice is a no-op
     Op.ARM_REPORT,      # reports carry full state; replays refresh in place
@@ -107,7 +105,6 @@ RETRYABLE_OPS = frozenset({
     Op.MBATCH,
     Op.ARM_STATUS,
     Op.ARM_BREAK,
-    Op.ARM_REPAIR,
     Op.ARM_TENANT,
     Op.VAC_ATTACH,      # dedup-cached by the daemon (see DEDUP_OPS)
     Op.VAC_DETACH,
@@ -165,8 +162,7 @@ FIELD_BYTES = 8               # a scalar; a list's count; a dict entry's code
 PARAM_BYTES: dict[Op, int] = {
     **dict.fromkeys((Op.PING, Op.SHUTDOWN, Op.ARM_STATUS,
                      Op.MBATCH), 0),            # MBATCH: + its sub-frames
-    **dict.fromkeys((Op.MEM_ALLOC, Op.MEM_FREE, Op.ARM_BREAK,
-                     Op.ARM_REPAIR), 16),
+    **dict.fromkeys((Op.MEM_ALLOC, Op.MEM_FREE, Op.ARM_BREAK), 16),
     **dict.fromkeys((Op.ARM_RELEASE, Op.VAC_DETACH, Op.VAC_REVOKE), 24),
     **dict.fromkeys((Op.KERNEL_CREATE, Op.ARM_ALLOC), 32),
     **dict.fromkeys((Op.ARM_VALLOC, Op.ARM_VRELEASE, Op.ARM_LEAVE), 40),

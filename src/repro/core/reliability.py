@@ -12,10 +12,10 @@ machinery that turns those claims into observable behaviour:
   cache makes the retries at-most-once for ops with side effects.
 * :func:`reliable_rpc` — the shared request/reply engine used by both the
   accelerator front-end and the ARM client.
-* :class:`FailoverPolicy` / :class:`FailoverConfig` — what to do when an
-  operation fails with :class:`~repro.errors.AcceleratorFault` (the daemon
-  answered ``Status.BROKEN``) or :class:`~repro.errors.RequestTimeout`
-  (the daemon is unresponsive).
+* :class:`FailoverConfig` — how often to recover when an operation fails
+  with :class:`~repro.errors.AcceleratorFault` (the daemon answered
+  ``Status.BROKEN``) or :class:`~repro.errors.RequestTimeout` (the daemon
+  is unresponsive).
 * :class:`ResilientAccelerator` — a front-end wrapper that reports breaks
   to the ARM, allocates a replacement, replays registered kernels and
   re-uploads tracked buffers, then resumes the interrupted operation.
@@ -29,7 +29,6 @@ patching.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import itertools
 import typing as _t
 
@@ -158,30 +157,15 @@ def reliable_rpc(rank: RankHandle, dst: int, tag: int, op: Op, params: dict,
     return resp
 
 
-class FailoverPolicy(enum.Enum):
-    """What :class:`ResilientAccelerator` does when an operation faults."""
-
-    #: Surface the fault to the application unchanged.
-    FAIL_FAST = "fail_fast"
-    #: Wait ``retry_delay_s`` and retry on the same accelerator (for
-    #: transient faults that an out-of-band repair will clear).
-    RETRY_SAME = "retry_same"
-    #: Report the break to the ARM, allocate a replacement, replay state,
-    #: and retry there (the paper's dynamic re-assignment).
-    REALLOCATE = "reallocate"
-
-
 @dataclasses.dataclass(frozen=True)
 class FailoverConfig:
     """Tuning for :class:`ResilientAccelerator`."""
 
-    policy: FailoverPolicy = FailoverPolicy.REALLOCATE
-    #: Recovery attempts per guarded operation before giving up.
+    #: Recovery attempts per guarded operation before giving up (0: the
+    #: fault surfaces to the application unchanged).
     max_failovers: int = 3
-    #: RETRY_SAME: wait this long before retrying the same accelerator.
-    retry_delay_s: float = 1e-3
-    #: REALLOCATE: queue FIFO at the ARM when the pool is empty instead of
-    #: failing with :class:`~repro.errors.AllocationError`.
+    #: Queue FIFO at the ARM when the pool is empty instead of failing
+    #: with :class:`~repro.errors.AllocationError`.
     wait_for_replacement: bool = False
     #: Job label for replacement allocations.
     job: str | None = None
@@ -189,8 +173,6 @@ class FailoverConfig:
     def __post_init__(self) -> None:
         if self.max_failovers < 0:
             raise MiddlewareError(f"max_failovers must be >= 0: {self.max_failovers!r}")
-        if self.retry_delay_s < 0:
-            raise MiddlewareError(f"retry_delay_s must be >= 0: {self.retry_delay_s!r}")
 
 
 class _TrackedBuffer:
@@ -241,11 +223,11 @@ class ResilientAccelerator(AcceleratorLifecycle):
 
     * device addresses are virtualized and stay valid across failover;
     * every operation is guarded: on :class:`AcceleratorFault` or
-      :class:`RequestTimeout` the configured :class:`FailoverPolicy` runs
-      and the operation is retried;
-    * REALLOCATE failover reports the break to the ARM, allocates a
-      replacement, re-creates registered kernels, re-uploads every tracked
-      buffer from its host shadow, and resumes.
+      :class:`RequestTimeout` the wrapper recovers and the operation is
+      retried, up to ``config.max_failovers`` times;
+    * recovery (the paper's dynamic re-assignment) reports the break to
+      the ARM, allocates a replacement, re-creates registered kernels,
+      re-uploads every tracked buffer from its host shadow, and resumes.
 
     Kernel side effects since the last upload are *not* replayed — device
     state on the replacement equals the last uploaded contents.  Wrap a
@@ -317,8 +299,8 @@ class ResilientAccelerator(AcceleratorLifecycle):
     def run_guarded(self, op_factory: _t.Callable[[], _t.Iterator]):
         """Run ``op_factory()`` (a fresh generator per attempt) with failover.
 
-        On :class:`AcceleratorFault` / :class:`RequestTimeout` the failover
-        policy runs, then a *new* generator from ``op_factory`` is executed
+        On :class:`AcceleratorFault` / :class:`RequestTimeout` the wrapper
+        recovers, then a *new* generator from ``op_factory`` is executed
         against the (possibly replaced) accelerator.  Application-level
         transactions — e.g. one upload/compute/download iteration — go
         through here so the whole unit re-runs on restored state.
@@ -335,8 +317,7 @@ class ResilientAccelerator(AcceleratorLifecycle):
             except (AcceleratorFault, RequestTimeout) as exc:
                 # A fault during recovery itself (e.g. the replacement died
                 # too) lands here as well and consumes another attempt.
-                if (self.config.policy is FailoverPolicy.FAIL_FAST
-                        or remaining <= 0):
+                if remaining <= 0:
                     raise
                 remaining -= 1
                 pending = exc
@@ -348,15 +329,7 @@ class ResilientAccelerator(AcceleratorLifecycle):
         with collector_for(self.engine).start(
                 "failover.recover", f"cn{self._ac.rank.index}",
                 cause=type(cause).__name__,
-                policy=self.config.policy.value,
                 broken=f"ac{broken.ac_id}") as span:
-            if self.config.policy is FailoverPolicy.RETRY_SAME:
-                if self.config.retry_delay_s > 0:
-                    yield self.engine.timeout(self.config.retry_delay_s)
-                self.recovery_latencies.append(self.engine.now - t0)
-                self.recovered_at.append(self.engine.now)
-                return
-            # REALLOCATE: acquire a replacement, then replay state onto it.
             replacement = yield from self._reacquire(broken, span)
             self._retired_requests += self._ac.requests
             self._retired_timeouts += self._ac.timeouts
@@ -367,7 +340,7 @@ class ResilientAccelerator(AcceleratorLifecycle):
             self.recovered_at.append(self.engine.now)
 
     def _reacquire(self, broken: AcceleratorHandle, span):
-        """Obtain the replacement handle (generator, policy-specific).
+        """Obtain the replacement handle (generator).
 
         The whole-device path reports the break to the ARM and allocates
         a fresh accelerator; :class:`TenantAccelerator` overrides this to
@@ -533,7 +506,7 @@ class ResilientAccelerator(AcceleratorLifecycle):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<ResilientAccelerator ac{self._ac.handle.ac_id} "
-                f"policy={self.config.policy.value} failovers={self.failovers}>")
+                f"failovers={self.failovers}>")
 
 
 class TenantAccelerator(ResilientAccelerator):

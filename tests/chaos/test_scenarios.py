@@ -100,7 +100,7 @@ class TestScoring:
     def test_nested_windows_close_lifo_by_capacity(self):
         events = [(0.0, "join", 0), (0.0, "join", 1), (0.0, "join", 2),
                   (1.0, "break", 0), (2.0, "evict", 1),
-                  (3.0, "rejoin", 1), (5.0, "repair", 0)]
+                  (3.0, "rejoin", 1), (5.0, "rejoin", 0)]
         latencies, unrecovered = score_pool_events(events)
         assert sorted(latencies) == [1.0, 4.0]
         assert unrecovered == 0

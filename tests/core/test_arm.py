@@ -171,17 +171,6 @@ class TestBreakRepair:
         handles = sess.call(client.alloc(count=2))
         assert all(h.ac_id != 0 for h in handles)
 
-    def test_repair_restores(self, cluster, sess):
-        client = cluster.arm_client(0)
-        sess.call(client.report_break(1))
-        sess.call(client.report_repair(1))
-        assert cluster.arm.free_count() == 3
-
-    def test_repair_of_healthy_rejected(self, cluster, sess):
-        client = cluster.arm_client(0)
-        with pytest.raises(Exception, match="not broken"):
-            sess.call(client.report_repair(2))
-
     def test_registry_state_enum(self, cluster, sess):
         client = cluster.arm_client(0)
         sess.call(client.report_break(0))

@@ -235,6 +235,32 @@ class TestExactlyOnceWaiterWake:
         assert {h.ac_id for h in got} == {0, 1}
         assert max(counts.values()) == 1
 
+    def test_rejoin_of_broken_device_wakes_queued_alloc_exactly_once(self):
+        # The one way back into the pool: a BROKEN device reporting
+        # healthy again rejoins and wakes the waiter it can now serve.
+        cluster = _discovery_cluster(n_ac=2, initial=2)
+        counts = _reply_counter(cluster.arm)
+        cluster.run(until=3 * REPORT_PERIOD)
+        client = cluster.arm_client(0)
+        got = []
+
+        def claim():
+            handles = yield from client.alloc(count=1, wait=True)
+            got.append(handles[0])
+
+        cluster.daemons[1].broken = True
+        cluster.run(until=cluster.engine.now + 3 * REPORT_PERIOD)
+        assert cluster.arm.records[1].state == AcceleratorState.BROKEN
+        cluster.engine.process(claim())
+        cluster.engine.process(claim())
+        cluster.run(until=cluster.engine.now + 3 * REPORT_PERIOD)
+        assert len(got) == 1 and len(cluster.arm._wait_queue) == 1
+        cluster.daemons[1].broken = False
+        cluster.run(until=cluster.engine.now + 3 * REPORT_PERIOD)
+        assert {h.ac_id for h in got} == {0, 1}
+        assert [k for _, k, _ in cluster.arm.pool_events][-1] == "rejoin"
+        assert max(counts.values()) == 1
+
     def test_leave_fails_unsatisfiable_waiter_exactly_once(self):
         cluster = _discovery_cluster(n_ac=2, initial=2)
         counts = _reply_counter(cluster.arm)

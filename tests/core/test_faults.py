@@ -78,19 +78,6 @@ class TestBreak:
         ac2 = cluster.remote(0, new[0])
         assert sess.call(ac2.ping()) == "pong"
 
-
-class TestRepair:
-    def test_repair_restores_service(self, rig):
-        cluster, sess, injector = rig
-        injector.break_at(2, at_time=0.0)
-        injector.repair_at(2, at_time=0.01)
-        sess.sleep(0.02)
-        assert cluster.arm.free_count() == 3
-        handles = sess.call(cluster.arm_client(0).alloc(count=3))
-        acs = [cluster.remote(0, h) for h in handles]
-        for ac in acs:
-            assert sess.call(ac.ping()) == "pong"
-
     def test_delayed_break_fires_at_time(self, rig):
         cluster, sess, injector = rig
         injector.break_at(0, at_time=0.5)

@@ -93,7 +93,6 @@ REPRESENTATIVE = {
     Op.ARM_RELEASE: {"ac_ids": [0, 1]},
     Op.ARM_STATUS: {},
     Op.ARM_BREAK: {"ac_id": 0},
-    Op.ARM_REPAIR: {"ac_id": 0},
     Op.ARM_TENANT: {"tenant": "gold", "weight": 2.0, "priority": 1,
                     "max_vaccels": 4, "mem_quota_bytes": None},
     Op.ARM_VALLOC: {"tenant": "gold", "wait": True, "job": None},
