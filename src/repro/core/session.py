@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import typing as _t
 
-from ..errors import ProcessInterrupt, RequestTimeout
 from ..obs.spans import collector_for
 from ..sim import Engine
 
@@ -27,33 +26,10 @@ class SyncSession:
         """Current virtual time."""
         return self.engine.now
 
-    def call(self, generator: _t.Iterator, name: str | None = None,
-             timeout_s: float | None = None) -> _t.Any:
-        """Run one operation to completion; returns its result.
-
-        With ``timeout_s`` the whole call is raced against a virtual-time
-        deadline: if it has not finished in time the process is interrupted
-        and :class:`~repro.errors.RequestTimeout` is raised.
-        """
+    def call(self, generator: _t.Iterator, name: str | None = None) -> _t.Any:
+        """Run one operation to completion; returns its result."""
         proc = self.engine.process(generator, name=name or "sync-call")
-        if timeout_s is None:
-            return self.engine.run(until=proc)
-        cond, dl = self.engine.race(proc, timeout_s)
-        self.engine.run(until=cond)  # re-raises if the process failed
-        if proc.triggered:
-            if not dl.processed:
-                dl.cancel()
-            return proc.value
-        proc.interrupt("sync-call deadline")
-        try:
-            self.engine.run(until=proc)
-        except ProcessInterrupt:
-            pass
-        # The interrupted operation may have died between span open and
-        # close (e.g. mid-transfer); don't leak its spans into the export.
-        collector_for(self.engine).abort_open("sync-call deadline")
-        raise RequestTimeout(
-            f"sync call {proc.name!r} exceeded its {timeout_s:g} s deadline")
+        return self.engine.run(until=proc)
 
     def parallel(self, generators: _t.Sequence[_t.Iterator]) -> list[_t.Any]:
         """Run several operations concurrently; returns their results.

@@ -15,17 +15,6 @@ class SimulationError(ReproError):
     """Errors raised by the discrete-event simulation kernel."""
 
 
-class ProcessInterrupt(ReproError):
-    """Thrown into a simulation process by :meth:`Process.interrupt`.
-
-    The ``cause`` attribute carries the value passed to ``interrupt()``.
-    """
-
-    def __init__(self, cause=None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class NetworkError(ReproError):
     """Errors raised by the network substrate."""
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import typing as _t
 
-from ..errors import ProcessInterrupt, SimulationError
+from ..errors import SimulationError
 from .events import Event
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -28,7 +28,7 @@ class Process(Event):
     runs before ``engine.run()``).
     """
 
-    __slots__ = ("_gen", "_send", "_throw", "_target", "name")
+    __slots__ = ("_gen", "_send", "_throw", "name")
 
     def __init__(self, engine: "Engine", gen: ProcessGenerator, name: str | None = None):
         if not hasattr(gen, "send") or not hasattr(gen, "throw"):
@@ -39,12 +39,10 @@ class Process(Event):
         # hot path and the attribute chain is measurable there.
         self._send = gen.send
         self._throw = gen.throw
-        self._target: Event | None = None
         self.name = name or getattr(gen, "__name__", "process")
         # Kick off via an immediately-succeeding event so execution order is
         # controlled by the engine, not by construction order.
         start = Event(engine)
-        self._target = start
         start.callbacks = [self._resume]
         start.succeed(None)
 
@@ -53,33 +51,13 @@ class Process(Event):
         """True while the underlying generator has not finished."""
         return not self.triggered
 
-    def interrupt(self, cause: _t.Any = None) -> None:
-        """Throw :class:`ProcessInterrupt` into the process.
-
-        The interrupt is delivered at the current simulation time.  The
-        event the process was waiting on is abandoned (its eventual value is
-        ignored).  Interrupting a finished process is an error.
-        """
-        if self.triggered:
-            raise SimulationError("cannot interrupt a finished process")
-        # Deliver through a failing event so the engine sequences it.
-        interrupt_ev = Event(self.engine)
-        old_target = self._target
-        self._target = interrupt_ev
-        interrupt_ev.add_callback(lambda ev: self._resume(ev))
-        interrupt_ev.fail(ProcessInterrupt(cause))
-        # old_target's pending callback will see a stale target and no-op.
-        del old_target
-
     # -- internal -------------------------------------------------------
-    def _wait_on(self, event: Event) -> None:
-        self._target = event
-        event.add_callback(self._resume)
-
     def _resume(self, event: Event) -> None:
-        if event is not self._target:
-            return  # stale wake-up (process was interrupted meanwhile)
-        self._target = None
+        # Invariant: _resume sits on one callback list per suspension
+        # (registered below and in __init__) and an event runs its list
+        # once (a cancelled one never, a re-armed timer drops it), so
+        # ``event`` is the one being waited on.  Anything that abandons a
+        # wait would need a stale-wake-up check here.
         send = self._send
         while True:
             try:
@@ -91,10 +69,6 @@ class Process(Event):
                     target = self._throw(event._value)
             except StopIteration as stop:
                 self.succeed(stop.value)
-                return
-            except ProcessInterrupt as exc:
-                # An unhandled interrupt terminates the process as a failure.
-                self.fail(exc)
                 return
             except Exception as exc:
                 if not self.callbacks:
@@ -115,7 +89,6 @@ class Process(Event):
                 # Already done: continue synchronously.
                 event = target
                 continue
-            self._target = target
             if target.callbacks is None:
                 target.callbacks = [self._resume]
             else:

@@ -258,31 +258,3 @@ class TestFailover:
         out = sess.call(ra.run_guarded(transaction))
         assert ra.failovers == 1
         assert np.allclose(out, 10.0)  # scaled exactly once, not twice
-
-
-class TestSessionDeadline:
-    def test_sync_call_timeout(self, rig):
-        cluster, sess, _ = rig
-
-        def slow():
-            yield cluster.engine.timeout(1.0)
-            return "done"
-
-        with pytest.raises(RequestTimeout):
-            sess.call(slow(), timeout_s=0.01)
-
-        # The engine stays usable after the interrupted call.
-        def quick():
-            yield cluster.engine.timeout(1e-6)
-            return "ok"
-
-        assert sess.call(quick()) == "ok"
-
-    def test_sync_call_completes_under_deadline(self, rig):
-        cluster, sess, _ = rig
-
-        def quick():
-            yield cluster.engine.timeout(0.001)
-            return 42
-
-        assert sess.call(quick(), timeout_s=1.0) == 42

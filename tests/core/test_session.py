@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import SyncSession
 from repro.core.api import run_parallel
-from repro.errors import RequestTimeout, SimulationError
+from repro.errors import SimulationError
 from repro.sim import Engine
 
 
@@ -67,53 +67,6 @@ class TestSyncSession:
 
         with pytest.raises(SimulationError, match="deadlock"):
             sess.call(stuck())
-
-
-class TestCallDeadline:
-    def test_call_within_deadline_returns_value(self, eng, sess):
-        def op():
-            yield eng.timeout(1.0)
-            return "ok"
-
-        assert sess.call(op(), timeout_s=2.0) == "ok"
-        assert sess.now == 1.0
-
-    def test_call_exceeding_deadline_raises(self, eng, sess):
-        def slow():
-            yield eng.timeout(10.0)
-            return "never"
-
-        with pytest.raises(RequestTimeout, match="deadline"):
-            sess.call(slow(), name="slow-op", timeout_s=2.0)
-        # The clock stopped at the deadline, not at the op's finish time.
-        assert sess.now == pytest.approx(2.0)
-
-    def test_expired_call_is_interrupted_not_leaked(self, eng, sess):
-        cleaned = []
-
-        def slow():
-            try:
-                yield eng.timeout(10.0)
-            finally:
-                cleaned.append(True)
-
-        with pytest.raises(RequestTimeout):
-            sess.call(slow(), timeout_s=1.0)
-        assert cleaned == [True]
-        # The engine stays usable after the interrupt.
-        def op():
-            yield eng.timeout(0.5)
-            return 7
-
-        assert sess.call(op()) == 7
-
-    def test_failure_before_deadline_propagates(self, eng, sess):
-        def bad():
-            yield eng.timeout(0.1)
-            raise ValueError("inner failure")
-
-        with pytest.raises(ValueError, match="inner failure"):
-            sess.call(bad(), timeout_s=5.0)
 
 
 class TestParallelExceptionContext:

@@ -290,11 +290,17 @@ class TestSpanLeakProtection:
         assert collector.open_spans == []
 
     def test_sync_call_timeout_leaves_no_open_spans(self, cluster, sess,
-                                                    collector, ac):
-        addr = sess.call(ac.mem_alloc(8 * MiB))
+                                                    collector):
+        from repro.core import FaultInjector, RetryPolicy
+        handles = sess.call(cluster.arm_client(0).alloc(count=1))
+        bounded = cluster.remote(0, handles[0],
+                                 retry=RetryPolicy(timeout_s=1e-3))
+        addr = sess.call(bounded.mem_alloc(8 * MiB))
+        # The daemon goes silent: the transfer deadline ends the call.
+        FaultInjector(cluster).crash_at(handles[0].ac_id, at_time=sess.now)
+        sess.sleep(1e-4)
         with pytest.raises(RequestTimeout):
-            sess.call(ac.memcpy_h2d(addr, np.ones(8 * MiB // 8)),
-                      timeout_s=1e-6)
+            sess.call(bounded.memcpy_h2d(addr, np.ones(8 * MiB // 8)))
         assert collector.open_spans == []
 
     def test_run_parallel_success_unaffected(self, cluster, sess, collector,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ProcessInterrupt, SimulationError
+from repro.errors import SimulationError
 from repro.sim import Engine
 
 
@@ -117,71 +117,6 @@ class TestProcessBasics:
         eng.process(proc())
         with pytest.raises(RuntimeError, match="nobody is listening"):
             eng.run()
-
-
-class TestInterrupt:
-    def test_interrupt_delivers_cause(self, eng):
-        def victim():
-            try:
-                yield eng.timeout(100.0)
-            except ProcessInterrupt as exc:
-                return ("interrupted", exc.cause, eng.now)
-            return "not reached"
-
-        v = eng.process(victim())
-
-        def attacker():
-            yield eng.timeout(2.0)
-            v.interrupt(cause="fault")
-
-        eng.process(attacker())
-        assert eng.run(until=v) == ("interrupted", "fault", 2.0)
-
-    def test_stale_wakeup_ignored_after_interrupt(self, eng):
-        resumes = []
-
-        def victim():
-            try:
-                yield eng.timeout(3.0, value="timer")
-            except ProcessInterrupt:
-                resumes.append("interrupt")
-            yield eng.timeout(10.0)
-            resumes.append("after")
-
-        v = eng.process(victim())
-
-        def attacker():
-            yield eng.timeout(1.0)
-            v.interrupt()
-
-        eng.process(attacker())
-        eng.run()
-        # The abandoned 3.0s timer must not resume the process a second time.
-        assert resumes == ["interrupt", "after"]
-        assert eng.now == 11.0
-
-    def test_unhandled_interrupt_fails_process(self, eng):
-        def victim():
-            yield eng.timeout(100.0)
-
-        v = eng.process(victim())
-
-        def attacker():
-            yield eng.timeout(1.0)
-            v.interrupt()
-
-        eng.process(attacker())
-        with pytest.raises(ProcessInterrupt):
-            eng.run(until=v)
-
-    def test_interrupt_finished_process_raises(self, eng):
-        def quick():
-            yield eng.timeout(1.0)
-
-        p = eng.process(quick())
-        eng.run(until=p)
-        with pytest.raises(SimulationError):
-            p.interrupt()
 
 
 class TestEngineRun:

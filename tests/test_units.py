@@ -41,10 +41,6 @@ class TestErrors:
         assert issubclass(errors.ProtocolError, errors.MiddlewareError)
         assert issubclass(errors.AcceleratorFault, errors.ReproError)
 
-    def test_interrupt_carries_cause(self):
-        exc = errors.ProcessInterrupt(cause={"reason": "fault"})
-        assert exc.cause == {"reason": "fault"}
-
     def test_version(self):
         assert repro.__version__
 
