@@ -1,0 +1,156 @@
+"""The traffic audit as a file: which functions does any workload enter?
+
+Runs every non-test workload (the ledger's CLI documents, three traced
+experiments, the examples and the ``benchmarks/e2e`` workloads at
+``--smoke`` size) under a ``sys.setprofile`` hook, unions the functions
+entered, and compares the rest of ``src/repro`` with ``unentered.json``:
+every ``file::qualname`` no workload enters, with the one-word reason it
+is kept.  It fails when a function is unentered and unlisted (give it a
+workload, a reason, or delete it) or listed and entered or gone (drop the
+line).  A few minutes; CI job ``audit``, not tier-1.
+
+    python tests/identity/traffic_audit.py            # check
+    python tests/identity/traffic_audit.py --write    # rewrite the list
+
+``--write`` keeps known reasons and marks new entries ``unclassified``,
+which the check rejects until a reason is filled in by hand.  The e2e
+traced pass enables ``cProfile``, which replaces the hook while it runs;
+the end-to-end pass runs the same bodies, so nothing is lost.
+"""
+
+import argparse
+import ast
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
+sys.path.insert(0, str(REPO_ROOT / "src"))
+
+from test_ledger import CLI_DOCUMENTS  # noqa: E402  (same directory)
+
+LIST_PATH = pathlib.Path(__file__).with_name("unentered.json")
+SRC = "src/repro/"
+
+#: safety: guards a fault, a stall or bad outside input; reference: tests
+#: compare against it; api: public surface or interface stub with no
+#: surviving twin; error-path: runs only when something failed; debug:
+#: ``__repr__`` and other inspection aids.
+REASONS = ("safety", "reference", "api", "error-path", "debug")
+
+HOOK = '''\
+import atexit, json, os, sys
+
+_seen = set()
+
+def _hook(frame, event, arg):
+    if event == "call":
+        code = frame.f_code
+        if "@SRC@" in code.co_filename:
+            _seen.add((code.co_filename, code.co_firstlineno))
+
+def _dump():
+    sys.setprofile(None)
+    with open(os.path.join(os.environ["AUDIT_OUT"], f"{os.getpid()}.json"), "w") as fh:
+        json.dump(sorted(_seen), fh)
+
+sys.setprofile(_hook)
+atexit.register(_dump)
+'''.replace("@SRC@", SRC)
+
+WORKLOADS = [
+    *(["-m", "repro", *args] for args in CLI_DOCUMENTS.values()),
+    *(["-m", "repro", "trace", exp, "--quick", "--check-identity", "--timeline"]
+      for exp in ("fig05", "fig09", "ext_async")),
+    *([str(path.relative_to(REPO_ROOT))]
+      for path in sorted((REPO_ROOT / "examples").glob("*.py"))),
+    ["benchmarks/e2e/run.py", "--smoke", "--seed", "0", "--seconds", "0"],
+]
+
+
+def definitions() -> dict[tuple[str, int], str]:
+    """``(file, first line) -> file::qualname`` of every def under src/repro.
+
+    The first line is the first decorator's, which is what a code object
+    reports; a qualname defined twice in one file (a property and its
+    setter) gets ``#2`` on the later one.
+    """
+    out: dict[tuple[str, int], str] = {}
+    for path in sorted((REPO_ROOT / SRC).rglob("*.py")):
+        rel = path.relative_to(REPO_ROOT).as_posix()
+        taken: dict[str, int] = {}
+
+        def visit(node: ast.AST, prefix: str) -> None:
+            for child in ast.iter_child_nodes(node):
+                if not isinstance(child, (ast.FunctionDef, ast.ClassDef,
+                                          ast.AsyncFunctionDef)):
+                    visit(child, prefix)
+                    continue
+                qual = prefix + child.name
+                if not isinstance(child, ast.ClassDef):
+                    taken[qual] = taken.get(qual, 0) + 1
+                    name = qual if taken[qual] == 1 else f"{qual}#{taken[qual]}"
+                    first = min([child.lineno,
+                                 *(d.lineno for d in child.decorator_list)])
+                    out[rel, first] = f"{rel}::{name}"
+                visit(child, qual + ".")
+
+        visit(ast.parse(path.read_text()), "")
+    return out
+
+
+def entered() -> set[tuple[str, int]]:
+    """Run every workload under the hook; ``(file, first line)`` entered."""
+    seen: set[tuple[str, int]] = set()
+    with tempfile.TemporaryDirectory() as tmp:
+        hook_dir, out_dir = pathlib.Path(tmp, "hook"), pathlib.Path(tmp, "out")
+        hook_dir.mkdir()
+        out_dir.mkdir()
+        (hook_dir / "sitecustomize.py").write_text(HOOK)
+        env = {**os.environ, "AUDIT_OUT": str(out_dir), "PYTHONHASHSEED": "0",
+               "PYTHONPATH": os.pathsep.join([str(hook_dir),
+                                              str(REPO_ROOT / "src")])}
+        for cmd in WORKLOADS:
+            print("audit:", " ".join(cmd), flush=True)
+            proc = subprocess.run([sys.executable, *cmd], cwd=REPO_ROOT,
+                                  env=env, text=True, capture_output=True,
+                                  timeout=900)
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+        for dump in out_dir.glob("*.json"):
+            for filename, line in json.loads(dump.read_text()):
+                filename = filename.replace(os.sep, "/")
+                seen.add((filename[filename.rindex(SRC):], line))
+    return seen
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--write", action="store_true",
+                    help="rewrite unentered.json (known reasons are kept)")
+    args = ap.parse_args()
+    defs = definitions()
+    seen = entered()
+    unentered = sorted(name for key, name in defs.items() if key not in seen)
+    listed = json.loads(LIST_PATH.read_text()) if LIST_PATH.exists() else {}
+    print(f"audit: {len(defs) - len(unentered)} of {len(defs)} function "
+          f"definitions under {SRC} entered, {len(unentered)} not")
+    if args.write:
+        listed = {name: listed.get(name, "unclassified") for name in unentered}
+        LIST_PATH.write_text(json.dumps(listed, indent=0) + "\n")
+    problems = [
+        *(f"unentered and unlisted: {name}"
+          for name in unentered if name not in listed),
+        *(f"listed but entered or gone: {name}"
+          for name in listed if name not in unentered),
+        *(f"reason {reason!r} is not one of {REASONS}: {name}"
+          for name, reason in listed.items() if reason not in REASONS),
+    ]
+    print("\n".join(problems) or "audit: unentered.json matches")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
