@@ -1,13 +1,15 @@
 """The unified accelerator interface all backends conform to.
 
-Three front-ends drive accelerators in this library — the paper's remote
-middleware path (:class:`~repro.core.api.RemoteAccelerator`), the static
-node-attached baseline (:class:`~repro.baselines.local.LocalAccelerator`),
-and the failover wrapper
-(:class:`~repro.core.reliability.ResilientAccelerator`).  Workloads are
-written once against :class:`AcceleratorAPI` and measured on any of them;
-the conformance suite (``tests/core/test_interface_conformance.py``)
-asserts the same op program produces identical results on all three.
+Three backends implement it — the paper's remote middleware path
+(:class:`~repro.core.api.RemoteAccelerator`), the static node-attached
+baseline (:class:`~repro.baselines.local.LocalAccelerator`), and the
+failover wrapper (:class:`~repro.core.reliability.ResilientAccelerator`,
+with its lease-scoped subclass ``TenantAccelerator``); the job service's
+``JobAccelerator`` adds caches in front of a ``RemoteAccelerator`` and
+delegates the rest.  Workloads are written once against
+:class:`AcceleratorAPI` and measured on any of them; the conformance
+suite (``tests/core/test_interface_conformance.py``) asserts the same op
+program produces identical results on all three backends.
 
 Canonical signatures:
 
@@ -18,8 +20,7 @@ Canonical signatures:
   per-call ``pinned`` override; backends ignore what has no meaning for
   them (a local copy has no network protocol).
 * ``peer_put(src, nbytes, peer, dst, *, transfer=None, pinned=None)`` —
-  unified across all backends in the P2P redesign.  Backends without a
-  native fabric path
+  one signature on every backend.  Backends without a native fabric path
   stage the transfer through host memory (D2H + H2D) instead of raising,
   *provided* the peer can participate; an unusable peer still raises the
   typed :class:`~repro.errors.UnsupportedOp`.
