@@ -118,7 +118,9 @@ def entered() -> set[tuple[str, int]]:
             proc = subprocess.run([sys.executable, *cmd], cwd=REPO_ROOT,
                                   env=env, text=True, capture_output=True,
                                   timeout=900)
-            assert proc.returncode == 0, proc.stdout + proc.stderr
+            if proc.returncode:
+                raise SystemExit(f"audit: {' '.join(cmd)} failed\n"
+                                 + proc.stdout + proc.stderr)
         for dump in out_dir.glob("*.json"):
             for filename, line in json.loads(dump.read_text()):
                 filename = filename.replace(os.sep, "/")
