@@ -14,9 +14,8 @@ programmed I/O at lower bandwidth (Fig. 7/8 distinguish both).
 
 from __future__ import annotations
 
+import math
 import typing as _t
-
-import numpy as np
 
 from ..errors import MiddlewareError
 from ..gpusim import GPUDevice
@@ -124,7 +123,7 @@ class LocalAccelerator(AcceleratorLifecycle):
             # (allocation-level COW keeps them stable); callers that need
             # to mutate take a .copy().
             if (offset == 0 and alloc.dtype is not None and alloc.shape is not None
-                    and nbytes == alloc.dtype.itemsize * int(np.prod(alloc.shape))):
+                    and nbytes == alloc.dtype.itemsize * math.prod(alloc.shape)):
                 return self.gpu.memory.read_array(src, copy=False)
             return self.gpu.memory.read(src, offset, nbytes, copy=False)
 

@@ -17,6 +17,7 @@ Invariants (exercised by the property tests):
 
 from __future__ import annotations
 
+import math
 import sys
 import typing as _t
 
@@ -278,7 +279,7 @@ class DeviceMemory:
         """Declare the typed interpretation of a buffer without writing it."""
         alloc = self.allocation(addr)
         dtype = np.dtype(dtype)
-        nbytes = dtype.itemsize * int(np.prod(shape)) if shape else dtype.itemsize
+        nbytes = dtype.itemsize * math.prod(shape)
         if nbytes > alloc.nbytes:
             raise DeviceMemoryError(
                 f"declared view of {nbytes}B exceeds allocation of {alloc.nbytes}B"
@@ -294,7 +295,7 @@ class DeviceMemory:
                 f"buffer {alloc.addr:#x} has no recorded dtype/shape; "
                 "write_array() or set_array_meta() first"
             )
-        n = dt.itemsize * int(np.prod(shp)) if shp else dt.itemsize
+        n = dt.itemsize * math.prod(shp)
         if n > alloc.nbytes:
             raise DeviceMemoryError(
                 f"view of {n}B exceeds allocation of {alloc.nbytes}B"

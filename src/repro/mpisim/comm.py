@@ -25,7 +25,7 @@ from ..errors import MPIError
 from ..netsim import Endpoint, Fabric
 from ..sim import Engine, Event
 from .datatypes import copy_for_send, payload_nbytes
-from .matching import ANY_SOURCE, ANY_TAG, Envelope, MatchList, _matches
+from .matching import ANY_SOURCE, ANY_TAG, MatchList
 
 #: Bytes added to every data message for the match header.
 HEADER_BYTES = 64
@@ -38,15 +38,28 @@ MAX_USER_TAG = 2**20
 
 
 class Message:
-    """A received message: payload plus matching metadata."""
+    """One message from ``isend`` to its receiver; the only per-message record.
 
-    __slots__ = ("source", "tag", "payload", "nbytes")
+    ``source``, ``tag`` and ``nbytes`` are the envelope matching reads,
+    ``payload`` the sender's snapshot.  In flight, ``dst`` and ``seq``
+    (its place in the ``(source, dst)`` send order) admit it to matching
+    in order; it waits as itself in the held-for-order and unexpected
+    queues, and a receive gets it as ``req.message``.  An RTS is a
+    Message whose ``rts`` is the sender's :class:`Request`: its payload
+    moves once a receive matches it.
+    """
 
-    def __init__(self, source: int, tag: int, payload: _t.Any, nbytes: int):
+    __slots__ = ("source", "tag", "payload", "nbytes", "dst", "seq", "rts")
+
+    def __init__(self, source: int, tag: int, payload: _t.Any, nbytes: int,
+                 dst: int):
         self.source = source
         self.tag = tag
         self.payload = payload
         self.nbytes = nbytes
+        self.dst = dst
+        self.seq = -1
+        self.rts: Request | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Message src={self.source} tag={self.tag} {self.nbytes}B>"
@@ -88,41 +101,13 @@ class Request:
         return f"<Request {self.kind} {state}>"
 
 
-class _PostedRecv:
-    __slots__ = ("request",)
-
-    def __init__(self, request: Request):
-        self.request = request
-
-
-class _Arrival:
-    """An unexpected arrival: either buffered eager data or a pending RTS."""
-
-    __slots__ = ("env", "payload", "rts")
-
-    def __init__(self, env: Envelope, payload: _t.Any = None, rts: "_Rts | None" = None):
-        self.env = env
-        self.payload = payload
-        self.rts = rts
-
-
-class _Rts:
-    """Sender-side state of a rendezvous in progress."""
-
-    __slots__ = ("src_rank", "payload", "nbytes", "send_request")
-
-    def __init__(self, src_rank: int, payload: _t.Any, nbytes: int, send_request: Request):
-        self.src_rank = src_rank
-        self.payload = payload
-        self.nbytes = nbytes
-        self.send_request = send_request
-
-
 class _RankState:
     __slots__ = ("posted", "unexpected", "discards")
 
     def __init__(self) -> None:
+        #: Posted receive Requests, keyed by the (src, tag) they want.
         self.posted = MatchList()
+        #: Messages no receive wanted yet, keyed by their own (src, tag).
         self.unexpected = MatchList()
         #: One-shot (src, tag) patterns of cancelled receives: the next
         #: matching arrival is dropped instead of rotting in ``unexpected``.
@@ -163,7 +148,7 @@ class Communicator:
         # earlier large one through the fluid fabric.
         self._send_seq: dict[tuple[int, int], int] = {}
         self._match_seq: dict[tuple[int, int], int] = {}
-        self._held: dict[tuple[int, int], dict[int, _Arrival]] = {}
+        self._held: dict[tuple[int, int], dict[int, Message]] = {}
         #: Ids unique within this communicator: the middleware numbers its
         #: requests (hence reply and data tags) here, from 1 per cluster.
         self.ids = itertools.count(1)
@@ -199,117 +184,131 @@ class Communicator:
         ``injection_s`` overrides the NIC's per-message posting cost (see
         :meth:`repro.netsim.Fabric.transfer`).
         """
-        self._check_rank(src)
-        self._check_rank(dst)
+        eps = self._endpoints
+        if not (0 <= src < len(eps) and 0 <= dst < len(eps)):
+            self._check_rank(src)
+            self._check_rank(dst)
         if tag < 0:
             raise MPIError(f"negative tag: {tag!r}")
         nbytes = payload_nbytes(payload)
-        snapshot = copy_for_send(payload)
-        env = Envelope(src, tag, nbytes)
+        msg = Message(src, tag, copy_for_send(payload), nbytes, dst)
         if eager is None:
             threshold = self.fabric.model.rendezvous_threshold
             eager = threshold == 0 or nbytes <= threshold
         if eager:
-            return self._eager_send(env, dst, snapshot, injection_s)
-        req = Request(self.engine, "send")
-        self._rendezvous_rts(env, dst, snapshot, req)
-        return req
-
-    def _next_seq(self, pair: tuple[int, int]) -> int:
-        seq = self._send_seq.get(pair, 0)
-        self._send_seq[pair] = seq + 1
-        return seq
-
-    def _eager_send(self, env: Envelope, dst: int, payload: _t.Any,
-                    injection_s: float | None = None) -> Request:
-        tx = self.fabric.transfer(self._endpoints[env.source], self._endpoints[dst],
-                                  env.nbytes + HEADER_BYTES,
-                                  injection_s=injection_s)
-        # Eager sends complete locally as soon as the NIC has the message —
-        # even across a partition (the sender cannot tell its bytes died) —
-        # so the request's ``done`` *is* ``injected``: the fabric installed
-        # its own continuation first, so NIC accounting precedes any waiter.
-        req = Request(self.engine, "send", done=tx.injected)
-        if tx.dropped:
+            tx = self.fabric.transfer(eps[src], eps[dst], nbytes + HEADER_BYTES,
+                                      injection_s, self._deliver, msg)
+            # Eager sends complete locally as soon as the NIC has the
+            # message — even across a partition (the sender cannot tell
+            # its bytes died) — so the request's ``done`` *is* ``injected``.
+            req = Request(self.engine, "send", tx.injected)
+        else:
+            # A dropped RTS leaves the send pending forever, exactly like
+            # a real rendezvous sender blocked on a handshake that will
+            # never come.  Callers racing a deadline (the RPC layer)
+            # escape; bare blocking sends are the caller's risk.
+            req = msg.rts = Request(self.engine, "send")
+            tx = self.fabric.transfer(eps[src], eps[dst], CONTROL_BYTES,
+                                      None, self._deliver, msg)
+        if not tx.dropped:
             # A dropped message must NOT consume a (src, dst) sequence
             # number: in-order matching would wait for that seq forever
             # and hold back every later message on the pair.  The fabric
             # decides drops synchronously, so the seq is drawn only here.
-            return req
-        seq = self._next_seq((env.source, dst))
-        tx.delivered.add_callback(
-            lambda _ev: self._deliver_in_order(dst, _Arrival(env, payload=payload), seq))
+            pair = (src, dst)
+            msg.seq = self._send_seq.get(pair, 0)
+            self._send_seq[pair] = msg.seq + 1
         return req
 
-    def _rendezvous_rts(self, env: Envelope, dst: int, payload: _t.Any,
-                        req: Request) -> None:
-        rts = _Rts(env.source, payload, env.nbytes, req)
-        ctrl = self.fabric.transfer(self._endpoints[env.source], self._endpoints[dst],
-                                    CONTROL_BYTES)
-        if ctrl.dropped:
-            # The RTS died at a partition: the send stays pending forever,
-            # exactly like a real rendezvous sender blocked on a handshake
-            # that will never come.  Callers racing a deadline (the RPC
-            # layer) escape; bare blocking sends are the caller's risk.
-            return
-        seq = self._next_seq((env.source, dst))
-        ctrl.delivered.add_callback(
-            lambda _ev: self._deliver_in_order(dst, _Arrival(env, rts=rts), seq))
+    def _deliver(self, msg: Message) -> None:
+        """Admit a delivered message to matching in send order per pair.
 
-    def _deliver_in_order(self, dst: int, arrival: _Arrival, seq: int) -> None:
-        """Admit arrivals to matching strictly in send order per (src, dst)."""
-        pair = (arrival.env.source, dst)
-        expected = self._match_seq.get(pair, 0)
-        if seq != expected:
-            self._held.setdefault(pair, {})[seq] = arrival
+        Matching settles before any receiver code runs: ``_match_seq``
+        advances past this message and every held successor it releases.
+        Then the receive this message matched, if one was posted, resumes
+        here at delivery with no heap entry, so an exception raised by
+        that receiver strands nothing of the pair.  Successors released
+        from the held-for-order queue complete through the heap, like a
+        receive that finds its message already waiting.
+        """
+        pair = (msg.source, msg.dst)
+        seq = self._match_seq.get(pair, 0)
+        if msg.seq != seq:
+            self._held.setdefault(pair, {})[msg.seq] = msg
             return
-        self._on_arrival(dst, arrival)
-        self._match_seq[pair] = expected + 1
+        req = self._match(msg)
+        seq += 1
         held = self._held.get(pair)
-        while held:
-            nxt = self._match_seq[pair]
-            queued = held.pop(nxt, None)
-            if queued is None:
-                break
-            self._on_arrival(dst, queued)
-            self._match_seq[pair] = nxt + 1
+        while held and seq in held:
+            late = held.pop(seq)
+            late_req = self._match(late)
+            if late_req is not None:
+                late_req._complete(late)
+            seq += 1
+        self._match_seq[pair] = seq
+        if req is not None:
+            req.message = msg
+            req.done.fire(msg)
 
-    def _rendezvous_data(self, dst: int, arrival: _Arrival, recv_req: Request) -> None:
-        """Receiver matched an RTS: answer CTS, then move the payload."""
-        rts = arrival.rts
-        assert rts is not None
-        cts = self.fabric.transfer(self._endpoints[dst], self._endpoints[rts.src_rank],
-                                   CONTROL_BYTES)
+    def _match(self, msg: Message) -> Request | None:
+        """Admit one in-order message; the eager receive it completes.
 
-        def on_cts(_ev: Event) -> None:
-            data = self.fabric.transfer(self._endpoints[rts.src_rank],
-                                        self._endpoints[dst],
-                                        rts.nbytes + HEADER_BYTES)
+        None when the message was discarded, is left as unexpected, or is
+        an RTS whose matched receive now runs the rendezvous.
+        """
+        state = self._states[msg.dst]
+        if state.discards:
+            # A cancelled receive's in-flight message: drop it (one-shot).
+            for i, (src, tag) in enumerate(state.discards):
+                if src in (ANY_SOURCE, msg.source) and tag in (ANY_TAG, msg.tag):
+                    del state.discards[i]
+                    if msg.rts is not None:
+                        # Rendezvous: complete the sender without moving
+                        # the payload anywhere (receiver-side truncation).
+                        msg.rts._complete(None)
+                    return None
+        req = state.posted.pop_match_for_arrival(msg.source, msg.tag)
+        if req is None:
+            state.unexpected.add(msg.source, msg.tag, msg)
+            return None
+        if msg.rts is not None:
+            self._rendezvous_cts(msg, req)
+            return None
+        return req
 
-            def on_data(_ev2: Event) -> None:
-                rts.send_request._complete(None)
-                recv_req._complete(Message(arrival.env.source, arrival.env.tag,
-                                           rts.payload, rts.nbytes))
+    def _rendezvous_cts(self, msg: Message, req: Request) -> None:
+        """A receive matched an RTS: bind it to the message, answer CTS."""
+        req.message = msg
+        self.fabric.transfer(self._endpoints[msg.dst], self._endpoints[msg.source],
+                             CONTROL_BYTES, None, self._rendezvous_data, req)
 
-            data.delivered.add_callback(on_data)
+    def _rendezvous_data(self, req: Request) -> None:
+        """The CTS reached the sender: move the payload."""
+        msg = req.message
+        self.fabric.transfer(self._endpoints[msg.source], self._endpoints[msg.dst],
+                             msg.nbytes + HEADER_BYTES, None,
+                             self._rendezvous_done, req)
 
-        cts.delivered.add_callback(on_cts)
+    def _rendezvous_done(self, req: Request) -> None:
+        msg = req.message
+        msg.rts._complete(None)
+        req._complete(msg)
 
     # -- receiving ------------------------------------------------------
     def irecv(self, me: int, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Non-blocking receive at rank ``me``."""
-        self._check_rank(me)
+        if not 0 <= me < len(self._states):
+            self._check_rank(me)
         state = self._states[me]
         req = Request(self.engine, "recv")
-        arrival: _Arrival | None = state.unexpected.pop_match_for_recv(source, tag)
-        if arrival is not None:
-            if arrival.rts is not None:
-                self._rendezvous_data(me, arrival, req)
-            else:
-                req._complete(Message(arrival.env.source, arrival.env.tag,
-                                      arrival.payload, arrival.env.nbytes))
+        msg = state.unexpected.pop_match_for_recv(source, tag)
+        if msg is None:
+            state.posted.add(source, tag, req)
+        elif msg.rts is not None:
+            self._rendezvous_cts(msg, req)
         else:
-            state.posted.add(source, tag, _PostedRecv(req))
+            # Through the heap: a process never resumes inside its own irecv.
+            req._complete(msg)
         return req
 
     def cancel_recv(self, me: int, request: Request) -> bool:
@@ -330,14 +329,13 @@ class Communicator:
         if request.completed or request.cancelled:
             return False
         state = self._states[me]
-        for i, (src, tag, item) in enumerate(state.posted._entries):
-            if isinstance(item, _PostedRecv) and item.request is request:
-                del state.posted._entries[i]
-                request.cancelled = True
-                request.done.cancel()
-                state.discards.append((src, tag))
-                return True
-        return False
+        pattern = state.posted.pop_item(request)
+        if pattern is None:
+            return False
+        request.cancelled = True
+        request.done.cancel()
+        state.discards.append(pattern)
+        return True
 
     def discard_next(self, me: int, source: int, tag: int,
                      count: int = 1) -> None:
@@ -356,38 +354,16 @@ class Communicator:
         state = self._states[me]
         remaining = count
         while remaining > 0:
-            arrival = state.unexpected.pop_match_for_recv(source, tag)
-            if arrival is None:
+            msg = state.unexpected.pop_match_for_recv(source, tag)
+            if msg is None:
                 break
-            if arrival.rts is not None:
+            if msg.rts is not None:
                 # Receiver-side truncation: complete the sender without
                 # moving the payload (same as a cancelled recv's discard).
-                arrival.rts.send_request._complete(None)
+                msg.rts._complete(None)
             remaining -= 1
         for _ in range(remaining):
             state.discards.append((source, tag))
-
-    def _on_arrival(self, dst: int, arrival: _Arrival) -> None:
-        state = self._states[dst]
-        if state.discards:
-            # A cancelled receive's in-flight message: drop it (one-shot).
-            for i, (src, tag) in enumerate(state.discards):
-                if _matches(src, tag, arrival.env):
-                    del state.discards[i]
-                    if arrival.rts is not None:
-                        # Rendezvous: complete the sender without moving
-                        # the payload anywhere (receiver-side truncation).
-                        arrival.rts.send_request._complete(None)
-                    return
-        posted: _PostedRecv | None = state.posted.pop_match_for_arrival(arrival.env)
-        if posted is None:
-            state.unexpected.add(arrival.env.source, arrival.env.tag, arrival)
-            return
-        if arrival.rts is not None:
-            self._rendezvous_data(dst, arrival, posted.request)
-        else:
-            posted.request._complete(Message(arrival.env.source, arrival.env.tag,
-                                             arrival.payload, arrival.env.nbytes))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Communicator {self.name} size={self.size}>"

@@ -19,29 +19,11 @@ ANY_SOURCE = -1
 ANY_TAG = -1
 
 
-class Envelope:
-    """Matching metadata of a message (no payload)."""
-
-    __slots__ = ("source", "tag", "nbytes")
-
-    def __init__(self, source: int, tag: int, nbytes: int):
-        self.source = source
-        self.tag = tag
-        self.nbytes = nbytes
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Envelope src={self.source} tag={self.tag} {self.nbytes}B>"
-
-
-def _matches(want_src: int, want_tag: int, env: Envelope) -> bool:
-    return (want_src in (ANY_SOURCE, env.source)) and (want_tag in (ANY_TAG, env.tag))
-
-
 class MatchList:
     """An ordered list supporting earliest-match extraction.
 
     Used both for posted receives (entries carry the wanted ``(src, tag)``)
-    and for unexpected arrivals (entries carry the actual envelope).
+    and for unexpected messages (entries carry the message's own).
     """
 
     def __init__(self) -> None:
@@ -53,29 +35,26 @@ class MatchList:
     def add(self, source: int, tag: int, item: _t.Any) -> None:
         self._entries.append((source, tag, item))
 
-    def pop_match_for_arrival(self, env: Envelope) -> _t.Any | None:
-        """Earliest posted receive compatible with an arriving envelope."""
-        for i, (src, tag, item) in enumerate(self._entries):
-            if _matches(src, tag, env):
+    def pop_match_for_arrival(self, source: int, tag: int) -> _t.Any | None:
+        """Earliest posted receive compatible with an arriving message."""
+        for i, (want_src, want_tag, item) in enumerate(self._entries):
+            if want_src in (ANY_SOURCE, source) and want_tag in (ANY_TAG, tag):
                 del self._entries[i]
                 return item
         return None
 
     def pop_match_for_recv(self, want_src: int, want_tag: int) -> _t.Any | None:
-        """Earliest arrival compatible with a posted receive.
-
-        Entries here store the *actual* envelope in the (source, tag) slots.
-        """
-        for i, (src, tag, item) in enumerate(self._entries):
-            if _matches(want_src, want_tag, Envelope(src, tag, 0)):
+        """Earliest unexpected message compatible with a posted receive."""
+        for i, (source, tag, item) in enumerate(self._entries):
+            if want_src in (ANY_SOURCE, source) and want_tag in (ANY_TAG, tag):
                 del self._entries[i]
                 return item
         return None
 
-    def remove(self, item: _t.Any) -> bool:
-        """Remove a specific entry (receive cancellation). True if found."""
-        for i, (_, _, it) in enumerate(self._entries):
+    def pop_item(self, item: _t.Any) -> tuple[int, int] | None:
+        """Remove ``item``; its ``(src, tag)``, or None if it is not listed."""
+        for i, (source, tag, it) in enumerate(self._entries):
             if it is item:
                 del self._entries[i]
-                return True
-        return False
+                return source, tag
+        return None

@@ -23,25 +23,41 @@ from .topology import Topology
 
 
 class Transmission:
-    """Handle for one in-flight message.
+    """One in-flight message: its handle and its flow.
 
     ``injected`` fires when the sender's NIC has posted the message (the
     sending CPU is free again); ``delivered`` fires when the last byte has
     arrived at the destination.
+
+    The flow runs as this object's own continuations, traced or not (the
+    ``net.flow`` span is recorded by the steps that move the message):
+    NIC grant -> ``injected`` -> drain through the shares -> ``delivered``.
+    Only the physical boundaries are heap events — ``injected``, one
+    share timer per stage, ``delivered``.  The NIC grant and the drain of
+    the shares are the next steps of this chain at the same instant, so
+    they are called, not scheduled (and ``injected`` therefore reads
+    ``triggered`` from the grant on, like a timer).  The continuations on
+    ``injected`` and ``delivered`` are installed before the Transmission
+    is returned, so they precede any client callback.
     """
 
-    __slots__ = ("src", "dst", "nbytes", "injected", "delivered",
-                 "injection_s", "dropped", "hops")
+    __slots__ = ("fabric", "src", "dst", "nbytes", "injected", "delivered",
+                 "injection_s", "dropped", "hops", "span", "on_delivered",
+                 "arg", "_stages_left")
 
-    def __init__(self, src: "Endpoint", dst: "Endpoint", nbytes: int,
-                 injected: Event, delivered: Event,
-                 injection_s: float | None = None,
-                 hops: tuple[tuple[str, str], ...] = ()):
+    def __init__(self, fabric: "Fabric", src: "Endpoint", dst: "Endpoint",
+                 nbytes: int, injection_s: float | None,
+                 on_delivered: _t.Callable[[_t.Any], None] | None,
+                 arg: _t.Any):
+        engine = fabric.engine
+        self.fabric = fabric
         self.src = src
         self.dst = dst
         self.nbytes = nbytes
-        self.injected = injected
-        self.delivered = delivered
+        self.injected = Event(engine)
+        self.injected.callbacks = [self._on_injected]
+        self.delivered = Event(engine)
+        self.delivered.callbacks = [self._on_delivered]
         #: Per-message posting cost override (None -> the link model's).
         self.injection_s = injection_s
         #: Set synchronously by :meth:`Fabric.transfer` when the link is
@@ -49,7 +65,102 @@ class Transmission:
         self.dropped = False
         #: Directed inter-switch trunk pairs this message traverses
         #: (empty on a single switch or a same-switch pair).
-        self.hops = hops
+        self.hops = (fabric._route_hops(src.name, dst.name)
+                     if fabric.topology is not None and src is not dst else ())
+        # Fabric flows root their own traces (no request context reaches
+        # this layer); each endpoint gets its own timeline row.  Only
+        # span construction is guarded: disabled, the flow pays no-op
+        # calls on the shared null span, not a kwargs dict.
+        obs = fabric._obs
+        self.span = (obs.start_root("net.flow", src.name, dst=dst.name,
+                                    nbytes=nbytes) if obs.enabled else NULL_SPAN)
+        self.on_delivered = on_delivered
+        self.arg = arg
+        self._stages_left = 0
+
+    def _granted(self) -> None:
+        # 1. The sender NIC drains its queue FIFO: it is held for the
+        #    injection overhead and the wire transmission of this
+        #    message.  This keeps queued messages (e.g. pipeline blocks)
+        #    arriving back-to-back instead of fair-sharing against each
+        #    other.
+        fabric = self.fabric
+        inj = self.injection_s
+        fabric.engine.succeed_after(
+            self.injected,
+            fabric.model.injection_overhead_s if inj is None else inj)
+
+    def _on_injected(self, _ev: Event) -> None:
+        self.span.event("injected")
+        if self.dropped:
+            # The message entered the wire and vanished at the cut:
+            # the NIC frees, the receiver never hears anything.
+            self.src.nic.release()
+            self.span.finish()
+            return
+        nbytes = self.nbytes
+        if nbytes == 0:
+            self._drained()
+            return
+        # 2. Wire transmission through the receiver's share: concurrent
+        #    senders into one endpoint split its bandwidth fairly, and
+        #    the resulting backpressure keeps this NIC busy longer.
+        #    With a finite switch core, inter-node flows traverse it as
+        #    well and proceed at the slower of the two stages; on a
+        #    multi-switch route the flow also drains through every
+        #    trunk segment it crosses (per-hop contention).
+        fabric = self.fabric
+        core = fabric._core if self.src is not self.dst else None
+        if core is None and not self.hops:
+            self.dst.rx.drain(nbytes, self._drained)
+            return
+        stages = [self.dst.rx]
+        if core is not None:
+            stages.append(core)
+        stages += [fabric._trunks[h] for h in self.hops]
+        self._stages_left = len(stages)
+        for share in stages:
+            share.drain(nbytes, self._stage_drained)
+
+    def _stage_drained(self) -> None:
+        self._stages_left -= 1
+        if self._stages_left == 0:
+            self._drained()
+
+    def _drained(self) -> None:
+        # 3. Propagation latency (not a NIC resource): ``delivered``
+        #    itself is scheduled one wire latency out, plus one trunk
+        #    latency per inter-switch hop.
+        fabric = self.fabric
+        latency = fabric.model.latency_s
+        delay = latency if self.src is not self.dst and latency > 0 else 0.0
+        if self.hops:
+            delay += fabric._trunk_latency_s * len(self.hops)
+        if fabric._slow or fabric._slow_trunks:
+            delay += fabric._extra_latency(self)
+        fabric.engine.succeed_after(self.delivered, delay)
+        # Last: the release grants the next queued message by call,
+        # and this ``delivered`` precedes that message's ``injected``
+        # should the two ever fall on the same instant.
+        self.src.nic.release()
+
+    def _on_delivered(self, _ev: Event) -> None:
+        # ``bytes_moved`` counts each message once regardless of hop
+        # count (an end-to-end total); trunk traffic is accounted
+        # separately per segment in ``trunk_bytes``.
+        fabric = self.fabric
+        nbytes = self.nbytes
+        fabric.bytes_moved += nbytes
+        fabric.messages_sent += 1
+        self.src.tx_bytes += nbytes
+        self.dst.rx_bytes += nbytes
+        if self.hops:
+            tb = fabric.trunk_bytes
+            for h in self.hops:
+                tb[h] = tb.get(h, 0) + nbytes
+        self.span.finish()
+        if self.on_delivered is not None:
+            self.on_delivered(self.arg)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Transmission {self.src.name}->{self.dst.name} {self.nbytes}B>"
@@ -278,17 +389,24 @@ class Fabric:
         return extra
 
     def transfer(self, src: Endpoint | str, dst: Endpoint | str, nbytes: int,
-                 injection_s: float | None = None) -> Transmission:
+                 injection_s: float | None = None,
+                 on_delivered: _t.Callable[[_t.Any], None] | None = None,
+                 arg: _t.Any = None) -> Transmission:
         """Start moving ``nbytes`` from ``src`` to ``dst``.
 
         Returns immediately with a :class:`Transmission`; the flow itself
-        runs as a chain of event callbacks.  Sending to oneself is charged a
-        loopback (no wire latency, through the local RX share only).
+        runs as a chain of its continuations.  Sending to oneself is
+        charged a loopback (no wire latency, through the local RX share
+        only).
 
         ``injection_s`` overrides the per-message posting cost, modelling
         protocol-specific send paths: per-block memory registration makes
         it *higher* for middleware H2D block streams, pre-built descriptors
         over a pinned ring make it *lower* for daemon D2H streams.
+
+        ``on_delivered(arg)`` is called at delivery, right after the
+        fabric's own accounting: the messaging layer's continuation,
+        without a closure or a second callback on ``delivered``.
         """
         if isinstance(src, str):
             src = self.endpoint(src)
@@ -298,135 +416,20 @@ class Fabric:
             raise NetworkError("endpoints belong to a different fabric")
         if nbytes < 0:
             raise NetworkError(f"negative message size: {nbytes!r}")
-
         if injection_s is not None and injection_s < 0:
             raise NetworkError(f"negative injection override: {injection_s!r}")
-        injected = self.engine.event()
-        delivered = self.engine.event()
-        hops = (self._route_hops(src.name, dst.name)
-                if self.topology is not None and src is not dst else ())
-        tx = Transmission(src, dst, nbytes, injected, delivered, injection_s,
-                          hops)
+        tx = Transmission(self, src, dst, nbytes, injection_s, on_delivered, arg)
         if src is not dst and (
                 (self._cuts and (src.name, dst.name) in self._cuts)
                 or (self._trunk_cuts
-                    and any(h in self._trunk_cuts for h in hops))):
+                    and any(h in self._trunk_cuts for h in tx.hops))):
             # Decided synchronously so the messaging layer above can see
-            # the drop before registering delivery-ordering callbacks.
+            # the drop before it draws a delivery-order sequence number.
             tx.dropped = True
             self.messages_dropped += 1
             self.bytes_dropped += nbytes
-        self._start_flow(tx)
+        src.nic.when_granted(tx._granted)
         return tx
-
-    def _start_flow(self, tx: Transmission) -> None:
-        """Run one message through the fabric as a callback chain.
-
-        Traced or not, this is the only flow implementation: the
-        ``net.flow`` span is recorded by the same continuations that
-        move the message.  Registered inside :meth:`transfer` before the
-        Transmission is returned, so the internal continuations always
-        precede any client callbacks on ``injected``/``delivered``.
-
-        Only the physical boundaries are heap events — ``injected``, one
-        share timer per stage, ``delivered``.  The NIC grant and the
-        drain of the shares are this chain's own next steps at the same
-        instant, so they are called, not scheduled (and ``injected``
-        therefore reads ``triggered`` from the grant on, like a timer).
-        """
-        model = self.model
-        engine = self.engine
-        # Fabric flows root their own traces (no request context reaches
-        # this layer); each endpoint gets its own timeline row.  Only
-        # span construction is guarded: disabled, the flow pays no-op
-        # calls on the shared null span, not a kwargs dict (measured:
-        # guarding those calls too moves nothing on ``qr_protocol``).
-        obs = self._obs
-        span = (obs.start_root("net.flow", tx.src.name, dst=tx.dst.name,
-                               nbytes=tx.nbytes) if obs.enabled else NULL_SPAN)
-
-        def _delivered_first(_ev):
-            # ``bytes_moved`` counts each message once regardless of hop
-            # count (an end-to-end total); trunk traffic is accounted
-            # separately per segment in ``trunk_bytes``.
-            self.bytes_moved += tx.nbytes
-            self.messages_sent += 1
-            tx.src.tx_bytes += tx.nbytes
-            tx.dst.rx_bytes += tx.nbytes
-            if tx.hops:
-                tb = self.trunk_bytes
-                for h in tx.hops:
-                    tb[h] = tb.get(h, 0) + tx.nbytes
-            span.finish()
-
-        tx.delivered.callbacks = [_delivered_first]
-
-        def _drained():
-            # 3. Propagation latency (not a NIC resource): ``delivered``
-            #    itself is scheduled one wire latency out, plus one trunk
-            #    latency per inter-switch hop.
-            delay = (model.latency_s
-                     if tx.src is not tx.dst and model.latency_s > 0
-                     else 0.0)
-            if tx.hops:
-                delay += self._trunk_latency_s * len(tx.hops)
-            delay += self._extra_latency(tx)
-            engine.succeed_after(tx.delivered, delay)
-            # Last: the release grants the next queued message by call,
-            # and this ``delivered`` precedes that message's ``injected``
-            # should the two ever fall on the same instant.
-            tx.src.nic.release()
-
-        def _injected_first(_ev):
-            span.event("injected")
-            if tx.dropped:
-                # The message entered the wire and vanished at the cut:
-                # the NIC frees, the receiver never hears anything.
-                tx.src.nic.release()
-                span.finish()
-                return
-            if tx.nbytes == 0:
-                _drained()
-                return
-            # 2. Wire transmission through the receiver's share: concurrent
-            #    senders into one endpoint split its bandwidth fairly, and
-            #    the resulting backpressure keeps this NIC busy longer.
-            #    With a finite switch core, inter-node flows traverse it as
-            #    well and proceed at the slower of the two stages; on a
-            #    multi-switch route the flow also drains through every
-            #    trunk segment it crosses (per-hop contention).
-            core = self._core if tx.src is not tx.dst else None
-            if core is None and not tx.hops:
-                tx.dst.rx.drain(tx.nbytes, _drained)
-                return
-            stages = [tx.dst.rx]
-            if core is not None:
-                stages.append(core)
-            stages += [self._trunks[h] for h in tx.hops]
-            left = len(stages)
-
-            def _stage_drained():
-                nonlocal left
-                left -= 1
-                if left == 0:
-                    _drained()
-
-            for share in stages:
-                share.drain(tx.nbytes, _stage_drained)
-
-        tx.injected.callbacks = [_injected_first]
-
-        def _granted():
-            inj = (model.injection_overhead_s if tx.injection_s is None
-                   else tx.injection_s)
-            engine.succeed_after(tx.injected, inj)
-
-        # 1. The sender NIC drains its queue FIFO: it is held for the
-        #    injection overhead and the wire transmission of this
-        #    message.  This keeps queued messages (e.g. pipeline blocks)
-        #    arriving back-to-back instead of fair-sharing against each
-        #    other.
-        tx.src.nic.when_granted(_granted)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Fabric {self.model.name} endpoints={len(self.endpoints)}>"

@@ -99,6 +99,24 @@ class Event:
                        (engine.now, next(engine._seq), self))
         return self
 
+    def fire(self, value: _t.Any = None) -> None:
+        """Trigger the event and run its callbacks now, with no heap entry.
+
+        For a completion reached by a chain already running at this
+        instant (a receive matched at its message's delivery): waiters
+        resume inside the caller, which must have settled its own state
+        first.  ``triggered`` and ``processed`` become true together.
+        """
+        if self._cancelled:
+            raise SimulationError("cannot trigger a cancelled event")
+        if self._value is not PENDING:
+            raise SimulationError(
+                f"event already triggered (value={self._value!r})"
+            )
+        self._ok = True
+        self._value = value
+        self._process()
+
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event as failed with ``exception``.
 

@@ -39,11 +39,11 @@ def _entries_on(cluster, daemon_rank: int, tag: int) -> list:
 class TestEventBudget:
     """Heap entries (``engine._seq`` draws) of one copy of N blocks: a
     fixed part for the request, its reply and the driving process, plus
-    per block the eager message's four and
+    per block the eager message's three and
 
-    * H2D 6 — the daemon's DMA and its per-block handling cost;
-    * D2H 5 — the daemon's DMA;
-    * PEER_PUT 7 — the source DMA, then at the peer the H2D pair.
+    * H2D 5 — the daemon's DMA and its per-block handling cost;
+    * D2H 4 — the daemon's DMA;
+    * PEER_PUT 6 — the source DMA, then at the peer the H2D pair.
     """
 
     @staticmethod
@@ -64,7 +64,7 @@ class TestEventBudget:
         return next(cluster.engine._seq) - before - 1
 
     @pytest.mark.parametrize("op,fixed,per_block", [
-        ("h2d", 11, 6), ("d2h", 12, 5), ("peer_put", 22, 7)])
+        ("h2d", 9, 5), ("d2h", 10, 4), ("peer_put", 18, 6)])
     def test_heap_entries_per_block(self, rig, op, fixed, per_block):
         for n_blocks in (4, 5):
             assert (self._draws(rig, op, n_blocks)

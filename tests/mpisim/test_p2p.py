@@ -1,10 +1,18 @@
 """Point-to-point messaging tests: eager, rendezvous, matching, ordering."""
 
+import collections
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 
 from repro.errors import MPIError
-from repro.mpisim import ANY_SOURCE, ANY_TAG, Phantom
+from repro.mpisim import ANY_SOURCE, ANY_TAG, Phantom, World
+from repro.netsim import Fabric
+from repro.sim import Engine
+
+from .conftest import MODEL
 
 
 class TestBasicSendRecv:
@@ -349,28 +357,141 @@ class TestSendCompletion:
 
 
 class TestEventBudget:
-    """One eager message into a posted receive is four heap entries
+    """One eager message into a posted receive is three heap entries
     (``engine._seq`` draws): ``injected`` — which is the send request's
-    ``done`` — the receiver share's timer, ``delivered``, and the receive
-    request's ``done``, the one relay kept so that receiver code never
-    runs inside the matching engine."""
+    ``done`` — the receiver share's timer, and ``delivered``.  Matching
+    settles at delivery and the receive's ``done`` is processed there;
+    only a receive that finds its message already waiting completes
+    through the heap (a process never resumes inside its own irecv)."""
 
-    def test_eager_message_is_four_heap_entries(self, eng, comm2):
+    def test_eager_message_is_three_heap_entries(self, eng, comm2):
         r0, r1 = comm2.rank(0), comm2.rank(1)
         rreq = r1.irecv(source=0, tag=0)
         sreq = r0.isend(1, tag=0, payload=b"x" * 100)
         eng.run()
         assert sreq.completed and rreq.message.payload == b"x" * 100
-        assert next(eng._seq) == 4
+        assert next(eng._seq) == 3
 
-    def test_message_queued_on_the_nic_costs_the_same_four(self, eng, comm2):
+    def test_message_queued_on_the_nic_costs_the_same_three(self, eng, comm2):
         r0, r1 = comm2.rank(0), comm2.rank(1)
         rreqs = [r1.irecv(source=0, tag=t) for t in (0, 1)]
         for t in (0, 1):
             r0.isend(1, tag=t, payload=b"x" * 100)
         eng.run()
         assert [r.message.tag for r in rreqs] == [0, 1]
-        assert next(eng._seq) == 8
+        assert next(eng._seq) == 6
+
+    def test_receive_posted_after_arrival_completes_through_the_heap(
+            self, eng, comm2):
+        r0, r1 = comm2.rank(0), comm2.rank(1)
+        r0.isend(1, tag=0, payload=b"x" * 100)
+        eng.run()
+        rreq = r1.irecv(source=0, tag=0)
+        assert rreq.completed and not rreq.done.processed
+        eng.run()
+        assert rreq.done.processed and next(eng._seq) == 4
+
+
+class TestCallBudget:
+    """Python-level calls per eager message, per layer: ``sys.setprofile``
+    "call" events in a steady isend/irecv loop (a sender yielding each
+    send, a receiver each receive, so every message finds its receive
+    posted), taken as the difference between a 40- and a 20-message run.
+    The previous message path measured sim 27 / mpisim 28 / netsim 8."""
+
+    @staticmethod
+    def _calls(n: int) -> collections.Counter:
+        eng = Engine()
+        fabric = Fabric(eng, MODEL)
+        for name in ("n0", "n1"):
+            fabric.add_endpoint(name)
+        comm = World(eng, fabric).create_comm(["n0", "n1"])
+        r0, r1 = comm.rank(0), comm.rank(1)
+
+        def sender():
+            for _ in range(n):
+                yield r0.isend(1, tag=0, payload=b"x" * 100).done
+
+        def receiver():
+            for _ in range(n):
+                yield r1.irecv(source=0, tag=0).done
+
+        eng.process(sender())
+        eng.process(receiver())
+        calls = collections.Counter()
+
+        def hook(frame, event, _arg):
+            if event == "call":
+                path = pathlib.PurePath(frame.f_code.co_filename)
+                if path.parts[-3:-2] == ("repro",):
+                    calls[path.parts[-2]] += 1
+
+        sys.setprofile(hook)
+        try:
+            eng.run()
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    def test_calls_per_eager_message(self):
+        short, long = self._calls(20), self._calls(40)
+        per_message = {layer: (long[layer] - short[layer]) / 20
+                       for layer in ("sim", "mpisim", "netsim")}
+        assert per_message == {"sim": 24, "mpisim": 14, "netsim": 6}
+
+
+class TestMatchingSettlesFirst:
+    """An exception raised by a receiver that a delivery resumes, with
+    nobody waiting on that receiver, unwinds to the caller of
+    ``engine.run``; matching has settled before any receiver runs, so
+    the message held for ordering behind the raising one and the next
+    message on the pair still match."""
+
+    @pytest.mark.parametrize("posted", [True, False],
+                             ids=["held-into-posted", "held-into-unexpected"])
+    def test_raising_receiver_leaves_matching_settled(self, eng, comm2, posted):
+        r0, r1 = comm2.rank(0), comm2.rank(1)
+        fabric = comm2.fabric
+        got = []
+
+        def raising():
+            yield r1.irecv(source=0, tag=1).done
+            raise RuntimeError("receiver failed")
+
+        def waiting():
+            msg = yield r1.irecv(source=0, tag=2).done
+            got.append(msg.payload)
+
+        eng.process(raising())
+        if posted:
+            eng.process(waiting())
+        # "a" drains into a slow link; "b", sent once the link is fast
+        # again, overtakes it and is held for ordering.
+        fabric.set_link_delay("n0", "n1", 0.01)
+        r0.isend(1, tag=1, payload=b"a")
+        eng.run(until=0.0005)
+        fabric.set_link_delay("n0", "n1", 0.0)
+        r0.isend(1, tag=2, payload=b"b")
+        eng.run(until=0.005)
+        assert list(comm2._held[(0, 1)]) == [1]
+        with pytest.raises(RuntimeError, match="receiver failed"):
+            eng.run()
+        state = comm2._states[1]
+        assert comm2._match_seq[(0, 1)] == 2
+        assert not comm2._held[(0, 1)]
+        assert len(state.posted) == 0
+        assert [tag for _, tag, _ in state.unexpected._entries] == (
+            [] if posted else [2])
+        if not posted:
+            eng.process(waiting())
+        r0.isend(1, tag=3, payload=b"c")
+
+        def next_on_the_pair():
+            msg = yield r1.irecv(source=0, tag=3).done
+            return msg.payload
+
+        assert eng.run(until=eng.process(next_on_the_pair())) == b"c"
+        assert got == [b"b"]
 
 
 class TestValidation:

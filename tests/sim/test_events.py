@@ -87,6 +87,18 @@ class TestEvent:
         ev.cancel()
         with pytest.raises(SimulationError):
             ev.succeed(None)
+        with pytest.raises(SimulationError):
+            ev.fire(None)
+
+    def test_fire_runs_callbacks_in_place(self, eng):
+        ev = eng.event()
+        seen = []
+        ev.add_callback(lambda e: seen.append(e.value))
+        ev.fire("now")
+        assert seen == ["now"] and ev.processed
+        assert next(eng._seq) == 0  # no heap entry
+        with pytest.raises(SimulationError):
+            ev.fire("again")
 
 
 class TestTimeout:
