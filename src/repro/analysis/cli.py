@@ -32,7 +32,8 @@ recovery-latency / SLO-violation scores.  ``--check-determinism`` runs
 each scenario twice and asserts bit-identical trace digests;
 ``--check`` gates the scores against checked-in expectation bounds
 (``benchmarks/chaos_expectations.json``; generated with ``--quick``,
-seed 0) — the CI chaos-smoke job runs exactly that.
+seed 0) — the identity ledger's ``chaos`` document is written exactly
+that way.
 
 ``jobs`` drives a seeded Pegasus-style ensemble (priorities, tenants,
 DAG dependencies, verified numerics) through the job-service front door
@@ -40,15 +41,15 @@ DAG dependencies, verified numerics) through the job-service front door
 and the outcome digest.  ``--compare`` also runs the cold baseline
 (coalescing and caching off) on the same seed, reports the warm-path
 speedup, and asserts the two runs' outcome digests are identical — the
-CI jobs-smoke job runs exactly that and gates on the ≥1.5× speedup.
+identity ledger holds that document and gates on the ≥1.5× speedup.
 
 ``collective`` runs one seeded ring collective (allreduce or broadcast)
 twice — over the P2P device-direct data plane and over the historical
 staged path through the compute node — on a multi-switch topology, and
 prints per-mode virtual wall-clock, compute-node endpoint bytes, trunk
 bytes, and the bit-identity verdict.  ``--check-determinism`` reruns the
-comparison and asserts the same digest — the CI p2p-smoke job runs
-exactly that and gates on the ≥2× compute-node byte reduction.
+comparison and asserts the same digest — the identity ledger holds
+that document and gates on the ≥2× compute-node byte reduction.
 """
 
 from __future__ import annotations

@@ -1,17 +1,16 @@
-"""Cluster-wide metric collection and reporting.
+"""Cluster-wide metric collection.
 
 Aggregates the counters every component keeps (GPU busy time, DMA traffic,
 daemon request/byte/staging statistics, fabric volume, ARM assignment
-time) into one :class:`ClusterReport` — the observability a site operator
-of the dynamic architecture would want, and the data source for the
-utilization arguments in the paper's Sect. III.
+time) into one :class:`ClusterReport` — the data source for the
+utilization arguments in the paper's Sect. III (``ext_batch`` reads the
+offloaded volume and mean GPU utilization from it).
 
 :func:`collect` builds the report from a
 :class:`~repro.obs.MetricsRegistry` snapshot
 (:func:`~repro.obs.instrument_cluster`) rather than scraping component
-fields directly, so everything the report says is also available to
-external consumers through the registry — including the request-latency
-percentiles distilled from trace spans when tracing was on.
+fields directly, so every number in the report is also available to
+external consumers through the registry.
 """
 
 from __future__ import annotations
@@ -19,8 +18,7 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from ..obs.metrics import MetricsRegistry, instrument_cluster, latency_summary
-from ..units import fmt_size, fmt_time, mib_per_s
+from ..obs.metrics import instrument_cluster
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from ..cluster.builder import Cluster
@@ -42,12 +40,6 @@ class AcceleratorMetrics:
     bytes_d2h: int
     staging_peak: int
 
-    def gpu_utilization(self, elapsed: float) -> float:
-        return self.gpu_busy_seconds / elapsed if elapsed > 0 else 0.0
-
-    def assignment_fraction(self, elapsed: float) -> float:
-        return self.assigned_seconds / elapsed if elapsed > 0 else 0.0
-
 
 @dataclasses.dataclass
 class ClusterReport:
@@ -58,9 +50,6 @@ class ClusterReport:
     fabric_bytes: int
     fabric_messages: int
     pool_utilization: float
-    #: The registry the report was built from; carries everything above
-    #: plus request-latency histograms when tracing was on.
-    registry: MetricsRegistry | None = None
 
     @property
     def total_offload_bytes(self) -> int:
@@ -73,55 +62,14 @@ class ClusterReport:
         return sum(a.gpu_busy_seconds for a in self.accelerators) / (
             self.elapsed * len(self.accelerators))
 
-    def fabric_mean_bandwidth(self) -> float:
-        """Average offered load on the fabric (bytes/s)."""
-        return self.fabric_bytes / self.elapsed if self.elapsed > 0 else 0.0
 
-    def render(self) -> str:
-        """Human-readable report."""
-        lines = [
-            f"cluster report @ t={fmt_time(self.elapsed)}",
-            f"  fabric: {fmt_size(self.fabric_bytes)} in "
-            f"{self.fabric_messages} messages "
-            f"({mib_per_s(self.fabric_mean_bandwidth()):.1f} MiB/s mean load)",
-            f"  accelerator pool: {self.pool_utilization * 100:.1f}% assigned, "
-            f"{self.mean_gpu_utilization * 100:.1f}% GPU-busy",
-        ]
-        for a in self.accelerators:
-            lines.append(
-                f"  {a.name} [{a.state}]: "
-                f"assigned {a.assignment_fraction(self.elapsed) * 100:.0f}%, "
-                f"busy {a.gpu_utilization(self.elapsed) * 100:.0f}%, "
-                f"{a.kernels_launched} kernels, "
-                f"h2d {fmt_size(a.bytes_h2d)}, d2h {fmt_size(a.bytes_d2h)}, "
-                f"staging peak {fmt_size(a.staging_peak)}")
-        for op, summary in self.latency_percentiles().items():
-            lines.append(
-                f"  latency {op}: n={summary['count']:.0f} "
-                f"p50={fmt_time(summary['p50'])} "
-                f"p95={fmt_time(summary['p95'])} "
-                f"p99={fmt_time(summary['p99'])}")
-        return "\n".join(lines)
-
-    def latency_percentiles(self) -> dict[str, dict[str, float]]:
-        """Per-op request-latency summaries (empty without tracing)."""
-        if self.registry is None:
-            return {}
-        return latency_summary(self.registry)
-
-
-def collect(cluster: "Cluster",
-            registry: MetricsRegistry | None = None) -> ClusterReport:
+def collect(cluster: "Cluster") -> ClusterReport:
     """Build a :class:`ClusterReport` from a cluster's current state.
 
-    The numbers come out of a :class:`~repro.obs.MetricsRegistry`
-    populated by :func:`~repro.obs.instrument_cluster` (pass ``registry``
-    to reuse an existing snapshot), not from the components directly —
-    the registry is the single source the report, the CLI, and the tests
-    all read.
+    The numbers come out of a fresh :func:`~repro.obs.instrument_cluster`
+    snapshot, not from the components directly.
     """
-    if registry is None:
-        registry = instrument_cluster(cluster)
+    registry = instrument_cluster(cluster)
     elapsed = cluster.engine.now
     snap = cluster.arm.snapshot()
     accelerators = []
@@ -147,5 +95,4 @@ def collect(cluster: "Cluster",
         fabric_bytes=int(registry.value("fabric.bytes")),
         fabric_messages=int(registry.value("fabric.messages")),
         pool_utilization=registry.value("pool.utilization"),
-        registry=registry,
     )

@@ -1,7 +1,7 @@
 """The static-architecture baseline: a node-attached ("CUDA local") GPU.
 
-:class:`LocalAccelerator` conforms to the unified
-:class:`~repro.core.interface.AcceleratorAPI` but drives the compute
+:class:`LocalAccelerator` exposes the unified interface
+(:data:`~repro.core.interface.API_METHODS`) but drives the compute
 node's own PCIe-attached GPU directly — no network, no daemon, exactly
 the "CUDA local" configuration of Figures 7-11.  Workloads written
 against the common interface can therefore be measured on either

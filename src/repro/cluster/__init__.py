@@ -1,6 +1,6 @@
 """Cluster composition: hardware specs, nodes, and the cluster builder."""
 
-from .builder import Cluster, build
+from .builder import Cluster
 from .node import AcceleratorNode, ComputeNode
 from .specs import (
     AcceleratorNodeSpec,
@@ -14,7 +14,6 @@ from .specs import (
 
 __all__ = [
     "Cluster",
-    "build",
     "ComputeNode",
     "AcceleratorNode",
     "ClusterSpec",

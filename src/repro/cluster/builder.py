@@ -169,8 +169,8 @@ class Cluster:
         Runs the valloc + attach handshake against the ARM and the
         hosting daemon and returns a ready
         :class:`~repro.core.reliability.TenantAccelerator`.  The tenant
-        must have been registered first
-        (:meth:`~repro.core.arm.ArmClient.register_tenant`).
+        must have been registered with the ARM's admission controller
+        first (``cluster.arm.admission.register(TenantSpec(...))``).
         """
         ac = yield from tenant_accelerator(
             self.arm_client(cn_index, retry=retry),
@@ -196,8 +196,3 @@ class Cluster:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Cluster {self.spec.n_compute}CN + "
                 f"{self.spec.n_accelerators}AC on {self.spec.network.name}>")
-
-
-def build(spec: ClusterSpec) -> Cluster:
-    """Convenience constructor."""
-    return Cluster(spec)

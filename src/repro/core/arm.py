@@ -12,8 +12,9 @@ strategies of Figure 3 are supported:
   may wait FIFO until a release frees capacity.
 
 Beyond the paper's whole-device model, the ARM is also a multi-tenant
-scheduler: tenants register a :class:`~repro.core.scheduler.TenantSpec`
-(weight / priority / quotas) and lease *virtual* accelerators
+scheduler: tenants are registered with its admission controller
+(``arm.admission.register(TenantSpec(...))``: weight / priority / quotas)
+and lease *virtual* accelerators
 (:class:`~repro.core.protocol.VirtualAcceleratorHandle`) that are
 multiplexed onto physical devices — ``slots_per_device`` leases per
 device, memory quota'd per lease, kernel time shared by WFQ inside the
@@ -36,7 +37,6 @@ import dataclasses
 import enum
 import typing as _t
 
-from ..errors import AllocationError
 from ..mpisim import RankHandle
 from .protocol import (
     AcceleratorHandle,
@@ -232,7 +232,6 @@ class ResourceManager:
                 Op.ARM_RELEASE: self._release,
                 Op.ARM_STATUS: self._status,
                 Op.ARM_BREAK: self._break,
-                Op.ARM_TENANT: self._tenant,
                 Op.ARM_VALLOC: self._valloc,
                 Op.ARM_VRELEASE: self._vrelease,
                 Op.ARM_REPORT: self._report,
@@ -561,21 +560,6 @@ class ResourceManager:
                 self._remove_record(r, "evict", notify=False)
 
     # -- multi-tenant leases ----------------------------------------------
-    def _tenant(self, req: Request) -> None:
-        try:
-            spec = TenantSpec(
-                tenant_id=req.params["tenant"],
-                weight=req.params.get("weight", 1.0),
-                priority=req.params.get("priority", 0),
-                max_vaccels=req.params.get("max_vaccels", 1),
-                mem_quota_bytes=req.params.get("mem_quota_bytes"))
-        except (AllocationError, KeyError) as exc:
-            self._reply(req, Response(req.req_id, Status.ERROR,
-                                      error=f"invalid tenant spec: {exc}"))
-            return
-        self.admission.register(spec)
-        self._reply(req, Response(req.req_id, Status.OK))
-
     def _valloc(self, req: Request) -> None:
         tenant = req.params.get("tenant")
         spec = self.admission.tenants.get(tenant)
@@ -755,14 +739,6 @@ class ArmClient:
         yield from self._rpc(Op.ARM_BREAK, {"ac_id": ac_id})
 
     # -- multi-tenant API -------------------------------------------------
-    def register_tenant(self, tenant: str, weight: float = 1.0,
-                        priority: int = 0, max_vaccels: int = 1,
-                        mem_quota_bytes: int | None = None):
-        """Register (or update) a tenant's scheduling spec (generator)."""
-        yield from self._rpc(Op.ARM_TENANT, {
-            "tenant": tenant, "weight": weight, "priority": priority,
-            "max_vaccels": max_vaccels, "mem_quota_bytes": mem_quota_bytes})
-
     def valloc(self, tenant: str, wait: bool = True, job: str | None = None):
         """Lease one virtual accelerator for ``tenant`` (generator).
 

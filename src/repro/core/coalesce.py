@@ -114,16 +114,6 @@ class FrameCoalescer:
         self.requests = 0
         self.timeouts = 0
 
-    @property
-    def roundtrips_saved(self) -> int:
-        """Daemon round trips avoided by merging, so far."""
-        return self.subs_in - self.frames_out
-
-    @property
-    def merged_ratio(self) -> float:
-        """Fraction of sub-frames that shared a wire frame with another."""
-        return self.merged_subs / self.subs_in if self.subs_in else 0.0
-
     def submit(self, ops: _t.Sequence[tuple], span=NULL_SPAN):
         """Queue one sub-frame (generator); returns its response list.
 

@@ -6,10 +6,11 @@ baseline (:class:`~repro.baselines.local.LocalAccelerator`), and the
 failover wrapper (:class:`~repro.core.reliability.ResilientAccelerator`,
 with its lease-scoped subclass ``TenantAccelerator``); the job service's
 ``JobAccelerator`` adds caches in front of a ``RemoteAccelerator`` and
-delegates the rest.  Workloads are written once against
-:class:`AcceleratorAPI` and measured on any of them; the conformance
-suite (``tests/core/test_interface_conformance.py``) asserts the same op
-program produces identical results on all three backends.
+delegates the rest.  Workloads are written once against the methods
+named in :data:`API_METHODS` and measured on any of them; the
+conformance suite (``tests/core/test_interface_conformance.py``) asserts
+that every backend exposes them and that the same op program produces
+identical results on all three backends.
 
 Canonical signatures:
 
@@ -61,52 +62,6 @@ class CapabilitySet:
     peer_put: bool = False
     streams: bool = False
     fabric: bool = False
-
-
-@_t.runtime_checkable
-class AcceleratorAPI(_t.Protocol):
-    """Structural type of one accelerator front-end (the ``ac*`` surface).
-
-    All operations except ``kernel_set_args`` are generators to be driven
-    inside a simulation process (or through
-    :class:`~repro.core.session.SyncSession`).
-    """
-
-    def mem_alloc(self, nbytes: int) -> _t.Iterator: ...
-
-    def mem_free(self, addr: int) -> _t.Iterator: ...
-
-    def memcpy_h2d(self, dst: int, payload: _t.Any,
-                   transfer: _t.Any = None, offset: int = 0,
-                   pinned: bool | None = None) -> _t.Iterator: ...
-
-    def memcpy_d2h(self, src: int, nbytes: int,
-                   transfer: _t.Any = None, offset: int = 0,
-                   pinned: bool | None = None) -> _t.Iterator: ...
-
-    def kernel_create(self, name: str) -> _t.Iterator: ...
-
-    def kernel_set_args(self, name: str, params: dict) -> None: ...
-
-    def kernel_run(self, name: str, params: dict | None = None,
-                   real: bool = True) -> _t.Iterator: ...
-
-    def ping(self) -> _t.Iterator: ...
-
-    def capabilities(self) -> "CapabilitySet": ...
-
-    def peer_put(self, src: int, nbytes: int, peer: _t.Any,
-                 dst: int, *, transfer: _t.Any = None,
-                 pinned: bool | None = None) -> _t.Iterator: ...
-
-    def stream(self, max_batch: int | None = None,
-               name: str | None = None) -> _t.Any: ...
-
-    def release(self) -> _t.Iterator: ...
-
-    def __enter__(self) -> "AcceleratorAPI": ...
-
-    def __exit__(self, exc_type, exc, tb) -> bool: ...
 
 
 class AcceleratorLifecycle:
@@ -181,8 +136,11 @@ def reject_bool_transfer(transfer: _t.Any) -> None:
             f"per-call pinning is the pinned= keyword")
 
 
-#: Methods every backend must expose; the conformance suite checks this
-#: list against :class:`AcceleratorAPI` so the two cannot drift.
+#: The ``ac*`` surface: methods every backend must expose.  The operations
+#: (all but ``kernel_set_args``, ``capabilities``, ``stream`` and the
+#: context-manager pair) are generators to be driven inside a simulation
+#: process or through :class:`~repro.core.session.SyncSession`.  The
+#: conformance suite checks every backend against this list.
 API_METHODS = (
     "mem_alloc", "mem_free", "memcpy_h2d", "memcpy_d2h",
     "kernel_create", "kernel_set_args", "kernel_run",

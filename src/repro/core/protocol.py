@@ -67,7 +67,6 @@ class Op(enum.Enum):
     ARM_STATUS = "arm_status"
     ARM_BREAK = "arm_break"
     # Multi-tenant ARM operations:
-    ARM_TENANT = "arm_tenant"       # register a tenant spec with the ARM
     ARM_VALLOC = "arm_valloc"       # lease a virtual accelerator
     ARM_VRELEASE = "arm_vrelease"   # return a virtual accelerator
     # Daemon-side virtual-accelerator lifecycle:
@@ -87,7 +86,6 @@ IDEMPOTENT_OPS = frozenset({
     Op.MEMCPY_D2H,
     Op.ARM_STATUS,
     Op.ARM_BREAK,
-    Op.ARM_TENANT,      # re-registering a tenant spec overwrites in place
     Op.VAC_REVOKE,      # revoking an already-revoked slice is a no-op
     Op.ARM_REPORT,      # reports carry full state; replays refresh in place
     Op.ARM_LEAVE,       # leaving an already-left pool is a no-op
@@ -105,7 +103,6 @@ RETRYABLE_OPS = frozenset({
     Op.MBATCH,
     Op.ARM_STATUS,
     Op.ARM_BREAK,
-    Op.ARM_TENANT,
     Op.VAC_ATTACH,      # dedup-cached by the daemon (see DEDUP_OPS)
     Op.VAC_DETACH,
 })
@@ -168,7 +165,6 @@ PARAM_BYTES: dict[Op, int] = {
     **dict.fromkeys((Op.ARM_VALLOC, Op.ARM_VRELEASE, Op.ARM_LEAVE), 40),
     Op.KERNEL_RUN: 40,                          # + ARG_BYTES per argument
     Op.VAC_ATTACH: 56,
-    Op.ARM_TENANT: 88,
     Op.MEMCPY_H2D: 88,                          # + BLOCK_BYTES per block
     **dict.fromkeys((Op.MEMCPY_D2H, Op.PEER_PUT), 104),     # + per block
     Op.ARM_REPORT: 120,

@@ -184,7 +184,6 @@ class Stream:
         self.ops_issued = 0
         self.frames_issued = 0
         self.ops_batched = 0
-        self._local_ops = 0
 
     # -- queueing --------------------------------------------------------
     def _submit(self, op: Op | None, method: str, kwargs: dict,
@@ -284,15 +283,6 @@ class Stream:
             # sticky error must not mask it.
         return False
 
-    @property
-    def roundtrips_saved(self) -> int:
-        """Request round trips avoided by coalescing, so far."""
-        return self.ops_issued_remote() - self.frames_issued
-
-    def ops_issued_remote(self) -> int:
-        """Logical ops that would each have been one request when sync."""
-        return self.ops_issued - self._local_ops
-
     # -- the pump --------------------------------------------------------
     def _drain(self):
         while self._queue:
@@ -329,7 +319,6 @@ class Stream:
     def _issue_solo(self, item: _QueuedOp):
         self.frames_issued += 0 if item.local else 1
         if item.local:
-            self._local_ops += 1
             try:
                 result = getattr(self.ac, item.method)(
                     **_resolve(item.kwargs))

@@ -46,8 +46,8 @@ class ProtocolError(MiddlewareError):
 class UnsupportedOp(MiddlewareError):
     """The operation is not available on this accelerator backend.
 
-    Raised by backends that implement the common
-    :class:`~repro.core.interface.AcceleratorAPI` surface but lack an
+    Raised by backends that implement the common ``ac*`` surface
+    (:data:`~repro.core.interface.API_METHODS`) but lack an
     optional capability — e.g. ``peer_put`` on a node-attached GPU, which
     has no fabric to copy over.  Carries the op and backend names so
     callers can degrade gracefully (fall back to a D2H+H2D bounce).

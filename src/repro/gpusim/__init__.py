@@ -11,7 +11,7 @@ from .device import (
 from .dma import DMAEngine, PCIeModel, PCIE_GEN2_X16
 from .kernels import Kernel, KernelRegistry
 from .memory import Allocation, DeviceMemory, MemoryPartition
-from .stdkernels import default_registry, shared_default_registry
+from .stdkernels import default_registry
 from . import timing
 
 __all__ = [
@@ -30,6 +30,5 @@ __all__ = [
     "Allocation",
     "MemoryPartition",
     "default_registry",
-    "shared_default_registry",
     "timing",
 ]

@@ -202,9 +202,6 @@ class GPUTimeSlicer:
         self._vgpu_vtime: dict[str, float] = {}
         self.dispatched = 0
 
-    def queue_depth(self) -> int:
-        return len(self._queue)
-
     def submit(self, vgpu: "VirtualGPU", kernel_name: str,
                params: dict | None, real: bool, ctx=None) -> Event:
         """Queue one launch for ``vgpu``; the event fires at completion."""

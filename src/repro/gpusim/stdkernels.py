@@ -178,14 +178,3 @@ def default_registry() -> KernelRegistry:
     reg.register("dsyrk", _syrk_fn, _syrk_cost)
     reg.register("dtrsm", _trsm_fn, _trsm_cost)
     return reg
-
-
-_DEFAULT: KernelRegistry | None = None
-
-
-def shared_default_registry() -> KernelRegistry:
-    """A cached shared instance (cloned by each device)."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = default_registry()
-    return _DEFAULT

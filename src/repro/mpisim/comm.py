@@ -162,10 +162,6 @@ class Communicator:
         self._check_rank(index)
         return RankHandle(self, index)
 
-    def endpoint_of(self, rank: int) -> Endpoint:
-        self._check_rank(rank)
-        return self._endpoints[rank]
-
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.size:
             raise MPIError(f"rank {rank} out of range for {self.name} (size {self.size})")

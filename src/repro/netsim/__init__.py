@@ -2,7 +2,7 @@
 
 from .fabric import Endpoint, Fabric, Transmission
 from .models import IB_QDR_MPI, PRESETS, TCP_10GE, TCP_IPOIB, LinkModel, preset
-from .topology import Topology, TopologySpec, topology_spec
+from .topology import Topology, TopologySpec
 
 __all__ = [
     "LinkModel",
@@ -16,5 +16,4 @@ __all__ = [
     "Transmission",
     "Topology",
     "TopologySpec",
-    "topology_spec",
 ]

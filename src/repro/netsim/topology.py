@@ -179,8 +179,3 @@ class TopologySpec:
         if self.kind == "ring":
             return Topology.ring(self.dims[0], **kw)
         return Topology.torus(*self.dims, **kw)
-
-
-#: Named shortcuts for the CLI / workload configs.
-def topology_spec(kind: str, dims: _t.Sequence[int] = ()) -> TopologySpec:
-    return TopologySpec(kind=kind, dims=tuple(dims))

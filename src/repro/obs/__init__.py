@@ -12,8 +12,8 @@ Public surface::
 
     from repro.obs import (Span, SpanContext, TraceCollector, NULL_SPAN,
                            collector_for, enable_tracing, trace_session)
-    from repro.obs import (chrome_trace, write_chrome_trace,
-                           validate_chrome_trace, render_timeline)
+    from repro.obs import (chrome_trace, validate_chrome_trace,
+                           render_timeline)
     from repro.obs import (MetricsRegistry, Counter, Gauge, Histogram,
                            instrument_cluster)
 """
@@ -23,7 +23,6 @@ from .export import (
     chrome_trace,
     render_timeline,
     validate_chrome_trace,
-    write_chrome_trace,
 )
 from .metrics import (
     Counter,
@@ -31,7 +30,6 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     instrument_cluster,
-    latency_summary,
 )
 from .spans import (
     NULL_SPAN,
@@ -56,7 +54,6 @@ __all__ = [
     "enable_tracing",
     "trace_session",
     "chrome_trace",
-    "write_chrome_trace",
     "validate_chrome_trace",
     "render_timeline",
     "TraceSchemaError",
@@ -65,5 +62,4 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "instrument_cluster",
-    "latency_summary",
 ]

@@ -14,7 +14,6 @@ the CI trace step share — it verifies structure, types, and that every
 
 from __future__ import annotations
 
-import json
 import typing as _t
 
 from .spans import Span, TraceCollector
@@ -100,15 +99,6 @@ def chrome_trace(collectors: "TraceCollector | _t.Sequence[TraceCollector]",
             "span_count": total_spans,
         },
     }
-
-
-def write_chrome_trace(collectors, path: str) -> dict:
-    """Export to ``path`` (validated first); returns the trace dict."""
-    trace = chrome_trace(collectors)
-    validate_chrome_trace(trace)
-    with open(path, "w") as fh:
-        json.dump(trace, fh, indent=1)
-    return trace
 
 
 class TraceSchemaError(ValueError):

@@ -9,7 +9,9 @@ and byte counters, GPU busy time, fabric volume, ARM pool state — into
 one registry, and distills per-operation latency histograms from the
 engine's span collector when tracing was on.
 :func:`repro.analysis.metrics.collect` builds its ``ClusterReport`` from
-this registry rather than scraping component fields directly.
+a fresh snapshot rather than scraping component fields directly; the
+workload reports (``tenants``, ``jobs``, ``chaos``) keep their own
+registries and read quantiles with :meth:`Histogram.percentile`.
 """
 
 from __future__ import annotations
@@ -160,19 +162,6 @@ class MetricsRegistry:
                          else metric.value)
         return out
 
-    def render(self) -> str:
-        """Human-readable dump, one metric per line."""
-        lines = []
-        for full, value in self.collect().items():
-            if isinstance(value, dict):
-                lines.append(
-                    f"{full}: n={value['count']} mean={value['mean']:.3g} "
-                    f"p50={value['p50']:.3g} p95={value['p95']:.3g} "
-                    f"p99={value['p99']:.3g}")
-            else:
-                lines.append(f"{full}: {value:g}")
-        return "\n".join(lines)
-
     def __len__(self) -> int:
         return len(self._metrics)
 
@@ -186,9 +175,10 @@ def instrument_cluster(cluster: "Cluster") -> MetricsRegistry:
     ``bytes.h2d`` / ``bytes.d2h``, ``staging.peak_bytes`` (gauge),
     ``gpu.busy_seconds``, ``gpu.kernels``, ``dma.bytes`` /
     ``dma.busy_seconds``; cluster-wide: ``fabric.bytes`` /
-    ``fabric.messages``, ``pool.utilization``, and ARM assignment seconds.  When the engine's span collector holds client
-    spans, per-op ``request.latency_s`` histograms are distilled from
-    them (p50/p95/p99 come straight out of these).
+    ``fabric.messages``, ``pool.utilization``, and ARM assignment seconds.
+    When the engine's span collector holds client spans, per-op
+    ``request.latency_s`` histograms are distilled from them
+    (:meth:`Histogram.percentile` reads p50/p95/p99 out of these).
     """
     reg = MetricsRegistry()
     snap = cluster.arm.snapshot()
@@ -236,11 +226,3 @@ def instrument_cluster(cluster: "Cluster") -> MetricsRegistry:
                       stream=span.actor).set(float(depth))
     return reg
 
-
-def latency_summary(reg: MetricsRegistry) -> dict[str, dict[str, float]]:
-    """Per-op request-latency summaries, keyed by op name."""
-    out: dict[str, dict[str, float]] = {}
-    for hist in reg.histograms("request.latency_s"):
-        labels = dict(hist.labels)
-        out[labels.get("op", "?")] = hist.summary()
-    return out

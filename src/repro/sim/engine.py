@@ -109,49 +109,10 @@ class Engine:
             if len(self._timeout_pool) < self.POOL_MAX:
                 self._timeout_pool.append(event)
 
-    def _pop_next(self) -> tuple[float, int, Event] | None:
-        """Pop the next *live* heap entry (None if none remain).
-
-        The single scan shared by :meth:`peek`, :meth:`step`, and the
-        :meth:`run` loops — the former peek()+step() pairing walked past
-        the same cancelled prefix twice per iteration.
-        """
-        heap = self._heap
-        while heap:
-            entry = heapq.heappop(heap)
-            event = entry[2]
-            if event._cancelled:
-                self._n_dead -= 1
-                self._retire(event)
-                continue
-            event._scheduled = False
-            return entry
-        return None
-
-    def peek(self) -> float:
-        """Timestamp of the next live event, or ``inf`` if none remain."""
-        heap = self._heap
-        while heap and heap[0][2]._cancelled:
-            _, _, event = heapq.heappop(heap)
-            self._n_dead -= 1
-            self._retire(event)
-        return heap[0][0] if heap else float("inf")
-
     @property
     def queued(self) -> int:
         """Live (non-cancelled) events in the queue."""
         return len(self._heap) - self._n_dead
-
-    def step(self) -> None:
-        """Process the single next event."""
-        entry = self._pop_next()
-        if entry is None:
-            raise SimulationError("step() on an empty event queue")
-        when, _, event = entry
-        if when < self.now:
-            raise SimulationError("event queue went back in time")  # pragma: no cover
-        self.now = when
-        event._process()
 
     def run(self, until: Event | float | None = None) -> _t.Any:
         """Run the simulation.
@@ -164,7 +125,7 @@ class Engine:
         if self._running:
             raise SimulationError("engine is not reentrant")
         self._running = True
-        # The loops below inline _pop_next() with local bindings: one
+        # The loops below pop the next live entry with local bindings: one
         # dict lookup per event instead of a method call plus several
         # attribute loads, on the hottest loop in the whole simulator.
         # Compaction rewrites self._heap *in place*, so the local heap

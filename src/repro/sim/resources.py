@@ -127,26 +127,23 @@ class Resource:
 
 
 class _Flow:
-    __slots__ = ("remaining", "weight", "on_done")
+    __slots__ = ("remaining", "on_done")
 
-    def __init__(self, nbytes: float, weight: float,
-                 on_done: _t.Callable[[], _t.Any]):
+    def __init__(self, nbytes: float, on_done: _t.Callable[[], _t.Any]):
         self.remaining = float(nbytes)
-        self.weight = weight
         self.on_done = on_done
 
 
 class BandwidthShare:
     """Fluid-flow model of a shared bandwidth pool.
 
-    A flow of *n* bytes transfers at rate ``capacity * weight / W`` where
-    ``W`` is the total weight of active flows — i.e. max-min fair sharing
-    with equal (or weighted) shares.  Whenever the flow set changes, all
-    remaining byte counts are advanced to the current time and the single
-    next-completion timer is rescheduled.
+    Each of the *n* active flows transfers at rate ``capacity / n``
+    (max-min fair sharing with equal shares).  Whenever the flow set
+    changes, all remaining byte counts are advanced to the current time
+    and the single next-completion timer is rescheduled.
 
-    With one flow at a time this degenerates to ``n / capacity`` exactly,
-    so uncontended transfers are precise.
+    With one flow at a time a flow of *b* bytes takes ``b / capacity``
+    exactly, so uncontended transfers are precise.
     """
 
     def __init__(self, engine: Engine, capacity_bytes_per_s: float):
@@ -158,38 +155,19 @@ class BandwidthShare:
         self._timer: Timeout | None = None
         self._last_t = engine.now
 
-    @property
-    def active_flows(self) -> int:
-        return len(self._flows)
-
-    def current_rate(self) -> float:
-        """Per-flow fair-share rate at this instant (bytes/s)."""
-        total_w = sum(f.weight for f in self._flows)
-        return self.capacity / total_w if total_w > 0 else self.capacity
-
-    def transfer(self, nbytes: float, weight: float = 1.0) -> Event:
-        """Start a flow of ``nbytes``; the event succeeds at completion."""
-        done = Event(self.engine)
-        self.drain(nbytes, done.succeed, weight)
-        return done
-
-    def drain(self, nbytes: float, on_done: _t.Callable[[], _t.Any],
-              weight: float = 1.0) -> None:
+    def drain(self, nbytes: float, on_done: _t.Callable[[], _t.Any]) -> None:
         """Start a flow of ``nbytes``; ``on_done()`` is called at completion.
 
-        The form for callback chains: the completion runs inside the
-        share's own timer callback, at the completion instant, instead of
-        through one more heap entry.
+        The completion runs inside the share's own timer callback, at the
+        completion instant, instead of through one more heap entry.
         """
         if nbytes < 0:
             raise SimulationError(f"negative transfer size: {nbytes!r}")
-        if weight <= 0:
-            raise SimulationError(f"flow weight must be positive: {weight!r}")
         if nbytes == 0:
             on_done()
             return
         self._advance()
-        self._flows.append(_Flow(nbytes, weight, on_done))
+        self._flows.append(_Flow(nbytes, on_done))
         self._reschedule()
 
     # -- internal -------------------------------------------------------
@@ -203,15 +181,15 @@ class BandwidthShare:
             return
         if len(flows) == 1:
             # Fast path; bit-identical to the general formula because
-            # w / w == 1.0 exactly and capacity * 1.0 == capacity.
+            # 1.0 / 1 == 1.0 exactly and capacity * 1.0 == capacity.
             f = flows[0]
             f.remaining -= self.capacity * dt
             if f.remaining < 0:
                 f.remaining = 0.0
             return
-        total_w = sum(f.weight for f in flows)
+        debit = self.capacity * (1.0 / len(flows)) * dt
         for f in flows:
-            f.remaining -= self.capacity * (f.weight / total_w) * dt
+            f.remaining -= debit
         # Numerical guard: clamp tiny negatives from float error.
         for f in flows:
             if f.remaining < 0:
@@ -254,15 +232,12 @@ class BandwidthShare:
                                if f.remaining > self._EPSILON_BYTES]
             if not self._flows:
                 break
-            total_w = sum(f.weight for f in self._flows)
-            next_dt = min(
-                f.remaining / (self.capacity * (f.weight / total_w))
-                for f in self._flows
-            )
+            rate = self.capacity * (1.0 / len(self._flows))
+            next_dt = min(f.remaining for f in self._flows) / rate
             if next_dt <= self._MIN_TIMER_S:
                 # Residue below timer resolution: drain it and loop.
                 for f in self._flows:
-                    if f.remaining / (self.capacity * (f.weight / total_w)) <= self._MIN_TIMER_S:
+                    if f.remaining / rate <= self._MIN_TIMER_S:
                         f.remaining = 0.0
                 continue
             # Pooled: every new flow cancels and replaces this timer, so

@@ -41,15 +41,6 @@ def gflops(flops: float, seconds: float) -> float:
     return flops / seconds / GFLOP
 
 
-def fmt_size(nbytes: int) -> str:
-    """Human-readable size (``64 MiB``, ``128 KiB``, ``17 B``)."""
-    if nbytes % MiB == 0 and nbytes >= MiB:
-        return f"{nbytes // MiB} MiB"
-    if nbytes % KiB == 0 and nbytes >= KiB:
-        return f"{nbytes // KiB} KiB"
-    return f"{nbytes} B"
-
-
 def fmt_time(seconds: float) -> str:
     """Human-readable duration with an appropriate unit."""
     if seconds >= 60.0:

@@ -60,9 +60,6 @@ class MP2CConfig:
         """Cells per box edge for a cubic box."""
         return max(1, round(self.n_cells ** (1.0 / 3.0)))
 
-    def box_length(self) -> float:
-        return self.box_edge_cells() * self.cell_size
-
     @property
     def alpha_rad(self) -> float:
         return math.radians(self.alpha_deg)

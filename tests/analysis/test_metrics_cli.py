@@ -52,20 +52,13 @@ class TestMetrics:
         report = collect(busy_cluster)
         assert report.fabric_bytes > 6 * MiB  # payloads + control traffic
         assert report.fabric_messages > 10
-        assert report.fabric_mean_bandwidth() > 0
 
     def test_utilizations_bounded(self, busy_cluster):
         report = collect(busy_cluster)
         assert 0 <= report.mean_gpu_utilization <= 1
         assert 0 <= report.pool_utilization <= 1
         for a in report.accelerators:
-            assert 0 <= a.gpu_utilization(report.elapsed) <= 1
-
-    def test_render_mentions_everything(self, busy_cluster):
-        text = collect(busy_cluster).render()
-        assert "fabric:" in text
-        assert "ac0.gpu" in text or "ac0" in text
-        assert "staging peak" in text
+            assert 0 <= a.gpu_busy_seconds <= report.elapsed
 
 
 class TestCli:

@@ -20,6 +20,7 @@ from repro.core import (
 )
 from repro.errors import AllocationError
 
+from ..harness import register_tenants
 from .test_discovery import _reply_counter
 
 
@@ -124,8 +125,8 @@ class TestShutdownDrain:
         eng = cluster.engine
         cluster.arm.admission.slots_per_device = 1
         client = cluster.arm_client(0)
-        sess.call(client.register_tenant("hog", max_vaccels=3))
-        sess.call(client.register_tenant("late"))
+        register_tenants(cluster, "hog", max_vaccels=3)
+        register_tenants(cluster, "late")
         for _ in range(3):
             sess.call(client.valloc("hog"))
         outcome = {}
@@ -196,7 +197,7 @@ class TestMixedFamilies:
     def test_nowait_valloc_refused_on_assigned_devices(self, cluster, sess):
         client = cluster.arm_client(0)
         sess.call(client.alloc(count=3))
-        sess.call(client.register_tenant("t"))
+        register_tenants(cluster, "t")
         with pytest.raises(AllocationError, match="slot"):
             sess.call(client.valloc("t", wait=False))
         assert all(doc["leases"] == 0 and doc["state"] == "assigned"
@@ -208,7 +209,7 @@ class TestMixedFamilies:
         counts = _reply_counter(cluster.arm)
         client = cluster.arm_client(0)
         handles = sess.call(client.alloc(count=3))
-        sess.call(client.register_tenant("t"))
+        register_tenants(cluster, "t")
         grants = []
 
         def lease():
@@ -230,8 +231,7 @@ class TestMixedFamilies:
         counts = _reply_counter(cluster.arm)
         client = cluster.arm_client(0)
         held = sess.call(client.alloc(count=1))            # ac0: exclusive
-        for tenant in ("a", "b"):
-            sess.call(client.register_tenant(tenant))
+        register_tenants(cluster, "a", "b")
         lease_a = sess.call(client.valloc("a"))            # ac1: one lease
         assert lease_a["vac"].ac_id != held[0].ac_id
         got = {}

@@ -16,6 +16,8 @@ from repro.errors import MiddlewareError
 from repro.mpisim import Phantom
 from repro.units import KiB
 
+from ..harness import register_tenants
+
 BLOCK = 128 * KiB
 
 
@@ -111,9 +113,7 @@ class TestNothingLeftOnTheDataTag:
     def test_foreign_address_drains_its_blocks(self):
         cluster = Cluster(paper_testbed(n_compute=1, n_accelerators=1))
         sess = cluster.session()
-        client = cluster.arm_client(0)
-        for name in ("alice", "bob"):
-            sess.call(client.register_tenant(name))
+        register_tenants(cluster, "alice", "bob")
         alice = sess.call(cluster.tenant(0, "alice")).current
         bob = sess.call(cluster.tenant(0, "bob")).current
         theirs = sess.call(bob.mem_alloc(4 * BLOCK))

@@ -48,7 +48,6 @@ class TestFrameCoalescer:
         assert co.subs_in == 4
         assert co.frames_out < co.subs_in
         assert co.merged_subs > 0
-        assert co.roundtrips_saved == co.subs_in - co.frames_out
         assert daemon.stats.mbatches == co.frames_out
         assert daemon.stats.mbatched_subs == 4
 

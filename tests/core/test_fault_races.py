@@ -32,6 +32,8 @@ from repro.core.protocol import TAG_REQUEST
 from repro.errors import AcceleratorFault, AllocationError
 from repro.mpisim import Phantom
 
+from ..harness import register_tenants
+
 REPORT_PERIOD = 1e-4
 TTL = 5e-4
 
@@ -115,7 +117,7 @@ class TestConcurrentFailureDetectors:
 
     def test_double_break_revokes_each_lease_once(self, cluster, sess):
         client = cluster.arm_client(0)
-        sess.call(client.register_tenant("t0"))
+        register_tenants(cluster, "t0")
         grant = sess.call(client.valloc("t0"))
         revoked = []
         original = cluster.arm._revoke_lease
@@ -136,7 +138,7 @@ class TestRevokeRacingAttach:
         resurrect the slice: the daemon parks a tombstone and answers
         the late attach with PREEMPTED."""
         client = cluster.arm_client(0)
-        sess.call(client.register_tenant("t0"))
+        register_tenants(cluster, "t0")
         grant = sess.call(client.valloc("t0"))
         vac = grant["vac"]
         daemon = cluster.daemons[vac.ac_id]
@@ -161,9 +163,8 @@ class TestRevokeRacingAttach:
         out a revoke that lands before the attach, reacquires, and the
         session completes on the replacement lease."""
         eng = cluster.engine
-        client = cluster.arm_client(0)
         sess = cluster.session()
-        sess.call(client.register_tenant("t0"))
+        register_tenants(cluster, "t0")
         done = {}
 
         def session():
@@ -196,9 +197,8 @@ class TestRevokeRacingAttach:
         """A second revoke racing the failover's own re-attach: the
         tenant must survive both and land on a live third lease."""
         eng = cluster.engine
-        client = cluster.arm_client(0)
         sess = cluster.session()
-        sess.call(client.register_tenant("t0"))
+        register_tenants(cluster, "t0")
         done = {}
 
         def session():

@@ -13,12 +13,14 @@ from repro.core import (
 )
 from repro.errors import AcceleratorFault, AllocationError, MiddlewareError
 
+from ..harness import register_tenants
+
 
 class TestLeaseLifecycle:
     def test_register_valloc_release(self, cluster, sess):
         client = cluster.arm_client(0)
-        sess.call(client.register_tenant("alice", weight=2.0, priority=1,
-                                         mem_quota_bytes=1 << 20))
+        register_tenants(cluster, "alice", weight=2.0, priority=1,
+                         mem_quota_bytes=1 << 20)
         grant = sess.call(client.valloc("alice"))
         vac = grant["vac"]
         assert isinstance(vac, VirtualAcceleratorHandle)
@@ -39,15 +41,14 @@ class TestLeaseLifecycle:
 
     def test_quota_denied_immediately_even_with_wait(self, cluster, sess):
         client = cluster.arm_client(0)
-        sess.call(client.register_tenant("alice"))  # max_vaccels=1
+        register_tenants(cluster, "alice")  # max_vaccels=1
         sess.call(client.valloc("alice"))
         with pytest.raises(AllocationError, match="max_vaccels"):
             sess.call(client.valloc("alice", wait=True))
 
     def test_vrelease_wrong_tenant_denied(self, cluster, sess):
         client = cluster.arm_client(0)
-        sess.call(client.register_tenant("alice"))
-        sess.call(client.register_tenant("bob"))
+        register_tenants(cluster, "alice", "bob")
         grant = sess.call(client.valloc("alice"))
         stolen = VirtualAcceleratorHandle(
             vac_id=grant["vac"].vac_id, ac_id=grant["vac"].ac_id,
@@ -57,7 +58,7 @@ class TestLeaseLifecycle:
 
     def test_leased_device_not_whole_device_allocatable(self, cluster, sess):
         client = cluster.arm_client(0)
-        sess.call(client.register_tenant("alice"))
+        register_tenants(cluster, "alice")
         grant = sess.call(client.valloc("alice"))
         with pytest.raises(AllocationError):
             sess.call(client.alloc(count=3, wait=False))
@@ -68,8 +69,7 @@ class TestLeaseLifecycle:
 
 class TestTenantAccelerator:
     def test_scoped_roundtrip_bit_identical(self, cluster, sess):
-        client = cluster.arm_client(0)
-        sess.call(client.register_tenant("alice"))
+        register_tenants(cluster, "alice")
         ac = sess.call(cluster.tenant(0, "alice"))
         data = np.arange(512, dtype=np.float64)
         addr = sess.call(ac.mem_alloc(data.nbytes))
@@ -83,8 +83,7 @@ class TestTenantAccelerator:
         assert cluster.arm.lease_count() == 0
 
     def test_mem_quota_enforced_through_daemon(self, cluster, sess):
-        client = cluster.arm_client(0)
-        sess.call(client.register_tenant("alice", mem_quota_bytes=4096))
+        register_tenants(cluster, "alice", mem_quota_bytes=4096)
         ac = sess.call(cluster.tenant(0, "alice"))
         sess.call(ac.mem_alloc(4096))
         with pytest.raises(MiddlewareError):
@@ -92,11 +91,9 @@ class TestTenantAccelerator:
         sess.call(ac.release_lease())
 
     def test_cross_tenant_free_denied(self, cluster, sess):
-        client = cluster.arm_client(0)
         # Both leases land on the same device (slots spread most-free
         # first, so pin them by exhausting a single-slot config).
-        sess.call(client.register_tenant("alice"))
-        sess.call(client.register_tenant("bob"))
+        register_tenants(cluster, "alice", "bob")
         ac_a = sess.call(cluster.tenant(0, "alice"))
         ac_b = sess.call(cluster.tenant(0, "bob"))
         addr = sess.call(ac_a.current.mem_alloc(1024))
@@ -113,7 +110,7 @@ class TestPreemption:
         cluster.arm.admission.slots_per_device = 1  # 3 slots total
         client = cluster.arm_client(0)
         for name, prio in (("a", 0), ("b", 0), ("c", 0), ("vip", 5)):
-            sess.call(client.register_tenant(name, priority=prio))
+            register_tenants(cluster, name, priority=prio)
         return client
 
     def test_vip_preempts_oldest_lowest_priority(self, cluster, sess):

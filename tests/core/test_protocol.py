@@ -93,8 +93,6 @@ REPRESENTATIVE = {
     Op.ARM_RELEASE: {"ac_ids": [0, 1]},
     Op.ARM_STATUS: {},
     Op.ARM_BREAK: {"ac_id": 0},
-    Op.ARM_TENANT: {"tenant": "gold", "weight": 2.0, "priority": 1,
-                    "max_vaccels": 4, "mem_quota_bytes": None},
     Op.ARM_VALLOC: {"tenant": "gold", "wait": True, "job": None},
     Op.ARM_VRELEASE: {"vac_id": 3, "tenant": "gold"},
     Op.VAC_ATTACH: {"vac_id": 3, "share": 0.25, "mem_quota": None, "vac": 3},

@@ -27,6 +27,7 @@ import typing as _t
 import numpy as np
 
 from repro.cluster import Cluster, paper_testbed
+from repro.core import TenantSpec
 
 #: Element counts the generator draws from.  A small set keeps it likely
 #: that two live buffers share a length, which daxpy needs.
@@ -785,3 +786,11 @@ def run_peer_modes(seed: int, n_ops: int = 16, n_devices: int = 3,
         outcomes[mode] = sess.call(
             run_peer_program(cluster.engine, acs, program, mode))
     return expected, outcomes
+
+
+def register_tenants(cluster, *tenant_ids: str, **spec) -> None:
+    """Register tenants the way every workload does: straight with the
+    ARM's admission controller (``spec`` is the rest of a
+    :class:`~repro.core.TenantSpec`, shared by all of them)."""
+    for tenant_id in tenant_ids:
+        cluster.arm.admission.register(TenantSpec(tenant_id, **spec))

@@ -132,6 +132,35 @@ def test_ledger_covers_every_document_and_workload(ledger):
         assert sorted(per_seed) == sorted(E2E_WORKLOADS)
 
 
+def test_harness_documents_show_what_they_exist_to_show(ledger):
+    """The gates of the harness documents, on the committed ledger, so a
+    rebaseline cannot commit a document that fails one."""
+    docs = ledger["cli"]
+    jobs = docs["jobs"]
+    assert jobs["digests_match"], "warm paths changed an outcome"
+    assert jobs["speedup"] >= 1.5, jobs["speedup"]
+    assert jobs["kernel_cache_hit_rate"] > 0 and jobs["alloc_cache_hit_rate"] > 0
+    assert jobs["leases_reused"] > 0
+    assert jobs["failed"] == jobs["cancelled"] == 0
+    tenants = docs["tenants"]
+    assert tenants["latency_p99_s"] > 0
+    assert tenants["per_tenant"], "per-tenant latency table is empty"
+    assert all("p99_s" in row for row in tenants["per_tenant"].values())
+    assert 0.0 < tenants["fairness"] <= 1.0, tenants["fairness"]
+    chaos = docs["chaos"]
+    assert len(chaos) >= 6, sorted(chaos)
+    for name, report in chaos.items():
+        assert report["stuck"] == report["corrupted"] == 0, name
+        assert {"recovery_latencies_s", "slo_violations"} <= set(report), name
+    for name in ("collective", "collective-broadcast"):
+        doc = docs[name]
+        assert doc["identical"], f"{name}: P2P and staged contents diverged"
+        assert doc["exact"], f"{name}: device contents differ from the oracle"
+        assert doc["cn_bytes_staged"] >= 2 * doc["cn_bytes_p2p"], name
+        assert doc["speedup"] > 1.0, (name, doc["speedup"])
+        assert doc["max_ring_hops"] <= 2, (name, doc["ring_hops"])
+
+
 @pytest.mark.parametrize("name", CLI_DOCUMENTS)
 def test_cli_document_is_unmoved(name, ledger, tmp_path):
     _assert_unmoved(f"`repro {' '.join(CLI_DOCUMENTS[name])}`", ledger,

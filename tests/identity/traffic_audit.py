@@ -1,13 +1,15 @@
 """The traffic audit as a file: which functions does any workload enter?
 
-Runs every non-test workload (the ledger's CLI documents, three traced
-experiments, the examples and the ``benchmarks/e2e`` workloads at
-``--smoke`` size) under a ``sys.setprofile`` hook, unions the functions
-entered, and compares the rest of ``src/repro`` with ``unentered.json``:
-every ``file::qualname`` no workload enters, with the one-word reason it
-is kept.  It fails when a function is unentered and unlisted (give it a
+Runs every non-test workload (the ledger's CLI documents, written with
+``--json`` exactly as the ledger writes them, ``repro list``, three
+traced experiments, one of them exported with ``--out``, the examples
+and the ``benchmarks/e2e`` workloads at ``--smoke`` size) under a
+``sys.setprofile`` hook, unions the functions entered, and compares the
+rest of ``src/repro`` with ``unentered.json``: every ``file::qualname``
+no workload enters, with the one-word reason it is kept.  It fails when a function is unentered and unlisted (give it a
 workload, a reason, or delete it) or listed and entered or gone (drop the
-line).  A few minutes; CI job ``audit``, not tier-1.
+line).  A few minutes; CI job ``audit``, not tier-1
+(``test_unentered.py`` is the tier-1 check that needs no run).
 
     python tests/identity/traffic_audit.py            # check
     python tests/identity/traffic_audit.py --write    # rewrite the list
@@ -30,7 +32,10 @@ import tempfile
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from test_ledger import CLI_DOCUMENTS  # noqa: E402  (same directory)
+if __package__:    # imported by the tier-1 guard test
+    from .test_ledger import CLI_DOCUMENTS
+else:              # run as a script
+    from test_ledger import CLI_DOCUMENTS  # noqa: E402  (same directory)
 
 LIST_PATH = pathlib.Path(__file__).with_name("unentered.json")
 SRC = "src/repro/"
@@ -61,14 +66,21 @@ sys.setprofile(_hook)
 atexit.register(_dump)
 '''.replace("@SRC@", SRC)
 
-WORKLOADS = [
-    *(["-m", "repro", *args] for args in CLI_DOCUMENTS.values()),
-    *(["-m", "repro", "trace", exp, "--quick", "--check-identity", "--timeline"]
-      for exp in ("fig05", "fig09", "ext_async")),
-    *([str(path.relative_to(REPO_ROOT))]
-      for path in sorted((REPO_ROOT / "examples").glob("*.py"))),
-    ["benchmarks/e2e/run.py", "--smoke", "--seed", "0", "--seconds", "0"],
-]
+
+def workloads(tmp: pathlib.Path) -> list[list[str]]:
+    """Every command the audit runs; the files they write go under ``tmp``."""
+    return [
+        *(["-m", "repro", *args, "--json", str(tmp / f"{name}.json")]
+          for name, args in CLI_DOCUMENTS.items()),
+        ["-m", "repro", "list"],
+        ["-m", "repro", "trace", "fig05", "--quick", "--check-identity",
+         "--timeline", "--out", str(tmp / "fig05.trace.json")],
+        *(["-m", "repro", "trace", exp, "--quick", "--check-identity",
+           "--timeline"] for exp in ("fig09", "ext_async")),
+        *([str(path.relative_to(REPO_ROOT))]
+          for path in sorted((REPO_ROOT / "examples").glob("*.py"))),
+        ["benchmarks/e2e/run.py", "--smoke", "--seed", "0", "--seconds", "0"],
+    ]
 
 
 def definitions() -> dict[tuple[str, int], str]:
@@ -106,14 +118,15 @@ def entered() -> set[tuple[str, int]]:
     """Run every workload under the hook; ``(file, first line)`` entered."""
     seen: set[tuple[str, int]] = set()
     with tempfile.TemporaryDirectory() as tmp:
-        hook_dir, out_dir = pathlib.Path(tmp, "hook"), pathlib.Path(tmp, "out")
-        hook_dir.mkdir()
-        out_dir.mkdir()
+        hook_dir, out_dir, docs_dir = (pathlib.Path(tmp, sub)
+                                       for sub in ("hook", "out", "docs"))
+        for sub in (hook_dir, out_dir, docs_dir):
+            sub.mkdir()
         (hook_dir / "sitecustomize.py").write_text(HOOK)
         env = {**os.environ, "AUDIT_OUT": str(out_dir), "PYTHONHASHSEED": "0",
                "PYTHONPATH": os.pathsep.join([str(hook_dir),
                                               str(REPO_ROOT / "src")])}
-        for cmd in WORKLOADS:
+        for cmd in workloads(docs_dir):
             print("audit:", " ".join(cmd), flush=True)
             proc = subprocess.run([sys.executable, *cmd], cwd=REPO_ROOT,
                                   env=env, text=True, capture_output=True,

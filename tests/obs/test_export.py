@@ -23,7 +23,6 @@ from repro.obs.export import (
     chrome_trace,
     render_timeline,
     validate_chrome_trace,
-    write_chrome_trace,
 )
 from repro.sim import Engine
 from repro.units import MiB
@@ -115,11 +114,16 @@ class TestClusterTrace:
         assert "dma.copy" in names
         assert trace["otherData"]["clock"] == "virtual"
 
-    def test_write_chrome_trace(self, tmp_path, cluster, sess, collector, ac):
-        sess.call(ac.ping())
+    def test_write_chrome_trace(self, tmp_path, capsys):
+        """``trace --out`` writes the validated export it reports."""
+        from repro.analysis.cli import main
         path = tmp_path / "trace.json"
-        trace = write_chrome_trace(collector, str(path))
-        assert json.loads(path.read_text()) == trace
+        assert main(["trace", "fig05", "--quick", "--out", str(path)]) == 0
+        trace = json.loads(path.read_text())
+        validate_chrome_trace(trace)
+        out = capsys.readouterr().out
+        assert f"traced {trace['otherData']['span_count']} spans" in out
+        assert f"({len(trace['traceEvents'])} events;" in out
 
 
 class TestAbandonedSpan:

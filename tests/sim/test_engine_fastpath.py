@@ -48,15 +48,17 @@ def test_compaction_rebuilds_in_place_and_keeps_live_events():
     assert fired == sorted(fired)
 
 
-def test_peek_and_step_skip_dead_prefix():
+def test_run_skips_dead_prefix():
     eng = Engine()
     t1 = eng.timeout(0.1)
     t2 = eng.timeout(0.2)
     t1.cancel()
-    assert eng.peek() == pytest.approx(0.2)
-    eng.step()
-    assert t2.processed
-    assert eng.peek() == float("inf")
+    fired = []
+    t1.add_callback(lambda ev: fired.append("t1"))
+    eng.run(until=0.15)
+    assert [entry[2] for entry in eng._heap] == [t2]   # the dead entry went
+    assert eng.run(until=t2) is None
+    assert fired == [] and eng.now == pytest.approx(0.2)
 
 
 def test_race_deadline_slot_is_reused_after_retirement():

@@ -158,10 +158,6 @@ class TestEngineRun:
         with pytest.raises(SimulationError, match="not reentrant"):
             eng.run()
 
-    def test_step_on_empty_queue_raises(self, eng):
-        with pytest.raises(SimulationError):
-            eng.step()
-
     def test_clock_never_goes_backwards(self, eng):
         stamps = []
 

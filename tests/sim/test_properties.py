@@ -82,14 +82,12 @@ class TestBandwidthShareProperties:
         done_times = []
         total_bytes = sum(nb for _, nb in flows)
 
-        def flow(start, nbytes):
-            if start > 0:
-                yield eng.timeout(start)
-            yield share.transfer(nbytes)
+        def finished():
             done_times.append(eng.now)
 
         for start, nbytes in flows:
-            eng.process(flow(start, nbytes))
+            eng.call_at(start, lambda nbytes=nbytes:
+                        share.drain(nbytes, finished))
         eng.run()
         assert len(done_times) == len(flows)
         # The pool can never move bytes faster than its capacity allows.
@@ -105,12 +103,8 @@ class TestBandwidthShareProperties:
         share = BandwidthShare(eng, 100.0)
         finish = {}
 
-        def flow(i, nbytes):
-            yield share.transfer(nbytes)
-            finish[i] = eng.now
-
         for i, nb in enumerate(sizes):
-            eng.process(flow(i, nb))
+            share.drain(nb, lambda i=i: finish.__setitem__(i, eng.now))
         eng.run()
         order = sorted(range(len(sizes)), key=lambda i: finish[i])
         # Equal-share flows drain smallest-first.
@@ -121,6 +115,8 @@ class TestBandwidthShareProperties:
         # Regression guard for the float-residue infinite-timer loop.
         eng = Engine()
         share = BandwidthShare(eng, 2660 * 1024 * 1024.0)
-        events = [share.transfer(524288 + 64) for _ in range(256)]
-        eng.run(until=eng.all_of(events))
-        assert eng.now > 0
+        done = []
+        for _ in range(256):
+            share.drain(524288 + 64, lambda: done.append(eng.now))
+        eng.run()
+        assert len(done) == 256 and eng.now > 0

@@ -219,120 +219,52 @@ class TestResource:
 
 
 def drain_times(capacity, flows):
-    """The callable form of ``flows`` — (name, start, nbytes, weight) — on
-    a fresh share: ``{name: completion time}`` as seen by ``on_done``."""
+    """``flows`` — (name, start, nbytes) — on a fresh share:
+    ``{name: completion time}`` as seen by ``on_done``."""
     eng = Engine()
     link = BandwidthShare(eng, capacity)
     done = {}
-    for name, start, nbytes, weight in flows:
-        eng.call_at(start, lambda name=name, nbytes=nbytes, weight=weight:
-                    link.drain(nbytes, lambda: done.__setitem__(name, eng.now),
-                               weight))
+    for name, start, nbytes in flows:
+        eng.call_at(start, lambda name=name, nbytes=nbytes:
+                    link.drain(nbytes, lambda: done.__setitem__(name, eng.now)))
     eng.run()
     return done
 
 
 class TestBandwidthShare:
-    def test_single_flow_exact_time(self, eng):
-        link = BandwidthShare(eng, capacity_bytes_per_s=100.0)
+    """Every time below is exact: each is a short sum of binary fractions,
+    so the fair-share arithmetic must reproduce it bit for bit."""
 
-        def proc():
-            yield link.transfer(250.0)
-            return eng.now
+    def test_single_flow_exact_time(self):
+        assert drain_times(100.0, [("a", 0.0, 250.0)]) == {"a": 2.5}
 
-        p = eng.process(proc())
-        assert eng.run(until=p) == pytest.approx(2.5)
+    def test_zero_bytes_completes_immediately(self):
+        assert drain_times(100.0, [("a", 0.0, 0)]) == {"a": 0.0}
 
-    def test_zero_bytes_completes_immediately(self, eng):
-        link = BandwidthShare(eng, 100.0)
-
-        def proc():
-            yield link.transfer(0)
-            return eng.now
-
-        p = eng.process(proc())
-        assert eng.run(until=p) == 0.0
-
-    def test_two_equal_flows_share_fairly(self, eng):
-        link = BandwidthShare(eng, 100.0)
-        done = {}
-
-        def proc(name, nbytes):
-            yield link.transfer(nbytes)
-            done[name] = eng.now
-
-        eng.process(proc("a", 100.0))
-        eng.process(proc("b", 100.0))
-        eng.run()
+    def test_two_equal_flows_share_fairly(self):
         # Both share 100 B/s -> each runs at 50 B/s -> both done at t=2.
-        assert done["a"] == pytest.approx(2.0)
-        assert done["b"] == pytest.approx(2.0)
-        assert drain_times(100.0, [("a", 0.0, 100.0, 1.0),
-                                   ("b", 0.0, 100.0, 1.0)]) == done
+        assert drain_times(100.0, [("a", 0.0, 100.0),
+                                   ("b", 0.0, 100.0)]) == {"a": 2.0, "b": 2.0}
 
-    def test_short_flow_finishes_then_long_speeds_up(self, eng):
-        link = BandwidthShare(eng, 100.0)
-        done = {}
-
-        def proc(name, nbytes):
-            yield link.transfer(nbytes)
-            done[name] = eng.now
-
-        eng.process(proc("short", 50.0))
-        eng.process(proc("long", 150.0))
-        eng.run()
+    def test_short_flow_finishes_then_long_speeds_up(self):
         # Shared at 50 B/s until short finishes at t=1 (long has 100 left),
         # then long runs at full 100 B/s -> finishes at t=2.
-        assert done["short"] == pytest.approx(1.0)
-        assert done["long"] == pytest.approx(2.0)
-        assert drain_times(100.0, [("short", 0.0, 50.0, 1.0),
-                                   ("long", 0.0, 150.0, 1.0)]) == done
+        assert drain_times(100.0, [("short", 0.0, 50.0),
+                                   ("long", 0.0, 150.0)]) == {"short": 1.0,
+                                                              "long": 2.0}
 
-    def test_late_joiner_slows_existing_flow(self, eng):
-        link = BandwidthShare(eng, 100.0)
-        done = {}
-
-        def first():
-            yield link.transfer(100.0)
-            done["first"] = eng.now
-
-        def second():
-            yield eng.timeout(0.5)
-            yield link.transfer(25.0)
-            done["second"] = eng.now
-
-        eng.process(first())
-        eng.process(second())
-        eng.run()
+    def test_late_joiner_slows_existing_flow(self):
         # first: 50 B alone (0.5s), then shares: needs 50 more at 50 B/s = 1s
         # unless second finishes earlier: second needs 25 B at 50 B/s = 0.5s,
         # done at t=1.0. Then first has 25 B left at 100 B/s -> t=1.25.
-        assert done["second"] == pytest.approx(1.0)
-        assert done["first"] == pytest.approx(1.25)
-        assert drain_times(100.0, [("first", 0.0, 100.0, 1.0),
-                                   ("second", 0.5, 25.0, 1.0)]) == done
-
-    def test_weighted_flows(self, eng):
-        link = BandwidthShare(eng, 90.0)
-        done = {}
-
-        def proc(name, nbytes, w):
-            yield link.transfer(nbytes, weight=w)
-            done[name] = eng.now
-
-        eng.process(proc("heavy", 60.0, 2.0))
-        eng.process(proc("light", 30.0, 1.0))
-        eng.run()
-        # heavy gets 60 B/s, light 30 B/s: both finish at t=1.
-        assert done["heavy"] == pytest.approx(1.0)
-        assert done["light"] == pytest.approx(1.0)
-        assert drain_times(90.0, [("heavy", 0.0, 60.0, 2.0),
-                                  ("light", 0.0, 30.0, 1.0)]) == done
+        assert drain_times(100.0, [("first", 0.0, 100.0),
+                                   ("second", 0.5, 25.0)]) == {"second": 1.0,
+                                                               "first": 1.25}
 
     def test_negative_size_rejected(self, eng):
         link = BandwidthShare(eng, 10.0)
         with pytest.raises(SimulationError):
-            link.transfer(-1)
+            link.drain(-1, lambda: None)
 
     def test_drain_costs_only_the_share_timer(self, eng):
         link = BandwidthShare(eng, 100.0)
@@ -342,7 +274,7 @@ class TestBandwidthShare:
         assert done_at == ["empty"]
         eng.run()
         assert done_at == ["empty", pytest.approx(2.5)]
-        assert next(eng._seq) == 1     # transfer() would add its event
+        assert next(eng._seq) == 1     # no event of its own
 
     def test_completion_may_start_the_next_flow_on_the_share(self, eng):
         """``on_done`` runs with the flow list settled and the next timer
@@ -365,7 +297,7 @@ class TestBandwidthShare:
                         "chain1": pytest.approx(2.0),
                         "chain2": pytest.approx(3.0),
                         "long": pytest.approx(4.5)}
-        assert link.active_flows == 0
+        assert link._flows == []
 
     def test_bad_capacity_rejected(self, eng):
         with pytest.raises(SimulationError):
@@ -373,11 +305,13 @@ class TestBandwidthShare:
 
     def test_many_sequential_flows_total_time(self, eng):
         link = BandwidthShare(eng, 1000.0)
+        done = []
 
-        def proc():
-            for _ in range(10):
-                yield link.transfer(500.0)
-            return eng.now
+        def next_flow():
+            done.append(eng.now)
+            if len(done) <= 10:
+                link.drain(500.0, next_flow)
 
-        p = eng.process(proc())
-        assert eng.run(until=p) == pytest.approx(5.0)
+        next_flow()
+        eng.run()
+        assert done[-1] == pytest.approx(5.0)

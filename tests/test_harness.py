@@ -37,7 +37,7 @@ def test_all_paths_equivalent(seed):
     assert expected, "program produced no results to compare"
     assert_equivalent(expected, outcomes)
     # Batching can only remove round trips, never add them.
-    assert stream.frames_issued <= stream.ops_issued_remote()
+    assert stream.frames_issued <= stream.ops_issued
 
 
 @pytest.mark.parametrize("seed", [3, 11, 17])

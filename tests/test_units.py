@@ -20,12 +20,6 @@ class TestUnits:
         with pytest.raises(ValueError):
             units.gflops(1.0, 0.0)
 
-    def test_fmt_size(self):
-        assert units.fmt_size(64 * units.MiB) == "64 MiB"
-        assert units.fmt_size(128 * units.KiB) == "128 KiB"
-        assert units.fmt_size(17) == "17 B"
-        assert units.fmt_size(units.MiB + 1) == f"{units.MiB + 1} B"
-
     def test_fmt_time_scales(self):
         assert units.fmt_time(120.0) == "2.00 min"
         assert units.fmt_time(2.5) == "2.500 s"

@@ -80,7 +80,8 @@ class TestRun:
         assert warm.done == cold.done == 24
         # Virtual time is deterministic, so this ratio is exact, not a
         # flaky wall-clock measurement.  The headline >= 1.5x gate (on
-        # the benchmark-sized ensemble) lives in the jobs-smoke CI gate.
+        # the --quick CLI ensemble) runs over the identity ledger's
+        # `jobs` document (tests/identity/test_ledger.py).
         assert warm.jobs_per_s > cold.jobs_per_s
         assert warm.kernel_cache_hits > 0
         assert warm.alloc_cache_hits > 0
