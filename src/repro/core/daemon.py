@@ -601,10 +601,10 @@ class Daemon:
             result = yield self._target(params).launch(
                 params["name"], params.get("params") or {},
                 real=params.get("real", True), ctx=self._cur_span.wire)
-        except KernelError as exc:
+        except (KernelError, DeviceMemoryError) as exc:
             return Response(req_id, Status.ERROR, error=str(exc))
         except GPUError as exc:
-            # The slice was revoked while this launch waited its turn.
+            # The slice refused the launch: it has been revoked.
             return Response(req_id, Status.PREEMPTED, error=str(exc))
         self.stats.kernels_run += 1
         return Response(req_id, Status.OK, value=result)

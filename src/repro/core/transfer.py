@@ -330,7 +330,7 @@ def recv_blocks(rank: RankHandle, src: int, dtag: int,
                 yield engine.timeout(size / dev.cpu.memcpy_bw_Bps)
         dev.stats.stage(size)
         chunk = rreq.message.payload
-        ev = dev.gpu.dma.copy_view(chunk, pinned=dev.pinned, ctx=ctx)
+        ev = dev.gpu.dma.copy(int(chunk.nbytes), pinned=dev.pinned, ctx=ctx)
 
         def _on_dma(_ev, off=off, size=size, chunk=chunk):
             if not isinstance(chunk, Phantom):

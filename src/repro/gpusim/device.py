@@ -16,7 +16,7 @@ import heapq
 import itertools
 
 from ..errors import GPUError
-from ..obs.spans import NULL_SPAN, collector_for
+from ..obs.spans import collector_for
 from ..sim import Engine, Event, Resource
 from ..units import GiB, USEC
 from .dma import DMAEngine, PCIeModel, PCIE_GEN2_X16
@@ -114,37 +114,44 @@ class GPUDevice:
 
         ``real=False`` charges the kernel's modeled time without executing
         its numerics (timing-only mode for paper-scale problem sizes).
-        The event's value is the kernel's return (error code or None).
-        ``ctx`` optionally parents a ``gpu.kernel`` trace span under the
-        requesting operation (see :mod:`repro.obs`).
+        The event's value is the kernel's return (error code or None); a
+        kernel that raises fails it with that exception.  ``ctx``
+        optionally parents a ``gpu.kernel`` trace span under the
+        requesting operation (see :mod:`repro.obs`).  Like a DMA copy, a
+        launch is one heap entry (DESIGN.md section 10).
         """
         kernel = self.registry.get(kernel_name)
         params = params or {}
         duration = kernel.cost(params, self.spec)
-        done = self.engine.event()
-        self.engine.process(self._run(kernel, params, duration, real, done, ctx),
-                            name=f"{self.name}:{kernel_name}")
-        return done
+        engine = self.engine
+        span = (self._obs.start("gpu.kernel", self.name, parent=ctx,
+                                kernel=kernel.name) if ctx is not None else None)
+        ran, done = Event(engine), Event(engine)
 
-    def _run(self, kernel, params: dict, duration: float, real: bool,
-             done: Event, ctx=None):
-        span = self._obs.start(
-            "gpu.kernel", self.name, parent=ctx,
-            kernel=kernel.name) if ctx is not None else NULL_SPAN
-        with span:
-            yield self._compute.acquire()
-            span.event("compute_acquired")
-            yield self.engine.timeout(self.spec.launch_overhead_s + duration)
-            result = None
+        def _finish(_ev):
+            self._compute.release()
             try:
-                if real:
-                    result = kernel.fn(self, params)
-            finally:
-                self._compute.release()
+                result = kernel.fn(self, params) if real else None
+            except Exception as exc:
+                if span is not None:
+                    span.finish(error=f"{type(exc).__name__}: {exc}")
+                done.fail(exc)
+                return
             self.busy_time += duration
             self.kernels_launched += 1
-            span.set(modeled_s=duration)
-        done.succeed(result)
+            if span is not None:
+                span.finish(modeled_s=duration)
+            done.fire(result)
+
+        ran.callbacks = [_finish]
+
+        def _granted():
+            if span is not None:
+                span.event("compute_acquired")
+            engine.succeed_after(ran, self.spec.launch_overhead_s + duration)
+
+        self._compute.when_granted(_granted)
+        return done
 
     def utilization(self, elapsed: float | None = None) -> float:
         """Fraction of wall time the compute engine was busy."""
@@ -226,16 +233,20 @@ class GPUTimeSlicer:
         self.dispatched += 1
         vgpu, kernel_name, params, real, ctx, done = entry
         started = self.engine.now
-        ev = self.device.launch(kernel_name, params, real=real, ctx=ctx)
+        ran = self.device.launch(kernel_name, params, real=real, ctx=ctx)
 
         def _complete(_ev: Event) -> None:
+            # Dispatch the next launch first, whether or not this one raised.
+            self._busy = False
+            self._pump()
+            if not ran._ok:
+                done.fail(ran._value)
+                return
             vgpu.kernels_launched += 1
             vgpu.busy_time += self.engine.now - started
-            self._busy = False
-            done.succeed(_ev.value)
-            self._pump()
+            done.fire(ran._value)
 
-        ev.add_callback(_complete)
+        ran.callbacks = [_complete]
 
 
 class VirtualGPU:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 
 from ..errors import GPUError
-from ..obs.spans import NULL_SPAN, collector_for
+from ..obs.spans import collector_for
 from ..sim import Engine, Event, Resource
 from ..units import MiB, USEC
 
@@ -95,10 +95,10 @@ class DMAEngine:
             raise GPUError(f"negative copy size: {nbytes!r}")
         engine = self.engine
         # Spans are children of a request's handler span; a copy issued
-        # without one (direct device use) records nothing.
+        # without one (untraced, or direct device use) makes no span call.
         span = (self._obs.start(
             "dma.copy", self.name, parent=ctx, nbytes=nbytes, pinned=pinned)
-            if ctx is not None else NULL_SPAN)
+            if ctx is not None else None)
         done = Event(engine)
         duration = self.model.copy_time(nbytes, pinned)
 
@@ -109,26 +109,17 @@ class DMAEngine:
             self.transfers += 1
             self.bytes_copied += nbytes
             self._lock.release()
-            span.finish()
+            if span is not None:
+                span.finish()
 
         done.callbacks = [_finish]
 
         def _granted():
-            span.event("engine_acquired")
+            if span is not None:
+                span.event("engine_acquired")
             engine.succeed_after(done, duration)
 
         # Granted by call — now, or from the release in the previous
         # copy's ``_finish`` — so a copy is one heap entry, its ``done``.
         self._lock.when_granted(_granted)
         return done
-
-    def copy_view(self, view, pinned: bool = True, ctx=None) -> Event:
-        """Start a copy sized by a buffer view (zero-copy variant).
-
-        ``view`` is anything with ``nbytes`` — a
-        :class:`~repro.buffers.ChunkView`, numpy view, or Phantom.  The
-        DMA engine only models *time*; passing the view instead of a
-        materialized buffer means a per-block pipeline DMA allocates no
-        staging bytes at all.
-        """
-        return self.copy(int(view.nbytes), pinned=pinned, ctx=ctx)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import typing as _t
 
 from ..errors import NetworkError
-from ..obs.spans import NULL_SPAN, collector_for
+from ..obs.spans import collector_for
 from ..sim import BandwidthShare, Engine, Event, Resource
 from .models import LinkModel
 from .topology import Topology
@@ -68,12 +68,11 @@ class Transmission:
         self.hops = (fabric._route_hops(src.name, dst.name)
                      if fabric.topology is not None and src is not dst else ())
         # Fabric flows root their own traces (no request context reaches
-        # this layer); each endpoint gets its own timeline row.  Only
-        # span construction is guarded: disabled, the flow pays no-op
-        # calls on the shared null span, not a kwargs dict.
+        # this layer); each endpoint gets its own timeline row.  None
+        # when tracing is off, so an untraced flow makes no span call.
         obs = fabric._obs
         self.span = (obs.start_root("net.flow", src.name, dst=dst.name,
-                                    nbytes=nbytes) if obs.enabled else NULL_SPAN)
+                                    nbytes=nbytes) if obs.enabled else None)
         self.on_delivered = on_delivered
         self.arg = arg
         self._stages_left = 0
@@ -91,12 +90,14 @@ class Transmission:
             fabric.model.injection_overhead_s if inj is None else inj)
 
     def _on_injected(self, _ev: Event) -> None:
-        self.span.event("injected")
+        if self.span is not None:
+            self.span.event("injected")
         if self.dropped:
             # The message entered the wire and vanished at the cut:
             # the NIC frees, the receiver never hears anything.
             self.src.nic.release()
-            self.span.finish()
+            if self.span is not None:
+                self.span.finish()
             return
         nbytes = self.nbytes
         if nbytes == 0:
@@ -158,7 +159,8 @@ class Transmission:
             tb = fabric.trunk_bytes
             for h in self.hops:
                 tb[h] = tb.get(h, 0) + nbytes
-        self.span.finish()
+        if self.span is not None:
+            self.span.finish()
         if self.on_delivered is not None:
             self.on_delivered(self.arg)
 

@@ -15,8 +15,9 @@ advances the clock — tracing on or off, the simulation timeline is
 bit-identical (asserted by ``tests/obs/test_identity.py``).
 
 Disabled tracing is a null object: :meth:`TraceCollector.start` returns
-the shared :data:`NULL_SPAN` whose methods all no-op, so hot paths pay
-one enabled check per operation and nothing else.
+the shared :data:`NULL_SPAN` whose methods all no-op, so process-level
+code pays one enabled check per operation; the data-plane work units
+(message, DMA copy, kernel launch) hold ``None`` and make no span call.
 
 Collectors are looked up per engine with :func:`collector_for` — every
 component of one simulation shares one collector, exactly like they share

@@ -58,7 +58,7 @@ class Engine:
         """Fire the pre-created pending ``event`` ``delay`` seconds from now.
 
         A ``Timeout(delay)`` followed by ``event.succeed()`` folded into
-        one heap entry, for callback chains (fabric flows, DMA copies)
+        one heap entry, for callback chains (fabric flows, DMA copies, kernels)
         whose completion event exists before its time is known.
         """
         if delay < 0:

@@ -2,7 +2,7 @@
 
 * :class:`Store` — a FIFO buffer of items with blocking ``put``/``get``
   (used as mailboxes and request queues).
-* :class:`Resource` — counted resource with ``acquire``/``release`` (a
+* :class:`Resource` — counted resource with ``when_granted``/``release`` (a
   ``capacity=1`` resource is a lock; used to serialize DMA engines, NIC
   injection, CPU cores).
 * :class:`BandwidthShare` — a fluid-flow bandwidth pool: concurrent flows
@@ -73,12 +73,11 @@ class Store:
 class Resource:
     """Counted resource; ``capacity=1`` behaves as a mutex.
 
-    Waiters are served FIFO in one queue, whichever form they asked in:
-    :meth:`acquire` returns an event for a process to yield, while
-    :meth:`when_granted` calls the waiter at the grant itself — for a
-    callback chain whose next step belongs to the same instant and needs
-    no heap entry in between.  ``release()`` must be called exactly once
-    per grant; a double release raises.
+    Waiters are served FIFO in one queue.  :meth:`when_granted` calls the
+    waiter at the grant itself, so a callback chain whose next step
+    belongs to the same instant needs no heap entry in between (a
+    process waits by passing an event's ``succeed``).  ``release()`` must
+    be called exactly once per grant; a double release raises.
     """
 
     def __init__(self, engine: Engine, capacity: int = 1):
@@ -98,12 +97,6 @@ class Resource:
     def available(self) -> int:
         return self.capacity - self._in_use
 
-    def acquire(self) -> Event:
-        """Returns an event that succeeds when a unit is granted."""
-        ev = Event(self.engine)
-        self.when_granted(ev.succeed)
-        return ev
-
     def when_granted(self, granted: _t.Callable[[], _t.Any]) -> None:
         """Call ``granted()`` once a unit is held for it.
 
@@ -119,7 +112,7 @@ class Resource:
     def release(self) -> None:
         """Return a unit; hands it to the next waiter if any."""
         if self._in_use <= 0:
-            raise SimulationError("release() without matching acquire()")
+            raise SimulationError("release() without a matching grant")
         if self._waiters:
             self._waiters.popleft()()
         else:
@@ -166,8 +159,16 @@ class BandwidthShare:
         if nbytes == 0:
             on_done()
             return
+        flows = self._flows
+        if not flows:
+            # Idle (no live timer, nothing to debit): the lone-flow step
+            # arms the timer, or completes the flow if it is too small.
+            self._last_t = self.engine.now
+            flows.append(_Flow(nbytes, on_done))
+            self._on_timer(None)
+            return
         self._advance()
-        self._flows.append(_Flow(nbytes, on_done))
+        flows.append(_Flow(nbytes, on_done))
         self._reschedule()
 
     # -- internal -------------------------------------------------------
@@ -178,14 +179,6 @@ class BandwidthShare:
         self._last_t = now
         flows = self._flows
         if dt <= 0 or not flows:
-            return
-        if len(flows) == 1:
-            # Fast path; bit-identical to the general formula because
-            # 1.0 / 1 == 1.0 exactly and capacity * 1.0 == capacity.
-            f = flows[0]
-            f.remaining -= self.capacity * dt
-            if f.remaining < 0:
-                f.remaining = 0.0
             return
         debit = self.capacity * (1.0 / len(flows)) * dt
         for f in flows:
@@ -206,21 +199,6 @@ class BandwidthShare:
         if self._timer is not None and not self._timer._processed:
             self._timer.cancel()
         self._timer = None
-        flows = self._flows
-        if len(flows) == 1:
-            # Fast path for the uncontended link (the overwhelmingly
-            # common case for pipeline block streams); arithmetic is
-            # bit-identical to the fair-share formula with one flow.
-            f = flows[0]
-            if f.remaining > self._EPSILON_BYTES:
-                next_dt = f.remaining / self.capacity
-                if next_dt > self._MIN_TIMER_S:
-                    self._timer = self.engine.pooled_timer(next_dt)
-                    self._timer.add_callback(self._on_timer)
-                    return
-            flows.clear()
-            f.on_done()
-            return
         finished: list[_Flow] = []
         while True:
             # Complete any flows that are done (or numerically done).
@@ -251,6 +229,23 @@ class BandwidthShare:
         for f in finished:
             f.on_done()
 
-    def _on_timer(self, _ev: Event) -> None:
-        self._advance()
-        self._reschedule()
+    def _on_timer(self, _ev: Event | None) -> None:
+        flows = self._flows
+        if len(flows) > 1:
+            self._advance()
+            self._reschedule()
+            return
+        # The lone flow (nearly every message): the general step for n = 1
+        # inline, bit-identical since capacity * (1.0 / 1) is capacity.
+        f = flows[0]
+        now = self.engine.now
+        f.remaining -= self.capacity * (now - self._last_t)
+        self._last_t = now
+        if f.remaining > self._EPSILON_BYTES:
+            next_dt = f.remaining / self.capacity
+            if next_dt > self._MIN_TIMER_S:
+                t = self._timer = self.engine.pooled_timer(next_dt)
+                t.callbacks = [self._on_timer]
+                return
+        flows.clear()
+        f.on_done()

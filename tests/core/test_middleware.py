@@ -8,6 +8,8 @@ from repro.errors import MiddlewareError
 from repro.mpisim import Phantom
 from repro.units import KiB, MiB
 
+from ..harness import register_tenants
+
 
 @pytest.fixture
 def ac(cluster, sess):
@@ -142,6 +144,26 @@ class TestKernels:
     def test_set_args_before_create_rejected(self, ac):
         with pytest.raises(MiddlewareError, match="not created"):
             ac.kernel_set_args("daxpy", {})
+
+    @pytest.mark.parametrize("leased", [False, True], ids=["direct", "valloc"])
+    def test_raising_kernel_answers_error_and_frees_the_device(
+            self, cluster, sess, leased):
+        """A kernel that faults on device memory is an ERROR reply; the
+        daemon, the device and (leased) its time slicer serve the next
+        operations on the same accelerator."""
+        if leased:
+            register_tenants(cluster, "alice")
+            ac = sess.call(cluster.tenant(0, "alice"))
+        else:
+            handles = sess.call(cluster.arm_client(0).alloc(count=1))
+            ac = cluster.remote(0, handles[0])
+        sess.call(ac.kernel_create("fill"))
+        with pytest.raises(MiddlewareError, match="unknown device address"):
+            sess.call(ac.kernel_run("fill", {"dst": 0xdead, "n": 4,
+                                             "value": 1.0}))
+        addr = sess.call(ac.mem_alloc(32))
+        assert sess.call(ac.kernel_run("fill", {"dst": addr, "n": 4,
+                                                "value": 1.0})) == 0
 
     def test_kernel_run_with_explicit_params(self, sess, ac):
         n = 64

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import GPUError, KernelError
+from repro.errors import DeviceMemoryError, GPUError, KernelError
 from repro.gpusim import (
     DMAEngine,
     GPUDevice,
@@ -236,6 +236,54 @@ class TestDeviceExecution:
 
         eng.run(until=eng.process(proc()))
         assert 0 < dev.utilization() < 0.2
+
+    @pytest.mark.parametrize("virtual", [False, True], ids=["device", "vgpu"])
+    def test_raising_kernel_fails_its_event_and_frees_the_device(
+            self, eng, dev, virtual):
+        target = dev.virtualize("t0") if virtual else dev
+        x = dev.memory.malloc(32)
+        bad = target.launch("fill", {"dst": 0xdead, "n": 4, "value": 1.0})
+        good = target.launch("fill", {"dst": x, "n": 4, "value": 2.0})
+        eng.run()
+        assert not bad.ok and isinstance(bad.value, DeviceMemoryError)
+        assert good.ok and good.value == 0
+        np.testing.assert_array_equal(
+            dev.memory.view(x, dtype="float64", shape=(4,)), np.full(4, 2.0))
+        assert dev.kernels_launched == target.kernels_launched == 1
+
+
+class TestEventBudget:
+    """A launch is one heap entry, like a DMA copy: the compute grant is
+    a call (now, or from the previous kernel's release) and the
+    completion resumes its waiters in place."""
+
+    PARAMS = {"A": 0, "B": 0, "C": 0, "m": 64, "n": 64, "k": 64}
+
+    def test_an_uncontended_launch_is_one_heap_entry(self, eng, dev):
+        done = dev.launch("dgemm", self.PARAMS, real=False)
+        eng.run()
+        assert done.processed and dev.kernels_launched == 1
+        assert next(eng._seq) == 1
+
+    def test_back_to_back_launches_cost_one_each(self, eng, dev):
+        one = (TESLA_C1060.launch_overhead_s
+               + dev.registry.get("dgemm").cost(self.PARAMS, TESLA_C1060))
+        finished = []
+        for i in range(4):
+            dev.launch("dgemm", self.PARAMS, real=False).add_callback(
+                lambda _ev, i=i: finished.append((i, eng.now)))
+        eng.run()
+        assert [i for i, _ in finished] == [0, 1, 2, 3]
+        assert [at for _, at in finished] == pytest.approx(
+            [one * (i + 1) for i in range(4)])
+        assert next(eng._seq) == 4
+
+    def test_a_virtual_gpu_launch_is_one_heap_entry(self, eng, dev):
+        vgpu = dev.virtualize("t0")
+        done = vgpu.launch("dgemm", self.PARAMS, real=False)
+        eng.run()
+        assert done.processed and vgpu.kernels_launched == 1
+        assert next(eng._seq) == 1
 
 
 class TestGPUSpec:

@@ -11,6 +11,14 @@ def eng():
     return Engine()
 
 
+def granted(res):
+    """An event that succeeds once ``res`` grants it a unit: what a
+    process yields to wait for a resource."""
+    ev = res.engine.event()
+    res.when_granted(ev.succeed)
+    return ev
+
+
 class TestStore:
     def test_put_then_get(self, eng):
         store = Store(eng)
@@ -126,7 +134,7 @@ class TestResource:
         timeline = []
 
         def worker(name, hold):
-            yield lock.acquire()
+            yield granted(lock)
             timeline.append((name, "in", eng.now))
             yield eng.timeout(hold)
             timeline.append((name, "out", eng.now))
@@ -147,7 +155,7 @@ class TestResource:
         done_at = {}
 
         def worker(name):
-            yield res.acquire()
+            yield granted(res)
             yield eng.timeout(1.0)
             res.release()
             done_at[name] = eng.now
@@ -182,14 +190,14 @@ class TestResource:
         served = []
         for i in range(6):
             if i % 2:
-                lock.acquire().add_callback(
+                granted(lock).add_callback(
                     lambda _ev, i=i: served.append((i, "event")))
             else:
                 lock.when_granted(lambda i=i: served.append((i, "call")))
         assert served == []
         for _ in range(6):
             lock.release()             # one hand-over per release, in order
-            eng.run()                  # fire an acquire() waiter's event
+            eng.run()                  # fire an event waiter's succeed
         assert served == [(0, "call"), (1, "event"), (2, "call"),
                           (3, "event"), (4, "call"), (5, "event")]
         assert lock.in_use == 1
@@ -206,7 +214,7 @@ class TestResource:
         res = Resource(eng, capacity=3)
 
         def worker():
-            yield res.acquire()
+            yield granted(res)
 
         p = eng.process(worker())
         eng.run(until=p)
