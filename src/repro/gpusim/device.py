@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import itertools
+import os
 
 from ..errors import GPUError
 from ..obs.spans import collector_for
@@ -82,6 +83,41 @@ XEON_PHI_KNC = GPUSpec(
 )
 
 
+#: A real launch modeled to run at least this long computes its body on a
+#: worker thread between its compute grant and its completion, so the
+#: simulated GPUs of a cluster compute at the same time on the host's
+#: cores.  Shorter bodies bind and compute inline at completion, where a
+#: hand-off costs more than it overlaps: ``walkers_gemm``'s dgemm models
+#: 9.7 ms, ``ring_allreduce``'s daxpy 15.4 us, every ``jobs_ensemble``
+#: body <= 2.1 us (DESIGN.md section 10).
+OFFLOAD_MIN_S = 1e-3
+
+_pool = None
+
+
+def _offload_pool():
+    """The kernel-body worker pool (one worker per available core, created
+    on first use), or None with one core."""
+    global _pool
+    cores = len(os.sched_getaffinity(0))
+    if cores < 2:
+        return None
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = ThreadPoolExecutor(cores, thread_name_prefix="kernel")
+    return _pool
+
+
+def _run_bound(bound: list):
+    """Worker side of an offloaded launch: run its ``compute``.
+
+    Popped, not held: the views go with this frame, before the future is
+    done, so the loop thread's copy-on-write refcount probe never counts
+    a body that has finished.
+    """
+    return bound.pop()()
+
+
 class GPUDevice:
     """One virtual GPU: memory + DMA + serialized compute."""
 
@@ -119,24 +155,44 @@ class GPUDevice:
         optionally parents a ``gpu.kernel`` trace span under the
         requesting operation (see :mod:`repro.obs`).  Like a DMA copy, a
         launch is one heap entry (DESIGN.md section 10).
+
+        A real launch of at least :data:`OFFLOAD_MIN_S` binds its body at
+        the compute grant and computes it on a worker thread; its
+        completion joins it.  Every other launch binds and computes at
+        completion.  Either way a failure fails the event at completion.
         """
         kernel = self.registry.get(kernel_name)
         params = params or {}
         duration = kernel.cost(params, self.spec)
         engine = self.engine
+        memory = self.memory
         span = (self._obs.start("gpu.kernel", self.name, parent=ctx,
                                 kernel=kernel.name) if ctx is not None else None)
         ran, done = Event(engine), Event(engine)
+        offload = real and duration >= OFFLOAD_MIN_S
+        # Offloaded, from the grant on: the body's future, or the exception
+        # its bind raised.
+        body = None
 
         def _finish(_ev):
-            self._compute.release()
+            # The body completes before the release can grant (and bind)
+            # the next launch over the memory it wrote.
             try:
-                result = kernel.fn(self, params) if real else None
+                if body is None:
+                    result = kernel.fn(self, params)() if real else None
+                elif isinstance(body, Exception):
+                    raise body
+                else:
+                    if memory.inflight is body:
+                        memory.inflight = None
+                    result = body.result()
             except Exception as exc:
+                self._compute.release()
                 if span is not None:
                     span.finish(error=f"{type(exc).__name__}: {exc}")
                 done.fail(exc)
                 return
+            self._compute.release()
             self.busy_time += duration
             self.kernels_launched += 1
             if span is not None:
@@ -146,8 +202,17 @@ class GPUDevice:
         ran.callbacks = [_finish]
 
         def _granted():
+            nonlocal body
             if span is not None:
                 span.event("compute_acquired")
+            pool = _offload_pool() if offload else None
+            if pool is not None:
+                try:
+                    compute = kernel.fn(self, params)
+                except Exception as exc:
+                    body = exc
+                else:
+                    body = memory.inflight = pool.submit(_run_bound, [compute])
             engine.succeed_after(ran, self.spec.launch_overhead_s + duration)
 
         self._compute.when_granted(_granted)

@@ -6,6 +6,15 @@ The two are independent so the same kernel can run in ``real`` mode (small
 problems, verified numerics) and ``timed`` mode (paper-scale problems,
 virtual time only).
 
+A numerical function runs in two phases.  ``fn(dev, params)`` *binds* on
+the event-loop thread: it checks the parameters, takes its views with
+``dev.memory.view`` and allocates any output or temporary it can, then
+returns ``compute``.  ``compute()`` is numpy only over the bound views and
+touches no simulator state, so it may run on a worker thread
+(:meth:`~repro.gpusim.device.GPUDevice.launch`); it returns the kernel's
+result.  (A buffer a worker thread allocates stays cached in that
+thread's malloc arena, hence the allocations in bind.)
+
 Kernel parameters must be plain picklable values (ints, floats, strings,
 device addresses) because the middleware marshals them over the simulated
 network exactly like ``acKernelSetArgs`` would.
@@ -20,8 +29,9 @@ from ..errors import KernelError
 if _t.TYPE_CHECKING:  # pragma: no cover
     from .device import GPUDevice, GPUSpec
 
-#: computes on the device; returns None or an error code (0 == OK).
-KernelFn = _t.Callable[["GPUDevice", dict], _t.Any]
+#: binds a launch and returns its ``compute``, which returns None or an
+#: error code (0 == OK).
+KernelFn = _t.Callable[["GPUDevice", dict], _t.Callable[[], _t.Any]]
 #: maps (params, spec) -> execution seconds (excluding launch overhead).
 CostFn = _t.Callable[[dict, "GPUSpec"], float]
 

@@ -138,6 +138,15 @@ class DeviceMemory:
         #: Sorted list of (start, size) free ranges.
         self._free: list[tuple[int, int]] = [(0, self.capacity)]
         self._allocs: dict[int, Allocation] = {}
+        #: The future of a kernel body computing on a worker thread over
+        #: views of this memory (``GPUDevice.launch``).  The fence: an
+        #: allocation lookup or a ``free`` first waits for it.
+        self.inflight = None
+
+    def _fence(self) -> None:
+        """Wait for the in-flight kernel body; its launch reads the outcome."""
+        body, self.inflight = self.inflight, None
+        body.exception()
 
     # -- allocation -------------------------------------------------------
     @property
@@ -175,6 +184,8 @@ class DeviceMemory:
 
     def free(self, addr: int) -> None:
         """Release the allocation at base address ``addr``."""
+        if self.inflight is not None:
+            self._fence()
         alloc = self._allocs.pop(addr, None)
         if alloc is None:
             raise DeviceMemoryError(f"free of unknown device address {addr:#x}")
@@ -207,6 +218,8 @@ class DeviceMemory:
     # -- access -----------------------------------------------------------
     def allocation(self, addr: int) -> Allocation:
         """The allocation whose *base* address is ``addr``."""
+        if self.inflight is not None:
+            self._fence()
         try:
             return self._allocs[addr]
         except KeyError:

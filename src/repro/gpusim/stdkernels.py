@@ -42,8 +42,11 @@ def _need(params: dict, *keys: str) -> list:
 def _fill_fn(dev: "GPUDevice", p: dict):
     dst, n, value = _need(p, "dst", "n", "value")
     view = dev.memory.view(dst, dtype=p.get("dtype", "float64"), shape=(n,))
-    view[:] = value
-    return 0
+
+    def compute():
+        view[:] = value
+        return 0
+    return compute
 
 
 def _fill_cost(p: dict, spec: "GPUSpec") -> float:
@@ -55,8 +58,13 @@ def _axpy_fn(dev: "GPUDevice", p: dict):
     x, y, n, alpha = _need(p, "x", "y", "n", "alpha")
     xv = dev.memory.view(x, dtype="float64", shape=(n,))
     yv = dev.memory.view(y, dtype="float64", shape=(n,))
-    yv += alpha * xv
-    return 0
+    t = np.empty(n)
+
+    def compute():
+        np.multiply(xv, alpha, out=t)
+        np.add(yv, t, out=yv)
+        return 0
+    return compute
 
 
 def _axpy_cost(p: dict, spec: "GPUSpec") -> float:
@@ -67,8 +75,11 @@ def _axpy_cost(p: dict, spec: "GPUSpec") -> float:
 def _scal_fn(dev: "GPUDevice", p: dict):
     x, n, alpha = _need(p, "x", "n", "alpha")
     xv = dev.memory.view(x, dtype="float64", shape=(n,))
-    xv *= alpha
-    return 0
+
+    def compute():
+        np.multiply(xv, alpha, out=xv)
+        return 0
+    return compute
 
 
 def _scal_cost(p: dict, spec: "GPUSpec") -> float:
@@ -81,8 +92,11 @@ def _dot_fn(dev: "GPUDevice", p: dict):
     xv = dev.memory.view(x, dtype="float64", shape=(n,))
     yv = dev.memory.view(y, dtype="float64", shape=(n,))
     ov = dev.memory.view(out, dtype="float64", shape=(1,))
-    ov[0] = float(xv @ yv)
-    return 0
+
+    def compute():
+        ov[0] = float(xv @ yv)
+        return 0
+    return compute
 
 
 def _dot_cost(p: dict, spec: "GPUSpec") -> float:
@@ -92,30 +106,44 @@ def _dot_cost(p: dict, spec: "GPUSpec") -> float:
 
 # -- BLAS-3 kernels --------------------------------------------------------
 
-def _gemm_views(dev: "GPUDevice", p: dict):
+def _update(c: np.ndarray, a: np.ndarray, b: np.ndarray, alpha: float,
+            beta: float):
+    """Bind C = alpha * a @ b + beta * C with no full-size temporary in
+    ``compute``: the product lands in C itself (beta == 0) or in a
+    temporary allocated here.  Bit-identical to ``c[:] = alpha * (a @ b)``
+    and to ``c *= beta; c += alpha * (a @ b)``.
+
+    BLAS semantics: with beta == 0 the input C is never read (it may hold
+    uninitialized memory).
+    """
+    if beta == 0.0:
+        def compute():
+            np.matmul(a, b, out=c)
+            if alpha != 1.0:
+                np.multiply(c, alpha, out=c)
+            return 0
+        return compute
+    t = np.empty(c.shape)
+
+    def compute():
+        np.multiply(c, beta, out=c)
+        np.matmul(a, b, out=t)
+        if alpha != 1.0:
+            np.multiply(t, alpha, out=t)
+        np.add(c, t, out=c)
+        return 0
+    return compute
+
+
+def _gemm_fn(dev: "GPUDevice", p: dict):
+    """C = alpha * op(A) @ op(B) + beta * C."""
     m, n, k = _need(p, "m", "n", "k")
     ta, tb = p.get("ta", False), p.get("tb", False)
     a = dev.memory.view(p["A"], dtype="float64", shape=(k, m) if ta else (m, k))
     b = dev.memory.view(p["B"], dtype="float64", shape=(n, k) if tb else (k, n))
     c = dev.memory.view(p["C"], dtype="float64", shape=(m, n))
-    return (a.T if ta else a), (b.T if tb else b), c
-
-
-def _gemm_fn(dev: "GPUDevice", p: dict):
-    """C = alpha * op(A) @ op(B) + beta * C.
-
-    BLAS semantics: with beta == 0 the input C is never read (it may hold
-    uninitialized memory).
-    """
-    a, b, c = _gemm_views(dev, p)
-    alpha = p.get("alpha", 1.0)
-    beta = p.get("beta", 1.0)
-    if beta == 0.0:
-        c[:] = alpha * (a @ b)
-    else:
-        np.multiply(c, beta, out=c)
-        c += alpha * (a @ b)
-    return 0
+    return _update(c, a.T if ta else a, b.T if tb else b,
+                   p.get("alpha", 1.0), p.get("beta", 1.0))
 
 
 def _gemm_cost(p: dict, spec: "GPUSpec") -> float:
@@ -132,14 +160,7 @@ def _syrk_fn(dev: "GPUDevice", p: dict):
     n, k = _need(p, "n", "k")
     a = dev.memory.view(p["A"], dtype="float64", shape=(n, k))
     c = dev.memory.view(p["C"], dtype="float64", shape=(n, n))
-    alpha = p.get("alpha", 1.0)
-    beta = p.get("beta", 1.0)
-    if beta == 0.0:
-        c[:] = alpha * (a @ a.T)
-    else:
-        np.multiply(c, beta, out=c)
-        c += alpha * (a @ a.T)
-    return 0
+    return _update(c, a, a.T, p.get("alpha", 1.0), p.get("beta", 1.0))
 
 
 def _syrk_cost(p: dict, spec: "GPUSpec") -> float:
@@ -155,11 +176,14 @@ def _trsm_fn(dev: "GPUDevice", p: dict):
     m, nb = _need(p, "m", "nb")
     t = dev.memory.view(p["T"], dtype="float64", shape=(nb, nb))
     b = dev.memory.view(p["B"], dtype="float64", shape=(m, nb))
-    # Solve X @ T^T = B  <=>  T @ X^T = B^T.
     import scipy.linalg as sla
-    x = sla.solve_triangular(t, b.T, lower=True)
-    b[:] = x.T
-    return 0
+
+    def compute():
+        # Solve X @ T^T = B  <=>  T @ X^T = B^T.
+        x = sla.solve_triangular(t, b.T, lower=True)
+        b[:] = x.T
+        return 0
+    return compute
 
 
 def _trsm_cost(p: dict, spec: "GPUSpec") -> float:

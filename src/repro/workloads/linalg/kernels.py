@@ -36,10 +36,13 @@ def _qr_larfb_fn(dev: "GPUDevice", p: dict):
     V = dev.memory.view(p["V"], dtype="float64", shape=(h, wk))
     T = dev.memory.view(p["T"], dtype="float64", shape=(wk, wk))
     C = _panel_view(dev, p["panel"], n, wj)[k0:, :]
-    W = V.T @ C
-    W = T.T @ W
-    C -= V @ W
-    return 0
+
+    def compute():
+        W = V.T @ C
+        W = T.T @ W
+        np.subtract(C, V @ W, out=C)
+        return 0
+    return compute
 
 
 def _qr_larfb_cost(p: dict, spec: "GPUSpec") -> float:
@@ -63,13 +66,16 @@ def _chol_trsm_fn(dev: "GPUDevice", p: dict):
     P = _panel_view(dev, p["panel"], n, w)
     Lkk = P[k0:k1, :]
     B = P[k1:, :]
-    if B.shape[0]:
-        # Imported here (as in gpusim.stdkernels): this is the package's
-        # only scipy user, and importing the package must not load it.
-        import scipy.linalg as sla
-        X = sla.solve_triangular(Lkk, B.T, lower=True)
-        B[:] = X.T
-    return 0
+    # Imported in bind (as in gpusim.stdkernels): importing the package
+    # must not load scipy.
+    import scipy.linalg as sla
+
+    def compute():
+        if B.shape[0]:
+            X = sla.solve_triangular(Lkk, B.T, lower=True)
+            B[:] = X.T
+        return 0
+    return compute
 
 
 def _chol_trsm_cost(p: dict, spec: "GPUSpec") -> float:
@@ -95,8 +101,11 @@ def _chol_update_fn(dev: "GPUDevice", p: dict):
     C = _panel_view(dev, p["panel"], n, wj)[j0:, :]
     left = Lbuf[j0 - k1:, :]              # rows j0..n of L21
     right = Lbuf[j0 - k1:j0 - k1 + wj, :]  # rows j0..j0+wj
-    C -= left @ right.T
-    return 0
+
+    def compute():
+        np.subtract(C, left @ right.T, out=C)
+        return 0
+    return compute
 
 
 def _chol_update_cost(p: dict, spec: "GPUSpec") -> float:

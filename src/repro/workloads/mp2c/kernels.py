@@ -27,11 +27,14 @@ def _srd_fn(dev: "GPUDevice", p: dict):
     n = p["n"]
     pos = dev.memory.view(p["pos"], dtype="float64", shape=(n, 3))
     vel = dev.memory.view(p["vel"], dtype="float64", shape=(n, 3))
-    new_vel = srd_collision(pos, vel, np.asarray(p["box"]), p["a"],
-                            p["alpha"], p["seed"],
-                            shift_axes=tuple(p.get("shift_axes", (0, 1, 2))))
-    vel[:] = new_vel
-    return 0
+    box, a, alpha, seed = np.asarray(p["box"]), p["a"], p["alpha"], p["seed"]
+    shift_axes = tuple(p.get("shift_axes", (0, 1, 2)))
+
+    def compute():
+        vel[:] = srd_collision(pos, vel, box, a, alpha, seed,
+                               shift_axes=shift_axes)
+        return 0
+    return compute
 
 
 def _srd_cost(p: dict, spec: "GPUSpec") -> float:

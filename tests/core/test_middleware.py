@@ -1,14 +1,22 @@
 """End-to-end middleware tests: the full front-end -> MPI -> daemon -> GPU path."""
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.core import NAIVE_TRANSFER, TransferConfig, pipeline
-from repro.errors import MiddlewareError
+from repro.errors import KernelError, MiddlewareError
 from repro.mpisim import Phantom
 from repro.units import KiB, MiB
 
 from ..harness import register_tenants
+
+
+def _raising(dev, params):
+    def compute():
+        raise KernelError("boom")
+    return compute
 
 
 @pytest.fixture
@@ -145,12 +153,8 @@ class TestKernels:
         with pytest.raises(MiddlewareError, match="not created"):
             ac.kernel_set_args("daxpy", {})
 
-    @pytest.mark.parametrize("leased", [False, True], ids=["direct", "valloc"])
-    def test_raising_kernel_answers_error_and_frees_the_device(
-            self, cluster, sess, leased):
-        """A kernel that faults on device memory is an ERROR reply; the
-        daemon, the device and (leased) its time slicer serve the next
-        operations on the same accelerator."""
+    @staticmethod
+    def _fault_then_serve(cluster, sess, leased, name, params, match):
         if leased:
             register_tenants(cluster, "alice")
             ac = sess.call(cluster.tenant(0, "alice"))
@@ -158,12 +162,40 @@ class TestKernels:
             handles = sess.call(cluster.arm_client(0).alloc(count=1))
             ac = cluster.remote(0, handles[0])
         sess.call(ac.kernel_create("fill"))
-        with pytest.raises(MiddlewareError, match="unknown device address"):
-            sess.call(ac.kernel_run("fill", {"dst": 0xdead, "n": 4,
-                                             "value": 1.0}))
+        if name != "fill":
+            sess.call(ac.kernel_create(name))
+        with pytest.raises(MiddlewareError, match=match):
+            sess.call(ac.kernel_run(name, params))
         addr = sess.call(ac.mem_alloc(32))
         assert sess.call(ac.kernel_run("fill", {"dst": addr, "n": 4,
                                                 "value": 1.0})) == 0
+
+    @pytest.mark.parametrize("leased", [False, True], ids=["direct", "valloc"])
+    def test_raising_kernel_answers_error_and_frees_the_device(
+            self, cluster, sess, leased):
+        """A kernel that faults on device memory is an ERROR reply; the
+        daemon, the device and (leased) its time slicer serve the next
+        operations on the same accelerator."""
+        self._fault_then_serve(cluster, sess, leased, "fill",
+                               {"dst": 0xdead, "n": 4, "value": 1.0},
+                               "unknown device address")
+
+    @pytest.mark.parametrize("fault", ["bind", "compute"])
+    @pytest.mark.parametrize("leased", [False, True], ids=["direct", "valloc"])
+    def test_offloaded_raising_kernel_answers_error_and_frees_the_device(
+            self, cluster, sess, monkeypatch, leased, fault):
+        """The same at offload size, with two cores: the fault is raised at
+        the grant (bind) or on a worker thread (compute) and answered the
+        same way."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        for daemon in cluster.daemons:
+            daemon.gpu.registry.register("boom", _raising, lambda p, s: 0.01)
+        if fault == "bind":   # 1.3 ms modeled
+            self._fault_then_serve(cluster, sess, leased, "fill",
+                                   {"dst": 0xdead, "n": 1 << 24, "value": 1.0},
+                                   "unknown device address")
+        else:
+            self._fault_then_serve(cluster, sess, leased, "boom", {}, "boom")
 
     def test_kernel_run_with_explicit_params(self, sess, ac):
         n = 64

@@ -416,7 +416,7 @@ class TestStream:
                                               local_gpus=True))
         node = local_cluster.compute_nodes[0]
         for gpu in (cluster.daemons[acs[0].handle.ac_id].gpu, node.local_gpu):
-            gpu.registry.register("forty_two", lambda dev, params: 42,
+            gpu.registry.register("forty_two", lambda dev, params: lambda: 42,
                                   lambda params, spec: 1e-6)
 
         def sync(ac, name):

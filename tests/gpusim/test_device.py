@@ -1,5 +1,11 @@
 """Tests for DMA engine, kernel registry, and device execution."""
 
+import dataclasses
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -14,8 +20,13 @@ from repro.gpusim import (
     TESLA_C1060,
     default_registry,
 )
+from repro.gpusim.device import OFFLOAD_MIN_S
 from repro.sim import Engine
 from repro.units import MiB, mib_per_s
+
+#: A C1060 slowed down so that small real kernels model >= OFFLOAD_MIN_S.
+SLOW = dataclasses.replace(TESLA_C1060, name="slow-c1060", dp_gflops=0.01,
+                           mem_bw_Bps=1e6)
 
 
 @pytest.fixture
@@ -26,6 +37,21 @@ def eng():
 @pytest.fixture
 def dev(eng):
     return GPUDevice(eng, TESLA_C1060)
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Set how many cores the offload rule sees available."""
+    def set_cores(n):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(n)))
+    return set_cores
+
+
+def _raising(dev, params):
+    def compute():
+        raise KernelError("boom")
+    return compute
 
 
 class TestPCIeModel:
@@ -91,16 +117,16 @@ class TestDMAEngine:
 class TestKernelRegistry:
     def test_register_and_get(self):
         reg = KernelRegistry()
-        reg.register("k", lambda d, p: 0, lambda p, s: 1.0)
+        reg.register("k", lambda d, p: lambda: 0, lambda p, s: 1.0)
         assert "k" in reg
         assert reg.get("k").name == "k"
 
     def test_duplicate_rejected_unless_replace(self):
         reg = KernelRegistry()
-        reg.register("k", lambda d, p: 0, lambda p, s: 1.0)
+        reg.register("k", lambda d, p: lambda: 0, lambda p, s: 1.0)
         with pytest.raises(KernelError):
-            reg.register("k", lambda d, p: 1, lambda p, s: 2.0)
-        reg.register("k", lambda d, p: 1, lambda p, s: 2.0, replace=True)
+            reg.register("k", lambda d, p: lambda: 1, lambda p, s: 2.0)
+        reg.register("k", lambda d, p: lambda: 1, lambda p, s: 2.0, replace=True)
 
     def test_unknown_kernel(self):
         reg = KernelRegistry()
@@ -110,13 +136,13 @@ class TestKernelRegistry:
     def test_clone_is_independent(self):
         reg = default_registry()
         c = reg.clone()
-        c.register("extra", lambda d, p: 0, lambda p, s: 0.0)
+        c.register("extra", lambda d, p: lambda: 0, lambda p, s: 0.0)
         assert "extra" in c
         assert "extra" not in reg
 
     def test_negative_cost_rejected(self):
         reg = KernelRegistry()
-        k = reg.register("bad", lambda d, p: 0, lambda p, s: -1.0)
+        k = reg.register("bad", lambda d, p: lambda: 0, lambda p, s: -1.0)
         with pytest.raises(KernelError, match="negative cost"):
             k.cost({}, TESLA_C1060)
 
@@ -252,6 +278,203 @@ class TestDeviceExecution:
         assert dev.kernels_launched == target.kernels_launched == 1
 
 
+#: Per std kernel at offload size on SLOW: buffer shapes, other params.
+STD_LAUNCHES = {
+    "fill": ({"dst": (256,)}, {"n": 256, "value": 2.5}),
+    "daxpy": ({"x": (256,), "y": (256,)}, {"n": 256, "alpha": -1.5}),
+    "dscal": ({"x": (256,)}, {"n": 256, "alpha": 0.3}),
+    "ddot": ({"x": (256,), "y": (256,), "out": (1,)}, {"n": 256}),
+    "dgemm": ({"A": (24, 16), "B": (20, 16), "C": (24, 20)},
+              {"m": 24, "n": 20, "k": 16, "tb": True, "alpha": 0.5,
+               "beta": 0.5}),
+    "dsyrk": ({"A": (24, 16), "C": (24, 24)},
+              {"n": 24, "k": 16, "alpha": -1.0, "beta": 1.0}),
+    "dtrsm": ({"T": (8, 8), "B": (24, 8)}, {"m": 24, "nb": 8}),
+}
+
+
+class TestOffload:
+    """A long real launch binds at its grant and computes on a worker;
+    the result, the completion time and the failure timing are those of
+    the inline path."""
+
+    @staticmethod
+    def _run_std(name):
+        eng = Engine()
+        dev = GPUDevice(eng, SLOW)
+        rng = np.random.default_rng(5)
+        shapes, params = STD_LAUNCHES[name]
+        addrs = {}
+        for key, shape in shapes.items():
+            arr = rng.standard_normal(shape)
+            if key == "T":
+                arr = np.tril(arr) + 8 * np.eye(shape[0])
+            addrs[key] = dev.memory.malloc(arr.nbytes)
+            dev.memory.write_array(addrs[key], arr)
+        params = {**params, **addrs}
+        assert dev.registry.get(name).cost(params, SLOW) >= OFFLOAD_MIN_S
+        done = dev.launch(name, params)
+        offloaded = dev.memory.inflight is not None
+        eng.run()
+        assert done.ok and done.value == 0
+        return offloaded, {key: dev.memory.read_array(addr)
+                           for key, addr in addrs.items()}
+
+    @pytest.mark.parametrize("name", sorted(STD_LAUNCHES))
+    def test_std_kernel_offloaded_is_bit_identical_to_inline(
+            self, cores, name):
+        cores(1)
+        offloaded, inline = self._run_std(name)
+        assert not offloaded
+        cores(2)
+        offloaded, pooled = self._run_std(name)
+        assert offloaded
+        for key, arr in inline.items():
+            assert np.array_equal(pooled[key], arr), key
+
+    def test_many_devices_under_a_short_switch_interval(self, cores):
+        """Eight devices computing dependent launch chains at once, with
+        the interpreter switching threads every microsecond, end exactly
+        as the one-core schedule does."""
+        def run():
+            eng = Engine()
+            ends = []
+            for i in range(8):
+                dev = GPUDevice(eng, SLOW)
+                x, y = dev.memory.malloc(8 * 256), dev.memory.malloc(8 * 256)
+                dev.memory.write_array(x, np.arange(256.0) * (i + 1))
+                dev.memory.write_array(y, np.ones(256))
+                for _ in range(4):
+                    dev.launch("daxpy", {"x": x, "y": y, "n": 256,
+                                         "alpha": 0.5})
+                dev.launch("dscal", {"x": y, "n": 256, "alpha": 1.5})
+                ends.append((dev, y))
+            eng.run()
+            return [dev.memory.read_array(y) for dev, y in ends]
+
+        cores(1)
+        want = run()
+        cores(2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = run()
+        finally:
+            sys.setswitchinterval(interval)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("n, on_worker", [(1, False), (2, True)])
+    def test_the_body_runs_on_a_worker_only_with_two_cores(
+            self, eng, cores, n, on_worker):
+        cores(n)
+        dev = GPUDevice(eng, SLOW)
+        threads = []
+
+        def probe(d, p):
+            def compute():
+                threads.append(threading.get_ident())
+                return 0
+            return compute
+
+        dev.registry.register("probe", probe, lambda p, s: 0.01)
+        done = dev.launch("probe", {})
+        assert (dev.memory.inflight is not None) == on_worker
+        eng.run()
+        assert done.ok and len(threads) == 1
+        assert (threads[0] != threading.get_ident()) == on_worker
+
+    @pytest.mark.parametrize("fault", ["bind", "compute"])
+    def test_a_failure_fails_the_event_at_completion(self, eng, cores,
+                                                     fault):
+        cores(2)
+        dev = GPUDevice(eng, SLOW)
+        dev.registry.register("boom", _raising, lambda p, s: 0.01)
+        x = dev.memory.malloc(32)
+        name, params = (("fill", {"dst": 0xdead, "n": 256, "value": 1.0})
+                        if fault == "bind" else ("boom", {}))
+        bad = dev.launch(name, params)
+        good = dev.launch("fill", {"dst": x, "n": 4, "value": 2.0})
+        assert not bad.triggered        # a bind error is held until then
+        failed_at = []
+        bad.add_callback(lambda _ev: failed_at.append(eng.now))
+        eng.run()
+        assert failed_at == [SLOW.launch_overhead_s
+                             + dev.registry.get(name).cost(params, SLOW)]
+        assert not bad.ok and isinstance(
+            bad.value, DeviceMemoryError if fault == "bind" else KernelError)
+        assert good.ok and good.value == 0
+        np.testing.assert_array_equal(
+            dev.memory.view(x, dtype="float64", shape=(4,)), np.full(4, 2.0))
+        assert dev.kernels_launched == 1
+
+    def test_a_launch_queued_behind_an_inline_body_binds_after_it(
+            self, eng, cores):
+        """The body completes before the compute engine is released, so a
+        queued offloaded launch computes over what it wrote."""
+        cores(2)
+        dev = GPUDevice(eng, SLOW)
+
+        def slow_fill(d, p):      # inline (modeled 1 us), slow in real time
+            view = d.memory.view(p["dst"], dtype="float64", shape=(256,))
+
+            def compute():
+                time.sleep(0.05)
+                view[:] = 3.0
+                return 0
+            return compute
+
+        dev.registry.register("slow_fill", slow_fill, lambda p, s: 1e-6)
+        x, y = dev.memory.malloc(8 * 256), dev.memory.malloc(8 * 256)
+        dev.memory.write_array(x, np.zeros(256))
+        dev.memory.write_array(y, np.zeros(256))
+        dev.launch("slow_fill", {"dst": x})
+        done = dev.launch("daxpy", {"x": x, "y": y, "n": 256, "alpha": 1.0})
+        eng.run()
+        assert done.ok
+        np.testing.assert_array_equal(dev.memory.read_array(y),
+                                      np.full(256, 3.0))
+
+    @pytest.mark.parametrize("access", ["read", "free"])
+    def test_a_loop_access_waits_for_the_body_in_flight(self, eng, cores,
+                                                        access):
+        cores(2)
+        dev = GPUDevice(eng, SLOW)
+        gate = threading.Event()
+
+        def gated_fill(d, p):
+            view = d.memory.view(p["dst"], dtype="float64", shape=(4,))
+
+            def compute():
+                gate.wait(timeout=10)
+                view[:] = 7.0
+                return 0
+            return compute
+
+        dev.registry.register("gated_fill", gated_fill, lambda p, s: 0.01)
+        x = dev.memory.malloc(32)
+        dev.memory.write_array(x, np.zeros(4))
+        done = dev.launch("gated_fill", {"dst": x})
+        body = dev.memory.inflight
+        assert body is not None and not body.done()
+        opener = threading.Timer(0.05, gate.set)
+        opener.start()
+        try:
+            if access == "read":
+                np.testing.assert_array_equal(
+                    dev.memory.read(x).view(np.float64), np.full(4, 7.0))
+            else:
+                dev.memory.free(x)
+                assert dev.memory.n_allocations == 0
+            assert body.done() and dev.memory.inflight is None
+        finally:
+            gate.set()
+            opener.join(timeout=10)
+        assert not opener.is_alive()
+        eng.run()
+        assert done.ok and done.value == 0
+
+
 class TestEventBudget:
     """A launch is one heap entry, like a DMA copy: the compute grant is
     a call (now, or from the previous kernel's release) and the
@@ -277,6 +500,18 @@ class TestEventBudget:
         assert [at for _, at in finished] == pytest.approx(
             [one * (i + 1) for i in range(4)])
         assert next(eng._seq) == 4
+
+    def test_an_offloaded_launch_is_one_heap_entry(self, eng, cores):
+        cores(2)
+        dev = GPUDevice(eng, SLOW)
+        x = dev.memory.malloc(8 * 256)
+        params = {"dst": x, "n": 256, "value": 1.0}
+        done = dev.launch("fill", params)
+        assert dev.memory.inflight is not None
+        eng.run()
+        assert done.ok and next(eng._seq) == 1
+        assert eng.now == (SLOW.launch_overhead_s
+                           + dev.registry.get("fill").cost(params, SLOW))
 
     def test_a_virtual_gpu_launch_is_one_heap_entry(self, eng, dev):
         vgpu = dev.virtualize("t0")

@@ -92,3 +92,54 @@ class TestGemmBeta:
         run(eng, dev.launch("dgemm", {"A": pa, "B": pb, "C": pc,
                                       "m": m, "n": n, "k": k, "beta": 0.0}))
         np.testing.assert_allclose(dev.memory.read_array(pc), A @ B)
+
+
+def _reference_update(c, a, b, alpha, beta):
+    """The BLAS-3 update as the kernels computed it with temporaries."""
+    c = c.copy()
+    if beta == 0.0:
+        c[:] = alpha * (a @ b)
+    else:
+        np.multiply(c, beta, out=c)
+        c += alpha * (a @ b)
+    return c
+
+
+class TestUpdateWithoutTemporaries:
+    """dgemm / dsyrk write the product into C (or a temporary bound at
+    launch) and stay bit-identical to the temporaries they replaced."""
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 0.5])
+    @pytest.mark.parametrize("alpha", [1.0, -1.0, 0.5])
+    @pytest.mark.parametrize("ta, tb", [(False, False), (True, False),
+                                        (False, True), (True, True)])
+    def test_gemm(self, eng, dev, ta, tb, alpha, beta):
+        rng = np.random.default_rng(11)
+        m, n, k = 64, 48, 40
+        A = rng.standard_normal((k, m) if ta else (m, k))
+        B = rng.standard_normal((n, k) if tb else (k, n))
+        C = rng.standard_normal((m, n))
+        pa, pb, pc = (dev.memory.malloc(arr.nbytes) for arr in (A, B, C))
+        for addr, arr in ((pa, A), (pb, B), (pc, C)):
+            dev.memory.write_array(addr, arr)
+        run(eng, dev.launch("dgemm", {"A": pa, "B": pb, "C": pc, "m": m,
+                                      "n": n, "k": k, "ta": ta, "tb": tb,
+                                      "alpha": alpha, "beta": beta}))
+        want = _reference_update(C, A.T if ta else A, B.T if tb else B,
+                                 alpha, beta)
+        assert np.array_equal(dev.memory.read_array(pc), want)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 0.5])
+    @pytest.mark.parametrize("alpha", [1.0, -1.0, 0.5])
+    def test_syrk(self, eng, dev, alpha, beta):
+        rng = np.random.default_rng(12)
+        n, k = 48, 40
+        A = rng.standard_normal((n, k))
+        C = rng.standard_normal((n, n))
+        pa, pc = dev.memory.malloc(A.nbytes), dev.memory.malloc(C.nbytes)
+        dev.memory.write_array(pa, A)
+        dev.memory.write_array(pc, C)
+        run(eng, dev.launch("dsyrk", {"A": pa, "C": pc, "n": n, "k": k,
+                                      "alpha": alpha, "beta": beta}))
+        want = _reference_update(C, A, A.T, alpha, beta)
+        assert np.array_equal(dev.memory.read_array(pc), want)
