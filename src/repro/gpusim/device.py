@@ -14,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import itertools
-import os
 
 from ..errors import GPUError
 from ..obs.spans import collector_for
@@ -22,7 +21,7 @@ from ..sim import Engine, Event, Resource
 from ..units import GiB, USEC
 from .dma import DMAEngine, PCIeModel, PCIE_GEN2_X16
 from .kernels import KernelRegistry
-from .memory import DeviceMemory, MemoryPartition
+from .memory import DeviceMemory, MemoryPartition, _offload_pool
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,21 +90,6 @@ XEON_PHI_KNC = GPUSpec(
 #: 9.7 ms, ``ring_allreduce``'s daxpy 15.4 us, every ``jobs_ensemble``
 #: body <= 2.1 us (DESIGN.md section 10).
 OFFLOAD_MIN_S = 1e-3
-
-_pool = None
-
-
-def _offload_pool():
-    """The kernel-body worker pool (one worker per available core, created
-    on first use), or None with one core."""
-    global _pool
-    cores = len(os.sched_getaffinity(0))
-    if cores < 2:
-        return None
-    if _pool is None:
-        from concurrent.futures import ThreadPoolExecutor
-        _pool = ThreadPoolExecutor(cores, thread_name_prefix="kernel")
-    return _pool
 
 
 def _run_bound(bound: list):

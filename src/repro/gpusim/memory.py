@@ -17,7 +17,9 @@ Invariants (exercised by the property tests):
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 import sys
 import typing as _t
 
@@ -25,13 +27,64 @@ import numpy as np
 
 from ..buffers import ChunkView, chunk_payload, copy_stats
 from ..errors import DeviceMemoryError
+from ..units import MiB
+
+#: A fresh backing store of at least this size has its pages faulted in
+#: on a worker thread while the loop thread writes into it.  Faulting
+#: costs about 0.2 ms per MiB and a worker may wait out the 5 ms GIL
+#: switch interval before it starts, so below this the loop would fault
+#: the pages itself first (DESIGN.md section 10).
+POPULATE_MIN_BYTES = 16 * MiB
+
+_MADV_POPULATE_WRITE = 23   # Linux >= 5.14
+_pool = None
+
+
+def _offload_pool():
+    """The worker pool for kernel bodies and prefaults (one worker per
+    available core, created on first use), or None with one core."""
+    global _pool
+    cores = len(os.sched_getaffinity(0))
+    if cores < 2:
+        return None
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = ThreadPoolExecutor(cores, thread_name_prefix="gpusim")
+    return _pool
+
+
+@functools.cache
+def _madvise():
+    """libc ``madvise``, bound on first use; a call releases the GIL."""
+    import ctypes
+    fn = ctypes.CDLL(None).madvise
+    fn.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
+    fn.restype = ctypes.c_int
+    return fn
+
+
+def _populate(held: list) -> None:
+    """Worker side of a prefault: map the whole pages of one backing in
+    as if written, without changing a byte.
+
+    The reference is popped, so it lives exactly until ``madvise``
+    returns: the range cannot be unmapped under the call, and a refcount
+    probe that has joined this future counts no worker.  The populate is
+    advisory, so an error return (EINVAL before Linux 5.14) is ignored.
+    """
+    buf = held.pop()
+    addr, page = buf.ctypes.data, os.sysconf("SC_PAGESIZE")
+    start = -(-addr // page) * page
+    end = (addr + buf.nbytes) // page * page
+    if end > start:
+        _madvise()(start, end - start, _MADV_POPULATE_WRITE)
 
 
 class Allocation:
     """One live device allocation."""
 
     __slots__ = ("addr", "nbytes", "data", "dtype", "shape", "_loaned",
-                 "_pending")
+                 "_pending", "_populating")
 
     def __init__(self, addr: int, nbytes: int):
         self.addr = addr
@@ -47,11 +100,29 @@ class Allocation:
         #: Never set while ``_loaned`` is — a loan settles before it is
         #: granted — so at most one old backing is ever pending.
         self._pending: tuple[np.ndarray, int, int] | None = None
+        #: The future of the worker prefaulting ``data``; read before the
+        #: refcount probe and at ``free``.
+        self._populating = None
+
+    def _fresh(self, make) -> np.ndarray:
+        """A new backing store from ``make`` (``np.zeros`` / ``np.empty``);
+        one of at least :data:`POPULATE_MIN_BYTES` is prefaulted on a worker."""
+        data = make(self.nbytes, dtype=np.uint8)
+        if self.nbytes >= POPULATE_MIN_BYTES and sys.platform == "linux":
+            pool = _offload_pool()
+            if pool is not None:
+                self._populating = pool.submit(_populate, [data])
+        return data
+
+    def _join(self) -> None:
+        """Wait for the prefault of ``data``, so no worker still holds it."""
+        populating, self._populating = self._populating, None
+        populating.result()
 
     def backing(self) -> np.ndarray:
         """The backing store with every byte in place (settles a detach)."""
         if self.data is None:
-            self.data = np.zeros(self.nbytes, dtype=np.uint8)
+            self.data = self._fresh(np.zeros)
         elif self._pending is not None:
             self._carry(*self._pending)
             self._pending = None
@@ -73,6 +144,8 @@ class Allocation:
         only what later writes do not replace is ever carried over.
         """
         if self._loaned:
+            if self._populating is not None:
+                self._join()
             # Refcount probe: every live view into the backing (loans
             # and anything derived from them) holds a reference to it,
             # so if the count is back to baseline — self.data and
@@ -83,7 +156,7 @@ class Allocation:
             if sys.getrefcount(self.data) > 2:
                 copy_stats.cow_copies += 1
                 self._pending = (self.data, 0, self.nbytes)
-                self.data = np.empty(self.nbytes, dtype=np.uint8)
+                self.data = self._fresh(np.empty)
             self._loaned = False
 
     def writable(self) -> np.ndarray:
@@ -189,6 +262,8 @@ class DeviceMemory:
         alloc = self._allocs.pop(addr, None)
         if alloc is None:
             raise DeviceMemoryError(f"free of unknown device address {addr:#x}")
+        if alloc._populating is not None:
+            alloc._join()
         self._insert_free(alloc.addr, alloc.nbytes)
 
     def _insert_free(self, start: int, size: int) -> None:

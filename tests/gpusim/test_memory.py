@@ -1,5 +1,9 @@
 """Device-memory allocator tests, including hypothesis invariants."""
 
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from repro.buffers import copy_stats
 from repro.errors import DeviceMemoryError
 from repro.gpusim import DeviceMemory
+from repro.gpusim import memory as gmem
 
 
 class TestMallocFree:
@@ -503,3 +508,141 @@ class TestRangeAwareCow:
                 assert loan.tobytes() == taken, "a write leaked into a loan"
         for addr, want in zip(addrs, model):
             assert mem.read(addr).tobytes() == bytes(want)
+
+
+#: How long a held-open prefault keeps its backing at most.
+HOLD_S = 0.05
+
+
+@pytest.fixture
+def prefault(monkeypatch):
+    """Two available cores and a 64 KiB threshold, so a 1 MiB backing is
+    prefaulted on the worker pool."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(gmem, "POPULATE_MIN_BYTES", 64 << 10)
+
+
+@pytest.fixture
+def held_open(prefault, monkeypatch):
+    """Prefault workers that keep their backing referenced until the test
+    ends, or for :data:`HOLD_S` at most, as a slow ``madvise`` would."""
+    release = threading.Event()
+
+    def populate(held):
+        buf = held.pop()  # noqa: F841 (held, like the real worker's)
+        release.wait(HOLD_S)
+
+    monkeypatch.setattr(gmem, "_populate", populate)
+    yield
+    release.set()
+
+
+_RAMP = (np.arange(1 << 20) % 251).astype(np.uint8)
+
+
+def _block(k: int, nbytes: int) -> np.ndarray:
+    """Block ``k`` of a stream (at most 1 MiB): a ramp shifted by ``k``."""
+    return _RAMP[:nbytes] + np.uint8(7 * k % 256)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="madvise prefault is Linux-only")
+class TestPrefault:
+    """A large fresh backing is prefaulted on a worker while the loop thread
+    writes into it; no byte, count or probe result moves."""
+
+    N = 1 << 20
+
+    def test_block_stream_into_detached_backing_while_populating(
+            self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        n, b = 64 << 20, 512 << 10
+        mem = DeviceMemory(n)
+        a = mem.malloc(n)
+        alloc = mem.allocation(a)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            loan = None
+            for rep in range(4):
+                for off in range(0, n, b):
+                    mem.write(a, off, _block(rep + off // b, b))
+                    if off == 0:
+                        assert alloc._populating is not None
+                new = mem.read(a, copy=False)
+                for off in range(0, n, b):
+                    assert np.array_equal(new[off:off + b],
+                                          _block(rep + off // b, b)), (rep, off)
+                    if loan is not None:
+                        assert np.array_equal(loan[off:off + b],
+                                              _block(rep - 1 + off // b, b))
+                loan = new
+        finally:
+            sys.setswitchinterval(interval)
+        mem.free(a)
+        assert alloc._populating is None
+
+    def test_probe_joins_a_populate_held_open(self, held_open):
+        # Two loans held across a write detach twice; a loan dropped before
+        # the third write lets it reuse the backing in place, although the
+        # worker prefaulting that backing still held it when it was written.
+        mem = DeviceMemory(4 * self.N)
+        a = mem.malloc(self.N)
+        mem.write(a, 0, _block(0, self.N))
+        copy_stats.reset()
+        loans = []
+        for k in (1, 2):
+            loans.append(mem.read(a, copy=False))
+            mem.write(a, 0, _block(k, self.N))
+        mem.read(a, copy=False)
+        mem.write(a, 0, _block(3, self.N))
+        assert (copy_stats.cow_copies, copy_stats.cow_bytes) == (2, 0)
+        for k, loan in enumerate(loans):
+            assert np.array_equal(loan, _block(k, self.N))
+        assert np.array_equal(mem.read(a), _block(3, self.N))
+
+    def test_free_reads_the_populate_in_flight(self, held_open):
+        mem = DeviceMemory(self.N)
+        a = mem.malloc(self.N)
+        mem.write(a, 0, _block(0, 8))
+        alloc = mem.allocation(a)
+        populating = alloc._populating
+        mem.free(a)
+        assert populating.done() and alloc._populating is None
+
+    @pytest.mark.parametrize("why", ["one core", "small", "off linux"])
+    def test_nothing_submitted(self, prefault, monkeypatch, why):
+        if why == "one core":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        elif why == "off linux":
+            monkeypatch.setattr(sys, "platform", "darwin")
+        n = gmem.POPULATE_MIN_BYTES - (why == "small")
+        mem = DeviceMemory(2 * n)
+        a = mem.malloc(n)
+        alloc = mem.allocation(a)
+        mem.write(a, 0, _block(0, n))
+        loan = mem.read(a, copy=False)
+        mem.write(a, 0, _block(1, n))
+        assert alloc._pending is None and alloc._populating is None
+        assert np.array_equal(loan, _block(0, n))
+
+    def test_worker_keeps_no_reference_after_madvise(self, prefault):
+        buf, held = np.empty(self.N, dtype=np.uint8), []
+        held.append(buf)
+        gmem._populate(held)
+        assert not held and sys.getrefcount(buf) == 2
+
+    def test_madvise_error_changes_nothing(self, prefault, monkeypatch):
+        calls = []
+
+        def failing(addr, length, advice):
+            calls.append((addr, length, advice))
+            return -1
+
+        monkeypatch.setattr(gmem, "_madvise", lambda: failing)
+        mem = DeviceMemory(self.N)
+        a = mem.malloc(self.N)
+        mem.write(a, 0, _block(0, self.N))
+        alloc = mem.allocation(a)
+        assert alloc._populating.result(timeout=5) is None
+        assert calls and calls[0][2] == gmem._MADV_POPULATE_WRITE
+        assert np.array_equal(mem.read(a), _block(0, self.N))

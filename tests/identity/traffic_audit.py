@@ -4,8 +4,9 @@ Runs every non-test workload (the ledger's CLI documents, written with
 ``--json`` exactly as the ledger writes them, ``repro list``, three
 traced experiments, one of them exported with ``--out``, the examples,
 the ``benchmarks/e2e`` workloads at ``--smoke`` size and ``walkers_gemm``
-at full size) under a ``sys.setprofile`` / ``threading.setprofile`` hook
-(a long kernel body computes on a worker thread), unions the functions
+and ``bulk_copy`` at full size) under a ``sys.setprofile`` /
+``threading.setprofile`` hook (a long kernel body computes, and a large
+fresh device backing is prefaulted, on a worker thread), unions the functions
 entered, and compares the rest of ``src/repro`` with ``unentered.json``: every ``file::qualname``
 no workload enters, with the one-word reason it is kept.  It fails when a function is unentered and unlisted (give it a
 workload, a reason, or delete it) or listed and entered or gone (drop the
@@ -64,7 +65,7 @@ def _dump():
         json.dump(sorted(_seen), fh)
 
 sys.setprofile(_hook)
-threading.setprofile(_hook)   # kernel bodies computed on worker threads
+threading.setprofile(_hook)   # kernel bodies and prefaults on worker threads
 atexit.register(_dump)
 '''.replace("@SRC@", SRC)
 
@@ -82,10 +83,12 @@ def workloads(tmp: pathlib.Path) -> list[list[str]]:
         *([str(path.relative_to(REPO_ROOT))]
           for path in sorted((REPO_ROOT / "examples").glob("*.py"))),
         ["benchmarks/e2e/run.py", "--smoke", "--seed", "0", "--seconds", "0"],
-        # Full size: its dgemm bodies are long enough to compute on worker
-        # threads (with two or more cores).
-        ["benchmarks/e2e/run.py", "--workload", "walkers_gemm", "--seed",
-         "0", "--seconds", "0", "--trace", "0"],
+        # Full size, with two or more cores: walkers_gemm's dgemm bodies
+        # are long enough to compute on worker threads, and bulk_copy's
+        # 64 MiB backings large enough to be prefaulted on one.
+        *(["benchmarks/e2e/run.py", "--workload", name, "--seed", "0",
+           "--seconds", "0", "--trace", "0"]
+          for name in ("walkers_gemm", "bulk_copy")),
     ]
 
 
