@@ -23,17 +23,11 @@ from ..mpisim import Phantom, payload_nbytes
 from ..obs.spans import collector_for
 from ..sim import Engine
 from ..cluster.specs import CPUSpec
-from ..core.interface import (
-    AcceleratorLifecycle,
-    CapabilitySet,
-    reject_bool_transfer,
-    release_all,
-    unsupported,
-)
+from ..core.interface import reject_bool_transfer
 from ..core.transfer import as_flat_bytes, payload_meta
 
 
-class LocalAccelerator(AcceleratorLifecycle):
+class LocalAccelerator:
     """Front-end-compatible driver for a node-attached GPU."""
 
     def __init__(self, engine: Engine, gpu: GPUDevice, cpu: CPUSpec,
@@ -43,14 +37,10 @@ class LocalAccelerator(AcceleratorLifecycle):
         self.cpu = cpu
         self.pinned = pinned
         self._kernels: dict[str, dict] = {}
-        self._live: dict[int, int] = {}
         self._obs = collector_for(engine)
         self._actor = f"local-{gpu.name}"
         self.bytes_h2d = 0
         self.bytes_d2h = 0
-
-    def _lifecycle_engine(self):
-        return self.engine
 
     # -- memory management ----------------------------------------------
     def mem_alloc(self, nbytes: int):
@@ -59,7 +49,6 @@ class LocalAccelerator(AcceleratorLifecycle):
                              nbytes=int(nbytes)):
             yield self.engine.timeout(self.cpu.malloc_s)
             addr = self.gpu.memory.malloc(int(nbytes))
-            self._live[addr] = int(nbytes)
             return addr
 
     def mem_free(self, addr: int):
@@ -67,11 +56,6 @@ class LocalAccelerator(AcceleratorLifecycle):
         with self._obs.start("client.mem_free", self._actor, addr=addr):
             yield self.engine.timeout(self.cpu.malloc_s)
             self.gpu.memory.free(addr)
-            self._live.pop(addr, None)
-
-    def release(self):
-        """Free every live allocation this front-end made (generator)."""
-        yield from release_all(self, self._live)
 
     # -- data movement ----------------------------------------------------
     def memcpy_h2d(self, dst: int, payload: _t.Any, transfer: _t.Any = None,
@@ -127,35 +111,6 @@ class LocalAccelerator(AcceleratorLifecycle):
                 return self.gpu.memory.read_array(src, copy=False)
             return self.gpu.memory.read(src, offset, nbytes, copy=False)
 
-    def capabilities(self) -> CapabilitySet:
-        """What this front-end supports (see :class:`CapabilitySet`).
-
-        ``peer_put=False``: there is no fabric, so peer transfers stage
-        through host memory (D2H + H2D) instead of flowing device-direct.
-        """
-        return CapabilitySet(peer_put=False, streams=False, fabric=False)
-
-    def peer_put(self, src: int, nbytes: int, peer: _t.Any, dst: int,
-                 *, transfer: _t.Any = None,
-                 pinned: bool | None = None):
-        """Staged peer copy: D2H into host memory, then H2D on ``peer``.
-
-        A node-attached GPU has no fabric, so the bytes bounce through the
-        host — same result, two PCIe crossings (``capabilities().peer_put``
-        is False so callers can plan for the cost).  A peer that cannot
-        receive (no ``memcpy_h2d``) raises the typed
-        :class:`~repro.errors.UnsupportedOp`, matching the historical
-        behaviour for unusable peers.
-        """
-        if not hasattr(peer, "memcpy_h2d"):
-            unsupported("peer_put", self)
-        with self._obs.start("client.peer_put_staged", self._actor,
-                             nbytes=int(nbytes)):
-            data = yield from self.memcpy_d2h(src, int(nbytes),
-                                              pinned=pinned)
-            yield from peer.memcpy_h2d(dst, data, transfer=transfer,
-                                       pinned=pinned)
-
     # -- kernels ----------------------------------------------------------
     def kernel_create(self, name: str):
         """cuModuleGetFunction analogue (generator).
@@ -194,19 +149,6 @@ class LocalAccelerator(AcceleratorLifecycle):
         with self._obs.start("client.ping", self._actor):
             yield self.engine.timeout(self.cpu.request_handling_s)
             return "pong"
-
-    # -- streams ----------------------------------------------------------
-    def stream(self, max_batch: int | None = None, name: str | None = None):
-        """Create an asynchronous command stream over the local GPU.
-
-        There is no RPC to batch, so the stream pumps ops one at a time —
-        but the queue/future surface is identical to the remote one, which
-        lets workloads and the deterministic harness run the same program
-        against both backends.
-        """
-        from ..core.stream import Stream
-        return Stream(self, self.engine, max_batch=max_batch,
-                      name=name or f"local-{self.gpu.name}-stream")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<LocalAccelerator on {self.gpu.name}>"

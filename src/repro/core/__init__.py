@@ -29,7 +29,6 @@ from .discovery import (
     DiscoveryAgent,
 )
 from .faults import FaultInjector
-from .interface import CapabilitySet, UnsupportedOp, unsupported
 from .protocol import (
     AcceleratorHandle,
     BATCHABLE_OPS,
@@ -89,9 +88,6 @@ __all__ = [
     "TenantAccelerator",
     "tenant_accelerator",
     "FaultInjector",
-    "CapabilitySet",
-    "UnsupportedOp",
-    "unsupported",
     "ring_allreduce",
     "ring_broadcast",
     "DiscoveryAgent",

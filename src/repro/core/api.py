@@ -37,12 +37,7 @@ from ..errors import MiddlewareError, RequestTimeout
 from ..mpisim import RankHandle, payload_nbytes
 from ..obs.spans import NULL_SPAN, collector_for
 from .blocksize import DEFAULT_TRANSFER, TransferConfig
-from .interface import (
-    AcceleratorLifecycle,
-    CapabilitySet,
-    reject_bool_transfer,
-    release_all,
-)
+from .interface import reject_bool_transfer
 from .protocol import (
     AcceleratorHandle,
     BATCHABLE_OPS,
@@ -58,7 +53,7 @@ from .reliability import DEFAULT_RETRY, RetryPolicy, reliable_rpc
 from .transfer import assemble_chunks, payload_meta, send_blocks, slice_chunks
 
 
-class RemoteAccelerator(AcceleratorLifecycle):
+class RemoteAccelerator:
     """Front-end bound to one compute-node rank and one accelerator handle."""
 
     def __init__(self, rank: RankHandle, handle: AcceleratorHandle,
@@ -73,7 +68,7 @@ class RemoteAccelerator(AcceleratorLifecycle):
         self._scope = ({"vac": handle.vac_id}
                        if isinstance(handle, VirtualAcceleratorHandle) else {})
         self._kernels: dict[str, dict] = {}  # name -> staged args
-        #: Live device allocations (for context-manager release).
+        #: Live device allocations (the job service frees and parks them).
         self._live: dict[int, int] = {}      # addr -> nbytes
         #: Where this front-end's sub-frames of batchable control ops go:
         #: ``None`` sends each alone, a
@@ -90,9 +85,6 @@ class RemoteAccelerator(AcceleratorLifecycle):
         self.timeouts = 0
 
     # -- plumbing -------------------------------------------------------
-    def _lifecycle_engine(self):
-        return self.rank.comm.engine
-
     def _cfg(self, transfer: TransferConfig | None,
              pinned: bool | None) -> TransferConfig:
         """Resolve the per-call transfer configuration.
@@ -184,10 +176,6 @@ class RemoteAccelerator(AcceleratorLifecycle):
         """Release a device allocation."""
         yield from self._control(Op.MEM_FREE, {"addr": addr}, addr=addr)
 
-    def release(self):
-        """Free every live allocation this front-end made (generator)."""
-        yield from release_all(self, self._live)
-
     # -- data movement ----------------------------------------------------
     def _send_header(self, op: Op, params: dict, cfg: TransferConfig, span,
                      n_recv: int = 0):
@@ -277,10 +265,6 @@ class RemoteAccelerator(AcceleratorLifecycle):
             self.bytes_d2h += nbytes
             return assemble_chunks([r.message.payload for r in block_reqs],
                                    blocks, resp.value)
-
-    def capabilities(self) -> CapabilitySet:
-        """What this front-end supports (see :class:`CapabilitySet`)."""
-        return CapabilitySet(peer_put=True, streams=True, fabric=True)
 
     def peer_put(self, src: int, nbytes: int, peer: "RemoteAccelerator",
                  dst: int, *,

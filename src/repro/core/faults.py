@@ -42,16 +42,14 @@ class FaultInjector:
 
         self.engine.process(failer(), name=f"fault:ac{ac_id}")
 
-    def crash_at(self, ac_id: int, at_time: float,
-                 notify_arm: bool = False) -> None:
+    def crash_at(self, ac_id: int, at_time: float) -> None:
         """Silently kill accelerator ``ac_id``'s daemon host at ``at_time``.
 
         Unlike :meth:`break_at` — where the daemon host survives and keeps
         answering ``Status.BROKEN`` — a crashed daemon drops every request
         without replying.  The failure is only observable through client
         deadlines (:class:`~repro.errors.RequestTimeout`) or the ARM's
-        discovery TTL sweep.  ``notify_arm=True`` models out-of-band hardware
-        monitoring that still reports the crash to the ARM.
+        discovery TTL sweep.
         """
         daemon = self.cluster.daemons[ac_id]
 
@@ -60,8 +58,6 @@ class FaultInjector:
             if delay > 0:
                 yield self.engine.timeout(delay)
             daemon.crashed = True
-            if notify_arm:
-                self._notify_break(ac_id)
             if False:
                 yield  # pragma: no cover
 

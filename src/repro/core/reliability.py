@@ -37,12 +37,6 @@ import numpy as np
 from ..errors import AcceleratorFault, MiddlewareError, RequestTimeout
 from ..mpisim import Phantom, RankHandle
 from ..obs.spans import NULL_SPAN, collector_for
-from .interface import (
-    AcceleratorLifecycle,
-    CapabilitySet,
-    release_all,
-    unsupported,
-)
 from .protocol import (
     AcceleratorHandle,
     Op,
@@ -214,7 +208,7 @@ VADDR_BASE = 0x5EED_0000_0000
 VADDR_STEP = 0x1_0000
 
 
-class ResilientAccelerator(AcceleratorLifecycle):
+class ResilientAccelerator:
     """Failover-capable front-end over one ARM-assigned accelerator.
 
     Mirrors the :class:`~repro.core.api.RemoteAccelerator` surface
@@ -271,9 +265,6 @@ class ResilientAccelerator(AcceleratorLifecycle):
     @property
     def engine(self):
         return self._ac.rank.comm.engine
-
-    def _lifecycle_engine(self):
-        return self.engine
 
     @property
     def requests(self) -> int:
@@ -455,54 +446,6 @@ class ResilientAccelerator(AcceleratorLifecycle):
         result = yield from self.run_guarded(
             lambda: self._ac.ping(timeout_s=timeout_s))
         return result
-
-    def capabilities(self) -> CapabilitySet:
-        """Capabilities of the guarded surface.
-
-        ``peer_put`` and ``streams`` are masked off the wrapped backend's
-        set: a direct device↔device copy would bypass the host shadows
-        this wrapper replays from on failover, and streams pump unbatched
-        so each op stays individually guarded.
-        """
-        return dataclasses.replace(self._ac.capabilities(),
-                                   peer_put=False, streams=False)
-
-    def peer_put(self, src: int, nbytes: int, peer: _t.Any, dst: int,
-                 *, transfer=None, pinned: bool | None = None):
-        """Staged peer copy through the failover guard.
-
-        A *direct* fabric copy would move data accelerator-to-accelerator
-        without updating the destination's host shadow, so a later
-        failover of either side could not replay it
-        (``capabilities().peer_put`` is False).  Instead the bytes bounce
-        through this compute node as a guarded D2H + H2D pair — the
-        receiving side's ``memcpy_h2d`` records the write into its
-        shadow, keeping both replicas replayable.  A peer that cannot
-        receive raises the typed :class:`~repro.errors.UnsupportedOp`.
-        """
-        if not hasattr(peer, "memcpy_h2d"):
-            unsupported("peer_put", self)
-        data = yield from self.memcpy_d2h(src, int(nbytes), transfer=transfer,
-                                          pinned=pinned)
-        yield from peer.memcpy_h2d(dst, data, transfer=transfer,
-                                   pinned=pinned)
-
-    def release(self):
-        """Free every live (virtual) allocation, with failover guarding."""
-        yield from release_all(self, self._vmap)
-
-    def stream(self, max_batch: int | None = None, name: str | None = None):
-        """Create an asynchronous command stream over this wrapper.
-
-        Ops pump one at a time through the guarded surface rather than in
-        batch frames: each op must be individually failover-guarded so a
-        mid-frame fault cannot leave half a frame applied to the old
-        accelerator and half to its replacement.  The queue/future surface
-        is identical to the batching stream.
-        """
-        from .stream import Stream
-        return Stream(self, self.engine, max_batch=max_batch,
-                      name=name or f"resilient-ac{self._ac.handle.ac_id}-stream")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<ResilientAccelerator ac{self._ac.handle.ac_id} "

@@ -105,17 +105,16 @@ class StreamFuture:
 class _QueuedOp:
     """One queued operation: how to issue it, and its future."""
 
-    __slots__ = ("op", "method", "kwargs", "future", "local")
+    __slots__ = ("op", "method", "kwargs", "future")
 
     def __init__(self, op: Op | None, method: str, kwargs: dict,
-                 future: StreamFuture, local: bool = False):
+                 future: StreamFuture):
         self.op = op              # protocol op when batchable, else None
         self.method = method      # front-end method name for the solo path
         #: The front-end method's keyword arguments — which, for a
         #: batchable op, are also its wire params.
         self.kwargs = kwargs
         self.future = future
-        self.local = local        # no RPC at all (kernel_set_args)
 
     def pending_futures(self) -> list[StreamFuture]:
         """Unresolved futures among this op's parameters."""
@@ -150,18 +149,17 @@ def _resolve(value: _t.Any) -> _t.Any:
 
 
 class Stream:
-    """An in-order asynchronous command queue over one accelerator front-end.
+    """An in-order asynchronous command queue over one remote front-end.
 
-    Works over any front-end exposing the ``ac*`` generator surface
-    (:class:`~repro.core.api.RemoteAccelerator`,
-    :class:`~repro.baselines.local.LocalAccelerator`,
-    :class:`~repro.core.reliability.ResilientAccelerator`).  Batching is
-    used when the front-end's ``capabilities().streams`` says its
-    ``batch_rpc`` does it (the remote middleware path); otherwise ops are
-    pumped one at a time, which keeps workload code backend-agnostic.
+    Runs of consecutive batchable control ops go to the
+    :class:`~repro.core.api.RemoteAccelerator`'s ``batch_rpc`` as one
+    sub-frame each; bulk transfers and a ``kernel_run`` with its own
+    deadline go through the front-end's method, one frame each.  Launch
+    parameters travel with ``kernel_run(params=...)``.
 
-    Obtain streams through the front-ends' ``stream()`` factories rather
-    than constructing directly.
+    Obtain streams through :meth:`RemoteAccelerator.stream
+    <repro.core.api.RemoteAccelerator.stream>` rather than constructing
+    directly.
     """
 
     def __init__(self, ac: _t.Any, engine: Engine,
@@ -173,7 +171,6 @@ class Stream:
         self.ac = ac
         self.engine = engine
         self.max_batch = max_batch
-        self.batching = ac.capabilities().streams
         self.name = name
         self._obs = collector_for(engine)
         self._queue: collections.deque[_QueuedOp] = collections.deque()
@@ -186,15 +183,14 @@ class Stream:
         self.ops_batched = 0
 
     # -- queueing --------------------------------------------------------
-    def _submit(self, op: Op | None, method: str, kwargs: dict,
-                local: bool = False) -> StreamFuture:
+    def _submit(self, op: Op | None, method: str,
+                kwargs: dict) -> StreamFuture:
         if self._error is not None:
             raise MiddlewareError(
                 f"stream {self.name!r} is in a sticky error state "
                 f"({self._error}); create a new stream") from self._error
         future = StreamFuture(self, method)
-        self._queue.append(_QueuedOp(op, method, kwargs, future,
-                                     local=local))
+        self._queue.append(_QueuedOp(op, method, kwargs, future))
         self.ops_issued += 1
         self._ensure_pump()
         return future
@@ -225,12 +221,6 @@ class Stream:
     def kernel_create(self, name: str) -> StreamFuture:
         return self._submit(Op.KERNEL_CREATE, "kernel_create", {"name": name})
 
-    def kernel_set_args(self, name: str, params: dict) -> StreamFuture:
-        # Purely local staging, but queued so it stays ordered between the
-        # kernel_create and kernel_run around it.
-        return self._submit(None, "kernel_set_args",
-                            {"name": name, "params": params}, local=True)
-
     def kernel_run(self, name: str, params: dict | None = None,
                    real: bool = True,
                    timeout_s: float | None = None) -> StreamFuture:
@@ -258,31 +248,6 @@ class Stream:
             raise self._error
         return None
 
-    def close(self) -> None:
-        """Flush the queue (drives :meth:`synchronize`).
-
-        Mirrors :class:`~repro.core.interface.AcceleratorLifecycle`: from
-        a plain script (engine idle) the flush runs synchronously; inside
-        a running simulation it is spawned as a background process.
-        """
-        engine = self.engine
-        proc = engine.process(self.synchronize(), name=f"sync:{self.name}")
-        if not getattr(engine, "_running", False):
-            engine.run(until=proc)
-
-    def __enter__(self) -> "Stream":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        try:
-            self.close()
-        except Exception:
-            if exc_type is None:
-                raise
-            # Already unwinding from a with-body error: the stream's
-            # sticky error must not mask it.
-        return False
-
     # -- the pump --------------------------------------------------------
     def _drain(self):
         while self._queue:
@@ -301,7 +266,7 @@ class Stream:
                         f"op {pending[0].label!r}"))
                     return
                 continue
-            if self.batching and head.op in BATCHABLE_OPS:
+            if head.op in BATCHABLE_OPS:
                 run = [self._queue.popleft()]
                 while (self._queue and len(run) < self.max_batch
                        and self._queue[0].op in BATCHABLE_OPS
@@ -317,16 +282,7 @@ class Stream:
                 return
 
     def _issue_solo(self, item: _QueuedOp):
-        self.frames_issued += 0 if item.local else 1
-        if item.local:
-            try:
-                result = getattr(self.ac, item.method)(
-                    **_resolve(item.kwargs))
-            except Exception as exc:
-                self._fail(item, exc)
-                return
-            item.future._event.succeed(result)
-            return
+        self.frames_issued += 1
         with self._obs.start("stream.frame", self.name, ops=1,
                              method=item.method,
                              queue_depth=len(self._queue)) as frame:

@@ -43,22 +43,6 @@ class ProtocolError(MiddlewareError):
     """Malformed or unexpected middleware wire messages."""
 
 
-class UnsupportedOp(MiddlewareError):
-    """The operation is not available on this accelerator backend.
-
-    Raised by backends that implement the common ``ac*`` surface
-    (:data:`~repro.core.interface.API_METHODS`) but lack an
-    optional capability — e.g. ``peer_put`` on a node-attached GPU, which
-    has no fabric to copy over.  Carries the op and backend names so
-    callers can degrade gracefully (fall back to a D2H+H2D bounce).
-    """
-
-    def __init__(self, op: str, backend: str):
-        super().__init__(f"op {op!r} is not supported by {backend}")
-        self.op = op
-        self.backend = backend
-
-
 class RequestTimeout(MiddlewareError, TimeoutError):
     """A middleware request missed its (virtual-time) deadline.
 

@@ -300,8 +300,9 @@ class Fabric:
         return hops
 
     # -- impairments (chaos injection) ----------------------------------
-    def cut(self, a: str, b: str, bidirectional: bool = True) -> None:
-        """Partition the ``a``/``b`` link: messages on it vanish in flight.
+    def cut(self, a: str, b: str) -> None:
+        """Partition the ``a``/``b`` link both ways: messages on it vanish
+        in flight.
 
         The sender still pays its NIC/injection costs (it cannot tell),
         but nothing arrives and no delivery event ever fires — exactly
@@ -316,7 +317,7 @@ class Fabric:
         """
         if a not in self.endpoints or b not in self.endpoints:
             raise NetworkError(f"unknown endpoint in cut: {a!r}/{b!r}")
-        for src, dst in ([(a, b), (b, a)] if bidirectional else [(a, b)]):
+        for src, dst in ((a, b), (b, a)):
             hops = self._route_hops(src, dst)
             if hops and (src, dst) not in self._pair_trunk_cuts:
                 self._pair_trunk_cuts[(src, dst)] = hops
@@ -325,8 +326,7 @@ class Fabric:
             else:
                 self._cuts.add((src, dst))
 
-    def heal(self, a: str | None = None, b: str | None = None,
-             bidirectional: bool = True) -> None:
+    def heal(self, a: str | None = None, b: str | None = None) -> None:
         """Undo :meth:`cut` for one link, or every link when ``a`` is None.
 
         Only affects messages sent after the heal; in-flight drops stay
@@ -337,7 +337,7 @@ class Fabric:
             self._trunk_cuts.clear()
             self._pair_trunk_cuts.clear()
             return
-        for src, dst in ([(a, b), (b, a)] if bidirectional else [(a, b)]):
+        for src, dst in ((a, b), (b, a)):
             self._cuts.discard((src, dst))
             hops = self._pair_trunk_cuts.pop((src, dst), ())
             for h in hops:
@@ -354,9 +354,9 @@ class Fabric:
             return False
         return any(h in self._trunk_cuts for h in self._route_hops(src, dst))
 
-    def set_link_delay(self, a: str, b: str, extra_s: float,
-                       bidirectional: bool = True) -> None:
-        """Add ``extra_s`` propagation latency to the ``a``→``b`` link.
+    def set_link_delay(self, a: str, b: str, extra_s: float) -> None:
+        """Add ``extra_s`` propagation latency to the ``a``/``b`` link,
+        both ways.
 
         ``extra_s`` of 0 restores the nominal latency.  Ordering per
         (src, dst) pair is preserved: the extra delay is a constant, so
@@ -368,8 +368,7 @@ class Fabric:
         """
         if extra_s < 0:
             raise NetworkError(f"negative link delay: {extra_s!r}")
-        pairs = [(a, b), (b, a)] if bidirectional else [(a, b)]
-        for pair in pairs:
+        for pair in ((a, b), (b, a)):
             hops = self._route_hops(*pair)
             target: dict = self._slow_trunks if hops else self._slow
             key = hops[0] if hops else pair

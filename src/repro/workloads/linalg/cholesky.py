@@ -58,15 +58,12 @@ class CholeskyResult:
 
 def cholesky_factorize(engine: Engine, cpu: CPUSpec,
                        accelerators: _t.Sequence[_t.Any],
-                       n: int, nb: int = 128, A: np.ndarray | None = None,
-                       streams: bool = False):
+                       n: int, nb: int = 128, A: np.ndarray | None = None):
     """Factor an SPD n x n matrix on the given accelerators (generator).
 
     Same conventions as :func:`repro.workloads.linalg.qr.qr_factorize`:
     real numerics when ``A`` is given, timing-only otherwise; the timed
-    region is the factorization loop.  ``streams=True`` routes the control
-    sequences (setup, trailing-update launch chains, teardown) through
-    asynchronous command streams with BATCH coalescing.
+    region is the factorization loop.
     """
     real = A is not None
     if real and A.shape != (n, n):
@@ -82,38 +79,18 @@ def cholesky_factorize(engine: Engine, cpu: CPUSpec,
                 else Phantom(n * w * 8))
 
     panel_ptr: dict[int, int] = {}
-    if streams:
-        st = [ac.stream(name=f"chol-ac{i}")
-              for i, ac in enumerate(accelerators)]
-        for s in st:
-            s.kernel_create("chol_trsm")
-            s.kernel_create("chol_update")
-        l_fut = [s.mem_alloc(n * nb * 8) for s in st]
-        panel_fut = {}
-        for j in range(dist.n_panels):
-            w = dist.width(j)
-            i = dist.owner(j)
-            ptr = st[i].mem_alloc(n * w * 8)
-            st[i].memcpy_h2d(ptr, panel_payload(j, w))
-            panel_fut[j] = ptr
-        for s in st:
-            yield from s.synchronize()
-        l_scratch = [f.result() for f in l_fut]
-        panel_ptr = {j: f.result() for j, f in panel_fut.items()}
-    else:
-        st = None
-        for ac in accelerators:
-            yield from ac.kernel_create("chol_trsm")
-            yield from ac.kernel_create("chol_update")
-        l_scratch = []
-        for ac in accelerators:
-            l_scratch.append((yield from ac.mem_alloc(n * nb * 8)))
-        for j in range(dist.n_panels):
-            w = dist.width(j)
-            ac = accelerators[dist.owner(j)]
-            ptr = yield from ac.mem_alloc(n * w * 8)
-            yield from ac.memcpy_h2d(ptr, panel_payload(j, w))
-            panel_ptr[j] = ptr
+    for ac in accelerators:
+        yield from ac.kernel_create("chol_trsm")
+        yield from ac.kernel_create("chol_update")
+    l_scratch = []
+    for ac in accelerators:
+        l_scratch.append((yield from ac.mem_alloc(n * nb * 8)))
+    for j in range(dist.n_panels):
+        w = dist.width(j)
+        ac = accelerators[dist.owner(j)]
+        ptr = yield from ac.mem_alloc(n * w * 8)
+        yield from ac.memcpy_h2d(ptr, panel_payload(j, w))
+        panel_ptr[j] = ptr
 
     # -- the factorization loop (timed) ------------------------------------
     t0 = engine.now
@@ -174,20 +151,12 @@ def cholesky_factorize(engine: Engine, cpu: CPUSpec,
                     "n": n, "wk": w, "wj": dist.width(j),
                     "k1": k1, "j0": dist.col0(j)}
 
-        if streams:
-            for i in targets:
-                for j in dist.trailing_panels_of(i, k):
-                    st[i].kernel_run("chol_update", update_params(i, j),
-                                     real=real)
-            for i in targets:
-                yield from st[i].synchronize()
-        else:
-            def update(i):
-                for j in dist.trailing_panels_of(i, k):
-                    yield from accelerators[i].kernel_run(
-                        "chol_update", update_params(i, j), real=real)
+        def update(i):
+            for j in dist.trailing_panels_of(i, k):
+                yield from accelerators[i].kernel_run(
+                    "chol_update", update_params(i, j), real=real)
 
-            yield from run_parallel(engine, [update(i) for i in targets])
+        yield from run_parallel(engine, [update(i) for i in targets])
     seconds = engine.now - t0
 
     # -- gather the result (untimed) ---------------------------------------
@@ -201,17 +170,9 @@ def cholesky_factorize(engine: Engine, cpu: CPUSpec,
             L[:, dist.cols(j)] = as_matrix(raw, n, w)
         L = np.tril(L)
 
-    if streams:
-        for j, ptr in panel_ptr.items():
-            st[dist.owner(j)].mem_free(ptr)
-        for i in range(g):
-            st[i].mem_free(l_scratch[i])
-        for s in st:
-            yield from s.synchronize()
-    else:
-        for j, ptr in panel_ptr.items():
-            yield from accelerators[dist.owner(j)].mem_free(ptr)
-        for i, ac in enumerate(accelerators):
-            yield from ac.mem_free(l_scratch[i])
+    for j, ptr in panel_ptr.items():
+        yield from accelerators[dist.owner(j)].mem_free(ptr)
+    for i, ac in enumerate(accelerators):
+        yield from ac.mem_free(l_scratch[i])
 
     return CholeskyResult(n=n, nb=nb, n_gpus=g, seconds=seconds, real=real, L=L)

@@ -140,7 +140,7 @@ def _rank_body(engine: Engine, cpu: CPUSpec, rank: RankHandle, ac: _t.Any,
                cfg: MP2CConfig, decomp: SlabDecomposition,
                pos: np.ndarray | None, vel: np.ndarray | None,
                spos: np.ndarray | None, svel: np.ndarray | None,
-               out: list, streams: bool = False):
+               out: list):
     """The per-rank simulation loop (generator)."""
     real = pos is not None
     me = rank.index
@@ -152,18 +152,9 @@ def _rank_body(engine: Engine, cpu: CPUSpec, rank: RankHandle, ac: _t.Any,
     n_sol = spos.shape[0] if has_solutes else 0
     vec_bytes = cfg.particle_bytes(int((n_local + n_sol) * 1.25) + 16)
 
-    if streams:
-        st = ac.stream(name=f"mp2c-rank{me}")
-        st.kernel_create("srd_collide")
-        pos_fut = st.mem_alloc(vec_bytes)
-        vel_fut = st.mem_alloc(vec_bytes)
-        yield from st.synchronize()
-        gpu_pos, gpu_vel = pos_fut.result(), vel_fut.result()
-    else:
-        st = None
-        yield from ac.kernel_create("srd_collide")
-        gpu_pos = yield from ac.mem_alloc(vec_bytes)
-        gpu_vel = yield from ac.mem_alloc(vec_bytes)
+    yield from ac.kernel_create("srd_collide")
+    gpu_pos = yield from ac.mem_alloc(vec_bytes)
+    gpu_vel = yield from ac.mem_alloc(vec_bytes)
 
     left, right = decomp.neighbors(me)
 
@@ -239,20 +230,10 @@ def _rank_body(engine: Engine, cpu: CPUSpec, rank: RankHandle, ac: _t.Any,
                           "alpha": cfg.alpha_rad,
                           "seed": 10_000 + step,  # same on all ranks per step
                           "shift_axes": shift_axes}
-            if streams:
-                # Queue the whole offload; the stream keeps it ordered and
-                # overlaps it with the other ranks' loops.
-                st.memcpy_h2d(gpu_pos, pos_payload)
-                st.memcpy_h2d(gpu_vel, vel_payload)
-                st.kernel_run("srd_collide", srd_params, real=real)
-                vel_back = st.memcpy_d2h(gpu_vel, nbytes)
-                yield from st.synchronize()
-                new_vel = vel_back.result()
-            else:
-                yield from ac.memcpy_h2d(gpu_pos, pos_payload)
-                yield from ac.memcpy_h2d(gpu_vel, vel_payload)
-                yield from ac.kernel_run("srd_collide", srd_params, real=real)
-                new_vel = yield from ac.memcpy_d2h(gpu_vel, nbytes)
+            yield from ac.memcpy_h2d(gpu_pos, pos_payload)
+            yield from ac.memcpy_h2d(gpu_vel, vel_payload)
+            yield from ac.kernel_run("srd_collide", srd_params, real=real)
+            new_vel = yield from ac.memcpy_d2h(gpu_vel, nbytes)
             if real:
                 all_new = as_matrix(new_vel, int(count), 3).copy()
                 if has_solutes:
@@ -261,13 +242,8 @@ def _rank_body(engine: Engine, cpu: CPUSpec, rank: RankHandle, ac: _t.Any,
                 else:
                     vel = all_new
 
-    if streams:
-        st.mem_free(gpu_pos)
-        st.mem_free(gpu_vel)
-        yield from st.synchronize()
-    else:
-        yield from ac.mem_free(gpu_pos)
-        yield from ac.mem_free(gpu_vel)
+    yield from ac.mem_free(gpu_pos)
+    yield from ac.mem_free(gpu_vel)
     if real:
         out[me] = ((pos, vel, spos, svel) if has_solutes else (pos, vel))
     else:
@@ -277,8 +253,7 @@ def _rank_body(engine: Engine, cpu: CPUSpec, rank: RankHandle, ac: _t.Any,
 def run_mp2c(engine: Engine, cpu: CPUSpec, ranks: _t.Sequence[RankHandle],
              accelerators: _t.Sequence[_t.Any], cfg: MP2CConfig,
              initial: _t.Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
-             solutes: _t.Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
-             streams: bool = False):
+             solutes: _t.Sequence[tuple[np.ndarray, np.ndarray]] | None = None):
     """Run MP2C across ``ranks`` (generator). Returns :class:`MP2CResult`.
 
     ``initial`` supplies per-rank solvent (pos, vel) arrays for real mode;
@@ -288,9 +263,7 @@ def run_mp2c(engine: Engine, cpu: CPUSpec, ranks: _t.Sequence[RankHandle],
     across rank boundaries through halo exchanges — and join the SRD
     collision cells, which is how MPC couples the molecular scale to the
     mesoscopic solvent.  With solutes, ``final`` holds per-rank
-    ``(pos, vel, solute_pos, solute_vel)`` tuples.  ``streams=True``
-    drives each rank's accelerator through an asynchronous command
-    stream (setup/teardown control ops coalesce into BATCH frames).
+    ``(pos, vel, solute_pos, solute_vel)`` tuples.
     """
     n_ranks = len(ranks)
     if len(accelerators) != n_ranks:
@@ -319,7 +292,7 @@ def run_mp2c(engine: Engine, cpu: CPUSpec, ranks: _t.Sequence[RankHandle],
         pos, vel = (initial[i] if real else (None, None))
         spos, svel = (solutes[i] if solutes is not None else (None, None))
         bodies.append(_rank_body(engine, cpu, rank, ac, cfg, decomp,
-                                 pos, vel, spos, svel, out, streams=streams))
+                                 pos, vel, spos, svel, out))
     yield from run_parallel(engine, bodies)
     seconds = engine.now - t0
     return MP2CResult(config=cfg, n_ranks=n_ranks, seconds=seconds,

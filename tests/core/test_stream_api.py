@@ -21,7 +21,7 @@ from repro.core import (
     reply_tag,
 )
 from repro.core.coalesce import FrameCoalescer
-from repro.errors import AcceleratorFault, KernelError, MiddlewareError
+from repro.errors import AcceleratorFault, MiddlewareError
 
 from ..harness import register_tenants
 
@@ -363,28 +363,6 @@ class TestStream:
         # Two accelerators' kernels overlap: far cheaper than serialized.
         assert two < 1.5 * one
 
-    def test_kernel_set_args_stays_ordered_and_local(self, rig):
-        _, sess, acs = rig
-        ac = acs[0]
-
-        def body():
-            s = ac.stream()
-            s.kernel_create("dscal")
-            a = s.mem_alloc(8 * 8)
-            s.memcpy_h2d(a, np.ones(8))
-            s.kernel_set_args("dscal", {"x": a, "n": 8, "alpha": 4.0})
-            s.kernel_run("dscal")    # uses the staged args
-            d = s.memcpy_d2h(a, 8 * 8)
-            yield from s.synchronize()
-            return s, d
-
-        s, d = sess.call(body())
-        assert np.allclose(d.result(), 4.0)
-        # set_args cost no round trip (6 ops, 5 remote, create+alloc in
-        # one frame -> 4 frames).
-        assert s.ops_issued == 6
-        assert s.frames_issued == 4
-
     def test_stream_retry_is_at_most_once(self, rig):
         """A batch frame whose reply is delayed past the deadline is
         resent; the daemon replays it instead of re-allocating."""
@@ -410,14 +388,10 @@ class TestStream:
         """Regression: the run's staged args were resolved when the frame
         was built, before the create riding ahead of it had executed —
         failing the whole frame client-side, create included."""
-        from repro.baselines import LocalAccelerator
         cluster, sess, acs = rig
-        local_cluster = Cluster(paper_testbed(n_compute=1, n_accelerators=0,
-                                              local_gpus=True))
-        node = local_cluster.compute_nodes[0]
-        for gpu in (cluster.daemons[acs[0].handle.ac_id].gpu, node.local_gpu):
-            gpu.registry.register("forty_two", lambda dev, params: lambda: 42,
-                                  lambda params, spec: 1e-6)
+        cluster.daemons[acs[0].handle.ac_id].gpu.registry.register(
+            "forty_two", lambda dev, params: lambda: 42,
+            lambda params, spec: 1e-6)
 
         def sync(ac, name):
             yield from ac.kernel_create(name)
@@ -431,25 +405,20 @@ class TestStream:
                 yield from s.synchronize()
             finally:
                 assert created.ok                     # never taken down
-                assert s.frames_issued == (1 if s.batching else 2)
+                assert s.frames_issued == 1
             return ran.result()
 
-        def backends(name):
-            remote = cluster.remote(0, acs[0].handle)
-            yield sess, sync(remote, name), MiddlewareError
-            remote = cluster.remote(0, acs[0].handle)
-            yield sess, streamed(remote, name), MiddlewareError
-            local = LocalAccelerator(local_cluster.engine, node.local_gpu,
-                                     node.cpu)
-            yield local_cluster.session(), streamed(local, name), KernelError
+        def bodies(name):
+            yield sync(cluster.remote(0, acs[0].handle), name)
+            yield streamed(cluster.remote(0, acs[0].handle), name)
 
         # No parameters: the staged {} is enough.
-        assert [s.call(body)
-                for s, body, _ in backends("forty_two")] == [42] * 3
+        assert [sess.call(body) for body in bodies("forty_two")] == [42] * 2
         # Only the run fails, with the kernel's own text.
-        for s, body, error in backends("dscal"):
-            with pytest.raises(error, match="missing kernel parameter 'n'"):
-                s.call(body)
+        for body in bodies("dscal"):
+            with pytest.raises(MiddlewareError,
+                               match="missing kernel parameter 'n'"):
+                sess.call(body)
 
     def test_revoked_lease_fails_the_next_frame_and_sticks(self, cluster):
         sess = cluster.session()
@@ -479,48 +448,6 @@ class TestStream:
 
 
 class TestBackendParity:
-    def test_local_accelerator_stream(self):
-        from repro.baselines import LocalAccelerator
-        from repro.cluster import Cluster, paper_testbed
-        cluster = Cluster(paper_testbed(n_compute=1, n_accelerators=0,
-                                        local_gpus=True))
-        node = cluster.compute_nodes[0]
-        local = LocalAccelerator(cluster.engine, node.local_gpu, node.cpu)
-        sess = cluster.session()
-
-        def body():
-            s = local.stream()
-            assert not s.batching        # no RPC to batch
-            s.kernel_create("dscal")
-            a = s.mem_alloc(8 * 8)
-            s.memcpy_h2d(a, np.full(8, 3.0))
-            s.kernel_run("dscal", {"x": a, "n": 8, "alpha": 2.0})
-            d = s.memcpy_d2h(a, 8 * 8)
-            s.mem_free(a)
-            yield from s.synchronize()
-            return d
-
-        d = sess.call(body())
-        assert np.allclose(d.result(), 6.0)
-
-    def test_resilient_accelerator_stream(self, rig):
-        cluster, sess, acs = rig
-        ra = cluster.resilient(0, acs[0].handle)
-
-        def body():
-            s = ra.stream()
-            assert not s.batching        # per-op failover guard
-            s.kernel_create("dscal")
-            a = s.mem_alloc(8 * 8)
-            s.memcpy_h2d(a, np.full(8, 1.0))
-            s.kernel_run("dscal", {"x": a, "n": 8, "alpha": 7.0})
-            d = s.memcpy_d2h(a, 8 * 8)
-            yield from s.synchronize()
-            return d
-
-        d = sess.call(body())
-        assert np.allclose(d.result(), 7.0)
-
     def test_stream_validates_max_batch(self, rig):
         with pytest.raises(MiddlewareError):
             rig[2][0].stream(max_batch=0)

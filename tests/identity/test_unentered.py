@@ -2,9 +2,10 @@
 
 ``traffic_audit.py`` (CI job ``audit``, minutes) runs every workload to
 find which functions none of them enters.  Whether ``unentered.json``
-still names real defs, each with a known reason, is a question for the
-AST alone, so it is asked here in tier-1: a deletion that leaves its line
-behind fails in seconds instead of in the audit job.
+still names real defs, and real parameters that default to ``True`` or
+``False``, each with a known reason, is a question for the AST alone, so
+it is asked here in tier-1: a deletion that leaves its line behind fails
+in seconds instead of in the audit job.
 """
 
 import json
@@ -18,7 +19,14 @@ def _listed() -> dict[str, str]:
 
 def test_every_listed_def_exists():
     defined = set(audit.definitions().values())
-    assert sorted(set(_listed()) - defined) == []
+    assert sorted(name for name in _listed()
+                  if not name.endswith(")") and name not in defined) == []
+
+
+def test_every_listed_parameter_exists_with_a_bool_default():
+    forks = audit.forks()
+    assert sorted(name for name in _listed()
+                  if name.endswith(")") and name not in forks) == []
 
 
 def test_every_reason_is_known():

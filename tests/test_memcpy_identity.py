@@ -145,8 +145,8 @@ def test_downloaded_view_is_cow_isolated_from_later_writes():
 
 @pytest.fixture(params=["remote", "local"])
 def peer_pair(request):
-    """``(sess, a, b)``: a front-end and a ``peer_put`` target of one kind
-    (the node-attached GPU stages a peer copy onto itself)."""
+    """``(sess, a, b)``: two front-ends of one kind (the node-attached
+    GPU is both); only the remote pair has ``peer_put``."""
     if request.param == "local":
         _, sess, local = make_local_rig()
         return sess, local, local
@@ -183,6 +183,7 @@ def test_download_held_across_full_upload_carries_nothing_over(peer_pair):
     np.testing.assert_array_equal(_flat(after), second)
 
 
+@pytest.mark.parametrize("peer_pair", ["remote"], indirect=True)
 def test_peer_put_while_range_pending_ships_settled_bytes(peer_pair):
     """A partial upload under a held download leaves its tail pending;
     the peer copy's loan settles it, carrying exactly the tail."""
