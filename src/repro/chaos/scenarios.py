@@ -458,7 +458,7 @@ def _one_session(cluster: Cluster, arm, make_remote, tenant_id: str,
         tally["failed"] += 1
         reg.counter("chaos.failed").inc()
     finally:
-        tally["recoveries"] += ac.failovers + ac.preemptions_survived
+        tally["recoveries"] += ac.failovers
     done = engine.now
     if outcome == "ok":
         latency = done - t0

@@ -6,11 +6,13 @@
   manager and its resource-management API,
 * transfer protocols (naive / pipeline) and block-size policies,
 * fault injection, and a synchronous session driver for scripts.
+
+Jobs — the paper's Sect. V-B batch flow included — run through
+:class:`repro.jobs.JobService`.
 """
 
 from .api import RemoteAccelerator, run_parallel
 from .arm import AcceleratorRecord, AcceleratorState, ArmClient, ResourceManager
-from .batch import BatchJobRecord, BatchJobSpec, BatchRunner, JobContext
 from .collectives import ring_allreduce, ring_broadcast
 from .blocksize import (
     AdaptiveBlockPolicy,
@@ -68,10 +70,6 @@ from .transfer import assemble_chunks, payload_meta, slice_chunks
 __all__ = [
     "RemoteAccelerator",
     "run_parallel",
-    "BatchRunner",
-    "BatchJobSpec",
-    "BatchJobRecord",
-    "JobContext",
     "Daemon",
     "DaemonStats",
     "ResourceManager",

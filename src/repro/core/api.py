@@ -35,7 +35,7 @@ import typing as _t
 
 from ..errors import MiddlewareError, RequestTimeout
 from ..mpisim import RankHandle, payload_nbytes
-from ..obs.spans import NULL_SPAN, collector_for
+from ..obs.spans import NULL_SPAN, BranchScope, collector_for
 from .blocksize import DEFAULT_TRANSFER, TransferConfig
 from .interface import reject_bool_transfer
 from .protocol import (
@@ -431,18 +431,26 @@ def run_parallel(engine, generators: _t.Sequence[_t.Iterator]):
     If any branch raises, the first failure propagates annotated with
     which branches failed — the bare AllOf condition would otherwise
     surface an exception with no hint of its origin, and silently drop
-    every failure after the first.  Open trace spans are closed (marked
-    aborted) before the failure surfaces: a branch that died mid-request
-    must not leak half-open spans into the export.
+    every failure after the first.  The traces the branches opened are
+    closed (marked aborted) before the failure surfaces: a branch that died
+    mid-request must not leak half-open spans into the export.  Other
+    callers' traces — a concurrent job's — keep running.
     """
-    procs = [engine.process(g) for g in generators]
+    col = collector_for(engine)
+    if col.enabled:
+        scope = BranchScope(col)
+        procs = [engine.process(scope.watch(g), name=g.__name__)
+                 for g in generators]
+    else:
+        scope, procs = None, [engine.process(g) for g in generators]
     if procs:
         try:
             yield engine.all_of(procs)
         except Exception as exc:
             _annotate_parallel_failure(exc, procs)
-            collector_for(engine).abort_open(
-                f"run_parallel branch failed: {type(exc).__name__}")
+            if scope is not None:
+                scope.abort(f"run_parallel branch failed: "
+                            f"{type(exc).__name__}")
             raise
     return [p.value for p in procs]
 

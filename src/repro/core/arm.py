@@ -79,10 +79,11 @@ class AcceleratorRecord:
     #: Fabric switch the device hangs off (None on a single switch);
     #: drives topology-aware multi-device placement.
     switch: str | None = None
-    #: Total seconds spent in ASSIGNED state (utilization accounting).
+    #: Total seconds held — ASSIGNED, or hosting at least one virtual
+    #: lease (utilization accounting).
     assigned_seconds: float = 0.0
     _assigned_at: float | None = None
-    #: Completed assignment intervals as (start, end) virtual times, so
+    #: Completed holding intervals as (start, end) virtual times, so
     #: windowed utilization can intersect them with the window instead of
     #: mis-charging pre-window service to it.
     _history: list[tuple[float, float]] = dataclasses.field(
@@ -192,8 +193,10 @@ class ResourceManager:
         return self.topology.hops(ra.switch, rb.switch)
 
     def utilization(self, elapsed: float | None = None) -> float:
-        """Mean assigned-time fraction over all accelerators.
+        """Mean held-time fraction over all accelerators.
 
+        A device is held while it is exclusively ASSIGNED or hosts at
+        least one virtual lease: a fully leased pool is a busy pool.
         ``elapsed`` restricts accounting to the last ``elapsed`` seconds
         of virtual time: each assignment interval contributes only its
         overlap with ``[now - elapsed, now]``, so service completed before
@@ -606,6 +609,8 @@ class ResourceManager:
                                      spec.mem_quota_bytes or 0,
                                      self.engine.now)
         record = self.records[ac_id]
+        if record._assigned_at is None:     # its first lease: now held
+            record._assigned_at = self.engine.now
         handle = VirtualAcceleratorHandle(
             vac_id=lease.vac_id, ac_id=ac_id,
             daemon_rank=record.daemon_rank, tenant=spec.tenant_id)
@@ -626,6 +631,7 @@ class ResourceManager:
         """
         lease = self.admission.end(vac_id, self.engine.now)
         lease.preempted = True
+        self._lease_ended(lease.ac_id)
         self._revoked_vacs.add(vac_id)
         if notify:
             record = self.records[lease.ac_id]
@@ -657,10 +663,16 @@ class ResourceManager:
                       f"not {tenant!r}"))
             return
         self.admission.end(vac_id, self.engine.now)
+        self._lease_ended(lease.ac_id)
         self._reply(req, Response(req.req_id, Status.OK,
                                   value={"revoked": False}))
         # A device with no leases left is whole-device allocatable again.
         self._pool_grew()
+
+    def _lease_ended(self, ac_id: int) -> None:
+        """Close the device's holding interval once its last lease ends."""
+        if self.admission.used_slots(ac_id) == 0:
+            self._finish_assignment(self.records[ac_id])
 
     def _drain_vqueue(self) -> None:
         while len(self._vqueue):

@@ -48,20 +48,20 @@ import typing as _t
 from ..obs.spans import NULL_SPAN, collector_for
 from ..sim import Event
 from .protocol import Op, TAG_REQUEST
-from .reliability import DEFAULT_RETRY, RetryPolicy, reliable_rpc
+from .reliability import DEFAULT_RETRY, reliable_rpc
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from ..mpisim import RankHandle
 
 #: Most sub-frames merged into one MBATCH frame.  Bounds the daemon time
 #: one frame can monopolize and the work a lost frame retries.
-DEFAULT_MAX_MERGE = 16
+MAX_MERGE = 16
 
 #: Merged frames concurrently in flight per coalescer.  Two keeps the
 #: daemon fed (one frame executing while the next accumulates and
 #: travels); one would idle the daemon for a full client round trip
 #: between frames, costing more than the merge saves.
-DEFAULT_MAX_INFLIGHT = 2
+MAX_INFLIGHT = 2
 
 
 class _SubFrame:
@@ -80,25 +80,14 @@ class FrameCoalescer:
     """Merges concurrent sub-frames to one daemon into MBATCH frames."""
 
     def __init__(self, rank: "RankHandle", daemon_rank: int,
-                 window_s: float = 0.0,
-                 max_merge: int = DEFAULT_MAX_MERGE,
-                 max_inflight: int = DEFAULT_MAX_INFLIGHT,
-                 retry: RetryPolicy | None = None,
-                 name: str | None = None):
+                 window_s: float = 0.0):
         if window_s < 0:
             raise ValueError(f"window_s must be >= 0: {window_s!r}")
-        if max_merge < 1:
-            raise ValueError(f"max_merge must be >= 1: {max_merge!r}")
-        if max_inflight < 1:
-            raise ValueError(f"max_inflight must be >= 1: {max_inflight!r}")
         self.rank = rank
         self.daemon_rank = daemon_rank
         self.engine = rank.comm.engine
         self.window_s = window_s
-        self.max_merge = max_merge
-        self.max_inflight = max_inflight
-        self.retry = retry or DEFAULT_RETRY
-        self.name = name or f"coalesce:cn{rank.index}->r{daemon_rank}"
+        self.name = f"coalesce:cn{rank.index}->r{daemon_rank}"
         self._obs = collector_for(self.engine)
         self._pending: collections.deque[_SubFrame] = collections.deque()
         self._pump = None
@@ -145,7 +134,7 @@ class FrameCoalescer:
                 # Let concurrent jobs' submissions accumulate.  The window
                 # is virtual time, so merging on/off stays deterministic.
                 yield self.engine.timeout(self.window_s)
-            while self._inflight >= self.max_inflight:
+            while self._inflight >= MAX_INFLIGHT:
                 # Backpressure: new submissions keep accumulating into
                 # `_pending` while we wait, which is where flush-on-drain
                 # merging comes from.
@@ -154,7 +143,7 @@ class FrameCoalescer:
             if not self._pending:
                 return
             batch = [self._pending.popleft()
-                     for _ in range(min(len(self._pending), self.max_merge))]
+                     for _ in range(min(len(self._pending), MAX_MERGE))]
             self._inflight += 1
             self.engine.process(self._issue_slot(batch),
                                 name=f"{self.name}:frame")
@@ -179,7 +168,7 @@ class FrameCoalescer:
             with span:
                 resp = yield from reliable_rpc(
                     self.rank, self.daemon_rank, TAG_REQUEST, Op.MBATCH,
-                    params, self.retry, self.retry.timeout_s,
+                    params, DEFAULT_RETRY, DEFAULT_RETRY.timeout_s,
                     stats=self, span=span,
                     sub_traces=[s.trace for s in batch])
                 resp.raise_for_status()

@@ -77,7 +77,7 @@ class DiscoveryAgent:
     """
 
     def __init__(self, daemon: "Daemon", ac_id: int, arm_rank: int,
-                 period_s: float = 5e-4, phase_s: float = 0.0):
+                 period_s: float, phase_s: float = 0.0):
         self.daemon = daemon
         self.ac_id = ac_id
         self.arm_rank = arm_rank

@@ -477,8 +477,6 @@ class TenantAccelerator(ResilientAccelerator):
         super().__init__(arm, make_remote, grant["vac"], config=config)
         self.tenant: str = grant["vac"].tenant
         self._grant = grant
-        #: Leases this wrapper lost to preemption and survived.
-        self.preemptions_survived = 0
 
     def _reacquire(self, broken, span):
         # The revoked lease is already torn down server-side; vrelease
@@ -491,7 +489,6 @@ class TenantAccelerator(ResilientAccelerator):
             job=self.config.job)
         handle = self._grant["vac"]
         span.event("lease_reacquired", vac=handle.vac_id, ac=handle.ac_id)
-        self.preemptions_survived += 1
         return handle
 
     def _prepare_replacement(self, span):
@@ -512,7 +509,7 @@ class TenantAccelerator(ResilientAccelerator):
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<TenantAccelerator {self.tenant!r} "
                 f"vac{self._ac.handle.vac_id} "
-                f"preemptions={self.preemptions_survived}>")
+                f"failovers={self.failovers}>")
 
 
 def tenant_accelerator(arm: "ArmClient",

@@ -20,7 +20,6 @@ from ..obs.spans import collector_for
 from ..sim import Engine, Event, Resource
 from ..units import GiB, USEC
 from .dma import DMAEngine, PCIeModel, PCIE_GEN2_X16
-from .kernels import KernelRegistry
 from .memory import DeviceMemory, MemoryPartition, _offload_pool
 
 
@@ -108,14 +107,11 @@ class GPUDevice:
     _ids = 0
 
     def __init__(self, engine: Engine, spec: GPUSpec = TESLA_C1060,
-                 registry: KernelRegistry | None = None,
                  name: str | None = None):
+        from .stdkernels import default_registry
         self.engine = engine
         self.spec = spec
-        if registry is None:
-            from .stdkernels import default_registry
-            registry = default_registry().clone()
-        self.registry = registry
+        self.registry = default_registry().clone()
         GPUDevice._ids += 1
         self.name = name or f"gpu{GPUDevice._ids}"
         self.memory = DeviceMemory(spec.mem_bytes)

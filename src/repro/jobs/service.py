@@ -50,8 +50,7 @@ import enum
 import hashlib
 import typing as _t
 
-from ..core.coalesce import DEFAULT_MAX_MERGE, FrameCoalescer
-from ..core.reliability import RetryPolicy
+from ..core.coalesce import FrameCoalescer
 from ..core.scheduler import TenantSpec, WeightedFairQueue
 from ..errors import AllocationError, WorkloadError
 from ..obs.metrics import MetricsRegistry
@@ -188,10 +187,6 @@ class KernelCache:
     def record(self, tenant: str, ac_id: int, name: str) -> None:
         self._resident.add(self.key(tenant, ac_id, name))
 
-    def invalidate_device(self, ac_id: int) -> None:
-        """Drop every entry on one device (after a daemon restart)."""
-        self._resident = {k for k in self._resident if k[1] != ac_id}
-
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
@@ -222,10 +217,6 @@ class JobAccelerator:
         self._cache = kernel_cache
         self._lease = lease
         self._pool = pool
-
-    @property
-    def handle(self):
-        return self._ac.handle
 
     @property
     def device_id(self) -> int:
@@ -431,44 +422,33 @@ class JobService:
     """The ensemble front door over one cluster (see module docstring)."""
 
     def __init__(self, cluster: "Cluster", *,
-                 gateways: _t.Sequence[int] | None = None,
                  coalescing: bool = True,
                  window_s: float = DEFAULT_WINDOW_S,
-                 max_merge: int = DEFAULT_MAX_MERGE,
                  caching: bool = True,
-                 lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
-                 max_in_flight: int | None = None,
-                 retry: RetryPolicy | None = None,
-                 metrics: MetricsRegistry | None = None):
+                 lease_ttl_s: float = DEFAULT_LEASE_TTL_S):
         self.cluster = cluster
         self.engine = cluster.engine
         self.admission = cluster.arm.admission
-        self.gateways = list(gateways if gateways is not None
-                             else range(len(cluster.compute_nodes)))
-        if not self.gateways:
-            raise WorkloadError("job service needs at least one gateway")
+        #: Every compute node is a gateway.
+        self.gateways = list(range(len(cluster.compute_nodes)))
         self.coalescing = coalescing
         self.window_s = window_s
-        self.max_merge = max_merge
-        self.retry = retry
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        capacity = (len(cluster.accelerator_nodes)
-                    * self.admission.slots_per_device)
-        #: Concurrent-lease cap.  At most the admission capacity, so the
-        #: ARM grants every valloc immediately — job outcomes then cannot
-        #: depend on request timing (the on/off identity property).
-        self.max_in_flight = min(max_in_flight or capacity, capacity)
+        self.metrics = MetricsRegistry()
+        #: Concurrent-lease cap: the admission capacity, so the ARM grants
+        #: every valloc immediately — job outcomes then cannot depend on
+        #: request timing (the on/off identity property).
+        self.max_in_flight = (len(cluster.accelerator_nodes)
+                              * self.admission.slots_per_device)
         self._free = self.max_in_flight
         self._kick_scheduled = False
         self.kernel_cache = KernelCache() if caching else None
         self.lease_pool = (LeasePool(self, lease_ttl_s) if caching else None)
-        self._arm_clients = {cn: cluster.arm_client(cn, retry=retry)
+        self._arm_clients = {cn: cluster.arm_client(cn)
                              for cn in self.gateways}
         self._coalescers: dict[tuple[int, int], FrameCoalescer] = {}
         self._queues: dict[int, WeightedFairQueue] = {}
         self._records: dict[str, JobRecord] = {}
         self._tenant_gateway: dict[str, int] = {}
-        self._n_submitted = 0
         self.jobs_done = 0
         self.jobs_failed = 0
         self.jobs_cancelled = 0
@@ -478,8 +458,7 @@ class JobService:
         self._arm_held = 0
 
     # -- tenants ---------------------------------------------------------
-    def ensure_tenant(self, tenant_id: str, weight: float = 1.0,
-                      mem_quota_bytes: int | None = None) -> None:
+    def ensure_tenant(self, tenant_id: str, weight: float = 1.0) -> None:
         """Register (or update) a tenant with the shared admission policy.
 
         ``max_vaccels`` is pinned to the full capacity and the ARM
@@ -492,8 +471,7 @@ class JobService:
         """
         self.admission.register(TenantSpec(
             tenant_id=tenant_id, weight=weight, priority=0,
-            max_vaccels=max(self.max_in_flight, 1),
-            mem_quota_bytes=mem_quota_bytes))
+            max_vaccels=max(self.max_in_flight, 1)))
 
     def _tenant_weight(self, tenant_id: str) -> float:
         spec = self.admission.tenants.get(tenant_id)
@@ -508,6 +486,7 @@ class JobService:
             if dep not in self._records:
                 raise WorkloadError(
                     f"job {spec.name!r} depends on unknown job {dep!r}")
+        self._check_fits(spec)
         if spec.tenant not in self.admission.tenants:
             self.ensure_tenant(spec.tenant)
         # Tenant-sticky gateway assignment (tenants spread round-robin in
@@ -518,7 +497,6 @@ class JobService:
         gateway = self._tenant_gateway.setdefault(
             spec.tenant,
             self.gateways[len(self._tenant_gateway) % len(self.gateways)])
-        self._n_submitted += 1
         rec = JobRecord(spec=spec, state=JobState.PENDING, gateway=gateway,
                         submitted_s=self.engine.now,
                         done=Event(self.engine),
@@ -528,16 +506,29 @@ class JobService:
         return rec
 
     def submit_many(self, specs: _t.Sequence[JobSpec]) -> list[JobRecord]:
-        """Submit a whole ensemble; rejects dependency cycles up front."""
+        """Submit a whole ensemble; rejects dependency cycles and jobs the
+        pool can never hold up front."""
         order = self._toposort(specs)
+        for spec in specs:
+            self._check_fits(spec)
         by_name = {s.name: s for s in specs}
         records = [self.submit(by_name[name]) for name in order]
         by_rec = {r.spec.name: r for r in records}
         return [by_rec[s.name] for s in specs]
 
+    def _check_fits(self, spec: JobSpec) -> None:
+        """Reject a job wider than the lease capacity: it could never be
+        granted, and it would block every job queued behind it."""
+        if spec.n_accelerators > self.max_in_flight:
+            raise WorkloadError(
+                f"job {spec.name!r} wants {spec.n_accelerators} "
+                f"accelerators, the pool holds {self.max_in_flight}")
+
     @staticmethod
     def _toposort(specs: _t.Sequence[JobSpec]) -> list[str]:
-        """Kahn's algorithm; raises on cycles and unknown dependencies."""
+        """Kahn's algorithm; raises on cycles and unknown dependencies.
+
+        Independent jobs keep the caller's order (FIFO submission)."""
         by_name: dict[str, JobSpec] = {}
         for s in specs:
             if s.name in by_name:
@@ -552,7 +543,7 @@ class JobService:
                         f"job {s.name!r} depends on unknown job {dep!r}")
                 indeg[s.name] += 1
                 dependents[dep].append(s.name)
-        frontier = sorted(n for n, d in indeg.items() if d == 0)
+        frontier = [n for n, d in indeg.items() if d == 0]
         order: list[str] = []
         while frontier:
             name = frontier.pop(0)
@@ -583,14 +574,9 @@ class JobService:
         co = self._coalescers.get(key)
         if co is None:
             co = FrameCoalescer(self.cluster.compute_rank(gateway),
-                                daemon_rank, window_s=self.window_s,
-                                max_merge=self.max_merge, retry=self.retry)
+                                daemon_rank, window_s=self.window_s)
             self._coalescers[key] = co
         return co
-
-    @property
-    def coalescers(self) -> list[FrameCoalescer]:
-        return [self._coalescers[k] for k in sorted(self._coalescers)]
 
     def coalesce_stats(self) -> dict[str, float]:
         """Aggregate merge accounting across every gateway/daemon pair."""
@@ -782,7 +768,7 @@ class JobService:
         except BaseException:
             self._arm_held -= 1
             raise
-        remote = self.cluster.remote(gateway, grant["vac"], retry=self.retry)
+        remote = self.cluster.remote(gateway, grant["vac"])
         # A lease never leaves its (gateway, daemon) pair, so its
         # front-end keeps that pair's merge point for life.
         remote.coalescer = self.coalescer_for(gateway,
@@ -845,3 +831,8 @@ class JobContext:
     @property
     def cluster(self):
         return self.service.cluster
+
+    @property
+    def cpu(self):
+        """The CPU of the job's gateway compute node."""
+        return self.cluster.compute_nodes[self.record.gateway].cpu

@@ -29,16 +29,15 @@ from ..buffers import ChunkView, copy_stats
 class Phantom:
     """A payload of declared size with no backing data (timing-only mode)."""
 
-    __slots__ = ("nbytes", "note")
+    __slots__ = ("nbytes",)
 
-    def __init__(self, nbytes: int, note: str = ""):
+    def __init__(self, nbytes: int):
         if nbytes < 0:
             raise ValueError(f"negative phantom size: {nbytes!r}")
         self.nbytes = int(nbytes)
-        self.note = note
 
     def __repr__(self) -> str:
-        return f"Phantom({self.nbytes}{', ' + self.note if self.note else ''})"
+        return f"Phantom({self.nbytes})"
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Phantom) and other.nbytes == self.nbytes

@@ -7,13 +7,13 @@ this kernel's virtual clock.
 Public surface::
 
     from repro.sim import Engine, Event, Timeout, Process
-    from repro.sim import Store, Resource, BandwidthShare
+    from repro.sim import Resource, BandwidthShare
 """
 
 from .engine import Engine
 from .events import AllOf, AnyOf, Condition, Deadline, Event, Timeout
 from .process import Process
-from .resources import BandwidthShare, Resource, Store
+from .resources import BandwidthShare, Resource
 
 __all__ = [
     "Engine",
@@ -24,7 +24,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Process",
-    "Store",
     "Resource",
     "BandwidthShare",
 ]

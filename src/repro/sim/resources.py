@@ -1,7 +1,5 @@
 """Synchronization and flow-control primitives built on the event kernel.
 
-* :class:`Store` — a FIFO buffer of items with blocking ``put``/``get``
-  (used as mailboxes and request queues).
 * :class:`Resource` — counted resource with ``when_granted``/``release`` (a
   ``capacity=1`` resource is a lock; used to serialize DMA engines, NIC
   injection, CPU cores).
@@ -19,55 +17,6 @@ import typing as _t
 from ..errors import SimulationError
 from .engine import Engine
 from .events import Event, Timeout
-
-
-class Store:
-    """FIFO item buffer with optional capacity.
-
-    ``put(item)`` returns an event that succeeds once the item is accepted;
-    ``get()`` returns an event that succeeds with the next item.  With the
-    default infinite capacity, ``put`` always succeeds immediately.
-    """
-
-    def __init__(self, engine: Engine, capacity: float = float("inf")):
-        if capacity <= 0:
-            raise SimulationError(f"store capacity must be positive: {capacity!r}")
-        self.engine = engine
-        self.capacity = capacity
-        self.items: collections.deque[_t.Any] = collections.deque()
-        self._getters: collections.deque[Event] = collections.deque()
-        self._putters: collections.deque[tuple[Event, _t.Any]] = collections.deque()
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def put(self, item: _t.Any) -> Event:
-        """Offer ``item``; the returned event succeeds when it is buffered."""
-        ev = Event(self.engine)
-        self._putters.append((ev, item))
-        self._settle()
-        return ev
-
-    def get(self) -> Event:
-        """Request the next item; the event succeeds with it."""
-        ev = Event(self.engine)
-        self._getters.append(ev)
-        self._settle()
-        return ev
-
-    def _settle(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            while self._putters and len(self.items) < self.capacity:
-                ev, item = self._putters.popleft()
-                self.items.append(item)
-                ev.succeed(None)
-                progressed = True
-            while self._getters and self.items:
-                ev = self._getters.popleft()
-                ev.succeed(self.items.popleft())
-                progressed = True
 
 
 class Resource:

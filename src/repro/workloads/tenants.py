@@ -162,14 +162,14 @@ def _one_request(cluster: Cluster, arm, make_remote, tenant_id: str,
         # max_vaccels quota (another of its requests took the slot).  The
         # old lease is already torn down; the session just ends early.
         tally["aborted"] += 1
-        tally["recoveries"] += ac.preemptions_survived
+        tally["recoveries"] += ac.failovers
         reg.counter("tenant.aborted").inc()
         trace.append((tenant_id, req_idx, arrival_s, engine.now, "aborted"))
         return
     done = engine.now
     latency = done - t0
     tally["completed"] += 1
-    tally["recoveries"] += ac.preemptions_survived
+    tally["recoveries"] += ac.failovers
     reg.histogram("tenant.latency_s", tenant=tenant_id).observe(latency)
     reg.histogram("workload.latency_s").observe(latency)
     trace.append((tenant_id, req_idx, arrival_s, done, "ok"))

@@ -65,10 +65,6 @@ class TestFrameCoalescer:
         rank = cluster.compute_rank(0)
         with pytest.raises(ValueError):
             FrameCoalescer(rank, ac.handle.daemon_rank, window_s=-1.0)
-        with pytest.raises(ValueError):
-            FrameCoalescer(rank, ac.handle.daemon_rank, max_merge=0)
-        with pytest.raises(ValueError):
-            FrameCoalescer(rank, ac.handle.daemon_rank, max_inflight=0)
 
 
 class TestMbatchDedup:

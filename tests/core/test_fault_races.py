@@ -189,7 +189,7 @@ class TestRevokeRacingAttach:
         eng.process(revoker())
         cluster.run(until=0.5)
         assert "ac" in done, "session never completed after the revoke race"
-        assert done["ac"].preemptions_survived == 1
+        assert done["ac"].failovers == 1
         # The replacement grant is the one that served the session.
         assert done["out"].nbytes == 4096
 
@@ -222,4 +222,4 @@ class TestRevokeRacingAttach:
         eng.process(revoker())
         cluster.run(until=0.5)
         assert "ac" in done, "session never completed after revoke races"
-        assert done["ac"].preemptions_survived == 2
+        assert done["ac"].failovers == 2

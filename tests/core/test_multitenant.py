@@ -161,7 +161,7 @@ class TestPreemption:
             yield eng.timeout(0.01)
             back = yield from ac.memcpy_d2h(addr, data.nbytes)
             outcome["data"] = back
-            outcome["recoveries"] = ac.preemptions_survived
+            outcome["recoveries"] = ac.failovers
             outcome["second_vac"] = ac.handle.vac_id
             yield from ac.release_lease()
 

@@ -3,7 +3,8 @@
 ``traffic_audit.py`` (CI job ``audit``, minutes) runs every workload to
 find which functions none of them enters.  Whether ``unentered.json``
 still names real defs, and real parameters that default to ``True`` or
-``False``, each with a known reason, is a question for the AST alone, so
+``False`` (or, on an ``__init__``, to another literal), each with a known
+reason, is a question for the AST alone, so
 it is asked here in tier-1: a deletion that leaves its line behind fails
 in seconds instead of in the audit job.
 """
@@ -24,9 +25,19 @@ def test_every_listed_def_exists():
 
 
 def test_every_listed_parameter_exists_with_a_bool_default():
+    """A bool default anywhere, or a literal one on a constructor."""
     forks = audit.forks()
     assert sorted(name for name in _listed()
                   if name.endswith(")") and name not in forks) == []
+
+
+def test_constructor_literal_defaults_are_audited():
+    forks = audit.forks()
+    init = "src/repro/core/coalesce.py::FrameCoalescer.__init__(window_s)"
+    assert forks[init][1:] == ("window_s", 0.0)
+    # A literal default outside a constructor is a call option, not one.
+    assert "src/repro/core/arm.py::ArmClient.alloc(job)" not in forks
+    assert forks["src/repro/core/arm.py::ArmClient.alloc(wait)"][2] is True
 
 
 def test_every_reason_is_known():

@@ -13,13 +13,16 @@ workload, a reason, or delete it) or listed and entered or gone (drop the
 line).
 
 A def the audit enters can still hold a branch no workload takes, behind
-a keyword that no caller turns.  So the hook also records the bool
-arguments of entered calls, and every parameter defaulting to ``True`` or
+a keyword that no caller turns, and a class can still take an option no
+workload sets.  So the hook also records which arguments of entered calls
+differ from their defaults.  Every parameter defaulting to ``True`` or
 ``False`` that no workload passes the other value is a never-turned
-fork: it needs a workload, a reason in the same list (keyed
-``file::qualname(parameter)``), or deletion.  A generator's arguments
-are read at each resume, so a bool parameter it rebinds would read as
-passed.  A few minutes; CI job ``audit``, not tier-1
+fork, and every ``__init__`` parameter with another literal default
+(``None``, a number, a string) that no workload passes a different value
+is a never-set option: each needs a workload, a reason in the same list
+(keyed ``file::qualname(parameter)``), or deletion.  A generator's
+arguments are read at each resume, so a parameter it rebinds would read
+as passed.  A few minutes; CI job ``audit``, not tier-1
 (``test_unentered.py`` is the tier-1 check that needs no run).
 
     python tests/identity/traffic_audit.py            # check
@@ -39,6 +42,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import typing as _t
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -61,8 +65,20 @@ HOOK = '''\
 import atexit, json, os, sys, threading
 
 _FORKS = @FORKS@
-_params = {}    # code entered -> its bool-default parameters (or ())
-_args = set()   # (file, first line, parameter, bool passed)
+_params = {}    # code entered -> its (parameter, literal default) pairs (or ())
+_args = set()   # (file, first line, parameter) passed a non-default value
+
+def _turned(value, default):
+    if value is default:
+        return False
+    if default is True or default is False:
+        return value is (not default)
+    if default is None:
+        return True
+    try:
+        return bool(value != default)
+    except Exception:     # an array compared with a number: not a default
+        return True
 
 def _hook(frame, event, arg):
     if event == "call":
@@ -75,10 +91,9 @@ def _hook(frame, event, arg):
                 if "@SRC@" in name else ())
         if params:
             local = frame.f_locals
-            for param in params:
-                value = local.get(param)
-                if value is True or value is False:
-                    _args.add((code.co_filename, code.co_firstlineno, param, value))
+            for param, default in params:
+                if _turned(local.get(param, default), default):
+                    _args.add((code.co_filename, code.co_firstlineno, param))
 
 def _dump():
     sys.setprofile(None)
@@ -125,10 +140,11 @@ def definitions() -> dict[tuple[str, int], str]:
     return {key: name for key, (name, _) in _defs().items()}
 
 
-def forks() -> dict[str, tuple[tuple[str, int], str, bool]]:
+def forks() -> dict[str, tuple[tuple[str, int], str, _t.Any]]:
     """``file::qualname(parameter)`` -> ``((file, first line), parameter,
     default)`` for every parameter under src/repro whose default is
-    ``True`` or ``False``."""
+    ``True`` or ``False``, and every ``__init__`` parameter whose default
+    is another literal: ``None``, a number or a string."""
     out = {}
     for key, (name, node) in _defs().items():
         args = node.args
@@ -136,9 +152,15 @@ def forks() -> dict[str, tuple[tuple[str, int], str, bool]]:
                       args.defaults[::-1]),
                  *zip(args.kwonlyargs, args.kw_defaults)]
         for arg, default in pairs:
-            if (isinstance(default, ast.Constant)
-                    and isinstance(default.value, bool)):
-                out[f"{name}({arg.arg})"] = (key, arg.arg, default.value)
+            try:
+                value = ast.literal_eval(default) if default else ...
+            except ValueError:
+                continue
+            if (isinstance(value, bool)
+                    or (node.name == "__init__"
+                        and (value is None
+                             or isinstance(value, (int, float, str))))):
+                out[f"{name}({arg.arg})"] = (key, arg.arg, value)
     return out
 
 
@@ -169,18 +191,18 @@ def _defs() -> dict[tuple[str, int], tuple[str, ast.AST]]:
     return out
 
 
-def entered() -> tuple[set[tuple[str, int]], set[tuple[str, int, str, bool]]]:
+def entered() -> tuple[set[tuple[str, int]], set[tuple[str, int, str]]]:
     """Run every workload under the hook.
 
     Returns the ``(file, first line)`` of every def entered and the
-    ``(file, first line, parameter, value)`` of every bool argument a
-    bool-default parameter was passed.
+    ``(file, first line, parameter)`` of every :func:`forks` parameter
+    some call passed a value other than its default.
     """
     seen: set[tuple[str, int]] = set()
-    passed: set[tuple[str, int, str, bool]] = set()
-    hook_forks: dict[str, list[str]] = {}
-    for (file, line), param, _ in forks().values():
-        hook_forks.setdefault(f"{file}:{line}", []).append(param)
+    passed: set[tuple[str, int, str]] = set()
+    hook_forks: dict[str, list[tuple[str, _t.Any]]] = {}
+    for (file, line), param, default in forks().values():
+        hook_forks.setdefault(f"{file}:{line}", []).append((param, default))
     with tempfile.TemporaryDirectory() as tmp:
         hook_dir, out_dir, docs_dir = (pathlib.Path(tmp, sub)
                                        for sub in ("hook", "out", "docs"))
@@ -204,10 +226,9 @@ def entered() -> tuple[set[tuple[str, int]], set[tuple[str, int, str, bool]]]:
             for filename, line in doc["seen"]:
                 filename = filename.replace(os.sep, "/")
                 seen.add((filename[filename.rindex(SRC):], line))
-            for filename, line, param, value in doc["args"]:
+            for filename, line, param in doc["args"]:
                 filename = filename.replace(os.sep, "/")
-                passed.add((filename[filename.rindex(SRC):], line, param,
-                            value))
+                passed.add((filename[filename.rindex(SRC):], line, param))
     return seen, passed
 
 
@@ -221,14 +242,14 @@ def main() -> int:
     unentered = sorted(name for key, name in defs.items() if key not in seen)
     entered_forks = {name: fork for name, fork in forks().items()
                      if fork[0] in seen}
-    unturned = sorted(name for name, (key, param, default)
-                      in entered_forks.items()
-                      if (*key, param, not default) not in passed)
+    unturned = sorted(name for name, (key, param, _) in entered_forks.items()
+                      if (*key, param) not in passed)
     listed = json.loads(LIST_PATH.read_text()) if LIST_PATH.exists() else {}
     print(f"audit: {len(defs) - len(unentered)} of {len(defs)} function "
           f"definitions under {SRC} entered, {len(unentered)} not; "
           f"{len(entered_forks) - len(unturned)} of {len(entered_forks)} "
-          f"bool parameters of entered defs turned, {len(unturned)} not")
+          f"bool and constructor-literal parameters of entered defs "
+          f"turned, {len(unturned)} not")
     unentered = sorted(unentered + unturned)
     if args.write:
         listed = {name: listed.get(name, "unclassified") for name in unentered}

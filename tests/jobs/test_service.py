@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster, paper_testbed
-from repro.errors import WorkloadError
+from repro.core.api import run_parallel
+from repro.errors import MiddlewareError, WorkloadError
 from repro.jobs import JobService, JobSpec, JobState
+from repro.mpisim import Phantom
+from repro.obs import trace_session
+from repro.units import MiB
 
 
 @pytest.fixture
@@ -137,9 +141,10 @@ class TestDagEdgeCases:
 
 
 class TestScheduling:
-    def test_priority_orders_dispatch_under_contention(self, cluster):
-        cluster.arm.admission.slots_per_device = 1
-        svc = JobService(cluster, max_in_flight=1)
+    def test_priority_orders_dispatch_under_contention(self):
+        cluster = Cluster(paper_testbed(n_compute=2, n_accelerators=1))
+        cluster.arm.admission.slots_per_device = 1      # capacity 1
+        svc = JobService(cluster)
         log = []
         specs = [
             JobSpec(name=f"low{i}", tenant="t", body=ping_body(log),
@@ -304,3 +309,181 @@ class TestWarmPaths:
         assert rec.state is JobState.FAILED
         assert svc.lease_pool.parked == 0
         assert svc._arm_held == 0
+
+
+def gpu_burn(items: int):
+    """A job body running ``items`` gemm launches per accelerator."""
+
+    def body(ctx):
+        ptrs = []
+        for ac in ctx.accelerators:
+            ptrs.append((yield from ac.mem_alloc(MiB)))
+        for _ in range(items):
+            for ac, p in zip(ctx.accelerators, ptrs):
+                yield from ac.memcpy_h2d(p, Phantom(MiB))
+                yield from ac.kernel_run(
+                    "dgemm", {"A": 0, "B": 0, "C": 0,
+                              "m": 512, "n": 512, "k": 512}, real=False)
+        for ac, p in zip(ctx.accelerators, ptrs):
+            yield from ac.mem_free(p)
+        return len(ctx.accelerators)
+
+    return body
+
+
+class TestBatchFlow:
+    """Sect. V-B's batch flow on the service: one lease per device, no
+    warm caching (``ext_batch``'s configuration)."""
+
+    @pytest.fixture
+    def batch(self):
+        cluster = Cluster(paper_testbed(n_compute=2, n_accelerators=3))
+        cluster.arm.admission.slots_per_device = 1
+        return cluster, JobService(cluster, caching=False)
+
+    def test_single_job_runs_and_releases(self, batch):
+        cluster, svc = batch
+        rec = svc.run_all([JobSpec("j0", "t", gpu_burn(3),
+                                   n_accelerators=2)])[0]
+        assert rec.ok and rec.result == 2
+        assert cluster.arm.lease_count() == 0
+        assert svc._free == svc.max_in_flight == 3
+
+    def test_two_jobs_share_the_pool(self, batch):
+        _, svc = batch
+        recs = svc.run_all([JobSpec("a", "t", gpu_burn(5), n_accelerators=2),
+                            JobSpec("b", "t", gpu_burn(5))])
+        assert all(r.ok for r in recs)
+        assert all(r.start_s == 0.0 for r in recs)
+
+    def test_independent_jobs_dispatch_fifo_in_list_order(self, batch):
+        _, svc = batch
+        names = ["zeta", "alpha", "mid"]          # not alphabetical
+        recs = svc.run_all([JobSpec(n, "t", gpu_burn(2), n_accelerators=3)
+                            for n in names])
+        assert all(r.ok for r in recs)
+        assert [r.spec.name for r in sorted(recs, key=lambda r: r.start_s)] \
+            == names
+        assert recs[1].start_s >= recs[0].end_s
+
+    def test_pool_shortage_queues_fifo(self, batch):
+        _, svc = batch
+        big, late = svc.run_all([
+            JobSpec("big", "t", gpu_burn(10), n_accelerators=3),
+            JobSpec("late", "t", gpu_burn(1), arrival_s=1e-4)])
+        assert late.start_s >= big.end_s
+
+    def test_oversized_job_rejected_at_submit(self):
+        cluster = Cluster(paper_testbed(n_compute=1, n_accelerators=2))
+        cluster.arm.admission.slots_per_device = 1
+        svc = JobService(cluster)
+        with pytest.raises(WorkloadError, match="wants 3"):
+            svc.submit(JobSpec("huge", "t", ping_body(), n_accelerators=3))
+        with pytest.raises(WorkloadError, match="wants 3"):
+            svc.submit_many([JobSpec("ok", "t", ping_body()),
+                             JobSpec("huge", "t", ping_body(),
+                                     n_accelerators=3)])
+        assert svc.records == []
+        # Nothing queued behind a job that can never be granted.
+        recs = svc.run_all([JobSpec("ok", "t", ping_body(), n_accelerators=2)])
+        assert recs[0].ok
+
+    def test_failing_job_still_releases(self, batch):
+        cluster, svc = batch
+
+        def bad(ctx):
+            yield ctx.engine.timeout(0.001)
+            raise RuntimeError("app crash")
+
+        rec = svc.run_all([JobSpec("bad", "t", bad, n_accelerators=2)])[0]
+        assert rec.state is JobState.FAILED
+        assert isinstance(rec.error, RuntimeError)
+        assert cluster.arm.lease_count() == 0 and svc._arm_held == 0
+
+    def test_arrival_times_respected(self, batch):
+        _, svc = batch
+        rec = svc.run_all([JobSpec("later", "t", gpu_burn(1),
+                                   arrival_s=5.0)])[0]
+        assert rec.ok and rec.start_s >= 5.0
+
+    def test_real_numerics_inside_job(self, batch):
+        _, svc = batch
+        data = np.arange(64, dtype=np.float64)
+
+        def body(ctx):
+            ac = ctx.accelerators[0]
+            p = yield from ac.mem_alloc(data.nbytes)
+            yield from ac.memcpy_h2d(p, data)
+            yield from ac.kernel_run("dscal", {"x": p, "n": 64, "alpha": 3.0})
+            out = yield from ac.memcpy_d2h(p, data.nbytes)
+            return out
+
+        rec = svc.run_all([JobSpec("math", "t", body)])[0]
+        np.testing.assert_allclose(rec.result, 3.0 * data)
+
+    def test_job_context_cpu_is_its_gateway_node(self, batch):
+        cluster, svc = batch
+        seen = []
+
+        def body(ctx):
+            seen.append(ctx.cpu)
+            yield from ctx.accelerators[0].ping()
+
+        rec = svc.run_all([JobSpec("a", "t", body)])[0]
+        assert seen == [cluster.compute_nodes[rec.gateway].cpu]
+
+    def test_utilization_visible_to_arm_under_leases(self, batch):
+        cluster, svc = batch
+        svc.run_all([JobSpec("j", "t", gpu_burn(20), n_accelerators=3)])
+        # Every device carried a lease for the whole run.
+        assert cluster.arm.utilization() > 0.9
+
+    def test_failing_branch_aborts_only_its_own_spans(self):
+        """Regression: one job's failed ``run_parallel`` closed every open
+        span on the engine, truncating a concurrent job's in-flight copy
+        and stamping it ``aborted``."""
+
+        def slow_branch(ac):
+            addr = yield from ac.mem_alloc(4 * MiB)
+            yield from ac.memcpy_h2d(addr, np.ones(4 * MiB // 8))
+
+        def failing_branch(ac):
+            yield from ac.mem_alloc(100 * 1024**3)    # OOM -> MiddlewareError
+
+        def a(ctx):
+            yield from run_parallel(ctx.engine, [
+                slow_branch(ctx.accelerators[0]),
+                failing_branch(ctx.accelerators[1])])
+
+        def b(ctx):
+            ac = ctx.accelerators[0]
+            addr = yield from ac.mem_alloc(8 * MiB)
+            yield from ac.memcpy_h2d(addr, np.ones(8 * MiB // 8))
+
+        with trace_session() as session:
+            cluster = Cluster(paper_testbed(n_compute=2, n_accelerators=3))
+            cluster.arm.admission.slots_per_device = 1
+            svc = JobService(cluster, caching=False)
+            rec_a, rec_b = svc.run_all([
+                JobSpec("a", "alice", a, n_accelerators=2),
+                JobSpec("b", "bob", b)])
+        assert rec_a.state is JobState.FAILED
+        assert isinstance(rec_a.error, MiddlewareError)
+        assert rec_b.ok and rec_b.end_s > rec_a.end_s
+        assert rec_a.gateway != rec_b.gateway
+        (col,) = session.collectors
+        assert col.open_spans == []
+        roots = {r.trace_id: r.actor for r in col.spans if r.parent_id is None}
+        by_job = {"a": [], "b": []}
+        for span in col.spans:
+            actor = roots.get(span.trace_id)
+            for name, rec in (("a", rec_a), ("b", rec_b)):
+                if actor == f"cn{rec.gateway}":
+                    by_job[name].append(span)
+        # The failed job's in-flight copy was closed as aborted ...
+        assert {s.name for s in by_job["a"] if "aborted" in s.attrs} >= {
+            "client.memcpy_h2d"}
+        # ... the healthy job's copy ran to its own finish.
+        copy = [s for s in by_job["b"] if s.name == "client.memcpy_h2d"]
+        assert len(copy) == 1 and copy[0].end > rec_a.end_s
+        assert [s for s in by_job["b"] if "aborted" in s.attrs] == []

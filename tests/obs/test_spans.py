@@ -10,7 +10,7 @@ from repro.errors import MiddlewareError, RequestTimeout
 from repro.gpusim.dma import PCIE_GEN2_X16, DMAEngine
 from repro.netsim import IB_QDR_MPI, Fabric
 from repro.obs import NULL_SPAN, SpanContext, collector_for, enable_tracing
-from repro.obs.spans import SpanEvent
+from repro.obs.spans import BranchScope, SpanEvent
 from repro.sim import Engine
 from repro.units import KiB, MiB
 
@@ -188,18 +188,38 @@ class TestSpanBudget:
         obs.spans = NoScan(obs.spans)
         assert obs.open_spans == []
         assert obs.abort_open("again") == 0
-        assert obs.abort_open("again", actor="cn0") == 0
 
-    def test_abort_open_scoped_to_an_actor_leaves_other_traces_open(self):
+    def test_branch_scope_aborts_only_the_traces_its_steps_opened(self):
         eng = Engine()
         obs = enable_tracing(eng)
-        mine = obs.start("client.op", "cn0")
-        mine_remote = mine.child("daemon.op", "ac0")
-        theirs = obs.start("client.op", "cn1")
+        outer = BranchScope(obs)
+        opened = {}
+
+        def branch():
+            opened["mine"] = obs.start("client.op", "cn0")
+            yield eng.timeout(1.0)
+            # Opened in a watched step, on someone else's trace: still ours.
+            opened["borrowed"] = theirs.child("client.sub", "cn0")
+            inner = opened["inner"] = BranchScope(obs)   # nested scope
+            yield eng.process(inner.watch(nested()))
+
+        def nested():
+            opened["nested"] = obs.start("client.op", "cn0")
+            yield eng.timeout(1.0)
+
+        theirs = obs.start("client.op", "cn0")     # same actor, not watched
+        eng.process(outer.watch(branch()))
+        eng.run(until=1.5)
+        # Opened outside any watched step, as a daemon's are: claimed
+        # through the trace its parent roots.
+        mine_remote = opened["mine"].child("daemon.op", "ac0")
         theirs_remote = theirs.child("daemon.op", "ac0")
-        assert obs.abort_open("job failed", actor="cn0") == 2
-        assert not mine.open and not mine_remote.open
-        assert theirs.open and theirs_remote.open
+        assert opened["inner"].outer is outer
+        assert opened["inner"].abort("nested failed") == 1
+        assert not opened["nested"].open
+        assert outer.abort("job failed") == 3
+        assert not opened["mine"].open and not mine_remote.open
+        assert not opened["borrowed"].open
         assert "aborted" not in theirs.attrs
         assert obs.open_spans == [theirs, theirs_remote]
 

@@ -41,34 +41,6 @@ class TestClockProperties:
         assert stamps == sorted(stamps)
         assert len(stamps) == 2 * len(pairs)
 
-    @given(st.integers(1, 60), st.integers(0, 2**31 - 1))
-    @settings(max_examples=50, deadline=None)
-    def test_interleaved_producers_consumers_conserve_items(self, n, seed):
-        import random
-        rng = random.Random(seed)
-        from repro.sim import Store
-        eng = Engine()
-        store = Store(eng)
-        produced, consumed = [], []
-
-        def producer(items):
-            for it in items:
-                yield eng.timeout(rng.random())
-                yield store.put(it)
-                produced.append(it)
-
-        def consumer(count):
-            for _ in range(count):
-                v = yield store.get()
-                consumed.append(v)
-
-        items = list(range(n))
-        eng.process(producer(items))
-        p = eng.process(consumer(n))
-        eng.run(until=p)
-        assert sorted(consumed) == items
-        assert consumed == produced  # FIFO
-
 
 class TestBandwidthShareProperties:
     @given(st.lists(st.tuples(st.floats(0.0, 10.0, allow_nan=False),

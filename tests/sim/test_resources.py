@@ -1,9 +1,9 @@
-"""Unit tests for Store, Resource, and BandwidthShare."""
+"""Unit tests for Resource and BandwidthShare."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import BandwidthShare, Engine, Resource, Store
+from repro.sim import BandwidthShare, Engine, Resource
 
 
 @pytest.fixture
@@ -17,115 +17,6 @@ def granted(res):
     ev = res.engine.event()
     res.when_granted(ev.succeed)
     return ev
-
-
-class TestStore:
-    def test_put_then_get(self, eng):
-        store = Store(eng)
-
-        def producer():
-            yield store.put("a")
-            yield store.put("b")
-
-        def consumer():
-            x = yield store.get()
-            y = yield store.get()
-            return (x, y)
-
-        eng.process(producer())
-        c = eng.process(consumer())
-        assert eng.run(until=c) == ("a", "b")
-
-    def test_get_blocks_until_put(self, eng):
-        store = Store(eng)
-        got_at = []
-
-        def consumer():
-            v = yield store.get()
-            got_at.append((eng.now, v))
-
-        def producer():
-            yield eng.timeout(2.0)
-            yield store.put("late")
-
-        eng.process(consumer())
-        eng.process(producer())
-        eng.run()
-        assert got_at == [(2.0, "late")]
-
-    def test_fifo_order_of_items(self, eng):
-        store = Store(eng)
-        out = []
-
-        def producer():
-            for i in range(5):
-                yield store.put(i)
-
-        def consumer():
-            for _ in range(5):
-                v = yield store.get()
-                out.append(v)
-
-        eng.process(producer())
-        eng.process(consumer())
-        eng.run()
-        assert out == [0, 1, 2, 3, 4]
-
-    def test_fifo_order_of_getters(self, eng):
-        store = Store(eng)
-        served = []
-
-        def consumer(name):
-            v = yield store.get()
-            served.append((name, v))
-
-        eng.process(consumer("first"))
-        eng.process(consumer("second"))
-
-        def producer():
-            yield eng.timeout(1.0)
-            yield store.put("x")
-            yield store.put("y")
-
-        eng.process(producer())
-        eng.run()
-        assert served == [("first", "x"), ("second", "y")]
-
-    def test_capacity_blocks_put(self, eng):
-        store = Store(eng, capacity=1)
-        timeline = []
-
-        def producer():
-            yield store.put("a")
-            timeline.append(("put-a", eng.now))
-            yield store.put("b")
-            timeline.append(("put-b", eng.now))
-
-        def consumer():
-            yield eng.timeout(5.0)
-            v = yield store.get()
-            timeline.append(("got", v, eng.now))
-
-        eng.process(producer())
-        eng.process(consumer())
-        eng.run()
-        assert ("put-a", 0.0) in timeline
-        assert ("put-b", 5.0) in timeline  # second put waited for the get
-
-    def test_bad_capacity_rejected(self, eng):
-        with pytest.raises(SimulationError):
-            Store(eng, capacity=0)
-
-    def test_len(self, eng):
-        store = Store(eng)
-
-        def producer():
-            yield store.put(1)
-            yield store.put(2)
-
-        p = eng.process(producer())
-        eng.run(until=p)
-        assert len(store) == 2
 
 
 class TestResource:
