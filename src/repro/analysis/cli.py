@@ -7,8 +7,6 @@ Usage::
     python -m repro run all --quick
     python -m repro trace fig05 [--quick] [--out trace.json] [--timeline]
                                 [--check-identity]
-    python -m repro tenants [--tenants N] [--accelerators M] [--seed S]
-                            [--quick] [--json out.json] [--check-determinism]
     python -m repro jobs [--jobs N] [--accelerators M] [--gateways G]
                          [--seed S] [--compare] [--no-coalesce] [--no-cache]
                          [--quick] [--json out.json] [--check-determinism]
@@ -28,7 +26,9 @@ numbers — tracing must never perturb virtual time.
 
 ``chaos`` replays one (or every) scenario from the chaos library
 (:mod:`repro.chaos`) against the discovery-driven cluster and prints the
-recovery-latency / SLO-violation scores.  ``--check-determinism`` runs
+recovery-latency / SLO-violation scores, ARM preemptions, and per-tenant
+latency and fairness; ``steady`` injects no fault, so it is the open-loop
+multi-tenant admission workload alone.  ``--check-determinism`` runs
 each scenario twice and asserts bit-identical trace digests;
 ``--check`` gates the scores against checked-in expectation bounds
 (``benchmarks/chaos_expectations.json``; generated with ``--quick``,
@@ -148,53 +148,6 @@ def trace_experiment(name: str, quick: bool = False,
                 f"perturbed the virtual timeline")
         out.write("identity check passed: traced run is bit-identical "
                   "to the untraced run\n")
-
-
-def run_tenants(args: argparse.Namespace,
-                out: _t.TextIO | None = None) -> int:
-    """The ``tenants`` subcommand: open-loop multi-tenant workload."""
-    from ..workloads import tenants as _tenants
-    out = out if out is not None else sys.stdout
-    if args.quick:
-        cfg = _tenants.TenantWorkloadConfig(
-            n_tenants=min(args.tenants, 48), n_accelerators=2, n_gateways=2,
-            slots_per_device=2, requests_per_tenant=2, window_s=2e-3,
-            payload_bytes=args.payload_kib * 1024, seed=args.seed)
-    else:
-        cfg = _tenants.TenantWorkloadConfig(
-            n_tenants=args.tenants, n_accelerators=args.accelerators,
-            n_gateways=args.gateways, slots_per_device=args.slots,
-            requests_per_tenant=args.requests,
-            window_s=args.window_ms * 1e-3,
-            payload_bytes=args.payload_kib * 1024, seed=args.seed)
-    report = _tenants.run(cfg)
-    out.write(_tenants.format_report(report) + "\n")
-    if args.check_determinism:
-        again = _tenants.run(cfg)
-        if again.digest != report.digest:
-            raise SystemExit("tenants: same seed produced a different "
-                             "trace digest — run is not deterministic")
-        out.write("determinism check passed: same seed, same digest\n")
-    if args.json_path:
-        doc = {
-            "config": dataclasses.asdict(cfg),
-            "duration_s": report.duration_s,
-            "submitted": report.submitted,
-            "completed": report.completed,
-            "rejected": report.rejected,
-            "aborted": report.aborted,
-            "preemptions": report.preemptions,
-            "recoveries": report.recoveries,
-            "latency_p50_s": report.latency_p50_s,
-            "latency_p99_s": report.latency_p99_s,
-            "fairness": report.fairness,
-            "digest": report.digest,
-            "per_tenant": report.per_tenant,
-        }
-        with open(args.json_path, "w") as fh:
-            json.dump(doc, fh, indent=1)
-        out.write(f"report written to {args.json_path}\n")
-    return 0
 
 
 def run_jobs(args: argparse.Namespace,
@@ -389,30 +342,6 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
                         help="print an ASCII span timeline")
     tracep.add_argument("--check-identity", action="store_true",
                         help="re-run untraced and assert identical results")
-    tenp = sub.add_parser(
-        "tenants", help="run the open-loop multi-tenant workload")
-    tenp.add_argument("--tenants", type=int, default=1000,
-                      help="tenant population size (default 1000)")
-    tenp.add_argument("--accelerators", type=int, default=8,
-                      help="physical accelerators, 1..8 (default 8)")
-    tenp.add_argument("--gateways", type=int, default=4,
-                      help="gateway compute nodes (default 4)")
-    tenp.add_argument("--slots", type=int, default=4,
-                      help="virtual-accelerator slots per device (default 4)")
-    tenp.add_argument("--requests", type=int, default=1,
-                      help="requests per tenant (default 1)")
-    tenp.add_argument("--window-ms", type=float, default=10.0,
-                      help="arrival window in virtual ms (default 10)")
-    tenp.add_argument("--payload-kib", type=int, default=64,
-                      help="per-request payload in KiB (default 64)")
-    tenp.add_argument("--seed", type=int, default=0,
-                      help="RNG seed (default 0)")
-    tenp.add_argument("--quick", action="store_true",
-                      help="small population for a fast look (CI smoke)")
-    tenp.add_argument("--json", dest="json_path", default=None,
-                      help="also write the report as JSON")
-    tenp.add_argument("--check-determinism", action="store_true",
-                      help="run twice and assert bit-identical digests")
     jobsp = sub.add_parser(
         "jobs", help="run the ensemble job-service front door")
     jobsp.add_argument("--jobs", type=int, default=96,
@@ -485,8 +414,6 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
     if args.cmd == "list":
         list_experiments()
         return 0
-    if args.cmd == "tenants":
-        return run_tenants(args)
     if args.cmd == "jobs":
         return run_jobs(args)
     if args.cmd == "chaos":

@@ -162,8 +162,7 @@ class Cluster:
     def tenant(self, cn_index: int, tenant_id: str,
                config: FailoverConfig | None = None,
                transfer: TransferConfig | None = None,
-               retry: RetryPolicy | None = None, wait: bool = True,
-               job: str | None = None):
+               retry: RetryPolicy | None = None, job: str | None = None):
         """Lease a virtual accelerator for ``tenant_id`` (generator).
 
         Runs the valloc + attach handshake against the ARM and the
@@ -175,7 +174,7 @@ class Cluster:
         ac = yield from tenant_accelerator(
             self.arm_client(cn_index, retry=retry),
             lambda h: self.remote(cn_index, h, transfer=transfer, retry=retry),
-            tenant_id, config=config, wait=wait, job=job)
+            tenant_id, config=config, job=job)
         return ac
 
     def accelerator_for_handle(self, handle: AcceleratorHandle) -> AcceleratorNode:

@@ -515,13 +515,13 @@ class TenantAccelerator(ResilientAccelerator):
 def tenant_accelerator(arm: "ArmClient",
                        make_remote: _t.Callable[[AcceleratorHandle], "RemoteAccelerator"],
                        tenant: str, config: FailoverConfig | None = None,
-                       wait: bool = True, job: str | None = None):
+                       job: str | None = None):
     """Lease and attach a virtual accelerator for ``tenant`` (generator).
 
     Performs the full acquisition handshake — ARM ``valloc`` then daemon
     ``VAC_ATTACH`` — and returns a ready :class:`TenantAccelerator`.
     """
-    grant = yield from arm.valloc(tenant, wait=wait, job=job)
+    grant = yield from arm.valloc(tenant, job=job)
     ac = TenantAccelerator(arm, make_remote, grant, config=config)
     # Guarded: a VAC_REVOKE can race ahead of this very first attach (the
     # ARM preempts or loses the device before the daemon ever saw the

@@ -10,8 +10,8 @@ one registry, and distills per-operation latency histograms from the
 engine's span collector when tracing was on.
 :func:`repro.analysis.metrics.collect` builds its ``ClusterReport`` from
 a fresh snapshot rather than scraping component fields directly; the
-workload reports (``tenants``, ``jobs``, ``chaos``) keep their own
-registries and read quantiles with :meth:`Histogram.percentile`.
+workload reports (``jobs``, ``chaos``) keep their own registries and
+read quantiles with :meth:`Histogram.percentile`.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
-"""Workloads: bandwidth, linear algebra, MP2C, tenants, collectives."""
+"""Workloads: bandwidth, linear algebra, MP2C, collectives."""
 
-from . import bandwidth, collective, linalg, mp2c, pingpong, tenants
+from . import bandwidth, collective, linalg, mp2c, pingpong
 
-__all__ = ["bandwidth", "pingpong", "linalg", "mp2c", "tenants", "collective"]
+__all__ = ["bandwidth", "pingpong", "linalg", "mp2c", "collective"]

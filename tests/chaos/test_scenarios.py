@@ -6,13 +6,18 @@ silently stopped firing would otherwise still pass the determinism
 check (a no-op replayed twice is identical to itself).
 """
 
+import dataclasses
+
 import pytest
 
-from repro.chaos import SCENARIOS, check_expectations
+from repro.chaos import SCENARIOS, check_expectations, format_report
 from repro.chaos.scenarios import ChaosConfig, Injection, run, score_pool_events
 from repro.errors import WorkloadError
 
 from ..harness import run_chaos_scenario
+
+#: The CLI's ``--quick`` size.
+QUICK = ChaosConfig(n_tenants=24, window_s=10e-3)
 
 
 class TestScenarioSignals:
@@ -67,6 +72,12 @@ class TestScenarioSignals:
         assert r.completed > 0
         assert r.unrecovered == 0
 
+    def test_steady_is_fault_free(self):
+        r = run("steady", QUICK)
+        assert r.ttl_evictions == r.leaves == 0
+        assert r.recovery_latencies_s == []
+        assert r.unrecovered == r.failed == r.stuck == r.corrupted == 0
+
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_every_scenario_reports_obs_metrics(self, name):
         r = run_chaos_scenario(SCENARIOS[name])
@@ -74,6 +85,67 @@ class TestScenarioSignals:
         assert "chaos.slo_violations" in snapshot
         assert "chaos.recovery_latency_s" in snapshot
         assert r.slo_violations == (r.late + r.failed + r.aborted + r.stuck)
+
+
+class TestSteady:
+    """The tenant population alone: admission, preemption and fairness."""
+
+    def test_every_request_accounted(self):
+        r = run("steady", QUICK)
+        assert r.submitted == 48
+        assert (r.completed + r.rejected + r.aborted + r.failed + r.stuck
+                == r.submitted)
+        assert r.completed > 0
+
+    def test_contended_run_preempts_and_recovers(self):
+        r = run("steady", QUICK)
+        # 48 arrivals in 2 ms over 4 slots: priorities must collide.
+        assert r.preemptions > 0
+        assert r.recoveries > 0
+
+    def test_same_seed_bit_identical_digest(self):
+        a = run("steady", dataclasses.replace(QUICK, seed=11))
+        b = run("steady", dataclasses.replace(QUICK, seed=11))
+        assert a.digest == b.digest
+        assert a.duration_s == b.duration_s
+        assert a.per_tenant == b.per_tenant
+
+    def test_different_seed_different_digest(self):
+        a = run("steady", dataclasses.replace(QUICK, seed=11))
+        b = run("steady", dataclasses.replace(QUICK, seed=12))
+        assert a.digest != b.digest
+
+    def test_latency_percentiles_present(self):
+        r = run("steady", QUICK)
+        assert 0.0 < r.latency_p50_s <= r.latency_p99_s
+        assert r.per_tenant
+        for row in r.per_tenant.values():
+            assert row["count"] >= 1
+            assert 0.0 < row["p50_s"] <= row["p99_s"]
+
+    def test_per_tenant_latencies_are_the_session_latencies(self):
+        # Rebuilt from the trace rows after the run: the same samples the
+        # aggregate histogram saw while the sessions completed.
+        r = run("steady", QUICK)
+        agg = r.registry.histogram("chaos.latency_s")
+        per = r.registry.histograms("chaos.tenant_latency_s")
+        assert sum(h.count for h in per) == agg.count == r.completed
+        assert min(h.min for h in per) == agg.min
+        assert max(h.max for h in per) == agg.max
+        assert max(row["p99_s"] for row in r.per_tenant.values()) == agg.max
+
+    def test_fairness_from_registry(self):
+        r = run("steady", QUICK)
+        assert 0.0 < r.fairness <= 1.0
+        assert r.registry.value("chaos.fairness_jain") == r.fairness
+        assert r.registry.value("chaos.preemptions") == r.preemptions
+
+    def test_report_renders(self):
+        text = format_report(run("steady", QUICK))
+        assert "fairness" in text
+        assert "preemptions" in text
+        assert "p99" in text
+        assert "digest" in text
 
 
 class TestScoring:
@@ -133,6 +205,19 @@ class TestValidation:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(WorkloadError):
             run("no-such-scenario", ChaosConfig())
+
+    @pytest.mark.parametrize("kwargs", [
+        {"n_tenants": 0},
+        {"n_accelerators": 0},
+        {"n_accelerators": 9},
+        {"n_gateways": 0},
+        {"requests_per_tenant": 0},
+        {"window_s": 0.0},
+        {"payload_bytes": 4},
+    ])
+    def test_config_validation(self, kwargs):
+        with pytest.raises(WorkloadError):
+            ChaosConfig(**kwargs)
 
     def test_bad_config_rejected(self):
         with pytest.raises(WorkloadError):

@@ -1,19 +1,19 @@
 """The identity contract as a file: regenerate ``ledger.json`` and compare.
 
 ``ledger.json`` holds, verbatim, every JSON document the CLI writes at
-``--quick`` size (the 16 ``run <exp>`` series, ``tenants``, ``jobs
---compare``, ``chaos all --check``, ``collective`` allreduce and
-broadcast, each harness document with ``--check-determinism``) and, per
+``--quick`` size (the 16 ``run <exp>`` series, ``jobs --compare``,
+``chaos all --check``, ``collective`` allreduce and broadcast, each
+harness document with ``--check-determinism``) and, per
 ``benchmarks/e2e`` workload at ``--smoke`` size and seeds 0 and 1, the
 counters that repeat bit-for-bit.  A refactor leaves the file alone; a
 sanctioned rebaseline is a reviewed diff to it, written by
 
     PYTHONPATH=src python tests/identity/test_ledger.py
 
-The comparison is exact.  The ``jobs`` / ``tenants`` / ``chaos`` digests
-hash real numerics, so the file records the interpreter and numpy that
-wrote it; if another pair moves a digest, pin the job that runs this
-test to the recorded pair rather than loosening the comparison.
+The comparison is exact.  The ``jobs`` / ``chaos`` digests hash real
+numerics, so the file records the interpreter and numpy that wrote it;
+if another pair moves a digest, pin the job that runs this test to the
+recorded pair rather than loosening the comparison.
 """
 
 import importlib.metadata
@@ -37,7 +37,6 @@ ENV = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"),
 _HARNESS = ["--quick", "--check-determinism"]
 CLI_DOCUMENTS = {
     **{f"run-{name}": ["run", name, "--quick"] for name in sorted(EXPERIMENTS)},
-    "tenants": ["tenants", *_HARNESS],
     "jobs": ["jobs", "--compare", *_HARNESS],
     "chaos": ["chaos", "all", "--check", "benchmarks/chaos_expectations.json",
               *_HARNESS],
@@ -142,12 +141,13 @@ def test_harness_documents_show_what_they_exist_to_show(ledger):
     assert jobs["kernel_cache_hit_rate"] > 0 and jobs["alloc_cache_hit_rate"] > 0
     assert jobs["leases_reused"] > 0
     assert jobs["failed"] == jobs["cancelled"] == 0
-    tenants = docs["tenants"]
-    assert tenants["latency_p99_s"] > 0
-    assert tenants["per_tenant"], "per-tenant latency table is empty"
-    assert all("p99_s" in row for row in tenants["per_tenant"].values())
-    assert 0.0 < tenants["fairness"] <= 1.0, tenants["fairness"]
     chaos = docs["chaos"]
+    steady = chaos["steady"]
+    assert steady["latency_p99_s"] > 0
+    assert steady["per_tenant"], "per-tenant latency table is empty"
+    assert all("p99_s" in row for row in steady["per_tenant"].values())
+    assert 0.0 < steady["fairness"] <= 1.0, steady["fairness"]
+    assert steady["preemptions"] > 0 and steady["recoveries"] > 0
     assert len(chaos) >= 6, sorted(chaos)
     for name, report in chaos.items():
         assert report["stuck"] == report["corrupted"] == 0, name

@@ -17,14 +17,11 @@ import pytest
 from repro.chaos import ChaosConfig, scenarios
 from repro.cluster import Cluster, paper_testbed
 from repro.mpisim import datatypes
-from repro.workloads import collective, ensemble, tenants
+from repro.workloads import collective, ensemble
 from repro.workloads.linalg import qr_factorize
 
 ENSEMBLE = ensemble.EnsembleConfig(n_jobs=32, n_accelerators=4, n_gateways=2,
                                    slots_per_device=4)
-TENANTS = tenants.TenantWorkloadConfig(
-    n_tenants=24, n_accelerators=2, n_gateways=2, slots_per_device=2,
-    requests_per_tenant=2, window_s=2e-3)
 CHAOS = ChaosConfig(n_tenants=24, window_s=10e-3)      # the CLI's --quick
 COLLECTIVE = collective.CollectiveConfig(devices=4, chunk_elements=1024)
 
@@ -95,9 +92,9 @@ class TestRepeatableWithoutAReset:
 
     @pytest.mark.parametrize("run, cfg", [
         (ensemble.run, ENSEMBLE),
-        (tenants.run, TENANTS),
+        (lambda cfg: scenarios.run("steady", cfg), CHAOS),
         (lambda cfg: scenarios.run("partition", cfg), CHAOS),
-    ], ids=["ensemble", "tenants", "chaos-partition"])
+    ], ids=["ensemble", "chaos-steady", "chaos-partition"])
     def test_workload_repeats(self, run, cfg):
         first = run(cfg)
         _small_qr()             # thousands of ids, on its own cluster
