@@ -22,6 +22,7 @@ from repro.workloads.mp2c import (
     run_mp2c,
     thermal_velocities,
 )
+from repro.workloads.mp2c.config import CELL_SIZE, SRD_EVERY
 
 N_RANKS = 2
 
@@ -49,8 +50,8 @@ def make_initial(cfg, seed=0):
     rng = np.random.default_rng(seed)
     edge = cfg.box_edge_cells()
     cells_x = edge + (N_RANKS - edge % N_RANKS) % N_RANKS
-    box = np.array([cells_x * cfg.cell_size, edge * cfg.cell_size,
-                    edge * cfg.cell_size])
+    box = np.array([cells_x * CELL_SIZE, edge * CELL_SIZE,
+                    edge * CELL_SIZE])
     slab = box[0] / N_RANKS
     per_rank = cfg.n_particles // N_RANKS
     out = []
@@ -69,7 +70,7 @@ def run(cluster, sess, acs, cfg, initial=None):
 
 def main():
     # -- physics validation on a small real run ---------------------------
-    cfg = MP2CConfig(n_particles=4000, steps=20, srd_every=5)
+    cfg = MP2CConfig(n_particles=4000, steps=20)
     initial = make_initial(cfg)
     e0 = sum(kinetic_energy(v) for _, v in initial)
     p0 = sum(momentum(v) for _, v in initial)
@@ -80,7 +81,7 @@ def main():
     p1 = sum(momentum(v) for _, v in res.final)
     n1 = sum(p.shape[0] for p, _ in res.final)
     print(f"real run: {cfg.n_particles} particles, {cfg.steps} steps, "
-          f"SRD every {cfg.srd_every}th on remote GPUs")
+          f"SRD every {SRD_EVERY}th on remote GPUs")
     print(f"  particles conserved : {n1} == {cfg.n_particles // 2 * 2}")
     print(f"  kinetic energy drift: {abs(e1 - e0) / e0:.2e} (SRD is exact)")
     print(f"  momentum drift      : {np.abs(p1 - p0).max():.2e}")
@@ -89,13 +90,13 @@ def main():
     assert np.abs(p1 - p0).max() < 1e-7
 
     # -- coupled LJ solutes (the molecular-dynamics part of MP2C) ---------
-    cfg2 = MP2CConfig(n_particles=4000, steps=10, srd_every=5, dt=0.004)
+    cfg2 = MP2CConfig(n_particles=4000, steps=10, dt=0.004)
     solvent2 = make_initial(cfg2, seed=7)
     rng = np.random.default_rng(8)
     solutes = []
-    edge = cfg2.box_edge_cells() * cfg2.cell_size
+    edge = cfg2.box_edge_cells() * CELL_SIZE
     cells_x = cfg2.box_edge_cells() + (N_RANKS - cfg2.box_edge_cells() % N_RANKS) % N_RANKS
-    slab = cells_x * cfg2.cell_size / N_RANKS
+    slab = cells_x * CELL_SIZE / N_RANKS
     for r in range(N_RANKS):
         spos = rng.uniform(0.2, 0.8, (8, 3)) * np.array([slab, edge, edge])
         spos[:, 0] += r * slab

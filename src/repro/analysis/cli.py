@@ -3,20 +3,17 @@
 Usage::
 
     python -m repro list
-    python -m repro run fig05 [--quick] [--json out.json] [--no-check]
+    python -m repro run fig05 [--quick] [--json out.json]
     python -m repro run all --quick
     python -m repro trace fig05 [--quick] [--out trace.json] [--timeline]
                                 [--check-identity]
-    python -m repro jobs [--jobs N] [--accelerators M] [--gateways G]
-                         [--seed S] [--compare] [--no-coalesce] [--no-cache]
-                         [--quick] [--json out.json] [--check-determinism]
+    python -m repro jobs [--seed S] [--compare] [--quick] [--json out.json]
+                         [--check-determinism]
     python -m repro chaos <scenario|all|list> [--quick] [--seed S]
                           [--json out.json] [--check-determinism]
                           [--check EXPECTATIONS.json]
-    python -m repro collective [--devices N] [--elements E] [--op OP]
-                               [--topology T] [--dims A B [C]] [--seed S]
-                               [--quick] [--json out.json]
-                               [--check-determinism]
+    python -m repro collective [--op OP] [--seed S] [--quick]
+                               [--json out.json] [--check-determinism]
 
 ``trace`` runs one experiment with span tracing enabled and exports the
 result as Chrome trace-event JSON (load it in ``chrome://tracing`` or
@@ -44,8 +41,9 @@ speedup, and asserts the two runs' outcome digests are identical — the
 identity ledger holds that document and gates on the ≥1.5× speedup.
 
 ``collective`` runs one seeded ring collective (allreduce or broadcast)
-twice — over the P2P device-direct data plane and over the historical
-staged path through the compute node — on a multi-switch topology, and
+over eight devices twice — over the P2P device-direct data plane and
+over the historical staged path through the compute node — on a 2x2
+torus of switches, and
 prints per-mode virtual wall-clock, compute-node endpoint bytes, trunk
 bytes, and the bit-identity verdict.  ``--check-determinism`` reruns the
 comparison and asserts the same digest — the identity ledger holds
@@ -101,7 +99,7 @@ def _experiment(name: str) -> _t.Any:
     return mod
 
 
-def run_experiment(name: str, quick: bool = False, check: bool = True,
+def run_experiment(name: str, quick: bool = False,
                    json_path: str | None = None,
                    out: _t.TextIO | None = None) -> None:
     out = out if out is not None else sys.stdout
@@ -112,9 +110,8 @@ def run_experiment(name: str, quick: bool = False, check: bool = True,
         with open(json_path, "w") as fh:
             json.dump(fig.to_dict(), fh, indent=1)
         out.write(f"series written to {json_path}\n")
-    if check:
-        mod.check(fig)
-        out.write(f"{fig.fig_id}: shape check passed\n")
+    mod.check(fig)
+    out.write(f"{fig.fig_id}: shape check passed\n")
 
 
 def trace_experiment(name: str, quick: bool = False,
@@ -155,18 +152,8 @@ def run_jobs(args: argparse.Namespace,
     """The ``jobs`` subcommand: the ensemble job-service front door."""
     from ..workloads import ensemble as _ensemble
     out = out if out is not None else sys.stdout
-    if args.quick:
-        cfg = _ensemble.EnsembleConfig(
-            n_jobs=min(args.jobs, 64), n_accelerators=4, n_gateways=2,
-            slots_per_device=4, seed=args.seed,
-            coalescing=not args.no_coalesce, caching=not args.no_cache)
-    else:
-        cfg = _ensemble.EnsembleConfig(
-            n_jobs=args.jobs, n_accelerators=args.accelerators,
-            n_gateways=args.gateways, slots_per_device=args.slots,
-            window_s=args.window_ms * 1e-3, seed=args.seed,
-            coalescing=not args.no_coalesce, caching=not args.no_cache,
-            lease_ttl_s=args.ttl_ms * 1e-3)
+    cfg = _ensemble.EnsembleConfig(n_jobs=64 if args.quick else 96,
+                                   seed=args.seed)
     report = _ensemble.run(cfg)
     out.write(_ensemble.format_report(report) + "\n")
     if args.check_determinism:
@@ -289,15 +276,8 @@ def run_collective(args: argparse.Namespace,
     """The ``collective`` subcommand: P2P vs staged ring collectives."""
     from ..workloads import collective as _coll
     out = out if out is not None else sys.stdout
-    dims = tuple(args.dims) if args.dims else (2, 2)
-    if args.quick:
-        cfg = _coll.CollectiveConfig(
-            devices=min(args.devices, 8), chunk_elements=2048, op=args.op,
-            topology="torus2d", dims=(2, 2), seed=args.seed)
-    else:
-        cfg = _coll.CollectiveConfig(
-            devices=args.devices, chunk_elements=args.elements, op=args.op,
-            topology=args.topology, dims=dims, seed=args.seed)
+    cfg = _coll.CollectiveConfig(chunk_elements=2048 if args.quick else 65536,
+                                 op=args.op, seed=args.seed)
     report = _coll.run(cfg)
     out.write(_coll.format_report(report) + "\n")
     if args.check_determinism:
@@ -329,8 +309,6 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
                       help="coarser sweeps for a fast look")
     runp.add_argument("--json", dest="json_path", default=None,
                       help="also write the series as JSON")
-    runp.add_argument("--no-check", action="store_true",
-                      help="skip the qualitative shape assertions")
     tracep = sub.add_parser(
         "trace", help="run one experiment with span tracing on")
     tracep.add_argument("experiment", help="fig05..fig11 or ext_*")
@@ -344,29 +322,13 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
                         help="re-run untraced and assert identical results")
     jobsp = sub.add_parser(
         "jobs", help="run the ensemble job-service front door")
-    jobsp.add_argument("--jobs", type=int, default=96,
-                       help="ensemble size (default 96)")
-    jobsp.add_argument("--accelerators", type=int, default=4,
-                       help="physical accelerators, 1..8 (default 4)")
-    jobsp.add_argument("--gateways", type=int, default=2,
-                       help="gateway compute nodes (default 2)")
-    jobsp.add_argument("--slots", type=int, default=4,
-                       help="virtual-accelerator slots per device (default 4)")
-    jobsp.add_argument("--window-ms", type=float, default=0.5,
-                       help="arrival window in virtual ms (default 0.5)")
-    jobsp.add_argument("--ttl-ms", type=float, default=50.0,
-                       help="warm-lease TTL in virtual ms (default 50)")
     jobsp.add_argument("--seed", type=int, default=0,
                        help="RNG seed (default 0)")
-    jobsp.add_argument("--no-coalesce", action="store_true",
-                       help="disable cross-tenant request coalescing")
-    jobsp.add_argument("--no-cache", action="store_true",
-                       help="disable kernel/allocation caching + warm leases")
     jobsp.add_argument("--compare", action="store_true",
                        help="also run the cold baseline and report the "
                             "warm-path speedup (asserts identical outcomes)")
     jobsp.add_argument("--quick", action="store_true",
-                       help="smaller ensemble for a fast look (CI smoke)")
+                       help="64 jobs instead of 96 (CI smoke)")
     jobsp.add_argument("--json", dest="json_path", default=None,
                        help="also write the report as JSON")
     jobsp.add_argument("--check-determinism", action="store_true",
@@ -389,22 +351,13 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
                              "against (CI smoke)")
     collp = sub.add_parser(
         "collective", help="ring collective: P2P vs staged transport")
-    collp.add_argument("--devices", type=int, default=8,
-                       help="devices in the ring (default 8)")
-    collp.add_argument("--elements", type=int, default=65536,
-                       help="float64 elements per chunk (default 65536)")
     collp.add_argument("--op", choices=("allreduce", "broadcast"),
                        default="allreduce",
                        help="collective operation (default allreduce)")
-    collp.add_argument("--topology", default="torus2d",
-                       choices=("single", "ring", "torus2d", "torus3d"),
-                       help="fabric topology kind (default torus2d)")
-    collp.add_argument("--dims", type=int, nargs="+", default=None,
-                       help="topology dimensions, e.g. --dims 2 2")
     collp.add_argument("--seed", type=int, default=0,
                        help="RNG seed (default 0)")
     collp.add_argument("--quick", action="store_true",
-                       help="small chunks on a 2x2 torus (CI smoke)")
+                       help="2048-element chunks instead of 65536 (CI smoke)")
     collp.add_argument("--json", dest="json_path", default=None,
                        help="also write the report as JSON")
     collp.add_argument("--check-determinism", action="store_true",
@@ -427,6 +380,6 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         return 0
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for name in names:
-        run_experiment(name, quick=args.quick, check=not args.no_check,
+        run_experiment(name, quick=args.quick,
                        json_path=args.json_path if len(names) == 1 else None)
     return 0

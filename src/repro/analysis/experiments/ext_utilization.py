@@ -37,7 +37,7 @@ def make_job_mix(n_jobs: int = 40, seed: int = 2012) -> list[JobSpec]:
         gpus = rng.choice([0, 0, 1, 1, 2, 2, 3, 3])
         duration = rng.uniform(60.0, 600.0)
         jobs.append(JobSpec(name=f"job{i}", arrival_s=t,
-                            duration_s=duration, n_nodes=1, n_gpus=gpus))
+                            duration_s=duration, n_gpus=gpus))
     return jobs
 
 

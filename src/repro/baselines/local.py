@@ -59,7 +59,7 @@ class LocalAccelerator:
 
     # -- data movement ----------------------------------------------------
     def memcpy_h2d(self, dst: int, payload: _t.Any, transfer: _t.Any = None,
-                   offset: int = 0, pinned: bool | None = None):
+                   offset: int = 0):
         """cudaMemcpy host-to-device (generator).
 
         ``transfer`` is accepted for interface compatibility and ignored —
@@ -74,9 +74,7 @@ class LocalAccelerator:
                 raise MiddlewareError(
                     f"copy of {nbytes}B at offset {offset} exceeds "
                     f"allocation of {alloc.nbytes}B")
-            yield self.gpu.dma.copy(
-                nbytes, pinned=self.pinned if pinned is None else pinned,
-                ctx=span.wire)
+            yield self.gpu.dma.copy(nbytes, pinned=self.pinned, ctx=span.wire)
             flat = as_flat_bytes(payload)
             if flat is not None:
                 self.gpu.memory.write(dst, offset, flat)
@@ -86,7 +84,7 @@ class LocalAccelerator:
             self.bytes_h2d += nbytes
 
     def memcpy_d2h(self, src: int, nbytes: int, transfer: _t.Any = None,
-                   offset: int = 0, pinned: bool | None = None):
+                   offset: int = 0):
         """cudaMemcpy device-to-host (generator)."""
         reject_bool_transfer(transfer)
         nbytes = int(nbytes)
@@ -97,9 +95,7 @@ class LocalAccelerator:
                 raise MiddlewareError(
                     f"copy of {nbytes}B at offset {offset} exceeds "
                     f"allocation of {alloc.nbytes}B")
-            yield self.gpu.dma.copy(
-                nbytes, pinned=self.pinned if pinned is None else pinned,
-                ctx=span.wire)
+            yield self.gpu.dma.copy(nbytes, pinned=self.pinned, ctx=span.wire)
             self.bytes_d2h += nbytes
             if alloc.data is None:
                 return Phantom(nbytes)

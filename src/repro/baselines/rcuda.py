@@ -28,7 +28,6 @@ from ..units import KiB
 RCUDA_TRANSFER = TransferConfig(
     protocol="pipeline",
     policy=FixedBlockPolicy(256 * KiB),
-    pinned=True,
     gpudirect=False,
 )
 

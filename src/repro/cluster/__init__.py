@@ -3,11 +3,9 @@
 from .builder import Cluster
 from .node import AcceleratorNode, ComputeNode
 from .specs import (
-    AcceleratorNodeSpec,
     CPUSpec,
     ClusterSpec,
     ComputeNodeSpec,
-    EFFICIENT_ACCEL_CPU,
     XEON_X5670_DUAL,
     paper_testbed,
 )
@@ -18,9 +16,7 @@ __all__ = [
     "AcceleratorNode",
     "ClusterSpec",
     "ComputeNodeSpec",
-    "AcceleratorNodeSpec",
     "CPUSpec",
     "XEON_X5670_DUAL",
-    "EFFICIENT_ACCEL_CPU",
     "paper_testbed",
 ]

@@ -36,6 +36,9 @@ from ..sim import Engine
 from .node import AcceleratorNode, ComputeNode
 from .specs import ClusterSpec
 
+#: Discovery report cadence of every agent (``discovery=True``).
+REPORT_PERIOD_S = 5e-4
+
 
 class Cluster:
     """A fully assembled simulated accelerator cluster.
@@ -50,8 +53,7 @@ class Cluster:
     """
 
     def __init__(self, spec: ClusterSpec, discovery: bool = False,
-                 initial_accelerators: int | None = None,
-                 report_period_s: float = 5e-4):
+                 initial_accelerators: int | None = None):
         self.spec = spec
         self.engine = Engine()
         topo = spec.topology.build() if spec.topology is not None else None
@@ -89,8 +91,7 @@ class Cluster:
         self.accelerator_nodes: list[AcceleratorNode] = []
         self.daemons: list[Daemon] = []
         for j, ep in enumerate(ac_eps):
-            node = AcceleratorNode(self.engine, j, f"ac{j}",
-                                   spec.accelerator, ep)
+            node = AcceleratorNode(self.engine, j, f"ac{j}", ep)
             node.rank = self.comm.rank(spec.n_compute + j)
             self.accelerator_nodes.append(node)
             self.daemons.append(Daemon(node, node.rank))
@@ -118,8 +119,8 @@ class Cluster:
                 # of the whole fleet publishing at the same instant.
                 self.agents[j] = DiscoveryAgent(
                     daemon, j, self.arm_rank_index,
-                    period_s=report_period_s,
-                    phase_s=(j * report_period_s) / max(n, 1))
+                    period_s=REPORT_PERIOD_S,
+                    phase_s=(j * REPORT_PERIOD_S) / max(n, 1))
             for j in range(initial):
                 self.agents[j].start()
 

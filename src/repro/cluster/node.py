@@ -11,13 +11,18 @@ from __future__ import annotations
 
 import typing as _t
 
-from ..gpusim import GPUDevice
+from ..gpusim import GPUDevice, TESLA_C1060
 from ..netsim import Endpoint
 from ..sim import Engine
-from .specs import AcceleratorNodeSpec, ComputeNodeSpec
+from .specs import XEON_X5670_DUAL, ComputeNodeSpec
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from ..mpisim import RankHandle
+
+#: What every accelerator node is: the paper's emulation reuses the
+#: testbed's Xeon nodes and their C1060s (Sect. V).
+ACCELERATOR_CPU = XEON_X5670_DUAL
+ACCELERATOR_GPU = TESLA_C1060
 
 
 class ComputeNode:
@@ -27,7 +32,7 @@ class ComputeNode:
                  endpoint: Endpoint):
         self.engine = engine
         self.name = name
-        self.spec = spec
+        self.cpu = XEON_X5670_DUAL
         self.endpoint = endpoint
         #: Node-attached GPU (static baseline); None in the dynamic setup.
         self.local_gpu: GPUDevice | None = (
@@ -37,10 +42,6 @@ class ComputeNode:
         #: MPI rank of the application process on this node (set by builder).
         self.rank: "RankHandle | None" = None
 
-    @property
-    def cpu(self):
-        return self.spec.cpu
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<ComputeNode {self.name}>"
 
@@ -49,19 +50,15 @@ class AcceleratorNode:
     """A network-attached accelerator: CPU + RAM + NIC + GPU."""
 
     def __init__(self, engine: Engine, ac_id: int, name: str,
-                 spec: AcceleratorNodeSpec, endpoint: Endpoint):
+                 endpoint: Endpoint):
         self.engine = engine
         self.ac_id = ac_id
         self.name = name
-        self.spec = spec
+        self.cpu = ACCELERATOR_CPU
         self.endpoint = endpoint
-        self.gpu = GPUDevice(engine, spec.gpu, name=f"{name}.gpu")
+        self.gpu = GPUDevice(engine, ACCELERATOR_GPU, name=f"{name}.gpu")
         #: MPI rank of the daemon on this node (set by builder).
         self.rank: "RankHandle | None" = None
-
-    @property
-    def cpu(self):
-        return self.spec.cpu
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<AcceleratorNode {self.name} (ac{self.ac_id})>"

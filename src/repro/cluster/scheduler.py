@@ -24,18 +24,17 @@ from ..sim import Engine, Event
 
 @dataclasses.dataclass(frozen=True)
 class JobSpec:
-    """One batch job: when it arrives and what it needs."""
+    """One single-node batch job: when it arrives and what it needs."""
 
     name: str
     arrival_s: float
     duration_s: float
-    n_nodes: int = 1
     n_gpus: int = 0  # total GPUs wanted by the job
 
     def __post_init__(self) -> None:
         if self.arrival_s < 0 or self.duration_s <= 0:
             raise ClusterConfigError("bad job timing")
-        if self.n_nodes < 1 or self.n_gpus < 0:
+        if self.n_gpus < 0:
             raise ClusterConfigError("bad job resources")
 
 
@@ -100,13 +99,13 @@ def _footprint_static(job: JobSpec, gpus_per_node: int) -> tuple[int, int]:
         nodes_for_gpus = -(-job.n_gpus // gpus_per_node)
     else:
         nodes_for_gpus = 0 if job.n_gpus == 0 else 10**9
-    nodes = max(job.n_nodes, nodes_for_gpus)
+    nodes = max(1, nodes_for_gpus)
     return nodes, nodes * gpus_per_node
 
 
 def _footprint_dynamic(job: JobSpec, gpus_per_node: int) -> tuple[int, int]:
     """(nodes, gpus) on a dynamic cluster: exactly what the job asks for."""
-    return job.n_nodes, job.n_gpus
+    return 1, job.n_gpus
 
 
 class FifoScheduler:

@@ -26,7 +26,6 @@ from .blocksize import (
 from .daemon import Daemon, DaemonStats
 from .discovery import (
     Autoscaler,
-    AutoscalerPolicy,
     CapabilityReport,
     DiscoveryAgent,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "DiscoveryAgent",
     "CapabilityReport",
     "Autoscaler",
-    "AutoscalerPolicy",
     "RetryPolicy",
     "DEFAULT_RETRY",
     "FailoverConfig",

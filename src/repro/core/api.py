@@ -30,13 +30,12 @@ bit-identical.
 
 from __future__ import annotations
 
-import dataclasses
 import typing as _t
 
 from ..errors import MiddlewareError, RequestTimeout
 from ..mpisim import RankHandle, payload_nbytes
 from ..obs.spans import NULL_SPAN, BranchScope, collector_for
-from .blocksize import DEFAULT_TRANSFER, TransferConfig
+from .blocksize import DEFAULT_TRANSFER, H2D_BLOCK_POST_S, TransferConfig
 from .interface import reject_bool_transfer
 from .protocol import (
     AcceleratorHandle,
@@ -85,19 +84,10 @@ class RemoteAccelerator:
         self.timeouts = 0
 
     # -- plumbing -------------------------------------------------------
-    def _cfg(self, transfer: TransferConfig | None,
-             pinned: bool | None) -> TransferConfig:
-        """Resolve the per-call transfer configuration.
-
-        ``pinned`` is the unified per-call override shared with the
-        local backend; it derives a one-off config when it disagrees
-        with the base one.
-        """
+    def _cfg(self, transfer: TransferConfig | None) -> TransferConfig:
+        """The per-call transfer configuration, else this front end's."""
         reject_bool_transfer(transfer)
-        cfg = transfer or self.transfer
-        if pinned is not None and pinned != cfg.pinned:
-            cfg = dataclasses.replace(cfg, pinned=pinned)
-        return cfg
+        return transfer or self.transfer
 
     def _rpc(self, op: Op, params: dict, timeout_s: float | None = None,
              span=NULL_SPAN, sub_traces: list | None = None):
@@ -193,21 +183,20 @@ class RemoteAccelerator:
         reply = rank.irecv(source=daemon, tag=reply_tag(req_id))
         rank.isend(daemon, TAG_REQUEST, Request(
             op=op, req_id=req_id, reply_to=rank.index,
-            params={**params, "data_tag": dtag, "pinned": cfg.pinned,
-                    "gpudirect": cfg.gpudirect, **self._scope},
+            params={**params, "data_tag": dtag, "gpudirect": cfg.gpudirect,
+                    **self._scope},
             trace=span.wire))
         self.requests += 1
         return dtag, reply, block_reqs
 
     def memcpy_h2d(self, dst: int, payload: _t.Any,
-                   transfer: TransferConfig | None = None, offset: int = 0,
-                   pinned: bool | None = None):
+                   transfer: TransferConfig | None = None, offset: int = 0):
         """Copy a host payload to device address ``dst`` (+ ``offset``).
 
         ``payload`` is a numpy array, bytes, or a
         :class:`~repro.mpisim.Phantom` for timing-only transfers.
         """
-        cfg = self._cfg(transfer, pinned)
+        cfg = self._cfg(transfer)
         nbytes = payload_nbytes(payload)
         blocks = cfg.plan_blocks(nbytes, "h2d")
         span = self._obs.start("client.memcpy_h2d", self._actor,
@@ -222,7 +211,7 @@ class RemoteAccelerator:
             with span.child("inject", nbytes=nbytes):
                 yield from send_blocks(
                     self.rank, self.handle.daemon_rank, dtag,
-                    slice_chunks(payload, blocks), cfg.h2d_block_post_s)
+                    slice_chunks(payload, blocks), H2D_BLOCK_POST_S)
             msg = yield from self._await(
                 reply.done, self.retry.transfer_timeout_s(nbytes),
                 "memcpy_h2d to ac{} timed out")
@@ -230,15 +219,14 @@ class RemoteAccelerator:
             self.bytes_h2d += nbytes
 
     def memcpy_d2h(self, src: int, nbytes: int,
-                   transfer: TransferConfig | None = None, offset: int = 0,
-                   pinned: bool | None = None):
+                   transfer: TransferConfig | None = None, offset: int = 0):
         """Copy ``nbytes`` from device address ``src`` (+ ``offset``) back.
 
         Returns a typed array when the whole buffer is read and it has
         recorded dtype/shape, a flat uint8 array otherwise, or a Phantom
         for timing-only buffers.
         """
-        cfg = self._cfg(transfer, pinned)
+        cfg = self._cfg(transfer)
         nbytes = int(nbytes)
         blocks = cfg.plan_blocks(nbytes, "d2h")
         span = self._obs.start("client.memcpy_d2h", self._actor,
@@ -247,7 +235,6 @@ class RemoteAccelerator:
         with span:
             _, reply, block_reqs = self._send_header(Op.MEMCPY_D2H, {
                 "src": src, "offset": int(offset), "blocks": blocks,
-                "block_post_s": cfg.d2h_block_post_s,
             }, cfg, span, n_recv=len(blocks))
             deadline_s = self.retry.transfer_timeout_s(nbytes)
             msg = yield from self._await(reply.done, deadline_s,
@@ -267,9 +254,7 @@ class RemoteAccelerator:
                                    blocks, resp.value)
 
     def peer_put(self, src: int, nbytes: int, peer: "RemoteAccelerator",
-                 dst: int, *,
-                 transfer: TransferConfig | None = None,
-                 pinned: bool | None = None):
+                 dst: int, *, transfer: TransferConfig | None = None):
         """Copy device memory directly to another accelerator.
 
         The data flows accelerator-to-accelerator over the fabric without
@@ -277,7 +262,7 @@ class RemoteAccelerator:
         impossible with CUDA 4.2 / OpenCL 1.2 (Sect. III-C).  ``dst`` is
         the destination address on ``peer`` (wire name ``peer_addr``).
         """
-        cfg = self._cfg(transfer, pinned)
+        cfg = self._cfg(transfer)
         blocks = cfg.plan_blocks(int(nbytes), "d2h")
         with self._obs.start("client.peer_put", self._actor,
                              nbytes=int(nbytes),
@@ -285,8 +270,7 @@ class RemoteAccelerator:
             resp = yield from self._rpc(Op.PEER_PUT, {
                 "src": src, "blocks": blocks,
                 "peer_rank": peer.handle.daemon_rank, "peer_addr": dst,
-                "pinned": cfg.pinned, "gpudirect": cfg.gpudirect,
-                "block_post_s": cfg.d2h_block_post_s,
+                "gpudirect": cfg.gpudirect,
             }, span=span)
             return resp
 

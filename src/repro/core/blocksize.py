@@ -46,27 +46,27 @@ class FixedBlockPolicy(BlockPolicy):
         return self.size
 
 
+#: The adaptive policy's blocks: ``ADAPTIVE_SMALL`` below
+#: ``ADAPTIVE_THRESHOLD`` bytes and ``ADAPTIVE_LARGE`` above (H2D);
+#: ``ADAPTIVE_SMALL`` at all sizes for D2H.
+ADAPTIVE_SMALL = 128 * KiB
+ADAPTIVE_LARGE = 512 * KiB
+ADAPTIVE_THRESHOLD = 9 * MiB
+
+
 @dataclasses.dataclass(frozen=True)
 class AdaptiveBlockPolicy(BlockPolicy):
     """The paper's tuned policy: 128 KiB below 9 MiB, 512 KiB above (H2D);
     128 KiB at all sizes for D2H."""
 
-    small: int = 128 * KiB
-    large: int = 512 * KiB
-    threshold: int = 9 * MiB
-
-    def __post_init__(self) -> None:
-        if self.small <= 0 or self.large <= 0 or self.threshold <= 0:
-            raise MiddlewareError("adaptive policy sizes must be positive")
-
     @property
     def name(self) -> str:
-        return f"pipeline-{self.small // KiB}-{self.large // KiB}K"
+        return f"pipeline-{ADAPTIVE_SMALL // KiB}-{ADAPTIVE_LARGE // KiB}K"
 
     def block_bytes(self, nbytes: int, direction: str) -> int:
         if direction == "d2h":
-            return self.small
-        return self.small if nbytes < self.threshold else self.large
+            return ADAPTIVE_SMALL
+        return ADAPTIVE_SMALL if nbytes < ADAPTIVE_THRESHOLD else ADAPTIVE_LARGE
 
 
 #: Per-block send posting cost for H2D streams: the front-end's source
@@ -85,18 +85,15 @@ class TransferConfig:
     ``protocol`` is ``"naive"`` (single message, then single DMA) or
     ``"pipeline"`` (blocked and overlapped).  ``gpudirect`` models
     GPUDirect v1 shared pinned buffers: when off, every block pays an extra
-    host staging copy on the accelerator CPU.  The per-block posting costs
-    are the asymmetric knobs behind the Fig. 5 (H2D crossover near 9 MiB)
-    vs Fig. 6 (128 KiB best everywhere) difference; the block-size ablation
-    benchmark sweeps them.
+    host staging copy on the accelerator CPU.  Every copy is pinned; the
+    asymmetric per-block posting costs (:data:`H2D_BLOCK_POST_S`,
+    :data:`D2H_BLOCK_POST_S`) are behind the Fig. 5 (H2D crossover near
+    9 MiB) vs Fig. 6 (128 KiB best everywhere) difference.
     """
 
     protocol: str = "pipeline"
     policy: BlockPolicy = AdaptiveBlockPolicy()
-    pinned: bool = True
     gpudirect: bool = True
-    h2d_block_post_s: float = H2D_BLOCK_POST_S
-    d2h_block_post_s: float = D2H_BLOCK_POST_S
 
     def __post_init__(self) -> None:
         if self.protocol not in ("naive", "pipeline"):

@@ -23,6 +23,7 @@ from ..obs.spans import NULL_SPAN, collector_for
 from .protocol import (
     DEDUP_OPS, Op, Request, Response, Status, TAG_REQUEST, data_tag, reply_tag,
 )
+from .blocksize import D2H_BLOCK_POST_S
 from .transfer import DeviceEnd, recv_blocks, send_blocks
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -521,7 +522,7 @@ class Daemon:
         if dev is None:
             return
         yield from send_blocks(self.rank, src, dev.dtag, dev.loan(),
-                               req.params.get("block_post_s"), dev)
+                               D2H_BLOCK_POST_S, dev)
         self.stats.bytes_d2h += dev.nbytes
         self._reply(req, Response(req.req_id, Status.OK,
                                   value=dev.source_meta))
@@ -571,12 +572,12 @@ class Daemon:
             self.rank.isend(peer_rank, TAG_REQUEST, Request(
                 op=Op.MEMCPY_H2D, req_id=fwd_id, reply_to=self.rank.index,
                 params={"dst": p["peer_addr"], "blocks": dev.blocks,
-                        "data_tag": data_tag(fwd_id), "pinned": dev.pinned,
+                        "data_tag": data_tag(fwd_id),
                         "gpudirect": dev.gpudirect, "meta": dev.source_meta},
                 trace=trace))
             dev.span = span
             yield from send_blocks(self.rank, peer_rank, data_tag(fwd_id),
-                                   dev.loan(), p.get("block_post_s"), dev)
+                                   dev.loan(), D2H_BLOCK_POST_S, dev)
             msg = yield from self.rank.recv(source=peer_rank,
                                             tag=reply_tag(fwd_id))
             peer_resp: Response = msg.payload

@@ -48,20 +48,17 @@ class CapabilityReport:
     #: Monotonic per-agent sequence number (diagnostics, not ordering —
     #: the fabric already delivers per-pair in order).
     seq: int
-    #: Fabric placement: the switch this device hangs off and its trunk
-    #: distance to the ARM (both None on a single-switch fabric) — lets
-    #: the ARM place multi-device allocations topology-aware and lets
-    #: operators see network locality in the discovery feed.
-    switch: str | None = None
-    hops_to_arm: int | None = None
+    #: Fabric placement: the switch this device hangs off (None on a
+    #: single-switch fabric) — lets the ARM place multi-device
+    #: allocations topology-aware.
+    switch: str | None
 
     def params(self) -> dict:
         return {
             "ac_id": self.ac_id, "daemon_rank": self.daemon_rank,
             "healthy": self.healthy, "version": self.version,
             "active_slices": self.active_slices, "seq": self.seq,
-            "switch": self.switch, "hops_to_arm": self.hops_to_arm,
-            "oneway": True,
+            "switch": self.switch, "oneway": True,
         }
 
 
@@ -131,18 +128,12 @@ class DiscoveryAgent:
         """The report the agent would publish right now."""
         d = self.daemon
         self._seq += 1
-        switch = hops = None
         ep = getattr(d.node, "endpoint", None)
-        if ep is not None and ep.switch is not None:
-            switch = ep.switch
-            fabric = ep.fabric
-            if "arm" in fabric.endpoints:
-                hops = fabric.hop_count(ep.name, "arm")
         return CapabilityReport(
             ac_id=self.ac_id, daemon_rank=d.rank.index,
             healthy=not d.broken, version=d.version,
             active_slices=sum(1 for v in d._vacs.values() if not v.revoked),
-            seq=self._seq, switch=switch, hops_to_arm=hops)
+            seq=self._seq, switch=ep.switch if ep is not None else None)
 
     def _publish(self, generation: int):
         if self.phase_s > 0:
@@ -160,21 +151,15 @@ class DiscoveryAgent:
             yield self.engine.timeout(self.period_s * d.slow_factor)
 
 
-@dataclasses.dataclass(frozen=True)
-class AutoscalerPolicy:
-    """When to grow or shrink the discovered pool."""
-
-    #: Never retire below this many pool members.
-    min_nodes: int = 1
-    #: Never start agents beyond this many pool members.
-    max_nodes: int = 8
-    #: Grow when the ARM's lease backlog reaches this depth.
-    scale_up_backlog: int = 1
-    #: Shrink after this many consecutive idle (no backlog, spare
-    #: capacity) sampling rounds.
-    scale_down_idle_rounds: int = 4
-    #: Sampling period in virtual seconds.
-    period_s: float = 1e-3
+#: When the autoscaler grows or shrinks the discovered pool: never
+#: retire below ``MIN_NODES`` members; grow when the ARM's lease backlog
+#: reaches ``SCALE_UP_BACKLOG``; shrink after ``SCALE_DOWN_IDLE_ROUNDS``
+#: consecutive idle (no backlog, spare capacity) sampling rounds, one
+#: every ``AUTOSCALE_PERIOD_S`` virtual seconds.
+MIN_NODES = 1
+SCALE_UP_BACKLOG = 1
+SCALE_DOWN_IDLE_ROUNDS = 4
+AUTOSCALE_PERIOD_S = 1e-3
 
 
 class Autoscaler:
@@ -185,15 +170,15 @@ class Autoscaler:
     wake through the same (exactly-once) path as any other join.
     Scale-down gracefully retires the idle, leaseless pool member with
     the highest ``ac_id`` via ``ARM_LEAVE`` with reason ``scale-down``.
+    Scale-up never starts agents beyond ``max_nodes`` pool members.
     """
 
     def __init__(self, arm: "ResourceManager",
-                 agents: _t.Sequence[DiscoveryAgent],
-                 policy: AutoscalerPolicy | None = None,
+                 agents: _t.Sequence[DiscoveryAgent], max_nodes: int,
                  registry: "MetricsRegistry | None" = None):
         self.arm = arm
         self.agents = {a.ac_id: a for a in agents}
-        self.policy = policy or AutoscalerPolicy()
+        self.max_nodes = max_nodes
         self.registry = registry
         self.engine = arm.engine
         self.scale_ups = 0
@@ -222,7 +207,7 @@ class Autoscaler:
         while self._proc is not None:
             if rounds is not None and done >= rounds:
                 break
-            yield self.engine.timeout(self.policy.period_s)
+            yield self.engine.timeout(AUTOSCALE_PERIOD_S)
             done += 1
             self._sample()
 
@@ -232,14 +217,14 @@ class Autoscaler:
         if self.registry is not None:
             self.registry.gauge("autoscaler.pool_size").set(pool)
             self.registry.gauge("autoscaler.backlog").set(backlog)
-        if backlog >= self.policy.scale_up_backlog:
+        if backlog >= SCALE_UP_BACKLOG:
             self._idle_rounds = 0
-            if pool < self.policy.max_nodes:
+            if pool < self.max_nodes:
                 self._scale_up()
             return
-        if backlog == 0 and pool > self.policy.min_nodes:
+        if backlog == 0 and pool > MIN_NODES:
             self._idle_rounds += 1
-            if self._idle_rounds >= self.policy.scale_down_idle_rounds:
+            if self._idle_rounds >= SCALE_DOWN_IDLE_ROUNDS:
                 self._idle_rounds = 0
                 self._scale_down()
         else:

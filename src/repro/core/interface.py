@@ -14,12 +14,12 @@ identical results on all three backends.
 
 Canonical signatures:
 
-* ``memcpy_h2d(dst, payload, transfer=None, offset=0, pinned=None)`` and
-  ``memcpy_d2h(src, nbytes, transfer=None, offset=0, pinned=None)`` —
-  every backend accepts both the remote path's ``transfer``
-  (:class:`~repro.core.blocksize.TransferConfig`) and the local path's
-  per-call ``pinned`` override; backends ignore what has no meaning for
-  them (a local copy has no network protocol).
+* ``memcpy_h2d(dst, payload, transfer=None, offset=0)`` and
+  ``memcpy_d2h(src, nbytes, transfer=None, offset=0)`` — every backend
+  accepts the remote path's ``transfer``
+  (:class:`~repro.core.blocksize.TransferConfig`); a local copy, which
+  has no network protocol, ignores it and copies as its front end was
+  built (``LocalAccelerator(pinned=...)``).
 
 The remote front end alone adds ``peer_put`` (a device-to-device copy
 over the fabric) and ``stream()`` (an asynchronous command queue whose
@@ -38,8 +38,7 @@ def reject_bool_transfer(transfer: _t.Any) -> None:
     copy's timing, so it is a ``TypeError``."""
     if isinstance(transfer, bool):
         raise TypeError(
-            f"transfer must be a TransferConfig or None, got {transfer!r}; "
-            f"per-call pinning is the pinned= keyword")
+            f"transfer must be a TransferConfig or None, got {transfer!r}")
 
 
 #: The ``ac*`` surface: the paper's seven calls (Listing 2) plus the

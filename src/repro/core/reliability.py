@@ -52,44 +52,43 @@ if _t.TYPE_CHECKING:  # pragma: no cover
     from .arm import ArmClient
 
 
+#: Sends of one retryable op under a deadline, the first included.
+MAX_ATTEMPTS = 4
+#: Resend *k* waits ``BACKOFF_BASE_S * BACKOFF_FACTOR**k`` first.
+BACKOFF_BASE_S = 100e-6
+BACKOFF_FACTOR = 2.0
+#: Throughput a bulk transfer's deadline allows for on top of the RPC one.
+TRANSFER_FLOOR_BPS = 100e6
+
+
 @dataclasses.dataclass(frozen=True)
 class RetryPolicy:
     """Timeout and deterministic backoff schedule for middleware RPCs.
 
     ``timeout_s=None`` (the default) disables deadlines entirely — the
     legacy wait-forever behaviour.  With a timeout set, retryable ops are
-    resent up to ``max_attempts`` times; attempt *k* waits
-    ``backoff_base_s * backoff_factor**k`` before resending (no jitter, so
-    simulations stay deterministic).  Bulk-transfer deadlines get a
-    size-proportional allowance on top of ``timeout_s`` assuming at least
-    ``transfer_floor_Bps`` of throughput.
+    resent up to :data:`MAX_ATTEMPTS` times with a deterministic
+    exponential backoff (no jitter, so simulations stay deterministic).
+    Bulk-transfer deadlines get a size-proportional allowance on top of
+    ``timeout_s`` assuming at least :data:`TRANSFER_FLOOR_BPS` of
+    throughput.
     """
 
     timeout_s: float | None = None
-    max_attempts: int = 4
-    backoff_base_s: float = 100e-6
-    backoff_factor: float = 2.0
-    transfer_floor_Bps: float = 100e6
 
     def __post_init__(self) -> None:
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise MiddlewareError(f"timeout must be positive: {self.timeout_s!r}")
-        if self.max_attempts < 1:
-            raise MiddlewareError(f"max_attempts must be >= 1: {self.max_attempts!r}")
-        if self.backoff_base_s < 0 or self.backoff_factor < 1.0:
-            raise MiddlewareError("invalid backoff schedule")
-        if self.transfer_floor_Bps <= 0:
-            raise MiddlewareError("transfer_floor_Bps must be positive")
 
     def backoff_s(self, attempt: int) -> float:
         """Deterministic delay before resend number ``attempt + 1``."""
-        return self.backoff_base_s * self.backoff_factor ** attempt
+        return BACKOFF_BASE_S * BACKOFF_FACTOR ** attempt
 
     def transfer_timeout_s(self, nbytes: int) -> float | None:
         """Deadline for a bulk transfer of ``nbytes`` (None when disabled)."""
         if self.timeout_s is None:
             return None
-        return self.timeout_s + nbytes / self.transfer_floor_Bps
+        return self.timeout_s + nbytes / TRANSFER_FLOOR_BPS
 
 
 #: Timeouts disabled; identical to the pre-reliability behaviour.
@@ -102,7 +101,7 @@ def reliable_rpc(rank: RankHandle, dst: int, tag: int, op: Op, params: dict,
     """One request/reply exchange with timeout + retry (generator).
 
     Posts a single reply receive, then sends the request up to
-    ``policy.max_attempts`` times (same request id, ``attempt`` counted
+    :data:`MAX_ATTEMPTS` times (same request id, ``attempt`` counted
     up) while racing the receive against a fresh deadline per attempt.
     Non-retryable ops get exactly one attempt.  Returns the
     :class:`Response` (``raise_for_status`` is the caller's job); raises
@@ -118,8 +117,8 @@ def reliable_rpc(rank: RankHandle, dst: int, tag: int, op: Op, params: dict,
     engine = rank.comm.engine
     req_id = next(rank.comm.ids)
     rreq = rank.irecv(source=dst, tag=reply_tag(req_id))
-    attempts = policy.max_attempts if (timeout_s is not None
-                                       and op in RETRYABLE_OPS) else 1
+    attempts = MAX_ATTEMPTS if (timeout_s is not None
+                                and op in RETRYABLE_OPS) else 1
     for attempt in range(attempts):
         stats.requests += 1
         if attempt:
@@ -392,22 +391,20 @@ class ResilientAccelerator:
         del self._buffers[addr]
 
     def memcpy_h2d(self, dst: int, payload: _t.Any, transfer=None,
-                   offset: int = 0, pinned: bool | None = None):
+                   offset: int = 0):
         buf = self._buffers.get(dst)
         if buf is None:
             raise MiddlewareError(f"unknown buffer {dst:#x}")
         yield from self.run_guarded(
             lambda: self._ac.memcpy_h2d(self._phys(dst), payload,
-                                        transfer=transfer, offset=offset,
-                                        pinned=pinned))
+                                        transfer=transfer, offset=offset))
         buf.record_write(payload, offset)
 
     def memcpy_d2h(self, src: int, nbytes: int, transfer=None,
-                   offset: int = 0, pinned: bool | None = None):
+                   offset: int = 0):
         result = yield from self.run_guarded(
             lambda: self._ac.memcpy_d2h(self._phys(src), int(nbytes),
-                                        transfer=transfer, offset=offset,
-                                        pinned=pinned))
+                                        transfer=transfer, offset=offset))
         return result
 
     def kernel_create(self, name: str):

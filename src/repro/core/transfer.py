@@ -176,7 +176,6 @@ class DeviceEnd:
     nbytes: int
     #: None on a PEER_PUT: its stream runs on the forwarded request's tag.
     dtag: int | None
-    pinned: bool
     gpudirect: bool
 
     @classmethod
@@ -203,8 +202,7 @@ class DeviceEnd:
                 f"address {addr:#x} is not owned by "
                 f"virtual accelerator {params['vac']}")
         return cls(gpu, cpu, stats, span, alloc, addr, base, blocks, nbytes,
-                   params.get("data_tag"), params.get("pinned", True),
-                   params.get("gpudirect", True))
+                   params.get("data_tag"), params.get("gpudirect", True))
 
     def covers(self, extent: int) -> bool:
         """The whole-buffer rule for typed metadata: a dtype/shape
@@ -258,7 +256,7 @@ def send_blocks(rank: RankHandle, dst: int, dtag: int, chunks: list,
         if dev is not None:
             size = chunk.nbytes
             dev.stats.stage(size)
-            yield dev.gpu.dma.copy(size, pinned=dev.pinned, ctx=ctx)
+            yield dev.gpu.dma.copy(size, ctx=ctx)
             if not dev.gpudirect:
                 with span.child("staging", block=i, nbytes=size):
                     yield rank.comm.engine.timeout(
@@ -330,7 +328,7 @@ def recv_blocks(rank: RankHandle, src: int, dtag: int,
                 yield engine.timeout(size / dev.cpu.memcpy_bw_Bps)
         dev.stats.stage(size)
         chunk = rreq.message.payload
-        ev = dev.gpu.dma.copy(int(chunk.nbytes), pinned=dev.pinned, ctx=ctx)
+        ev = dev.gpu.dma.copy(int(chunk.nbytes), ctx=ctx)
 
         def _on_dma(_ev, off=off, size=size, chunk=chunk):
             if not isinstance(chunk, Phantom):

@@ -231,13 +231,10 @@ class Fabric:
         self._hop_cache: dict[tuple[str, str],
                               tuple[tuple[str, str], ...]] = {}
         if topology is not None:
-            trunk_bw = topology.trunk_bandwidth_Bps or model.bandwidth_Bps
-            self._trunk_latency_s = (model.latency_s
-                                     if topology.trunk_latency_s is None
-                                     else topology.trunk_latency_s)
+            self._trunk_latency_s = model.latency_s
             for a, b in topology.trunks:
-                self._trunks[(a, b)] = BandwidthShare(engine, trunk_bw)
-                self._trunks[(b, a)] = BandwidthShare(engine, trunk_bw)
+                self._trunks[(a, b)] = BandwidthShare(engine, model.bandwidth_Bps)
+                self._trunks[(b, a)] = BandwidthShare(engine, model.bandwidth_Bps)
 
     def set_core_capacity(self, capacity_Bps: float | None) -> None:
         """Limit the switch core to ``capacity_Bps`` (None = non-blocking)."""

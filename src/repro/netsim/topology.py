@@ -31,9 +31,7 @@ class Topology:
     """Named switches + undirected trunk links + deterministic routing."""
 
     def __init__(self, name: str, switches: _t.Sequence[str],
-                 trunks: _t.Iterable[tuple[str, str]],
-                 trunk_bandwidth_Bps: float | None = None,
-                 trunk_latency_s: float | None = None):
+                 trunks: _t.Iterable[tuple[str, str]]):
         if len(set(switches)) != len(switches):
             raise NetworkError(f"duplicate switch names in topology {name!r}")
         self.name = name
@@ -46,9 +44,6 @@ class Topology:
             if a not in known or b not in known:
                 raise NetworkError(f"trunk {a!r}-{b!r} references an "
                                    f"unknown switch")
-        #: None means "inherit the link model's value" (set by the Fabric).
-        self.trunk_bandwidth_Bps = trunk_bandwidth_Bps
-        self.trunk_latency_s = trunk_latency_s
         self._adjacency: dict[str, tuple[str, ...]] = {s: () for s in switches}
         neigh: dict[str, set[str]] = {s: set() for s in switches}
         for a, b in self.trunks:
@@ -63,22 +58,22 @@ class Topology:
 
     # -- constructors -----------------------------------------------------
     @classmethod
-    def single(cls, name: str = "single", **kw) -> "Topology":
+    def single(cls, name: str = "single") -> "Topology":
         """One switch, no trunks — the paper's original crossbar."""
-        return cls(name, ["sw0"], [], **kw)
+        return cls(name, ["sw0"], [])
 
     @classmethod
-    def ring(cls, n: int, **kw) -> "Topology":
+    def ring(cls, n: int) -> "Topology":
         """``n`` switches in a cycle (n >= 2; n == 2 degenerates to one
         trunk)."""
         if n < 2:
             raise NetworkError(f"a ring needs >= 2 switches, got {n}")
         switches = [f"sw{i}" for i in range(n)]
         trunks = [(f"sw{i}", f"sw{(i + 1) % n}") for i in range(n)]
-        return cls(f"ring{n}", switches, trunks, **kw)
+        return cls(f"ring{n}", switches, trunks)
 
     @classmethod
-    def torus(cls, *dims: int, **kw) -> "Topology":
+    def torus(cls, *dims: int) -> "Topology":
         """A 2D or 3D torus: wraparound mesh over ``dims`` switches."""
         if len(dims) not in (2, 3):
             raise NetworkError(f"torus takes 2 or 3 dimensions, got {dims!r}")
@@ -95,7 +90,7 @@ class Topology:
                 nxt[axis] = (c[axis] + 1) % extent
                 trunks.append((name_of[c], name_of[tuple(nxt)]))
         label = "x".join(str(d) for d in dims)
-        return cls(f"torus{label}", [name_of[c] for c in coords], trunks, **kw)
+        return cls(f"torus{label}", [name_of[c] for c in coords], trunks)
 
     # -- routing ----------------------------------------------------------
     def _bfs(self, src: str) -> dict[str, str]:
@@ -153,14 +148,11 @@ class TopologySpec:
 
     ``kind`` is one of ``single``, ``ring``, ``torus2d``, ``torus3d``;
     ``dims`` is the switch count (ring) or per-axis extents (torus).
-    Trunk bandwidth/latency default to the cluster's link model when left
-    ``None``.
+    Trunks have the cluster link model's bandwidth and latency.
     """
 
     kind: str = "single"
     dims: tuple[int, ...] = ()
-    trunk_bandwidth_Bps: float | None = None
-    trunk_latency_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("single", "ring", "torus2d", "torus3d"):
@@ -172,10 +164,8 @@ class TopologySpec:
                 f"got {self.dims!r}")
 
     def build(self) -> Topology:
-        kw = {"trunk_bandwidth_Bps": self.trunk_bandwidth_Bps,
-              "trunk_latency_s": self.trunk_latency_s}
         if self.kind == "single":
-            return Topology.single(**kw)
+            return Topology.single()
         if self.kind == "ring":
-            return Topology.ring(self.dims[0], **kw)
-        return Topology.torus(*self.dims, **kw)
+            return Topology.ring(self.dims[0])
+        return Topology.torus(*self.dims)

@@ -326,16 +326,6 @@ class TraceCollector:
                 if s.trace_id == span.trace_id and s.parent_id == span.span_id]
 
     # -- lifecycle --------------------------------------------------------
-    def abort_open(self, reason: str) -> int:
-        """Close every open span, marking it aborted; returns the count.
-
-        Called when a ``SyncSession.parallel`` call — the top of a
-        script — is torn down abnormally, so the export never contains
-        dangling spans.  ``run_parallel`` aborts only its own branches'
-        traces (:meth:`BranchScope.abort`).
-        """
-        return self._abort(self.open_spans, reason)
-
     def _abort(self, aborted: list[Span], reason: str) -> int:
         for span in aborted:
             span.attrs.setdefault("aborted", reason)

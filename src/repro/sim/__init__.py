@@ -11,7 +11,7 @@ Public surface::
 """
 
 from .engine import Engine
-from .events import AllOf, AnyOf, Condition, Deadline, Event, Timeout
+from .events import AllOf, AnyOf, Condition, Event, Timeout
 from .process import Process
 from .resources import BandwidthShare, Resource
 
@@ -19,7 +19,6 @@ __all__ = [
     "Engine",
     "Event",
     "Timeout",
-    "Deadline",
     "Condition",
     "AllOf",
     "AnyOf",

@@ -13,7 +13,7 @@ import itertools
 import typing as _t
 
 from ..errors import SimulationError
-from .events import AllOf, AnyOf, Deadline, Event, Timeout
+from .events import AllOf, AnyOf, Event, Timeout
 from .process import Process, ProcessGenerator
 
 
@@ -32,7 +32,7 @@ class Engine:
     #: Compaction threshold: rebuild the heap once more than half of at
     #: least this many entries are cancelled (lazy deletion hygiene).
     COMPACT_MIN = 64
-    #: Upper bound on recycled hot-path deadline objects kept around.
+    #: Upper bound on recycled hot-path timer objects kept around.
     POOL_MAX = 128
 
     def __init__(self) -> None:
@@ -42,9 +42,7 @@ class Engine:
         self._running = False
         #: Cancelled entries still sitting in the heap (lazy deletion).
         self._n_dead = 0
-        #: Recycled race() deadlines awaiting slot reuse.
-        self._deadline_pool: list[Deadline] = []
-        #: Recycled plain timers (see :meth:`pooled_timer`).
+        #: Recycled timers and race() deadlines (see :meth:`pooled_timer`).
         self._timeout_pool: list[Timeout] = []
 
     # -- scheduling -----------------------------------------------------
@@ -93,21 +91,15 @@ class Engine:
             self._n_dead = 0
 
     def _retire(self, event: Event) -> None:
-        """A dead heap entry is gone; recycle poolable timer slots.
+        """A dead heap entry is gone; recycle a poolable timer slot.
 
-        Exact-type checks keep subclasses with extra state out of the
-        shared pools.
+        The exact-type check keeps subclasses with extra state out of the
+        pool.
         """
         event._scheduled = False
-        if not getattr(event, "_poolable", False):
-            return
-        cls = type(event)
-        if cls is Deadline:
-            if len(self._deadline_pool) < self.POOL_MAX:
-                self._deadline_pool.append(event)
-        elif cls is Timeout:
-            if len(self._timeout_pool) < self.POOL_MAX:
-                self._timeout_pool.append(event)
+        if (getattr(event, "_poolable", False) and type(event) is Timeout
+                and len(self._timeout_pool) < self.POOL_MAX):
+            self._timeout_pool.append(event)
 
     @property
     def queued(self) -> int:
@@ -228,10 +220,6 @@ class Engine:
         """Event that succeeds once any of ``events`` has succeeded."""
         return AnyOf(self, events)
 
-    def deadline(self, seconds: float) -> Deadline:
-        """A deadline timer firing ``seconds`` from now."""
-        return Deadline(self, seconds)
-
     def call_at(self, when: float, fn: _t.Callable[[], None]) -> Timeout:
         """Run ``fn()`` at absolute virtual time ``when``.
 
@@ -244,7 +232,7 @@ class Engine:
         t.add_callback(lambda _ev: fn())
         return t
 
-    def race(self, event: Event, seconds: float) -> tuple[AnyOf, Deadline]:
+    def race(self, event: Event, seconds: float) -> tuple[AnyOf, Timeout]:
         """Race ``event`` against a fresh deadline of ``seconds``.
 
         Returns ``(condition, deadline)``.  A process yields the condition;
@@ -260,18 +248,13 @@ class Engine:
             else:
                 ...  # the deadline fired first
 
-        Deadlines created here are slot-reused: once cancelled and
+        The deadline is a :meth:`pooled_timer`: once cancelled and
         retired from the heap, the object is re-armed for a later race
-        instead of allocating a fresh one (the RPC hot path makes one
-        per request).  Do not keep references to ``dl`` beyond the race.
+        or timer instead of allocating a fresh one (the RPC hot path
+        makes one per request).  Do not keep references to ``dl`` beyond
+        the race.
         """
-        pool = self._deadline_pool
-        if pool:
-            dl = pool.pop()
-            dl._rearm(seconds)
-        else:
-            dl = Deadline(self, seconds)
-            dl._poolable = True
+        dl = self.pooled_timer(seconds)
         return self.any_of([event, dl]), dl
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

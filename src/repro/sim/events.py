@@ -252,17 +252,6 @@ class Timeout(Event):
         self.engine._enqueue(self, delay=self.delay)
 
 
-class Deadline(Timeout):
-    """A timeout used as a per-request deadline.
-
-    Behaviourally identical to :class:`Timeout`; the distinct type lets
-    code that races a deadline against a reply (see :meth:`Engine.race`)
-    recognise which branch fired, and reads better in traces.
-    """
-
-    __slots__ = ()
-
-
 class Condition(Event):
     """Composite event over a list of child events.
 

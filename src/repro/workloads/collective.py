@@ -32,23 +32,21 @@ from ..netsim import TopologySpec
 
 #: Transport modes compared by :func:`run`.
 MODES = ("p2p", "staged")
+#: Devices in the ring, attached round-robin to a 2x2 torus of switches.
+DEVICES = 8
+TOPOLOGY = TopologySpec(kind="torus2d", dims=(2, 2))
 
 
 @dataclasses.dataclass(frozen=True)
 class CollectiveConfig:
     """Shape of one collective comparison run."""
 
-    devices: int = 8
-    #: float64 elements per chunk; each device owns ``devices`` chunks.
+    #: float64 elements per chunk; each device owns ``DEVICES`` chunks.
     chunk_elements: int = 65536
     op: str = "allreduce"
-    topology: str = "torus2d"
-    dims: tuple[int, ...] = (2, 2)
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.devices < 2:
-            raise MiddlewareError("collective needs >= 2 devices")
         if self.chunk_elements < 1:
             raise MiddlewareError("chunk_elements must be >= 1")
         if self.op not in ("allreduce", "broadcast"):
@@ -56,9 +54,6 @@ class CollectiveConfig:
 
     def chunk_nbytes(self) -> int:
         return self.chunk_elements * 8
-
-    def topology_spec(self) -> TopologySpec:
-        return TopologySpec(kind=self.topology, dims=self.dims)
 
 
 @dataclasses.dataclass
@@ -97,10 +92,10 @@ class CollectiveReport:
         return {
             "schema": "repro-collective/1",
             "op": self.config.op,
-            "devices": self.config.devices,
+            "devices": DEVICES,
             "chunk_elements": self.config.chunk_elements,
-            "topology": self.config.topology,
-            "dims": list(self.config.dims),
+            "topology": TOPOLOGY.kind,
+            "dims": list(TOPOLOGY.dims),
             "seed": self.config.seed,
             "identical": self.identical,
             "speedup": self.speedup,
@@ -125,7 +120,7 @@ def _oracle(cfg: CollectiveConfig,
     at device ``c``; reproducing that order makes the oracle *bit*-exact
     in float64, not merely allclose.
     """
-    n = cfg.devices
+    n = DEVICES
     if cfg.op == "broadcast":
         return [inputs[0][c].copy() for c in range(n)]
     out = []
@@ -141,9 +136,9 @@ def run_once(cfg: CollectiveConfig, mode: str) -> ModeResult:
     """One collective on a fresh cluster over the given transport."""
     if mode not in MODES:
         raise MiddlewareError(f"unknown collective mode {mode!r}")
-    n = cfg.devices
+    n = DEVICES
     cluster = Cluster(ClusterSpec(n_compute=1, n_accelerators=n,
-                                  topology=cfg.topology_spec()))
+                                  topology=TOPOLOGY))
     sess = cluster.session()
     handles = sess.call(cluster.arm_client(0).alloc(count=n))
     acs = [cluster.remote(0, h) for h in handles]
@@ -190,12 +185,12 @@ def run_once(cfg: CollectiveConfig, mode: str) -> ModeResult:
                       digest=digest.hexdigest(), exact=exact)
 
 
-def ring_hop_counts(cfg: CollectiveConfig) -> list[int]:
+def ring_hop_counts() -> list[int]:
     """Trunk hops between consecutive ring devices under the placement."""
-    cluster = Cluster(ClusterSpec(n_compute=1, n_accelerators=cfg.devices,
-                                  topology=cfg.topology_spec()))
-    return [cluster.fabric.hop_count(f"ac{i}", f"ac{(i + 1) % cfg.devices}")
-            for i in range(cfg.devices)]
+    cluster = Cluster(ClusterSpec(n_compute=1, n_accelerators=DEVICES,
+                                  topology=TOPOLOGY))
+    return [cluster.fabric.hop_count(f"ac{i}", f"ac{(i + 1) % DEVICES}")
+            for i in range(DEVICES)]
 
 
 def run(cfg: CollectiveConfig) -> CollectiveReport:
@@ -210,7 +205,7 @@ def run(cfg: CollectiveConfig) -> CollectiveReport:
                  if p2p.duration_s > 0 else float("inf")),
         cn_ratio=(staged.cn_bytes / p2p.cn_bytes
                   if p2p.cn_bytes > 0 else float("inf")),
-        ring_hops=ring_hop_counts(cfg),
+        ring_hops=ring_hop_counts(),
         digest=hashlib.sha256(
             (p2p.digest + staged.digest).encode()).hexdigest(),
     )
@@ -220,9 +215,9 @@ def format_report(report: CollectiveReport) -> str:
     """Human-readable summary for the CLI."""
     cfg = report.config
     lines = [
-        f"collective {cfg.op}: {cfg.devices} devices x "
-        f"{cfg.devices} chunks x {cfg.chunk_elements} f64 "
-        f"on {cfg.topology}{cfg.dims} (seed {cfg.seed})",
+        f"collective {cfg.op}: {DEVICES} devices x "
+        f"{DEVICES} chunks x {cfg.chunk_elements} f64 "
+        f"on {TOPOLOGY.kind}{TOPOLOGY.dims} (seed {cfg.seed})",
         f"  ring hops: {report.ring_hops} "
         f"(max {max(report.ring_hops, default=0)})",
     ]

@@ -16,57 +16,50 @@ that the model does not simulate in detail.
 from __future__ import annotations
 
 import dataclasses
-import math
 
 from ...errors import WorkloadError
 
 
+#: The SRD collision runs every ``SRD_EVERY``-th MD step.
+SRD_EVERY = 5
+PARTICLES_PER_CELL = 10
+#: Collision-cell edge (the unit of length).
+CELL_SIZE = 1.0
+#: SRD rotation angle.
+ALPHA_DEG = 130.0
+#: Calibrated per-particle CPU cost of one MD step (force evaluation,
+#: coupling, sorting) — reproduces the paper's absolute runtimes.
+MD_COST_PER_PARTICLE_S = 0.92e-6
+#: Fraction of local particles crossing a rank boundary per step
+#: (timed-mode migration volume).
+MIGRATION_FRACTION = 0.004
+
+
 @dataclasses.dataclass(frozen=True)
 class MP2CConfig:
-    """One MP2C run: physics, decomposition, and cost calibration."""
+    """One MP2C run: particle count, step count and MD time step."""
 
     n_particles: int
     steps: int = 300
-    srd_every: int = 5
-    particles_per_cell: int = 10
-    cell_size: float = 1.0
-    alpha_deg: float = 130.0          # SRD rotation angle
     dt: float = 0.02
-    temperature: float = 1.0
-    #: Calibrated per-particle CPU cost of one MD step (force evaluation,
-    #: coupling, sorting) — reproduces the paper's absolute runtimes.
-    md_cost_per_particle_s: float = 0.92e-6
-    #: Per-particle GPU cost of the SRD collision kernel.
-    srd_gpu_cost_per_particle_s: float = 5.0e-9
-    #: Fraction of local particles crossing a rank boundary per step
-    #: (timed-mode migration volume).
-    migration_fraction: float = 0.004
 
     def __post_init__(self) -> None:
         if self.n_particles <= 0:
             raise WorkloadError("n_particles must be positive")
-        if self.steps <= 0 or self.srd_every <= 0:
-            raise WorkloadError("steps and srd_every must be positive")
-        if self.particles_per_cell <= 0:
-            raise WorkloadError("particles_per_cell must be positive")
-        if not 0 < self.alpha_deg < 360:
-            raise WorkloadError("alpha must be in (0, 360) degrees")
+        if self.steps <= 0:
+            raise WorkloadError("steps must be positive")
 
     @property
     def n_cells(self) -> int:
-        return max(1, self.n_particles // self.particles_per_cell)
+        return max(1, self.n_particles // PARTICLES_PER_CELL)
 
     def box_edge_cells(self) -> int:
         """Cells per box edge for a cubic box."""
         return max(1, round(self.n_cells ** (1.0 / 3.0)))
 
     @property
-    def alpha_rad(self) -> float:
-        return math.radians(self.alpha_deg)
-
-    @property
     def n_srd_steps(self) -> int:
-        return self.steps // self.srd_every
+        return self.steps // SRD_EVERY
 
     def particle_bytes(self, n_local: int) -> int:
         """Bytes of one 3-vector array for ``n_local`` particles."""

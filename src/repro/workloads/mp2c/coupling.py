@@ -7,7 +7,7 @@ or network-attached) — the configuration of the paper's Sect. V-C runs
 1. CPU work: stream/integrate the local particles (charged to the
    calibrated per-particle cost; real mode also moves them numerically);
 2. migrate boundary-crossing particles to the neighbouring ranks;
-3. every ``srd_every``-th step, offload the SRD collision: upload
+3. every ``SRD_EVERY``-th step, offload the SRD collision: upload
    positions + velocities, run the collision kernel, download the new
    velocities.
 
@@ -19,6 +19,7 @@ exercised exactly.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing as _t
 
 import numpy as np
@@ -30,7 +31,14 @@ from ...errors import WorkloadError
 from ...mpisim import Phantom, RankHandle
 from ...sim import Engine
 from ..linalg.hostmem import as_matrix
-from .config import MP2CConfig
+from .config import (
+    ALPHA_DEG,
+    CELL_SIZE,
+    MD_COST_PER_PARTICLE_S,
+    MIGRATION_FRACTION,
+    SRD_EVERY,
+    MP2CConfig,
+)
 from .domain import SlabDecomposition
 from .md import lj_forces_on_local, stream, wrap_periodic
 
@@ -111,7 +119,7 @@ def _solute_halos(rank, decomp, me: int, left: int, right: int,
                   base_tag: int, spos: np.ndarray):
     """Exchange solute positions within the cutoff of the slab faces."""
     lo, hi = decomp.bounds(me)
-    rcut = decomp.cell_size * 2.5  # LJ cutoff in cell units
+    rcut = CELL_SIZE * 2.5  # LJ cutoff in cell units
     if left == right:
         # Two ranks: both faces border the same neighbour.  Send the
         # union of the two bands once so overlapping bands (narrow slabs)
@@ -145,7 +153,7 @@ def _rank_body(engine: Engine, cpu: CPUSpec, rank: RankHandle, ac: _t.Any,
     real = pos is not None
     me = rank.index
     box = np.array([decomp.box[0], decomp.box[1], decomp.box[2]])
-    rcut = decomp.cell_size * 2.5
+    rcut = CELL_SIZE * 2.5
     n_local = (pos.shape[0] if real
                else cfg.n_particles // decomp.n_ranks)
     has_solutes = real and spos is not None and spos.shape[0] >= 0
@@ -172,7 +180,7 @@ def _rank_body(engine: Engine, cpu: CPUSpec, rank: RankHandle, ac: _t.Any,
         tags = _MIG_TAG + _TAGS_PER_STEP * step
         # 1. CPU: streaming / MD / coupling work on local particles.
         count = pos.shape[0] if real else n_local
-        yield engine.timeout(count * cfg.md_cost_per_particle_s)
+        yield engine.timeout(count * MD_COST_PER_PARTICLE_S)
         if real:
             stream(pos, vel, cfg.dt)
             wrap_periodic(pos, box)
@@ -194,7 +202,7 @@ def _rank_body(engine: Engine, cpu: CPUSpec, rank: RankHandle, ac: _t.Any,
                                                      right, tags + 2,
                                                      spos, svel)
             else:
-                mig = int(n_local * cfg.migration_fraction / 2)
+                mig = int(n_local * MIGRATION_FRACTION / 2)
                 yield from _neighbour_exchange(rank, left, right, tags,
                                                Phantom(mig * 48),
                                                Phantom(mig * 48))
@@ -212,7 +220,7 @@ def _rank_body(engine: Engine, cpu: CPUSpec, rank: RankHandle, ac: _t.Any,
         # 3. SRD collision on the accelerator every srd_every-th step.
         #    Solutes participate in the collision cells — the MPC way of
         #    coupling the molecular and mesoscopic scales.
-        if (step + 1) % cfg.srd_every == 0:
+        if (step + 1) % SRD_EVERY == 0:
             if real and has_solutes:
                 all_pos = np.concatenate([pos, spos], axis=0)
                 all_vel = np.concatenate([vel, svel], axis=0)
@@ -226,8 +234,8 @@ def _rank_body(engine: Engine, cpu: CPUSpec, rank: RankHandle, ac: _t.Any,
                                    else Phantom(nbytes))
             shift_axes = (0, 1, 2) if decomp.n_ranks == 1 else (1, 2)
             srd_params = {"pos": gpu_pos, "vel": gpu_vel, "n": int(count),
-                          "box": tuple(box), "a": cfg.cell_size,
-                          "alpha": cfg.alpha_rad,
+                          "box": tuple(box), "a": CELL_SIZE,
+                          "alpha": math.radians(ALPHA_DEG),
                           "seed": 10_000 + step,  # same on all ranks per step
                           "shift_axes": shift_axes}
             yield from ac.memcpy_h2d(gpu_pos, pos_payload)
@@ -273,15 +281,15 @@ def run_mp2c(engine: Engine, cpu: CPUSpec, ranks: _t.Sequence[RankHandle],
         raise WorkloadError("solutes require real mode (pass `initial`)")
     if solutes is not None and len(solutes) != n_ranks:
         raise WorkloadError("need one solute bundle per rank")
-    edge = cfg.box_edge_cells() * cfg.cell_size
+    edge = cfg.box_edge_cells() * CELL_SIZE
     # Round the x edge up so it splits evenly over the ranks.
     cells_x = cfg.box_edge_cells()
     if cells_x % n_ranks:
         cells_x += n_ranks - cells_x % n_ranks
-    decomp = SlabDecomposition(box=(cells_x * cfg.cell_size, edge, edge),
-                               n_ranks=n_ranks, cell_size=cfg.cell_size)
+    decomp = SlabDecomposition(box=(cells_x * CELL_SIZE, edge, edge),
+                               n_ranks=n_ranks)
     if (solutes is not None and n_ranks > 1
-            and decomp.slab_width < 2.5 * cfg.cell_size):
+            and decomp.slab_width < 2.5 * CELL_SIZE):
         raise WorkloadError(
             "slab width is below the LJ cutoff; one-neighbour halo "
             "exchange would miss interactions")

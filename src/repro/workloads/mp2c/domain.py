@@ -14,6 +14,7 @@ import dataclasses
 import numpy as np
 
 from ...errors import WorkloadError
+from .config import CELL_SIZE
 
 
 @dataclasses.dataclass(frozen=True)
@@ -22,12 +23,11 @@ class SlabDecomposition:
 
     box: tuple[float, float, float]
     n_ranks: int
-    cell_size: float = 1.0
 
     def __post_init__(self) -> None:
         if self.n_ranks <= 0:
             raise WorkloadError("need at least one rank")
-        cells_x = self.box[0] / self.cell_size
+        cells_x = self.box[0] / CELL_SIZE
         if abs(cells_x - round(cells_x)) > 1e-9:
             raise WorkloadError("box x-edge must be a whole number of cells")
         if round(cells_x) % self.n_ranks != 0:

@@ -84,7 +84,7 @@ class TestCli:
     def test_run_quick_with_json(self, tmp_path):
         out = io.StringIO()
         path = tmp_path / "fig.json"
-        run_experiment("ext_utilization", quick=True, check=True,
+        run_experiment("ext_utilization", quick=True,
                        json_path=str(path), out=out)
         assert "shape check passed" in out.getvalue()
         data = json.loads(path.read_text())
@@ -133,14 +133,12 @@ def test_package_exports_resolve():
 class TestMicExtensibility:
     """The conclusion's claim: the stack is not CUDA/GPU-specific."""
 
-    def test_middleware_drives_mic_pool_unchanged(self):
-        import dataclasses
-        from repro.cluster import AcceleratorNodeSpec, ClusterSpec
+    def test_middleware_drives_mic_pool_unchanged(self, monkeypatch):
+        from repro.cluster import ClusterSpec, node
         from repro.gpusim import XEON_PHI_KNC
 
-        spec = ClusterSpec(n_compute=1, n_accelerators=2,
-                           accelerator=AcceleratorNodeSpec(gpu=XEON_PHI_KNC))
-        cluster = Cluster(spec)
+        monkeypatch.setattr(node, "ACCELERATOR_GPU", XEON_PHI_KNC)
+        cluster = Cluster(ClusterSpec(n_compute=1, n_accelerators=2))
         sess = cluster.session()
         handles = sess.call(cluster.arm_client(0).alloc(count=1))
         ac = cluster.remote(0, handles[0])
@@ -151,15 +149,14 @@ class TestMicExtensibility:
         out = sess.call(ac.memcpy_d2h(ptr, data.nbytes))
         np.testing.assert_allclose(out, 2 * data)
 
-    def test_mic_outcomputes_c1060(self):
-        from repro.cluster import AcceleratorNodeSpec, ClusterSpec
+    def test_mic_outcomputes_c1060(self, monkeypatch):
+        from repro.cluster import ClusterSpec, node
         from repro.gpusim import XEON_PHI_KNC
         from repro.workloads.linalg import qr_factorize
 
         def gflops_with(gpu_spec):
-            spec = ClusterSpec(n_compute=1, n_accelerators=1,
-                               accelerator=AcceleratorNodeSpec(gpu=gpu_spec))
-            cluster = Cluster(spec)
+            monkeypatch.setattr(node, "ACCELERATOR_GPU", gpu_spec)
+            cluster = Cluster(ClusterSpec(n_compute=1, n_accelerators=1))
             sess = cluster.session()
             handles = sess.call(cluster.arm_client(0).alloc(count=1))
             acs = [cluster.remote(0, handles[0])]

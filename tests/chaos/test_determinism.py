@@ -10,6 +10,7 @@ ignores the seed would make the replay check vacuous.
 import pytest
 
 from repro.chaos import SCENARIOS
+from repro.chaos.scenarios import REQUESTS_PER_TENANT
 
 from ..harness import (
     CHAOS_QUICK,
@@ -23,8 +24,7 @@ from ..harness import (
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_catalog_scenario_replays_identically(name):
     report = assert_chaos_replay_identical(SCENARIOS[name])
-    assert report.submitted == (CHAOS_QUICK["n_tenants"]
-                                * CHAOS_QUICK["requests_per_tenant"])
+    assert report.submitted == CHAOS_QUICK["n_tenants"] * REQUESTS_PER_TENANT
     assert report.stuck == 0
     assert report.corrupted == 0
 

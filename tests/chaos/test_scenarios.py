@@ -11,7 +11,13 @@ import dataclasses
 import pytest
 
 from repro.chaos import SCENARIOS, check_expectations, format_report
-from repro.chaos.scenarios import ChaosConfig, Injection, run, score_pool_events
+from repro.chaos.scenarios import (
+    N_ACCELERATORS,
+    ChaosConfig,
+    Injection,
+    run,
+    score_pool_events,
+)
 from repro.errors import WorkloadError
 
 from ..harness import run_chaos_scenario
@@ -208,12 +214,12 @@ class TestValidation:
 
     @pytest.mark.parametrize("kwargs", [
         {"n_tenants": 0},
-        {"n_accelerators": 0},
-        {"n_accelerators": 9},
-        {"n_gateways": 0},
-        {"requests_per_tenant": 0},
+        {"initial_accelerators": 0},
+        {"initial_accelerators": N_ACCELERATORS + 1},
+        {"slots_per_device": 0},
+        {"slots_per_device": -1},
         {"window_s": 0.0},
-        {"payload_bytes": 4},
+        {"window_s": -1e-3},
     ])
     def test_config_validation(self, kwargs):
         with pytest.raises(WorkloadError):
@@ -223,4 +229,11 @@ class TestValidation:
         with pytest.raises(WorkloadError):
             ChaosConfig(n_tenants=0)
         with pytest.raises(WorkloadError):
-            ChaosConfig(initial_accelerators=9, n_accelerators=4)
+            ChaosConfig(initial_accelerators=9)
+
+    def test_zero_slots_rejected_before_any_session_sticks(self):
+        """``slots_per_device = 0`` admits no lease, so every session of
+        a run used to end ``stuck``; it is refused up front instead."""
+        with pytest.raises(WorkloadError, match="slots_per_device"):
+            run("partition", ChaosConfig(n_tenants=6, window_s=2e-3,
+                                         slots_per_device=0))

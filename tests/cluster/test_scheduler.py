@@ -11,9 +11,9 @@ from repro.cluster.scheduler import (
 from repro.errors import ClusterConfigError
 
 
-def job(name, arrival, duration, gpus=0, nodes=1):
+def job(name, arrival, duration, gpus=0):
     return JobSpec(name=name, arrival_s=arrival, duration_s=duration,
-                   n_nodes=nodes, n_gpus=gpus)
+                   n_gpus=gpus)
 
 
 class TestFootprints:
@@ -53,7 +53,7 @@ class TestFifoScheduling:
         # Big job at the head blocks a small one even if it would fit.
         jobs = [job("big", 0, 10, gpus=2),
                 job("bigger", 1, 10, gpus=2),
-                job("small", 2, 1, gpus=0, nodes=1)]
+                job("small", 2, 1, gpus=0)]
         res = run_job_mix(jobs, n_nodes=3, n_gpus=2, policy="dynamic")
         recs = {r.spec.name: r for r in res.records}
         assert recs["bigger"].start_s == pytest.approx(10.0)
@@ -97,4 +97,4 @@ class TestFifoScheduling:
         with pytest.raises(ClusterConfigError):
             JobSpec("x", 0.0, 0.0)
         with pytest.raises(ClusterConfigError):
-            JobSpec("x", 0.0, 1.0, n_nodes=0)
+            JobSpec("x", 0.0, 1.0, n_gpus=-1)

@@ -3,10 +3,8 @@
 import pytest
 
 from repro.cluster import (
-    AcceleratorNodeSpec,
     Cluster,
     ClusterSpec,
-    ComputeNodeSpec,
     CPUSpec,
     XEON_X5670_DUAL,
     paper_testbed,
@@ -21,8 +19,10 @@ class TestSpecs:
         assert spec.n_compute == 4
         assert spec.n_accelerators == 3
         assert spec.network.name == "ib-qdr-mpi"
-        assert spec.accelerator.gpu is TESLA_C1060
         assert spec.compute.local_gpu is None
+        node = Cluster(spec).accelerator_nodes[0]
+        assert node.gpu.spec is TESLA_C1060
+        assert node.cpu is XEON_X5670_DUAL
 
     def test_local_gpus_variant(self):
         spec = paper_testbed(local_gpus=True)
@@ -43,12 +43,6 @@ class TestSpecs:
             ClusterSpec(n_compute=0, n_accelerators=1)
         with pytest.raises(ClusterConfigError):
             ClusterSpec(n_compute=1, n_accelerators=-1)
-
-    def test_node_spec_validation(self):
-        with pytest.raises(ClusterConfigError):
-            ComputeNodeSpec(ram_bytes=0)
-        with pytest.raises(ClusterConfigError):
-            AcceleratorNodeSpec(ram_bytes=-1)
 
 
 class TestClusterAssembly:

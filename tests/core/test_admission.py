@@ -17,14 +17,13 @@ class TestTenantSpec:
         assert spec.weight == 1.0
         assert spec.priority == 0
         assert spec.max_vaccels == 1
-        assert spec.mem_quota_bytes is None
 
     @pytest.mark.parametrize("kwargs", [
         {"tenant_id": ""},
         {"tenant_id": "t", "weight": 0.0},
         {"tenant_id": "t", "weight": -1.0},
         {"tenant_id": "t", "max_vaccels": 0},
-        {"tenant_id": "t", "mem_quota_bytes": 0},
+        {"tenant_id": "t", "max_vaccels": -1},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(AllocationError):
@@ -130,7 +129,7 @@ class TestAdmissionController:
         for _ in range(6):
             ac = ctrl.place(healthy)
             placed.append(ac)
-            ctrl.grant("bob" if len(placed) % 2 else "alice", ac, 0, now=0.0)
+            ctrl.grant("bob" if len(placed) % 2 else "alice", ac, now=0.0)
         # Most-free-slots first, ties to the lowest ac_id.
         assert placed == [0, 1, 2, 0, 1, 2]
         assert ctrl.place(healthy) is None  # full
@@ -138,7 +137,7 @@ class TestAdmissionController:
     def test_free_slots_accounting(self):
         ctrl = self._ctrl(slots=2)
         assert ctrl.free_slots([0, 1]) == 4
-        ctrl.grant("alice", 0, 0, now=0.0)
+        ctrl.grant("alice", 0, now=0.0)
         assert ctrl.free_slots([0, 1]) == 3
         assert ctrl.used_slots(0) == 1
 
@@ -146,21 +145,21 @@ class TestAdmissionController:
         ctrl = AdmissionController(slots_per_device=4)
         for name, prio in (("low_old", 0), ("low_new", 0), ("mid", 1)):
             ctrl.register(TenantSpec(name, priority=prio))
-        l1 = ctrl.grant("low_old", 0, 0, now=1.0)
-        ctrl.grant("low_new", 0, 0, now=2.0)
-        ctrl.grant("mid", 0, 0, now=0.5)
+        l1 = ctrl.grant("low_old", 0, now=1.0)
+        ctrl.grant("low_new", 0, now=2.0)
+        ctrl.grant("mid", 0, now=0.5)
         victim = ctrl.find_victim(priority=2)
         assert victim.vac_id == l1.vac_id  # lowest priority, oldest grant
 
     def test_no_victim_at_equal_priority(self):
         ctrl = self._ctrl()
-        ctrl.grant("bob", 0, 0, now=0.0)  # priority 0
+        ctrl.grant("bob", 0, now=0.0)  # priority 0
         assert ctrl.find_victim(priority=0) is None
 
     def test_end_accounts_weighted_service(self):
         ctrl = self._ctrl()
-        la = ctrl.grant("alice", 0, 0, now=0.0)   # weight 2.0
-        lb = ctrl.grant("bob", 0, 0, now=0.0)     # weight 1.0
+        la = ctrl.grant("alice", 0, now=0.0)   # weight 2.0
+        lb = ctrl.grant("bob", 0, now=0.0)     # weight 1.0
         ctrl.end(la.vac_id, now=10.0)
         ctrl.end(lb.vac_id, now=10.0)
         assert ctrl.service_s["alice"] == pytest.approx(5.0)
@@ -173,7 +172,7 @@ class TestAdmissionController:
 
     def test_vac_ids_monotonic(self):
         ctrl = self._ctrl(slots=4)
-        ids = [ctrl.grant("bob", 0, 0, now=0.0).vac_id for _ in range(3)]
+        ids = [ctrl.grant("bob", 0, now=0.0).vac_id for _ in range(3)]
         assert ids == sorted(ids)
         assert len(set(ids)) == 3
 

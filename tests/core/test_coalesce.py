@@ -17,6 +17,7 @@ from repro.core import (
 )
 from repro.core.coalesce import FrameCoalescer
 from repro.core.daemon import DEDUP_CACHE_SIZE
+from repro.core.api import run_parallel
 
 
 def make_rig():
@@ -38,9 +39,9 @@ class TestFrameCoalescer:
     def test_concurrent_sub_frames_share_a_wire_frame(self, rig):
         cluster, sess, ac, co = rig
         daemon = cluster.daemons[ac.handle.ac_id]
-        results = sess.parallel([
+        results = sess.call(run_parallel(sess.engine, [
             ac.batch_rpc([(Op.MEM_ALLOC, {"nbytes": 64})])
-            for _ in range(4)])
+            for _ in range(4)]))
         addrs = {subs[0].value for subs in results}
         assert len(addrs) == 4 and all(s[0].ok for s in results)
         # The 2 us window gathered the concurrent submissions: fewer
@@ -53,10 +54,10 @@ class TestFrameCoalescer:
 
     def test_sub_frame_failure_does_not_skip_other_riders(self, rig):
         cluster, sess, ac, co = rig
-        good, bad = sess.parallel([
+        good, bad = sess.call(run_parallel(sess.engine, [
             ac.batch_rpc([(Op.MEM_ALLOC, {"nbytes": 64})]),
             ac.batch_rpc([(Op.MEM_FREE, {"addr": 0xdead})]),
-        ])
+        ]))
         assert good[0].ok
         assert not bad[0].ok
 

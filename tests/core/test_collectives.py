@@ -15,14 +15,14 @@ from repro.core.collectives import ring_allreduce, ring_broadcast
 from repro.errors import MiddlewareError
 from repro.netsim import TopologySpec
 from repro.workloads.collective import (
+    DEVICES,
     CollectiveConfig,
     ring_hop_counts,
     run,
     run_once,
 )
 
-QUICK = CollectiveConfig(devices=8, chunk_elements=256,
-                         topology="torus2d", dims=(2, 2))
+QUICK = CollectiveConfig(chunk_elements=256)
 
 
 @pytest.fixture(scope="module")
@@ -59,31 +59,29 @@ class TestRingAllreduce:
     def test_bytes_on_wire_match_the_schedule(self, allreduce_report):
         # Ring allreduce moves 2*(N-1) chunks per device end to end.
         cfg = QUICK
-        expected = 2 * (cfg.devices - 1) * cfg.devices * cfg.chunk_nbytes()
+        expected = 2 * (DEVICES - 1) * DEVICES * cfg.chunk_nbytes()
         moved = allreduce_report.results["p2p"].bytes_moved
         assert moved >= expected
         # ... plus RPC envelopes, but nowhere near another chunk sweep.
-        assert moved < expected + cfg.devices * cfg.devices * 4096
+        assert moved < expected + DEVICES * DEVICES * 4096
 
 
 class TestRingBroadcast:
     def test_broadcast_matches_root(self):
-        cfg = CollectiveConfig(devices=4, chunk_elements=256, op="broadcast",
-                               topology="ring", dims=(2,))
+        cfg = CollectiveConfig(chunk_elements=256, op="broadcast")
         rep = run(cfg)
         assert rep.identical
         assert all(r.exact for r in rep.results.values())
         assert rep.cn_ratio >= 2.0
 
     def test_single_mode_run(self):
-        res = run_once(CollectiveConfig(devices=2, chunk_elements=64,
-                                        op="broadcast", topology="single",
-                                        dims=()), "p2p")
+        res = run_once(CollectiveConfig(chunk_elements=64, op="broadcast"),
+                       "p2p")
         assert res.exact
 
     def test_config_validation(self):
         with pytest.raises(MiddlewareError):
-            CollectiveConfig(devices=1)
+            CollectiveConfig(chunk_elements=0)
         with pytest.raises(MiddlewareError):
             CollectiveConfig(op="allgather")
         with pytest.raises(MiddlewareError):
@@ -107,8 +105,8 @@ class TestCollectiveLayer:
                                      root=5))
 
     def test_ring_hop_counts_shape(self):
-        hops = ring_hop_counts(QUICK)
-        assert len(hops) == QUICK.devices
+        hops = ring_hop_counts()
+        assert len(hops) == DEVICES
         assert all(h >= 0 for h in hops)
 
 

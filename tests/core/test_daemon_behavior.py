@@ -15,6 +15,7 @@ from repro.core import (
 from repro.core.daemon import DEDUP_CACHE_SIZE
 from repro.mpisim import Phantom
 from repro.units import KiB, MiB
+from repro.core.api import run_parallel
 
 
 @pytest.fixture
@@ -35,8 +36,8 @@ class TestDaemonSerialization:
         sess.call(ac.kernel_run("dgemm", params, real=False))
         one = sess.now - t0
         t0 = sess.now
-        sess.parallel([ac.kernel_run("dgemm", params, real=False)
-                       for _ in range(3)])
+        sess.call(run_parallel(sess.engine, [ac.kernel_run("dgemm", params, real=False)
+                       for _ in range(3)]))
         three = sess.now - t0
         assert three == pytest.approx(3 * one, rel=0.05)
 
@@ -47,8 +48,8 @@ class TestDaemonSerialization:
         sess.call(acs[0].kernel_run("dgemm", params, real=False))
         one = sess.now - t0
         t0 = sess.now
-        sess.parallel([ac.kernel_run("dgemm", params, real=False)
-                       for ac in acs])
+        sess.call(run_parallel(sess.engine, [ac.kernel_run("dgemm", params, real=False)
+                       for ac in acs]))
         both = sess.now - t0
         assert both < 1.5 * one
 
@@ -60,10 +61,10 @@ class TestDaemonSerialization:
         p_small = sess.call(ac.mem_alloc(64))
         p_big = sess.call(ac.mem_alloc(MiB))
         small = np.full(8, 3.0)
-        results = sess.parallel([
+        results = sess.call(run_parallel(sess.engine, [
             ac.memcpy_h2d(p_big, Phantom(MiB)),
             ac.memcpy_h2d(p_small, small),
-        ])
+        ]))
         out = sess.call(ac.memcpy_d2h(p_small, 64))
         np.testing.assert_array_equal(out, small)
 

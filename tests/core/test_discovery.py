@@ -13,19 +13,20 @@ import collections
 import pytest
 
 from repro.cluster import Cluster, paper_testbed
-from repro.core import Autoscaler, AutoscalerPolicy, TenantSpec
+from repro.cluster.builder import REPORT_PERIOD_S
+from repro.core import Autoscaler, TenantSpec
+from repro.core.discovery import MIN_NODES
 from repro.core.arm import AcceleratorState
 from repro.errors import AllocationError, ClusterConfigError
 
-REPORT_PERIOD = 1e-4
-TTL = 5e-4
+REPORT_PERIOD = REPORT_PERIOD_S
+TTL = 5 * REPORT_PERIOD
 
 
 def _discovery_cluster(n_ac: int = 3, initial: int | None = None,
                        slots: int = 1) -> Cluster:
     cluster = Cluster(paper_testbed(n_compute=1, n_accelerators=n_ac),
-                      discovery=True, initial_accelerators=initial,
-                      report_period_s=REPORT_PERIOD)
+                      discovery=True, initial_accelerators=initial)
     cluster.arm.admission.slots_per_device = slots
     return cluster
 
@@ -319,12 +320,8 @@ class TestExactlyOnceWaiterWake:
 class TestAutoscaler:
     def _rig(self, n_ac=3, initial=1):
         cluster = _discovery_cluster(n_ac=n_ac, initial=initial, slots=1)
-        policy = AutoscalerPolicy(min_nodes=1, max_nodes=n_ac,
-                                  scale_up_backlog=1,
-                                  scale_down_idle_rounds=2,
-                                  period_s=2 * REPORT_PERIOD)
         scaler = Autoscaler(cluster.arm, list(cluster.agents.values()),
-                            policy=policy)
+                            max_nodes=n_ac)
         scaler.start()
         return cluster, scaler
 
@@ -349,7 +346,7 @@ class TestAutoscaler:
         cluster, scaler = self._rig(n_ac=3, initial=3)
         cluster.run(until=40 * REPORT_PERIOD)
         assert scaler.scale_downs >= 1
-        assert len(cluster.arm.records) >= scaler.policy.min_nodes
+        assert len(cluster.arm.records) >= MIN_NODES
         kinds = [k for _, k, _ in cluster.arm.pool_events]
         assert "leave:scale-down" in kinds
 

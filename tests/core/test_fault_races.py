@@ -19,6 +19,7 @@ import collections
 import pytest
 
 from repro.cluster import Cluster, paper_testbed
+from repro.cluster.builder import REPORT_PERIOD_S
 from repro.core import (
     FailoverConfig,
     FaultInjector,
@@ -34,8 +35,8 @@ from repro.mpisim import Phantom
 
 from ..harness import register_tenants
 
-REPORT_PERIOD = 1e-4
-TTL = 5e-4
+REPORT_PERIOD = REPORT_PERIOD_S
+TTL = 5 * REPORT_PERIOD
 
 
 def _reply_counter(arm) -> collections.Counter:
@@ -62,8 +63,7 @@ class TestConcurrentFailureDetectors:
         reply, and the ARM must keep serving.
         """
         cluster = Cluster(paper_testbed(n_compute=1, n_accelerators=2),
-                          discovery=True, initial_accelerators=2,
-                          report_period_s=REPORT_PERIOD)
+                          discovery=True, initial_accelerators=2)
         cluster.arm.admission.slots_per_device = 1
         cluster.arm.enable_discovery(ttl_s=TTL)
         counts = _reply_counter(cluster.arm)

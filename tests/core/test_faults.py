@@ -22,14 +22,14 @@ class TestBreak:
         handles = sess.call(cluster.arm_client(0).alloc(count=1))
         ac = cluster.remote(0, handles[0])
         injector.break_at(handles[0].ac_id, at_time=0.0)
-        sess.sleep(0.001)
+        sess.engine.run(until=sess.now + 0.001)
         with pytest.raises(AcceleratorFault):
             sess.call(ac.mem_alloc(100))
 
     def test_arm_registry_updated(self, rig):
         cluster, sess, injector = rig
         injector.break_at(1, at_time=0.0)
-        sess.sleep(0.001)
+        sess.engine.run(until=sess.now + 0.001)
         snap = cluster.arm.snapshot()
         assert snap[1]["state"] == "broken"
         assert cluster.arm.free_count() == 2
@@ -55,7 +55,7 @@ class TestBreak:
         ac0 = cluster.remote(0, handles[0])
         ac1 = cluster.remote(0, handles[1])
         injector.break_at(handles[0].ac_id, at_time=0.0)
-        sess.sleep(0.001)
+        sess.engine.run(until=sess.now + 0.001)
         data = np.arange(100, dtype=np.float64)
         ptr = sess.call(ac1.mem_alloc(data.nbytes))
         sess.call(ac1.memcpy_h2d(ptr, data))
@@ -68,7 +68,7 @@ class TestBreak:
         handles = sess.call(client.alloc(count=1))
         ac = cluster.remote(0, handles[0])
         injector.break_at(handles[0].ac_id, at_time=0.0)
-        sess.sleep(0.001)
+        sess.engine.run(until=sess.now + 0.001)
         with pytest.raises(AcceleratorFault):
             sess.call(ac.mem_alloc(10))
         # Report + replace, like a production client library would.
@@ -81,7 +81,7 @@ class TestBreak:
     def test_delayed_break_fires_at_time(self, rig):
         cluster, sess, injector = rig
         injector.break_at(0, at_time=0.5)
-        sess.sleep(0.1)
+        sess.engine.run(until=sess.now + 0.1)
         assert not cluster.daemons[0].broken
-        sess.sleep(0.5)
+        sess.engine.run(until=sess.now + 0.5)
         assert cluster.daemons[0].broken

@@ -111,19 +111,10 @@ class TestDeprecationShims:
         _, sess = rig
         data = np.arange(64, dtype=np.float64)
         ptr = sess.call(backend.mem_alloc(data.nbytes))
-        with pytest.raises(TypeError, match="pinned= keyword"):
+        with pytest.raises(TypeError, match="TransferConfig or None"):
             sess.call(backend.memcpy_h2d(ptr, data, False))
-        with pytest.raises(TypeError, match="pinned= keyword"):
+        with pytest.raises(TypeError, match="TransferConfig or None"):
             sess.call(backend.memcpy_d2h(ptr, data.nbytes, True))
-
-    def test_keyword_pinned_does_not_warn(self, rig, recwarn):
-        cluster, sess = rig
-        local = make_backend("local", cluster, sess)
-        data = np.arange(64, dtype=np.float64)
-        ptr = sess.call(local.mem_alloc(data.nbytes))
-        sess.call(local.memcpy_h2d(ptr, data, pinned=False))
-        assert not [w for w in recwarn.list
-                    if issubclass(w.category, DeprecationWarning)]
 
 
 class TestPeerPutSignatureShim:

@@ -9,6 +9,7 @@ from repro.core import NAIVE_TRANSFER, TransferConfig, pipeline
 from repro.errors import KernelError, MiddlewareError
 from repro.mpisim import Phantom
 from repro.units import KiB, MiB
+from repro.core.api import run_parallel
 
 from ..harness import register_tenants
 
@@ -248,12 +249,12 @@ class TestMultiAccelerator:
         client = cluster.arm_client(0)
         handles = sess.call(client.alloc(count=3))
         acs = [cluster.remote(0, h) for h in handles]
-        ptrs = sess.parallel([a.mem_alloc(4 * MiB) for a in acs])
+        ptrs = sess.call(run_parallel(sess.engine, [a.mem_alloc(4 * MiB) for a in acs]))
         assert len(set(zip([a.handle.ac_id for a in acs], ptrs))) == 3
         # Parallel phantom uploads: wall time should be < 3x solo time.
         t0 = sess.now
-        sess.parallel([a.memcpy_h2d(p, Phantom(4 * MiB))
-                       for a, p in zip(acs, ptrs)])
+        sess.call(run_parallel(sess.engine, [a.memcpy_h2d(p, Phantom(4 * MiB))
+                       for a, p in zip(acs, ptrs)]))
         elapsed = sess.now - t0
         solo = 4 * MiB / (2660 * MiB)
         assert elapsed < 2.2 * 3 * solo  # the shared CN NIC serializes sends

@@ -19,14 +19,13 @@ from ..harness import register_tenants
 class TestLeaseLifecycle:
     def test_register_valloc_release(self, cluster, sess):
         client = cluster.arm_client(0)
-        register_tenants(cluster, "alice", weight=2.0, priority=1,
-                         mem_quota_bytes=1 << 20)
+        register_tenants(cluster, "alice", weight=2.0, priority=1)
         grant = sess.call(client.valloc("alice"))
         vac = grant["vac"]
         assert isinstance(vac, VirtualAcceleratorHandle)
         assert vac.tenant == "alice"
         assert grant["share"] == 2.0
-        assert grant["mem_quota"] == 1 << 20
+        assert grant["mem_quota"] is None
         assert cluster.arm.lease_count() == 1
         snap = sess.call(client.status())
         assert snap[vac.ac_id]["leases"] == 1
@@ -83,12 +82,16 @@ class TestTenantAccelerator:
         assert cluster.arm.lease_count() == 0
 
     def test_mem_quota_enforced_through_daemon(self, cluster, sess):
-        register_tenants(cluster, "alice", mem_quota_bytes=4096)
-        ac = sess.call(cluster.tenant(0, "alice"))
+        register_tenants(cluster, "alice")
+        client = cluster.arm_client(0)
+        vac = sess.call(client.valloc("alice"))["vac"]
+        ac = cluster.remote(0, vac)
+        sess.call(ac.vac_attach(mem_quota=4096))
         sess.call(ac.mem_alloc(4096))
         with pytest.raises(MiddlewareError):
             sess.call(ac.mem_alloc(1))
-        sess.call(ac.release_lease())
+        sess.call(ac.vac_detach())
+        sess.call(client.vrelease(vac))
 
     def test_cross_tenant_free_denied(self, cluster, sess):
         # Both leases land on the same device (slots spread most-free

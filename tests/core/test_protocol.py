@@ -76,16 +76,14 @@ REPRESENTATIVE = {
     Op.MEM_ALLOC: {"nbytes": 4096},
     Op.MEM_FREE: {"addr": 4096},
     Op.MEMCPY_H2D: {"dst": 4096, "offset": 0, "blocks": _BLOCKS,
-                    "data_tag": 300_001, "pinned": True, "gpudirect": True,
+                    "data_tag": 300_001, "gpudirect": True,
                     "meta": ("<f8", (1024,))},
     Op.MEMCPY_D2H: {"src": 4096, "offset": 0, "blocks": _BLOCKS,
-                    "data_tag": 300_001, "pinned": True, "gpudirect": True,
-                    "block_post_s": 1.5e-7},
+                    "data_tag": 300_001, "gpudirect": True},
     Op.KERNEL_CREATE: {"name": "daxpy"},
     Op.KERNEL_RUN: {"name": "daxpy", "params": _ARGS, "real": False},
     Op.PEER_PUT: {"src": 4096, "blocks": _BLOCKS, "peer_rank": 2,
-                  "peer_addr": 8192, "pinned": True, "gpudirect": True,
-                  "block_post_s": 1.5e-7},
+                  "peer_addr": 8192, "gpudirect": True},
     Op.PING: {},
     Op.MBATCH: {"reqs": [(7, _CONTROL)]},
     Op.SHUTDOWN: {},
@@ -100,7 +98,7 @@ REPRESENTATIVE = {
     Op.VAC_REVOKE: {"vac_id": 3, "oneway": True},
     Op.ARM_REPORT: {"ac_id": 0, "daemon_rank": 1, "healthy": True,
                     "version": "1.0", "active_slices": 0, "seq": 9,
-                    "switch": None, "hops_to_arm": None, "oneway": True},
+                    "switch": None, "oneway": True},
     Op.ARM_LEAVE: {"ac_id": 0, "reason": "scale-down", "oneway": True},
 }
 

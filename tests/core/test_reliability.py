@@ -37,12 +37,12 @@ def _victim(cluster, sess, retry=None, config=None):
 
 class TestRetryPolicy:
     def test_backoff_schedule_is_deterministic(self):
-        p = RetryPolicy(timeout_s=1e-3, backoff_base_s=100e-6, backoff_factor=2.0)
+        p = RetryPolicy(timeout_s=1e-3)
         assert [p.backoff_s(k) for k in range(4)] == [
             100e-6, 200e-6, 400e-6, 800e-6]
 
     def test_transfer_deadline_scales_with_size(self):
-        p = RetryPolicy(timeout_s=1e-3, transfer_floor_Bps=100e6)
+        p = RetryPolicy(timeout_s=1e-3)
         assert p.transfer_timeout_s(0) == 1e-3
         assert p.transfer_timeout_s(100_000_000) == pytest.approx(1.001)
         assert RetryPolicy().transfer_timeout_s(1 * MiB) is None
@@ -51,9 +51,7 @@ class TestRetryPolicy:
         with pytest.raises(MiddlewareError):
             RetryPolicy(timeout_s=0.0)
         with pytest.raises(MiddlewareError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(MiddlewareError):
-            RetryPolicy(backoff_factor=0.5)
+            RetryPolicy(timeout_s=-1e-3)
 
     def test_op_classification(self):
         # Retried ops with side effects must be covered by the dedup cache.
@@ -69,7 +67,7 @@ class TestTimeouts:
         ac = cluster.remote(0, handles[0],
                             retry=RetryPolicy(timeout_s=TIMEOUT_S))
         injector.crash_at(handles[0].ac_id, at_time=0.0)
-        sess.sleep(1e-4)
+        sess.engine.run(until=sess.now + 1e-4)
         with pytest.raises(RequestTimeout):
             sess.call(ac.ping())
         # PING is retryable: every attempt was sent and every deadline fired.
@@ -84,7 +82,7 @@ class TestTimeouts:
         retry = RetryPolicy(timeout_s=TIMEOUT_S)
         ac = cluster.remote(0, handles[0], retry=retry)
         injector.crash_at(handles[0].ac_id, at_time=0.0)
-        sess.sleep(1e-4)
+        sess.engine.run(until=sess.now + 1e-4)
         t0 = sess.now
         with pytest.raises(RequestTimeout):
             sess.call(ac.ping())
@@ -99,7 +97,7 @@ class TestTimeouts:
         ptr = sess.call(ac.mem_alloc(64))
         ac.requests = ac.timeouts = 0
         injector.crash_at(handles[0].ac_id, at_time=sess.now)
-        sess.sleep(1e-4)
+        sess.engine.run(until=sess.now + 1e-4)
         with pytest.raises(RequestTimeout):
             sess.call(ac.kernel_run("dscal", {"x": ptr, "n": 8, "alpha": 1.0},
                                     real=False))
@@ -114,7 +112,7 @@ class TestTimeouts:
                             retry=RetryPolicy(timeout_s=TIMEOUT_S))
         ptr = sess.call(ac.mem_alloc(8 * MiB))
         injector.crash_at(handles[0].ac_id, at_time=sess.now)
-        sess.sleep(1e-4)
+        sess.engine.run(until=sess.now + 1e-4)
         with pytest.raises(RequestTimeout):
             sess.call(ac.memcpy_d2h(ptr, 8 * MiB))
 
@@ -174,7 +172,7 @@ class TestFailover:
         _, ra = _victim(cluster, sess,
                         config=FailoverConfig(max_failovers=0))
         injector.break_at(ra.handle.ac_id, at_time=0.0)
-        sess.sleep(1e-4)
+        sess.engine.run(until=sess.now + 1e-4)
         with pytest.raises(AcceleratorFault):
             sess.call(ra.ping())
         assert ra.failovers == 0
@@ -186,7 +184,7 @@ class TestFailover:
         ptr = sess.call(ra.mem_alloc(data.nbytes))
         sess.call(ra.memcpy_h2d(ptr, data))
         injector.break_at(handle.ac_id, at_time=sess.now)
-        sess.sleep(1e-4)
+        sess.engine.run(until=sess.now + 1e-4)
         # The very next operation triggers failover; the virtual address
         # survives and the replayed buffer round-trips bit-exactly.
         out = sess.call(ra.memcpy_d2h(ptr, data.nbytes))
@@ -203,7 +201,7 @@ class TestFailover:
         sess.call(ra.memcpy_h2d(ptr, data))
         sess.call(ra.kernel_create("dscal"))
         injector.break_at(handle.ac_id, at_time=sess.now)
-        sess.sleep(1e-4)
+        sess.engine.run(until=sess.now + 1e-4)
         sess.call(ra.kernel_run("dscal",
                                 {"x": ptr, "n": len(data), "alpha": 3.0}))
         out = sess.call(ra.memcpy_d2h(ptr, data.nbytes))
@@ -221,7 +219,7 @@ class TestFailover:
         ptr = sess.call(ra.mem_alloc(data.nbytes))
         sess.call(ra.memcpy_h2d(ptr, data))
         injector.crash_at(handle.ac_id, at_time=sess.now)
-        sess.sleep(1e-4)
+        sess.engine.run(until=sess.now + 1e-4)
         out = sess.call(ra.memcpy_d2h(ptr, data.nbytes))
         assert ra.failovers == 1
         assert ra.timeouts >= 1
@@ -232,7 +230,7 @@ class TestFailover:
         _, ra = _victim(cluster, sess,
                         config=FailoverConfig(max_failovers=0, job="t"))
         injector.break_at(ra.handle.ac_id, at_time=0.0)
-        sess.sleep(1e-4)
+        sess.engine.run(until=sess.now + 1e-4)
         with pytest.raises(AcceleratorFault):
             sess.call(ra.ping())
 
@@ -244,7 +242,7 @@ class TestFailover:
         sess.call(ra.memcpy_h2d(ptr, data))
         sess.call(ra.kernel_create("dscal"))
         injector.break_at(handle.ac_id, at_time=sess.now)
-        sess.sleep(1e-4)
+        sess.engine.run(until=sess.now + 1e-4)
 
         def transaction():
             # kernel result is checkpointed back; if a fault lands anywhere

@@ -40,16 +40,12 @@ class TestSyncSession:
             yield eng.timeout(d)
             return v
 
-        results = sess.parallel([op(3.0, "a"), op(1.0, "b")])
+        results = sess.call(run_parallel(sess.engine, [op(3.0, "a"), op(1.0, "b")]))
         assert results == ["a", "b"]
         assert sess.now == 3.0
 
     def test_parallel_empty(self, sess):
-        assert sess.parallel([]) == []
-
-    def test_sleep(self, sess):
-        sess.sleep(5.0)
-        assert sess.now == 5.0
+        assert sess.call(run_parallel(sess.engine, [])) == []
 
     def test_exception_propagates(self, eng, sess):
         def bad():
@@ -80,10 +76,10 @@ class TestParallelExceptionContext:
 
     def test_parallel_names_failed_branch(self, eng, sess):
         with pytest.raises(ValueError) as ei:
-            sess.parallel([
+            sess.call(run_parallel(sess.engine, [
                 self._branch(eng, 1.0, value="a"),
                 self._branch(eng, 0.5, exc=ValueError("branch blew up")),
-            ])
+            ]))
         notes = "".join(getattr(ei.value, "__notes__", [])) or str(ei.value)
         assert "run_parallel" in notes
         assert "branch 1" in notes
@@ -91,10 +87,10 @@ class TestParallelExceptionContext:
     def test_parallel_reports_multiple_failures(self, eng, sess):
         """The second failure used to vanish; now both are in the note."""
         with pytest.raises(ValueError) as ei:
-            sess.parallel([
+            sess.call(run_parallel(sess.engine, [
                 self._branch(eng, 0.5, exc=ValueError("first")),
                 self._branch(eng, 0.5, exc=KeyError("second")),
-            ])
+            ]))
         notes = "".join(getattr(ei.value, "__notes__", [])) or str(ei.value)
         assert "first" in notes
         # Branches fail at the same instant; by the time the failure
@@ -115,10 +111,10 @@ class TestParallelExceptionContext:
         assert "branch 1" in notes and "dead gpu" in notes
 
     def test_parallel_success_unchanged(self, eng, sess):
-        results = sess.parallel([
+        results = sess.call(run_parallel(sess.engine, [
             self._branch(eng, 0.2, value="x"),
             self._branch(eng, 0.1, value="y"),
-        ])
+        ]))
         assert results == ["x", "y"]
 
     def test_pre_yield_failure_is_annotated(self, eng, sess):
@@ -127,6 +123,6 @@ class TestParallelExceptionContext:
             yield  # pragma: no cover
 
         with pytest.raises(LookupError) as ei:
-            sess.parallel([self._branch(eng, 0.1, value=1), bad()])
+            sess.call(run_parallel(sess.engine, [self._branch(eng, 0.1, value=1), bad()]))
         notes = "".join(getattr(ei.value, "__notes__", [])) or str(ei.value)
         assert "branch 1" in notes

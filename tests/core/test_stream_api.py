@@ -22,6 +22,7 @@ from repro.core import (
 )
 from repro.core.coalesce import FrameCoalescer
 from repro.errors import AcceleratorFault, MiddlewareError
+from repro.core.api import run_parallel
 
 from ..harness import register_tenants
 
@@ -64,9 +65,9 @@ def travel_rig(travel):
 
     def send(calls):
         frames = daemon.stats.mbatches
-        subs, *pongs = sess.parallel(
+        subs, *pongs = sess.call(run_parallel(sess.engine, 
             [ac.batch_rpc(calls)]
-            + [other.batch_rpc([(Op.PING, {})]) for other in riders])
+            + [other.batch_rpc([(Op.PING, {})]) for other in riders]))
         # Everything shared one wire frame, and whatever happened inside
         # our sub-frame never touched the rider's.
         assert daemon.stats.mbatches == frames + 1

@@ -22,9 +22,9 @@ def eng():
     return Engine()
 
 
-def two_switch(eng, **kw):
+def two_switch(eng):
     """a, b on sw0; c, d on sw1; one trunk between them."""
-    topo = Topology.ring(2, **kw)
+    topo = Topology.ring(2)
     fabric = Fabric(eng, SIMPLE, topology=topo)
     for name, sw in (("a", "sw0"), ("b", "sw0"), ("c", "sw1"), ("d", "sw1")):
         fabric.add_endpoint(name, switch=sw)
@@ -116,12 +116,6 @@ class TestTrunkTiming:
         tx = fabric.transfer("a", "b", 1000)
         eng.run(until=tx.delivered)
         assert eng.now == pytest.approx(1.0015)
-
-    def test_trunk_latency_override(self, eng):
-        fabric = two_switch(eng, trunk_latency_s=0.01)
-        tx = fabric.transfer("a", "c", 1000)
-        eng.run(until=tx.delivered)
-        assert eng.now == pytest.approx(1.0115)
 
     def test_two_flows_share_one_trunk(self, eng):
         """Flows to different destinations contend on the shared trunk:

@@ -43,7 +43,7 @@ class TestCollectorBasics:
 
     def test_null_span_state_is_immutable(self):
         """One instance stands in for every disabled span: the writes
-        ``__exit__`` / ``abort_open`` do on real spans must not leak from
+        ``__exit__`` / ``BranchScope.abort`` do on real spans must not leak from
         one disabled span into every later one."""
         with pytest.raises(TypeError):
             NULL_SPAN.attrs["error"] = "boom"
@@ -97,16 +97,6 @@ class TestCollectorBasics:
         orphan = col.start("client.op", "cn0")
         assert orphan.parent_id is None
 
-    def test_abort_open_closes_and_marks(self):
-        engine = Engine()
-        col = enable_tracing(engine)
-        span = col.start("client.op", "cn0")
-        assert col.open_spans == [span]
-        n = col.abort_open("test teardown")
-        assert n == 1
-        assert not span.open
-        assert span.attrs["aborted"] == "test teardown"
-        assert col.open_spans == []
 
 
 class TestSpanBudget:
@@ -181,13 +171,13 @@ class TestSpanBudget:
         for i in (3, 0):
             spans[i].finish()
         assert obs.open_spans == [spans[1], spans[2], spans[4]]
-        assert obs.abort_open("teardown") == 3
+        assert obs._abort(obs.open_spans, "teardown") == 3
         assert all(not s.open for s in spans)
         assert [s.span_id for s in spans if "aborted" in s.attrs] == [2, 3, 5]
         spans[1].finish()                       # idempotent: no double count
         obs.spans = NoScan(obs.spans)
         assert obs.open_spans == []
-        assert obs.abort_open("again") == 0
+        assert obs._abort(obs.open_spans, "again") == 0
 
     def test_branch_scope_aborts_only_the_traces_its_steps_opened(self):
         eng = Engine()
@@ -256,17 +246,18 @@ class TestRequestDecomposition:
 
     def test_retry_recorded_as_span_events(self, cluster, sess, collector):
         from repro.core import FaultInjector, RetryPolicy
+        from repro.core.reliability import MAX_ATTEMPTS
         handles = sess.call(cluster.arm_client(0).alloc(count=1))
         ac = cluster.remote(0, handles[0],
-                            retry=RetryPolicy(timeout_s=5e-3, max_attempts=3))
+                            retry=RetryPolicy(timeout_s=5e-3))
         # Crash the daemon so every attempt times out.
         FaultInjector(cluster).crash_at(handles[0].ac_id, at_time=sess.now)
         with pytest.raises(RequestTimeout):
             sess.call(ac.ping())
         span = collector.by_name("client.ping")[0]
         events = [e.name for e in span.events]
-        assert events.count("timeout") == 3
-        assert events.count("retry") == 2
+        assert events.count("timeout") == MAX_ATTEMPTS
+        assert events.count("retry") == MAX_ATTEMPTS - 1
 
     def test_trace_rides_request_without_wire_cost(self, cluster, sess, ac,
                                                    collector):
@@ -303,10 +294,10 @@ class TestSpanLeakProtection:
     def test_sync_parallel_failure_leaves_no_open_spans(self, cluster, sess,
                                                         collector, ac):
         with pytest.raises(MiddlewareError):
-            sess.parallel([
+            sess.call(run_parallel(sess.engine, [
                 self._slow_branch(ac, 4 * MiB),
                 self._failing_branch(ac),
-            ])
+            ]))
         assert collector.open_spans == []
 
     def test_sync_call_timeout_leaves_no_open_spans(self, cluster, sess,
@@ -318,7 +309,7 @@ class TestSpanLeakProtection:
         addr = sess.call(bounded.mem_alloc(8 * MiB))
         # The daemon goes silent: the transfer deadline ends the call.
         FaultInjector(cluster).crash_at(handles[0].ac_id, at_time=sess.now)
-        sess.sleep(1e-4)
+        sess.engine.run(until=sess.now + 1e-4)
         with pytest.raises(RequestTimeout):
             sess.call(bounded.memcpy_h2d(addr, np.ones(8 * MiB // 8)))
         assert collector.open_spans == []
@@ -345,7 +336,7 @@ class TestFailoverSpans:
         sess.call(rac.mem_alloc(1 * KiB))
         # Break the current accelerator; the next op triggers failover.
         FaultInjector(cluster).break_at(handles[0].ac_id, at_time=sess.now)
-        sess.sleep(1e-4)
+        sess.engine.run(until=sess.now + 1e-4)
         sess.call(rac.ping())
         assert rac.failovers == 1
         spans = collector.by_name("failover.recover")

@@ -13,7 +13,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Engine
-from repro.sim.events import Deadline, Timeout
+from repro.sim.events import Timeout
 
 
 def test_cancelled_events_are_lazily_deleted():
@@ -65,7 +65,7 @@ def test_race_deadline_slot_is_reused_after_retirement():
     eng = Engine()
     reply = eng.timeout(0.1)
     cond, dl = eng.race(reply, 5.0)
-    assert type(dl) is Deadline
+    assert type(dl) is Timeout and dl._poolable
     eng.run(until=cond)
     assert reply.triggered
     dl.cancel()

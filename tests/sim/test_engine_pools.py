@@ -1,8 +1,8 @@
 """Timer slot-pool regressions: recycling must stay engine-local.
 
-The bug class under test: :meth:`Engine.race` deadlines and
-:meth:`Engine.pooled_timer` timers are recycled through per-engine slot
-pools once cancelled *and popped from the heap*.  If an instance whose
+The bug class under test: :meth:`Engine.pooled_timer` timers, which
+include every :meth:`Engine.race` deadline, are recycled through a
+per-engine slot pool once cancelled *and popped from the heap*.  If an instance whose
 (cancelled) heap entry is still scheduled were ever re-armed, re-arming
 would clear ``_cancelled`` and the stale entry would fire the timer
 spuriously at its old time.  The :meth:`Timeout._rearm` guard turns any
@@ -39,7 +39,7 @@ class TestRearmGuard:
         assert reply.triggered and not dl.processed
         dl.cancel()
         eng.run(until=1.0)  # drain past the stale entry so dl is retired
-        assert eng._deadline_pool and eng._deadline_pool[-1] is dl
+        assert eng._timeout_pool and eng._timeout_pool[-1] is dl
 
         fired = []
         reply2 = Event(eng)
@@ -80,20 +80,19 @@ class TestRearmGuard:
 
 class TestPoolOverflow:
     def test_pool_max_caps_both_pools(self):
-        """POOL_MAX-overflow stress: cancel far more poolable timers than
-        the pool holds; the pool stays capped and the engine keeps exact
-        accounting and ordering."""
+        """POOL_MAX-overflow stress: cancel far more poolable timers and
+        race deadlines than their one shared pool holds; the pool stays
+        capped and the engine keeps exact accounting and ordering."""
         eng = Engine()
         n = eng.POOL_MAX * 3
         # Create everything first (an empty pool means every instance is
-        # fresh), then cancel; retirement may only fill pools to the cap.
+        # fresh), then cancel; retirement may only fill the pool to the cap.
         timers = [eng.pooled_timer(1.0) for _ in range(n)]
         deadlines = [eng.race(Event(eng), 1.0)[1] for _ in range(n)]
         for ev in timers + deadlines:
             ev.cancel()
         eng.run(until=2.0)
         assert len(eng._timeout_pool) == eng.POOL_MAX
-        assert len(eng._deadline_pool) == eng.POOL_MAX
         assert eng.queued == 0
 
         # The engine is still healthy: fresh timers fire in order.

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import AllOf, AnyOf, Deadline, Engine, Event, Timeout
+from repro.sim import AllOf, AnyOf, Engine, Event, Timeout
 
 
 @pytest.fixture
@@ -164,11 +164,13 @@ class TestRace:
         assert dl.processed and not ev.processed
         assert eng.now == 2.0
 
-    def test_deadline_is_marker_subclass(self, eng):
+    def test_deadline_is_a_pooled_timer(self, eng):
+        """A race deadline and a ``pooled_timer`` share one recycled pool."""
         _, dl = eng.race(eng.timeout(1.0), 2.0)
-        assert isinstance(dl, Deadline)
-        assert isinstance(dl, Timeout)
-        assert isinstance(eng.deadline(1.0), Deadline)
+        assert type(dl) is Timeout and dl._poolable
+        dl.cancel()
+        eng.run()
+        assert eng.pooled_timer(1.0) is dl
 
 
 class TestConditions:

@@ -23,7 +23,7 @@ from repro.workloads.linalg import qr_factorize
 ENSEMBLE = ensemble.EnsembleConfig(n_jobs=32, n_accelerators=4, n_gateways=2,
                                    slots_per_device=4)
 CHAOS = ChaosConfig(n_tenants=24, window_s=10e-3)      # the CLI's --quick
-COLLECTIVE = collective.CollectiveConfig(devices=4, chunk_elements=1024)
+COLLECTIVE = collective.CollectiveConfig(chunk_elements=1024)
 
 
 def _small_qr():

@@ -12,10 +12,11 @@ from repro.workloads.mp2c import (
     run_mp2c,
     thermal_velocities,
 )
+from repro.workloads.mp2c.config import CELL_SIZE
 
 
 def small_config(**kw):
-    defaults = dict(n_particles=2000, steps=10, srd_every=5, dt=0.02)
+    defaults = dict(n_particles=2000, steps=10, dt=0.02)
     defaults.update(kw)
     return MP2CConfig(**defaults)
 
@@ -25,9 +26,9 @@ def make_initial(cfg, n_ranks, seed=0):
     rng = np.random.default_rng(seed)
     edge_cells = cfg.box_edge_cells()
     cells_x = edge_cells + (n_ranks - edge_cells % n_ranks) % n_ranks
-    box = np.array([cells_x * cfg.cell_size,
-                    edge_cells * cfg.cell_size,
-                    edge_cells * cfg.cell_size])
+    box = np.array([cells_x * CELL_SIZE,
+                    edge_cells * CELL_SIZE,
+                    edge_cells * CELL_SIZE])
     slab = box[0] / n_ranks
     out = []
     per_rank = cfg.n_particles // n_ranks
@@ -101,7 +102,7 @@ class TestRealRuns:
         res = sess.call(run_mp2c(cluster.engine, cluster.compute_nodes[0].cpu,
                                  ranks, acs, cfg, initial=initial))
         cells_x = cfg.box_edge_cells() + cfg.box_edge_cells() % 2
-        slab = cells_x * cfg.cell_size / 2
+        slab = cells_x * CELL_SIZE / 2
         for r, (pos, _) in enumerate(res.final):
             assert np.all(pos[:, 0] >= r * slab - 1e-9)
             assert np.all(pos[:, 0] < (r + 1) * slab + 1e-9)
@@ -134,7 +135,7 @@ class TestRealRuns:
 
 class TestTimedRuns:
     def test_timed_run_charges_md_and_transfer_time(self):
-        cfg = MP2CConfig(n_particles=200_000, steps=10, srd_every=5)
+        cfg = MP2CConfig(n_particles=200_000, steps=10)
         cluster, sess, ranks, acs = remote_setup(2)
         res = sess.call(run_mp2c(cluster.engine, cluster.compute_nodes[0].cpu,
                                  ranks, acs, cfg))
@@ -144,7 +145,7 @@ class TestTimedRuns:
 
     def test_remote_slower_but_bounded(self):
         # The paper's claim: the dynamic architecture costs at most ~4%.
-        cfg = MP2CConfig(n_particles=500_000, steps=20, srd_every=5)
+        cfg = MP2CConfig(n_particles=500_000, steps=20)
         cl, sl, rl, al = local_setup(2)
         res_l = sl.call(run_mp2c(cl.engine, cl.compute_nodes[0].cpu,
                                  rl, al, cfg))

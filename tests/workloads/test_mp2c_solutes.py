@@ -12,6 +12,7 @@ from repro.workloads.mp2c import (
     run_mp2c,
     thermal_velocities,
 )
+from repro.workloads.mp2c.config import CELL_SIZE
 from repro.workloads.mp2c.md import lj_forces, lj_forces_on_local
 
 
@@ -31,9 +32,9 @@ def make_state(cfg, n_ranks, n_solutes_per_rank, seed=0):
     rng = np.random.default_rng(seed)
     edge_cells = cfg.box_edge_cells()
     cells_x = edge_cells + (n_ranks - edge_cells % n_ranks) % n_ranks
-    box = np.array([cells_x * cfg.cell_size,
-                    edge_cells * cfg.cell_size,
-                    edge_cells * cfg.cell_size])
+    box = np.array([cells_x * CELL_SIZE,
+                    edge_cells * CELL_SIZE,
+                    edge_cells * CELL_SIZE])
     slab = box[0] / n_ranks
     solvent, solutes = [], []
     per_rank = cfg.n_particles // n_ranks
@@ -90,7 +91,7 @@ class TestLjForcesOnLocal:
 
 
 class TestCoupledRuns:
-    CFG = dict(n_particles=2000, steps=10, srd_every=5, dt=0.005)
+    CFG = dict(n_particles=2000, steps=10, dt=0.005)
 
     def test_counts_conserved_with_solutes(self):
         cfg = MP2CConfig(**self.CFG)
@@ -121,10 +122,10 @@ class TestCoupledRuns:
         # SRD conserves KE exactly; LJ+Verlet conserves total energy to
         # integration error.  Use a single rank so the global potential is
         # easy to evaluate.
-        cfg = MP2CConfig(n_particles=1000, steps=20, srd_every=5, dt=0.004)
+        cfg = MP2CConfig(n_particles=1000, steps=20, dt=0.004)
         cluster, sess, ranks, acs = setup(1)
         solvent, solutes = make_state(cfg, 1, n_solutes_per_rank=16, seed=4)
-        box_edge = cfg.box_edge_cells() * cfg.cell_size
+        box_edge = cfg.box_edge_cells() * CELL_SIZE
         box = np.array([box_edge] * 3)
 
         def total_energy(sol_pos, sol_vel, solv_vel):
@@ -142,10 +143,10 @@ class TestCoupledRuns:
 
     def test_solutes_actually_interact(self):
         # Two solutes placed close must repel.
-        cfg = MP2CConfig(n_particles=1000, steps=4, srd_every=100, dt=0.002)
+        cfg = MP2CConfig(n_particles=1000, steps=4, dt=0.002)
         cluster, sess, ranks, acs = setup(1)
         solvent, _ = make_state(cfg, 1, n_solutes_per_rank=0, seed=5)
-        edge = cfg.box_edge_cells() * cfg.cell_size
+        edge = cfg.box_edge_cells() * CELL_SIZE
         spos = np.array([[edge / 2 - 0.5, edge / 2, edge / 2],
                          [edge / 2 + 0.5, edge / 2, edge / 2]])
         svel = np.zeros((2, 3))
@@ -161,13 +162,13 @@ class TestCoupledRuns:
     def test_cross_rank_interaction_through_halo(self):
         # Solutes straddling the slab boundary: each rank owns one; they
         # must repel through the halo exchange.
-        cfg = MP2CConfig(n_particles=2000, steps=4, srd_every=100, dt=0.002)
+        cfg = MP2CConfig(n_particles=2000, steps=4, dt=0.002)
         cluster, sess, ranks, acs = setup(2)
         solvent, _ = make_state(cfg, 2, n_solutes_per_rank=0, seed=6)
         edge_cells = cfg.box_edge_cells()
         cells_x = edge_cells + edge_cells % 2
-        slab = cells_x * cfg.cell_size / 2
-        mid = cfg.box_edge_cells() * cfg.cell_size / 2
+        slab = cells_x * CELL_SIZE / 2
+        mid = cfg.box_edge_cells() * CELL_SIZE / 2
         s0 = (np.array([[slab - 0.5, mid, mid]]), np.zeros((1, 3)))
         s1 = (np.array([[slab + 0.5, mid, mid]]), np.zeros((1, 3)))
         res = sess.call(run_mp2c(cluster.engine, cluster.compute_nodes[0].cpu,

@@ -208,5 +208,3 @@ class TestMP2CConfig:
             MP2CConfig(n_particles=0)
         with pytest.raises(WorkloadError):
             MP2CConfig(n_particles=10, steps=0)
-        with pytest.raises(WorkloadError):
-            MP2CConfig(n_particles=10, alpha_deg=400)
