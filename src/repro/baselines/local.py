@@ -139,12 +139,5 @@ class LocalAccelerator:
                                            ctx=span.wire)
             return result
 
-    # -- misc --------------------------------------------------------------
-    def ping(self):
-        """Liveness probe; a local device answers in one dispatch delay."""
-        with self._obs.start("client.ping", self._actor):
-            yield self.engine.timeout(self.cpu.request_handling_s)
-            return "pong"
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<LocalAccelerator on {self.gpu.name}>"

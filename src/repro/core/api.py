@@ -89,40 +89,37 @@ class RemoteAccelerator:
         reject_bool_transfer(transfer)
         return transfer or self.transfer
 
-    def _rpc(self, op: Op, params: dict, timeout_s: float | None = None,
-             span=NULL_SPAN, sub_traces: list | None = None):
+    def _rpc(self, op: Op, params: dict, span=NULL_SPAN,
+             sub_traces: list | None = None):
         """One request/response round trip (generator). Returns Response.
 
-        With a timeout (explicit or from the retry policy), the reply is
-        raced against a virtual-time deadline; retryable ops are resent on
-        expiry per the policy's backoff schedule, and
-        :class:`RequestTimeout` surfaces once all deadlines passed.
+        With a retry-policy timeout, the reply is raced against a
+        virtual-time deadline; retryable ops are resent on expiry per the
+        policy's backoff schedule, and :class:`RequestTimeout` surfaces
+        once all deadlines passed.
         """
         if self._scope:
             params = {**params, **self._scope}
         resp = yield from reliable_rpc(
             self.rank, self.handle.daemon_rank, TAG_REQUEST, op, params,
-            self.retry, timeout_s if timeout_s is not None else self.retry.timeout_s,
+            self.retry, self.retry.timeout_s,
             stats=self, span=span, sub_traces=sub_traces)
         resp.raise_for_status()
         return resp
 
-    def _control(self, op: Op, params: dict, timeout_s: float | None = None,
-                 **attrs):
+    def _control(self, op: Op, params: dict, **attrs):
         """One batchable control op (generator); returns its value.
 
         The op is its own two-message request (Sect. IV) — or, when this
-        front-end has a coalescer, a one-op sub-frame of a shared frame
-        (a custom deadline keeps its own request).
+        front-end has a coalescer, a one-op sub-frame of a shared frame.
         """
-        if self.coalescer is not None and timeout_s is None:
+        if self.coalescer is not None:
             (resp,) = yield from self.batch_rpc([(op, params)])
             resp.raise_for_status()
             return resp.value
         with self._obs.start(f"client.{op.value}", self._actor,
                              **attrs) as span:
-            resp = yield from self._rpc(op, params, timeout_s=timeout_s,
-                                        span=span)
+            resp = yield from self._rpc(op, params, span=span)
             self._track(op, params, resp.value)
             return resp.value
 
@@ -293,26 +290,22 @@ class RemoteAccelerator:
         self._kernels[name] = dict(params)
 
     def kernel_run(self, name: str, params: dict | None = None,
-                   real: bool = True, timeout_s: float | None = None):
-        """Launch the kernel and wait for completion; returns its result.
-
-        ``timeout_s`` overrides the retry policy's deadline for this launch
-        (long-running kernels need more headroom than control RPCs).
-        """
+                   real: bool = True):
+        """Launch the kernel and wait for completion; returns its result."""
         if params is None:
             params = self._staged(name)
         result = yield from self._control(
             Op.KERNEL_RUN, {"name": name, "params": params, "real": real},
-            timeout_s=timeout_s, kernel=name)
+            kernel=name)
         return result
 
     # -- virtual-accelerator lifecycle ------------------------------------
-    def vac_attach(self, share: float = 1.0, mem_quota: int | None = None):
+    def vac_attach(self, share: float = 1.0):
         """Instantiate this front-end's lease as a slice on the daemon.
 
         Only meaningful when the front-end was built from a
         :class:`~repro.core.protocol.VirtualAcceleratorHandle` (an ARM
-        ``valloc`` grant); ``share`` and ``mem_quota`` come from the grant.
+        ``valloc`` grant); ``share`` comes from the grant.
         Must run before any other op — until then the daemon answers
         ``Status.PREEMPTED`` for this lease.
         """
@@ -321,8 +314,7 @@ class RemoteAccelerator:
         with self._obs.start("client.vac_attach", self._actor,
                              vac=self.handle.vac_id) as span:
             yield from self._rpc(Op.VAC_ATTACH, {
-                "vac_id": self.handle.vac_id, "share": share,
-                "mem_quota": mem_quota}, span=span)
+                "vac_id": self.handle.vac_id, "share": share}, span=span)
 
     def vac_detach(self):
         """Tear the slice down on the daemon; returns bytes freed there."""
@@ -335,12 +327,6 @@ class RemoteAccelerator:
                                         span=span)
             self._live.clear()
             return resp.value
-
-    # -- misc -------------------------------------------------------------
-    def ping(self, timeout_s: float | None = None):
-        """Round-trip liveness probe; returns the one-way-ish RTT payload."""
-        value = yield from self._control(Op.PING, {}, timeout_s=timeout_s)
-        return value
 
     # -- batching / streams -----------------------------------------------
     def batch_rpc(self, calls: _t.Sequence[tuple[Op, dict]]):

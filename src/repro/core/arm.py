@@ -616,8 +616,9 @@ class ResourceManager:
         self._reply(req, Response(req.req_id, Status.OK, value={
             "vac": handle,
             "share": spec.weight,
-            # No tenant carries a quota: the slice may use the device's
-            # memory.  The field stays on the wire (the grant's width).
+            # No tenant carries a quota and no daemon reads one: the
+            # slice may use the device's memory.  The field stays on the
+            # wire (it counts in the grant's width).
             "mem_quota": None,
         }))
         return True
@@ -756,11 +757,11 @@ class ArmClient:
         """Lease one virtual accelerator for ``tenant`` (generator).
 
         Returns ``{"vac": VirtualAcceleratorHandle, "share": float,
-        "mem_quota": int | None}`` — the share and quota the hosting
-        daemon must apply at :data:`Op.VAC_ATTACH`.  With ``wait=True``
-        the request joins the ARM's weighted fair queue under backlog;
-        quota violations (tenant at ``max_vaccels``) fail immediately in
-        both modes.
+        "mem_quota": None}`` — ``share`` is what the hosting daemon
+        applies at :data:`Op.VAC_ATTACH`; ``mem_quota`` is always None.
+        With ``wait=True`` the request joins the ARM's weighted fair queue
+        under backlog; quota violations (tenant at ``max_vaccels``) fail
+        immediately in both modes.
         """
         resp = yield from self._rpc(
             Op.ARM_VALLOC, {"tenant": tenant, "wait": wait, "job": job},

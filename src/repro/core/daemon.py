@@ -252,7 +252,6 @@ class Daemon:
         the response travels alone or as one entry of a batch reply.
         """
         return {
-            Op.PING: self._exec_ping,
             Op.MEM_ALLOC: self._exec_mem_alloc,
             Op.MEM_FREE: self._exec_mem_free,
             Op.KERNEL_CREATE: self._exec_kernel_create,
@@ -337,7 +336,7 @@ class Daemon:
             return
         self._vacs[vac_id] = self.gpu.virtualize(
             f"{self.gpu.name}/vac{vac_id}",
-            share=p.get("share", 1.0), mem_quota=p.get("mem_quota"))
+            share=p.get("share", 1.0))
         self.stats.vac_attaches += 1
         self._reply(req, Response(req.req_id, Status.OK))
 
@@ -372,15 +371,11 @@ class Daemon:
         yield  # pragma: no cover - makes this a generator
 
     # -- simple ops -----------------------------------------------------
-    def _exec_ping(self, req_id: int, params: dict):
-        return Response(req_id, Status.OK, value="pong")
-        yield  # pragma: no cover - makes this a generator
-
     def _exec_mem_alloc(self, req_id: int, params: dict):
         yield self.engine.timeout(self.cpu.malloc_s * self.slow_factor)
         try:
             # Lease-scoped allocations go through the slice's partition:
-            # quota enforcement plus ownership tracking for isolation.
+            # ownership tracking for isolation.
             addr = self._target(params).memory.malloc(params["nbytes"])
         except DeviceMemoryError as exc:
             return Response(req_id, Status.ERROR, error=str(exc))

@@ -58,7 +58,6 @@ class Op(enum.Enum):
     KERNEL_CREATE = "kernel_create"
     KERNEL_RUN = "kernel_run"
     PEER_PUT = "peer_put"         # direct accelerator-to-accelerator copy
-    PING = "ping"
     MBATCH = "mbatch"             # one or more sub-frames of control ops
     SHUTDOWN = "shutdown"
     # ARM operations:
@@ -81,7 +80,6 @@ class Op(enum.Enum):
 #: Ops whose handler is safe to re-execute on a duplicate request: probes,
 #: validations, and read-only transfers.
 IDEMPOTENT_OPS = frozenset({
-    Op.PING,
     Op.KERNEL_CREATE,
     Op.MEMCPY_D2H,
     Op.ARM_STATUS,
@@ -92,12 +90,11 @@ IDEMPOTENT_OPS = frozenset({
 })
 
 #: Ops the client may automatically resend (same request id) after a
-#: timeout.  PING / KERNEL_CREATE / the ARM probes are naturally
-#: idempotent; MEM_ALLOC is retried safely because the daemon's
-#: request-id dedup cache replays the first allocation's address instead
-#: of allocating twice.
+#: timeout.  KERNEL_CREATE and the ARM probes are naturally idempotent;
+#: MEM_ALLOC is retried safely because the daemon's request-id dedup
+#: cache replays the first allocation's address instead of allocating
+#: twice.
 RETRYABLE_OPS = frozenset({
-    Op.PING,
     Op.MEM_ALLOC,
     Op.KERNEL_CREATE,
     Op.MBATCH,
@@ -129,7 +126,6 @@ DEDUP_OPS = frozenset({
 #: because MBATCH is in :data:`DEDUP_OPS` — the daemon replays the recorded
 #: sub-responses instead of re-executing the ops.
 BATCHABLE_OPS = frozenset({
-    Op.PING,
     Op.MEM_ALLOC,
     Op.MEM_FREE,
     Op.KERNEL_CREATE,
@@ -157,8 +153,7 @@ FIELD_BYTES = 8               # a scalar; a list's count; a dict entry's code
 #: on purpose: an op without an entry cannot be sized (``KeyError``), so
 #: adding an :class:`Op` member means declaring its width here.
 PARAM_BYTES: dict[Op, int] = {
-    **dict.fromkeys((Op.PING, Op.SHUTDOWN, Op.ARM_STATUS,
-                     Op.MBATCH), 0),            # MBATCH: + its sub-frames
+    **dict.fromkeys((Op.SHUTDOWN, Op.ARM_STATUS, Op.MBATCH), 0),  # + sub-frames
     **dict.fromkeys((Op.MEM_ALLOC, Op.MEM_FREE, Op.ARM_BREAK), 16),
     **dict.fromkeys((Op.ARM_RELEASE, Op.VAC_DETACH, Op.VAC_REVOKE), 24),
     **dict.fromkeys((Op.KERNEL_CREATE, Op.ARM_ALLOC), 32),

@@ -212,7 +212,7 @@ class ResilientAccelerator:
 
     Mirrors the :class:`~repro.core.api.RemoteAccelerator` surface
     (``mem_alloc`` / ``memcpy_h2d`` / ``memcpy_d2h`` / ``kernel_create`` /
-    ``kernel_set_args`` / ``kernel_run`` / ``mem_free`` / ``ping``) but:
+    ``kernel_set_args`` / ``kernel_run`` / ``mem_free``) but:
 
     * device addresses are virtualized and stay valid across failover;
     * every operation is guarded: on :class:`AcceleratorFault` or
@@ -439,11 +439,6 @@ class ResilientAccelerator:
         result = yield from self.run_guarded(attempt)
         return result
 
-    def ping(self, timeout_s: float | None = None):
-        result = yield from self.run_guarded(
-            lambda: self._ac.ping(timeout_s=timeout_s))
-        return result
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<ResilientAccelerator ac{self._ac.handle.ac_id} "
                 f"failovers={self.failovers}>")
@@ -458,10 +453,10 @@ class TenantAccelerator(ResilientAccelerator):
     wire).  Recovery releases the revoked lease (idempotent), leases a
     fresh virtual accelerator — queueing under the tenant's WFQ weight
     when ``config.wait_for_replacement`` — attaches it on the hosting
-    daemon with the granted share and memory quota, and replays tracked
-    buffers and kernels from their host shadows, exactly like whole-device
-    failover.  The preempted tenant's device state is thereby parked in
-    the replay machinery while it waits its turn again.
+    daemon with the granted share, and replays tracked buffers and
+    kernels from their host shadows, exactly like whole-device failover.
+    The preempted tenant's device state is thereby parked in the replay
+    machinery while it waits its turn again.
 
     Construct via :func:`tenant_accelerator` or directly from an ARM
     ``valloc`` grant; the initial ``VAC_ATTACH`` must have been issued
@@ -490,8 +485,7 @@ class TenantAccelerator(ResilientAccelerator):
 
     def _prepare_replacement(self, span):
         # The new slice must exist on its daemon before replay allocates.
-        yield from self._ac.vac_attach(share=self._grant["share"],
-                                       mem_quota=self._grant["mem_quota"])
+        yield from self._ac.vac_attach(share=self._grant["share"])
         span.event("lease_attached", vac=self._grant["vac"].vac_id)
 
     def release_lease(self):
@@ -527,6 +521,5 @@ def tenant_accelerator(arm: "ArmClient",
     # started.  After a recovery the replacement slice is already
     # attached, so re-running the attempt is an idempotent re-attach.
     yield from ac.run_guarded(
-        lambda: ac.current.vac_attach(share=ac._grant["share"],
-                                      mem_quota=ac._grant["mem_quota"]))
+        lambda: ac.current.vac_attach(share=ac._grant["share"]))
     return ac

@@ -153,9 +153,8 @@ class Stream:
 
     Runs of consecutive batchable control ops go to the
     :class:`~repro.core.api.RemoteAccelerator`'s ``batch_rpc`` as one
-    sub-frame each; bulk transfers and a ``kernel_run`` with its own
-    deadline go through the front-end's method, one frame each.  Launch
-    parameters travel with ``kernel_run(params=...)``.
+    sub-frame each; bulk transfers go through the front-end's method, one
+    frame each.  Launch parameters travel with ``kernel_run(params=...)``.
 
     Obtain streams through :meth:`RemoteAccelerator.stream
     <repro.core.api.RemoteAccelerator.stream>` rather than constructing
@@ -222,17 +221,9 @@ class Stream:
         return self._submit(Op.KERNEL_CREATE, "kernel_create", {"name": name})
 
     def kernel_run(self, name: str, params: dict | None = None,
-                   real: bool = True,
-                   timeout_s: float | None = None) -> StreamFuture:
-        kwargs = {"name": name, "params": params, "real": real}
-        if timeout_s is not None:
-            # A custom deadline needs its own frame (the solo path).
-            return self._submit(None, "kernel_run",
-                                {**kwargs, "timeout_s": timeout_s})
-        return self._submit(Op.KERNEL_RUN, "kernel_run", kwargs)
-
-    def ping(self) -> StreamFuture:
-        return self._submit(Op.PING, "ping", {})
+                   real: bool = True) -> StreamFuture:
+        return self._submit(Op.KERNEL_RUN, "kernel_run",
+                            {"name": name, "params": params, "real": real})
 
     # -- synchronization -------------------------------------------------
     def synchronize(self):

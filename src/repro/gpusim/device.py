@@ -211,19 +211,13 @@ class GPUDevice:
             self._slicer = GPUTimeSlicer(self)
         return self._slicer
 
-    def virtualize(self, name: str, share: float = 1.0,
-                   mem_quota: int | None = None) -> "VirtualGPU":
+    def virtualize(self, name: str, share: float = 1.0) -> "VirtualGPU":
         """Create a virtual accelerator multiplexed onto this device.
 
         ``share`` is the WFQ weight of the virtual GPU's kernel launches
-        against its siblings; ``mem_quota`` caps its device-memory bytes
-        (default: the whole device — quota enforcement without
-        partitioning).
+        against its siblings.
         """
-        quota = mem_quota if mem_quota is not None else self.spec.mem_bytes
-        partition = MemoryPartition(self.memory, quota, name=name)
-        return VirtualGPU(self, self.slicer, name, share=share,
-                          partition=partition)
+        return VirtualGPU(self, self.slicer, name, share=share)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<GPUDevice {self.name} ({self.spec.name})>"
@@ -295,7 +289,7 @@ class GPUTimeSlicer:
 
 
 class VirtualGPU:
-    """A tenant's slice of one physical GPU: quota'd memory + WFQ compute.
+    """A tenant's slice of one physical GPU: owned memory + WFQ compute.
 
     Duck-types the :class:`GPUDevice` surface the daemon relies on
     (``engine`` / ``name`` / ``spec`` / ``memory`` / ``dma`` /
@@ -309,8 +303,7 @@ class VirtualGPU:
     """
 
     def __init__(self, device: "GPUDevice", slicer: "GPUTimeSlicer",
-                 name: str, share: float = 1.0,
-                 partition: MemoryPartition | None = None):
+                 name: str, share: float = 1.0):
         if share <= 0:
             raise GPUError(f"virtual GPU share must be positive: {share!r}")
         self.device = device
@@ -320,8 +313,7 @@ class VirtualGPU:
         self.slicer = slicer
         self.name = name
         self.share = share
-        self.memory = partition if partition is not None else (
-            MemoryPartition(device.memory, device.spec.mem_bytes, name=name))
+        self.memory = MemoryPartition(device.memory, name=name)
         self.dma = device.dma
         self.busy_time = 0.0
         self.kernels_launched = 0

@@ -19,10 +19,11 @@ Scheduling reuses the multi-tenant machinery end to end:
   request timing, the property the coalescing on/off identity check
   relies on;
 * each granted job leases virtual accelerators through the ARM
-  (``valloc`` + ``VAC_ATTACH``) and runs its body against
-  :class:`JobAccelerator` front-ends.
+  (``valloc`` + ``VAC_ATTACH``) and its body drives the leases
+  themselves: a :class:`JobAccelerator` is one lease and a
+  :class:`~repro.core.api.RemoteAccelerator` at once.
 
-Warm paths (both deterministic, both outcome-neutral):
+Warm paths (all deterministic, all outcome-neutral):
 
 * :class:`LeasePool` — a returned lease is kept attached for
   ``lease_ttl_s`` of virtual time and handed to the next same-tenant job
@@ -40,16 +41,18 @@ Warm paths (both deterministic, both outcome-neutral):
 
 Terminal states are distinct: DONE, FAILED (the body raised), and
 CANCELLED (a dependency did not finish DONE — failure cascades down the
-DAG without running descendants).
+DAG without running descendants).  A device break or a revoked lease
+mid-job surfaces in the body, so the job ends FAILED and its leases are
+torn down rather than parked.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import hashlib
 import typing as _t
 
+from ..core.api import RemoteAccelerator
 from ..core.coalesce import FrameCoalescer
 from ..core.scheduler import TenantSpec, WeightedFairQueue
 from ..errors import AllocationError, WorkloadError
@@ -58,7 +61,8 @@ from ..sim import Event
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from ..cluster.builder import Cluster
-    from ..core.api import RemoteAccelerator
+    from ..core.protocol import VirtualAcceleratorHandle
+    from ..mpisim import RankHandle
 
 #: Default coalescing window (virtual seconds).  Zero means flush-on-
 #: drain: the pump merges whatever accumulated while the previous frame
@@ -154,14 +158,12 @@ class JobRecord:
 class KernelCache:
     """Per-tenant kernel-module residency cache.
 
-    Keyed ``(tenant, device id, module hash)``: once a tenant's job
+    Keyed ``(tenant, device id, kernel name)``: once a tenant's job
     created kernel K on device D, later jobs of the same tenant assigned
     to D skip the KERNEL_CREATE round trip entirely.  Safe because the
     daemon's KERNEL_CREATE only validates the name against the
     device-global registry — it holds no per-lease state — so a cached
-    create has exactly the effect of a repeated one.  The module hash
-    stands in for a binary hash in a real stack; here it is the SHA-256
-    of the kernel name.
+    create has exactly the effect of a repeated one.
     """
 
     def __init__(self) -> None:
@@ -169,23 +171,16 @@ class KernelCache:
         self.hits = 0
         self.misses = 0
 
-    @staticmethod
-    def module_hash(name: str) -> str:
-        return hashlib.sha256(name.encode()).hexdigest()
-
-    def key(self, tenant: str, ac_id: int, name: str) -> tuple[str, int, str]:
-        return (tenant, ac_id, self.module_hash(name))
-
     def lookup(self, tenant: str, ac_id: int, name: str) -> bool:
         """True (and counted as a hit) when the module is resident."""
-        if self.key(tenant, ac_id, name) in self._resident:
+        if (tenant, ac_id, name) in self._resident:
             self.hits += 1
             return True
         self.misses += 1
         return False
 
     def record(self, tenant: str, ac_id: int, name: str) -> None:
-        self._resident.add(self.key(tenant, ac_id, name))
+        self._resident.add((tenant, ac_id, name))
 
     @property
     def hit_rate(self) -> float:
@@ -193,135 +188,79 @@ class KernelCache:
         return self.hits / total if total else 0.0
 
 
-class JobAccelerator:
-    """A job's accelerator front-end with the service's warm paths applied.
+class JobAccelerator(RemoteAccelerator):
+    """One attached virtual-accelerator lease, and a job's front end on it.
 
-    Wraps a lease-scoped :class:`~repro.core.api.RemoteAccelerator`,
-    which frames every op itself (the service already gave it the
-    gateway's :class:`~repro.core.coalesce.FrameCoalescer`, or none for
-    the uncoalesced baseline): KERNEL_CREATE consults the tenant's
-    :class:`KernelCache` first, and ``mem_alloc``/``mem_free`` go through
-    the lease's allocation cache — a freed buffer is parked client-side
-    and handed to the next same-size allocation with no wire traffic at
-    all, which matters because every daemon-side malloc/free costs
-    serial daemon CPU.  Whatever the caches do not answer delegates to
-    the plain front-end.
+    Made at a cold acquire, parked in the :class:`LeasePool` between
+    jobs and reclaimed warm, so everything cached on it outlives the job
+    that filled it.  Every op frames itself as the plain front end does
+    (through the gateway's :class:`~repro.core.coalesce.FrameCoalescer`,
+    or alone for the uncoalesced baseline); only the warm paths differ:
+
+    * KERNEL_CREATE consults the tenant's :class:`KernelCache` first;
+    * ``mem_free`` parks the buffer on the lease, still allocated in its
+      partition, and ``mem_alloc`` hands it to the next same-size
+      allocation with no wire traffic — every daemon-side malloc/free
+      costs serial daemon CPU.  VAC_DETACH frees parked buffers with the
+      lease, so parking costs no teardown RPC either.
+
+    With caching off (``kernel_cache`` and ``pool`` None) it is the plain
+    front end.
     """
 
-    def __init__(self, remote: "RemoteAccelerator", tenant: str,
-                 kernel_cache: KernelCache | None = None,
-                 lease: "_Lease | None" = None,
-                 pool: "LeasePool | None" = None):
-        self._ac = remote
-        self.tenant = tenant
+    def __init__(self, rank: "RankHandle", handle: "VirtualAcceleratorHandle",
+                 gateway: int, kernel_cache: KernelCache | None,
+                 pool: "LeasePool | None"):
+        super().__init__(rank, handle)
+        self.tenant = handle.tenant
+        self.gateway = gateway
         self._cache = kernel_cache
-        self._lease = lease
         self._pool = pool
+        #: Set while a job holds the lease (an expiry must not take it).
+        self.taken = True
+        #: Allocation cache: parked device buffers by exact size.
+        self._parked: dict[int, list[int]] = {}
 
-    @property
-    def device_id(self) -> int:
-        return self._ac.handle.ac_id
-
-    # -- the ac* surface -------------------------------------------------
     def mem_alloc(self, nbytes: int):
         nbytes = int(nbytes)
-        if self._lease is not None:
-            stack = self._lease.buffers.get(nbytes)
+        if self._pool is not None:
+            stack = self._parked.get(nbytes)
             if stack:
-                # Warm hit: the buffer is still allocated in the lease's
-                # partition from an earlier job — zero RPCs, zero daemon
-                # time.  Contents are stale; bodies must fully write what
-                # they read, which every kernel path here does.
+                # Warm hit: allocated in the partition by an earlier job.
+                # Contents are stale; bodies must fully write what they
+                # read, which every kernel path here does.
                 addr = stack.pop()
-                self._lease.pooled_bytes -= nbytes
-                self._ac._live[addr] = nbytes
-                if self._pool is not None:
-                    self._pool.alloc_hits += 1
+                self._live[addr] = nbytes
+                self._pool.alloc_hits += 1
                 return addr
-            if self._pool is not None:
-                self._pool.alloc_misses += 1
-        addr = yield from self._ac.mem_alloc(nbytes)
+            self._pool.alloc_misses += 1
+        addr = yield from super().mem_alloc(nbytes)
         return addr
 
-    def _park_buffer(self, addr: int) -> bool:
-        """Park a freed buffer in the lease's allocation cache.
-
-        Returns False (caller must really free) when pooling is off, the
-        size is unknown, or parking would tie up more than half the
-        lease's memory quota in idle buffers.
-        """
-        if self._lease is None:
-            return False
-        nbytes = self._ac._live.get(addr)
-        if nbytes is None:
-            return False
-        quota = self._lease.grant.get("mem_quota")
-        if quota is not None and (self._lease.pooled_bytes + nbytes) * 2 > quota:
-            return False
-        self._lease.buffers.setdefault(nbytes, []).append(addr)
-        self._lease.pooled_bytes += nbytes
-        self._ac._live.pop(addr, None)
-        return True
-
     def mem_free(self, addr: int):
-        if not self._park_buffer(addr):
-            yield from self._ac.mem_free(addr)
-
-    def memcpy_h2d(self, dst: int, payload: _t.Any, **kw):
-        yield from self._ac.memcpy_h2d(dst, payload, **kw)
-
-    def memcpy_d2h(self, src: int, nbytes: int, **kw):
-        out = yield from self._ac.memcpy_d2h(src, nbytes, **kw)
-        return out
+        nbytes = self._live.get(addr)
+        if self._pool is None or nbytes is None:
+            yield from super().mem_free(addr)
+            return
+        del self._live[addr]
+        self._parked.setdefault(nbytes, []).append(addr)
 
     def kernel_create(self, name: str):
+        ac_id = self.handle.ac_id
         if self._cache is not None and self._cache.lookup(
-                self.tenant, self.device_id, name):
+                self.tenant, ac_id, name):
             # Module already resident for this tenant+device: no wire
             # traffic, only the client-side staging bookkeeping.
-            self._ac._kernels[name] = {}
+            self._kernels[name] = {}
             return
-        yield from self._ac.kernel_create(name)
+        yield from super().kernel_create(name)
         if self._cache is not None:
-            self._cache.record(self.tenant, self.device_id, name)
-
-    def kernel_set_args(self, name: str, params: dict) -> None:
-        self._ac.kernel_set_args(name, params)
-
-    def kernel_run(self, name: str, params: dict | None = None,
-                   real: bool = True, timeout_s: float | None = None):
-        result = yield from self._ac.kernel_run(name, params, real=real,
-                                                timeout_s=timeout_s)
-        return result
-
-    def ping(self):
-        value = yield from self._ac.ping()
-        return value
+            self._cache.record(self.tenant, ac_id, name)
 
     def release(self):
-        """Free every allocation this job still holds (generator)."""
-        for addr in list(self._ac._live):
+        """Free (or park) every allocation the job still holds (generator)."""
+        for addr in list(self._live):
             yield from self.mem_free(addr)
-
-
-@dataclasses.dataclass
-class _Lease:
-    """One attached virtual-accelerator lease held by the service."""
-
-    tenant: str
-    gateway: int
-    grant: dict
-    remote: "RemoteAccelerator"
-    #: Set when a warm pool entry was claimed (watcher must not expire it).
-    taken: bool = True
-    #: Allocation cache: free device buffers by exact size (addr lists).
-    #: Buffers parked here stay allocated inside the lease's memory
-    #: partition and are handed back to a later same-size ``mem_alloc``
-    #: with no wire traffic; VAC_DETACH frees them all server-side when
-    #: the lease itself dies, so parking costs zero teardown RPCs too.
-    buffers: dict[int, list[int]] = dataclasses.field(default_factory=dict)
-    #: Bytes currently parked in ``buffers`` (bounded by the mem quota).
-    pooled_bytes: int = 0
 
 
 class LeasePool:
@@ -340,9 +279,9 @@ class LeasePool:
             raise WorkloadError(f"lease TTL must be positive: {ttl_s!r}")
         self.service = service
         self.ttl_s = ttl_s
-        self._warm: dict[tuple[str, int], list[_Lease]] = {}
+        self._warm: dict[tuple[str, int], list[JobAccelerator]] = {}
         #: Parked leases oldest-first (eviction order, across all keys).
-        self._order: list[_Lease] = []
+        self._order: list[JobAccelerator] = []
         self.reused = 0
         self.parked = 0
         self.expired = 0
@@ -363,7 +302,7 @@ class LeasePool:
         """Parked leases currently claimable by (tenant, gateway)."""
         return len(self._warm.get((tenant, gateway), ()))
 
-    def take(self, tenant: str, gateway: int) -> _Lease | None:
+    def take(self, tenant: str, gateway: int) -> JobAccelerator | None:
         stack = self._warm.get((tenant, gateway))
         if not stack:
             return None
@@ -373,7 +312,7 @@ class LeasePool:
         self.reused += 1
         return lease
 
-    def park(self, lease: _Lease) -> None:
+    def park(self, lease: JobAccelerator) -> None:
         lease.taken = False
         self._warm.setdefault((lease.tenant, lease.gateway), []).append(lease)
         self._order.append(lease)
@@ -381,7 +320,7 @@ class LeasePool:
         engine = self.service.engine
         engine.process(self._expire(lease), name=f"lease-ttl:{lease.tenant}")
 
-    def _unpark(self, lease: _Lease) -> None:
+    def _unpark(self, lease: JobAccelerator) -> None:
         self._warm[(lease.tenant, lease.gateway)].remove(lease)
         self._order.remove(lease)
         lease.taken = True
@@ -402,7 +341,7 @@ class LeasePool:
         yield from self.service._teardown_lease(lease)
         return True
 
-    def _expire(self, lease: _Lease):
+    def _expire(self, lease: JobAccelerator):
         yield self.service.engine.timeout(self.ttl_s)
         if lease.taken or lease not in self._order:
             return
@@ -713,7 +652,7 @@ class JobService:
         rec.state = JobState.RUNNING
         rec.start_s = self.engine.now
         # 3. Acquire leases (warm pool first), run the body, clean up.
-        leases: list[_Lease] = []
+        leases: list[JobAccelerator] = []
         result, error = None, None
         try:
             for _ in range(spec.n_accelerators):
@@ -721,16 +660,11 @@ class JobService:
                                                        rec.gateway,
                                                        job=spec.name)
                 leases.append(lease)
-            acs = [JobAccelerator(
-                lease.remote, spec.tenant,
-                kernel_cache=self.kernel_cache,
-                lease=lease if self.lease_pool is not None else None,
-                pool=self.lease_pool) for lease in leases]
             ctx = JobContext(service=self, spec=spec, record=rec,
-                             accelerators=acs)
+                             accelerators=leases)
             result = yield from spec.body(ctx)
-            for ac in acs:
-                yield from ac.release()
+            for lease in leases:
+                yield from lease.release()
         except Exception as exc:
             error = exc
         for lease in leases:
@@ -768,32 +702,32 @@ class JobService:
         except BaseException:
             self._arm_held -= 1
             raise
-        remote = self.cluster.remote(gateway, grant["vac"])
-        # A lease never leaves its (gateway, daemon) pair, so its
-        # front-end keeps that pair's merge point for life.
-        remote.coalescer = self.coalescer_for(gateway,
-                                              remote.handle.daemon_rank)
-        yield from remote.vac_attach(share=grant["share"],
-                                     mem_quota=grant["mem_quota"])
-        return _Lease(tenant=tenant, gateway=gateway, grant=grant,
-                      remote=remote)
+        lease = JobAccelerator(self.cluster.compute_rank(gateway),
+                               grant["vac"], gateway, self.kernel_cache,
+                               self.lease_pool)
+        # A lease never leaves its (gateway, daemon) pair, so it keeps
+        # that pair's merge point for life.
+        lease.coalescer = self.coalescer_for(gateway,
+                                             lease.handle.daemon_rank)
+        yield from lease.vac_attach(share=grant["share"])
+        return lease
 
-    def _return_lease(self, lease: _Lease, dirty: bool = False):
+    def _return_lease(self, lease: JobAccelerator, dirty: bool = False):
         """Park a clean lease warm; tear down a dirty (failed-job) one."""
         if self.lease_pool is not None and not dirty:
             self.lease_pool.park(lease)
             return
         yield from self._teardown_lease(lease)
 
-    def _teardown_lease(self, lease: _Lease):
+    def _teardown_lease(self, lease: JobAccelerator):
         self._arm_held -= 1
         try:
-            yield from lease.remote.vac_detach()
+            yield from lease.vac_detach()
         except Exception:
             pass  # revoked/broken mid-teardown: vrelease still settles it
         try:
             yield from self._arm_clients[lease.gateway].vrelease(
-                lease.grant["vac"])
+                lease.handle)
         except AllocationError:
             pass  # already released (idempotent teardown)
 

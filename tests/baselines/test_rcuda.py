@@ -49,9 +49,9 @@ class TestRcudaBaseline:
         sess_m, ac_m = alloc_one(mpi_cluster())
         sess_t, ac_t = alloc_one(rcuda_like_cluster(), transfer=RCUDA_TRANSFER)
         t0 = sess_m.now
-        sess_m.call(ac_m.ping())
+        sess_m.call(ac_m.kernel_create("fill"))
         t_mpi = sess_m.now - t0
         t0 = sess_t.now
-        sess_t.call(ac_t.ping())
+        sess_t.call(ac_t.kernel_create("fill"))
         t_tcp = sess_t.now - t0
         assert t_tcp > 5 * t_mpi

@@ -100,7 +100,7 @@ class TestNothingLeftOnTheDataTag:
         cluster.engine.run()
         assert _entries_on(cluster, dst, dtag) == []
         assert daemon.stats.staging_now == 0
-        assert sess.call(acs[0].ping()) == "pong"
+        sess.call(acs[0].kernel_create("fill"))
 
     def test_rejected_header_drains_its_blocks(self, rig):
         cluster, sess, acs = rig

@@ -1,10 +1,13 @@
-"""Backend conformance: one API_METHODS list, three interchangeable backends.
+"""Backend conformance: one API_METHODS list, four interchangeable backends.
 
 The same op program must produce identical results on the remote
-middleware path, the node-attached local baseline, and the failover
-wrapper, and the pre-unification call shapes are rejected uniformly.
-``peer_put`` is the remote front end's alone.
+middleware path, the node-attached local baseline, the failover wrapper
+and the job service's lease (inside job bodies, caching on), and the
+pre-unification call shapes are rejected uniformly.  ``peer_put`` is the
+remote front end's alone.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from repro.cluster import Cluster, paper_testbed
 from repro.core import FailoverConfig
 from repro.core.interface import API_METHODS
 from repro.errors import MiddlewareError
+from repro.jobs import JobService, JobSpec
 
 BACKENDS = ("remote", "local", "resilient")
 
@@ -41,18 +45,53 @@ def backend(request, rig):
     return make_backend(request.param, cluster, sess)
 
 
-def run_op_program(sess, ac):
-    """The shared conformance program: alloc, copy, kernel, copy, free."""
+def op_program(ac):
+    """The shared conformance program (generator): alloc, copy, kernel,
+    copy, free."""
     data = np.arange(256, dtype=np.float64)
-    ptr = sess.call(ac.mem_alloc(data.nbytes))
-    sess.call(ac.memcpy_h2d(ptr, data))
-    sess.call(ac.kernel_create("dscal"))
+    ptr = yield from ac.mem_alloc(data.nbytes)
+    yield from ac.memcpy_h2d(ptr, data)
+    yield from ac.kernel_create("dscal")
     ac.kernel_set_args("dscal", {"x": ptr, "n": 256, "alpha": 2.0})
-    sess.call(ac.kernel_run("dscal"))
-    out = sess.call(ac.memcpy_d2h(ptr, data.nbytes))
-    pong = sess.call(ac.ping())
-    sess.call(ac.mem_free(ptr))
-    return out, pong
+    yield from ac.kernel_run("dscal")
+    out = yield from ac.memcpy_d2h(ptr, data.nbytes)
+    yield from ac.mem_free(ptr)
+    return out
+
+
+def run_as_two_jobs():
+    """The op program as two jobs of one ``run_all``, the second depending
+    on the first (``run_all`` drains the warm pool at its end, so only a
+    dependent job of the same call can reclaim the first one's lease).
+
+    Returns the service, both results, and what the second job moved:
+    the daemon's counters and the service's cache hits and misses.
+    """
+    cluster = Cluster(paper_testbed(n_compute=1, n_accelerators=2))
+    svc = JobService(cluster, caching=True)
+    moved = {}
+
+    def counters(ac):
+        stats = cluster.daemons[ac.handle.ac_id].stats
+        return {**dataclasses.asdict(stats),
+                "alloc_hits": svc.lease_pool.alloc_hits,
+                "alloc_misses": svc.lease_pool.alloc_misses,
+                "kernel_hits": svc.kernel_cache.hits,
+                "kernel_misses": svc.kernel_cache.misses}
+
+    def second(ctx):
+        ac = ctx.accelerators[0]
+        before = counters(ac)
+        out = yield from op_program(ac)
+        after = counters(ac)
+        moved.update({k: after[k] - before[k] for k in after})
+        return out
+
+    records = svc.run_all([
+        JobSpec("first", "t", lambda ctx: op_program(ctx.accelerators[0])),
+        JobSpec("second", "t", second, deps=("first",))])
+    assert [r.ok for r in records] == [True, True], [r.error for r in records]
+    return svc, [r.result for r in records], moved
 
 
 class TestStructuralConformance:
@@ -60,26 +99,34 @@ class TestStructuralConformance:
         for name in API_METHODS:
             assert callable(getattr(backend, name)), name
 
-    def test_api_methods_are_the_papers_seven_calls_and_ping(self):
+    def test_api_methods_are_the_papers_seven_calls(self):
         # Listing 2: acMemAlloc, acMemFree, acMemCpy (both directions),
-        # acKernelCreate, acKernelSetArgs, acKernelRun; plus the probe.
+        # acKernelCreate, acKernelSetArgs, acKernelRun.
         assert API_METHODS == (
             "mem_alloc", "mem_free", "memcpy_h2d", "memcpy_d2h",
-            "kernel_create", "kernel_set_args", "kernel_run", "ping")
+            "kernel_create", "kernel_set_args", "kernel_run")
 
 
 class TestBehavioralConformance:
     def test_same_program_same_results(self, rig):
         cluster, sess = rig
-        outs = {}
-        for kind in BACKENDS:
-            ac = make_backend(kind, cluster, sess)
-            out, pong = run_op_program(sess, ac)
-            assert pong is not None
-            outs[kind] = out
+        outs = {kind: sess.call(op_program(make_backend(kind, cluster, sess)))
+                for kind in BACKENDS}
+        _, (outs["job cold"], outs["job warm"]), _ = run_as_two_jobs()
         expected = np.arange(256, dtype=np.float64) * 2.0
         for kind, out in outs.items():
             np.testing.assert_array_equal(out, expected, err_msg=kind)
+
+    def test_second_job_is_served_warm(self):
+        svc, _, moved = run_as_two_jobs()
+        assert svc.leases_cold == 1 and svc.lease_pool.reused == 1
+        # Its allocation and its kernel create are cache hits ...
+        assert (moved["alloc_hits"], moved["alloc_misses"]) == (1, 0)
+        assert (moved["kernel_hits"], moved["kernel_misses"]) == (1, 0)
+        # ... so the daemon sees one control op for it, its launch (plus
+        # the two bulk copies, which never ride a batch frame).
+        assert moved["mbatched_ops"] == 1 and moved["kernels_run"] == 1
+        assert moved["requests"] - moved["transfer_requests"] == 1
 
     def test_unknown_kernel_rejected_everywhere(self, rig, backend):
         _, sess = rig

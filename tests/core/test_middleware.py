@@ -271,6 +271,3 @@ class TestMultiAccelerator:
         sess.call(a0.peer_put(p0, data.nbytes, a1, p1))
         out = sess.call(a1.memcpy_d2h(p1, data.nbytes))
         np.testing.assert_array_equal(out, data)
-
-    def test_ping(self, sess, ac):
-        assert sess.call(ac.ping()) == "pong"

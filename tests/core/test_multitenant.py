@@ -81,18 +81,6 @@ class TestTenantAccelerator:
         sess.call(ac.release_lease())
         assert cluster.arm.lease_count() == 0
 
-    def test_mem_quota_enforced_through_daemon(self, cluster, sess):
-        register_tenants(cluster, "alice")
-        client = cluster.arm_client(0)
-        vac = sess.call(client.valloc("alice"))["vac"]
-        ac = cluster.remote(0, vac)
-        sess.call(ac.vac_attach(mem_quota=4096))
-        sess.call(ac.mem_alloc(4096))
-        with pytest.raises(MiddlewareError):
-            sess.call(ac.mem_alloc(1))
-        sess.call(ac.vac_detach())
-        sess.call(client.vrelease(vac))
-
     def test_cross_tenant_free_denied(self, cluster, sess):
         # Both leases land on the same device (slots spread most-free
         # first, so pin them by exhausting a single-slot config).

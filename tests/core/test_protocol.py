@@ -32,9 +32,9 @@ class TestRequestResponse:
         with pytest.raises(ProtocolError):
             Request(op="not-an-op", req_id=1, reply_to=0)
         with pytest.raises(ProtocolError):
-            Request(op=Op.PING, req_id=0, reply_to=0)
+            Request(op=Op.KERNEL_CREATE, req_id=0, reply_to=0)
         with pytest.raises(ProtocolError):
-            Request(op=Op.PING, req_id=1, reply_to=-1)
+            Request(op=Op.KERNEL_CREATE, req_id=1, reply_to=-1)
 
     def test_response_ok(self):
         r = Response(req_id=1, status=Status.OK, value=42)
@@ -84,7 +84,6 @@ REPRESENTATIVE = {
     Op.KERNEL_RUN: {"name": "daxpy", "params": _ARGS, "real": False},
     Op.PEER_PUT: {"src": 4096, "blocks": _BLOCKS, "peer_rank": 2,
                   "peer_addr": 8192, "gpudirect": True},
-    Op.PING: {},
     Op.MBATCH: {"reqs": [(7, _CONTROL)]},
     Op.SHUTDOWN: {},
     Op.ARM_ALLOC: {"count": 1, "wait": False, "job": "qr"},
@@ -93,7 +92,7 @@ REPRESENTATIVE = {
     Op.ARM_BREAK: {"ac_id": 0},
     Op.ARM_VALLOC: {"tenant": "gold", "wait": True, "job": None},
     Op.ARM_VRELEASE: {"vac_id": 3, "tenant": "gold"},
-    Op.VAC_ATTACH: {"vac_id": 3, "share": 0.25, "mem_quota": None, "vac": 3},
+    Op.VAC_ATTACH: {"vac_id": 3, "share": 0.25, "vac": 3},
     Op.VAC_DETACH: {"vac_id": 3, "vac": 3},
     Op.VAC_REVOKE: {"vac_id": 3, "oneway": True},
     Op.ARM_REPORT: {"ac_id": 0, "daemon_rank": 1, "healthy": True,
@@ -164,7 +163,7 @@ class TestRequestWireSize:
                 + _request(Op(value), params).nbytes
                 - protocol.REQUEST_HEADER_BYTES
                 for value, params in ops)
-        riders = [_CONTROL, [(Op.PING.value, {})]]
+        riders = [_CONTROL, [(Op.KERNEL_CREATE.value, {"name": "fill"})]]
         frame = _request(Op.MBATCH, {"reqs": list(enumerate(riders, 1))})
         assert frame.nbytes == (protocol.REQUEST_HEADER_BYTES
                                 + subframe(riders[0]) + subframe(riders[1]))

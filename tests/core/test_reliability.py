@@ -55,7 +55,8 @@ class TestRetryPolicy:
 
     def test_op_classification(self):
         # Retried ops with side effects must be covered by the dedup cache.
-        assert Op.PING in RETRYABLE_OPS and Op.PING not in DEDUP_OPS
+        assert Op.KERNEL_CREATE in RETRYABLE_OPS
+        assert Op.KERNEL_CREATE not in DEDUP_OPS
         assert Op.MEM_ALLOC in RETRYABLE_OPS and Op.MEM_ALLOC in DEDUP_OPS
         assert Op.KERNEL_RUN not in RETRYABLE_OPS  # at most once
 
@@ -69,8 +70,9 @@ class TestTimeouts:
         injector.crash_at(handles[0].ac_id, at_time=0.0)
         sess.engine.run(until=sess.now + 1e-4)
         with pytest.raises(RequestTimeout):
-            sess.call(ac.ping())
-        # PING is retryable: every attempt was sent and every deadline fired.
+            sess.call(ac.kernel_create("fill"))
+        # KERNEL_CREATE is retryable: every attempt was sent and every
+        # deadline fired.
         assert ac.requests == 4
         assert ac.timeouts == 4
 
@@ -85,7 +87,7 @@ class TestTimeouts:
         sess.engine.run(until=sess.now + 1e-4)
         t0 = sess.now
         with pytest.raises(RequestTimeout):
-            sess.call(ac.ping())
+            sess.call(ac.kernel_create("fill"))
         expected = 4 * TIMEOUT_S + sum(retry.backoff_s(k) for k in range(3))
         assert sess.now - t0 == pytest.approx(expected, rel=1e-9)
 
@@ -122,7 +124,7 @@ class TestTimeouts:
         handles = sess.call(cluster.arm_client(0).alloc(count=1))
         ac = cluster.remote(0, handles[0])
         assert ac.retry.timeout_s is None
-        assert sess.call(ac.ping()) is not None
+        sess.call(ac.kernel_create("fill"))
 
 
 class TestDaemonDedup:
@@ -174,7 +176,7 @@ class TestFailover:
         injector.break_at(ra.handle.ac_id, at_time=0.0)
         sess.engine.run(until=sess.now + 1e-4)
         with pytest.raises(AcceleratorFault):
-            sess.call(ra.ping())
+            sess.call(ra.kernel_create("fill"))
         assert ra.failovers == 0
 
     def test_reallocate_replays_real_data(self, rig):
@@ -232,7 +234,7 @@ class TestFailover:
         injector.break_at(ra.handle.ac_id, at_time=0.0)
         sess.engine.run(until=sess.now + 1e-4)
         with pytest.raises(AcceleratorFault):
-            sess.call(ra.ping())
+            sess.call(ra.kernel_create("fill"))
 
     def test_run_guarded_reruns_whole_transaction(self, rig):
         cluster, sess, injector = rig

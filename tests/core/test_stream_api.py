@@ -67,11 +67,12 @@ def travel_rig(travel):
         frames = daemon.stats.mbatches
         subs, *pongs = sess.call(run_parallel(sess.engine, 
             [ac.batch_rpc(calls)]
-            + [other.batch_rpc([(Op.PING, {})]) for other in riders]))
+            + [other.batch_rpc([(Op.KERNEL_CREATE, {"name": "fill"})])
+               for other in riders]))
         # Everything shared one wire frame, and whatever happened inside
         # our sub-frame never touched the rider's.
         assert daemon.stats.mbatches == frames + 1
-        assert all(p[0].ok and p[0].value == "pong" for p in pongs)
+        assert all(p[0].ok for p in pongs)
         return subs
 
     return cluster, sess, ac, daemon, send
@@ -88,7 +89,7 @@ class TestBatchFrame:
                 (Op.MEM_ALLOC, {"nbytes": 4096}),
                 (Op.MEM_ALLOC, {"nbytes": 8192}),
                 (Op.KERNEL_CREATE, {"name": "dscal"}),
-                (Op.PING, {}),
+                (Op.KERNEL_CREATE, {"name": "fill"}),
             ])
             # One frame on the wire, whoever sent it.
             assert daemon.stats.requests == served + 1, travel
@@ -102,7 +103,6 @@ class TestBatchFrame:
             assert daemon.stats.mbatched_subs == riders, travel
             assert daemon.stats.mbatched_ops == 4 + (riders - 1), travel
             assert [s.ok for s in subs] == [True] * 4, travel
-            assert subs[3].value == "pong"
             addr_a, addr_b = subs[0].value, subs[1].value
             assert addr_a != addr_b
             assert daemon.gpu.memory.used_bytes == 4096 + 8192
@@ -111,7 +111,7 @@ class TestBatchFrame:
         for travel in TRAVEL:
             _, _, _, daemon, send = travel_rig(travel)
             subs = send([(Op.MEM_ALLOC, {"nbytes": 128}),
-                         (Op.PING, {}),
+                         (Op.KERNEL_CREATE, {"name": "fill"}),
                          (Op.MEM_ALLOC, {"nbytes": 256})])
             assert [s.ok for s in subs] == [True] * 3, travel
             # Response i answers op i, and the allocator saw them in order.
@@ -130,7 +130,7 @@ class TestBatchFrame:
             wire = ac.requests
             for bad in (Op.MEMCPY_H2D, Op.MEMCPY_D2H, Op.PEER_PUT):
                 with pytest.raises(MiddlewareError, match="cannot ride"):
-                    sess.call(ac.batch_rpc([(Op.PING, {}),
+                    sess.call(ac.batch_rpc([(Op.KERNEL_CREATE, {"name": "fill"}),
                                             (bad, {"addr": 0, "nbytes": 8})]))
             # Rejected before anything reached the wire or the coalescer.
             assert ac.requests == wire and daemon.stats.mbatches == 0, travel
@@ -212,7 +212,7 @@ class TestBatchFrame:
                  (Op.KERNEL_RUN, {"name": "dgemm", "real": False, "params": {
                      "A": 0, "B": 0, "C": 0, "m": 64, "n": 64, "k": 64}}),
                  (Op.MEM_FREE, {"addr": 0xdead}),
-                 (Op.PING, {})]
+                 (Op.KERNEL_CREATE, {"name": "fill"})]
         seen = []
         for travel in ("alone", "idle coalescer"):
             cluster, _, ac, daemon, send = travel_rig(travel)
@@ -280,13 +280,13 @@ class TestStream:
         def body():
             s = ac.stream(max_batch=4)
             for _ in range(10):
-                s.ping()
+                s.kernel_create("fill")
             yield from s.synchronize()
             return s
 
         s = sess.call(body())
         assert s.ops_issued == 10
-        # 10 pings at max_batch=4 -> frames of 4+4+2.
+        # 10 creates at max_batch=4 -> frames of 4+4+2.
         assert s.frames_issued == 3
         assert s.ops_batched == 10
 
@@ -427,13 +427,12 @@ class TestStream:
         register_tenants(cluster, "t")
         grant = sess.call(client.valloc("t"))
         ac = cluster.remote(0, grant["vac"])
-        sess.call(ac.vac_attach(share=grant["share"],
-                                mem_quota=grant["mem_quota"]))
+        sess.call(ac.vac_attach(share=grant["share"]))
         daemon = cluster.daemons[ac.handle.ac_id]
         s = ac.stream()
 
         def frame():
-            futures = [s.mem_alloc(64), s.ping()]
+            futures = [s.mem_alloc(64), s.kernel_create("fill")]
             yield from s.synchronize()
             return futures
 
@@ -445,7 +444,7 @@ class TestStream:
         assert daemon.stats.preempted_requests == 1
         assert len(ac._live) == 1                    # nothing new tracked
         with pytest.raises(MiddlewareError, match="sticky"):
-            s.ping()
+            s.kernel_create("fill")
 
 
 class TestBackendParity:

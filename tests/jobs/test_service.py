@@ -17,18 +17,19 @@ def cluster():
     return Cluster(paper_testbed(n_compute=2, n_accelerators=2))
 
 
-def ping_body(log=None):
+def create_body(log=None):
+    """A minimal job: one control round trip (a cold kernel create)."""
     def body(ctx):
         if log is not None:
             log.append(ctx.spec.name)
-        value = yield from ctx.accelerators[0].ping()
-        return value
+        yield from ctx.accelerators[0].kernel_create("fill")
+        return ctx.spec.name
 
     return body
 
 
 def failing_body(ctx):
-    yield from ctx.accelerators[0].ping()
+    yield from ctx.accelerators[0].kernel_create("fill")
     raise RuntimeError("body exploded")
 
 
@@ -51,7 +52,7 @@ def roundtrip_body(seed):
 class TestSpecValidation:
     def test_self_dependency_rejected_at_construction(self):
         with pytest.raises(WorkloadError, match="cycle"):
-            JobSpec(name="a", tenant="t", body=ping_body(), deps=("a",))
+            JobSpec(name="a", tenant="t", body=create_body(), deps=("a",))
 
     @pytest.mark.parametrize("kwargs", [
         {"name": ""},
@@ -60,7 +61,7 @@ class TestSpecValidation:
         {"arrival_s": -1.0},
     ])
     def test_field_validation(self, kwargs):
-        base = dict(name="a", tenant="t", body=ping_body())
+        base = dict(name="a", tenant="t", body=create_body())
         base.update(kwargs)
         with pytest.raises(WorkloadError):
             JobSpec(**base)
@@ -70,9 +71,9 @@ class TestDagEdgeCases:
     def test_cycle_rejected_at_submit(self, cluster):
         svc = JobService(cluster)
         specs = [
-            JobSpec(name="a", tenant="t", body=ping_body(), deps=("c",)),
-            JobSpec(name="b", tenant="t", body=ping_body(), deps=("a",)),
-            JobSpec(name="c", tenant="t", body=ping_body(), deps=("b",)),
+            JobSpec(name="a", tenant="t", body=create_body(), deps=("c",)),
+            JobSpec(name="b", tenant="t", body=create_body(), deps=("a",)),
+            JobSpec(name="c", tenant="t", body=create_body(), deps=("b",)),
         ]
         with pytest.raises(WorkloadError, match="dependency cycle"):
             svc.submit_many(specs)
@@ -83,26 +84,26 @@ class TestDagEdgeCases:
         svc = JobService(cluster)
         with pytest.raises(WorkloadError, match="unknown job"):
             svc.submit_many([JobSpec(name="a", tenant="t",
-                                     body=ping_body(), deps=("ghost",))])
+                                     body=create_body(), deps=("ghost",))])
         with pytest.raises(WorkloadError, match="unknown job"):
             svc.submit(JobSpec(name="b", tenant="t",
-                               body=ping_body(), deps=("ghost",)))
+                               body=create_body(), deps=("ghost",)))
 
     def test_duplicate_name_rejected(self, cluster):
         svc = JobService(cluster)
-        spec = JobSpec(name="a", tenant="t", body=ping_body())
+        spec = JobSpec(name="a", tenant="t", body=create_body())
         with pytest.raises(WorkloadError, match="duplicate"):
             svc.submit_many([spec, JobSpec(name="a", tenant="t",
-                                           body=ping_body())])
+                                           body=create_body())])
 
     def test_diamond_runs_each_job_exactly_once(self, cluster):
         svc = JobService(cluster)
         log = []
         specs = [
-            JobSpec(name="a", tenant="t", body=ping_body(log)),
-            JobSpec(name="b", tenant="t", body=ping_body(log), deps=("a",)),
-            JobSpec(name="c", tenant="t", body=ping_body(log), deps=("a",)),
-            JobSpec(name="d", tenant="t", body=ping_body(log),
+            JobSpec(name="a", tenant="t", body=create_body(log)),
+            JobSpec(name="b", tenant="t", body=create_body(log), deps=("a",)),
+            JobSpec(name="c", tenant="t", body=create_body(log), deps=("a",)),
+            JobSpec(name="d", tenant="t", body=create_body(log),
                     deps=("b", "c")),
         ]
         records = svc.run_all(specs)
@@ -119,11 +120,11 @@ class TestDagEdgeCases:
         log = []
         specs = [
             JobSpec(name="root", tenant="t", body=failing_body),
-            JobSpec(name="child", tenant="t", body=ping_body(log),
+            JobSpec(name="child", tenant="t", body=create_body(log),
                     deps=("root",)),
-            JobSpec(name="grandchild", tenant="t", body=ping_body(log),
+            JobSpec(name="grandchild", tenant="t", body=create_body(log),
                     deps=("child",)),
-            JobSpec(name="bystander", tenant="t", body=ping_body(log)),
+            JobSpec(name="bystander", tenant="t", body=create_body(log)),
         ]
         svc.run_all(specs)
         assert svc.record("root").state is JobState.FAILED
@@ -147,10 +148,10 @@ class TestScheduling:
         svc = JobService(cluster)
         log = []
         specs = [
-            JobSpec(name=f"low{i}", tenant="t", body=ping_body(log),
+            JobSpec(name=f"low{i}", tenant="t", body=create_body(log),
                     priority=0)
             for i in range(3)
-        ] + [JobSpec(name="high", tenant="t", body=ping_body(log),
+        ] + [JobSpec(name="high", tenant="t", body=create_body(log),
                      priority=5)]
         records = svc.run_all(specs)
         assert all(r.state is JobState.DONE for r in records)
@@ -161,7 +162,7 @@ class TestScheduling:
     def test_slots_released_after_run(self, cluster):
         free0 = cluster.arm.free_count()
         svc = JobService(cluster)
-        svc.run_all([JobSpec(name="a", tenant="t", body=ping_body())])
+        svc.run_all([JobSpec(name="a", tenant="t", body=create_body())])
         assert cluster.arm.free_count() == free0
         assert svc._free == svc.max_in_flight
         assert svc._arm_held == 0
@@ -171,19 +172,19 @@ class TestScheduling:
 
         def body(ctx):
             assert len(ctx.accelerators) == 2
-            a = yield from ctx.accelerators[0].ping()
-            b = yield from ctx.accelerators[1].ping()
-            return (a, b)
+            for ac in ctx.accelerators:
+                yield from ac.kernel_create("fill")
+            return len(ctx.accelerators)
 
         rec = svc.run_all([JobSpec(name="wide", tenant="t", body=body,
                                    n_accelerators=2)])[0]
-        assert rec.state is JobState.DONE and rec.result == ("pong", "pong")
+        assert rec.state is JobState.DONE and rec.result == 2
 
 
 class TestWarmPaths:
     def test_lease_reused_across_sequential_jobs(self, cluster):
         svc = JobService(cluster)
-        specs = [JobSpec(name=f"j{i}", tenant="t", body=ping_body(),
+        specs = [JobSpec(name=f"j{i}", tenant="t", body=create_body(),
                          deps=(f"j{i-1}",) if i else ())
                  for i in range(4)]
         svc.run_all(specs)
@@ -192,7 +193,7 @@ class TestWarmPaths:
 
     def test_unclaimed_lease_expires_after_ttl(self, cluster):
         svc = JobService(cluster, lease_ttl_s=1e-3)
-        rec = svc.submit(JobSpec(name="a", tenant="t", body=ping_body()))
+        rec = svc.submit(JobSpec(name="a", tenant="t", body=create_body()))
         cluster.engine.run(until=rec.done)
         assert len(svc.lease_pool) == 1
         assert svc._arm_held == 1  # the parked lease pins an ARM slot
@@ -204,7 +205,7 @@ class TestWarmPaths:
     def test_cold_allocation_evicts_parked_lease_when_full(self, cluster):
         cluster.arm.admission.slots_per_device = 1
         svc = JobService(cluster)  # capacity = 2 devices x 1 slot
-        a = [JobSpec(name=f"a{i}", tenant="alice", body=ping_body())
+        a = [JobSpec(name=f"a{i}", tenant="alice", body=create_body())
              for i in range(2)]  # independent: both slots get parked
         recs = svc.submit_many(a)  # no run_all: it would drain the pool
         cluster.engine.run(until=cluster.engine.all_of(
@@ -213,7 +214,7 @@ class TestWarmPaths:
         assert svc._arm_held == svc.max_in_flight
         # A different tenant needs a cold lease with the ARM full of
         # parked ones: the pool must make room, not block until TTL.
-        rec = svc.submit(JobSpec(name="b", tenant="bob", body=ping_body()))
+        rec = svc.submit(JobSpec(name="b", tenant="bob", body=create_body()))
         cluster.engine.run(until=rec.done)
         assert rec.state is JobState.DONE
         assert svc.lease_pool.evicted >= 1
@@ -378,14 +379,14 @@ class TestBatchFlow:
         cluster.arm.admission.slots_per_device = 1
         svc = JobService(cluster)
         with pytest.raises(WorkloadError, match="wants 3"):
-            svc.submit(JobSpec("huge", "t", ping_body(), n_accelerators=3))
+            svc.submit(JobSpec("huge", "t", create_body(), n_accelerators=3))
         with pytest.raises(WorkloadError, match="wants 3"):
-            svc.submit_many([JobSpec("ok", "t", ping_body()),
-                             JobSpec("huge", "t", ping_body(),
+            svc.submit_many([JobSpec("ok", "t", create_body()),
+                             JobSpec("huge", "t", create_body(),
                                      n_accelerators=3)])
         assert svc.records == []
         # Nothing queued behind a job that can never be granted.
-        recs = svc.run_all([JobSpec("ok", "t", ping_body(), n_accelerators=2)])
+        recs = svc.run_all([JobSpec("ok", "t", create_body(), n_accelerators=2)])
         assert recs[0].ok
 
     def test_failing_job_still_releases(self, batch):
@@ -427,7 +428,7 @@ class TestBatchFlow:
 
         def body(ctx):
             seen.append(ctx.cpu)
-            yield from ctx.accelerators[0].ping()
+            yield from ctx.accelerators[0].kernel_create("fill")
 
         rec = svc.run_all([JobSpec("a", "t", body)])[0]
         assert seen == [cluster.compute_nodes[rec.gateway].cpu]

@@ -39,7 +39,7 @@ def _program(traced: bool):
     out = sess.call(ac.memcpy_d2h(addr, data.nbytes))
     marks.append(sess.now)
     sess.call(ac.mem_free(addr))
-    sess.call(ac.ping())
+    sess.call(ac.kernel_create("fill"))
     marks.append(sess.now)
 
     stats = cluster.daemons[ac.handle.ac_id].stats

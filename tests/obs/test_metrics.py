@@ -107,18 +107,19 @@ class TestInstrumentCluster:
                                            ac):
         addr = sess.call(ac.mem_alloc(1 * MiB))
         sess.call(ac.memcpy_h2d(addr, np.ones(1 * MiB // 8)))
-        sess.call(ac.ping())
+        sess.call(ac.kernel_create("fill"))
         reg = instrument_cluster(cluster)
         by_op = {dict(h.labels)["op"]: h
                  for h in reg.histograms("request.latency_s")}
-        assert {"mem_alloc", "memcpy_h2d", "ping", "all"} <= set(by_op)
+        assert {"mem_alloc", "memcpy_h2d", "kernel_create", "all"} <= set(by_op)
         assert by_op["all"].count == 3
-        assert by_op["memcpy_h2d"].percentile(50) > by_op["ping"].percentile(50)
+        assert (by_op["memcpy_h2d"].percentile(50)
+                > by_op["kernel_create"].percentile(50))
         dma = reg.histograms("dma.copy_s")
         assert dma and dma[0].count >= 1
 
     def test_no_latency_histograms_without_tracing(self, cluster, sess, ac):
-        sess.call(ac.ping())
+        sess.call(ac.kernel_create("fill"))
         reg = instrument_cluster(cluster)
         assert reg.histograms("request.latency_s") == []
 

@@ -253,8 +253,8 @@ class TestRequestDecomposition:
         # Crash the daemon so every attempt times out.
         FaultInjector(cluster).crash_at(handles[0].ac_id, at_time=sess.now)
         with pytest.raises(RequestTimeout):
-            sess.call(ac.ping())
-        span = collector.by_name("client.ping")[0]
+            sess.call(ac.kernel_create("fill"))
+        span = collector.by_name("client.kernel_create")[0]
         events = [e.name for e in span.events]
         assert events.count("timeout") == MAX_ATTEMPTS
         assert events.count("retry") == MAX_ATTEMPTS - 1
@@ -263,8 +263,9 @@ class TestRequestDecomposition:
                                                    collector):
         from repro.core.protocol import Op, Request
         from repro.mpisim import payload_nbytes
-        bare = Request(op=Op.PING, req_id=1, reply_to=0)
-        traced = Request(op=Op.PING, req_id=1, reply_to=0, trace=(7, 9))
+        bare = Request(op=Op.KERNEL_CREATE, req_id=1, reply_to=0)
+        traced = Request(op=Op.KERNEL_CREATE, req_id=1, reply_to=0,
+                         trace=(7, 9))
         assert payload_nbytes(bare) == payload_nbytes(traced)
 
 
@@ -337,7 +338,7 @@ class TestFailoverSpans:
         # Break the current accelerator; the next op triggers failover.
         FaultInjector(cluster).break_at(handles[0].ac_id, at_time=sess.now)
         sess.engine.run(until=sess.now + 1e-4)
-        sess.call(rac.ping())
+        sess.call(rac.kernel_create("fill"))
         assert rac.failovers == 1
         spans = collector.by_name("failover.recover")
         assert len(spans) == 1

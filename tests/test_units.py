@@ -50,7 +50,7 @@ class TestTracer:
         sess = cluster.session()
         handles = sess.call(cluster.arm_client(0).alloc(count=1))
         ac = cluster.remote(0, handles[0])
-        sess.call(ac.ping())
+        sess.call(ac.kernel_create("fill"))
         flows = obs.by_name("net.flow")
         assert len(flows) >= 4
         assert len(flows) == cluster.fabric.messages_sent
