@@ -210,7 +210,7 @@ class RemoteAccelerator:
                     self.rank, self.handle.daemon_rank, dtag,
                     slice_chunks(payload, blocks), H2D_BLOCK_POST_S)
             msg = yield from self._await(
-                reply.done, self.retry.transfer_timeout_s(nbytes),
+                reply, self.retry.transfer_timeout_s(nbytes),
                 "memcpy_h2d to ac{} timed out")
             msg.payload.raise_for_status()
             self.bytes_h2d += nbytes
@@ -234,7 +234,7 @@ class RemoteAccelerator:
                 "src": src, "offset": int(offset), "blocks": blocks,
             }, cfg, span, n_recv=len(blocks))
             deadline_s = self.retry.transfer_timeout_s(nbytes)
-            msg = yield from self._await(reply.done, deadline_s,
+            msg = yield from self._await(reply, deadline_s,
                                          "memcpy_d2h to ac{} timed out")
             resp: Response = msg.payload
             # On failure the daemon sent no data; the pre-posted receives are
@@ -243,8 +243,7 @@ class RemoteAccelerator:
             if block_reqs:
                 with span.child("net.recv", blocks=len(block_reqs)):
                     yield from self._await(
-                        self.rank.comm.engine.all_of(
-                            [r.done for r in block_reqs]),
+                        self.rank.comm.engine.all_of(block_reqs),
                         deadline_s, "memcpy_d2h data stream from ac{} stalled")
             self.bytes_d2h += nbytes
             return assemble_chunks([r.message.payload for r in block_reqs],

@@ -128,9 +128,9 @@ def reliable_rpc(rank: RankHandle, dst: int, tag: int, op: Op, params: dict,
                                      attempt=attempt, trace=span.wire,
                                      sub_traces=sub_traces))
         if timeout_s is None:
-            yield rreq.done
+            yield rreq
             break
-        cond, dl = engine.race(rreq.done, timeout_s)
+        cond, dl = engine.race(rreq, timeout_s)
         yield cond
         if rreq.completed:
             if not dl.processed:

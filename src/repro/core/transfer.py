@@ -249,7 +249,8 @@ def send_blocks(rank: RankHandle, dst: int, dtag: int, chunks: list,
     the front-end's H2D inject loop, which never yields.
     """
     if dev is not None:
-        # One parent context per stream, not one per block.
+        # One parent context per stream, not one per block; untraced
+        # (``NULL_SPAN``, no context) a block makes no span call.
         span = dev.span
         ctx = span.wire
     for i, chunk in enumerate(chunks):
@@ -258,10 +259,14 @@ def send_blocks(rank: RankHandle, dst: int, dtag: int, chunks: list,
             dev.stats.stage(size)
             yield dev.gpu.dma.copy(size, ctx=ctx)
             if not dev.gpudirect:
-                with span.child("staging", block=i, nbytes=size):
-                    yield rank.comm.engine.timeout(
-                        size / dev.cpu.memcpy_bw_Bps)
-            span.event("net.send", block=i, nbytes=size)
+                staging_s = size / dev.cpu.memcpy_bw_Bps
+                if ctx is None:
+                    yield rank.comm.engine.timeout(staging_s)
+                else:
+                    with span.child("staging", block=i, nbytes=size):
+                        yield rank.comm.engine.timeout(staging_s)
+            if ctx is not None:
+                span.event("net.send", block=i, nbytes=size)
         sreq = rank.isend(dst, dtag, chunk, eager=True, injection_s=post_s)
         if dev is not None:
             sreq.done.add_callback(
@@ -299,20 +304,23 @@ def recv_blocks(rank: RankHandle, src: int, dtag: int,
     """
     engine = rank.comm.engine
     span = dev.span if dev is not None else NULL_SPAN
+    # Untraced (``NULL_SPAN``, no context) a block makes no span call.
     ctx = span.wire
     dma_events = []
     for i, (off, size) in enumerate(blocks):
         rreq = rank.irecv(source=src, tag=dtag)
-        recv_span = span.child("net.recv", block=i, nbytes=size)
+        recv_span = (span.child("net.recv", block=i, nbytes=size)
+                     if ctx is not None else None)
         stall = dials.data_stall_s
         if stall is None:
-            yield rreq.done
+            yield rreq
         else:
-            cond, dl = engine.race(rreq.done, stall * dials.slow_factor)
+            cond, dl = engine.race(rreq, stall * dials.slow_factor)
             yield cond
             if not dl.processed:
                 dl.cancel()
-        recv_span.finish()
+        if recv_span is not None:
+            recv_span.finish()
         if stall is not None and not rreq.completed:
             # Cancelled, not leaked; then the rest of the stream.
             rank.cancel_recv(rreq)
@@ -324,8 +332,12 @@ def recv_blocks(rank: RankHandle, src: int, dtag: int,
             yield engine.timeout(
                 dev.cpu.request_handling_s * dials.slow_factor)
         if not dev.gpudirect:
-            with span.child("staging", block=i, nbytes=size):
-                yield engine.timeout(size / dev.cpu.memcpy_bw_Bps)
+            staging_s = size / dev.cpu.memcpy_bw_Bps
+            if ctx is None:
+                yield engine.timeout(staging_s)
+            else:
+                with span.child("staging", block=i, nbytes=size):
+                    yield engine.timeout(staging_s)
         dev.stats.stage(size)
         chunk = rreq.message.payload
         ev = dev.gpu.dma.copy(int(chunk.nbytes), ctx=ctx)

@@ -20,6 +20,7 @@ import dataclasses
 from ..errors import GPUError
 from ..obs.spans import collector_for
 from ..sim import Engine, Event, Resource
+from ..sim.events import PENDING
 from ..units import MiB, USEC
 
 
@@ -64,6 +65,54 @@ PCIE_GEN2_X16 = PCIeModel(
 )
 
 
+class DMACopy(Event):
+    """One host<->device copy: its own completion event.
+
+    Granted the copy engine by call — at creation, or from the release
+    of the copy before it — the copy pushes itself as its one heap
+    entry.  Processing it releases the engine, books the transfer and
+    closes its span before any caller callback runs.
+    """
+
+    __slots__ = ("dma", "nbytes", "duration", "span")
+
+    def __init__(self, dma: "DMAEngine", nbytes: int, duration: float,
+                 span):
+        # Event.__init__ inlined, as in Timeout: one per copy.
+        self.engine = dma.engine
+        self.callbacks = None
+        self._value = PENDING
+        self._ok = None
+        self._processed = False
+        self._cancelled = False
+        self._scheduled = False
+        self.dma = dma
+        self.nbytes = nbytes
+        self.duration = duration
+        self.span = span
+        dma._lock.when_granted(self._granted)
+
+    def _granted(self) -> None:
+        if self.span is not None:
+            self.span.event("engine_acquired")
+        self.engine.succeed_after(self, self.duration)
+
+    def _process(self) -> None:
+        self._processed = True
+        dma = self.dma
+        dma.busy_time += self.duration
+        dma.transfers += 1
+        dma.bytes_copied += self.nbytes
+        dma._lock.release()
+        if self.span is not None:
+            self.span.finish()
+        callbacks = self.callbacks
+        if callbacks is not None:
+            for cb in callbacks:
+                cb(self)
+            callbacks.clear()
+
+
 class DMAEngine:
     """The GPU's copy engine: one transfer at a time, like the C1060.
 
@@ -84,8 +133,8 @@ class DMAEngine:
         self.transfers = 0
         self.bytes_copied = 0
 
-    def copy(self, nbytes: int, pinned: bool = True, ctx=None) -> Event:
-        """Start one host<->device copy; the event fires on completion.
+    def copy(self, nbytes: int, pinned: bool = True, ctx=None) -> DMACopy:
+        """Start one host<->device copy; it fires on completion.
 
         ``ctx`` is an optional parent span context (``Span.wire``): when
         tracing is on, the copy records a ``dma.copy`` child span
@@ -93,33 +142,10 @@ class DMAEngine:
         """
         if nbytes < 0:
             raise GPUError(f"negative copy size: {nbytes!r}")
-        engine = self.engine
         # Spans are children of a request's handler span; a copy issued
         # without one (untraced, or direct device use) makes no span call.
         span = (self._obs.start(
             "dma.copy", self.name, parent=ctx, nbytes=nbytes, pinned=pinned)
             if ctx is not None else None)
-        done = Event(engine)
-        duration = self.model.copy_time(nbytes, pinned)
-
-        def _finish(_ev):
-            # Registered at creation so the engine is released and the
-            # span closed before any caller callback on ``done`` runs.
-            self.busy_time += duration
-            self.transfers += 1
-            self.bytes_copied += nbytes
-            self._lock.release()
-            if span is not None:
-                span.finish()
-
-        done.callbacks = [_finish]
-
-        def _granted():
-            if span is not None:
-                span.event("engine_acquired")
-            engine.succeed_after(done, duration)
-
-        # Granted by call — now, or from the release in the previous
-        # copy's ``_finish`` — so a copy is one heap entry, its ``done``.
-        self._lock.when_granted(_granted)
-        return done
+        return DMACopy(self, nbytes, self.model.copy_time(nbytes, pinned),
+                       span)

@@ -14,16 +14,23 @@ rely on:
 
 Payloads are real Python objects (see :mod:`repro.mpisim.datatypes`), so
 the whole middleware stack moves genuine bytes during correctness tests.
+
+A message is one object: a :class:`Message` is its envelope and, as a
+:class:`~repro.netsim.Transmission`, its own flow over the fabric (an
+eager send's completion event).  A receive :class:`Request` is its own
+completion event.
 """
 
 from __future__ import annotations
 
 import itertools
 import typing as _t
+from functools import partial
 
 from ..errors import MPIError
-from ..netsim import Endpoint, Fabric
+from ..netsim import Endpoint, Fabric, Transmission
 from ..sim import Engine, Event
+from ..sim.events import PENDING
 from .datatypes import copy_for_send, payload_nbytes
 from .matching import ANY_SOURCE, ANY_TAG, MatchList
 
@@ -37,64 +44,99 @@ CONTROL_BYTES = 64
 MAX_USER_TAG = 2**20
 
 
-class Message:
-    """One message from ``isend`` to its receiver; the only per-message record.
+class Message(Transmission):
+    """One message from ``isend`` to its receiver: envelope and flow in one.
 
-    ``source``, ``tag`` and ``nbytes`` are the envelope matching reads,
-    ``payload`` the sender's snapshot.  In flight, ``dst`` and ``seq``
-    (its place in the ``(source, dst)`` send order) admit it to matching
-    in order; it waits as itself in the held-for-order and unexpected
-    queues, and a receive gets it as ``req.message``.  An RTS is a
-    Message whose ``rts`` is the sender's :class:`Request`: its payload
-    moves once a receive matches it.
+    ``source``, ``tag`` and ``nbytes`` (the payload's size; the
+    transmission's ``wire_bytes`` adds the header) are the envelope
+    matching reads, ``payload`` the sender's snapshot.  As a
+    :class:`~repro.netsim.Transmission` the message is its own flow over
+    the fabric: it fires at injection (an eager send's ``done``) and
+    hands itself to the communicator at delivery.  ``dest`` (the
+    receiving rank) and ``seq`` (its place in the ``(source, dest)`` send
+    order) admit it to matching in order; it waits as itself in the
+    held-for-order and unexpected queues, and a receive gets it as
+    ``req.message``.  An RTS is a Message whose ``rts`` is the sender's
+    :class:`Request`: its payload moves once a receive matches it.
     """
 
-    __slots__ = ("source", "tag", "payload", "nbytes", "dst", "seq", "rts")
+    __slots__ = ("source", "tag", "payload", "nbytes", "dest", "seq", "rts")
 
-    def __init__(self, source: int, tag: int, payload: _t.Any, nbytes: int,
-                 dst: int):
+    def __init__(self, comm: "Communicator", source: int, dest: int,
+                 tag: int, payload: _t.Any, nbytes: int, wire_bytes: int,
+                 injection_s: float | None):
+        # Event.__init__ inlined, and Transmission.__init__ not chained:
+        # this runs once per message.
+        self.engine = comm.engine
+        self.callbacks = None
+        self._value = PENDING
+        self._ok = None
+        self._processed = False
+        self._cancelled = False
+        self._scheduled = False
+        self.on_delivered = comm._deliver_bound
         self.source = source
         self.tag = tag
         self.payload = payload
         self.nbytes = nbytes
-        self.dst = dst
+        self.dest = dest
         self.seq = -1
         self.rts: Request | None = None
+        eps = comm._endpoints
+        self._launch(comm.fabric, eps[source], eps[dest], wire_bytes,
+                     injection_s)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Message src={self.source} tag={self.tag} {self.nbytes}B>"
 
 
-class Request:
+class Request(Event):
     """Handle for a non-blocking operation.
 
-    Wait for it inside a process with ``yield req.done``; a receive's
-    ``done`` value (and ``req.message``) is the :class:`Message`.
+    Wait for it inside a process with ``yield req.done``.  A receive, and
+    a rendezvous send, is its own completion event: ``done`` is the
+    request itself, and a receive's value (and ``req.message``) is the
+    :class:`Message`.  An eager send completes when the NIC has posted
+    its message, so its ``done`` is that :class:`Message`.
     """
 
-    __slots__ = ("done", "message", "kind", "cancelled")
+    __slots__ = ("message", "kind", "_sent")
 
-    def __init__(self, engine: Engine, kind: str, done: Event | None = None):
-        self.done = Event(engine) if done is None else done
+    def __init__(self, engine: Engine, kind: str,
+                 sent: Message | None = None):
+        # Event.__init__ inlined: every message makes two requests.
+        self.engine = engine
+        self.callbacks = None
+        self._value = PENDING
+        self._ok = None
+        self._processed = False
+        self._cancelled = False
+        self._scheduled = False
         self.message: Message | None = None
         self.kind = kind
-        #: True once :meth:`Communicator.cancel_recv` removed this receive.
-        self.cancelled = False
+        self._sent = sent
+
+    @property
+    def done(self) -> Event:
+        """The event to wait on (see the class docstring)."""
+        sent = self._sent
+        return self if sent is None else sent
 
     @property
     def completed(self) -> bool:
-        # An eager send's ``done`` is the transmission's ``injected``
-        # event, which carries its value from the NIC grant on (like a
-        # Timeout), so a send is complete once ``done`` has *fired*.  A
-        # receive is complete from the moment its message is matched:
-        # the RPC layer's reply-versus-deadline tie depends on that.
+        # An eager send's message carries its value from the NIC grant on
+        # (like a Timeout), so a send is complete once ``done`` has
+        # *fired*.  A receive is complete from the moment its message is
+        # matched: the RPC layer's reply-versus-deadline tie depends on
+        # that.
         if self.kind == "send":
-            return self.done.processed
-        return self.done.triggered
+            sent = self._sent
+            return (self if sent is None else sent)._processed
+        return self._value is not PENDING
 
     def _complete(self, message: Message | None = None) -> None:
         self.message = message
-        self.done.succeed(message)
+        self.succeed(message)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "done" if self.completed else "pending"
@@ -152,6 +194,8 @@ class Communicator:
         #: Ids unique within this communicator: the middleware numbers its
         #: requests (hence reply and data tags) here, from 1 per cluster.
         self.ids = itertools.count(1)
+        #: Every message's ``on_delivered``, bound once.
+        self._deliver_bound = self._deliver
 
     @property
     def size(self) -> int:
@@ -187,26 +231,27 @@ class Communicator:
         if tag < 0:
             raise MPIError(f"negative tag: {tag!r}")
         nbytes = payload_nbytes(payload)
-        msg = Message(src, tag, copy_for_send(payload), nbytes, dst)
+        payload = copy_for_send(payload)
         if eager is None:
             threshold = self.fabric.model.rendezvous_threshold
             eager = threshold == 0 or nbytes <= threshold
         if eager:
-            tx = self.fabric.transfer(eps[src], eps[dst], nbytes + HEADER_BYTES,
-                                      injection_s, self._deliver, msg)
+            msg = Message(self, src, dst, tag, payload, nbytes,
+                          nbytes + HEADER_BYTES, injection_s)
             # Eager sends complete locally as soon as the NIC has the
             # message — even across a partition (the sender cannot tell
-            # its bytes died) — so the request's ``done`` *is* ``injected``.
-            req = Request(self.engine, "send", tx.injected)
+            # its bytes died) — so the request's ``done`` *is* the message.
+            req = Request(self.engine, "send", msg)
         else:
             # A dropped RTS leaves the send pending forever, exactly like
             # a real rendezvous sender blocked on a handshake that will
             # never come.  Callers racing a deadline (the RPC layer)
             # escape; bare blocking sends are the caller's risk.
-            req = msg.rts = Request(self.engine, "send")
-            tx = self.fabric.transfer(eps[src], eps[dst], CONTROL_BYTES,
-                                      None, self._deliver, msg)
-        if not tx.dropped:
+            req = Request(self.engine, "send")
+            msg = Message(self, src, dst, tag, payload, nbytes,
+                          CONTROL_BYTES, None)
+            msg.rts = req
+        if not msg.dropped:
             # A dropped message must NOT consume a (src, dst) sequence
             # number: in-order matching would wait for that seq forever
             # and hold back every later message on the pair.  The fabric
@@ -227,7 +272,7 @@ class Communicator:
         from the held-for-order queue complete through the heap, like a
         receive that finds its message already waiting.
         """
-        pair = (msg.source, msg.dst)
+        pair = (msg.source, msg.dest)
         seq = self._match_seq.get(pair, 0)
         if msg.seq != seq:
             self._held.setdefault(pair, {})[msg.seq] = msg
@@ -244,7 +289,7 @@ class Communicator:
         self._match_seq[pair] = seq
         if req is not None:
             req.message = msg
-            req.done.fire(msg)
+            req.fire(msg)
 
     def _match(self, msg: Message) -> Request | None:
         """Admit one in-order message; the eager receive it completes.
@@ -252,7 +297,7 @@ class Communicator:
         None when the message was discarded, is left as unexpected, or is
         an RTS whose matched receive now runs the rendezvous.
         """
-        state = self._states[msg.dst]
+        state = self._states[msg.dest]
         if state.discards:
             # A cancelled receive's in-flight message: drop it (one-shot).
             for i, (src, tag) in enumerate(state.discards):
@@ -275,17 +320,19 @@ class Communicator:
     def _rendezvous_cts(self, msg: Message, req: Request) -> None:
         """A receive matched an RTS: bind it to the message, answer CTS."""
         req.message = msg
-        self.fabric.transfer(self._endpoints[msg.dst], self._endpoints[msg.source],
-                             CONTROL_BYTES, None, self._rendezvous_data, req)
+        self.fabric.transfer(self._endpoints[msg.dest],
+                             self._endpoints[msg.source], CONTROL_BYTES,
+                             on_delivered=partial(self._rendezvous_data, req))
 
-    def _rendezvous_data(self, req: Request) -> None:
+    def _rendezvous_data(self, req: Request, _cts: Transmission) -> None:
         """The CTS reached the sender: move the payload."""
         msg = req.message
-        self.fabric.transfer(self._endpoints[msg.source], self._endpoints[msg.dst],
-                             msg.nbytes + HEADER_BYTES, None,
-                             self._rendezvous_done, req)
+        self.fabric.transfer(self._endpoints[msg.source],
+                             self._endpoints[msg.dest],
+                             msg.nbytes + HEADER_BYTES,
+                             on_delivered=partial(self._rendezvous_done, req))
 
-    def _rendezvous_done(self, req: Request) -> None:
+    def _rendezvous_done(self, req: Request, _data: Transmission) -> None:
         msg = req.message
         msg.rts._complete(None)
         req._complete(msg)
@@ -322,14 +369,13 @@ class Communicator:
         """
         if request.kind != "recv":
             raise MPIError(f"cancel_recv on a {request.kind} request")
-        if request.completed or request.cancelled:
+        if request.completed or request._cancelled:
             return False
         state = self._states[me]
         pattern = state.posted.pop_item(request)
         if pattern is None:
             return False
-        request.cancelled = True
-        request.done.cancel()
+        request.cancel()
         state.discards.append(pattern)
         return True
 

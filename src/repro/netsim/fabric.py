@@ -9,6 +9,11 @@ drained it.  Uncontended transfers therefore take exactly
 out of the same endpoint split that endpoint's bandwidth fairly — the
 "host-device traffic competes with compute traffic" effect the paper warns
 about (Sect. III-B).
+
+A message in flight is one object, a :class:`Transmission`: it is its own
+injection event, its own delivery entry and its own flow, and
+:class:`repro.mpisim.Message` subclasses it, so an MPI message and its
+transmission are the same object.
 """
 
 from __future__ import annotations
@@ -18,106 +23,163 @@ import typing as _t
 from ..errors import NetworkError
 from ..obs.spans import collector_for
 from ..sim import BandwidthShare, Engine, Event, Resource
+from ..sim.events import PENDING
 from .models import LinkModel
 from .topology import Topology
 
 
-class Transmission:
-    """One in-flight message: its handle and its flow.
+class Transmission(Event):
+    """One in-flight message: its own handle, injection event and flow.
 
-    ``injected`` fires when the sender's NIC has posted the message (the
-    sending CPU is free again); ``delivered`` fires when the last byte has
-    arrived at the destination.
+    The transmission *is* the event that fires when the sender's NIC has
+    posted the message (the sending CPU is free again), so a process can
+    wait on it directly; ``on_delivered(tx)`` is called when the last
+    byte has arrived at the destination.
 
-    The flow runs as this object's own continuations, traced or not (the
+    The flow runs as this object's own steps, traced or not (the
     ``net.flow`` span is recorded by the steps that move the message):
-    NIC grant -> ``injected`` -> drain through the shares -> ``delivered``.
-    Only the physical boundaries are heap events — ``injected``, one
-    share timer per stage, ``delivered``.  The NIC grant and the drain of
-    the shares are the next steps of this chain at the same instant, so
-    they are called, not scheduled (and ``injected`` therefore reads
-    ``triggered`` from the grant on, like a timer).  The continuations on
-    ``injected`` and ``delivered`` are installed before the Transmission
-    is returned, so they precede any client callback.
+    NIC grant -> injection -> drain through the shares -> delivery.  Only
+    the physical boundaries are heap entries, and two of them are this
+    object: pushed at the grant for its injection, and pushed again at
+    the drain for its delivery (:meth:`_process` tells the two apart by
+    ``processed``, which the first sets), plus one share timer per
+    stage.  The NIC grant and the drain of the shares are the next steps
+    of this chain at the same instant, so they are called, not scheduled
+    (and the transmission therefore reads ``triggered`` from the grant
+    on, like a timer).  The internal step of each entry runs before any
+    client callback.
     """
 
-    __slots__ = ("fabric", "src", "dst", "nbytes", "injected", "delivered",
-                 "injection_s", "dropped", "hops", "span", "on_delivered",
-                 "arg", "_stages_left")
+    __slots__ = ("fabric", "src", "dst", "wire_bytes", "injection_s",
+                 "dropped", "hops", "span", "on_delivered", "_stages_left")
 
     def __init__(self, fabric: "Fabric", src: "Endpoint", dst: "Endpoint",
-                 nbytes: int, injection_s: float | None,
-                 on_delivered: _t.Callable[[_t.Any], None] | None,
-                 arg: _t.Any):
-        engine = fabric.engine
+                 wire_bytes: int, injection_s: float | None,
+                 on_delivered: _t.Callable[["Transmission"], None] | None):
+        # Event.__init__ inlined, as in Timeout.
+        self.engine = fabric.engine
+        self.callbacks = None
+        self._value = PENDING
+        self._ok = None
+        self._processed = False
+        self._cancelled = False
+        self._scheduled = False
+        self.on_delivered = on_delivered
+        self._launch(fabric, src, dst, wire_bytes, injection_s)
+
+    def _launch(self, fabric: "Fabric", src: "Endpoint", dst: "Endpoint",
+                wire_bytes: int, injection_s: float | None) -> None:
+        """Set the flow's fields and queue it on the sender's NIC.
+
+        The rest of every constructor: a subclass (the MPI layer's
+        :class:`~repro.mpisim.Message`) sets the event slots and its own
+        fields, then calls this.
+        """
+        if injection_s is not None and injection_s < 0:
+            raise NetworkError(f"negative injection override: {injection_s!r}")
         self.fabric = fabric
         self.src = src
         self.dst = dst
-        self.nbytes = nbytes
-        self.injected = Event(engine)
-        self.injected.callbacks = [self._on_injected]
-        self.delivered = Event(engine)
-        self.delivered.callbacks = [self._on_delivered]
+        #: Bytes on the wire (a message's payload plus its header).
+        self.wire_bytes = wire_bytes
         #: Per-message posting cost override (None -> the link model's).
         self.injection_s = injection_s
-        #: Set synchronously by :meth:`Fabric.transfer` when the link is
-        #: cut: sender-side costs are paid, ``delivered`` never fires.
-        self.dropped = False
+        self._stages_left = 0
         #: Directed inter-switch trunk pairs this message traverses
         #: (empty on a single switch or a same-switch pair).
-        self.hops = (fabric._route_hops(src.name, dst.name)
-                     if fabric.topology is not None and src is not dst else ())
+        hops = self.hops = (fabric._route_hops(src.name, dst.name)
+                            if fabric.topology is not None and src is not dst
+                            else ())
         # Fabric flows root their own traces (no request context reaches
         # this layer); each endpoint gets its own timeline row.  None
         # when tracing is off, so an untraced flow makes no span call.
         obs = fabric._obs
         self.span = (obs.start_root("net.flow", src.name, dst=dst.name,
-                                    nbytes=nbytes) if obs.enabled else None)
-        self.on_delivered = on_delivered
-        self.arg = arg
-        self._stages_left = 0
+                                    nbytes=wire_bytes)
+                     if obs.enabled else None)
+        #: Decided here, synchronously, so the messaging layer can see the
+        #: drop before it draws a delivery-order sequence number: the
+        #: sender-side costs are paid, delivery never happens.
+        self.dropped = src is not dst and bool(
+            (fabric._cuts and (src.name, dst.name) in fabric._cuts)
+            or (fabric._trunk_cuts
+                and any(h in fabric._trunk_cuts for h in hops)))
+        if self.dropped:
+            fabric.messages_dropped += 1
+            fabric.bytes_dropped += wire_bytes
+        src.nic.when_granted(self._granted)
 
     def _granted(self) -> None:
         # 1. The sender NIC drains its queue FIFO: it is held for the
         #    injection overhead and the wire transmission of this
         #    message.  This keeps queued messages (e.g. pipeline blocks)
         #    arriving back-to-back instead of fair-sharing against each
-        #    other.
-        fabric = self.fabric
+        #    other.  The injection entry is this transmission.
         inj = self.injection_s
-        fabric.engine.succeed_after(
-            self.injected,
-            fabric.model.injection_overhead_s if inj is None else inj)
+        self.engine.succeed_after(
+            self,
+            self.fabric.model.injection_overhead_s if inj is None else inj)
 
-    def _on_injected(self, _ev: Event) -> None:
-        if self.span is not None:
-            self.span.event("injected")
+    def _process(self) -> None:
+        """Run the step of whichever entry of this transmission was popped."""
+        span = self.span
+        if self._processed:
+            # 4. Delivered.  ``bytes_moved`` counts each message once
+            #    regardless of hop count (an end-to-end total); trunk
+            #    traffic is accounted separately per segment in
+            #    ``trunk_bytes``.
+            fabric = self.fabric
+            nbytes = self.wire_bytes
+            fabric.bytes_moved += nbytes
+            fabric.messages_sent += 1
+            self.src.tx_bytes += nbytes
+            self.dst.rx_bytes += nbytes
+            if self.hops:
+                tb = fabric.trunk_bytes
+                for h in self.hops:
+                    tb[h] = tb.get(h, 0) + nbytes
+            if span is not None:
+                span.finish()
+            if self.on_delivered is not None:
+                self.on_delivered(self)
+            return
+        # 2. Injected: the flow's own step first, then the waiters.
+        self._processed = True
+        if span is not None:
+            span.event("injected")
         if self.dropped:
             # The message entered the wire and vanished at the cut:
             # the NIC frees, the receiver never hears anything.
             self.src.nic.release()
-            if self.span is not None:
-                self.span.finish()
-            return
-        nbytes = self.nbytes
-        if nbytes == 0:
+            if span is not None:
+                span.finish()
+        elif self.wire_bytes == 0:
             self._drained()
-            return
-        # 2. Wire transmission through the receiver's share: concurrent
-        #    senders into one endpoint split its bandwidth fairly, and
-        #    the resulting backpressure keeps this NIC busy longer.
-        #    With a finite switch core, inter-node flows traverse it as
-        #    well and proceed at the slower of the two stages; on a
-        #    multi-switch route the flow also drains through every
-        #    trunk segment it crosses (per-hop contention).
+        elif self.hops or (self.fabric._core is not None
+                           and self.src is not self.dst):
+            self._drain_stages()
+        else:
+            # 3. Wire transmission through the receiver's share:
+            #    concurrent senders into one endpoint split its bandwidth
+            #    fairly, and the resulting backpressure keeps this NIC
+            #    busy longer.
+            self.dst.rx.drain(self.wire_bytes, self._drained)
+        callbacks = self.callbacks
+        if callbacks is not None:
+            for cb in callbacks:
+                cb(self)
+            callbacks.clear()
+
+    def _drain_stages(self) -> None:
+        # 3'. With a finite switch core, inter-node flows traverse it as
+        #     well and proceed at the slower of the two stages; on a
+        #     multi-switch route the flow also drains through every
+        #     trunk segment it crosses (per-hop contention).
         fabric = self.fabric
-        core = fabric._core if self.src is not self.dst else None
-        if core is None and not self.hops:
-            self.dst.rx.drain(nbytes, self._drained)
-            return
+        nbytes = self.wire_bytes
         stages = [self.dst.rx]
-        if core is not None:
-            stages.append(core)
+        if fabric._core is not None and self.src is not self.dst:
+            stages.append(fabric._core)
         stages += [fabric._trunks[h] for h in self.hops]
         self._stages_left = len(stages)
         for share in stages:
@@ -129,9 +191,9 @@ class Transmission:
             self._drained()
 
     def _drained(self) -> None:
-        # 3. Propagation latency (not a NIC resource): ``delivered``
-        #    itself is scheduled one wire latency out, plus one trunk
-        #    latency per inter-switch hop.
+        # Propagation latency (not a NIC resource): the delivery entry
+        # is this transmission again, one wire latency out, plus one
+        # trunk latency per inter-switch hop.
         fabric = self.fabric
         latency = fabric.model.latency_s
         delay = latency if self.src is not self.dst and latency > 0 else 0.0
@@ -139,33 +201,15 @@ class Transmission:
             delay += fabric._trunk_latency_s * len(self.hops)
         if fabric._slow or fabric._slow_trunks:
             delay += fabric._extra_latency(self)
-        fabric.engine.succeed_after(self.delivered, delay)
+        self.engine.succeed_after(self, delay)
         # Last: the release grants the next queued message by call,
-        # and this ``delivered`` precedes that message's ``injected``
-        # should the two ever fall on the same instant.
+        # and this delivery precedes that message's injection should
+        # the two ever fall on the same instant.
         self.src.nic.release()
 
-    def _on_delivered(self, _ev: Event) -> None:
-        # ``bytes_moved`` counts each message once regardless of hop
-        # count (an end-to-end total); trunk traffic is accounted
-        # separately per segment in ``trunk_bytes``.
-        fabric = self.fabric
-        nbytes = self.nbytes
-        fabric.bytes_moved += nbytes
-        fabric.messages_sent += 1
-        self.src.tx_bytes += nbytes
-        self.dst.rx_bytes += nbytes
-        if self.hops:
-            tb = fabric.trunk_bytes
-            for h in self.hops:
-                tb[h] = tb.get(h, 0) + nbytes
-        if self.span is not None:
-            self.span.finish()
-        if self.on_delivered is not None:
-            self.on_delivered(self.arg)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Transmission {self.src.name}->{self.dst.name} {self.nbytes}B>"
+        return (f"<Transmission {self.src.name}->{self.dst.name} "
+                f"{self.wire_bytes}B>")
 
 
 class Endpoint:
@@ -388,23 +432,24 @@ class Fabric:
 
     def transfer(self, src: Endpoint | str, dst: Endpoint | str, nbytes: int,
                  injection_s: float | None = None,
-                 on_delivered: _t.Callable[[_t.Any], None] | None = None,
-                 arg: _t.Any = None) -> Transmission:
+                 on_delivered: _t.Callable[[Transmission], None] | None = None
+                 ) -> Transmission:
         """Start moving ``nbytes`` from ``src`` to ``dst``.
 
-        Returns immediately with a :class:`Transmission`; the flow itself
-        runs as a chain of its continuations.  Sending to oneself is
-        charged a loopback (no wire latency, through the local RX share
-        only).
+        Returns immediately with the :class:`Transmission`, which fires
+        at injection; the flow itself runs as a chain of its steps.
+        Sending to oneself is charged a loopback (no wire latency,
+        through the local RX share only).
 
         ``injection_s`` overrides the per-message posting cost, modelling
         protocol-specific send paths: per-block memory registration makes
         it *higher* for middleware H2D block streams, pre-built descriptors
         over a pinned ring make it *lower* for daemon D2H streams.
 
-        ``on_delivered(arg)`` is called at delivery, right after the
-        fabric's own accounting: the messaging layer's continuation,
-        without a closure or a second callback on ``delivered``.
+        ``on_delivered(tx)`` is called at delivery, right after the
+        fabric's own accounting.  The messaging layer does not come
+        through here: its :class:`~repro.mpisim.Message` is a
+        Transmission subclass built directly.
         """
         if isinstance(src, str):
             src = self.endpoint(src)
@@ -414,20 +459,7 @@ class Fabric:
             raise NetworkError("endpoints belong to a different fabric")
         if nbytes < 0:
             raise NetworkError(f"negative message size: {nbytes!r}")
-        if injection_s is not None and injection_s < 0:
-            raise NetworkError(f"negative injection override: {injection_s!r}")
-        tx = Transmission(self, src, dst, nbytes, injection_s, on_delivered, arg)
-        if src is not dst and (
-                (self._cuts and (src.name, dst.name) in self._cuts)
-                or (self._trunk_cuts
-                    and any(h in self._trunk_cuts for h in tx.hops))):
-            # Decided synchronously so the messaging layer above can see
-            # the drop before it draws a delivery-order sequence number.
-            tx.dropped = True
-            self.messages_dropped += 1
-            self.bytes_dropped += nbytes
-        src.nic.when_granted(tx._granted)
-        return tx
+        return Transmission(self, src, dst, nbytes, injection_s, on_delivered)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Fabric {self.model.name} endpoints={len(self.endpoints)}>"

@@ -56,8 +56,10 @@ class Engine:
         """Fire the pre-created pending ``event`` ``delay`` seconds from now.
 
         A ``Timeout(delay)`` followed by ``event.succeed()`` folded into
-        one heap entry, for callback chains (fabric flows, DMA copies, kernels)
-        whose completion event exists before its time is known.
+        one heap entry, for callback chains (fabric transmissions, DMA
+        copies, kernels) whose completion event exists before its time is
+        known.  A transmission comes here twice, for its injection and
+        again, already processed, for its delivery.
         """
         if delay < 0:
             raise SimulationError(f"negative delay: {delay!r}")

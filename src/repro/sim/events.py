@@ -130,15 +130,18 @@ class Event:
     def cancel(self) -> None:
         """Cancel a pending event.
 
-        A cancelled event's callbacks never run.  Used for provisional
-        timers.  Cancelling an already-processed event is an error.
-        The heap entry is *lazily* deleted: the engine counts it dead and
-        compacts the heap when dead entries dominate (see
-        :meth:`Engine._note_dead`).
+        A cancelled event's callbacks never run, so they are dropped
+        here: a race deadline cancelled long before its time would
+        otherwise keep the race, and what it waited on, alive in the heap.
+        Used for provisional timers.  Cancelling an already-processed
+        event is an error.  The heap entry is *lazily* deleted: the
+        engine counts it dead and compacts the heap when dead entries
+        dominate (see :meth:`Engine._note_dead`).
         """
         if self._processed:
             raise SimulationError("cannot cancel a processed event")
         self._cancelled = True
+        self.callbacks = None
         if self._scheduled:
             self.engine._note_dead()
 

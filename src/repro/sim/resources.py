@@ -12,6 +12,7 @@
 from __future__ import annotations
 
 import collections
+import heapq
 import typing as _t
 
 from ..errors import SimulationError
@@ -193,7 +194,22 @@ class BandwidthShare:
         if f.remaining > self._EPSILON_BYTES:
             next_dt = f.remaining / self.capacity
             if next_dt > self._MIN_TIMER_S:
-                t = self._timer = self.engine.pooled_timer(next_dt)
+                t = self._timer
+                if t is not None and t._processed:
+                    # The share's own last timer fired and left the heap:
+                    # re-arm it (``Timeout._rearm`` inlined; its value,
+                    # ``_ok`` and ``_cancelled`` are still a fresh
+                    # timer's) instead of taking one per flow.
+                    engine = self.engine
+                    t._processed = False
+                    t.delay = next_dt
+                    t._scheduled = True
+                    heapq.heappush(engine._heap, (
+                        now + next_dt, next(engine._seq), t))
+                else:
+                    t = self._timer = self.engine.pooled_timer(next_dt)
+                # A fresh list: this may run inside the timer's own
+                # callback loop, which must not see the new entry.
                 t.callbacks = [self._on_timer]
                 return
         flows.clear()

@@ -1,5 +1,7 @@
 """Focused DMA tests: copy/compute overlap and utilization accounting."""
 
+import sys
+
 import pytest
 
 from repro.gpusim import DMAEngine, GPUDevice, PCIE_GEN2_X16, TESLA_C1060
@@ -83,6 +85,31 @@ class TestEventBudget:
         assert [i for i, _ in finished] == [0, 1, 2]
         assert [at for _, at in finished] == pytest.approx(ends)
         assert next(eng._seq) == len(sizes)
+
+    def test_a_copy_is_one_object(self):
+        """One constructor per copy (the copy is its own completion
+        event, its grant and finish are its methods): ``sys.setprofile``
+        ``__init__`` calls, a 40- minus a 20-copy run."""
+        def inits(n):
+            eng = Engine()
+            dma = DMAEngine(eng, PCIE_GEN2_X16)
+            count = 0
+
+            def hook(frame, event, _arg):
+                nonlocal count
+                if event == "call" and frame.f_code.co_name == "__init__":
+                    count += 1
+
+            sys.setprofile(hook)
+            try:
+                for _ in range(n):
+                    dma.copy(MiB)
+                eng.run()
+            finally:
+                sys.setprofile(None)
+            return count
+
+        assert (inits(40) - inits(20)) / 20 == 1
 
 
 class TestBusyTimeAccounting:

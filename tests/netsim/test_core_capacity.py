@@ -7,6 +7,8 @@ from repro.errors import ClusterConfigError
 from repro.netsim import Fabric, LinkModel
 from repro.sim import Engine
 
+from .conftest import send
+
 MODEL = LinkModel("core", latency_s=0.0, bandwidth_Bps=1000.0,
                   injection_overhead_s=0.0, rendezvous_threshold=0)
 
@@ -23,11 +25,11 @@ def build(core=None, n=4):
 class TestCoreCapacity:
     def test_crossbar_disjoint_flows_full_rate(self):
         eng, f = build(core=None)
-        t1 = f.transfer("n0", "n1", 1000)
-        t2 = f.transfer("n2", "n3", 1000)
+        _, d1 = send(f, "n0", "n1", 1000)
+        _, d2 = send(f, "n2", "n3", 1000)
         eng.run()
         assert eng.now == pytest.approx(1.0, rel=0.01)
-        assert t1.delivered.processed and t2.delivered.processed
+        assert d1.processed and d2.processed
 
     def test_core_limits_disjoint_flows(self):
         eng, f = build(core=1000.0)  # both flows share one core unit
@@ -45,22 +47,22 @@ class TestCoreCapacity:
 
     def test_single_flow_unaffected_by_core(self):
         eng, f = build(core=1000.0)
-        tx = f.transfer("n0", "n1", 500)
-        eng.run(until=tx.delivered)
+        _, delivered = send(f, "n0", "n1", 500)
+        eng.run(until=delivered)
         assert eng.now == pytest.approx(0.5, rel=0.01)
 
     def test_core_stage_costs_one_more_timer(self):
         eng, f = build(core=1000.0)
-        tx = f.transfer("n0", "n1", 500)
+        _, delivered = send(f, "n0", "n1", 500)
         eng.run()
-        assert tx.delivered.processed
+        assert delivered.processed
         # injected, receiver-share timer, core-share timer, delivered.
         assert next(eng._seq) == 4
 
     def test_loopback_bypasses_core(self):
         eng, f = build(core=1.0)  # pathological core
-        tx = f.transfer("n0", "n0", 1000)
-        eng.run(until=tx.delivered)
+        _, delivered = send(f, "n0", "n0", 1000)
+        eng.run(until=delivered)
         assert eng.now == pytest.approx(1.0, rel=0.01)
 
     def test_core_can_be_reset(self):

@@ -7,6 +7,8 @@ from repro.netsim import Fabric, IB_QDR_MPI, LinkModel
 from repro.sim import Engine
 from repro.units import MiB
 
+from .conftest import send
+
 # A round-number model so expected times are easy to compute by hand.
 SIMPLE = LinkModel(
     name="simple",
@@ -33,27 +35,28 @@ def fabric(eng):
 
 class TestFabricBasics:
     def test_uncontended_transfer_time(self, eng, fabric):
-        tx = fabric.transfer("a", "b", 1000)
-        eng.run(until=tx.delivered)
+        _, delivered = send(fabric, "a", "b", 1000)
+        eng.run(until=delivered)
         # injection 0.0005 + wire 1.0 + latency 0.001
         assert eng.now == pytest.approx(1.0015)
 
     def test_injected_fires_before_delivered(self, eng, fabric):
-        tx = fabric.transfer("a", "b", 1000)
-        eng.run(until=tx.injected)
+        tx, delivered = send(fabric, "a", "b", 1000)
+        eng.run(until=tx)
         t_inj = eng.now
-        eng.run(until=tx.delivered)
+        assert not delivered.triggered
+        eng.run(until=delivered)
         assert t_inj == pytest.approx(0.0005)
         assert eng.now > t_inj
 
     def test_zero_byte_message_costs_overheads_only(self, eng, fabric):
-        tx = fabric.transfer("a", "b", 0)
-        eng.run(until=tx.delivered)
+        _, delivered = send(fabric, "a", "b", 0)
+        eng.run(until=delivered)
         assert eng.now == pytest.approx(0.0015)
 
     def test_loopback_has_no_latency(self, eng, fabric):
-        tx = fabric.transfer("a", "a", 1000)
-        eng.run(until=tx.delivered)
+        _, delivered = send(fabric, "a", "a", 1000)
+        eng.run(until=delivered)
         assert eng.now == pytest.approx(0.0005 + 1.0)
 
     def test_duplicate_endpoint_rejected(self, eng, fabric):
@@ -75,34 +78,32 @@ class TestFabricBasics:
             fabric.transfer(fabric.endpoint("a"), ep, 10)
 
     def test_accounting(self, eng, fabric):
-        t1 = fabric.transfer("a", "b", 500)
-        t2 = fabric.transfer("b", "c", 300)
+        _, d1 = send(fabric, "a", "b", 500)
+        _, d2 = send(fabric, "b", "c", 300)
         eng.run()
         assert fabric.bytes_moved == 800
         assert fabric.messages_sent == 2
-        assert t1.delivered.processed and t2.delivered.processed
+        assert d1.processed and d2.processed
 
 
 class TestFabricContention:
     def test_two_senders_one_receiver_share_rx(self, eng, fabric):
         # Both flows of 1000 B converge on c's RX share (1000 B/s):
         # each runs at ~500 B/s -> ~2s wire time.
-        t1 = fabric.transfer("a", "c", 1000)
-        t2 = fabric.transfer("b", "c", 1000)
+        _, done1 = send(fabric, "a", "c", 1000)
+        _, done2 = send(fabric, "b", "c", 1000)
         eng.run()
-        done1 = t1.delivered
-        done2 = t2.delivered
         assert done1.processed and done2.processed
         assert eng.now == pytest.approx(2.0 + 0.0005 + 0.001, rel=0.01)
 
     def test_one_sender_two_receivers_serialize_at_nic(self, eng, fabric):
-        t1 = fabric.transfer("a", "b", 1000)
-        t2 = fabric.transfer("a", "c", 1000)
-        eng.run(until=t1.delivered)
+        _, d1 = send(fabric, "a", "b", 1000)
+        _, d2 = send(fabric, "a", "c", 1000)
+        eng.run(until=d1)
         # First message drains at full rate.
         assert eng.now == pytest.approx(1.0015, rel=0.01)
         eng.run()
-        assert t2.delivered.processed
+        assert d2.processed
         # Second queued behind the first at a's NIC.
         assert eng.now == pytest.approx(2.0 + 2 * 0.0005 + 0.001, rel=0.01)
 
@@ -110,18 +111,18 @@ class TestFabricContention:
         f = Fabric(eng, SIMPLE)
         for n in "abcd":
             f.add_endpoint(n)
-        t1 = f.transfer("a", "b", 1000)
-        t2 = f.transfer("c", "d", 1000)
+        _, d1 = send(f, "a", "b", 1000)
+        _, d2 = send(f, "c", "d", 1000)
         eng.run()
-        assert t1.delivered.processed and t2.delivered.processed
+        assert d1.processed and d2.processed
         # Full crossbar: both complete in single-flow time.
         assert eng.now == pytest.approx(1.0015, rel=0.01)
 
     def test_duplex_directions_independent(self, eng, fabric):
-        t1 = fabric.transfer("a", "b", 1000)
-        t2 = fabric.transfer("b", "a", 1000)
+        _, d1 = send(fabric, "a", "b", 1000)
+        _, d2 = send(fabric, "b", "a", 1000)
         eng.run()
-        assert t1.delivered.processed and t2.delivered.processed
+        assert d1.processed and d2.processed
         assert eng.now == pytest.approx(1.0015, rel=0.01)
 
     def test_incast_scales_with_sender_count(self, eng):
@@ -130,16 +131,16 @@ class TestFabricContention:
         f = Fabric(eng, SIMPLE)
         for n in "abcdz":
             f.add_endpoint(n)
-        txs = [f.transfer(src, "z", 1000) for src in "abcd"]
+        arrivals = [send(f, src, "z", 1000)[1] for src in "abcd"]
         eng.run()
-        assert all(t.delivered.processed for t in txs)
+        assert all(d.processed for d in arrivals)
         assert eng.now == pytest.approx(4.0 + 0.0005 + 0.001, rel=0.01)
 
     def test_nic_injection_serialized(self, eng, fabric):
         # 100 zero-byte messages from the same NIC: injections serialize.
-        txs = [fabric.transfer("a", "b", 0) for _ in range(100)]
+        arrivals = [send(fabric, "a", "b", 0)[1] for _ in range(100)]
         eng.run()
-        assert all(t.delivered.processed for t in txs)
+        assert all(d.processed for d in arrivals)
         assert eng.now == pytest.approx(100 * 0.0005 + 0.001, rel=0.01)
 
 
@@ -149,15 +150,15 @@ class TestEventBudget:
     grant, none for the drain of the receiver's share)."""
 
     def test_one_transfer_is_three_heap_entries(self, eng, fabric):
-        tx = fabric.transfer("a", "b", 1000)
+        tx, delivered = send(fabric, "a", "b", 1000)
         eng.run()
-        assert tx.delivered.processed
+        assert tx.processed and delivered.processed
         assert next(eng._seq) == 3     # injected, share timer, delivered
 
     def test_message_queued_on_the_nic_costs_the_same(self, eng, fabric):
         t1 = fabric.transfer("a", "b", 1000)
         t2 = fabric.transfer("a", "c", 1000)
-        assert t1.injected.triggered and not t2.injected.triggered
+        assert t1.triggered and not t2.triggered
         eng.run()
         assert next(eng._seq) == 6
         # Granted from t1's release: back to back, one latency at the end.
@@ -168,13 +169,13 @@ class TestEventBudget:
         eng.run()
         assert next(eng._seq) == 2
         fabric.cut("a", "b")
-        tx = fabric.transfer("a", "b", 1000)
-        queued = fabric.transfer("a", "c", 0)
+        tx, delivered = send(fabric, "a", "b", 1000)
+        _, queued = send(fabric, "a", "c", 0)
         eng.run()
         # The drop pays its injection (+1), frees the NIC at the cut and
         # so grants the queued message (+2).
-        assert tx.injected.processed and not tx.delivered.triggered
-        assert queued.delivered.processed
+        assert tx.processed and not delivered.triggered
+        assert queued.processed
         assert next(eng._seq) == 3 + 1 + 2
 
 
@@ -183,6 +184,6 @@ class TestFabricRealistic:
         f = Fabric(eng, IB_QDR_MPI)
         f.add_endpoint("cn0")
         f.add_endpoint("ac0")
-        tx = f.transfer("cn0", "ac0", 64 * MiB)
-        eng.run(until=tx.delivered)
+        _, delivered = send(f, "cn0", "ac0", 64 * MiB)
+        eng.run(until=delivered)
         assert eng.now == pytest.approx(IB_QDR_MPI.message_time(64 * MiB), rel=1e-6)

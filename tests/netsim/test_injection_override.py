@@ -6,6 +6,8 @@ from repro.errors import NetworkError
 from repro.netsim import Fabric, LinkModel
 from repro.sim import Engine
 
+from .conftest import send
+
 MODEL = LinkModel("ovr", latency_s=0.0, bandwidth_Bps=1000.0,
                   injection_overhead_s=0.01, rendezvous_threshold=0)
 
@@ -22,20 +24,20 @@ def rig():
 class TestInjectionOverride:
     def test_default_uses_model(self, rig):
         eng, f = rig
-        tx = f.transfer("a", "b", 0)
-        eng.run(until=tx.delivered)
+        _, delivered = send(f, "a", "b", 0)
+        eng.run(until=delivered)
         assert eng.now == pytest.approx(0.01)
 
     def test_override_larger(self, rig):
         eng, f = rig
-        tx = f.transfer("a", "b", 0, injection_s=0.5)
-        eng.run(until=tx.delivered)
+        _, delivered = send(f, "a", "b", 0, injection_s=0.5)
+        eng.run(until=delivered)
         assert eng.now == pytest.approx(0.5)
 
     def test_override_zero(self, rig):
         eng, f = rig
-        tx = f.transfer("a", "b", 1000, injection_s=0.0)
-        eng.run(until=tx.delivered)
+        _, delivered = send(f, "a", "b", 1000, injection_s=0.0)
+        eng.run(until=delivered)
         assert eng.now == pytest.approx(1.0)
 
     def test_negative_override_rejected(self, rig):
@@ -47,9 +49,9 @@ class TestInjectionOverride:
         # The override is charged inside the NIC hold, so back-to-back
         # messages space out accordingly.
         eng, f = rig
-        t1 = f.transfer("a", "b", 0, injection_s=0.2)
-        t2 = f.transfer("a", "b", 0, injection_s=0.2)
-        eng.run(until=t2.delivered)
+        f.transfer("a", "b", 0, injection_s=0.2)
+        _, delivered = send(f, "a", "b", 0, injection_s=0.2)
+        eng.run(until=delivered)
         assert eng.now == pytest.approx(0.4)
 
     def test_isend_passes_override_through(self):

@@ -6,6 +6,8 @@ from repro.errors import NetworkError
 from repro.netsim import Fabric, LinkModel, Topology, TopologySpec
 from repro.sim import Engine
 
+from .conftest import send
+
 # Round numbers so expected times are computable by hand (see
 # tests/netsim/test_fabric.py): 1000 B takes 1 s of wire time.
 SIMPLE = LinkModel(
@@ -105,16 +107,16 @@ class TestTopologyRouting:
 class TestTrunkTiming:
     def test_cross_switch_adds_per_hop_latency(self, eng):
         fabric = two_switch(eng)
-        tx = fabric.transfer("a", "c", 1000)
-        eng.run(until=tx.delivered)
+        _, delivered = send(fabric, "a", "c", 1000)
+        eng.run(until=delivered)
         # injection 0.0005 + wire 1.0 + endpoint latency 0.001
         # + 1 trunk hop x 0.001.
         assert eng.now == pytest.approx(1.0025)
 
     def test_same_switch_pays_no_trunk_latency(self, eng):
         fabric = two_switch(eng)
-        tx = fabric.transfer("a", "b", 1000)
-        eng.run(until=tx.delivered)
+        _, delivered = send(fabric, "a", "b", 1000)
+        eng.run(until=delivered)
         assert eng.now == pytest.approx(1.0015)
 
     def test_two_flows_share_one_trunk(self, eng):
@@ -122,9 +124,9 @@ class TestTrunkTiming:
         each gets half the trunk, so the wire phase takes twice as long —
         aggregate trunk throughput never exceeds trunk capacity."""
         fabric = two_switch(eng)
-        t1 = fabric.transfer("a", "c", 1000)
-        t2 = fabric.transfer("b", "d", 1000)
-        eng.run(until=eng.all_of([t1.delivered, t2.delivered]))
+        _, d1 = send(fabric, "a", "c", 1000)
+        _, d2 = send(fabric, "b", "d", 1000)
+        eng.run(until=eng.all_of([d1, d2]))
         # Both flows finish together: 0.0005 + 2000/1000 + 0.001 + 0.001.
         assert eng.now == pytest.approx(2.0025)
         # Conservation: 2000 B crossed a 1000 B/s trunk in ~2 s of wire
@@ -144,18 +146,18 @@ class TestTrunkTiming:
         assert one_hop.hops == (("sw0-0", "sw0-1"),)
         assert eng.now == pytest.approx(0.0005 + 1.0 + 0.001 + 0.001)
         assert next(eng._seq) == 4     # injected, rx + trunk, delivered
-        two_hops = fabric.transfer("a", "c", 1000)
+        two_hops, delivered = send(fabric, "a", "c", 1000)
         eng.run()
-        assert len(two_hops.hops) == 2 and two_hops.delivered.processed
+        assert len(two_hops.hops) == 2 and delivered.processed
         assert next(eng._seq) == 4 + 1 + 5
 
     def test_opposite_directions_do_not_contend(self, eng):
         """The trunk is full duplex: sw0->sw1 and sw1->sw0 are separate
         shares, so counter-flowing transfers run at full speed."""
         fabric = two_switch(eng)
-        t1 = fabric.transfer("a", "c", 1000)
-        t2 = fabric.transfer("c", "a", 1000)
-        eng.run(until=eng.all_of([t1.delivered, t2.delivered]))
+        _, d1 = send(fabric, "a", "c", 1000)
+        _, d2 = send(fabric, "c", "a", 1000)
+        eng.run(until=eng.all_of([d1, d2]))
         assert eng.now == pytest.approx(1.0025)
 
     def test_trunk_bytes_accounting(self, eng):
@@ -185,8 +187,8 @@ class TestRoutedChaos:
         assert tx.dropped
         fabric.heal("a", "c")
         assert not fabric.is_cut("b", "d")
-        tx2 = fabric.transfer("b", "d", 10)
-        eng.run(until=tx2.delivered)
+        tx2, delivered = send(fabric, "b", "d", 10)
+        eng.run(until=delivered)
         assert not tx2.dropped
 
     def test_same_switch_cut_stays_port_level(self, eng):
@@ -212,11 +214,11 @@ class TestRoutedChaos:
         its route: other pairs crossing that trunk slow down with it."""
         fabric = two_switch(eng)
         fabric.set_link_delay("a", "c", 0.5)
-        tx = fabric.transfer("b", "d", 1000)
-        eng.run(until=tx.delivered)
+        _, delivered = send(fabric, "b", "d", 1000)
+        eng.run(until=delivered)
         assert eng.now == pytest.approx(1.0025 + 0.5)
         fabric.set_link_delay("a", "c", 0.0)
         t0 = eng.now
-        tx2 = fabric.transfer("b", "d", 1000)
-        eng.run(until=tx2.delivered)
+        _, delivered = send(fabric, "b", "d", 1000)
+        eng.run(until=delivered)
         assert eng.now - t0 == pytest.approx(1.0025)

@@ -84,10 +84,11 @@ def _traced_fabric():
 def test_dropped_flow_closes_its_span_at_injection():
     eng, fabric, obs = _traced_fabric()
     fabric.cut("a", "b")
-    tx = fabric.transfer("a", "b", 4096)
+    delivered = []
+    tx = fabric.transfer("a", "b", 4096, on_delivered=delivered.append)
     fabric.transfer("b", "b", 4096)        # loopback is never cut
     eng.run()
-    assert tx.dropped and not tx.delivered.triggered
+    assert tx.dropped and tx.processed and not delivered
     assert not obs.open_spans
     dropped, loopback = obs.by_name("net.flow")
     # Closed at injection: the posting overhead, no wire time.

@@ -1,5 +1,7 @@
 """Unit tests for the event primitives."""
 
+import weakref
+
 import pytest
 
 from repro.errors import SimulationError
@@ -164,6 +166,23 @@ class TestRace:
         assert dl.processed and not ev.processed
         assert eng.now == 2.0
 
+    def test_cancelled_deadline_releases_the_race(self, eng):
+        """A won race cancels its deadline, whose heap entry waits for its
+        time; the cancel drops the deadline's callbacks, so the race and
+        the winner's value are freed now, not when the entry pops."""
+        class Reply:
+            pass
+
+        reply = Reply()
+        alive = weakref.ref(reply)
+        ev = eng.timeout(1.0, value=reply)
+        del reply
+        cond, dl = eng.race(ev, 5.0)
+        eng.run(until=cond)
+        dl.cancel()
+        del cond, ev
+        assert alive() is None
+
     def test_deadline_is_a_pooled_timer(self, eng):
         """A race deadline and a ``pooled_timer`` share one recycled pool."""
         _, dl = eng.race(eng.timeout(1.0), 2.0)
@@ -229,3 +248,42 @@ class TestConditions:
         other = Engine()
         with pytest.raises(SimulationError):
             eng.all_of([eng.event(), other.event()])
+
+
+class TestWorkUnitEvents:
+    """The work units are events of their own (a transmission, a message,
+    a request, a DMA copy); each skips ``Event.__init__`` and so must set
+    every Event slot itself: the state reads work from construction on."""
+
+    def test_state_reads_through_the_lifecycle(self, eng):
+        from repro.gpusim import DMAEngine, PCIE_GEN2_X16
+        from repro.mpisim import World
+        from repro.netsim import IB_QDR_MPI, Fabric
+
+        fabric = Fabric(eng, IB_QDR_MPI)
+        for name in ("a", "b"):
+            fabric.add_endpoint(name)
+        comm = World(eng, fabric).create_comm(["a", "b"])
+        rank0, rank1 = comm.rank(0), comm.rank(1)
+        # Queued behind the first on the NIC: not yet granted.
+        fabric.transfer("a", "b", 10)
+        tx = fabric.transfer("a", "b", 10)
+        recv = rank1.irecv(source=0, tag=1)
+        send = rank0.isend(1, tag=1, payload=b"x")
+        msg = send.done
+        dma = DMAEngine(eng, PCIE_GEN2_X16)
+        dma.copy(10)
+        copy = dma.copy(10)
+        units = (tx, msg, recv, send, copy)
+        for ev in units:
+            assert isinstance(ev, Event)
+            assert not (ev.triggered or ev.processed or ev.cancelled)
+            assert ev.callbacks is None and not ev._scheduled
+        eng.run()
+        for ev in (tx, msg, recv, copy):
+            assert ev.triggered and ev.processed and not ev.cancelled
+        assert send.completed and recv.value is msg
+        assert not send.triggered   # an eager send's ``done`` is its message
+        other = rank1.irecv(source=0, tag=2)
+        rank1.cancel_recv(other)
+        assert other.cancelled and not other.triggered

@@ -165,6 +165,20 @@ class TestBandwidthShare:
         with pytest.raises(SimulationError):
             link.drain(-1, lambda: None)
 
+    def test_idle_share_rearms_its_own_timer(self, eng):
+        """A flow into an idle share re-arms the timer its last flow
+        fired instead of taking a fresh one."""
+        link = BandwidthShare(eng, 100.0)
+        done_at = []
+        link.drain(100.0, lambda: done_at.append(eng.now))
+        first = link._timer
+        eng.run()
+        link.drain(50.0, lambda: done_at.append(eng.now))
+        assert link._timer is first
+        eng.run()
+        assert done_at == [1.0, 1.5]
+        assert next(eng._seq) == 2
+
     def test_drain_costs_only_the_share_timer(self, eng):
         link = BandwidthShare(eng, 100.0)
         done_at = []
