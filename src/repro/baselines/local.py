@@ -47,14 +47,14 @@ class LocalAccelerator:
         """cudaMalloc: returns the device address (generator)."""
         with self._obs.start("client.mem_alloc", self._actor,
                              nbytes=int(nbytes)):
-            yield self.engine.timeout(self.cpu.malloc_s)
+            yield self.engine.sleep(self.cpu.malloc_s)
             addr = self.gpu.memory.malloc(int(nbytes))
             return addr
 
     def mem_free(self, addr: int):
         """cudaFree (generator)."""
         with self._obs.start("client.mem_free", self._actor, addr=addr):
-            yield self.engine.timeout(self.cpu.malloc_s)
+            yield self.engine.sleep(self.cpu.malloc_s)
             self.gpu.memory.free(addr)
 
     # -- data movement ----------------------------------------------------

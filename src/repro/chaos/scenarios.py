@@ -464,7 +464,7 @@ def _one_session(cluster: Cluster, arm, make_remote, tenant_id: str,
     must match the h2d bytes no matter how much chaos hit in between.
     """
     engine = cluster.engine
-    yield engine.timeout(arrival_s)
+    yield engine.sleep(arrival_s)
     t0 = engine.now
     real = not isinstance(payload, Phantom)
     try:

@@ -133,7 +133,7 @@ class FifoScheduler:
 
         def arrive():
             if self.engine.now < job.arrival_s:
-                yield self.engine.timeout(job.arrival_s - self.engine.now)
+                yield self.engine.sleep(job.arrival_s - self.engine.now)
             nodes, gpus = self.footprint(job, self.gpus_per_node)
             if nodes > self.n_nodes or gpus > self.n_gpus:
                 raise ClusterConfigError(
@@ -161,7 +161,7 @@ class FifoScheduler:
 
     def _run(self, job: JobSpec, nodes: int, gpus: int, done: Event):
         start = self.engine.now
-        yield self.engine.timeout(job.duration_s)
+        yield self.engine.sleep(job.duration_s)
         self.records.append(JobRecord(job, start, self.engine.now, nodes, gpus))
         self.free_nodes += nodes
         self.free_gpus += gpus

@@ -550,7 +550,7 @@ class ResourceManager:
         while not (self._stopped or self._sweep_stop):
             if rounds is not None and done >= rounds:
                 break
-            yield self.engine.timeout(period_s)
+            yield self.engine.sleep(period_s)
             done += 1
             cutoff = self.engine.now - ttl_s
             for ac_id, seen in sorted(self._last_seen.items()):

@@ -133,7 +133,7 @@ class FrameCoalescer:
             if self.window_s > 0.0:
                 # Let concurrent jobs' submissions accumulate.  The window
                 # is virtual time, so merging on/off stays deterministic.
-                yield self.engine.timeout(self.window_s)
+                yield self.engine.sleep(self.window_s)
             while self._inflight >= MAX_INFLIGHT:
                 # Backpressure: new submissions keep accumulating into
                 # `_pending` while we wait, which is where flush-on-drain

@@ -173,7 +173,7 @@ class Daemon:
             if req.op in (Op.MEMCPY_H2D, Op.MEMCPY_D2H, Op.PEER_PUT):
                 self.stats.transfer_requests += 1
             # Software cost of receiving + dispatching one request.
-            yield self.engine.timeout(
+            yield self.engine.sleep(
                 self.cpu.request_handling_s * self.slow_factor)
             if req.op == Op.SHUTDOWN:
                 self._reply(req, Response(req.req_id, Status.OK))
@@ -317,7 +317,7 @@ class Daemon:
         """Instantiate a lease granted by the ARM as a device slice."""
         p = req.params
         vac_id = p["vac_id"]
-        yield self.engine.timeout(self.cpu.malloc_s * self.slow_factor)
+        yield self.engine.sleep(self.cpu.malloc_s * self.slow_factor)
         existing = self._vacs.get(vac_id)
         if existing is not None:
             if existing.revoked:
@@ -342,7 +342,7 @@ class Daemon:
 
     def _vac_detach(self, req: Request, src: int):
         """Tear a slice down and free everything it still holds."""
-        yield self.engine.timeout(self.cpu.malloc_s * self.slow_factor)
+        yield self.engine.sleep(self.cpu.malloc_s * self.slow_factor)
         vgpu = self._vacs.pop(req.params["vac_id"], None)
         freed = vgpu.revoke() if vgpu is not None else 0
         self._reply(req, Response(req.req_id, Status.OK, value=freed))
@@ -372,7 +372,7 @@ class Daemon:
 
     # -- simple ops -----------------------------------------------------
     def _exec_mem_alloc(self, req_id: int, params: dict):
-        yield self.engine.timeout(self.cpu.malloc_s * self.slow_factor)
+        yield self.engine.sleep(self.cpu.malloc_s * self.slow_factor)
         try:
             # Lease-scoped allocations go through the slice's partition:
             # ownership tracking for isolation.
@@ -382,7 +382,7 @@ class Daemon:
         return Response(req_id, Status.OK, value=addr)
 
     def _exec_mem_free(self, req_id: int, params: dict):
-        yield self.engine.timeout(self.cpu.malloc_s * self.slow_factor)
+        yield self.engine.sleep(self.cpu.malloc_s * self.slow_factor)
         try:
             self._target(params).memory.free(params["addr"])
         except DeviceMemoryError as exc:
@@ -459,7 +459,7 @@ class Daemon:
                             # Dispatching each additional op costs daemon
                             # CPU just like a separate request would —
                             # only the network round trips are saved.
-                            yield self.engine.timeout(
+                            yield self.engine.sleep(
                                 self.cpu.request_handling_s * self.slow_factor)
                         first = False
                         if failed is not None:

@@ -137,7 +137,7 @@ class DiscoveryAgent:
 
     def _publish(self, generation: int):
         if self.phase_s > 0:
-            yield self.engine.timeout(self.phase_s)
+            yield self.engine.sleep(self.phase_s)
         while generation == self._generation:
             d = self.daemon
             if not (d.crashed or self.paused):
@@ -148,7 +148,7 @@ class DiscoveryAgent:
             # A straggler publishes late: its reports age out via the
             # ARM's TTL exactly like a crash would, and the device
             # rejoins once the slowdown ends.
-            yield self.engine.timeout(self.period_s * d.slow_factor)
+            yield self.engine.sleep(self.period_s * d.slow_factor)
 
 
 #: When the autoscaler grows or shrinks the discovered pool: never
@@ -207,7 +207,7 @@ class Autoscaler:
         while self._proc is not None:
             if rounds is not None and done >= rounds:
                 break
-            yield self.engine.timeout(AUTOSCALE_PERIOD_S)
+            yield self.engine.sleep(AUTOSCALE_PERIOD_S)
             done += 1
             self._sample()
 

@@ -33,7 +33,7 @@ class FaultInjector:
         def failer():
             delay = at_time - self.engine.now
             if delay > 0:
-                yield self.engine.timeout(delay)
+                yield self.engine.sleep(delay)
             daemon.broken = True
             # Hardware monitoring notifies the ARM out of band.
             self._notify_break(ac_id)
@@ -56,7 +56,7 @@ class FaultInjector:
         def crasher():
             delay = at_time - self.engine.now
             if delay > 0:
-                yield self.engine.timeout(delay)
+                yield self.engine.sleep(delay)
             daemon.crashed = True
             if False:
                 yield  # pragma: no cover
@@ -96,12 +96,12 @@ class FaultInjector:
         def flapper():
             delay = at_time - self.engine.now
             if delay > 0:
-                yield self.engine.timeout(delay)
+                yield self.engine.sleep(delay)
             while self.engine.now < until_time:
                 agent.pause()
-                yield self.engine.timeout(half_period_s)
+                yield self.engine.sleep(half_period_s)
                 agent.resume()
-                yield self.engine.timeout(half_period_s)
+                yield self.engine.sleep(half_period_s)
             agent.resume()
 
         self.engine.process(flapper(), name=f"flap:ac{ac_id}")

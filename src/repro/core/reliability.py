@@ -139,7 +139,7 @@ def reliable_rpc(rank: RankHandle, dst: int, tag: int, op: Op, params: dict,
         stats.timeouts += 1
         span.event("timeout", attempt=attempt, deadline_s=timeout_s)
         if attempt + 1 < attempts:
-            yield engine.timeout(policy.backoff_s(attempt))
+            yield engine.sleep(policy.backoff_s(attempt))
             if rreq.completed:  # the straggler reply landed during backoff
                 break
     if not rreq.completed:

@@ -13,12 +13,14 @@ Real payloads are viewed as flat uint8 and cut into
 buffer: slicing allocates nothing, the MPI layer moves the windows by
 reference, and :func:`assemble_chunks` reassembles a contiguous run of
 them with a slice instead of a gather.  :class:`~repro.mpisim.Phantom`
-payloads are cut into phantom blocks of the same sizes, so timing-only
-transfers exercise the identical protocol path.
+payloads are cut into phantom blocks of the same sizes (one shared
+phantom per size: it carries no data), so timing-only transfers
+exercise the identical protocol path.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 import typing as _t
@@ -29,6 +31,7 @@ from ..buffers import ChunkView, chunk_payload, copy_stats
 from ..errors import DeviceMemoryError, MiddlewareError
 from ..mpisim import Phantom, RankHandle
 from ..obs.spans import NULL_SPAN
+from ..sim import Event
 
 #: Array metadata carried in transfer headers: (dtype string, shape tuple).
 ArrayMeta = _t.Optional[tuple[str, tuple[int, ...]]]
@@ -77,15 +80,22 @@ def as_flat_bytes(payload: _t.Any) -> np.ndarray | None:
     )
 
 
+def phantom_blocks(blocks: list[tuple[int, int]]) -> list[Phantom]:
+    """One phantom per block, shared by the blocks of one size."""
+    by_size = {size: Phantom(size) for size in {size for _, size in blocks}}
+    return [by_size[size] for _, size in blocks]
+
+
 def slice_chunks(payload: _t.Any, blocks: list[tuple[int, int]]) -> list[_t.Any]:
     """Split a payload into per-block chunks matching ``blocks``.
 
     Real payloads yield :class:`ChunkView` windows over the payload's
-    flat view (one shared buffer, no allocation per block).
+    flat view (one shared buffer, no allocation per block); a timing-only
+    one its :func:`phantom_blocks`.
     """
     flat = as_flat_bytes(payload)
     if flat is None:
-        return [Phantom(size) for _, size in blocks]
+        return phantom_blocks(blocks)
     total = sum(size for _, size in blocks)
     if flat.nbytes != total:
         raise MiddlewareError(
@@ -183,8 +193,9 @@ class DeviceEnd:
               owner=None) -> "DeviceEnd":
         """Unpack and validate the header of a transfer on ``addr_key``.
 
-        Raises :class:`DeviceMemoryError` for an unknown address, a copy
-        past the end of the allocation, or — with ``owner``, the memory
+        Raises :class:`DeviceMemoryError` for an unknown address, a
+        negative offset, a copy past the end of the allocation, or — with
+        ``owner``, the memory
         partition of the request's lease — an address that lease does
         not own (cross-tenant isolation).
         """
@@ -193,6 +204,8 @@ class DeviceEnd:
         blocks = params["blocks"]
         nbytes = sum(size for _, size in blocks)
         alloc = gpu.memory.allocation(addr)
+        if base < 0:
+            raise DeviceMemoryError(f"negative copy offset {base}")
         if base + nbytes > alloc.nbytes:
             raise DeviceMemoryError(
                 f"copy of {nbytes}B at offset {base} exceeds "
@@ -228,7 +241,7 @@ class DeviceEnd:
         so in-flight and client-held chunks stay stable snapshots), or
         phantoms for a timing-only buffer never written with real data."""
         if self.alloc.data is None:
-            return [Phantom(size) for _, size in self.blocks]
+            return phantom_blocks(self.blocks)
         region = self.gpu.memory.read_chunk(self.addr, self.base, self.nbytes)
         return [region.subview(off, size) for off, size in self.blocks]
 
@@ -253,24 +266,29 @@ def send_blocks(rank: RankHandle, dst: int, dtag: int, chunks: list,
         # (``NULL_SPAN``, no context) a block makes no span call.
         span = dev.span
         ctx = span.wire
+        stats = dev.stats
+        engine = rank.comm.engine
+
+        def unstage(msg) -> None:
+            # The block's slot frees once the NIC has posted it.
+            stats.unstage(msg.nbytes)
     for i, chunk in enumerate(chunks):
         if dev is not None:
             size = chunk.nbytes
-            dev.stats.stage(size)
+            stats.stage(size)
             yield dev.gpu.dma.copy(size, ctx=ctx)
             if not dev.gpudirect:
                 staging_s = size / dev.cpu.memcpy_bw_Bps
                 if ctx is None:
-                    yield rank.comm.engine.timeout(staging_s)
+                    yield engine.sleep(staging_s)
                 else:
                     with span.child("staging", block=i, nbytes=size):
-                        yield rank.comm.engine.timeout(staging_s)
+                        yield engine.sleep(staging_s)
             if ctx is not None:
                 span.event("net.send", block=i, nbytes=size)
-        sreq = rank.isend(dst, dtag, chunk, eager=True, injection_s=post_s)
+        msg = rank.isend(dst, dtag, chunk, eager=True, injection_s=post_s)
         if dev is not None:
-            sreq.done.add_callback(
-                lambda _ev, size=size: dev.stats.unstage(size))
+            msg.add_callback(unstage)
 
 
 def recv_blocks(rank: RankHandle, src: int, dtag: int,
@@ -283,6 +301,9 @@ def recv_blocks(rank: RankHandle, src: int, dtag: int,
     over the sender's buffer and the DMA engine models time only, so the
     one physical copy is the write into the device backing store when
     the DMA completes; the pinned-ring slot is held until then.  Every
+    copy of the stream lands through one function (copies on one engine
+    complete in issue order), and the stream waits on one event that
+    the last landing fires.  Every
     block after the first costs one request handling of software
     (posting the next receive and the DMA descriptor; the first block's
     cost was the request handling itself), and without GPUDirect a CPU
@@ -306,7 +327,21 @@ def recv_blocks(rank: RankHandle, src: int, dtag: int,
     span = dev.span if dev is not None else NULL_SPAN
     # Untraced (``NULL_SPAN``, no context) a block makes no span call.
     ctx = span.wire
-    dma_events = []
+    if dev is not None:
+        memory, stats = dev.gpu.memory, dev.stats
+        landing: collections.deque = collections.deque()
+        to_land = len(blocks)
+        landed = Event(engine)
+
+        def land(_copy) -> None:
+            nonlocal to_land
+            off, size, chunk = landing.popleft()
+            if not isinstance(chunk, Phantom):
+                memory.write(dev.addr, dev.base + off, chunk)
+            stats.unstage(size)
+            to_land -= 1
+            if not to_land:
+                landed.succeed()
     for i, (off, size) in enumerate(blocks):
         rreq = rank.irecv(source=src, tag=dtag)
         recv_span = (span.child("net.recv", block=i, nbytes=size)
@@ -329,25 +364,18 @@ def recv_blocks(rank: RankHandle, src: int, dtag: int,
         if dev is None:
             continue
         if i:
-            yield engine.timeout(
+            yield engine.sleep(
                 dev.cpu.request_handling_s * dials.slow_factor)
         if not dev.gpudirect:
             staging_s = size / dev.cpu.memcpy_bw_Bps
             if ctx is None:
-                yield engine.timeout(staging_s)
+                yield engine.sleep(staging_s)
             else:
                 with span.child("staging", block=i, nbytes=size):
-                    yield engine.timeout(staging_s)
-        dev.stats.stage(size)
+                    yield engine.sleep(staging_s)
+        stats.stage(size)
         chunk = rreq.message.payload
-        ev = dev.gpu.dma.copy(int(chunk.nbytes), ctx=ctx)
-
-        def _on_dma(_ev, off=off, size=size, chunk=chunk):
-            if not isinstance(chunk, Phantom):
-                dev.gpu.memory.write(dev.addr, dev.base + off, chunk)
-            dev.stats.unstage(size)
-
-        ev.add_callback(_on_dma)
-        dma_events.append(ev)
-    if dma_events:
-        yield engine.all_of(dma_events)
+        landing.append((off, size, chunk))
+        dev.gpu.dma.copy(int(chunk.nbytes), ctx=ctx, on_done=land)
+    if dev is not None and blocks:
+        yield landed

@@ -18,6 +18,7 @@ import itertools
 from ..errors import GPUError
 from ..obs.spans import collector_for
 from ..sim import Engine, Event, Resource
+from ..sim.events import PENDING
 from ..units import GiB, USEC
 from .dma import DMAEngine, PCIeModel, PCIE_GEN2_X16
 from .memory import DeviceMemory, MemoryPartition, _offload_pool
@@ -101,6 +102,103 @@ def _run_bound(bound: list):
     return bound.pop()()
 
 
+class KernelLaunch(Event):
+    """One kernel launch: its own completion event.
+
+    Granted the compute engine by call — at creation, or from the
+    release of the launch before it — the launch pushes itself as its
+    one heap entry, pending (it reads ``triggered`` only once it has
+    run).  Processing it computes the body (or joins the one a worker
+    computed), releases the engine and resumes its waiters with the
+    kernel's return value in place.  A body that raises fails the
+    launch through one more entry of its own, as :meth:`Event.fail`
+    would.
+    """
+
+    __slots__ = ("device", "kernel", "params", "real", "duration", "span",
+                 "_body")
+
+    def __init__(self, device: "GPUDevice", kernel, params: dict,
+                 real: bool, duration: float, span):
+        # Event.__init__ inlined, as in DMACopy: one per launch.
+        self.engine = device.engine
+        self.callbacks = None
+        self._value = PENDING
+        self._ok = None
+        self._processed = False
+        self._cancelled = False
+        self._scheduled = False
+        self.device = device
+        self.kernel = kernel
+        self.params = params
+        self.real = real
+        self.duration = duration
+        self.span = span
+        #: Offloaded, from the grant on: the body's future, or the
+        #: exception its bind raised.
+        self._body = None
+        device._compute.when_granted(self._granted)
+
+    def _granted(self) -> None:
+        if self.span is not None:
+            self.span.event("compute_acquired")
+        device = self.device
+        pool = (_offload_pool()
+                if self.real and self.duration >= OFFLOAD_MIN_S else None)
+        if pool is not None:
+            try:
+                compute = self.kernel.fn(device, self.params)
+            except Exception as exc:
+                self._body = exc
+            else:
+                self._body = device.memory.inflight = pool.submit(
+                    _run_bound, [compute])
+        self.engine._enqueue(
+            self, device.spec.launch_overhead_s + self.duration)
+
+    def _process(self) -> None:
+        if self._value is not PENDING:
+            # The failed launch's second entry: its waiters.
+            Event._process(self)
+            return
+        device = self.device
+        body, self._body = self._body, None
+        # The body completes before the release can grant (and bind)
+        # the next launch over the memory it wrote.
+        try:
+            if body is None:
+                result = (self.kernel.fn(device, self.params)()
+                          if self.real else None)
+            elif isinstance(body, Exception):
+                raise body
+            else:
+                memory = device.memory
+                if memory.inflight is body:
+                    memory.inflight = None
+                result = body.result()
+        except Exception as exc:
+            device._compute.release()
+            if self.span is not None:
+                self.span.finish(error=f"{type(exc).__name__}: {exc}")
+            self._ok = False
+            self._value = exc
+            self.engine._enqueue(self)
+            return
+        device._compute.release()
+        device.busy_time += self.duration
+        device.kernels_launched += 1
+        if self.span is not None:
+            self.span.finish(modeled_s=self.duration)
+        self._ok = True
+        self._value = result
+        self._processed = True
+        callbacks = self.callbacks
+        if callbacks is not None:
+            for cb in callbacks:
+                cb(self)
+            callbacks.clear()
+
+
 class GPUDevice:
     """One virtual GPU: memory + DMA + serialized compute."""
 
@@ -125,8 +223,8 @@ class GPUDevice:
         self._slicer: GPUTimeSlicer | None = None
 
     def launch(self, kernel_name: str, params: dict | None = None,
-               real: bool = True, ctx=None) -> Event:
-        """Launch a kernel; the returned event fires at completion.
+               real: bool = True, ctx=None) -> KernelLaunch:
+        """Launch a kernel; the returned launch fires at completion.
 
         ``real=False`` charges the kernel's modeled time without executing
         its numerics (timing-only mode for paper-scale problem sizes).
@@ -144,59 +242,9 @@ class GPUDevice:
         kernel = self.registry.get(kernel_name)
         params = params or {}
         duration = kernel.cost(params, self.spec)
-        engine = self.engine
-        memory = self.memory
         span = (self._obs.start("gpu.kernel", self.name, parent=ctx,
                                 kernel=kernel.name) if ctx is not None else None)
-        ran, done = Event(engine), Event(engine)
-        offload = real and duration >= OFFLOAD_MIN_S
-        # Offloaded, from the grant on: the body's future, or the exception
-        # its bind raised.
-        body = None
-
-        def _finish(_ev):
-            # The body completes before the release can grant (and bind)
-            # the next launch over the memory it wrote.
-            try:
-                if body is None:
-                    result = kernel.fn(self, params)() if real else None
-                elif isinstance(body, Exception):
-                    raise body
-                else:
-                    if memory.inflight is body:
-                        memory.inflight = None
-                    result = body.result()
-            except Exception as exc:
-                self._compute.release()
-                if span is not None:
-                    span.finish(error=f"{type(exc).__name__}: {exc}")
-                done.fail(exc)
-                return
-            self._compute.release()
-            self.busy_time += duration
-            self.kernels_launched += 1
-            if span is not None:
-                span.finish(modeled_s=duration)
-            done.fire(result)
-
-        ran.callbacks = [_finish]
-
-        def _granted():
-            nonlocal body
-            if span is not None:
-                span.event("compute_acquired")
-            pool = _offload_pool() if offload else None
-            if pool is not None:
-                try:
-                    compute = kernel.fn(self, params)
-                except Exception as exc:
-                    body = exc
-                else:
-                    body = memory.inflight = pool.submit(_run_bound, [compute])
-            engine.succeed_after(ran, self.spec.launch_overhead_s + duration)
-
-        self._compute.when_granted(_granted)
-        return done
+        return KernelLaunch(self, kernel, params, real, duration, span)
 
     def utilization(self, elapsed: float | None = None) -> float:
         """Fraction of wall time the compute engine was busy."""

@@ -16,6 +16,7 @@ large messages (the Figure 5 crossover).
 from __future__ import annotations
 
 import dataclasses
+import typing as _t
 
 from ..errors import GPUError
 from ..obs.spans import collector_for
@@ -70,14 +71,16 @@ class DMACopy(Event):
 
     Granted the copy engine by call — at creation, or from the release
     of the copy before it — the copy pushes itself as its one heap
-    entry.  Processing it releases the engine, books the transfer and
-    closes its span before any caller callback runs.
+    entry.  Processing it releases the engine, books the transfer,
+    closes its span and calls its ``on_done(copy)`` hook (the landing of
+    a block, shared by every copy of a stream) before any caller
+    callback runs.
     """
 
-    __slots__ = ("dma", "nbytes", "duration", "span")
+    __slots__ = ("dma", "nbytes", "duration", "span", "on_done")
 
     def __init__(self, dma: "DMAEngine", nbytes: int, duration: float,
-                 span):
+                 span, on_done: _t.Callable[["DMACopy"], None] | None):
         # Event.__init__ inlined, as in Timeout: one per copy.
         self.engine = dma.engine
         self.callbacks = None
@@ -90,6 +93,7 @@ class DMACopy(Event):
         self.nbytes = nbytes
         self.duration = duration
         self.span = span
+        self.on_done = on_done
         dma._lock.when_granted(self._granted)
 
     def _granted(self) -> None:
@@ -106,6 +110,8 @@ class DMACopy(Event):
         dma._lock.release()
         if self.span is not None:
             self.span.finish()
+        if self.on_done is not None:
+            self.on_done(self)
         callbacks = self.callbacks
         if callbacks is not None:
             for cb in callbacks:
@@ -133,12 +139,16 @@ class DMAEngine:
         self.transfers = 0
         self.bytes_copied = 0
 
-    def copy(self, nbytes: int, pinned: bool = True, ctx=None) -> DMACopy:
+    def copy(self, nbytes: int, pinned: bool = True, ctx=None,
+             on_done: _t.Callable[[DMACopy], None] | None = None
+             ) -> DMACopy:
         """Start one host<->device copy; it fires on completion.
 
         ``ctx`` is an optional parent span context (``Span.wire``): when
         tracing is on, the copy records a ``dma.copy`` child span
         covering queueing-for-the-engine plus the transfer itself.
+        ``on_done(copy)`` runs at completion before the copy's waiters,
+        with no callback list or closure of the copy's own.
         """
         if nbytes < 0:
             raise GPUError(f"negative copy size: {nbytes!r}")
@@ -148,4 +158,4 @@ class DMAEngine:
             "dma.copy", self.name, parent=ctx, nbytes=nbytes, pinned=pinned)
             if ctx is not None else None)
         return DMACopy(self, nbytes, self.model.copy_time(nbytes, pinned),
-                       span)
+                       span, on_done)

@@ -342,7 +342,7 @@ class LeasePool:
         return True
 
     def _expire(self, lease: JobAccelerator):
-        yield self.service.engine.timeout(self.ttl_s)
+        yield self.service.engine.sleep(self.ttl_s)
         if lease.taken or lease not in self._order:
             return
         self._unpark(lease)
@@ -554,7 +554,7 @@ class JobService:
         self.engine.process(self._deferred_kick(), name="jobs:dispatch")
 
     def _deferred_kick(self):
-        yield self.engine.timeout(0.0)
+        yield self.engine.sleep(0.0)
         self._kick_scheduled = False
         self._kick()
 
@@ -627,7 +627,7 @@ class JobService:
     def _job(self, rec: JobRecord):
         spec = rec.spec
         if self.engine.now < spec.arrival_s:
-            yield self.engine.timeout(spec.arrival_s - self.engine.now)
+            yield self.engine.sleep(spec.arrival_s - self.engine.now)
         # 1. Dependencies: every parent must finish DONE.
         for dep_name in spec.deps:
             dep = self._records[dep_name]

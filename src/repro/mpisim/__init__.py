@@ -2,7 +2,9 @@
 
 Carries real Python payloads over the simulated fabric with eager /
 rendezvous protocol semantics and wildcard matching — the MPI subset the
-middleware speaks.
+middleware speaks.  A message is one object: an eager ``isend`` returns
+its :class:`Message`, which is also its flow over the fabric and the
+send's completion event; a receive :class:`Request` is its own.
 """
 
 from .comm import (

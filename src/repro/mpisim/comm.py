@@ -16,9 +16,10 @@ Payloads are real Python objects (see :mod:`repro.mpisim.datatypes`), so
 the whole middleware stack moves genuine bytes during correctness tests.
 
 A message is one object: a :class:`Message` is its envelope and, as a
-:class:`~repro.netsim.Transmission`, its own flow over the fabric (an
-eager send's completion event).  A receive :class:`Request` is its own
-completion event.
+:class:`~repro.netsim.Transmission`, its own flow over the fabric.  An
+eager ``isend`` returns the message itself, which is the send's
+completion event; a receive (and a rendezvous send) :class:`Request` is
+its own completion event.  Both answer ``done`` and ``completed``.
 """
 
 from __future__ import annotations
@@ -52,7 +53,10 @@ class Message(Transmission):
     matching reads, ``payload`` the sender's snapshot.  As a
     :class:`~repro.netsim.Transmission` the message is its own flow over
     the fabric: it fires at injection (an eager send's ``done``) and
-    hands itself to the communicator at delivery.  ``dest`` (the
+    hands itself to the communicator at delivery.  An eager ``isend``
+    returns the message as its send handle: ``done`` is the message
+    itself and ``completed`` is ``processed`` (the NIC has posted it).
+    ``dest`` (the
     receiving rank) and ``seq`` (its place in the ``(source, dest)`` send
     order) admit it to matching in order; it waits as itself in the
     held-for-order and unexpected queues, and a receive gets it as
@@ -86,25 +90,36 @@ class Message(Transmission):
         self._launch(comm.fabric, eps[source], eps[dest], wire_bytes,
                      injection_s)
 
+    @property
+    def done(self) -> "Message":
+        """An eager send's completion event: the message itself."""
+        return self
+
+    @property
+    def completed(self) -> bool:
+        # The message carries its value from the NIC grant on (like a
+        # Timeout), so the send is complete once it has *fired*.
+        return self._processed
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Message src={self.source} tag={self.tag} {self.nbytes}B>"
 
 
 class Request(Event):
-    """Handle for a non-blocking operation.
+    """Handle for a non-blocking receive or rendezvous send.
 
-    Wait for it inside a process with ``yield req.done``.  A receive, and
-    a rendezvous send, is its own completion event: ``done`` is the
-    request itself, and a receive's value (and ``req.message``) is the
-    :class:`Message`.  An eager send completes when the NIC has posted
-    its message, so its ``done`` is that :class:`Message`.
+    Wait for it inside a process with ``yield req.done``: the request is
+    its own completion event, so ``done`` is the request itself.  A
+    receive's value (and ``req.message``) is the :class:`Message`.  An
+    eager send builds no request: ``isend`` returns its
+    :class:`Message`, which answers ``done`` and ``completed`` the same
+    way.
     """
 
-    __slots__ = ("message", "kind", "_sent")
+    __slots__ = ("message", "kind")
 
-    def __init__(self, engine: Engine, kind: str,
-                 sent: Message | None = None):
-        # Event.__init__ inlined: every message makes two requests.
+    def __init__(self, engine: Engine, kind: str):
+        # Event.__init__ inlined: every receive makes one.
         self.engine = engine
         self.callbacks = None
         self._value = PENDING
@@ -114,24 +129,19 @@ class Request(Event):
         self._scheduled = False
         self.message: Message | None = None
         self.kind = kind
-        self._sent = sent
 
     @property
-    def done(self) -> Event:
-        """The event to wait on (see the class docstring)."""
-        sent = self._sent
-        return self if sent is None else sent
+    def done(self) -> "Request":
+        """The event to wait on: the request itself."""
+        return self
 
     @property
     def completed(self) -> bool:
-        # An eager send's message carries its value from the NIC grant on
-        # (like a Timeout), so a send is complete once ``done`` has
-        # *fired*.  A receive is complete from the moment its message is
-        # matched: the RPC layer's reply-versus-deadline tie depends on
-        # that.
+        # A receive is complete from the moment its message is matched:
+        # the RPC layer's reply-versus-deadline tie depends on that.  A
+        # rendezvous send once it has fired.
         if self.kind == "send":
-            sent = self._sent
-            return (self if sent is None else sent)._processed
+            return self._processed
         return self._value is not PENDING
 
     def _complete(self, message: Message | None = None) -> None:
@@ -213,8 +223,12 @@ class Communicator:
     # -- sending --------------------------------------------------------
     def isend(self, src: int, dst: int, tag: int, payload: _t.Any = None,
               eager: bool | None = None,
-              injection_s: float | None = None) -> Request:
+              injection_s: float | None = None) -> Message | Request:
         """Non-blocking send from rank ``src`` to rank ``dst``.
+
+        Returns the send's handle: an eager send's :class:`Message`, or
+        a rendezvous send's :class:`Request`.  Either is its own
+        completion event (``done``; ``completed``).
 
         ``eager`` overrides the size-based protocol choice: ``True`` forces
         eager delivery (models a receiver that pre-posted its buffers, so no
@@ -236,12 +250,11 @@ class Communicator:
             threshold = self.fabric.model.rendezvous_threshold
             eager = threshold == 0 or nbytes <= threshold
         if eager:
-            msg = Message(self, src, dst, tag, payload, nbytes,
-                          nbytes + HEADER_BYTES, injection_s)
             # Eager sends complete locally as soon as the NIC has the
             # message — even across a partition (the sender cannot tell
-            # its bytes died) — so the request's ``done`` *is* the message.
-            req = Request(self.engine, "send", msg)
+            # its bytes died) — so the handle *is* the message.
+            msg = req = Message(self, src, dst, tag, payload, nbytes,
+                                nbytes + HEADER_BYTES, injection_s)
         else:
             # A dropped RTS leaves the send pending forever, exactly like
             # a real rendezvous sender blocked on a handshake that will
@@ -367,8 +380,8 @@ class Communicator:
         (its message was delivered — cancellation lost the race, exactly
         like MPI_Cancel).
         """
-        if request.kind != "recv":
-            raise MPIError(f"cancel_recv on a {request.kind} request")
+        if not isinstance(request, Request) or request.kind != "recv":
+            raise MPIError("cancel_recv on a send")
         if request.completed or request._cancelled:
             return False
         state = self._states[me]
@@ -414,8 +427,9 @@ class Communicator:
 class RankHandle:
     """All MPI operations of one rank, bound for convenient calling.
 
-    Non-blocking calls (``isend``/``irecv``) return a :class:`Request`
-    immediately.  Blocking calls are generators for use with ``yield from``
+    Non-blocking calls return their handle immediately: ``irecv`` a
+    :class:`Request`, ``isend`` an eager send's :class:`Message` or a
+    rendezvous send's :class:`Request`.  Blocking calls are generators for use with ``yield from``
     inside a simulation process.
     """
 
@@ -432,7 +446,7 @@ class RankHandle:
     # -- point to point --------------------------------------------------
     def isend(self, dst: int, tag: int, payload: _t.Any = None,
               eager: bool | None = None,
-              injection_s: float | None = None) -> Request:
+              injection_s: float | None = None) -> Message | Request:
         return self.comm.isend(self.index, dst, tag, payload, eager=eager,
                                injection_s=injection_s)
 

@@ -17,6 +17,28 @@ from .events import AllOf, AnyOf, Event, Timeout
 from .process import Process, ProcessGenerator
 
 
+class _Sleep(Timeout):
+    """A :meth:`Engine.sleep` timer: back to its engine once it has run.
+
+    It returns to the pool after its callbacks, so a process that sleeps
+    again from inside them takes another timer; its emptied callback
+    list is kept for the next waiter.
+    """
+
+    __slots__ = ()
+
+    def _process(self) -> None:
+        self._processed = True
+        callbacks = self.callbacks
+        if callbacks is not None:
+            for cb in callbacks:
+                cb(self)
+            callbacks.clear()
+        pool = self.engine._sleep_pool
+        if len(pool) < Engine.POOL_MAX:
+            pool.append(self)
+
+
 class Engine:
     """Event loop and virtual clock for one simulation.
 
@@ -44,6 +66,8 @@ class Engine:
         self._n_dead = 0
         #: Recycled timers and race() deadlines (see :meth:`pooled_timer`).
         self._timeout_pool: list[Timeout] = []
+        #: Fired sleep timers, for the next :meth:`sleep`.
+        self._sleep_pool: list[_Sleep] = []
 
     # -- scheduling -----------------------------------------------------
     def _enqueue(self, event: Event, delay: float = 0.0) -> None:
@@ -195,11 +219,10 @@ class Engine:
         """A plain valueless :class:`Timeout` recycled through the slot pool.
 
         For internal timers that are frequently cancelled and replaced
-        (e.g. the fluid bandwidth model's provisional completion timer):
-        once a cancelled instance is popped from the heap it is re-armed
-        for the next caller instead of allocating afresh.  Callers must
-        not keep references past cancellation (same contract as
-        :meth:`race` deadlines).
+        (:meth:`race` deadlines): once a cancelled instance is popped
+        from the heap it is re-armed for the next caller instead of
+        allocating afresh.  Callers must not keep references past
+        cancellation.
         """
         pool = self._timeout_pool
         if pool:
@@ -208,6 +231,29 @@ class Engine:
             return t
         t = Timeout(self, delay)
         t._poolable = True
+        return t
+
+    def sleep(self, delay: float) -> Timeout:
+        """A timer for a process to yield at once: ``yield engine.sleep(s)``.
+
+        Recycled: a sleep that has fired goes back to the engine, and a
+        later :meth:`sleep` re-arms it, so a process waiting out a
+        software cost (a daemon's request handling, a staging copy)
+        allocates nothing.  The caller must yield it at once and never
+        reference it afterwards (the contract of a :meth:`race`
+        deadline); for a delay that is kept, raced or cancelled, use
+        :meth:`timeout`.
+        """
+        pool = self._sleep_pool
+        if not pool:
+            return _Sleep(self, delay)
+        if delay < 0:
+            raise SimulationError(f"negative timeout delay: {delay!r}")
+        t = pool.pop()
+        t._processed = False
+        t.delay = delay = float(delay)
+        t._scheduled = True
+        heapq.heappush(self._heap, (self.now + delay, next(self._seq), t))
         return t
 
     def process(self, gen: ProcessGenerator, name: str | None = None) -> Process:

@@ -6,7 +6,9 @@
 * :class:`BandwidthShare` — a fluid-flow bandwidth pool: concurrent flows
   share the capacity equally, and rates are recomputed whenever a flow
   starts or finishes.  This models fair-share link contention without
-  simulating individual packets.
+  simulating individual packets.  A lone flow (nearly every message)
+  costs no object: it is two fields of the share, and the share's own
+  timer, re-armed in place, runs its step.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import typing as _t
 
 from ..errors import SimulationError
 from .engine import Engine
-from .events import Event, Timeout
+from .events import Timeout
 
 
 class Resource:
@@ -70,11 +72,33 @@ class Resource:
 
 
 class _Flow:
+    """One of several concurrent flows on a share (a lone flow is two
+    fields of the share instead)."""
+
     __slots__ = ("remaining", "on_done")
 
     def __init__(self, nbytes: float, on_done: _t.Callable[[], _t.Any]):
         self.remaining = float(nbytes)
         self.on_done = on_done
+
+
+class _ShareTimer(Timeout):
+    """A share's completion timer: its own step is the share's.
+
+    Processing the timer runs :meth:`BandwidthShare._on_timer` directly,
+    so arming it allocates no callback list.  The share keeps the timer
+    its last flow fired and re-arms it in place.
+    """
+
+    __slots__ = ("share",)
+
+    def __init__(self, share: "BandwidthShare", delay: float):
+        super().__init__(share.engine, delay)
+        self.share = share
+
+    def _process(self) -> None:
+        self._processed = True
+        self.share._on_timer()
 
 
 class BandwidthShare:
@@ -86,7 +110,11 @@ class BandwidthShare:
     and the single next-completion timer is rescheduled.
 
     With one flow at a time a flow of *b* bytes takes ``b / capacity``
-    exactly, so uncontended transfers are precise.
+    exactly, so uncontended transfers are precise.  That lone flow —
+    nearly every message — is two fields of the share, not a record, and
+    its completion re-arms the share's own timer: an uncontended flow
+    allocates nothing.  Flows become :class:`_Flow` records only while
+    several share the capacity.
     """
 
     def __init__(self, engine: Engine, capacity_bytes_per_s: float):
@@ -94,14 +122,20 @@ class BandwidthShare:
             raise SimulationError(f"capacity must be positive: {capacity_bytes_per_s!r}")
         self.engine = engine
         self.capacity = float(capacity_bytes_per_s)
+        #: Concurrent flows; empty while the share is idle or has a lone
+        #: flow.
         self._flows: list[_Flow] = []
-        self._timer: Timeout | None = None
+        #: The lone flow: bytes left at ``_last_t`` and its completion
+        #: (None when there is no lone flow).
+        self._lone_left = 0.0
+        self._lone_done: _t.Callable[[], _t.Any] | None = None
+        self._timer: _ShareTimer | None = None
         self._last_t = engine.now
 
     def drain(self, nbytes: float, on_done: _t.Callable[[], _t.Any]) -> None:
         """Start a flow of ``nbytes``; ``on_done()`` is called at completion.
 
-        The completion runs inside the share's own timer callback, at the
+        The completion runs inside the share's own timer step, at the
         completion instant, instead of through one more heap entry.
         """
         if nbytes < 0:
@@ -110,13 +144,19 @@ class BandwidthShare:
             on_done()
             return
         flows = self._flows
-        if not flows:
+        lone = self._lone_done
+        if lone is None and not flows:
             # Idle (no live timer, nothing to debit): the lone-flow step
             # arms the timer, or completes the flow if it is too small.
             self._last_t = self.engine.now
-            flows.append(_Flow(nbytes, on_done))
-            self._on_timer(None)
+            self._lone_left = float(nbytes)
+            self._lone_done = on_done
+            self._on_timer()
             return
+        if lone is not None:
+            # A second flow: the lone one becomes a record.
+            flows.append(_Flow(self._lone_left, lone))
+            self._lone_done = None
         self._advance()
         flows.append(_Flow(nbytes, on_done))
         self._reschedule()
@@ -145,10 +185,30 @@ class BandwidthShare:
     #: is force-completed instead of spinning on zero-delay timers.
     _MIN_TIMER_S = 1e-12
 
+    def _arm(self, delay: float) -> None:
+        """Schedule the share's timer ``delay`` seconds from now.
+
+        The timer the share last fired (or whose cancelled entry has left
+        the heap) is re-armed in place (``Timeout._rearm`` inlined; its
+        value and ``_ok`` are still a fresh timer's); a fresh one is made
+        only while a cancelled entry of it still waits in the heap.
+        """
+        t = self._timer
+        if t is None or t._scheduled:
+            self._timer = _ShareTimer(self, delay)
+            return
+        engine = self.engine
+        t._processed = False
+        t._cancelled = False
+        t.delay = delay
+        t._scheduled = True
+        heapq.heappush(engine._heap,
+                       (engine.now + delay, next(engine._seq), t))
+
     def _reschedule(self) -> None:
-        if self._timer is not None and not self._timer._processed:
-            self._timer.cancel()
-        self._timer = None
+        t = self._timer
+        if t is not None and t._scheduled and not t._cancelled:
+            t.cancel()
         finished: list[_Flow] = []
         while True:
             # Complete any flows that are done (or numerically done).
@@ -168,49 +228,29 @@ class BandwidthShare:
                     if f.remaining / rate <= self._MIN_TIMER_S:
                         f.remaining = 0.0
                 continue
-            # Pooled: every new flow cancels and replaces this timer, so
-            # the share would otherwise allocate one Timeout per block of
-            # every pipeline stream.
-            self._timer = self.engine.pooled_timer(next_dt)
-            self._timer.add_callback(self._on_timer)
+            self._arm(next_dt)
             break
         # Completions run last, with the flow list settled and the next
         # timer armed, so one may start a new flow on this share.
         for f in finished:
             f.on_done()
 
-    def _on_timer(self, _ev: Event | None) -> None:
-        flows = self._flows
-        if len(flows) > 1:
+    def _on_timer(self) -> None:
+        if self._flows:
             self._advance()
             self._reschedule()
             return
-        # The lone flow (nearly every message): the general step for n = 1
-        # inline, bit-identical since capacity * (1.0 / 1) is capacity.
-        f = flows[0]
+        # The lone flow: the general step for n = 1 inline, bit-identical
+        # since capacity * (1.0 / 1) is capacity.
         now = self.engine.now
-        f.remaining -= self.capacity * (now - self._last_t)
+        left = self._lone_left - self.capacity * (now - self._last_t)
         self._last_t = now
-        if f.remaining > self._EPSILON_BYTES:
-            next_dt = f.remaining / self.capacity
+        if left > self._EPSILON_BYTES:
+            next_dt = left / self.capacity
             if next_dt > self._MIN_TIMER_S:
-                t = self._timer
-                if t is not None and t._processed:
-                    # The share's own last timer fired and left the heap:
-                    # re-arm it (``Timeout._rearm`` inlined; its value,
-                    # ``_ok`` and ``_cancelled`` are still a fresh
-                    # timer's) instead of taking one per flow.
-                    engine = self.engine
-                    t._processed = False
-                    t.delay = next_dt
-                    t._scheduled = True
-                    heapq.heappush(engine._heap, (
-                        now + next_dt, next(engine._seq), t))
-                else:
-                    t = self._timer = self.engine.pooled_timer(next_dt)
-                # A fresh list: this may run inside the timer's own
-                # callback loop, which must not see the new entry.
-                t.callbacks = [self._on_timer]
+                self._lone_left = left
+                self._arm(next_dt)
                 return
-        flows.clear()
-        f.on_done()
+        on_done = self._lone_done
+        self._lone_done = None
+        on_done()

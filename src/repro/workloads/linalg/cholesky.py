@@ -107,7 +107,7 @@ def cholesky_factorize(engine: Engine, cpu: CPUSpec,
                                              offset=k0 * w * 8)
 
         # 2. Host dpotf2, then upload the factored block in place.
-        yield engine.timeout(cpu.flops_time(potf2_flops(w)))
+        yield engine.sleep(cpu.flops_time(potf2_flops(w)))
         if real:
             blk = as_matrix(raw, w, w)
             Lkk = potf2(blk)

@@ -178,7 +178,7 @@ def qr_factorize(engine: Engine, cpu: CPUSpec, accelerators: _t.Sequence[_t.Any]
             pending = None
         else:
             raw = yield from owner_ac.memcpy_d2h(panel_ptr[k], n * w * 8)
-            yield engine.timeout(cpu.flops_time(panel_qr_flops(h, w)))
+            yield engine.sleep(cpu.flops_time(panel_qr_flops(h, w)))
         if real:
             col = as_matrix(raw, n, w)
             V, T, Rkk = householder_panel(col[k0:, :])
@@ -220,7 +220,7 @@ def qr_factorize(engine: Engine, cpu: CPUSpec, accelerators: _t.Sequence[_t.Any]
             def panel_path():
                 r = yield from accelerators[nxt_owner].memcpy_d2h(
                     panel_ptr[nxt], n * w1 * 8)
-                yield engine.timeout(cpu.flops_time(panel_qr_flops(h1, w1)))
+                yield engine.sleep(cpu.flops_time(panel_qr_flops(h1, w1)))
                 return r
 
             def update_rest(i):

@@ -180,7 +180,7 @@ def _rank_body(engine: Engine, cpu: CPUSpec, rank: RankHandle, ac: _t.Any,
         tags = _MIG_TAG + _TAGS_PER_STEP * step
         # 1. CPU: streaming / MD / coupling work on local particles.
         count = pos.shape[0] if real else n_local
-        yield engine.timeout(count * MD_COST_PER_PARTICLE_S)
+        yield engine.sleep(count * MD_COST_PER_PARTICLE_S)
         if real:
             stream(pos, vel, cfg.dt)
             wrap_periodic(pos, box)

@@ -104,6 +104,28 @@ class TestMemcpyRoundTrip:
         with pytest.raises(MiddlewareError, match="exceeds allocation"):
             sess.call(ac.memcpy_h2d(ptr, np.zeros(100)))
 
+    @pytest.mark.parametrize("op", ["h2d-real", "h2d-phantom", "d2h"])
+    def test_negative_offset_rejected_and_daemon_still_serves(self, sess,
+                                                              ac, op):
+        """The header check rejects ``offset < 0`` as it rejects a copy
+        past the end: the call raises its status error, an H2D's blocks
+        are drained, and the daemon serves the next request.  Unchecked,
+        a real H2D raised out of the daemon's DMA landing, a D2H out of
+        its loan, and a phantom H2D succeeded; after either raise the
+        daemon's serve loop was gone."""
+        ptr = sess.call(ac.mem_alloc(1024))
+        call = {"h2d-real": lambda: ac.memcpy_h2d(ptr, np.ones(64),
+                                                  offset=-8),
+                "h2d-phantom": lambda: ac.memcpy_h2d(ptr, Phantom(512),
+                                                     offset=-8),
+                "d2h": lambda: ac.memcpy_d2h(ptr, 1024, offset=-8)}[op]
+        with pytest.raises(MiddlewareError, match="negative copy offset"):
+            sess.call(call())
+        sess.call(ac.kernel_create("fill"))
+        sess.call(ac.memcpy_h2d(ptr, np.arange(128.0)))
+        np.testing.assert_array_equal(
+            sess.call(ac.memcpy_d2h(ptr, 1024)), np.arange(128.0))
+
     def test_pipeline_faster_than_naive_for_large(self, sess, ac):
         ptr = sess.call(ac.mem_alloc(16 * MiB))
         t0 = sess.now

@@ -520,6 +520,38 @@ class TestEventBudget:
         assert done.processed and vgpu.kernels_launched == 1
         assert next(eng._seq) == 1
 
+    def test_a_launch_is_one_object(self):
+        """One constructor per launch: the launch is its own completion
+        event, its grant and finish are its methods.  (It was two
+        events, ``ran`` and ``done``, plus two closures.)
+        ``sys.setprofile`` ``__init__`` calls, a 40- minus a 20-launch
+        run."""
+        def inits(n):
+            dev = GPUDevice(Engine(), TESLA_C1060)
+            count = 0
+
+            def hook(frame, event, _arg):
+                nonlocal count
+                if event == "call" and frame.f_code.co_name == "__init__":
+                    count += 1
+
+            sys.setprofile(hook)
+            try:
+                for _ in range(n):
+                    dev.launch("dgemm", self.PARAMS, real=False)
+                dev.engine.run()
+            finally:
+                sys.setprofile(None)
+            return count
+
+        assert (inits(40) - inits(20)) / 20 == 1
+
+    def test_a_launch_reads_pending_until_it_has_run(self, eng, dev):
+        done = dev.launch("dgemm", self.PARAMS, real=False)
+        assert not (done.triggered or done.processed)
+        eng.run()
+        assert done.ok and done.processed and done.value is None
+
 
 class TestGPUSpec:
     def test_c1060_peak(self):

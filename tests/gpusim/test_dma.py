@@ -111,6 +111,18 @@ class TestEventBudget:
 
         assert (inits(40) - inits(20)) / 20 == 1
 
+    def test_on_done_runs_before_the_waiters(self, eng):
+        """``on_done(copy)`` is the copy's own completion step: it runs
+        after the booking and before any callback, with no heap entry."""
+        dma = DMAEngine(eng, PCIE_GEN2_X16)
+        order = []
+        copy = dma.copy(MiB, on_done=lambda c: order.append(
+            ("on_done", c, c.processed, dma.transfers)))
+        copy.add_callback(lambda c: order.append(("callback", c)))
+        eng.run()
+        assert order == [("on_done", copy, True, 1), ("callback", copy)]
+        assert next(eng._seq) == 1
+
 
 class TestBusyTimeAccounting:
     def test_busy_time_counts_transfer_only_not_queueing(self, eng):

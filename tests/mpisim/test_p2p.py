@@ -290,9 +290,9 @@ class TestRequests:
 
 
 class TestSendCompletion:
-    """An eager send's ``done`` is the transmission's ``injected`` event,
-    which carries its value from the NIC grant on (like a timer), so a
-    send is complete once ``done`` has fired, not once it is triggered."""
+    """An eager send is its message, which fires at injection and carries
+    its value from the NIC grant on (like a timer), so a send is complete
+    once it has fired, not once it is triggered."""
 
     INJ = 0.0001                        # conftest MODEL.injection_overhead_s
 
@@ -360,8 +360,8 @@ class TestSendCompletion:
 
 class TestEventBudget:
     """One eager message into a posted receive is three heap entries
-    (``engine._seq`` draws): ``injected`` — which is the send request's
-    ``done`` — the receiver share's timer, and ``delivered``.  Matching
+    (``engine._seq`` draws): the message's injection — the send's
+    ``done`` — the receiver share's timer, and its delivery.  Matching
     settles at delivery and the receive's ``done`` is processed there;
     only a receive that finds its message already waiting completes
     through the heap (a process never resumes inside its own irecv)."""
@@ -404,7 +404,9 @@ class TestCallBudget:
     sim 24 / obs 2, then sim 20 / mpisim 14 / netsim 6 with 9
     constructors (a message, its transmission, the transmission's
     ``injected`` and ``delivered`` events, two requests, each with an
-    event, a flow and a fresh share timer)."""
+    event, a flow and a fresh share timer), then sim 13 / mpisim 16 /
+    netsim 5 with 4 (the message, a send and a receive request, the
+    share's flow record)."""
 
     @staticmethod
     def _calls(n: int) -> collections.Counter:
@@ -446,21 +448,21 @@ class TestCallBudget:
         short, long = self._calls(20), self._calls(40)
         per_message = {layer: (long[layer] - short[layer]) / 20
                        for layer in ("sim", "mpisim", "netsim", "obs")}
-        assert per_message == {"sim": 13, "mpisim": 16, "netsim": 5,
+        assert per_message == {"sim": 13, "mpisim": 15, "netsim": 5,
                                "obs": 0}
 
     def test_constructors_per_eager_message(self):
-        """The message (its own transmission), the send and the receive
-        request, and the receiver share's flow record; the share re-arms
-        its own timer."""
+        """The message (its own transmission and its eager send) and the
+        receive request; the receiver share keeps its lone flow in two
+        fields and re-arms its own timer."""
         short, long = self._calls(20), self._calls(40)
-        assert (long["__init__"] - short["__init__"]) / 20 == 4
+        assert (long["__init__"] - short["__init__"]) / 20 == 2
 
 
 class TestDroppedMessage:
     def test_freed_by_refcount_alone(self, eng, comm2):
         """A message cut by a partition is never delivered; once its send
-        request is dropped, the message and its payload (here a view
+        handle (the message itself) is dropped, the message and its payload (here a view
         into a buffer, as a D2H block's is into device memory) are freed
         without the cyclic collector."""
         from repro.buffers import ChunkView

@@ -102,3 +102,57 @@ class TestPoolOverflow:
                 lambda e: seen.append(e.value))
         eng.run()
         assert seen == [0.1, 0.2, 0.3]
+
+
+class TestSleep:
+    """``engine.sleep`` timers go back to their engine once they have run
+    and are re-armed by a later sleep: a process that sleeps in a loop
+    allocates its timers once."""
+
+    def test_a_sleeping_loop_recycles_its_timers(self):
+        eng = Engine()
+        seen, at = set(), []
+
+        def sleeper():
+            for delay in (1.0, 0.5, 0.25, 2.0):
+                timer = eng.sleep(delay)
+                seen.add(id(timer))
+                yield timer
+                at.append(eng.now)
+
+        eng.process(sleeper())
+        eng.run()
+        assert at == [1.0, 1.5, 1.75, 3.75]
+        # Each sleep is taken while the one before is still running its
+        # waiters, so two timers alternate.
+        assert len(seen) == 2 and len(eng._sleep_pool) == 2
+        # The kick-off, one per sleep, the process's own completion.
+        assert next(eng._seq) == 6
+
+    def test_a_recycled_sleep_is_a_fresh_pending_timer(self):
+        eng = Engine()
+
+        def proc():
+            yield eng.sleep(1.0)
+            yield eng.sleep(1.0)
+
+        eng.run(until=eng.process(proc()))
+        t = eng.sleep(2.0)
+        assert not (t.processed or t.cancelled) and t.triggered
+        assert t.callbacks == []        # the emptied list, kept
+        fired = []
+        t.add_callback(lambda ev: fired.append((eng.now, ev.value)))
+        eng.run()
+        assert fired == [(4.0, None)]
+
+    def test_negative_sleep_rejected(self):
+        eng = Engine()
+        with pytest.raises(SimulationError):
+            eng.sleep(-1.0)
+
+        def proc():
+            yield eng.sleep(1.0)
+
+        eng.run(until=eng.process(proc()))
+        with pytest.raises(SimulationError):
+            eng.sleep(-1.0)             # the recycled path checks too

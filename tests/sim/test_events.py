@@ -252,7 +252,7 @@ class TestConditions:
 
 class TestWorkUnitEvents:
     """The work units are events of their own (a transmission, a message,
-    a request, a DMA copy); each skips ``Event.__init__`` and so must set
+    which is also its eager send, a receive request, a DMA copy); each skips ``Event.__init__`` and so must set
     every Event slot itself: the state reads work from construction on."""
 
     def test_state_reads_through_the_lifecycle(self, eng):
@@ -271,6 +271,7 @@ class TestWorkUnitEvents:
         recv = rank1.irecv(source=0, tag=1)
         send = rank0.isend(1, tag=1, payload=b"x")
         msg = send.done
+        assert send is msg          # an eager send is its message
         dma = DMAEngine(eng, PCIE_GEN2_X16)
         dma.copy(10)
         copy = dma.copy(10)
@@ -283,7 +284,7 @@ class TestWorkUnitEvents:
         for ev in (tx, msg, recv, copy):
             assert ev.triggered and ev.processed and not ev.cancelled
         assert send.completed and recv.value is msg
-        assert not send.triggered   # an eager send's ``done`` is its message
+        assert send is msg and recv.done is recv
         other = rank1.irecv(source=0, tag=2)
         rank1.cancel_recv(other)
         assert other.cancelled and not other.triggered

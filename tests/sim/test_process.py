@@ -1,5 +1,8 @@
 """Unit tests for generator-based processes."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import SimulationError
@@ -117,6 +120,46 @@ class TestProcessBasics:
         eng.process(proc())
         with pytest.raises(RuntimeError, match="nobody is listening"):
             eng.run()
+
+
+class _Value:
+    """A return value a weak reference can watch."""
+
+
+class TestFreedByRefcount:
+    """A finished process holds no reference cycle: once the caller drops
+    it, the process and its return value go at once, with the cyclic
+    collector off.  (A process that cached a bound method of itself —
+    ``self._resume`` in a slot — would keep both until a collection; for
+    a D2H read-back the value is a view of a device backing.)"""
+
+    @pytest.mark.parametrize("wait", ["sleep", "timeout", "process"])
+    def test_finished_process_and_value_die_without_the_collector(
+            self, eng, wait):
+        def child():
+            yield eng.sleep(1.0)
+            return "child"
+
+        def proc():
+            if wait == "sleep":
+                yield eng.sleep(1.0)
+            elif wait == "timeout":
+                yield eng.timeout(1.0)
+            else:
+                yield eng.process(child())
+            return _Value()
+
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            p = eng.process(proc())
+            eng.run()
+            value = weakref.ref(p.value)
+            del p
+            assert value() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestEngineRun:

@@ -179,6 +179,25 @@ class TestBandwidthShare:
         assert done_at == [1.0, 1.5]
         assert next(eng._seq) == 2
 
+    def test_a_lone_flow_is_two_fields_and_a_second_makes_records(self, eng):
+        """A lone flow builds no record and its timer no callback list;
+        a second flow turns it into a record for the fair-share step, and
+        the share returns to the lone form once idle again."""
+        link = BandwidthShare(eng, 100.0)
+        done_at = {}
+        link.drain(100.0, lambda: done_at.setdefault("a", eng.now))
+        assert link._flows == [] and link._lone_done is not None
+        assert link._timer.callbacks is None
+        eng.run(until=0.5)
+        link.drain(25.0, lambda: done_at.setdefault("b", eng.now))
+        assert len(link._flows) == 2 and link._lone_done is None
+        eng.run()
+        assert done_at == {"b": 1.0, "a": 1.25}
+        link.drain(50.0, lambda: done_at.setdefault("c", eng.now))
+        assert link._flows == [] and link._lone_done is not None
+        eng.run()
+        assert done_at["c"] == 1.75
+
     def test_drain_costs_only_the_share_timer(self, eng):
         link = BandwidthShare(eng, 100.0)
         done_at = []
