@@ -40,11 +40,10 @@ class Process(Event):
         self._send = gen.send
         self._throw = gen.throw
         self.name = name or getattr(gen, "__name__", "process")
-        # Kick off via an immediately-succeeding event so execution order is
+        # Kick off through a zero-delay sleep (the heap entry of an
+        # immediately-succeeding event, recycled) so execution order is
         # controlled by the engine, not by construction order.
-        start = Event(engine)
-        start.callbacks = [self._resume]
-        start.succeed(None)
+        engine.sleep(0.0).add_callback(self._resume)
 
     @property
     def is_alive(self) -> bool:
