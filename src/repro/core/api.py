@@ -102,8 +102,7 @@ class RemoteAccelerator:
             params = {**params, **self._scope}
         resp = yield from reliable_rpc(
             self.rank, self.handle.daemon_rank, TAG_REQUEST, op, params,
-            self.retry, self.retry.timeout_s,
-            stats=self, span=span, sub_traces=sub_traces)
+            self.retry, stats=self, span=span, sub_traces=sub_traces)
         resp.raise_for_status()
         return resp
 
@@ -137,19 +136,16 @@ class RemoteAccelerator:
 
         ``what`` opens the :class:`RequestTimeout` message raised once
         ``timeout_s`` (None: unbounded) has passed without the event;
-        its ``{}`` takes the accelerator id.
+        its ``{}`` takes the accelerator id.  The race cancels its own
+        deadline when ``event`` wins.
         """
         if timeout_s is None:
-            value = yield event
-            return value
-        cond, dl = self.rank.comm.engine.race(event, timeout_s)
-        yield cond
+            return (yield event)
+        yield self.rank.comm.engine.race(event, timeout_s)
         if not event.triggered:
             self.timeouts += 1
             raise RequestTimeout(f"{what.format(self.handle.ac_id)} "
                                  f"({timeout_s:g} s deadline)")
-        if not dl.processed:
-            dl.cancel()
         return event.value
 
     # -- memory management ----------------------------------------------

@@ -701,7 +701,12 @@ class ResourceManager:
 
 
 class ArmClient:
-    """The resource-management API used by compute-node processes."""
+    """The resource-management API used by compute-node processes.
+
+    Every request is a :func:`reliable_rpc` under ``retry``, except one
+    that queues (``alloc`` / ``valloc`` with ``wait=True``): its wait is
+    open-ended, so it goes under :data:`DEFAULT_RETRY`, no deadline.
+    """
 
     def __init__(self, rank: RankHandle, arm_rank: int,
                  retry: RetryPolicy | None = None):
@@ -711,14 +716,11 @@ class ArmClient:
         self.requests = 0
         self.timeouts = 0
 
-    _USE_POLICY = object()  # sentinel: defer to the retry policy's timeout
-
-    def _rpc(self, op: Op, params: dict, timeout_s=_USE_POLICY):
-        if timeout_s is ArmClient._USE_POLICY:
-            timeout_s = self.retry.timeout_s
+    def _rpc(self, op: Op, params: dict):
+        policy = DEFAULT_RETRY if params.get("wait") else self.retry
         resp = yield from reliable_rpc(
-            self.rank, self.arm_rank, TAG_ARM, op, params, self.retry,
-            timeout_s, stats=self)
+            self.rank, self.arm_rank, TAG_ARM, op, params, policy,
+            stats=self)
         resp.raise_for_status()
         return resp
 
@@ -734,8 +736,7 @@ class ArmClient:
         list of :class:`AcceleratorHandle`.
         """
         resp = yield from self._rpc(Op.ARM_ALLOC,
-                                    {"count": count, "wait": wait, "job": job},
-                                    timeout_s=None if wait else ArmClient._USE_POLICY)
+                                    {"count": count, "wait": wait, "job": job})
         return resp.value
 
     def release(self, handles: _t.Sequence[AcceleratorHandle]):
@@ -764,8 +765,7 @@ class ArmClient:
         immediately in both modes.
         """
         resp = yield from self._rpc(
-            Op.ARM_VALLOC, {"tenant": tenant, "wait": wait, "job": job},
-            timeout_s=None if wait else ArmClient._USE_POLICY)
+            Op.ARM_VALLOC, {"tenant": tenant, "wait": wait, "job": job})
         return resp.value
 
     def vrelease(self, handle: VirtualAcceleratorHandle):

@@ -168,8 +168,7 @@ class FrameCoalescer:
             with span:
                 resp = yield from reliable_rpc(
                     self.rank, self.daemon_rank, TAG_REQUEST, Op.MBATCH,
-                    params, DEFAULT_RETRY, DEFAULT_RETRY.timeout_s,
-                    stats=self, span=span,
+                    params, DEFAULT_RETRY, stats=self, span=span,
                     sub_traces=[s.trace for s in batch])
                 resp.raise_for_status()
         except Exception as exc:

@@ -77,7 +77,7 @@ class RetryPolicy:
     timeout_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.timeout_s is not None and self.timeout_s <= 0:
+        if self.timeout_s is not None and not self.timeout_s > 0:
             raise MiddlewareError(f"timeout must be positive: {self.timeout_s!r}")
 
     def backoff_s(self, attempt: int) -> float:
@@ -96,13 +96,16 @@ DEFAULT_RETRY = RetryPolicy()
 
 
 def reliable_rpc(rank: RankHandle, dst: int, tag: int, op: Op, params: dict,
-                 policy: RetryPolicy, timeout_s: float | None, stats: _t.Any,
+                 policy: RetryPolicy, stats: _t.Any,
                  span=NULL_SPAN, sub_traces: list | None = None):
     """One request/reply exchange with timeout + retry (generator).
 
     Posts a single reply receive, then sends the request up to
     :data:`MAX_ATTEMPTS` times (same request id, ``attempt`` counted
-    up) while racing the receive against a fresh deadline per attempt.
+    up) while racing the receive against a deadline per attempt: the
+    policy's ``timeout_s``, the only deadline source (None: wait
+    forever, one attempt).  Each :meth:`~repro.sim.Engine.race` owns
+    its deadline, so nothing is left to cancel here.
     Non-retryable ops get exactly one attempt.  Returns the
     :class:`Response` (``raise_for_status`` is the caller's job); raises
     :class:`RequestTimeout` when every deadline expired.
@@ -115,6 +118,7 @@ def reliable_rpc(rank: RankHandle, dst: int, tag: int, op: Op, params: dict,
     their per-sub-frame span parenting.
     """
     engine = rank.comm.engine
+    timeout_s = policy.timeout_s
     req_id = next(rank.comm.ids)
     rreq = rank.irecv(source=dst, tag=reply_tag(req_id))
     attempts = MAX_ATTEMPTS if (timeout_s is not None
@@ -127,14 +131,8 @@ def reliable_rpc(rank: RankHandle, dst: int, tag: int, op: Op, params: dict,
                                      reply_to=rank.index, params=params,
                                      attempt=attempt, trace=span.wire,
                                      sub_traces=sub_traces))
-        if timeout_s is None:
-            yield rreq
-            break
-        cond, dl = engine.race(rreq, timeout_s)
-        yield cond
-        if rreq.completed:
-            if not dl.processed:
-                dl.cancel()
+        yield rreq if timeout_s is None else engine.race(rreq, timeout_s)
+        if timeout_s is None or rreq.completed:
             break
         stats.timeouts += 1
         span.event("timeout", attempt=attempt, deadline_s=timeout_s)

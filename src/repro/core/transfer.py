@@ -347,13 +347,8 @@ def recv_blocks(rank: RankHandle, src: int, dtag: int,
         recv_span = (span.child("net.recv", block=i, nbytes=size)
                      if ctx is not None else None)
         stall = dials.data_stall_s
-        if stall is None:
-            yield rreq
-        else:
-            cond, dl = engine.race(rreq, stall * dials.slow_factor)
-            yield cond
-            if not dl.processed:
-                dl.cancel()
+        yield (rreq if stall is None
+               else engine.race(rreq, stall * dials.slow_factor))
         if recv_span is not None:
             recv_span.finish()
         if stall is not None and not rreq.completed:

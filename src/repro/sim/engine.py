@@ -13,16 +13,16 @@ import itertools
 import typing as _t
 
 from ..errors import SimulationError
-from .events import AllOf, AnyOf, Event, Timeout
+from .events import PENDING, AllOf, AnyOf, Event, Timeout
 from .process import Process, ProcessGenerator
 
 
 class _Sleep(Timeout):
-    """A :meth:`Engine.sleep` timer: back to its engine once it has run.
+    """An :meth:`Engine.sleep` timer: back to its engine once its entry is gone.
 
-    It returns to the pool after its callbacks, so a process that sleeps
-    again from inside them takes another timer; its emptied callback
-    list is kept for the next waiter.
+    A fired one returns after its callbacks (so a process that sleeps
+    again from inside them takes another timer), keeping its emptied
+    callback list; a cancelled one in :meth:`Engine._retire`.
     """
 
     __slots__ = ()
@@ -64,14 +64,12 @@ class Engine:
         self._running = False
         #: Cancelled entries still sitting in the heap (lazy deletion).
         self._n_dead = 0
-        #: Recycled timers and race() deadlines (see :meth:`pooled_timer`).
-        self._timeout_pool: list[Timeout] = []
-        #: Fired sleep timers, for the next :meth:`sleep`.
+        #: Sleep timers whose heap entry is gone, for the next :meth:`sleep`.
         self._sleep_pool: list[_Sleep] = []
 
     # -- scheduling -----------------------------------------------------
     def _enqueue(self, event: Event, delay: float = 0.0) -> None:
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"negative delay: {delay!r}")
         event._scheduled = True
         heapq.heappush(self._heap, (self.now + delay, next(self._seq), event))
@@ -85,7 +83,7 @@ class Engine:
         known.  A transmission comes here twice, for its injection and
         again, already processed, for its delivery.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"negative delay: {delay!r}")
         event._ok = True
         event._value = None
@@ -117,15 +115,11 @@ class Engine:
             self._n_dead = 0
 
     def _retire(self, event: Event) -> None:
-        """A dead heap entry is gone; recycle a poolable timer slot.
-
-        The exact-type check keeps subclasses with extra state out of the
-        pool.
-        """
+        """A cancelled heap entry is gone: a sleep goes back to the pool."""
         event._scheduled = False
-        if (getattr(event, "_poolable", False) and type(event) is Timeout
-                and len(self._timeout_pool) < self.POOL_MAX):
-            self._timeout_pool.append(event)
+        if type(event) is _Sleep and len(self._sleep_pool) < self.POOL_MAX:
+            event._cancelled = False
+            self._sleep_pool.append(event)
 
     @property
     def queued(self) -> int:
@@ -183,7 +177,7 @@ class Engine:
                     raise stop.value
                 return stop.value
             horizon = float(until)
-            if horizon < self.now:
+            if not horizon >= self.now:
                 raise SimulationError(
                     f"cannot run until {horizon}, clock already at {self.now}"
                 )
@@ -215,39 +209,21 @@ class Engine:
         """Create an event that fires ``delay`` seconds from now."""
         return Timeout(self, delay, value)
 
-    def pooled_timer(self, delay: float) -> Timeout:
-        """A plain valueless :class:`Timeout` recycled through the slot pool.
-
-        For internal timers that are frequently cancelled and replaced
-        (:meth:`race` deadlines): once a cancelled instance is popped
-        from the heap it is re-armed for the next caller instead of
-        allocating afresh.  Callers must not keep references past
-        cancellation.
-        """
-        pool = self._timeout_pool
-        if pool:
-            t = pool.pop()
-            t._rearm(delay)
-            return t
-        t = Timeout(self, delay)
-        t._poolable = True
-        return t
-
     def sleep(self, delay: float) -> Timeout:
-        """A timer for a process to yield at once: ``yield engine.sleep(s)``.
+        """A recycled timer: ``yield engine.sleep(s)``.
 
-        Recycled: a sleep that has fired goes back to the engine, and a
-        later :meth:`sleep` re-arms it, so a process waiting out a
-        software cost (a daemon's request handling, a staging copy)
-        allocates nothing.  The caller must yield it at once and never
-        reference it afterwards (the contract of a :meth:`race`
-        deadline); for a delay that is kept, raced or cancelled, use
+        Its holder drops it when it fires or when it cancels it, and
+        keeps no reference: the timer goes back to the engine as soon as
+        its heap entry is gone, and a later :meth:`sleep` re-arms it, so
+        a process waiting out a software cost (a daemon's request
+        handling, a staging copy) and a :meth:`race` deadline allocate
+        nothing.  A delay that is kept past its firing is a
         :meth:`timeout`.
         """
         pool = self._sleep_pool
         if not pool:
             return _Sleep(self, delay)
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"negative timeout delay: {delay!r}")
         t = pool.pop()
         t._processed = False
@@ -276,34 +252,33 @@ class Engine:
         injection.  A ``when`` at or before ``now`` runs at the current
         instant.  Returns the timer (``cancel()`` to unschedule).
         """
-        t = Timeout(self, max(0.0, when - self.now))
+        t = Timeout(self, 0.0 if when < self.now else when - self.now)
         t.add_callback(lambda _ev: fn())
         return t
 
-    def race(self, event: Event, seconds: float) -> tuple[AnyOf, Timeout]:
-        """Race ``event`` against a fresh deadline of ``seconds``.
+    def race(self, event: Event, seconds: float) -> Event:
+        """One event that settles as ``event`` or a deadline, whichever first.
 
-        Returns ``(condition, deadline)``.  A process yields the condition;
-        afterwards ``event.triggered`` tells whether the real event won.  If
-        it did, cancel the deadline (unless already processed) to keep the
-        event heap clean::
-
-            cond, dl = engine.race(reply.done, timeout_s)
-            yield cond
-            if reply.done.triggered:
-                if not dl.processed:
-                    dl.cancel()
-            else:
-                ...  # the deadline fired first
-
-        The deadline is a :meth:`pooled_timer`: once cancelled and
-        retired from the heap, the object is re-armed for a later race
-        or timer instead of allocating a fresh one (the RPC hot path
-        makes one per request).  Do not keep references to ``dl`` beyond
-        the race.
+        A process yields it, then asks ``event.triggered`` whether the
+        real event won.  The race owns the deadline, a :meth:`sleep`: it
+        cancels it the instant ``event`` settles, inside ``event``'s
+        callbacks, so no caller holds a timer.  A deadline that fired is
+        back in the pool, perhaps already re-armed for another process at
+        this instant: the race never touches it again.
         """
-        dl = self.pooled_timer(seconds)
-        return self.any_of([event, dl]), dl
+        race = Event(self)
+        deadline = self.sleep(seconds)
+
+        def settle(child: Event) -> None:
+            if race._value is PENDING:          # else the other side won
+                if child is not deadline:
+                    deadline.cancel()
+                race._trigger(child._ok, child._value)
+
+        # Deadline first: an ``event`` already fired settles the race here.
+        deadline.add_callback(settle)
+        event.add_callback(settle)
+        return race
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Engine t={self.now:.9f} queued={self.queued}>"

@@ -198,10 +198,10 @@ class Event:
 class Timeout(Event):
     """An event that triggers automatically ``delay`` seconds in the future."""
 
-    __slots__ = ("delay", "_poolable")
+    __slots__ = ("delay",)
 
     def __init__(self, engine: "Engine", delay: float, value: _t.Any = None):
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"negative timeout delay: {delay!r}")
         # Event.__init__ unrolled — timers are the most-allocated event
         # type (one per simulated latency, plus every provisional timer).
@@ -212,10 +212,6 @@ class Timeout(Event):
         self._processed = False
         self._cancelled = False
         self.delay = float(delay)
-        #: Recyclable through the engine's slot pool once cancelled and
-        #: popped.  Only set on engine-created hot-path timers whose
-        #: references provably do not outlive the race that made them.
-        self._poolable = False
         self._scheduled = True
         heapq.heappush(engine._heap,
                        (engine.now + self.delay, next(engine._seq), self))
@@ -225,34 +221,6 @@ class Timeout(Event):
 
     def fail(self, exception: BaseException) -> "Event":  # pragma: no cover
         raise SimulationError("Timeout triggers automatically")
-
-    def _rearm(self, delay: float) -> None:
-        """Reset a recycled (cancelled, popped) timer and re-enqueue it.
-
-        Slot reuse for the request hot path: every RPC races its reply
-        against a deadline, and the winner's cancelled deadline would
-        otherwise be garbage plus a fresh allocation per request.
-
-        A timer may only be re-armed once its heap entry is gone: re-arming
-        while a (cancelled) entry still sits in the heap would clear
-        ``_cancelled`` and let the stale entry fire the timer early.  Pools
-        are engine-local precisely so this cannot happen through the
-        sanctioned recycle path; the guard turns any other path into a loud
-        error instead of a spurious fire.
-        """
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay!r}")
-        if self._scheduled:
-            raise SimulationError(
-                "re-arming a timer whose heap entry is still scheduled "
-                "(pool recycling must stay engine-local)")
-        self._cancelled = False
-        self._processed = False
-        self._ok = True
-        self._value = None
-        self.callbacks = None
-        self.delay = float(delay)
-        self.engine._enqueue(self, delay=self.delay)
 
 
 class Condition(Event):
@@ -283,8 +251,8 @@ class Condition(Event):
                 if ev._value is not PENDING and ev._ok}
 
     def _on_child(self, child: Event) -> None:
-        # Slot access over the property wrappers: conditions sit on every
-        # fabric flow and RPC race, so this callback is hot.
+        # Slot access over the property wrappers: this runs once per
+        # child (a D2H joins every block receive through one condition).
         if self._value is not PENDING:
             return
         if not child._ok:

@@ -189,9 +189,10 @@ class BandwidthShare:
         """Schedule the share's timer ``delay`` seconds from now.
 
         The timer the share last fired (or whose cancelled entry has left
-        the heap) is re-armed in place (``Timeout._rearm`` inlined; its
-        value and ``_ok`` are still a fresh timer's); a fresh one is made
-        only while a cancelled entry of it still waits in the heap.
+        the heap) is re-armed in place, as :meth:`Engine.sleep` re-arms a
+        pooled timer (its value and ``_ok`` are still a fresh timer's); a
+        fresh one is made only while a cancelled entry of it still waits
+        in the heap.
         """
         t = self._timer
         if t is None or t._scheduled:

@@ -1,5 +1,8 @@
 """Timeouts, retry/backoff, daemon dedup, and ARM-mediated failover."""
 
+import collections
+import sys
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from repro.core import (
     reply_tag,
 )
 from repro.errors import AcceleratorFault, MiddlewareError, RequestTimeout
+from repro.sim import Timeout
 from repro.units import MiB
 
 
@@ -52,6 +56,10 @@ class TestRetryPolicy:
             RetryPolicy(timeout_s=0.0)
         with pytest.raises(MiddlewareError):
             RetryPolicy(timeout_s=-1e-3)
+
+    def test_nan_timeout_rejected(self):
+        with pytest.raises(MiddlewareError):
+            RetryPolicy(timeout_s=float("nan"))
 
     def test_op_classification(self):
         # Retried ops with side effects must be covered by the dedup cache.
@@ -125,6 +133,50 @@ class TestTimeouts:
         ac = cluster.remote(0, handles[0])
         assert ac.retry.timeout_s is None
         sess.call(ac.kernel_create("fill"))
+
+
+class TestObjectBudget:
+    """Constructors per guarded RPC on a warmed engine: ``__init__`` calls
+    in a loop of ``kernel_create`` under a deadline, taken as the
+    difference between a 40- and a 20-request run (the method of
+    ``tests/mpisim/test_p2p.py::TestCallBudget``).  Seven: the race's
+    event, the request and reply messages, the two receives and the
+    ``Request`` / ``Response`` frames; no timer, since every deadline is
+    a recycled sleep.  A race that was an ``AnyOf`` over a deadline the
+    caller cancelled made nine (its condition's three constructors), also
+    with no timer."""
+
+    @staticmethod
+    def _inits(n: int) -> collections.Counter:
+        cluster = Cluster(paper_testbed(n_compute=1, n_accelerators=1))
+        sess = cluster.session()
+        (handle,) = sess.call(cluster.arm_client(0).alloc(count=1))
+        ac = cluster.remote(0, handle, retry=RetryPolicy(timeout_s=1.0))
+
+        def rpcs(k):
+            for _ in range(k):
+                yield from ac.kernel_create("fill")
+
+        sess.call(rpcs(200))                # warm: the pool fills
+        calls = collections.Counter()
+        timer_init = Timeout.__init__.__code__
+
+        def hook(frame, event, _arg):
+            if event == "call" and frame.f_code.co_name == "__init__":
+                calls["__init__"] += 1
+                calls["timer"] += frame.f_code is timer_init
+
+        sys.setprofile(hook)
+        try:
+            sess.call(rpcs(n))
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    def test_a_guarded_rpc_builds_no_timer(self):
+        short, long = self._inits(20), self._inits(40)
+        assert {k: (long[k] - short[k]) / 20 for k in ("__init__", "timer")
+                } == {"__init__": 7, "timer": 0}
 
 
 class TestDaemonDedup:

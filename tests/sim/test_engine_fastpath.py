@@ -1,19 +1,20 @@
-"""Engine hot-path machinery: lazy deletion, compaction, slot pools.
+"""Engine hot-path machinery: lazy deletion, compaction, the timer pool.
 
-The perf work (PR 5) replaced eager heap removal with lazy deletion plus
-periodic in-place compaction, and recycles the two high-churn timer
-types (``race()`` deadlines, ``pooled_timer`` timeouts) through slot
-pools.  These tests pin the observable contracts: live-event accounting
-stays exact, compaction never loses a live event or breaks the running
-loop's heap binding, pooled objects are only reused after retirement,
-and the deadlock diagnostic still fires.
+Cancelled heap entries are deleted lazily, with periodic in-place
+compaction, and the high-churn timers (``sleep()``, hence every
+``race()`` deadline) are recycled through one pool.  These tests pin the
+observable contracts: live-event accounting stays exact, compaction
+never loses a live event or breaks the running loop's heap binding,
+pooled timers are only reused after retirement, and the deadlock
+diagnostic still fires.
 """
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Engine
-from repro.sim.events import Timeout
+
+from .conftest import newest_sleep
 
 
 def test_cancelled_events_are_lazily_deleted():
@@ -64,25 +65,23 @@ def test_run_skips_dead_prefix():
 def test_race_deadline_slot_is_reused_after_retirement():
     eng = Engine()
     reply = eng.timeout(0.1)
-    cond, dl = eng.race(reply, 5.0)
-    assert type(dl) is Timeout and dl._poolable
-    eng.run(until=cond)
-    assert reply.triggered
-    dl.cancel()
+    race = eng.race(reply, 5.0)
+    dl = newest_sleep(eng)
+    eng.run(until=race)
+    assert reply.triggered and dl.cancelled   # the race cancelled it
     eng.run()  # drains the heap; the dead deadline entry is retired
-    cond2, dl2 = eng.race(eng.timeout(0.1), 3.0)
-    assert dl2 is dl, "retired deadline should be slot-reused"
-    eng.run(until=cond2)
-    dl2.cancel()
+    race2 = eng.race(eng.timeout(0.1), 3.0)
+    assert newest_sleep(eng) is dl, "retired deadline should be slot-reused"
+    eng.run(until=race2)
 
 
 def test_pooled_timer_is_reused_and_fires_at_new_delay():
     eng = Engine()
-    t = eng.pooled_timer(1.0)
+    t = eng.sleep(1.0)
     t.cancel()
     eng.run()  # retire the cancelled entry
-    t2 = eng.pooled_timer(2.0)
-    assert t2 is t, "retired pooled timer should be slot-reused"
+    t2 = eng.sleep(2.0)
+    assert t2 is t, "a retired sleep should be slot-reused"
     eng.run()
     assert t2.processed
     assert eng.now == pytest.approx(2.0)
@@ -90,21 +89,20 @@ def test_pooled_timer_is_reused_and_fires_at_new_delay():
 
 def test_plain_timeouts_are_never_pooled():
     eng = Engine()
-    t = eng.timeout(1.0)
-    t.cancel()
+    fired, cancelled = eng.timeout(1.0), eng.timeout(2.0)
+    cancelled.cancel()
     eng.run()
-    t2 = eng.pooled_timer(1.0)
-    assert t2 is not t
-    assert type(t2) is Timeout
+    assert not eng._sleep_pool
+    assert eng.sleep(1.0) not in (fired, cancelled)
 
 
 def test_pool_respects_size_bound():
     eng = Engine()
-    timers = [eng.pooled_timer(1.0) for _ in range(Engine.POOL_MAX + 10)]
+    timers = [eng.sleep(1.0) for _ in range(Engine.POOL_MAX + 10)]
     for t in timers:
         t.cancel()
     eng.run()
-    assert len(eng._timeout_pool) <= Engine.POOL_MAX
+    assert len(eng._sleep_pool) <= Engine.POOL_MAX
 
 
 def test_deadlock_detection_still_raises():
@@ -137,7 +135,7 @@ def test_cancel_then_compact_during_run_keeps_loop_alive():
 
     def churn():
         for _ in range(6):
-            victims = [eng.pooled_timer(10.0)
+            victims = [eng.sleep(10.0)
                        for _ in range(Engine.COMPACT_MIN)]
             tick = eng.timeout(0.001)
             for v in victims:

@@ -1,54 +1,91 @@
-"""Timer slot-pool regressions: recycling must stay engine-local.
+"""Timer pool regressions: a timer is recycled only once its entry is gone.
 
-The bug class under test: :meth:`Engine.pooled_timer` timers, which
-include every :meth:`Engine.race` deadline, are recycled through a
-per-engine slot pool once cancelled *and popped from the heap*.  If an instance whose
-(cancelled) heap entry is still scheduled were ever re-armed, re-arming
-would clear ``_cancelled`` and the stale entry would fire the timer
-spuriously at its old time.  The :meth:`Timeout._rearm` guard turns any
-such path into a loud error.
+The bug class under test: :meth:`Engine.sleep` timers, which include
+every :meth:`Engine.race` deadline, go back to a per-engine pool once
+they have fired or once their cancelled heap entry has been popped or
+compacted away.  A timer re-armed while a cancelled entry of it still
+sat in the heap would fire spuriously at its old time; a race that
+touched its deadline after the deadline fired could cancel another
+process's sleep.
 """
+
+import math
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Engine, Event
 
+from .conftest import newest_sleep
+
 
 class TestRearmGuard:
-    def test_rearm_while_scheduled_raises(self):
-        """The regression guard itself: a timer whose heap entry is still
-        scheduled must refuse to re-arm instead of firing spuriously."""
+    def test_cancelled_sleep_is_pooled_only_once_its_entry_is_gone(self):
+        """A cancelled sleep whose dead entry still waits in the heap is
+        not handed out again; once the entry pops it is, pending and
+        uncancelled, with no callback."""
         eng = Engine()
-        t = eng.pooled_timer(1.0)
-        # Simulate the bug: the still-scheduled timer leaks into the pool
-        # before its entry is popped.  The next pooled_timer() recycles
-        # it and must hit the guard.
-        eng._timeout_pool.append(t)
-        with pytest.raises(SimulationError, match="still scheduled"):
-            eng.pooled_timer(2.0)
+        t = eng.sleep(1.0)
+        t.add_callback(lambda _e: None)
+        t.cancel()
+        assert eng.sleep(2.0) is not t
+        eng.run(until=1.5)              # the dead entry pops at 1.0
+        t2 = eng.sleep(2.0)
+        assert t2 is t
+        assert not (t2.cancelled or t2.processed or t2.callbacks)
 
     def test_recycled_deadline_cannot_fire_at_stale_time(self):
-        """The sanctioned recycle path: cancelled, popped, re-armed — the
-        reused object fires exactly once, at the new time only."""
+        """Won, cancelled by its race, popped, re-armed: the reused
+        object fires exactly once, at the new time only."""
         eng = Engine()
         reply = Event(eng)
-        cond, dl = eng.race(reply, 0.5)
+        race = eng.race(reply, 0.5)
+        dl = newest_sleep(eng)
         eng.timeout(0.1).add_callback(lambda _e: reply.succeed("ok"))
-        eng.run(until=cond)
-        assert reply.triggered and not dl.processed
-        dl.cancel()
+        eng.run(until=race)
+        assert reply.triggered and dl.cancelled and not dl.processed
+        assert dl not in eng._sleep_pool    # its dead entry still waits
         eng.run(until=1.0)  # drain past the stale entry so dl is retired
-        assert eng._timeout_pool and eng._timeout_pool[-1] is dl
+        assert eng._sleep_pool and eng._sleep_pool[-1] is dl
 
         fired = []
-        reply2 = Event(eng)
-        cond2, dl2 = eng.race(reply2, 3.0)
-        assert dl2 is dl, "pool did not recycle the retired deadline"
-        dl2.add_callback(lambda e: fired.append(eng.now))
+        race2 = eng.race(Event(eng), 3.0)
+        assert newest_sleep(eng) is dl, "pool did not recycle the deadline"
+        race2.add_callback(lambda e: fired.append(eng.now))
         eng.run(until=5.0)
         # One fire, at now+3.0 — never at the stale 0.5 s deadline.
         assert fired == [4.0]
+
+    def test_same_instant_tie_leaves_the_recycled_deadline_alone(self):
+        """At one instant: the deadline fires first, another process
+        re-arms that very timer from the pool, then the reply lands.  The
+        racer sees its reply; the other process's sleep is untouched and
+        fires at its own time."""
+        eng = Engine()
+        reply = Event(eng)
+        log = []
+
+        def racer():
+            race = eng.race(reply, 1.0)
+            log.append(("deadline", newest_sleep(eng)))
+            yield race
+            log.append(("racer", eng.now, reply.triggered))
+
+        def sleeper():
+            yield eng.timeout(1.0)       # due after the deadline at 1.0
+            t = eng.sleep(2.0)
+            log.append(("sleep", t))
+            yield t
+            log.append(("sleeper", eng.now))
+
+        eng.process(racer())
+        eng.process(sleeper())
+        eng.run(until=0.5)
+        eng.timeout(0.5).add_callback(lambda _e: reply.succeed("late"))
+        eng.run()
+        (_, dl), (_, t) = log[0], log[1]
+        assert t is dl, "the sleeper did not take the fired deadline"
+        assert log[2:] == [("racer", 1.0, True), ("sleeper", 3.0)]
 
     def test_succeed_after_then_cancel_counts_one_dead(self):
         """A pre-created event fired through ``succeed_after`` (fabric
@@ -80,19 +117,23 @@ class TestRearmGuard:
 
 class TestPoolOverflow:
     def test_pool_max_caps_both_pools(self):
-        """POOL_MAX-overflow stress: cancel far more poolable timers and
-        race deadlines than their one shared pool holds; the pool stays
-        capped and the engine keeps exact accounting and ordering."""
+        """POOL_MAX-overflow stress: cancel far more sleeps, and settle far
+        more races, than the one pool of their timers holds; the pool
+        stays capped and the engine keeps exact accounting and ordering."""
         eng = Engine()
         n = eng.POOL_MAX * 3
         # Create everything first (an empty pool means every instance is
         # fresh), then cancel; retirement may only fill the pool to the cap.
-        timers = [eng.pooled_timer(1.0) for _ in range(n)]
-        deadlines = [eng.race(Event(eng), 1.0)[1] for _ in range(n)]
-        for ev in timers + deadlines:
-            ev.cancel()
+        sleeps = [eng.sleep(1.0) for _ in range(n)]
+        replies = [Event(eng) for _ in range(n)]
+        races = [eng.race(reply, 1.0) for reply in replies]
+        for t in sleeps:
+            t.cancel()
+        for reply in replies:
+            reply.succeed()
         eng.run(until=2.0)
-        assert len(eng._timeout_pool) == eng.POOL_MAX
+        assert all(race.processed for race in races)
+        assert len(eng._sleep_pool) == eng.POOL_MAX
         assert eng.queued == 0
 
         # The engine is still healthy: fresh timers fire in order.
@@ -102,6 +143,46 @@ class TestPoolOverflow:
                 lambda e: seen.append(e.value))
         eng.run()
         assert seen == [0.1, 0.2, 0.3]
+
+
+class TestNanRejected:
+    """A NaN delay or horizon compares false with everything: each entry
+    point rejects it instead of scheduling at time NaN or at once."""
+
+    def test_enqueue(self):
+        eng = Engine()
+        with pytest.raises(SimulationError):
+            eng._enqueue(Event(eng), math.nan)
+
+    def test_succeed_after(self):
+        eng = Engine()
+        with pytest.raises(SimulationError):
+            eng.succeed_after(Event(eng), math.nan)
+
+    def test_timeout(self):
+        with pytest.raises(SimulationError):
+            Engine().timeout(math.nan)
+
+    def test_sleep(self):
+        eng = Engine()
+        with pytest.raises(SimulationError):
+            eng.sleep(math.nan)         # a fresh timer
+        eng.sleep(1.0)
+        eng.run()                       # fired: back in the pool
+        assert eng._sleep_pool
+        with pytest.raises(SimulationError):
+            eng.sleep(math.nan)         # a recycled one
+
+    def test_run_until(self):
+        eng = Engine()
+        with pytest.raises(SimulationError):
+            eng.run(until=math.nan)
+
+    def test_call_at(self):
+        eng = Engine()
+        with pytest.raises(SimulationError):
+            eng.call_at(math.nan, lambda: None)
+        assert eng.queued == 0
 
 
 class TestSleep:

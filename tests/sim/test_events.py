@@ -7,6 +7,8 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim import AllOf, AnyOf, Engine, Event, Timeout
 
+from .conftest import newest_sleep
+
 
 @pytest.fixture
 def eng():
@@ -149,27 +151,33 @@ class TestTimeout:
 
 
 class TestRace:
+    """``race`` returns one event and owns its deadline (read here from
+    the heap only to check it): the caller never holds the timer."""
+
     def test_event_wins_race(self, eng):
         ev = eng.timeout(1.0, value="work")
-        cond, dl = eng.race(ev, 5.0)
-        eng.run(until=cond)
-        assert ev.processed and not dl.processed
+        race = eng.race(ev, 5.0)
+        dl = newest_sleep(eng)
+        eng.run(until=race)
+        assert ev.processed and race.value == "work"
         assert eng.now == 1.0
-        dl.cancel()  # provisional timer; engine queue drains clean
-        eng.run()
-        assert not dl.processed
+        # Cancelled by the race the instant the event fired.
+        assert dl.cancelled and not dl.processed
+        eng.run()                       # the queue drains clean
+        assert eng.now == 1.0 and not dl.processed
 
     def test_deadline_wins_race(self, eng):
         ev = eng.timeout(10.0)
-        cond, dl = eng.race(ev, 2.0)
-        eng.run(until=cond)
+        race = eng.race(ev, 2.0)
+        dl = newest_sleep(eng)
+        eng.run(until=race)
         assert dl.processed and not ev.processed
         assert eng.now == 2.0
 
     def test_cancelled_deadline_releases_the_race(self, eng):
-        """A won race cancels its deadline, whose heap entry waits for its
-        time; the cancel drops the deadline's callbacks, so the race and
-        the winner's value are freed now, not when the entry pops."""
+        """A won race's deadline waits in the heap for its time, but the
+        cancel dropped its callbacks, so the race and the winner's value
+        are freed now, not when the entry pops."""
         class Reply:
             pass
 
@@ -177,19 +185,45 @@ class TestRace:
         alive = weakref.ref(reply)
         ev = eng.timeout(1.0, value=reply)
         del reply
-        cond, dl = eng.race(ev, 5.0)
-        eng.run(until=cond)
-        dl.cancel()
-        del cond, ev
+        race = eng.race(ev, 5.0)
+        eng.run(until=race)
+        del race, ev
         assert alive() is None
 
     def test_deadline_is_a_pooled_timer(self, eng):
-        """A race deadline and a ``pooled_timer`` share one recycled pool."""
-        _, dl = eng.race(eng.timeout(1.0), 2.0)
-        assert type(dl) is Timeout and dl._poolable
-        dl.cancel()
+        """A race deadline is a sleep: it comes from, and goes back to,
+        the one pool of recycled timers."""
+        eng.race(eng.timeout(1.0), 2.0)
+        dl = newest_sleep(eng)
         eng.run()
-        assert eng.pooled_timer(1.0) is dl
+        assert eng.sleep(1.0) is dl
+
+    def test_race_on_a_fired_event(self, eng):
+        """The event has already fired: the race settles at once and
+        its cancelled deadline carries no callback into the pool."""
+        ev = eng.timeout(0.5, value="early")
+        eng.run()
+        race = eng.race(ev, 1.0)
+        dl = newest_sleep(eng)
+        assert dl.cancelled and not dl.callbacks
+        eng.run()
+        assert race.value == "early" and eng.now == 0.5
+        t = eng.sleep(2.0)
+        assert t is dl and not (t.cancelled or t.processed or t.callbacks)
+        eng.run()
+        assert t.processed and eng.now == 2.5
+
+    def test_race_whose_event_fails(self, eng):
+        ev = eng.event()
+        race = eng.race(ev, 1.0)
+        dl = newest_sleep(eng)
+        ev.fail(RuntimeError("boom"))
+        with pytest.raises(RuntimeError, match="boom"):
+            eng.run(until=race)
+        assert dl.cancelled and not dl.callbacks
+        eng.run()
+        assert eng.now == 0.0           # the dead deadline never fired
+        assert eng.sleep(1.0) is dl and not dl.callbacks
 
 
 class TestConditions:
