@@ -143,6 +143,18 @@ class ResourceManager:
         self.discovery_ttl_s: float | None = None
         self._sweep_proc = None
         self._sweep_stop = False
+        #: Dispatch table built once, as the daemon's: _serve() looks up
+        #: the handler of every request in it.
+        self._handler_map = {
+            Op.ARM_ALLOC: self._alloc,
+            Op.ARM_RELEASE: self._release,
+            Op.ARM_STATUS: self._status,
+            Op.ARM_BREAK: self._break,
+            Op.ARM_VALLOC: self._valloc,
+            Op.ARM_VRELEASE: self._vrelease,
+            Op.ARM_REPORT: self._report,
+            Op.ARM_LEAVE: self._leave,
+        }
         self.proc = self.engine.process(self._serve(), name="arm")
 
     # -- queries (direct, for tests and metrics) -------------------------
@@ -231,16 +243,7 @@ class ResourceManager:
                 self._reply(req, Response(req.req_id, Status.OK))
                 self._stopped = True
                 break
-            handler = {
-                Op.ARM_ALLOC: self._alloc,
-                Op.ARM_RELEASE: self._release,
-                Op.ARM_STATUS: self._status,
-                Op.ARM_BREAK: self._break,
-                Op.ARM_VALLOC: self._valloc,
-                Op.ARM_VRELEASE: self._vrelease,
-                Op.ARM_REPORT: self._report,
-                Op.ARM_LEAVE: self._leave,
-            }.get(req.op)
+            handler = self._handler_map.get(req.op)
             if handler is None:
                 self._reply(req, Response(req.req_id, Status.ERROR,
                                           error=f"unsupported ARM op {req.op}"))

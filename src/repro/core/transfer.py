@@ -325,8 +325,11 @@ def recv_blocks(rank: RankHandle, src: int, dtag: int,
     """
     engine = rank.comm.engine
     span = dev.span if dev is not None else NULL_SPAN
-    # Untraced (``NULL_SPAN``, no context) a block makes no span call.
+    # Untraced (``NULL_SPAN``, no context) a block makes no span call;
+    # traced, each block's ``net.recv`` is a row of the span's collector.
     ctx = span.wire
+    if ctx is not None:
+        obs, actor = span.collector, span.actor
     if dev is not None:
         memory, stats = dev.gpu.memory, dev.stats
         landing: collections.deque = collections.deque()
@@ -344,13 +347,14 @@ def recv_blocks(rank: RankHandle, src: int, dtag: int,
                 landed.succeed()
     for i, (off, size) in enumerate(blocks):
         rreq = rank.irecv(source=src, tag=dtag)
-        recv_span = (span.child("net.recv", block=i, nbytes=size)
-                     if ctx is not None else None)
+        recv_row = (obs.open_row("net.recv", actor, ctx,
+                                 {"block": i, "nbytes": size})
+                    if ctx is not None and obs.enabled else None)
         stall = dials.data_stall_s
         yield (rreq if stall is None
                else engine.race(rreq, stall * dials.slow_factor))
-        if recv_span is not None:
-            recv_span.finish()
+        if recv_row is not None:
+            obs.finish_row(recv_row)
         if stall is not None and not rreq.completed:
             # Cancelled, not leaked; then the rest of the stream.
             rank.cancel_recv(rreq)

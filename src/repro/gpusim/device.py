@@ -115,11 +115,11 @@ class KernelLaunch(Event):
     would.
     """
 
-    __slots__ = ("device", "kernel", "params", "real", "duration", "span",
+    __slots__ = ("device", "kernel", "params", "real", "duration", "row",
                  "_body")
 
     def __init__(self, device: "GPUDevice", kernel, params: dict,
-                 real: bool, duration: float, span):
+                 real: bool, duration: float, row: int | None):
         # Event.__init__ inlined, as in DMACopy: one per launch.
         self.engine = device.engine
         self.callbacks = None
@@ -133,15 +133,16 @@ class KernelLaunch(Event):
         self.params = params
         self.real = real
         self.duration = duration
-        self.span = span
+        #: The launch's ``gpu.kernel`` span row (None: untraced).
+        self.row = row
         #: Offloaded, from the grant on: the body's future, or the
         #: exception its bind raised.
         self._body = None
         device._compute.when_granted(self._granted)
 
     def _granted(self) -> None:
-        if self.span is not None:
-            self.span.event("compute_acquired")
+        if self.row is not None:
+            self.device._obs.event_row(self.row, "compute_acquired")
         device = self.device
         pool = (_offload_pool()
                 if self.real and self.duration >= OFFLOAD_MIN_S else None)
@@ -178,8 +179,9 @@ class KernelLaunch(Event):
                 result = body.result()
         except Exception as exc:
             device._compute.release()
-            if self.span is not None:
-                self.span.finish(error=f"{type(exc).__name__}: {exc}")
+            if self.row is not None:
+                device._obs.finish_row(
+                    self.row, {"error": f"{type(exc).__name__}: {exc}"})
             self._ok = False
             self._value = exc
             self.engine._enqueue(self)
@@ -187,8 +189,8 @@ class KernelLaunch(Event):
         device._compute.release()
         device.busy_time += self.duration
         device.kernels_launched += 1
-        if self.span is not None:
-            self.span.finish(modeled_s=self.duration)
+        if self.row is not None:
+            device._obs.finish_row(self.row, {"modeled_s": self.duration})
         self._ok = True
         self._value = result
         self._processed = True
@@ -242,9 +244,11 @@ class GPUDevice:
         kernel = self.registry.get(kernel_name)
         params = params or {}
         duration = kernel.cost(params, self.spec)
-        span = (self._obs.start("gpu.kernel", self.name, parent=ctx,
-                                kernel=kernel.name) if ctx is not None else None)
-        return KernelLaunch(self, kernel, params, real, duration, span)
+        obs = self._obs
+        row = (obs.open_row("gpu.kernel", self.name, ctx,
+                            {"kernel": kernel.name})
+               if ctx is not None and obs.enabled else None)
+        return KernelLaunch(self, kernel, params, real, duration, row)
 
     def utilization(self, elapsed: float | None = None) -> float:
         """Fraction of wall time the compute engine was busy."""

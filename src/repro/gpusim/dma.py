@@ -72,15 +72,16 @@ class DMACopy(Event):
     Granted the copy engine by call — at creation, or from the release
     of the copy before it — the copy pushes itself as its one heap
     entry.  Processing it releases the engine, books the transfer,
-    closes its span and calls its ``on_done(copy)`` hook (the landing of
-    a block, shared by every copy of a stream) before any caller
-    callback runs.
+    closes its span row and calls its ``on_done(copy)`` hook (the
+    landing of a block, shared by every copy of a stream) before any
+    caller callback runs.
     """
 
-    __slots__ = ("dma", "nbytes", "duration", "span", "on_done")
+    __slots__ = ("dma", "nbytes", "duration", "row", "on_done")
 
     def __init__(self, dma: "DMAEngine", nbytes: int, duration: float,
-                 span, on_done: _t.Callable[["DMACopy"], None] | None):
+                 row: int | None,
+                 on_done: _t.Callable[["DMACopy"], None] | None):
         # Event.__init__ inlined, as in Timeout: one per copy.
         self.engine = dma.engine
         self.callbacks = None
@@ -92,13 +93,14 @@ class DMACopy(Event):
         self.dma = dma
         self.nbytes = nbytes
         self.duration = duration
-        self.span = span
+        #: The copy's ``dma.copy`` span row (None: untraced).
+        self.row = row
         self.on_done = on_done
         dma._lock.when_granted(self._granted)
 
     def _granted(self) -> None:
-        if self.span is not None:
-            self.span.event("engine_acquired")
+        if self.row is not None:
+            self.dma._obs.event_row(self.row, "engine_acquired")
         self.engine.succeed_after(self, self.duration)
 
     def _process(self) -> None:
@@ -108,8 +110,8 @@ class DMACopy(Event):
         dma.transfers += 1
         dma.bytes_copied += self.nbytes
         dma._lock.release()
-        if self.span is not None:
-            self.span.finish()
+        if self.row is not None:
+            dma._obs.finish_row(self.row)
         if self.on_done is not None:
             self.on_done(self)
         callbacks = self.callbacks
@@ -154,8 +156,9 @@ class DMAEngine:
             raise GPUError(f"negative copy size: {nbytes!r}")
         # Spans are children of a request's handler span; a copy issued
         # without one (untraced, or direct device use) makes no span call.
-        span = (self._obs.start(
-            "dma.copy", self.name, parent=ctx, nbytes=nbytes, pinned=pinned)
-            if ctx is not None else None)
+        obs = self._obs
+        row = (obs.open_row("dma.copy", self.name, ctx,
+                            {"nbytes": nbytes, "pinned": pinned})
+               if ctx is not None and obs.enabled else None)
         return DMACopy(self, nbytes, self.model.copy_time(nbytes, pinned),
-                       span, on_done)
+                       row, on_done)

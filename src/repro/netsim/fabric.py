@@ -37,7 +37,8 @@ class Transmission(Event):
     byte has arrived at the destination.
 
     The flow runs as this object's own steps, traced or not (the
-    ``net.flow`` span is recorded by the steps that move the message):
+    ``net.flow`` span is a collector row, ``row``, recorded by the steps
+    that move the message):
     NIC grant -> injection -> drain through the shares -> delivery.  Only
     the physical boundaries are heap entries, and two of them are this
     object: pushed at the grant for its injection, and pushed again at
@@ -51,7 +52,7 @@ class Transmission(Event):
     """
 
     __slots__ = ("fabric", "src", "dst", "wire_bytes", "injection_s",
-                 "dropped", "hops", "span", "on_delivered", "_stages_left")
+                 "dropped", "hops", "row", "on_delivered", "_stages_left")
 
     def __init__(self, fabric: "Fabric", src: "Endpoint", dst: "Endpoint",
                  wire_bytes: int, injection_s: float | None,
@@ -91,12 +92,13 @@ class Transmission(Event):
                             if fabric.topology is not None and src is not dst
                             else ())
         # Fabric flows root their own traces (no request context reaches
-        # this layer); each endpoint gets its own timeline row.  None
-        # when tracing is off, so an untraced flow makes no span call.
+        # this layer); each endpoint gets its own timeline row.  The
+        # flow's span row, or None when tracing is off, so an untraced
+        # flow makes no span call.
         obs = fabric._obs
-        self.span = (obs.start_root("net.flow", src.name, dst=dst.name,
-                                    nbytes=wire_bytes)
-                     if obs.enabled else None)
+        self.row = (obs.open_row("net.flow", src.name, None,
+                                 {"dst": dst.name, "nbytes": wire_bytes})
+                    if obs.enabled else None)
         #: Decided here, synchronously, so the messaging layer can see the
         #: drop before it draws a delivery-order sequence number: the
         #: sender-side costs are paid, delivery never happens.
@@ -122,7 +124,7 @@ class Transmission(Event):
 
     def _process(self) -> None:
         """Run the step of whichever entry of this transmission was popped."""
-        span = self.span
+        row = self.row
         if self._processed:
             # 4. Delivered.  ``bytes_moved`` counts each message once
             #    regardless of hop count (an end-to-end total); trunk
@@ -138,21 +140,21 @@ class Transmission(Event):
                 tb = fabric.trunk_bytes
                 for h in self.hops:
                     tb[h] = tb.get(h, 0) + nbytes
-            if span is not None:
-                span.finish()
+            if row is not None:
+                fabric._obs.finish_row(row)
             if self.on_delivered is not None:
                 self.on_delivered(self)
             return
         # 2. Injected: the flow's own step first, then the waiters.
         self._processed = True
-        if span is not None:
-            span.event("injected")
+        if row is not None:
+            self.fabric._obs.event_row(row, "injected")
         if self.dropped:
             # The message entered the wire and vanished at the cut:
             # the NIC frees, the receiver never hears anything.
             self.src.nic.release()
-            if span is not None:
-                span.finish()
+            if row is not None:
+                self.fabric._obs.finish_row(row)
         elif self.wire_bytes == 0:
             self._drained()
         elif self.hops or (self.fabric._core is not None

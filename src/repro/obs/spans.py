@@ -14,10 +14,14 @@ Recording a span never yields, never schedules an event, and never
 advances the clock — tracing on or off, the simulation timeline is
 bit-identical (asserted by ``tests/obs/test_identity.py``).
 
-Disabled tracing is a null object: :meth:`TraceCollector.start` returns
-the shared :data:`NULL_SPAN` whose methods all no-op, so process-level
-code pays one enabled check per operation; the data-plane work units
-(message, DMA copy, kernel launch) hold ``None`` and make no span call.
+A recorded span is a row of the collector's column tables, not an
+object: the data-plane work units (message, DMA copy, kernel launch,
+block receive) hold its int row id and record through the collector's
+``*_row`` methods, and process-level code holds a :class:`Span` handle
+over the row.  Disabled tracing is a null object:
+:meth:`TraceCollector.start` returns the shared :data:`NULL_SPAN` whose
+methods all no-op, so process-level code pays one enabled check per
+operation; the data-plane work units hold ``None`` and make no span call.
 
 Collectors are looked up per engine with :func:`collector_for` — every
 component of one simulation shares one collector, exactly like they share
@@ -29,6 +33,8 @@ that build their own clusters internally).
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import gc
 import itertools
 import types
 import typing as _t
@@ -53,85 +59,96 @@ class SpanEvent(_t.NamedTuple):
     attrs: dict
 
 
+@dataclasses.dataclass(frozen=True, slots=True)
 class Span:
-    """One timed phase of a request, on one actor's timeline.
+    """A process-level handle over one recorded span: its collector and row.
 
-    Spans are created through :meth:`TraceCollector.start` (or
+    Spans are opened through :meth:`TraceCollector.start` (or
     :meth:`child`), finished explicitly with :meth:`finish` or by using
     the span as a context manager — which also closes it when an
     exception (including a process interrupt) unwinds the enclosing
     generator, so failed branches cannot leak open spans.
 
-    A span is the one object a recorded phase retains: identity, times
-    and ``attrs``.  Its point events are rows of the collector's shared
-    :attr:`TraceCollector.event_log`.
+    The span itself is a row of the collector's span table (DESIGN.md
+    section 9); the handle only reads and writes that row, so the
+    collector retains no handle, and two handles on one row are equal.
     """
 
-    __slots__ = ("collector", "name", "actor", "trace_id", "span_id",
-                 "parent_id", "start", "end", "attrs")
-
-    def __init__(self, collector: "TraceCollector", name: str, actor: str,
-                 trace_id: int, parent_id: int | None, attrs: dict):
-        # Opening a span *is* recording it: one frame for the clock read,
-        # the id and the append.
-        engine = collector._engine_ref()
-        if engine is not None:
-            collector._last_now = engine.now
-        self.collector = collector
-        self.name = name
-        self.actor = actor
-        self.trace_id = trace_id
-        self.span_id = next(collector._span_ids)
-        self.parent_id = parent_id
-        self.start = collector._last_now
-        self.end: float | None = None
-        self.attrs = attrs
-        collector.spans.append(self)
-        collector._n_open += 1
+    collector: "TraceCollector"
+    #: The span's row in the collector's columns (its ``span_id`` - 1).
+    row: int
 
     # -- identity ---------------------------------------------------------
     @property
+    def span_id(self) -> int:
+        return self.row + 1
+
+    @property
+    def trace_id(self) -> int:
+        return self.collector._trace_ids[self.row]
+
+    @property
+    def parent_id(self) -> int | None:
+        return self.collector._parent_ids[self.row]
+
+    @property
+    def name(self) -> str:
+        return self.collector._names[self.row]
+
+    @property
+    def actor(self) -> str:
+        return self.collector._actors[self.row]
+
+    @property
+    def start(self) -> float:
+        return self.collector._starts[self.row]
+
+    @property
+    def end(self) -> float | None:
+        return self.collector._ends[self.row]
+
+    @property
+    def attrs(self) -> dict:
+        return self.collector._attrs[self.row]
+
+    @property
     def context(self) -> SpanContext:
-        return SpanContext(self.trace_id, self.span_id)
+        return SpanContext(self.collector._trace_ids[self.row], self.row + 1)
 
     @property
     def wire(self) -> tuple[int, int]:
         """The context as a plain tuple: what rides a Request frame and
         what ``parent=`` / ``ctx=`` take without building a NamedTuple."""
-        return (self.trace_id, self.span_id)
+        return (self.collector._trace_ids[self.row], self.row + 1)
 
     @property
     def open(self) -> bool:
-        return self.end is None
+        return self.collector._ends[self.row] is None
 
     @property
     def duration(self) -> float:
         """Span length; an open span extends to the collector's clock."""
-        return (self.end if self.end is not None
-                else self.collector.now) - self.start
+        end = self.end
+        return (end if end is not None else self.collector.now) - self.start
 
     @property
     def events(self) -> list[SpanEvent]:
         """This span's point events in emission order: a derived view,
-        one pass over the collector's shared log."""
-        sid = self.span_id
+        one pass over the collector's event columns."""
+        col, row = self.collector, self.row
         return [SpanEvent(time, name, attrs or {})
-                for span_id, time, name, attrs in self.collector.event_log
-                if span_id == sid]
+                for r, time, name, attrs in zip(col._ev_rows, col._ev_times,
+                                                col._ev_names, col._ev_attrs)
+                if r == row]
 
     # -- recording --------------------------------------------------------
     def event(self, name: str, **attrs: _t.Any) -> None:
         """Record a timestamped point annotation on this span."""
-        col = self.collector
-        engine = col._engine_ref()
-        if engine is not None:
-            col._last_now = engine.now
-        col.event_log.append(
-            (self.span_id, col._last_now, name, attrs or None))
+        self.collector.event_row(self.row, name, attrs or None)
 
     def set(self, **attrs: _t.Any) -> None:
         """Attach attributes to the span."""
-        self.attrs.update(attrs)
+        self.collector._attrs[self.row].update(attrs)
 
     def child(self, name: str, actor: str | None = None,
               **attrs: _t.Any) -> "Span | NullSpan":
@@ -139,29 +156,24 @@ class Span:
         col = self.collector
         if not col.enabled:
             return NULL_SPAN
-        return Span(col, name, actor or self.actor, self.trace_id,
-                    self.span_id, attrs)
+        row = self.row
+        return Span(col, col.open_row(
+            name, actor or col._actors[row],
+            (col._trace_ids[row], row + 1), attrs))
 
     def finish(self, **attrs: _t.Any) -> None:
         """Close the span at the current virtual time (idempotent)."""
-        if self.end is None:
-            if attrs:
-                self.attrs.update(attrs)
-            col = self.collector
-            engine = col._engine_ref()
-            if engine is not None:
-                col._last_now = engine.now
-            self.end = col._last_now
-            col._n_open -= 1
+        self.collector.finish_row(self.row, attrs)
 
     # -- context manager --------------------------------------------------
     def __enter__(self) -> "Span":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        if exc_type is not None and self.end is None:
-            self.attrs.setdefault("error", f"{exc_type.__name__}: {exc}")
-        self.finish()
+        col, row = self.collector, self.row
+        if exc_type is not None and col._ends[row] is None:
+            col._attrs[row].setdefault("error", f"{exc_type.__name__}: {exc}")
+        col.finish_row(row)
         return False
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -218,6 +230,24 @@ class NullSpan:
 NULL_SPAN = NullSpan()
 
 
+class SpanView:
+    """The recorded spans of one collector, as :class:`Span` handles in
+    ``span_id`` order: a read view over the span table, not a list of
+    stored objects."""
+
+    __slots__ = ("collector",)
+
+    def __init__(self, collector: "TraceCollector"):
+        self.collector = collector
+
+    def __len__(self) -> int:
+        return len(self.collector._starts)
+
+    def __iter__(self) -> _t.Iterator[Span]:
+        col = self.collector
+        return (Span(col, row) for row in range(len(col._starts)))
+
+
 class TraceCollector:
     """Per-engine span store, sharing the engine's virtual clock.
 
@@ -228,6 +258,14 @@ class TraceCollector:
     collector object, not its state, so enabling after cluster
     construction works.  A ``parent`` is any ``(trace_id, span_id)``
     pair: a :class:`SpanContext`, ``Span.wire``, a Request's ``trace``.
+
+    Spans and point events are rows of two column tables (DESIGN.md
+    section 9): one list per field, so recording leaves no per-span
+    object for the cyclic GC to track.  A span's row is its
+    ``span_id - 1``.  The data-plane work units (message, DMA copy,
+    kernel launch, block receive) keep that int and record through
+    :meth:`open_row`, :meth:`event_row` and :meth:`finish_row`;
+    process-level code holds a :class:`Span` over it.
     """
 
     def __init__(self, engine: "Engine", enabled: bool = False):
@@ -237,14 +275,24 @@ class TraceCollector:
         # the whole simulation) forever.
         self._engine_ref = weakref.ref(engine)
         self._last_now = 0.0
-        self.spans: list[Span] = []
-        #: Every span's point events in emission order, append-only: rows
-        #: of ``(span_id, time, name, attrs-or-None)`` — atoms, so the
-        #: cyclic GC untracks them.
-        self.event_log: list[tuple] = []
+        # The span table, one column per field.  ``_ends`` holds None
+        # while a span is open; ``_attrs`` one dict per span, of atoms,
+        # which the GC leaves untracked.
+        self._names: list[str] = []
+        self._actors: list[str] = []
+        self._trace_ids: list[int] = []
+        self._parent_ids: list[int | None] = []
+        self._starts: list[float] = []
+        self._ends: list[float | None] = []
+        self._attrs: list[dict] = []
+        # The point-event table, in emission order: the span row, time,
+        # name and attrs (None for none) of each event.
+        self._ev_rows: list[int] = []
+        self._ev_times: list[float] = []
+        self._ev_names: list[str] = []
+        self._ev_attrs: list[dict | None] = []
         self._n_open = 0
-        self._span_ids = itertools.count(1)
-        self._trace_ids = itertools.count(1)
+        self._new_trace_ids = itertools.count(1)
         self._adopted: tuple[int, int] | None = None
         #: The :class:`BranchScope` whose watched step is running.
         self._scope: "BranchScope | None" = None
@@ -260,6 +308,58 @@ class TraceCollector:
             self._last_now = engine.now
         return self._last_now
 
+    # -- recording by row -------------------------------------------------
+    def open_row(self, name: str, actor: str,
+                 parent: "tuple[int, int] | None", attrs: dict) -> int:
+        """Record a span opening now; returns its row.
+
+        ``parent`` None roots a new trace.  Unlike :meth:`start` it leaves
+        a context staged by :meth:`adopt_parent` alone: the fabric opens
+        its flows synchronously inside calls made between someone else's
+        stage-then-start pair.  The caller checks ``enabled``.
+        """
+        engine = self._engine_ref()
+        if engine is not None:
+            self._last_now = engine.now
+        row = len(self._starts)
+        if parent is None:
+            self._trace_ids.append(next(self._new_trace_ids))
+            self._parent_ids.append(None)
+        else:
+            self._trace_ids.append(parent[0])
+            self._parent_ids.append(parent[1])
+        self._names.append(name)
+        self._actors.append(actor)
+        self._starts.append(self._last_now)
+        self._ends.append(None)
+        self._attrs.append(attrs)
+        self._n_open += 1
+        return row
+
+    def event_row(self, row: int, name: str, attrs: dict | None = None
+                  ) -> None:
+        """Record a timestamped point event on span ``row``."""
+        engine = self._engine_ref()
+        if engine is not None:
+            self._last_now = engine.now
+        self._ev_rows.append(row)
+        self._ev_times.append(self._last_now)
+        self._ev_names.append(name)
+        self._ev_attrs.append(attrs)
+
+    def finish_row(self, row: int, attrs: dict | None = None) -> None:
+        """Close span ``row`` at the current virtual time, adding
+        ``attrs`` (idempotent: a closed span stays as it closed)."""
+        ends = self._ends
+        if ends[row] is None:
+            if attrs:
+                self._attrs[row].update(attrs)
+            engine = self._engine_ref()
+            if engine is not None:
+                self._last_now = engine.now
+            ends[row] = self._last_now
+            self._n_open -= 1
+
     # -- span creation ----------------------------------------------------
     def start(self, name: str, actor: str,
               parent: "tuple[int, int] | None" = None,
@@ -273,22 +373,7 @@ class TraceCollector:
             return NULL_SPAN
         if parent is None:
             parent, self._adopted = self._adopted, None
-            if parent is None:
-                parent = (next(self._trace_ids), None)
-        return Span(self, name, actor, *parent, attrs)
-
-    def start_root(self, name: str, actor: str,
-                   **attrs: _t.Any) -> "Span | NullSpan":
-        """Open a span that roots a new trace.
-
-        Unlike :meth:`start` it leaves a context staged by
-        :meth:`adopt_parent` alone: layers no request context reaches
-        (the fabric) open spans synchronously inside calls made between
-        someone else's stage-then-start pair.
-        """
-        if not self.enabled:
-            return NULL_SPAN
-        return Span(self, name, actor, next(self._trace_ids), None, attrs)
+        return Span(self, self.open_row(name, actor, parent, attrs))
 
     def adopt_parent(self, ctx: "tuple[int, int] | None") -> None:
         """Stage a parent context for the *next* :meth:`start` call.
@@ -308,22 +393,41 @@ class TraceCollector:
 
     # -- queries ----------------------------------------------------------
     @property
+    def spans(self) -> SpanView:
+        """Every recorded span, in ``span_id`` order (a read view)."""
+        return SpanView(self)
+
+    @property
+    def event_log(self) -> list[tuple]:
+        """Every point event in emission order, as ``(span_id, time,
+        name, attrs-or-None)`` rows built from the event columns."""
+        return [(row + 1, time, name, attrs)
+                for row, time, name, attrs in zip(
+                    self._ev_rows, self._ev_times, self._ev_names,
+                    self._ev_attrs)]
+
+    @property
     def open_spans(self) -> list[Span]:
         """Still-open spans by ``span_id``: a scan, for error paths and
         tests — recording keeps a count, not a set."""
         if not self._n_open:
             return []
-        return [s for s in self.spans if s.end is None]
+        return [Span(self, row) for row, end in enumerate(self._ends)
+                if end is None]
 
     def by_name(self, name: str) -> list[Span]:
-        return [s for s in self.spans if s.name == name]
+        return [Span(self, row) for row, n in enumerate(self._names)
+                if n == name]
 
     def by_trace(self, trace_id: int) -> list[Span]:
-        return [s for s in self.spans if s.trace_id == trace_id]
+        return [Span(self, row) for row, t in enumerate(self._trace_ids)
+                if t == trace_id]
 
     def children_of(self, span: Span) -> list[Span]:
-        return [s for s in self.spans
-                if s.trace_id == span.trace_id and s.parent_id == span.span_id]
+        trace_id, span_id = span.trace_id, span.span_id
+        return [Span(self, row) for row, (t, p) in enumerate(
+                    zip(self._trace_ids, self._parent_ids))
+                if p == span_id and t == trace_id]
 
     # -- lifecycle --------------------------------------------------------
     def _abort(self, aborted: list[Span], reason: str) -> int:
@@ -333,15 +437,9 @@ class TraceCollector:
         self.clear_adopted()
         return len(aborted)
 
-    def clear(self) -> None:
-        # ``_n_open`` stays: a span dropped while open still finishes.
-        self.spans.clear()
-        self.event_log.clear()
-        self._adopted = None
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "on" if self.enabled else "off"
-        return (f"<TraceCollector {state} spans={len(self.spans)} "
+        return (f"<TraceCollector {state} spans={len(self._starts)} "
                 f"open={self._n_open}>")
 
 
@@ -369,7 +467,7 @@ class BranchScope:
         col = self.collector
         value, error = None, None
         while True:
-            mark, running = len(col.spans), col._scope
+            mark, running = len(col._starts), col._scope
             col._scope = self
             try:
                 target = gen.send(value) if error is None else gen.throw(error)
@@ -377,8 +475,8 @@ class BranchScope:
                 return stop.value
             finally:
                 col._scope = running
-                if len(col.spans) > mark:
-                    self._claim(col.spans[mark:])
+                if len(col._starts) > mark:
+                    self._claim(mark)
             try:
                 value, error = (yield target), None
             except GeneratorExit:
@@ -387,13 +485,18 @@ class BranchScope:
             except BaseException as exc:
                 value, error = None, exc
 
-    def _claim(self, spans: list[Span]) -> None:
+    def _claim(self, first: int) -> None:
+        """Claim the rows from ``first`` on, for this scope and every
+        scope around it."""
+        col = self.collector
+        rows = range(first, len(col._starts))
+        parent_ids, trace_ids = col._parent_ids, col._trace_ids
         scope = self
         while scope is not None:
-            for span in spans:
-                scope.span_ids.add(span.span_id)
-                if span.parent_id is None:
-                    scope.traces.add(span.trace_id)
+            for row in rows:
+                scope.span_ids.add(row + 1)
+                if parent_ids[row] is None:
+                    scope.traces.add(trace_ids[row])
             scope = scope.outer
 
     def abort(self, reason: str) -> int:
@@ -465,7 +568,16 @@ class TraceSession:
 
 @contextlib.contextmanager
 def trace_session() -> _t.Iterator[TraceSession]:
-    """Enable tracing for every engine created inside the block."""
+    """Enable tracing for every engine created inside the block.
+
+    On exit the session collects the garbage of the simulations run
+    inside it.  A run that ends at a horizon abandons its processes
+    mid-``with span:``; each such span closes (with the ``GeneratorExit``
+    error) when the cyclic GC finalizes its generator.  Collecting here
+    makes that happen before anything reads the session, not whenever
+    the collector next runs, so an export does not depend on the GC's
+    schedule.
+    """
     global _default_enabled, _active_session
     session = TraceSession()
     prev_enabled, prev_session = _default_enabled, _active_session
@@ -474,3 +586,4 @@ def trace_session() -> _t.Iterator[TraceSession]:
         yield session
     finally:
         _default_enabled, _active_session = prev_enabled, prev_session
+        gc.collect()

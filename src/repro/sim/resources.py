@@ -87,7 +87,8 @@ class _ShareTimer(Timeout):
 
     Processing the timer runs :meth:`BandwidthShare._on_timer` directly,
     so arming it allocates no callback list.  The share keeps the timer
-    its last flow fired and re-arms it in place.
+    its last flow fired and re-arms it in place; one it cancelled waits
+    in the share's spares until its heap entry is gone.
     """
 
     __slots__ = ("share",)
@@ -130,6 +131,9 @@ class BandwidthShare:
         self._lone_left = 0.0
         self._lone_done: _t.Callable[[], _t.Any] | None = None
         self._timer: _ShareTimer | None = None
+        #: Timers cancelled by a reschedule, oldest first: the head is
+        #: re-armed once its dead heap entry has been popped.
+        self._spares: collections.deque[_ShareTimer] = collections.deque()
         self._last_t = engine.now
 
     def drain(self, nbytes: float, on_done: _t.Callable[[], _t.Any]) -> None:
@@ -184,20 +188,28 @@ class BandwidthShare:
     #: Timers shorter than this cannot advance the clock reliably; the flow
     #: is force-completed instead of spinning on zero-delay timers.
     _MIN_TIMER_S = 1e-12
+    #: Cancelled timers a share keeps for re-arming.
+    _SPARES_MAX = 8
 
     def _arm(self, delay: float) -> None:
         """Schedule the share's timer ``delay`` seconds from now.
 
         The timer the share last fired (or whose cancelled entry has left
         the heap) is re-armed in place, as :meth:`Engine.sleep` re-arms a
-        pooled timer (its value and ``_ok`` are still a fresh timer's); a
-        fresh one is made only while a cancelled entry of it still waits
-        in the heap.
+        pooled timer (its value and ``_ok`` are still a fresh timer's).
+        A timer whose cancelled entry still waits in the heap joins the
+        spares, and the oldest spare whose entry is gone is re-armed
+        instead; a fresh timer is made only when there is none.
         """
         t = self._timer
         if t is None or t._scheduled:
-            self._timer = _ShareTimer(self, delay)
-            return
+            spares = self._spares
+            if t is not None and len(spares) < self._SPARES_MAX:
+                spares.append(t)
+            if not spares or spares[0]._scheduled:
+                self._timer = _ShareTimer(self, delay)
+                return
+            t = self._timer = spares.popleft()
         engine = self.engine
         t._processed = False
         t._cancelled = False

@@ -168,6 +168,34 @@ class TestDeviceExecution:
         assert rc == 0
         np.testing.assert_allclose(dev.memory.read_array(y), np.full(n, 7.0))
 
+    @pytest.mark.parametrize("alpha", [1.0, 1])
+    def test_daxpy_with_unit_alpha_is_bit_identical_to_the_general_path(
+            self, eng, dev, alpha):
+        """``alpha == 1`` adds in place with no temporary; since
+        ``x * 1.0 == x`` exactly, every bit matches the general path's
+        ``y + x * alpha`` — signed zeros, infinities and NaN included."""
+        inf = np.inf
+        xs = np.array([-0.0, -0.0, 0.0, inf, -inf, inf, 1e308, 5e-324,
+                       np.nan, 0.1, -2.5, 3.0])
+        ys = np.array([-0.0, 0.0, -0.0, 1.0, 2.0, -inf, 1e308, -5e-324,
+                       1.0, 0.2, 2.5, -inf])
+        n = len(xs)
+        x, y = dev.memory.malloc(8 * n), dev.memory.malloc(8 * n)
+        dev.memory.write_array(x, xs)
+        dev.memory.write_array(y, ys)
+        t = np.empty(n)
+        expected = ys.copy()
+        launch = dev.launch("daxpy", {"x": x, "y": y, "n": n, "alpha": alpha})
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(xs, 1.0, out=t)
+            np.add(expected, t, out=expected)
+            eng.run()
+        assert launch.value == 0
+        got = dev.memory.read_array(y)
+        assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+        assert np.signbit(got[0]) and not np.signbit(got[1])
+        assert np.isnan(got[5]) and got[6] == inf
+
     def test_dgemm_matches_numpy(self, eng, dev):
         rng = np.random.default_rng(1)
         m, n, k = 12, 9, 7

@@ -235,6 +235,44 @@ class TestBandwidthShare:
         with pytest.raises(SimulationError):
             BandwidthShare(eng, 0.0)
 
+    @staticmethod
+    def _contended(monkeypatch, spares_max):
+        """40 flows of 0.1 s each, one starting every 0.07 s: every join
+        and every completion while another flow runs is a reschedule
+        that cancels the live timer.  Returns (completion times, engine
+        sequence numbers drawn, share timers constructed)."""
+        from repro.sim import resources
+        made = []
+        init = resources._ShareTimer.__init__
+
+        def counting_init(self, share, delay):
+            made.append(self)
+            init(self, share, delay)
+
+        monkeypatch.setattr(resources._ShareTimer, "__init__", counting_init)
+        monkeypatch.setattr(BandwidthShare, "_SPARES_MAX", spares_max)
+        eng = Engine()
+        link = BandwidthShare(eng, 100.0)
+        done = {}
+        for i in range(40):
+            eng.call_at(0.07 * i, lambda i=i: link.drain(
+                10.0, lambda: done.__setitem__(i, eng.now)))
+        eng.run()
+        return done, next(eng._seq), len(made)
+
+    def test_cancelled_timers_are_rearmed_once_their_entry_is_gone(
+            self, monkeypatch):
+        """A contended share keeps the timers its reschedules cancelled
+        and re-arms the oldest whose dead heap entry has been popped: a
+        handful of timers instead of one per reschedule, at the same
+        times and the same sequence draws as a fresh timer each time."""
+        spares = self._contended(monkeypatch, BandwidthShare._SPARES_MAX)
+        fresh = self._contended(monkeypatch, 0)
+        assert spares[:2] == fresh[:2]
+        assert len(spares[0]) == 40
+        assert fresh[2] == 40
+        assert spares[2] == 3
+
     def test_many_sequential_flows_total_time(self, eng):
         link = BandwidthShare(eng, 1000.0)
         done = []
