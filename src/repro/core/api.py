@@ -295,12 +295,12 @@ class RemoteAccelerator:
         return result
 
     # -- virtual-accelerator lifecycle ------------------------------------
-    def vac_attach(self, share: float = 1.0):
+    def vac_attach(self):
         """Instantiate this front-end's lease as a slice on the daemon.
 
         Only meaningful when the front-end was built from a
         :class:`~repro.core.protocol.VirtualAcceleratorHandle` (an ARM
-        ``valloc`` grant); ``share`` comes from the grant.
+        ``valloc`` grant).
         Must run before any other op — until then the daemon answers
         ``Status.PREEMPTED`` for this lease.
         """
@@ -309,7 +309,7 @@ class RemoteAccelerator:
         with self._obs.start("client.vac_attach", self._actor,
                              vac=self.handle.vac_id) as span:
             yield from self._rpc(Op.VAC_ATTACH, {
-                "vac_id": self.handle.vac_id, "share": share}, span=span)
+                "vac_id": self.handle.vac_id}, span=span)
 
     def vac_detach(self):
         """Tear the slice down on the daemon; returns bytes freed there."""

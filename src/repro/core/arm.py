@@ -13,14 +13,14 @@ strategies of Figure 3 are supported:
 
 Beyond the paper's whole-device model, the ARM is also a multi-tenant
 scheduler: tenants are registered with its admission controller
-(``arm.admission.register(TenantSpec(...))``: weight / priority /
-lease cap)
-and lease *virtual* accelerators
+(``arm.admission.register(TenantSpec(...))``: weight / priority / lease
+cap) and lease *virtual* accelerators
 (:class:`~repro.core.protocol.VirtualAcceleratorHandle`) that are
 multiplexed onto physical devices — ``slots_per_device`` leases per
-device, memory partitioned per lease, kernel time shared by WFQ inside the
-device's :class:`~repro.gpusim.device.GPUTimeSlicer`.  Admission applies
-weighted fair queueing to backlogged lease requests and priority
+device, memory partitioned per lease, kernel launches served first come
+first served on the device's compute engine (its daemon serves one request
+at a time).  A tenant's weight acts here and in job dispatch: admission
+applies weighted fair queueing to backlogged lease requests and priority
 preemption when the pool is full: the lowest-priority active lease below
 the requester's priority is revoked (its daemon is told with a one-way
 ``VAC_REVOKE``), and its tenant discovers the revocation as
@@ -618,6 +618,9 @@ class ResourceManager:
             daemon_rank=record.daemon_rank, tenant=spec.tenant_id)
         self._reply(req, Response(req.req_id, Status.OK, value={
             "vac": handle,
+            # No daemon reads the weight (kernel time on a device is
+            # first come first served); the field stays on the wire
+            # because it counts in the grant's width, as mem_quota does.
             "share": spec.weight,
             # No tenant carries a quota and no daemon reads one: the
             # slice may use the device's memory.  The field stays on the
@@ -761,8 +764,8 @@ class ArmClient:
         """Lease one virtual accelerator for ``tenant`` (generator).
 
         Returns ``{"vac": VirtualAcceleratorHandle, "share": float,
-        "mem_quota": None}`` — ``share`` is what the hosting daemon
-        applies at :data:`Op.VAC_ATTACH`; ``mem_quota`` is always None.
+        "mem_quota": None}`` — ``share`` is the tenant's weight and
+        ``mem_quota`` is always None; no daemon reads either.
         With ``wait=True`` the request joins the ARM's weighted fair queue
         under backlog; quota violations (tenant at ``max_vaccels``) fail
         immediately in both modes.

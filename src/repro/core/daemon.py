@@ -209,10 +209,7 @@ class Daemon:
                     # never attached here).  PREEMPTED — not BROKEN — so
                     # the tenant's resilience layer re-leases instead of
                     # reporting healthy hardware as failed.
-                    self.stats.preempted_requests += 1
-                    self._reply(req, Response(
-                        req.req_id, Status.PREEMPTED,
-                        error=f"virtual accelerator {vac_id} was revoked"))
+                    self._reply(req, self._preempted(req.req_id, vac_id))
                     yield from self._drain_data(req, msg.source)
                     continue
             handler = self._handler_map.get(req.op)
@@ -313,10 +310,15 @@ class Daemon:
         vac_id = params.get("vac")
         return self.gpu if vac_id is None else self._vacs[vac_id]
 
+    def _preempted(self, req_id: int, vac_id: int) -> Response:
+        """The answer to a request on a revoked (or unattached) lease."""
+        self.stats.preempted_requests += 1
+        return Response(req_id, Status.PREEMPTED,
+                        error=f"virtual accelerator {vac_id} was revoked")
+
     def _vac_attach(self, req: Request, src: int):
         """Instantiate a lease granted by the ARM as a device slice."""
-        p = req.params
-        vac_id = p["vac_id"]
+        vac_id = req.params["vac_id"]
         yield self.engine.sleep(self.cpu.malloc_s * self.slow_factor)
         existing = self._vacs.get(vac_id)
         if existing is not None:
@@ -325,18 +327,14 @@ class Daemon:
                 # of) this attach.  Re-creating the slice would resurrect
                 # a lease the ARM already ended and possibly reassigned;
                 # PREEMPTED routes the tenant to a fresh valloc instead.
-                self.stats.preempted_requests += 1
-                self._reply(req, Response(
-                    req.req_id, Status.PREEMPTED,
-                    error=f"virtual accelerator {vac_id} was revoked"))
+                self._reply(req, self._preempted(req.req_id, vac_id))
                 return
             # Already attached (idempotent re-attach outside the dedup
             # window); keep the live slice and its allocations.
             self._reply(req, Response(req.req_id, Status.OK))
             return
         self._vacs[vac_id] = self.gpu.virtualize(
-            f"{self.gpu.name}/vac{vac_id}",
-            share=p.get("share", 1.0))
+            f"{self.gpu.name}/vac{vac_id}")
         self.stats.vac_attaches += 1
         self._reply(req, Response(req.req_id, Status.OK))
 
@@ -410,9 +408,7 @@ class Daemon:
         if vac_id is not None:
             vgpu = self._vacs.get(vac_id)
             if vgpu is None or vgpu.revoked:
-                self.stats.preempted_requests += 1
-                return Response(sub_id, Status.PREEMPTED,
-                                error=f"virtual accelerator {vac_id} was revoked")
+                return self._preempted(sub_id, vac_id)
         resp = yield from exec_fn(sub_id, params)
         return resp
 
@@ -592,8 +588,9 @@ class Daemon:
 
     def _exec_kernel_run(self, req_id: int, params: dict):
         try:
-            # Lease-scoped launches go through the slice, i.e. the
-            # device's WFQ time slicer weighted by the tenant's share.
+            # A lease-scoped launch goes through its slice, which checks
+            # the lease and launches on the device.  The launch is awaited
+            # here, so this daemon never puts a second one on its device.
             result = yield self._target(params).launch(
                 params["name"], params.get("params") or {},
                 real=params.get("real", True), ctx=self._cur_span.wire)

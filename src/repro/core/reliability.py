@@ -451,8 +451,8 @@ class TenantAccelerator(ResilientAccelerator):
     wire).  Recovery releases the revoked lease (idempotent), leases a
     fresh virtual accelerator — queueing under the tenant's WFQ weight
     when ``config.wait_for_replacement`` — attaches it on the hosting
-    daemon with the granted share, and replays tracked buffers and
-    kernels from their host shadows, exactly like whole-device failover.
+    daemon, and replays tracked buffers and kernels from their host
+    shadows, exactly like whole-device failover.
     The preempted tenant's device state is thereby parked in the replay
     machinery while it waits its turn again.
 
@@ -483,7 +483,7 @@ class TenantAccelerator(ResilientAccelerator):
 
     def _prepare_replacement(self, span):
         # The new slice must exist on its daemon before replay allocates.
-        yield from self._ac.vac_attach(share=self._grant["share"])
+        yield from self._ac.vac_attach()
         span.event("lease_attached", vac=self._grant["vac"].vac_id)
 
     def release_lease(self):
@@ -519,5 +519,5 @@ def tenant_accelerator(arm: "ArmClient",
     # started.  After a recovery the replacement slice is already
     # attached, so re-running the attempt is an idempotent re-attach.
     yield from ac.run_guarded(
-        lambda: ac.current.vac_attach(share=ac._grant["share"]))
+        lambda: ac.current.vac_attach())
     return ac

@@ -35,12 +35,12 @@ DEFAULT_SLOTS_PER_DEVICE = 4
 class TenantSpec:
     """Identity and resource envelope of one tenant.
 
-    ``weight`` drives weighted fair queueing (2.0 drains twice as fast as
-    1.0 under backlog) and is also the WFQ share of the tenant's kernel
-    launches on a shared device.  ``priority`` drives admission: a
-    request may preempt an active lease of *strictly lower* priority when
-    the pool is full.  ``max_vaccels`` caps concurrent virtual
-    accelerators.
+    ``weight`` drives weighted fair queueing of lease admission and of
+    job dispatch (2.0 drains twice as fast as 1.0 under backlog); kernel
+    time on a shared device is first come first served.  ``priority``
+    drives admission: a request may preempt an active lease of *strictly
+    lower* priority when the pool is full.  ``max_vaccels`` caps
+    concurrent virtual accelerators.
     """
 
     tenant_id: str
@@ -64,7 +64,6 @@ class Lease:
     vac_id: int
     tenant_id: str
     ac_id: int
-    share: float
     priority: int
     granted_at: float
     #: Set when the lease was revoked by priority preemption.
@@ -215,8 +214,7 @@ class AdmissionController:
     def grant(self, tenant_id: str, ac_id: int, now: float) -> Lease:
         spec = self.tenant(tenant_id)
         lease = Lease(vac_id=next(self._vac_ids), tenant_id=tenant_id,
-                      ac_id=ac_id, share=spec.weight,
-                      priority=spec.priority, granted_at=now)
+                      ac_id=ac_id, priority=spec.priority, granted_at=now)
         self.leases[lease.vac_id] = lease
         return lease
 

@@ -3,7 +3,6 @@
 from .device import (
     GPUDevice,
     GPUSpec,
-    GPUTimeSlicer,
     TESLA_C1060,
     VirtualGPU,
     XEON_PHI_KNC,
@@ -17,7 +16,6 @@ from . import timing
 __all__ = [
     "GPUDevice",
     "GPUSpec",
-    "GPUTimeSlicer",
     "VirtualGPU",
     "TESLA_C1060",
     "XEON_PHI_KNC",

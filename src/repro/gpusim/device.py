@@ -12,8 +12,6 @@ overlap the pipeline copy protocol exploits.
 from __future__ import annotations
 
 import dataclasses
-import heapq
-import itertools
 
 from ..errors import GPUError
 from ..obs.spans import collector_for
@@ -221,8 +219,6 @@ class GPUDevice:
         #: Cumulative compute-busy seconds (utilization accounting).
         self.busy_time = 0.0
         self.kernels_launched = 0
-        #: Lazily created WFQ arbiter for virtual accelerators.
-        self._slicer: GPUTimeSlicer | None = None
 
     def launch(self, kernel_name: str, params: dict | None = None,
                real: bool = True, ctx=None) -> KernelLaunch:
@@ -256,128 +252,38 @@ class GPUDevice:
         return self.busy_time / total if total > 0 else 0.0
 
     # -- virtualization ---------------------------------------------------
-    @property
-    def slicer(self) -> "GPUTimeSlicer":
-        """The WFQ kernel arbiter (created on first use)."""
-        if self._slicer is None:
-            self._slicer = GPUTimeSlicer(self)
-        return self._slicer
-
-    def virtualize(self, name: str, share: float = 1.0) -> "VirtualGPU":
-        """Create a virtual accelerator multiplexed onto this device.
-
-        ``share`` is the WFQ weight of the virtual GPU's kernel launches
-        against its siblings.
-        """
-        return VirtualGPU(self, self.slicer, name, share=share)
+    def virtualize(self, name: str) -> "VirtualGPU":
+        """Create a virtual accelerator multiplexed onto this device."""
+        return VirtualGPU(self, name)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<GPUDevice {self.name} ({self.spec.name})>"
 
 
-class GPUTimeSlicer:
-    """Weighted-fair-queueing arbiter for kernel launches on one device.
-
-    Time-slicing at kernel granularity: each :class:`VirtualGPU` submits
-    launches tagged with a *virtual finish time* — its own virtual clock
-    advanced by ``duration / share`` — and the slicer dispatches queued
-    launches to the physical device one at a time in tag order
-    (start-time fair queueing).  Kernels are never interrupted mid-run
-    (real GPUs cannot do that either); fairness emerges across launches.
-    Ties break deterministically by submission order.
-    """
-
-    def __init__(self, device: "GPUDevice"):
-        self.device = device
-        self.engine = device.engine
-        self._queue: list[tuple[float, int, tuple]] = []
-        self._seq = itertools.count()
-        self._busy = False
-        #: System virtual time: the largest tag dispatched so far.  New
-        #: arrivals start no earlier than this, so an idle virtual GPU
-        #: cannot bank unbounded credit while others run.
-        self._vtime = 0.0
-        self._vgpu_vtime: dict[str, float] = {}
-        self.dispatched = 0
-
-    def submit(self, vgpu: "VirtualGPU", kernel_name: str,
-               params: dict | None, real: bool, ctx=None) -> Event:
-        """Queue one launch for ``vgpu``; the event fires at completion."""
-        kernel = self.device.registry.get(kernel_name)
-        duration = kernel.cost(params or {}, self.device.spec)
-        start = max(self._vtime, self._vgpu_vtime.get(vgpu.name, 0.0))
-        tag = start + duration / vgpu.share
-        self._vgpu_vtime[vgpu.name] = tag
-        done = self.engine.event()
-        heapq.heappush(self._queue,
-                       (tag, next(self._seq),
-                        (vgpu, kernel_name, params, real, ctx, done)))
-        self._pump()
-        return done
-
-    def _pump(self) -> None:
-        if self._busy or not self._queue:
-            return
-        tag, _, entry = heapq.heappop(self._queue)
-        self._busy = True
-        self._vtime = max(self._vtime, tag)
-        self.dispatched += 1
-        vgpu, kernel_name, params, real, ctx, done = entry
-        started = self.engine.now
-        ran = self.device.launch(kernel_name, params, real=real, ctx=ctx)
-
-        def _complete(_ev: Event) -> None:
-            # Dispatch the next launch first, whether or not this one raised.
-            self._busy = False
-            self._pump()
-            if not ran._ok:
-                done.fail(ran._value)
-                return
-            vgpu.kernels_launched += 1
-            vgpu.busy_time += self.engine.now - started
-            done.fire(ran._value)
-
-        ran.callbacks = [_complete]
-
-
 class VirtualGPU:
-    """A tenant's slice of one physical GPU: owned memory + WFQ compute.
+    """A tenant's slice of one physical GPU: owned memory, the device's
+    compute.
 
-    Duck-types the :class:`GPUDevice` surface the daemon relies on
-    (``engine`` / ``name`` / ``spec`` / ``memory`` / ``dma`` /
-    ``launch``), so existing device consumers work unchanged on a virtual
-    handle.  ``memory`` is a
-    :class:`~repro.gpusim.memory.MemoryPartition`; kernel launches go
-    through the device's :class:`GPUTimeSlicer` with this virtual GPU's
-    ``share`` as the WFQ weight.  The DMA engine is shared unweighted
-    (PCIe is rarely the multi-tenant bottleneck; the fluid model already
-    divides bandwidth among concurrent copies).
+    The daemon allocates, frees and launches through the slice:
+    ``memory`` is a :class:`~repro.gpusim.memory.MemoryPartition`, and a
+    launch is the device's own launch, served first come first served on
+    its compute engine (the daemon awaits each launch in its handler, so
+    two never wait there at once; DESIGN.md section 11).
     """
 
-    def __init__(self, device: "GPUDevice", slicer: "GPUTimeSlicer",
-                 name: str, share: float = 1.0):
-        if share <= 0:
-            raise GPUError(f"virtual GPU share must be positive: {share!r}")
+    def __init__(self, device: "GPUDevice", name: str):
         self.device = device
-        self.engine = device.engine
-        self.spec = device.spec
-        self.registry = device.registry
-        self.slicer = slicer
         self.name = name
-        self.share = share
         self.memory = MemoryPartition(device.memory, name=name)
-        self.dma = device.dma
-        self.busy_time = 0.0
-        self.kernels_launched = 0
         #: Set when the lease behind this virtual GPU was revoked.
         self.revoked = False
 
     def launch(self, kernel_name: str, params: dict | None = None,
-               real: bool = True, ctx=None) -> Event:
-        """Launch a kernel through the WFQ arbiter."""
+               real: bool = True, ctx=None) -> KernelLaunch:
+        """Launch a kernel on the device, unless the slice was revoked."""
         if self.revoked:
             raise GPUError(f"virtual GPU {self.name} has been revoked")
-        return self.slicer.submit(self, kernel_name, params, real, ctx)
+        return self.device.launch(kernel_name, params, real=real, ctx=ctx)
 
     def revoke(self) -> int:
         """Preempt this virtual GPU: free its memory, refuse new launches.
@@ -390,5 +296,4 @@ class VirtualGPU:
         return self.memory.release_all()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<VirtualGPU {self.name} on {self.device.name} "
-                f"share={self.share:g}>")
+        return f"<VirtualGPU {self.name} on {self.device.name}>"

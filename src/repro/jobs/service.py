@@ -709,7 +709,7 @@ class JobService:
         # that pair's merge point for life.
         lease.coalescer = self.coalescer_for(gateway,
                                              lease.handle.daemon_rank)
-        yield from lease.vac_attach(share=grant["share"])
+        yield from lease.vac_attach()
         return lease
 
     def _return_lease(self, lease: JobAccelerator, dirty: bool = False):

@@ -152,7 +152,7 @@ class TestRevokeRacingAttach:
         assert isinstance(daemon._vacs[vac.vac_id], _Tombstone)
         remote = cluster.remote(0, vac)
         with pytest.raises(AcceleratorFault, match="revoked"):
-            sess.call(remote.vac_attach(share=grant["share"]))
+            sess.call(remote.vac_attach())
         # Still a tombstone: the attach must not have resurrected it.
         assert isinstance(daemon._vacs[vac.vac_id], _Tombstone)
         assert daemon.stats.preempted_requests >= 1

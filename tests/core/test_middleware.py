@@ -197,7 +197,7 @@ class TestKernels:
     def test_raising_kernel_answers_error_and_frees_the_device(
             self, cluster, sess, leased):
         """A kernel that faults on device memory is an ERROR reply; the
-        daemon, the device and (leased) its time slicer serve the next
+        daemon, the device and (leased) its slice serve the next
         operations on the same accelerator."""
         self._fault_then_serve(cluster, sess, leased, "fill",
                                {"dst": 0xdead, "n": 4, "value": 1.0},

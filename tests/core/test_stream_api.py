@@ -427,7 +427,7 @@ class TestStream:
         register_tenants(cluster, "t")
         grant = sess.call(client.valloc("t"))
         ac = cluster.remote(0, grant["vac"])
-        sess.call(ac.vac_attach(share=grant["share"]))
+        sess.call(ac.vac_attach())
         daemon = cluster.daemons[ac.handle.ac_id]
         s = ac.stream()
 

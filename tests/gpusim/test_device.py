@@ -20,7 +20,7 @@ from repro.gpusim import (
     TESLA_C1060,
     default_registry,
 )
-from repro.gpusim.device import OFFLOAD_MIN_S
+from repro.gpusim.device import KernelLaunch, OFFLOAD_MIN_S
 from repro.sim import Engine
 from repro.units import MiB, mib_per_s
 
@@ -303,7 +303,10 @@ class TestDeviceExecution:
         assert good.ok and good.value == 0
         np.testing.assert_array_equal(
             dev.memory.view(x, dtype="float64", shape=(4,)), np.full(4, 2.0))
-        assert dev.kernels_launched == target.kernels_launched == 1
+        assert dev.kernels_launched == 1
+        # The raising launch takes 2 heap entries (its run, its failure)
+        # and the good one 1, through the slice as on the device.
+        assert next(eng._seq) == 3
 
 
 #: Per std kernel at offload size on SLOW: buffer shapes, other params.
@@ -545,7 +548,7 @@ class TestEventBudget:
         vgpu = dev.virtualize("t0")
         done = vgpu.launch("dgemm", self.PARAMS, real=False)
         eng.run()
-        assert done.processed and vgpu.kernels_launched == 1
+        assert done.processed and dev.kernels_launched == 1
         assert next(eng._seq) == 1
 
     def test_a_launch_is_one_object(self):
@@ -554,25 +557,34 @@ class TestEventBudget:
         events, ``ran`` and ``done``, plus two closures.)
         ``sys.setprofile`` ``__init__`` calls, a 40- minus a 20-launch
         run."""
-        def inits(n):
-            dev = GPUDevice(Engine(), TESLA_C1060)
-            count = 0
+        assert (self._inits(40, False) - self._inits(20, False)) / 20 == 1
 
-            def hook(frame, event, _arg):
-                nonlocal count
-                if event == "call" and frame.f_code.co_name == "__init__":
-                    count += 1
+    def test_a_slice_launch_is_one_object(self):
+        """A virtual GPU's launch is the device's: one ``KernelLaunch``.
+        (The slice's time slicer added a ``done`` event and a closure.)"""
+        vgpu = GPUDevice(Engine(), TESLA_C1060).virtualize("t0")
+        assert type(vgpu.launch("dgemm", self.PARAMS,
+                                real=False)) is KernelLaunch
+        assert (self._inits(40, True) - self._inits(20, True)) / 20 == 1
 
-            sys.setprofile(hook)
-            try:
-                for _ in range(n):
-                    dev.launch("dgemm", self.PARAMS, real=False)
-                dev.engine.run()
-            finally:
-                sys.setprofile(None)
-            return count
+    def _inits(self, n, virtual):
+        dev = GPUDevice(Engine(), TESLA_C1060)
+        target = dev.virtualize("t0") if virtual else dev
+        count = 0
 
-        assert (inits(40) - inits(20)) / 20 == 1
+        def hook(frame, event, _arg):
+            nonlocal count
+            if event == "call" and frame.f_code.co_name == "__init__":
+                count += 1
+
+        sys.setprofile(hook)
+        try:
+            for _ in range(n):
+                target.launch("dgemm", self.PARAMS, real=False)
+            dev.engine.run()
+        finally:
+            sys.setprofile(None)
+        return count
 
     def test_a_launch_reads_pending_until_it_has_run(self, eng, dev):
         done = dev.launch("dgemm", self.PARAMS, real=False)
