@@ -81,7 +81,7 @@ DESCRIPTIONS = {
     "ext_gpudirect": "GPUDirect on/off ablation",
     "ext_lookahead": "QR panel-lookahead ablation",
     "ext_batch": "mixed batch workload on the live cluster",
-    "ext_async": "async command streams vs per-op RPC round trips",
+    "ext_async": "batched control frames vs per-op RPC round trips",
 }
 
 

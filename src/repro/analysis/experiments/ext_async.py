@@ -1,15 +1,15 @@
-"""Extension I: asynchronous command streams and RPC batching.
+"""Extension I: batched control frames vs per-op RPC round trips.
 
 Every control operation on a network-attached GPU — allocation, kernel
 creation, launch — costs a full request round trip through the daemon.
-The stream API queues those ops, coalesces consecutive ones into a single
-``BATCH`` frame, and resolves the results through futures, so the QR
-driver's control sequence crosses the network in a handful of frames
-instead of one RPC per op.
+``RemoteAccelerator.control_run`` sends a list of them as runs of up to
+16 ops, each run one ``MBATCH`` frame, so the QR driver's control
+sequence crosses the network in a handful of frames instead of one RPC
+per op.  (The series keep their ``stream`` labels.)
 
 This study runs the *same* QR factorization (same seed, real numerics)
-through the synchronous API and through streams, on 1-3 network-attached
-GPUs, and reports:
+through the synchronous API and with batched control frames
+(``streams=True``), on 1-3 network-attached GPUs, and reports:
 
 * control round trips (daemon requests minus bulk-data transfers) for
   each path — the batching win;

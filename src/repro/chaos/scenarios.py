@@ -134,7 +134,7 @@ class ChaosConfig:
                 f"initial_accelerators must be in 1..{N_ACCELERATORS}")
         if self.slots_per_device < 1:
             raise WorkloadError("slots_per_device must be >= 1")
-        if self.window_s <= 0:
+        if not self.window_s > 0:
             raise WorkloadError("window_s must be positive")
 
 

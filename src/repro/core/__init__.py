@@ -63,7 +63,6 @@ from .scheduler import (
     jain_fairness,
 )
 from .session import SyncSession
-from .stream import DEFAULT_MAX_BATCH, Stream, StreamFuture
 from .transfer import assemble_chunks, payload_meta, slice_chunks
 
 __all__ = [
@@ -99,9 +98,6 @@ __all__ = [
     "RETRYABLE_OPS",
     "DEDUP_OPS",
     "BATCHABLE_OPS",
-    "Stream",
-    "StreamFuture",
-    "DEFAULT_MAX_BATCH",
     "TransferConfig",
     "BlockPolicy",
     "FixedBlockPolicy",

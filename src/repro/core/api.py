@@ -51,6 +51,18 @@ from .protocol import (
 from .reliability import DEFAULT_RETRY, RetryPolicy, reliable_rpc
 from .transfer import assemble_chunks, payload_meta, send_blocks, slice_chunks
 
+#: Most control ops one :meth:`RemoteAccelerator.control_run` sub-frame
+#: carries, so one frame's daemon-side execution stays bounded and a lost
+#: frame retries a bounded amount of work.
+MAX_RUN_OPS = 16
+
+#: The ``client.*`` span attribute of a control op sent alone: (attribute,
+#: param), as the front-end's own method records it.
+_SPAN_ATTR = {Op.MEM_ALLOC: ("nbytes", "nbytes"),
+              Op.MEM_FREE: ("addr", "addr"),
+              Op.KERNEL_CREATE: ("kernel", "name"),
+              Op.KERNEL_RUN: ("kernel", "name")}
+
 
 class RemoteAccelerator:
     """Front-end bound to one compute-node rank and one accelerator handle."""
@@ -323,7 +335,7 @@ class RemoteAccelerator:
             self._live.clear()
             return resp.value
 
-    # -- batching / streams -----------------------------------------------
+    # -- batching ---------------------------------------------------------
     def batch_rpc(self, calls: _t.Sequence[tuple[Op, dict]]):
         """Execute control ops as one sub-frame of a batch frame (generator).
 
@@ -336,8 +348,8 @@ class RemoteAccelerator:
         :attr:`coalescer`, shares a frame with other front-ends'.  The
         daemon executes the ops in order and answers one
         :class:`Response` per op, which this returns without raising —
-        the caller (normally a :class:`~repro.core.stream.Stream`)
-        inspects each.  A retried frame is at-most-once via the daemon's
+        the caller (:meth:`_control`, :meth:`control_run`) inspects
+        each.  A retried frame is at-most-once via the daemon's
         dedup cache.
         """
         wire = []
@@ -371,16 +383,29 @@ class RemoteAccelerator:
                     self._track(op, params, sub.value)
             return subs
 
-    def stream(self, max_batch: int | None = None, name: str | None = None):
-        """Create an asynchronous command :class:`~repro.core.stream.Stream`.
+    def control_run(self, calls: _t.Sequence[tuple[Op, dict]]):
+        """Execute control ops in order, one frame per run (generator).
 
-        The stream queues ``ac*`` ops, returns futures immediately, and
-        sends each run of consecutive control ops as one :meth:`batch_rpc`
-        sub-frame over this front-end's reliable-RPC path.
+        ``calls`` are ``(op, params)`` pairs as :meth:`batch_rpc` takes
+        them.  Each run of at most :data:`MAX_RUN_OPS` consecutive ops is
+        one round trip: a lone op travels as its own request, a longer
+        run as one :meth:`batch_rpc` sub-frame.  Returns the ops' values;
+        the first failed op raises its error (the daemon skipped the rest
+        of its sub-frame, and no later run is sent).
         """
-        from .stream import Stream
-        return Stream(self, self.rank.comm.engine, max_batch=max_batch,
-                      name=name or f"ac{self.handle.ac_id}-stream")
+        values = []
+        for i in range(0, len(calls), MAX_RUN_OPS):
+            run = calls[i:i + MAX_RUN_OPS]
+            if len(run) == 1:
+                op, params = run[0]
+                attr, key = _SPAN_ATTR[op]
+                values.append((yield from self._control(
+                    op, params, **{attr: params[key]})))
+                continue
+            for sub in (yield from self.batch_rpc(run)):
+                sub.raise_for_status()
+                values.append(sub.value)
+        return values
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<RemoteAccelerator ac{self.handle.ac_id} via rank {self.rank.index}>"

@@ -1,12 +1,13 @@
-"""Cross-stream control-frame coalescing (the job service's merge point).
+"""Cross-front-end control-frame coalescing (the job service's merge point).
 
-A front-end's ``batch_rpc`` turns *consecutive ops of one stream* into a
-sub-frame and sends it as a one-rider MBATCH frame.  A serving front door
-multiplexes many concurrent jobs — different tenants, different streams
-— onto the same gateway rank, and their sub-frames still pay one round
-trip each.  The Acceleration-as-a-Service observation (PAPERS.md,
-arXiv:1508.02558) is that virtualized accelerators only pay off when
-those concurrent clients' requests are aggregated at the service boundary.
+A front-end's ``batch_rpc`` turns *consecutive control ops of one caller*
+into a sub-frame and sends it as a one-rider MBATCH frame.  A serving
+front door multiplexes many concurrent jobs — different tenants,
+different front-ends — onto the same gateway rank, and their sub-frames
+still pay one round trip each.  The Acceleration-as-a-Service
+observation (PAPERS.md, arXiv:1508.02558) is that virtualized
+accelerators only pay off when those concurrent clients' requests are
+aggregated at the service boundary.
 
 :class:`FrameCoalescer` is that aggregation point: one instance per
 (gateway rank, daemon) pair.  Front-ends holding it submit their
@@ -26,7 +27,7 @@ Semantics preserved across the merge:
   every recorded sub-response exactly once (the daemon's dedup window
   is weighted by sub-response count so merged entries age out
   honestly).  Sub-frame ids only label the riders' responses and spans;
-* **span parenting** — each sub-frame carries its originating stream's
+* **span parenting** — each sub-frame carries its originating front-end's
   span context out-of-band (``Request.sub_traces``), so daemon-side spans
   parent under the right tenant's trace, not the carrier's;
 * **failure isolation** — a frame-level failure (timeout after retries,
@@ -81,7 +82,7 @@ class FrameCoalescer:
 
     def __init__(self, rank: "RankHandle", daemon_rank: int,
                  window_s: float = 0.0):
-        if window_s < 0:
+        if not window_s >= 0:
             raise ValueError(f"window_s must be >= 0: {window_s!r}")
         self.rank = rank
         self.daemon_rank = daemon_rank

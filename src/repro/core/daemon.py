@@ -36,7 +36,7 @@ class DaemonStats:
 
     requests: int = 0
     #: Requests that moved bulk data (H2D/D2H/peer copies).  Everything
-    #: else is a *control* round trip — the traffic stream batching cuts.
+    #: else is a *control* round trip — the traffic batch frames cut.
     transfer_requests: int = 0
     bytes_h2d: int = 0
     bytes_d2h: int = 0
@@ -46,8 +46,8 @@ class DaemonStats:
     def control_requests(self) -> int:
         return self.requests - self.transfer_requests
     #: MBATCH frames served, the sub-frames they carried (one for a
-    #: stream's frame, several when a coalescer merged tenants), and the
-    #: control ops inside those sub-frames.
+    #: front-end's own run of ops, several when a coalescer merged
+    #: tenants), and the control ops inside those sub-frames.
     mbatches: int = 0
     mbatched_subs: int = 0
     mbatched_ops: int = 0
@@ -416,10 +416,11 @@ class Daemon:
         """Execute a batch frame: M sub-frames of control ops, one round trip.
 
         ``params["reqs"]`` is a list of ``(sub_req_id, ops)`` sub-frames:
-        one when a stream sent its run of ops alone, several when a
+        one when a front-end sent its run of ops alone
+        (``RemoteAccelerator.control_run``), several when a
         :class:`~repro.core.coalesce.FrameCoalescer` gathered them from
-        *different* streams/tenants inside one coalescing window.  Ops of
-        a sub-frame run strictly in list order and its first failure
+        *different* front-ends/tenants inside one coalescing window.  Ops
+        of a sub-frame run strictly in list order and its first failure
         skips the rest of *that* sub-frame (their entries answer ERROR
         without touching device state, so the client can map failures
         back to queue positions), but never touches the others — one

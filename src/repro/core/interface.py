@@ -23,10 +23,10 @@ Canonical signatures:
   built (``LocalAccelerator(pinned=...)``).
 
 The remote front end (and so the job service's lease) alone adds
-``peer_put`` (a device-to-device copy over the fabric) and ``stream()``
-(an asynchronous command queue whose control ops travel in batch
-frames): they need the fabric and the daemon's batch executor, which the
-local and failover backends do not have.
+``peer_put`` (a device-to-device copy over the fabric) and
+``control_run`` (a list of control ops sent as batch frames): they need
+the fabric and the daemon's batch executor, which the local and failover
+backends do not have.
 """
 
 from __future__ import annotations

@@ -118,9 +118,10 @@ DEDUP_OPS = frozenset({
     Op.VAC_DETACH,
 })
 
-#: Control ops that may ride a sub-frame of an :data:`Op.MBATCH` frame (a
-#: :class:`~repro.core.stream.Stream`'s run of ops, or one job's op merged
-#: with other tenants' by a :class:`~repro.core.coalesce.FrameCoalescer`).
+#: Control ops that may ride a sub-frame of an :data:`Op.MBATCH` frame: a
+#: front-end's run of ops (``RemoteAccelerator.control_run``), or one job's
+#: op merged with other tenants' by a
+#: :class:`~repro.core.coalesce.FrameCoalescer`.
 #: Bulk transfers are excluded: their data blocks travel on per-request
 #: tags and must keep their own frames.  A retried frame is at-most-once
 #: because MBATCH is in :data:`DEDUP_OPS` — the daemon replays the recorded

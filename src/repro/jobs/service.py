@@ -112,7 +112,7 @@ class JobSpec:
         if self.n_accelerators < 1:
             raise WorkloadError(
                 f"job {self.name!r} needs at least one accelerator")
-        if self.arrival_s < 0:
+        if not self.arrival_s >= 0:
             raise WorkloadError(f"job {self.name!r}: negative arrival time")
         if self.name in self.deps:
             raise WorkloadError(
@@ -275,7 +275,7 @@ class LeasePool:
     """
 
     def __init__(self, service: "JobService", ttl_s: float):
-        if ttl_s <= 0:
+        if not ttl_s > 0:
             raise WorkloadError(f"lease TTL must be positive: {ttl_s!r}")
         self.service = service
         self.ttl_s = ttl_s
@@ -365,6 +365,8 @@ class JobService:
                  window_s: float = DEFAULT_WINDOW_S,
                  caching: bool = True,
                  lease_ttl_s: float = DEFAULT_LEASE_TTL_S):
+        if not window_s >= 0:
+            raise WorkloadError(f"window_s must be >= 0: {window_s!r}")
         self.cluster = cluster
         self.engine = cluster.engine
         self.admission = cluster.arm.admission

@@ -10,7 +10,7 @@ counters for :func:`repro.analysis.metrics.collect`.
 
 Public surface::
 
-    from repro.obs import (Span, SpanContext, TraceCollector, NULL_SPAN,
+    from repro.obs import (Span, TraceCollector, NULL_SPAN,
                            collector_for, enable_tracing, trace_session)
     from repro.obs import (chrome_trace, validate_chrome_trace,
                            render_timeline)
@@ -35,7 +35,6 @@ from .spans import (
     NULL_SPAN,
     NullSpan,
     Span,
-    SpanContext,
     TraceCollector,
     TraceSession,
     collector_for,
@@ -45,7 +44,6 @@ from .spans import (
 
 __all__ = [
     "Span",
-    "SpanContext",
     "NullSpan",
     "NULL_SPAN",
     "TraceCollector",

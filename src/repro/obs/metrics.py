@@ -216,13 +216,7 @@ def instrument_cluster(cluster: "Cluster") -> MetricsRegistry:
             op = span.name.split(".", 1)[1]
             reg.histogram("request.latency_s", op=op).observe(span.duration)
             reg.histogram("request.latency_s", op="all").observe(span.duration)
-        elif span.name == "stream.frame":
-            reg.histogram("stream.frame_latency_s").observe(span.duration)
         elif span.name == "dma.copy":
             reg.histogram("dma.copy_s").observe(span.duration)
-        depth = span.attrs.get("queue_depth")
-        if depth is not None:
-            reg.gauge("stream.queue_depth",
-                      stream=span.actor).set(float(depth))
     return reg
 

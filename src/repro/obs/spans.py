@@ -3,11 +3,11 @@
 A *span* is one timed phase of a request — ``client.memcpy_h2d`` on the
 front-end, ``daemon.memcpy_h2d`` on the back-end, ``net.recv`` while a
 data block is on the wire, ``dma`` while the PCIe engine moves it.  Spans
-carry a :class:`SpanContext` (trace id + span id); the context of a
-front-end span rides the :class:`~repro.core.protocol.Request` frame to
-the daemon, whose spans become *children* on the same trace id, so one
-remote operation decomposes into its injection / network / staging / DMA
-phases end to end.
+carry a context, the pair ``(trace_id, span_id)`` (``Span.wire``); a
+front-end span's context rides the :class:`~repro.core.protocol.Request`
+frame to the daemon, whose spans become *children* on the same trace id,
+so one remote operation decomposes into its injection / network /
+staging / DMA phases end to end.
 
 All timestamps are **virtual** times read from the simulation engine.
 Recording a span never yields, never schedules an event, and never
@@ -44,13 +44,6 @@ if _t.TYPE_CHECKING:  # pragma: no cover
     from ..sim import Engine
 
 
-class SpanContext(_t.NamedTuple):
-    """Wire-portable identity of one span: ``(trace_id, span_id)``."""
-
-    trace_id: int
-    span_id: int
-
-
 class SpanEvent(_t.NamedTuple):
     """A timestamped point annotation inside a span (retry, failover...)."""
 
@@ -64,10 +57,9 @@ class Span:
     """A process-level handle over one recorded span: its collector and row.
 
     Spans are opened through :meth:`TraceCollector.start` (or
-    :meth:`child`), finished explicitly with :meth:`finish` or by using
-    the span as a context manager — which also closes it when an
-    exception (including a process interrupt) unwinds the enclosing
-    generator, so failed branches cannot leak open spans.
+    :meth:`child`) and used as context managers — which also closes
+    them when an exception (including a process interrupt) unwinds the
+    enclosing generator, so failed branches cannot leak open spans.
 
     The span itself is a row of the collector's span table (DESIGN.md
     section 9); the handle only reads and writes that row, so the
@@ -110,10 +102,6 @@ class Span:
     @property
     def attrs(self) -> dict:
         return self.collector._attrs[self.row]
-
-    @property
-    def context(self) -> SpanContext:
-        return SpanContext(self.collector._trace_ids[self.row], self.row + 1)
 
     @property
     def wire(self) -> tuple[int, int]:
@@ -161,10 +149,6 @@ class Span:
             name, actor or col._actors[row],
             (col._trace_ids[row], row + 1), attrs))
 
-    def finish(self, **attrs: _t.Any) -> None:
-        """Close the span at the current virtual time (idempotent)."""
-        self.collector.finish_row(self.row, attrs)
-
     # -- context manager --------------------------------------------------
     def __enter__(self) -> "Span":
         return self
@@ -191,7 +175,6 @@ class NullSpan:
 
     __slots__ = ()
 
-    context = None
     wire = None
     # Immutable: one instance stands in for every disabled span, so a
     # write through ``span.attrs[...]`` must fail, not leak to the rest.
@@ -209,9 +192,6 @@ class NullSpan:
     def child(self, name: str, actor: str | None = None,
               **attrs: _t.Any) -> "NullSpan":
         return self
-
-    def finish(self, **attrs: _t.Any) -> None:
-        pass
 
     def __enter__(self) -> "NullSpan":
         return self
@@ -257,7 +237,7 @@ class TraceCollector:
     clock.  ``enabled`` may be flipped at any time; components cache the
     collector object, not its state, so enabling after cluster
     construction works.  A ``parent`` is any ``(trace_id, span_id)``
-    pair: a :class:`SpanContext`, ``Span.wire``, a Request's ``trace``.
+    pair: ``Span.wire``, a Request's ``trace``.
 
     Spans and point events are rows of two column tables (DESIGN.md
     section 9): one list per field, so recording leaves no per-span
@@ -293,7 +273,6 @@ class TraceCollector:
         self._ev_attrs: list[dict | None] = []
         self._n_open = 0
         self._new_trace_ids = itertools.count(1)
-        self._adopted: tuple[int, int] | None = None
         #: The :class:`BranchScope` whose watched step is running.
         self._scope: "BranchScope | None" = None
 
@@ -313,10 +292,8 @@ class TraceCollector:
                  parent: "tuple[int, int] | None", attrs: dict) -> int:
         """Record a span opening now; returns its row.
 
-        ``parent`` None roots a new trace.  Unlike :meth:`start` it leaves
-        a context staged by :meth:`adopt_parent` alone: the fabric opens
-        its flows synchronously inside calls made between someone else's
-        stage-then-start pair.  The caller checks ``enabled``.
+        ``parent`` None roots a new trace.  The caller checks
+        ``enabled``.
         """
         engine = self._engine_ref()
         if engine is not None:
@@ -366,30 +343,11 @@ class TraceCollector:
               **attrs: _t.Any) -> "Span | NullSpan":
         """Open a span; returns :data:`NULL_SPAN` when disabled.
 
-        Without an explicit ``parent`` the span adopts any context staged
-        by :meth:`adopt_parent` (consumed), else it roots a new trace.
+        Without a ``parent`` it roots a new trace.
         """
         if not self.enabled:
             return NULL_SPAN
-        if parent is None:
-            parent, self._adopted = self._adopted, None
         return Span(self, self.open_row(name, actor, parent, attrs))
-
-    def adopt_parent(self, ctx: "tuple[int, int] | None") -> None:
-        """Stage a parent context for the *next* :meth:`start` call.
-
-        The simulation is cooperatively scheduled, so a stage-then-start
-        pair executed without an intervening yield is race-free.  The
-        :class:`~repro.core.stream.Stream` pump uses this to parent the
-        front-end's op span under its frame span without threading a
-        context argument through every ``ac*`` signature.
-        """
-        if self.enabled:
-            self._adopted = ctx
-
-    def clear_adopted(self) -> None:
-        """Drop a staged parent that was never consumed (error paths)."""
-        self._adopted = None
 
     # -- queries ----------------------------------------------------------
     @property
@@ -433,8 +391,7 @@ class TraceCollector:
     def _abort(self, aborted: list[Span], reason: str) -> int:
         for span in aborted:
             span.attrs.setdefault("aborted", reason)
-            span.finish()
-        self.clear_adopted()
+            self.finish_row(span.row)
         return len(aborted)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -576,7 +533,9 @@ def trace_session() -> _t.Iterator[TraceSession]:
     error) when the cyclic GC finalizes its generator.  Collecting here
     makes that happen before anything reads the session, not whenever
     the collector next runs, so an export does not depend on the GC's
-    schedule.
+    schedule.  Each collector reads its engine's clock first: the GC
+    clears the weak reference to an engine before it finalizes the
+    engine's generators, so the spans close when their run stopped.
     """
     global _default_enabled, _active_session
     session = TraceSession()
@@ -586,4 +545,6 @@ def trace_session() -> _t.Iterator[TraceSession]:
         yield session
     finally:
         _default_enabled, _active_session = prev_enabled, prev_session
+        for col in session.collectors:
+            col.now                     # keeps the clock the run stopped at
         gc.collect()

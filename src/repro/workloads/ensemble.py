@@ -68,7 +68,7 @@ class EnsembleConfig:
             raise WorkloadError("n_gateways must be >= 1")
         if self.slots_per_device < 1:
             raise WorkloadError("slots_per_device must be >= 1")
-        if self.window_s < 0:
+        if not self.window_s >= 0:
             raise WorkloadError("window_s must be >= 0")
 
 
@@ -91,7 +91,7 @@ class EnsembleReport:
     latency_p99_s: float
     #: tenant -> {"count", "p50_s", "p99_s"} over completed jobs.
     per_tenant: dict[str, dict[str, float]]
-    #: Cross-stream coalescing accounting (zeros when coalescing is off).
+    #: Cross-tenant coalescing accounting (zeros when coalescing is off).
     coalesce: dict[str, float]
     #: Kernel-cache and lease-pool accounting (zeros when caching is off).
     kernel_cache_hits: int

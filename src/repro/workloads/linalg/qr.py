@@ -25,6 +25,7 @@ import numpy as np
 
 from . import kernels as _kernels  # noqa: F401  (publishes device kernels)
 from ...core.api import run_parallel
+from ...core.protocol import Op
 from ...cluster.specs import CPUSpec
 from ...errors import WorkloadError
 from ...mpisim import Phantom
@@ -77,10 +78,10 @@ def qr_factorize(engine: Engine, cpu: CPUSpec, accelerators: _t.Sequence[_t.Any]
     panels — hiding the panel factorization and its transfers behind the
     bulk dlarfb work.
 
-    With ``streams=True`` the control sequences (setup allocations, the
-    per-GPU dlarfb launch chains, teardown frees) go through asynchronous
-    command streams, coalescing consecutive control ops into BATCH frames
-    — identical numerics, fewer request round trips.
+    With ``streams=True`` each GPU's runs of control ops (setup
+    allocations, its dlarfb launches of a step, teardown frees) travel
+    as batch frames through ``control_run``, one branch per GPU —
+    identical numerics, fewer request round trips.
     """
     real = A is not None
     if real and A.shape != (n, n):
@@ -97,26 +98,30 @@ def qr_factorize(engine: Engine, cpu: CPUSpec, accelerators: _t.Sequence[_t.Any]
 
     panel_ptr: dict[int, int] = {}
     if streams:
-        st = [ac.stream(name=f"qr-ac{i}")
-              for i, ac in enumerate(accelerators)]
-        for s in st:
-            s.kernel_create("qr_larfb")
-        v_fut = [s.mem_alloc(n * nb * 8) for s in st]
-        t_fut = [s.mem_alloc(nb * nb * 8) for s in st]
-        panel_fut = {}
-        for j in range(dist.n_panels):
-            w = dist.width(j)
-            i = dist.owner(j)
-            ptr = st[i].mem_alloc(n * w * 8)
-            st[i].memcpy_h2d(ptr, panel_payload(j, w))
-            panel_fut[j] = ptr
-        for s in st:
-            yield from s.synchronize()
-        v_buf = [f.result() for f in v_fut]
-        t_buf = [f.result() for f in t_fut]
-        panel_ptr = {j: f.result() for j, f in panel_fut.items()}
+        def setup(i: int):
+            """GPU i's setup: its first run of control ops is one frame."""
+            ac = accelerators[i]
+            mine = [j for j in range(dist.n_panels) if dist.owner(j) == i]
+            _, v, t, *first = yield from ac.control_run(
+                [(Op.KERNEL_CREATE, {"name": "qr_larfb"}),
+                 (Op.MEM_ALLOC, {"nbytes": n * nb * 8}),
+                 (Op.MEM_ALLOC, {"nbytes": nb * nb * 8})]
+                + [(Op.MEM_ALLOC, {"nbytes": n * dist.width(j) * 8})
+                   for j in mine[:1]])
+            ptrs = dict(zip(mine, first))
+            for j in mine:
+                w = dist.width(j)
+                if j not in ptrs:
+                    ptrs[j] = yield from ac.mem_alloc(n * w * 8)
+                yield from ac.memcpy_h2d(ptrs[j], panel_payload(j, w))
+            return v, t, ptrs
+
+        done = yield from run_parallel(engine, [setup(i) for i in range(g)])
+        v_buf = [v for v, _, _ in done]
+        t_buf = [t for _, t, _ in done]
+        panel_ptr = dict(sorted(
+            item for _, _, ptrs in done for item in ptrs.items()))
     else:
-        st = None
         for ac in accelerators:
             yield from ac.kernel_create("qr_larfb")
         v_buf = []
@@ -143,22 +148,17 @@ def qr_factorize(engine: Engine, cpu: CPUSpec, accelerators: _t.Sequence[_t.Any]
         yield from accelerators[i].kernel_run(
             "qr_larfb", larfb_params(i, j, k0, w), real=real)
 
-    def streamed_updates(k: int, k0: int, w: int,
-                         targets: _t.Sequence[int], skip: int | None = None):
-        """Queue every trailing dlarfb on per-GPU streams, then wait.
-
-        Consecutive launches on one GPU coalesce into BATCH frames; the
-        per-GPU streams run concurrently, like ``run_parallel`` does for
-        the sync path.
-        """
-        for i in targets:
-            for j in dist.trailing_panels_of(i, k):
-                if j == skip:
-                    continue
-                st[i].kernel_run("qr_larfb", larfb_params(i, j, k0, w),
-                                 real=real)
-        for i in targets:
-            yield from st[i].synchronize()
+    def batched_updates(k: int, k0: int, w: int,
+                        targets: _t.Sequence[int], skip: int | None = None):
+        """One branch per GPU sending its trailing dlarfb launches as
+        control runs (GPUs left with no launch get no branch)."""
+        launches = {i: [(Op.KERNEL_RUN, {"name": "qr_larfb",
+                                         "params": larfb_params(i, j, k0, w),
+                                         "real": real})
+                        for j in dist.trailing_panels_of(i, k) if j != skip]
+                    for i in targets}
+        return [accelerators[i].control_run(calls)
+                for i, calls in launches.items() if calls]
 
     # -- the factorization loop (timed) ----------------------------------
     t0 = engine.now
@@ -229,13 +229,14 @@ def qr_factorize(engine: Engine, cpu: CPUSpec, accelerators: _t.Sequence[_t.Any]
                         continue
                     yield from larfb(i, j, k0, w)
 
-            rest = ([streamed_updates(k, k0, w, targets, skip=nxt)] if streams
+            rest = (batched_updates(k, k0, w, targets, skip=nxt) if streams
                     else [update_rest(i) for i in targets])
             results = yield from run_parallel(
                 engine, [panel_path()] + rest)
             pending = (nxt, results[0])
         elif streams:
-            yield from streamed_updates(k, k0, w, targets)
+            yield from run_parallel(engine,
+                                    batched_updates(k, k0, w, targets))
         else:
             def update(i):
                 for j in dist.trailing_panels_of(i, k):
@@ -246,13 +247,14 @@ def qr_factorize(engine: Engine, cpu: CPUSpec, accelerators: _t.Sequence[_t.Any]
 
     # -- teardown (untimed) ----------------------------------------------
     if streams:
+        frees: list[list] = [[] for _ in range(g)]
         for j, ptr in panel_ptr.items():
-            st[dist.owner(j)].mem_free(ptr)
+            frees[dist.owner(j)].append((Op.MEM_FREE, {"addr": ptr}))
         for i in range(g):
-            st[i].mem_free(v_buf[i])
-            st[i].mem_free(t_buf[i])
-        for s in st:
-            yield from s.synchronize()
+            frees[i] += [(Op.MEM_FREE, {"addr": v_buf[i]}),
+                         (Op.MEM_FREE, {"addr": t_buf[i]})]
+        yield from run_parallel(engine, [accelerators[i].control_run(f)
+                                         for i, f in enumerate(frees)])
     else:
         for j, ptr in panel_ptr.items():
             yield from accelerators[dist.owner(j)].mem_free(ptr)

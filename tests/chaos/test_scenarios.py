@@ -220,6 +220,7 @@ class TestValidation:
         {"slots_per_device": -1},
         {"window_s": 0.0},
         {"window_s": -1e-3},
+        {"window_s": float("nan")},
     ])
     def test_config_validation(self, kwargs):
         with pytest.raises(WorkloadError):

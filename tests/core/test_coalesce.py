@@ -67,6 +67,12 @@ class TestFrameCoalescer:
         with pytest.raises(ValueError):
             FrameCoalescer(rank, ac.handle.daemon_rank, window_s=-1.0)
 
+    def test_nan_window_rejected(self, rig):
+        cluster, _, ac, _ = rig
+        with pytest.raises(ValueError):
+            FrameCoalescer(cluster.compute_rank(0), ac.handle.daemon_rank,
+                           window_s=float("nan"))
+
 
 class TestMbatchDedup:
     """A retried merged frame must replay every sub-response exactly once."""

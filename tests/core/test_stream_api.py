@@ -1,4 +1,4 @@
-"""Unit tests for the asynchronous command-stream API and the batch frame.
+"""Unit tests for the batch frame and the control runs sent through it.
 
 ``TestBatchFrame`` is the one suite for the one batch executor: every
 behaviour of a sub-frame of control ops is checked for each way it can
@@ -8,7 +8,6 @@ between riders and dedup weighting stay in ``test_coalesce.py``.
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.cluster import Cluster, paper_testbed
@@ -22,7 +21,7 @@ from repro.core import (
 )
 from repro.core.coalesce import FrameCoalescer
 from repro.errors import AcceleratorFault, MiddlewareError
-from repro.core.api import run_parallel
+from repro.core.api import MAX_RUN_OPS, run_parallel
 
 from ..harness import register_tenants
 
@@ -229,199 +228,83 @@ class TestBatchFrame:
             == ["OK", "OK", "OK", "ERROR", "ERROR"]
 
 
-class TestStream:
-    def test_ops_coalesce_and_preserve_order(self, rig):
-        cluster, sess, acs = rig
-        ac = acs[0]
-        daemon = cluster.daemons[ac.handle.ac_id]
+class TestControlRun:
+    """``RemoteAccelerator.control_run``: control ops in order, as runs of
+    at most :data:`MAX_RUN_OPS`, one round trip each."""
 
-        def body():
-            s = ac.stream()
-            s.kernel_create("dscal")
-            a = s.mem_alloc(8 * 32)
-            s.memcpy_h2d(a, np.arange(32, dtype=np.float64))
-            s.kernel_run("dscal", {"x": a, "n": 32, "alpha": 3.0})
-            d = s.memcpy_d2h(a, 8 * 32)
-            s.mem_free(a)
-            yield from s.synchronize()
-            return s, d
+    def test_runs_split_at_the_cap_and_a_lone_op_travels_alone(self):
+        _, sess, ac, daemon, _ = travel_rig("alone")
+        served = daemon.stats.requests
+        calls = [(Op.MEM_ALLOC, {"nbytes": 64 * (i + 1)})
+                 for i in range(MAX_RUN_OPS + 1)]
+        addrs = sess.call(ac.control_run(calls))
+        sizes = [params["nbytes"] for _, params in calls]
+        assert [daemon.gpu.memory.allocation(a).nbytes for a in addrs] == sizes
+        assert ac._live == dict(zip(addrs, sizes))
+        # A frame of 16, then the 17th op as its own request.
+        assert daemon.stats.requests == served + 2
+        assert daemon.stats.mbatches == 1
+        assert daemon.stats.mbatched_ops == MAX_RUN_OPS
 
-        s, d = sess.call(body())
-        assert np.allclose(d.result(), np.arange(32) * 3.0)
-        # create+alloc coalesced; h2d / run / d2h / free went solo.
-        assert s.ops_issued == 6
-        assert s.frames_issued == 5    # one round trip saved
-        assert daemon.stats.mbatches == 1 and daemon.stats.mbatched_ops == 2
-        assert daemon.stats.mbatched_subs == 1    # a one-rider frame
+    def test_failed_op_raises_and_nothing_after_it_runs(self):
+        _, sess, ac, daemon, _ = travel_rig("alone")
+        served = daemon.stats.requests
+        used = daemon.gpu.memory.used_bytes
+        calls = ([(Op.MEM_ALLOC, {"nbytes": 64}),
+                  (Op.KERNEL_CREATE, {"name": "no_such_kernel"}),
+                  (Op.MEM_ALLOC, {"nbytes": 128})]
+                 + [(Op.KERNEL_CREATE, {"name": "fill"})] * MAX_RUN_OPS)
+        with pytest.raises(MiddlewareError, match="no_such_kernel"):
+            sess.call(ac.control_run(calls))
+        # The ops behind the failure in its frame were skipped...
+        assert daemon.gpu.memory.used_bytes == used + 64
+        assert "fill" not in ac._kernels
+        # ...and the second run was never sent.
+        assert daemon.stats.requests == served + 1
+        assert daemon.stats.mbatched_ops == MAX_RUN_OPS
 
-    def test_future_params_resolve_across_frames(self, rig):
-        _, sess, acs = rig
-        ac = acs[0]
-
-        def body():
-            s = ac.stream()
-            s.kernel_create("daxpy")
-            x = s.mem_alloc(8 * 16)       # futures used as kernel params
-            y = s.mem_alloc(8 * 16)
-            s.memcpy_h2d(x, np.ones(16))
-            s.memcpy_h2d(y, np.full(16, 2.0))
-            s.kernel_run("daxpy", {"x": x, "y": y, "n": 16, "alpha": 10.0})
-            d = s.memcpy_d2h(y, 8 * 16)
-            yield from s.synchronize()
-            return d
-
-        d = sess.call(body())
-        assert np.allclose(d.result(), 12.0)
-
-    def test_max_batch_splits_long_runs(self, rig):
-        _, sess, acs = rig
-        ac = acs[0]
-
-        def body():
-            s = ac.stream(max_batch=4)
-            for _ in range(10):
-                s.kernel_create("fill")
-            yield from s.synchronize()
-            return s
-
-        s = sess.call(body())
-        assert s.ops_issued == 10
-        # 10 creates at max_batch=4 -> frames of 4+4+2.
-        assert s.frames_issued == 3
-        assert s.ops_batched == 10
-
-    def test_result_before_completion_raises(self, rig):
-        _, sess, acs = rig
-
-        def body():
-            s = acs[0].stream()
-            f = s.mem_alloc(64)
-            with pytest.raises(MiddlewareError):
-                f.result()
-            yield from s.synchronize()
-            return f
-
-        f = sess.call(body())
-        assert f.ok and isinstance(f.result(), int)
-
-    def test_error_is_sticky_and_fails_queued_ops(self, rig):
-        _, sess, acs = rig
-
-        def body():
-            s = acs[0].stream()
-            good = s.mem_alloc(64)
-            bad = s.kernel_create("no_such_kernel")
-            tail = s.mem_alloc(64)
-            with pytest.raises(MiddlewareError):
-                yield from s.synchronize()
-            return s, good, bad, tail
-
-        s, good, bad, tail = sess.call(body())
-        assert good.ok
-        assert bad.done and not bad.ok
-        assert tail.done and not tail.ok
+    def test_a_lone_failed_op_raises(self):
+        _, sess, ac, daemon, _ = travel_rig("alone")
         with pytest.raises(MiddlewareError):
-            tail.result()
-        with pytest.raises(MiddlewareError):  # stream refuses new work
-            s.mem_alloc(64)
-
-    def test_dependency_on_failed_future_aborts(self, rig):
-        _, sess, acs = rig
-        ac0, ac1 = acs
-
-        def body():
-            s0, s1 = ac0.stream(), ac1.stream()
-            bad = s0.kernel_create("nope")
-            # s1's op depends on a future that will fail on s0.
-            dep = s1.mem_free(bad)
-            with pytest.raises(MiddlewareError):
-                yield from s0.synchronize()
-            with pytest.raises(MiddlewareError):
-                yield from s1.synchronize()
-            return dep
-
-        dep = sess.call(body())
-        assert dep.done and not dep.ok
-
-    def test_independent_streams_overlap(self, rig):
-        cluster, sess, acs = rig
-        params = {"A": 0, "B": 0, "C": 0, "m": 512, "n": 512, "k": 512}
-
-        def timed(n_streams):
-            def body():
-                streams = [acs[i].stream() for i in range(n_streams)]
-                for s in streams:
-                    s.kernel_create("dgemm")
-                    s.kernel_run("dgemm", params, real=False)
-                t0 = cluster.engine.now
-                for s in streams:
-                    yield from s.synchronize()
-                return cluster.engine.now - t0
-            return sess.call(body())
-
-        one = timed(1)
-        two = timed(2)
-        # Two accelerators' kernels overlap: far cheaper than serialized.
-        assert two < 1.5 * one
-
-    def test_stream_retry_is_at_most_once(self, rig):
-        """A batch frame whose reply is delayed past the deadline is
-        resent; the daemon replays it instead of re-allocating."""
-        cluster, sess, acs = rig
-        ac = cluster.remote(0, acs[0].handle,
-                            retry=RetryPolicy(timeout_s=150e-6))
-        daemon = cluster.daemons[ac.handle.ac_id]
-
-        def body():
-            s = ac.stream()
-            a = s.mem_alloc(4096)
-            b = s.mem_alloc(4096)
-            yield from s.synchronize()
-            return s, a, b
-
-        s, a, b = sess.call(body())
-        assert a.result() != b.result()
-        assert daemon.gpu.memory.used_bytes == 2 * 4096
-        # Whether or not the deadline fired, memory was allocated once.
-        assert daemon.stats.mbatches >= 1
+            sess.call(ac.control_run([(Op.MEM_FREE, {"addr": 0xdead})]))
+        assert daemon.stats.mbatches == 0
 
     def test_create_and_run_by_name_share_a_frame(self, rig):
-        """Regression: the run's staged args were resolved when the frame
-        was built, before the create riding ahead of it had executed —
-        failing the whole frame client-side, create included."""
+        """A run launched by name with its staged arguments, in the frame
+        of the create riding ahead of it: the create has not executed when
+        the frame is built, and must not be taken down with the run."""
         cluster, sess, acs = rig
         cluster.daemons[acs[0].handle.ac_id].gpu.registry.register(
             "forty_two", lambda dev, params: lambda: 42,
             lambda params, spec: 1e-6)
 
-        def sync(ac, name):
-            yield from ac.kernel_create(name)
-            result = yield from ac.kernel_run(name)
-            return result
+        def calls(name):
+            return [(Op.KERNEL_CREATE, {"name": name}),
+                    (Op.KERNEL_RUN, {"name": name, "params": None,
+                                     "real": True})]
 
-        def streamed(ac, name):
-            s = ac.stream()
-            created, ran = s.kernel_create(name), s.kernel_run(name)
-            try:
-                yield from s.synchronize()
-            finally:
-                assert created.ok                     # never taken down
-                assert s.frames_issued == 1
-            return ran.result()
-
-        def bodies(name):
-            yield sync(cluster.remote(0, acs[0].handle), name)
-            yield streamed(cluster.remote(0, acs[0].handle), name)
-
-        # No parameters: the staged {} is enough.
-        assert [sess.call(body) for body in bodies("forty_two")] == [42] * 2
+        ac = cluster.remote(0, acs[0].handle)
+        assert sess.call(ac.control_run(calls("forty_two"))) == [None, 42]
         # Only the run fails, with the kernel's own text.
-        for body in bodies("dscal"):
-            with pytest.raises(MiddlewareError,
-                               match="missing kernel parameter 'n'"):
-                sess.call(body)
+        with pytest.raises(MiddlewareError,
+                           match="missing kernel parameter 'n'"):
+            sess.call(ac.control_run(calls("dscal")))
+        assert "dscal" in ac._kernels
 
-    def test_revoked_lease_fails_the_next_frame_and_sticks(self, cluster):
+    def test_retry_is_at_most_once(self, rig):
+        """A frame whose reply is delayed past the deadline is resent;
+        the daemon replays it instead of allocating again."""
+        cluster, sess, acs = rig
+        ac = cluster.remote(0, acs[0].handle,
+                            retry=RetryPolicy(timeout_s=150e-6))
+        daemon = cluster.daemons[ac.handle.ac_id]
+        a, b = sess.call(ac.control_run(
+            [(Op.MEM_ALLOC, {"nbytes": 4096})] * 2))
+        assert a != b
+        assert daemon.gpu.memory.used_bytes == 2 * 4096
+        assert daemon.stats.mbatches >= 1
+
+    def test_revoked_lease_fails_the_next_frame(self, cluster):
         sess = cluster.session()
         client = cluster.arm_client(0)
         register_tenants(cluster, "t")
@@ -429,25 +312,12 @@ class TestStream:
         ac = cluster.remote(0, grant["vac"])
         sess.call(ac.vac_attach())
         daemon = cluster.daemons[ac.handle.ac_id]
-        s = ac.stream()
-
-        def frame():
-            futures = [s.mem_alloc(64), s.kernel_create("fill")]
-            yield from s.synchronize()
-            return futures
-
-        assert all(f.ok for f in sess.call(frame()))
+        calls = [(Op.MEM_ALLOC, {"nbytes": 64}),
+                 (Op.KERNEL_CREATE, {"name": "fill"})]
+        sess.call(ac.control_run(calls))
         assert daemon.stats.mbatches == 1
         daemon._vacs[grant["vac"].vac_id].revoke()   # preempted in between
         with pytest.raises(AcceleratorFault, match="revoked"):
-            sess.call(frame())
+            sess.call(ac.control_run(calls))
         assert daemon.stats.preempted_requests == 1
         assert len(ac._live) == 1                    # nothing new tracked
-        with pytest.raises(MiddlewareError, match="sticky"):
-            s.kernel_create("fill")
-
-
-class TestBackendParity:
-    def test_stream_validates_max_batch(self, rig):
-        with pytest.raises(MiddlewareError):
-            rig[2][0].stream(max_batch=0)

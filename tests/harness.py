@@ -5,8 +5,8 @@ alloc / upload / kernel / download / free instructions — through three
 independent execution paths:
 
 * the synchronous ``ac*`` API on a :class:`RemoteAccelerator`,
-* the asynchronous :class:`~repro.core.stream.Stream` API (BATCH
-  coalescing) on a :class:`RemoteAccelerator`,
+* the same program with its control ops sent as batch frames
+  (``control_run``) on a :class:`RemoteAccelerator`,
 * the node-attached :class:`~repro.baselines.local.LocalAccelerator`
   baseline (no network at all),
 
@@ -27,7 +27,7 @@ import typing as _t
 import numpy as np
 
 from repro.cluster import Cluster, paper_testbed
-from repro.core import TenantSpec
+from repro.core import Op, TenantSpec
 
 #: Element counts the generator draws from.  A small set keeps it likely
 #: that two live buffers share a length, which daxpy needs.
@@ -149,8 +149,7 @@ def _kernel_params(ins: Instr, addr: _t.Callable[[int], _t.Any],
                    lengths: dict[int, int]) -> tuple[str, dict]:
     """Wire name + params for a kernel instruction.
 
-    ``addr`` maps a buffer id to its device address — or to its alloc
-    *future* in the stream path, exercising nested future resolution.
+    ``addr`` maps a buffer id to its device address.
     """
     if ins.op == "dscal":
         buf, alpha = ins.args
@@ -205,45 +204,62 @@ def run_sync(engine, ac, program: list[Instr]):
     return RunOutcome(results, trace)
 
 
-def run_stream(engine, ac, program: list[Instr], sync_every: int = 0):
-    """Drive the program through one command stream (generator).
+def _named_buffers(ins: Instr) -> tuple:
+    """The buffers an instruction names (an alloc names the new one)."""
+    return ins.args[:2] if ins.op == "daxpy" else ins.args[:1]
 
-    Buffer addresses stay *futures* throughout — kernel parameters and
-    copy targets reference them unresolved, and the stream pump resolves
-    them in order.  ``sync_every > 0`` inserts periodic synchronization
-    barriers, exercising pump restarts.
+
+def run_batched(engine, ac, program: list[Instr], sync_every: int = 0):
+    """Drive the program with its control ops in batch frames (generator).
+
+    Allocations, launches and frees gather into an open run that
+    :meth:`~repro.core.api.RemoteAccelerator.control_run` sends.  The run
+    is flushed before every bulk copy, before an op that names a buffer
+    allocated in it (its address comes back with the frame) and, with
+    ``sync_every > 0``, after every ``sync_every`` instructions.
     """
-    stream = ac.stream()
-    addrs: dict[int, _t.Any] = {}
+    addrs: dict[int, int] = {}
     lengths: dict[int, int] = {}
-    futures: list = []
+    results: list[np.ndarray] = []
     trace: list[tuple[float, str]] = []
-    for name in KERNELS:
-        stream.kernel_create(name)
+    run = [(Op.KERNEL_CREATE, {"name": name}) for name in KERNELS]
+    fresh: dict[int, int] = {}      # buffer -> its alloc's place in the run
+
+    def flush():
+        values = yield from ac.control_run(run)
+        for buf, i in fresh.items():
+            addrs[buf] = values[i]
+        run.clear()
+        fresh.clear()
+
     for i, ins in enumerate(program):
+        if (ins.op in ("h2d", "d2h")
+                or not fresh.keys().isdisjoint(_named_buffers(ins))):
+            yield from flush()
         if ins.op == "alloc":
             buf, n = ins.args
             lengths[buf] = n
-            addrs[buf] = stream.mem_alloc(n * 8)
+            fresh[buf] = len(run)
+            run.append((Op.MEM_ALLOC, {"nbytes": n * 8}))
         elif ins.op == "h2d":
             buf, data = ins.args
-            stream.memcpy_h2d(addrs[buf], data)
+            yield from ac.memcpy_h2d(addrs[buf], data)
         elif ins.op in ("dscal", "daxpy", "fill"):
             name, params = _kernel_params(ins, addrs.__getitem__, lengths)
-            stream.kernel_run(name, params)
+            run.append((Op.KERNEL_RUN,
+                        {"name": name, "params": params, "real": True}))
         elif ins.op == "d2h":
             buf = ins.args[0]
-            futures.append(stream.memcpy_d2h(addrs[buf], lengths[buf] * 8))
+            out = yield from ac.memcpy_d2h(addrs[buf], lengths[buf] * 8)
+            results.append(np.asarray(out, dtype=np.float64).copy())
         elif ins.op == "free":
-            stream.mem_free(addrs.pop(ins.args[0]))
+            run.append((Op.MEM_FREE, {"addr": addrs.pop(ins.args[0])}))
         if sync_every and (i + 1) % sync_every == 0:
-            yield from stream.synchronize()
+            yield from flush()
             trace.append((engine.now, f"sync@{i + 1}"))
-    yield from stream.synchronize()
+    yield from flush()
     trace.append((engine.now, "sync"))
-    results = [np.asarray(f.result(), dtype=np.float64).copy()
-               for f in futures]
-    return RunOutcome(results, trace), stream
+    return RunOutcome(results, trace)
 
 
 def make_remote_rig():
@@ -267,29 +283,23 @@ def make_local_rig():
 def run_all_paths(seed: int, n_ops: int = 40):
     """Execute one seeded program on all three paths.
 
-    Returns ``(expected, outcomes)`` where ``outcomes`` maps path name to
-    :class:`RunOutcome` (the stream path also reports its stream for
-    round-trip accounting).
+    Returns ``(expected, outcomes, requests)``: ``outcomes`` maps path
+    name to :class:`RunOutcome`, ``requests`` maps each remote path to
+    the request frames its daemon served.
     """
     program = generate_program(seed, n_ops)
     expected = expected_results(program)
     outcomes: dict[str, RunOutcome] = {}
-
-    cluster, sess, ac = make_remote_rig()
-    outcomes["sync"] = sess.call(run_sync(cluster.engine, ac, program))
-
-    cluster_s, sess_s, ac_s = make_remote_rig()
-
-    def stream_prog():
-        out, stream = yield from run_stream(cluster_s.engine, ac_s, program)
-        return out, stream
-
-    outcomes["stream"], stream = sess_s.call(stream_prog())
+    requests: dict[str, int] = {}
+    for path, drive in (("sync", run_sync), ("batched", run_batched)):
+        cluster, sess, ac = make_remote_rig()
+        outcomes[path] = sess.call(drive(cluster.engine, ac, program))
+        requests[path] = cluster.daemons[ac.handle.ac_id].stats.requests
 
     cluster_l, sess_l, ac_l = make_local_rig()
     outcomes["local"] = sess_l.call(run_sync(cluster_l.engine, ac_l, program))
 
-    return expected, outcomes, stream
+    return expected, outcomes, requests
 
 
 def assert_equivalent(expected: list[np.ndarray],

@@ -59,12 +59,21 @@ class TestSpecValidation:
         {"tenant": ""},
         {"n_accelerators": 0},
         {"arrival_s": -1.0},
+        {"arrival_s": float("nan")},
     ])
     def test_field_validation(self, kwargs):
         base = dict(name="a", tenant="t", body=create_body())
         base.update(kwargs)
         with pytest.raises(WorkloadError):
             JobSpec(**base)
+
+    def test_nan_coalescing_window_rejected(self, cluster):
+        with pytest.raises(WorkloadError, match="window_s"):
+            JobService(cluster, window_s=float("nan"))
+
+    def test_nan_lease_ttl_rejected(self, cluster):
+        with pytest.raises(WorkloadError, match="TTL"):
+            JobService(cluster, lease_ttl_s=float("nan"))
 
 
 class TestDagEdgeCases:

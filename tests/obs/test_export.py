@@ -137,7 +137,8 @@ class TestAbandonedSpan:
         engine.run(until=engine.timeout(2e-3))
         span = col.start("client.memcpy_h2d", "cn0")
         engine.run(until=engine.timeout(1e-3))
-        col.start("client.ping", "cn0").finish()
+        with col.start("client.ping", "cn0"):
+            pass
         del engine
         gc.collect()
         trace = chrome_trace(col)

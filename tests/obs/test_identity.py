@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.cluster import Cluster, paper_testbed
 from repro.netsim import IB_QDR_MPI, Fabric
-from repro.obs import SpanContext, collector_for, enable_tracing
+from repro.obs import collector_for, enable_tracing
 from repro.sim import Engine
 from repro.units import MiB
 
@@ -96,14 +96,3 @@ def test_dropped_flow_closes_its_span_at_injection():
     assert [e.name for e in dropped.events] == ["injected"]
     assert loopback.end > dropped.end
     assert fabric.messages_dropped == 1 and fabric.messages_sent == 1
-
-
-def test_net_flow_leaves_a_staged_parent_alone():
-    eng, fabric, obs = _traced_fabric()
-    staged = SpanContext(trace_id=77, span_id=5)
-    obs.adopt_parent(staged)
-    fabric.transfer("a", "b", 64)          # opens net.flow synchronously
-    flow, = obs.by_name("net.flow")
-    assert flow.parent_id is None and flow.trace_id != 77
-    op = obs.start("client.op", "a")
-    assert (op.trace_id, op.parent_id) == (77, 5)

@@ -1,16 +1,17 @@
 """Property-style randomized tests over the deterministic harness.
 
 Each seed generates a random alloc/copy/launch/free program and runs it
-through the sync API, the stream API, and the local baseline.  The
-properties under test:
+through the sync API, with its control ops in batch frames, and on the
+local baseline.  The properties under test:
 
 * **equivalence** — all three paths produce results bit-identical to the
   host oracle (an optimization may change times, never values);
 * **monotonicity** — every virtual-time trace is non-decreasing;
 * **determinism** — re-running a seed reproduces the identical program,
   results, and event trace (the DES regression property);
-* **economy** — the stream path never issues more request frames than
-  logical remote ops (batching can only save round trips).
+* **economy** — the batched path's daemon serves fewer request frames
+  than the sync path's, which sends one per op (batching can only save
+  round trips).
 """
 
 import numpy as np
@@ -23,7 +24,7 @@ from .harness import (
     generate_program,
     make_remote_rig,
     run_all_paths,
-    run_stream,
+    run_batched,
     run_sync,
 )
 
@@ -33,11 +34,12 @@ SEEDS = list(range(20)) + [101, 202, 12345]
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_all_paths_equivalent(seed):
-    expected, outcomes, stream = run_all_paths(seed, n_ops=30)
+    expected, outcomes, requests = run_all_paths(seed, n_ops=30)
     assert expected, "program produced no results to compare"
     assert_equivalent(expected, outcomes)
-    # Batching can only remove round trips, never add them.
-    assert stream.frames_issued <= stream.ops_issued
+    # Batching can only remove round trips, never add them; the prologue's
+    # kernel creates always share a frame.
+    assert requests["batched"] < requests["sync"]
 
 
 @pytest.mark.parametrize("seed", [3, 11, 17])
@@ -81,22 +83,19 @@ def test_oracle_matches_numpy_by_construction():
 
 @pytest.mark.parametrize("sync_every", [1, 5])
 def test_stream_with_periodic_barriers_still_equivalent(sync_every):
-    """Pump restarts at barriers must not change numerics or ordering."""
+    """Flushing the open run at barriers must not change numerics or
+    ordering."""
     prog = generate_program(13, n_ops=30)
     expected = expected_results(prog)
     cluster, sess, ac = make_remote_rig()
-
-    def body():
-        out, stream = yield from run_stream(cluster.engine, ac, prog,
-                                            sync_every=sync_every)
-        return out, stream
-
-    out, stream = sess.call(body())
-    assert_equivalent(expected, {"stream": out})
-    # A barrier after every op forbids coalescing beyond the pre-loop
-    # prologue (the three kernel_creates plus the first instruction).
+    out = sess.call(run_batched(cluster.engine, ac, prog,
+                                sync_every=sync_every))
+    assert_equivalent(expected, {"batched": out})
+    # A barrier after every op forbids batching beyond the prologue (the
+    # three kernel_creates plus the first instruction, an alloc).
     if sync_every == 1:
-        assert stream.ops_batched <= 4
+        stats = cluster.daemons[ac.handle.ac_id].stats
+        assert (stats.mbatches, stats.mbatched_ops) == (1, 4)
 
 
 def test_sync_trace_is_strictly_within_run():

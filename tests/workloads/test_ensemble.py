@@ -23,6 +23,7 @@ class TestConfig:
         {"n_gateways": 0},
         {"slots_per_device": 0},
         {"window_s": -1.0},
+        {"window_s": float("nan")},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(WorkloadError):

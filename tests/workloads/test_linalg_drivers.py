@@ -83,6 +83,25 @@ class TestQRCorrectness:
         np.testing.assert_allclose(np.abs(res.R), np.abs(R_np), atol=1e-8)
 
 
+class TestQRBatchedControl:
+    """``streams=True`` sends each GPU's control ops as runs of at most
+    16.  A phantom N=2048 on one GPU has 16 panels: the teardown's 18
+    frees split 16 + 2, and the later panels' allocations and the last
+    step's single dlarfb launch travel alone."""
+
+    def test_phantom_n2048_one_gpu_requests_and_time(self):
+        cluster, sess, acs = remote_accelerators(1)
+        res = sess.call(qr_factorize(cluster.engine,
+                                     cluster.compute_nodes[0].cpu,
+                                     acs, 2048, 128, streams=True))
+        (daemon,) = cluster.daemons
+        # Exact: a moved count or time is a change to the protocol's cost.
+        assert daemon.stats.control_requests == 33
+        assert daemon.stats.requests == 111
+        assert res.seconds == 0.32834142218613127
+        assert (daemon.stats.mbatches, daemon.stats.mbatched_ops) == (17, 141)
+
+
 class TestCholeskyCorrectness:
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_remote_cholesky_reproduces_a(self, g):
